@@ -348,31 +348,43 @@ def alpha_oracle(g: Graph, cap: int = DEFAULT_ALPHA_CAP) -> int:
         raise CapExceeded(f"alpha oracle capped at {cap} nodes, got {g.n}")
     best = 0
     for comp in components(g):
-        best += _alpha_component(dict(comp.adjacency))
+        best += _alpha_component(comp.adjacency)
     return best
 
 
-def _alpha_component(adj: dict[int, tuple[int, ...]]) -> int:
-    best = [0]
+def _alpha_component(adj: Mapping[int, tuple[int, ...]]) -> int:
+    """Branch and bound over bitmasks: branch on a node of largest degree
+    in what is left, and close out once every degree there is at most 1."""
+    idx = {u: i for i, u in enumerate(adj)}
+    nbr = [sum(1 << idx[v] for v in adj[u]) for u in adj]
+    best = 0
 
-    def go(active: frozenset, size: int):
-        if size + len(active) <= best[0]:
+    def go(active: int, size: int):
+        nonlocal best
+        count = active.bit_count()
+        if size + count <= best:
             return  # bound: even taking everything cannot win
-        if not active:
-            best[0] = max(best[0], size)
+        top = top_deg = -1
+        ends = 0  # edge endpoints inside active
+        rest = active
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            deg = (nbr[i] & active).bit_count()
+            ends += deg
+            if deg > top_deg:
+                top, top_deg = i, deg
+            rest ^= low
+        if top_deg <= 1:
+            # a disjoint union of edges and isolated nodes (or nothing)
+            best = max(best, size + count - ends // 2)
             return
-        degs = {u: sum(1 for v in adj[u] if v in active) for u in active}
-        v = max(active, key=lambda u: (degs[u], u))
-        if degs[v] <= 1:
-            # remaining graph is a disjoint union of edges and isolated nodes
-            edges = sum(d for d in degs.values()) // 2
-            best[0] = max(best[0], size + len(active) - edges)
-            return
-        closed = active - {v} - set(adj[v])
-        go(closed, size + 1)  # include v
-        go(active - {v}, size)  # exclude v
-    go(frozenset(adj), 0)
-    return best[0]
+        bit = 1 << top
+        go(active & ~bit & ~nbr[top], size + 1)  # include top
+        go(active & ~bit, size)  # exclude top
+
+    go((1 << len(nbr)) - 1, 0)
+    return best
 
 
 def tau_oracle(g: Graph, cap: int = DEFAULT_ALPHA_CAP) -> int:
@@ -400,8 +412,16 @@ def enumerate_mis(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> list[frozenset]:
         if p == 0 and x == 0:
             out.append(frozenset(nodes[i] for i in range(len(nodes)) if r >> i & 1))
             return
-        pivot = max((i for i in range(len(nodes)) if (p | x) >> i & 1),
-                    key=lambda i: bin(p & comp[i]).count("1"))
+        # pivot: a node of P|X with the most candidates in P, lowest first
+        pivot = most = -1
+        rest = p | x
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            hits = (p & comp[i]).bit_count()
+            if hits > most:
+                pivot, most = i, hits
+            rest ^= low
         cand = p & ~comp[pivot]
         while cand:
             i = (cand & -cand).bit_length() - 1

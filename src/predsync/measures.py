@@ -5,7 +5,9 @@ nodes that are still undecided after running the problem's base algorithm
 on the given predictions (for edge coloring: the subgraph induced by the
 edges that remain uncolored).  All eta measures are maxima over these
 components, so they are 0 exactly when the predictions already form a
-correct solution.
+correct solution.  error_report runs the base algorithm once and splits
+its undecided part into components once, and every measure reads that one
+result; eta2 makes one independence-number call per component.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from . import mis, problems
 from .engine import simulate
 from .graphs import (CapExceeded, Graph, RootedTree, _rng, alpha_oracle,
                      components, edge_induced_subgraph, enumerate_mis,
-                     induced_subgraph, tau_oracle)
+                     induced_subgraph)
 
 MU1 = "MU1"
 MU2 = "MU2"
@@ -25,7 +27,7 @@ MU2 = "MU2"
 @dataclass(frozen=True)
 class ErrorComponent:
     subgraph: Graph
-    kind: str  # GENERAL, BLACK, WHITE or EDGE_INDUCED
+    kind: str  # GENERAL or EDGE_INDUCED
 
     @property
     def nodes(self):
@@ -47,24 +49,23 @@ _UNIFORM = {
 }
 
 
-def base_active_nodes(kind: str, g: Graph, p) -> set:
-    """Nodes left undecided by the base algorithm run on predictions p."""
+def _residue(kind: str, g: Graph, p):
+    """One base-algorithm run on predictions p: (undecided nodes, error
+    components).  For edge coloring the undecided nodes are None."""
     outcome = simulate(g, _BASE[kind](), p)
-    return outcome.undecided(g)
+    if kind == "EDGE_COLORING":
+        uncolored = [(u, v) for u, v in g.edges()
+                     if v not in outcome.outputs.get(u, {})]
+        sub = edge_induced_subgraph(g, uncolored)
+        return None, [ErrorComponent(c, "EDGE_INDUCED")
+                      for c in components(sub)]
+    active = outcome.undecided(g)
+    return active, [ErrorComponent(c, "GENERAL")
+                    for c in components(induced_subgraph(g, active))]
 
 
 def error_components(kind: str, g: Graph, p) -> list[ErrorComponent]:
-    if kind == "EDGE_COLORING":
-        outcome = simulate(g, _BASE[kind](), p)
-        uncolored = [(u, v) for u, v in g.edges()
-                     if v not in outcome.outputs.get(u, {})]
-        if not uncolored:
-            return []
-        sub = edge_induced_subgraph(g, uncolored)
-        return [ErrorComponent(c, "EDGE_INDUCED") for c in components(sub)]
-    active = base_active_nodes(kind, g, p)
-    return [ErrorComponent(c, "GENERAL")
-            for c in components(induced_subgraph(g, active))]
+    return _residue(kind, g, p)[1]
 
 
 def mu1(s: Graph) -> int:
@@ -72,20 +73,22 @@ def mu1(s: Graph) -> int:
 
 
 def mu2(s: Graph) -> int:
-    return 2 * min(alpha_oracle(s), tau_oracle(s))
+    """2 min(alpha, tau) with tau = n - alpha, from one alpha oracle call."""
+    a = alpha_oracle(s)
+    return 2 * min(a, s.n - a)
+
+
+def _worst(mu, comps) -> int:
+    return max((mu(c.subgraph) for c in comps), default=0)
 
 
 def eta(measure: str, kind: str, g: Graph, p) -> int:
     if measure not in (MU1, MU2):
         raise ValueError(f"unknown measure {measure!r}")
-    mu = mu1 if measure == MU1 else mu2
-    comps = error_components(kind, g, p)
-    return max((mu(c.subgraph) for c in comps), default=0)
+    return _worst(mu1 if measure == MU1 else mu2, error_components(kind, g, p))
 
 
-def eta_bw(g: Graph, p) -> int:
-    """Largest single-color component of undecided nodes (MIS only)."""
-    active = base_active_nodes("MIS", g, p)
+def _eta_bw(g: Graph, p, active: set) -> int:
     worst = 0
     for color in (0, 1):
         keep = {u for u in active if p[u] == color}
@@ -94,21 +97,12 @@ def eta_bw(g: Graph, p) -> int:
     return worst
 
 
-def bw_components(g: Graph, p) -> list[ErrorComponent]:
-    active = base_active_nodes("MIS", g, p)
-    out = []
-    for color, tag in ((1, "BLACK"), (0, "WHITE")):
-        keep = {u for u in active if p[u] == color}
-        out.extend(ErrorComponent(c, tag)
-                   for c in components(induced_subgraph(g, keep)))
-    return out
+def eta_bw(g: Graph, p) -> int:
+    """Largest single-color component of undecided nodes (MIS only)."""
+    return _eta_bw(g, p, _residue("MIS", g, p)[0])
 
 
-def eta_t(t: RootedTree, p) -> int:
-    """1 plus the longest monochromatic parent-pointer path (in edges)
-    through the undecided nodes of a rooted tree."""
-    g = t.graph
-    active = base_active_nodes("MIS", g, p)
+def _eta_t(t: RootedTree, p, active: set) -> int:
     if not active:
         return 0
     best = 0
@@ -125,26 +119,35 @@ def eta_t(t: RootedTree, p) -> int:
     return 1 + best
 
 
+def eta_t(t: RootedTree, p) -> int:
+    """1 plus the longest monochromatic parent-pointer path (in edges)
+    through the undecided nodes of a rooted tree."""
+    return _eta_t(t, p, _residue("MIS", t.graph, p)[0])
+
+
 def eta_hamming(g: Graph, p) -> int:
     """Minimum number of prediction flips to reach some correct solution."""
-    best = None
-    for m in enumerate_mis(g):
-        dist = sum(1 for u in g.nodes if p[u] != (1 if u in m else 0))
-        if best is None or dist < best:
-            best = dist
-    return 0 if best is None else best
+    sets = enumerate_mis(g)
+    ones = {u for u in g.nodes if p[u] == 1}
+    zeros = {u for u in g.nodes if p[u] == 0}
+    # u agrees with the set m when it is in m and predicted 1, or outside
+    # m and predicted 0; every other value disagrees with both
+    return min((g.n - len(ones & m) - len(zeros - m) for m in sets),
+               default=0)
 
 
 def error_report(kind: str, g: Graph, p, tree: RootedTree = None) -> dict:
-    """All measures for one instance; oracle-capped entries come back None."""
-    report = {"eta1": eta(MU1, kind, g, p)}
+    """All measures for one instance from one base run; oracle-capped
+    entries come back None.  A given tree must span g."""
+    active, comps = _residue(kind, g, p)
+    report = {"eta1": _worst(mu1, comps)}
     try:
-        report["eta2"] = eta(MU2, kind, g, p)
+        report["eta2"] = _worst(mu2, comps)
     except CapExceeded:
         report["eta2"] = None
     if kind == "MIS":
-        report["eta_bw"] = eta_bw(g, p)
-        report["eta_t"] = eta_t(tree, p) if tree is not None else None
+        report["eta_bw"] = _eta_bw(g, p, active)
+        report["eta_t"] = _eta_t(tree, p, active) if tree is not None else None
         try:
             report["eta_hamming"] = eta_hamming(g, p)
         except CapExceeded:

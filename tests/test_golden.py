@@ -1,0 +1,68 @@
+"""Golden CSV corpus: every sweep below must reproduce its committed CSV
+byte for byte, with the same exit status.
+
+The CSVs under tests/golden/ were captured before the error measures were
+reworked to share one base run.  A sweep that exits 1 keeps its rows as
+they are (EC simple still has bound_degrading failures on correct output).
+To capture the corpus again, at a commit whose output is trusted, run
+`PYTHONPATH=src python tests/test_golden.py`.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from predsync.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+_SWEEP = "k_range = 0..3\nseed_range = 0..2\n"
+_RANDOM = "graph = RANDOM_CONNECTED\nn = 14\np = 0.3\n"
+
+# name -> (config text, expected exit status)
+CONFIGS = {
+    "mis_simple": (_RANDOM + "problem = MIS\ntemplate = simple\n", 0),
+    "mis_consecutive": (_RANDOM + "problem = MIS\ntemplate = consecutive\n", 0),
+    "mis_interleaved": (_RANDOM + "problem = MIS\ntemplate = interleaved\n", 0),
+    "mis_parallel": (_RANDOM + "problem = MIS\ntemplate = parallel\n", 0),
+    "mm_simple": (_RANDOM + "problem = MAXIMAL_MATCHING\ntemplate = simple\n", 0),
+    "mm_consecutive": (_RANDOM + "problem = MAXIMAL_MATCHING\n"
+                                 "template = consecutive\n", 0),
+    "vc_simple": (_RANDOM + "problem = VERTEX_COLORING\ntemplate = simple\n", 0),
+    "vc_consecutive": (_RANDOM + "problem = VERTEX_COLORING\n"
+                                 "template = consecutive\n", 0),
+    "ec_simple": (_RANDOM + "problem = EDGE_COLORING\ntemplate = simple\n", 1),
+    "ec_consecutive": (_RANDOM + "problem = EDGE_COLORING\n"
+                                 "template = consecutive\n", 0),
+    "tree_simple": ("graph = TREE\nn = 14\nproblem = MIS\ntemplate = simple\n", 0),
+    # one 30-node component: eta2 and eta_H are above their oracle caps
+    "line_capped": ("graph = LINE\nn = 30\nproblem = MIS\ntemplate = simple\n"
+                    "pattern = ALL_ONES\n", 0),
+}
+
+
+def _sweep(name, tmp_path):
+    text, _ = CONFIGS[name]
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(text + _SWEEP)
+    out = tmp_path / f"{name}.csv"
+    status = main(["sweep", "--config", str(cfg), "--out", str(out)])
+    return status, out.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_golden_csv(name, tmp_path):
+    status, csv = _sweep(name, tmp_path)
+    assert status == CONFIGS[name][1]
+    assert csv == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(CONFIGS):
+            status, csv = _sweep(name, Path(tmp))
+            (GOLDEN / f"{name}.csv").write_bytes(csv)
+            print(name, "exit", status)

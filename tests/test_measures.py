@@ -3,7 +3,7 @@
 import pytest
 
 from predsync import measures as M
-from predsync.graphs import (build_graph, grid, line, line_tree,
+from predsync.graphs import (CapExceeded, build_graph, grid, line, line_tree,
                              random_connected_graph, random_tree, validate)
 
 
@@ -131,6 +131,59 @@ def test_init_components_nest_inside_base_components():
         init_active = simulate(g, mis.mis_init(), p).undecided(g)
         for c in components(induced_subgraph(g, init_active)):
             assert any(set(c.nodes) <= b for b in base_comps)
+
+
+def _single_measures(kind, g, p, tree):
+    def capped(measure):
+        try:
+            return measure()
+        except CapExceeded:
+            return None
+    expected = {"eta1": M.eta(M.MU1, kind, g, p),
+                "eta2": capped(lambda: M.eta(M.MU2, kind, g, p)),
+                "eta_bw": None, "eta_t": None, "eta_hamming": None}
+    if kind == "MIS":
+        expected["eta_bw"] = M.eta_bw(g, p)
+        expected["eta_t"] = None if tree is None else M.eta_t(tree, p)
+        expected["eta_hamming"] = capped(lambda: M.eta_hamming(g, p))
+    return expected
+
+
+def test_error_report_matches_single_measures_from_one_base_run(monkeypatch):
+    cases = []
+    for kind in ("MIS", "MAXIMAL_MATCHING", "VERTEX_COLORING",
+                 "EDGE_COLORING"):
+        for seed in range(3):
+            g = random_connected_graph(12, 0.3, seed)
+            for k in (0, 2, 5):
+                cases.append((kind, g, M.make_predictions(kind, g, k=k, seed=seed),
+                              None))
+    t = random_tree(14, 3)
+    for k in (0, 3, 6):
+        cases.append(("MIS", t.graph, M.make_predictions("MIS", t.graph, k=k,
+                                                         seed=k), t))
+    long_line = line(30)
+    for pattern in ("ALL_ONES", "ALL_ZEROS"):
+        cases.append(("MIS", long_line,
+                      M.make_predictions("MIS", long_line, pattern=pattern), None))
+
+    runs = []
+    real = M.simulate
+    reports = []
+    for kind, g, p, tree in cases:
+        expected = _single_measures(kind, g, p, tree)
+        monkeypatch.setattr(M, "simulate",
+                            lambda *args, **kw: runs.append(1) or real(*args, **kw))
+        report = M.error_report(kind, g, p, tree)
+        monkeypatch.undo()
+        assert len(runs) == 1, (kind, g.n)
+        runs.clear()
+        assert report == expected, (kind, g.n)
+        reports.append(report)
+    assert any(r["eta_t"] for r in reports)  # a tree case has eta_t set
+    assert any(r["eta2"] for r in reports) and any(r["eta_hamming"] for r in reports)
+    assert reports[-1]["eta2"] is None and reports[-1]["eta_hamming"] is None
+    assert reports[-1]["eta1"] == 30
 
 
 def test_prediction_file_roundtrip():
