@@ -74,6 +74,8 @@ class Outcome:
     term_round: dict  # node -> round it terminated
     total_rounds: int
     trace: Optional[list[TraceEvent]] = None
+    # (round, node, slot) per output assignment, in trace order; traced or not
+    output_log: list[tuple[int, int, Any]] = field(default_factory=list)
 
     def value(self, node: int):
         """Single-slot output value, or None when the node never output."""
@@ -143,6 +145,7 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
     active = set(g.nodes)
     outputs: dict[int, dict] = {u: {} for u in g.nodes}
     term_round: dict[int, int] = {}
+    output_log: list[tuple[int, int, Any]] = []
     events: list[TraceEvent] = [] if trace else None
     crash_schedule = crash_schedule or {}
 
@@ -151,9 +154,12 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
         rnd += 1
         if rnd > max_rounds:
             raise NonTermination(f"{len(active)} nodes still active after {max_rounds} rounds")
-        inboxes: dict[int, dict] = {u: {} for u in active}
-        for u in sorted(active):
+        order = sorted(active)
+        inboxes: dict[int, dict] = {u: {} for u in order}
+        for u in order:
             outbox = behaviors[u].compose(rnd)
+            if not outbox:
+                continue
             for v, payload in sorted(outbox.items()):
                 if v not in g.adjacency[u]:
                     raise ProtocolViolation(f"node {u} sent to non-neighbor {v} in round {rnd}")
@@ -162,15 +168,17 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
                 if v in active:
                     inboxes[v][u] = payload
         terminated_now = []
-        for u in sorted(active):
+        for u in order:
             step = behaviors[u].process(rnd, inboxes[u])
-            for slot, value in sorted(step.outputs.items(), key=repr):
-                if slot in outputs[u]:
-                    raise ProtocolViolation(
-                        f"node {u} re-assigned output {slot!r} in round {rnd}")
-                outputs[u][slot] = value
-                if events is not None:
-                    events.append(TraceEvent(rnd, u, "OUTPUT", f"{slot}={value!r}"))
+            if step.outputs:
+                for slot, value in sorted(step.outputs.items(), key=repr):
+                    if slot in outputs[u]:
+                        raise ProtocolViolation(
+                            f"node {u} re-assigned output {slot!r} in round {rnd}")
+                    outputs[u][slot] = value
+                    output_log.append((rnd, u, slot))
+                    if events is not None:
+                        events.append(TraceEvent(rnd, u, "OUTPUT", f"{slot}={value!r}"))
             if step.terminate:
                 terminated_now.append(u)
         for u in sorted(crash_schedule.get(rnd, ())):
@@ -183,14 +191,11 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
                 events.append(TraceEvent(rnd, u, "TERMINATE", ""))
     total = max(term_round.values(), default=0)
     return Outcome(outputs=outputs, term_round=term_round, total_rounds=total,
-                   trace=events)
+                   trace=events, output_log=output_log)
 
 
 def snapshot_active(outcome: Outcome, g: Graph, rnd: int) -> set:
-    """Nodes not yet terminated at the end of round rnd (needs a trace)."""
-    if outcome.trace is None:
-        raise ValueError("snapshot_active needs a trace-enabled run")
+    """Nodes not yet terminated at the end of round rnd."""
     if rnd < 0 or rnd > outcome.total_rounds:
         raise ValueError(f"round {rnd} out of range 0..{outcome.total_rounds}")
-    gone = {ev.node for ev in outcome.trace if ev.event == "TERMINATE" and ev.round <= rnd}
-    return set(g.nodes) - gone
+    return {u for u in g.nodes if outcome.term_round.get(u, rnd + 1) > rnd}

@@ -26,11 +26,9 @@ def _note(ctx: Ctx, inbox) -> bool:
     for sender, msg in inbox.items():
         if msg == ONE:
             ctx.nbr_one.add(sender)
-            ctx.nbr_out[sender] = 1
             ctx.gone(sender)
             got_one = True
         elif msg == ZERO:
-            ctx.nbr_out[sender] = 0
             ctx.gone(sender)
     return got_one
 

@@ -71,7 +71,6 @@ class _MmInitRun(StageRun):
             return StageStep({"y": self.partner}, terminate=True)
         matched = {s for s, m in inbox.items() if m[0] == MATCHED}
         for s in matched:
-            ctx.nbr_out[s] = "matched"
             ctx.gone(s)
         all_matched = set(ctx.view.neighbor_ids) <= matched
         if all_matched and (self.rule == "init" or pred is None):
@@ -239,7 +238,6 @@ class _VcInitRun(StageRun):
         palette = _vertex_palette(ctx)
         for s, m in inbox.items():
             palette.discard(m[1])
-            ctx.nbr_out[s] = m[1]
             ctx.gone(s)
         return StageStep()
 
@@ -284,7 +282,6 @@ class _VcUniformRun(StageRun):
         palette = _vertex_palette(ctx)
         for s, m in inbox.items():
             palette.discard(m[1])
-            ctx.nbr_out[s] = m[1]
             ctx.gone(s)
         return StageStep()
 

@@ -26,7 +26,6 @@ class Ctx:
     view: NodeView
     active: set = field(init=False)  # neighbors believed still active
     nbr_one: set = field(default_factory=set)  # neighbors that output 1 (MIS)
-    nbr_out: dict = field(default_factory=dict)  # neighbor -> learned output
     stored: dict = field(default_factory=dict)  # locally stored (unrevealed) values
     shared: dict = field(default_factory=dict)  # scratch shared between stages
 
@@ -78,13 +77,12 @@ class FixedStage(Stage):
 
 
 class StagedBehavior:
-    def __init__(self, ctx: Ctx, stages, standalone_tail: bool):
+    def __init__(self, ctx: Ctx, stages):
         self.ctx = ctx
         self.stages = stages
         self.lengths = [s.length(ctx.view) for s in stages]
         if any(l is None for l in self.lengths[:-1]):
             raise ConfigError("only the final stage may be open-ended")
-        self.standalone_tail = standalone_tail
         self.idx = 0
         self.t = 0  # rounds already spent in current stage
         self.run = stages[0].start(ctx) if stages else None
@@ -107,7 +105,7 @@ class StagedBehavior:
 
     def process(self, rnd, inbox):
         if self.run is None:
-            # past the final fixed stage: terminate undecided (standalone mode)
+            # past the final fixed stage: terminate undecided
             return Step(terminate=True)
         step = self.run.process(self.ctx, self.t + 1, inbox)
         self.t += 1
@@ -123,12 +121,11 @@ class StagedProgram:
     """Run stages back to back.  All fixed lengths must be computable from
     the node view alone, so every node switches stages in the same round."""
 
-    def __init__(self, stages, standalone_tail: bool = True):
+    def __init__(self, stages):
         self.stages = list(stages)
-        self.standalone_tail = standalone_tail
 
     def start(self, view: NodeView):
-        return StagedBehavior(Ctx(view), self.stages, self.standalone_tail)
+        return StagedBehavior(Ctx(view), self.stages)
 
     def checkpoints(self, view_like, total_rounds: int) -> list[int]:
         """Rounds at which the global partial output must be extendable."""
@@ -297,17 +294,6 @@ class FusedRun(StageRun):
         return step
 
 
-class ParallelBehavior:
-    def __init__(self, ctx, stages):
-        self.inner = StagedBehavior(ctx, stages, standalone_tail=False)
-
-    def compose(self, rnd):
-        return self.inner.compose(rnd)
-
-    def process(self, rnd, inbox):
-        return self.inner.process(rnd, inbox)
-
-
 class _FusedStage(Stage):
     def __init__(self, uniform, part1, r1):
         self.uniform = uniform
@@ -339,7 +325,7 @@ class ParallelProgram:
         self.stages.append(part2)
 
     def start(self, view):
-        return ParallelBehavior(Ctx(view), self.stages)
+        return StagedBehavior(Ctx(view), self.stages)
 
     def checkpoints(self, view_like, total_rounds):
         helper = StagedProgram(self.stages)

@@ -11,10 +11,11 @@ degradation and robustness bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import mis, problems
+from .engine import default_max_rounds
 from .stages import (ConfigError, InterleavedProgram, ParallelProgram, Stage,
                      StagedProgram, TruncatedStage)
 
@@ -66,7 +67,6 @@ class TemplateInstance:
     reveal_len: int = 0
     init_len: int = 0
     phase: Optional[int] = None  # interleaved per-phase budget
-    extra: dict = field(default_factory=dict)
 
     def checkpoints(self, view_like, total_rounds):
         return self.program.checkpoints(view_like, total_rounds)
@@ -96,7 +96,7 @@ class TemplateInstance:
         return None
 
     def max_rounds(self, g) -> int:
-        base = 4 * g.n + 20
+        base = default_max_rounds(g)
         if self.template == "parallel":
             return base + self.r1(g) + self.part2_len(g) + 10
         return base
@@ -142,15 +142,14 @@ def _mis_tree(template: str, options: dict) -> TemplateInstance:
     uniform = mis.TreeUniformStage()
     if template == "simple":
         prog = StagedProgram([init, uniform])
-        return TemplateInstance("MIS", template, prog, c=3, f=_f_mis,
-                                extra={"tree": True})
+        return TemplateInstance("MIS", template, prog, c=3, f=_f_mis)
     if template == "parallel":
         r1 = options.get("r1") or (lambda v: mis.gps_budget_even(v.d))
         part1 = mis.GpsTreeColoringStage(store_only=True)
         prog = ParallelProgram(init, uniform, part1, mis.TreePart2Stage(), r1)
         return TemplateInstance("MIS", template, prog, c=3, f=_f_mis,
                                 degrading_slack=2, r1=r1, init_len=4,
-                                part2_len=lambda v: 2, extra={"tree": True})
+                                part2_len=lambda v: 2)
     raise ConfigError(f"tree variant has no {template!r} template")
 
 

@@ -1,10 +1,12 @@
-"""Differential tests of the exact oracles against networkx: an independent
-set of g is a clique of g's complement."""
+"""Differential tests against networkx: the exact oracles (an independent
+set of g is a clique of g's complement) and the matching validator."""
+
+import random
 
 import pytest
 
 from predsync.graphs import (DEFAULT_ALPHA_CAP, DEFAULT_ENUM_CAP, alpha_oracle,
-                             enumerate_mis, random_graph, tau_oracle)
+                             enumerate_mis, random_graph, tau_oracle, validate)
 
 nx = pytest.importorskip("networkx")
 
@@ -38,3 +40,24 @@ def test_enumerate_mis_matches_cliques_of_complement():
         expected = sorted((frozenset(c) for c in nx.find_cliques(_complement(g))),
                           key=sorted)
         assert enumerate_mis(g) == expected, (g.n, sorted(g.edges()))
+
+
+def test_matching_validator_matches_is_maximal_matching():
+    verdicts = set()
+    for g in _instances(DEFAULT_ALPHA_CAP):
+        h = nx.Graph()
+        h.add_nodes_from(g.nodes)
+        h.add_edges_from(g.edges())
+        r = random.Random(f"{g.n}-{sorted(g.edges())}")
+        for keep in (1.0, 0.8, 0.5):
+            edges = list(g.edges())
+            r.shuffle(edges)
+            mate = dict.fromkeys(g.nodes)
+            for u, v in edges:
+                if mate[u] is None and mate[v] is None and r.random() < keep:
+                    mate[u], mate[v] = v, u
+            matching = {(u, v) for u, v in mate.items() if v is not None and u < v}
+            ok = validate("MAXIMAL_MATCHING", g, mate) is None
+            assert ok == nx.is_maximal_matching(h, matching), (g.n, sorted(matching))
+            verdicts.add(ok)
+    assert verdicts == {True, False}
