@@ -22,7 +22,7 @@ from .audit import audit_run
 from .engine import simulate
 from .graphs import (GraphError, RootedTree, generate, line, read_graph,
                      validate)
-from .registry import PROGRAM_KIND, get_program
+from .registry import get_program
 from .stages import ConfigError
 from .templates import build_template
 
@@ -96,8 +96,7 @@ def run_one(cfg: dict, k: int, seed: int):
     report = measures.error_report(kind, g, p, tree)
 
     if program_name:
-        program = get_program(program_name)
-        kind = PROGRAM_KIND[program_name]
+        program, kind = get_program(program_name)
         inst = None
         label = program_name
     else:
@@ -233,7 +232,8 @@ def cmd_sanity(cfg: dict, args) -> int:
     n = int(cfg.get("n", 101))
     name, threshold_fn = SANITY[family]
     g = line(n)
-    outcome = simulate(g, get_program(name), max_rounds=4 * n + 20)
+    program, _ = get_program(name)
+    outcome = simulate(g, program, max_rounds=4 * n + 20)
     threshold = math.ceil(threshold_fn(n))
     ok = outcome.total_rounds >= threshold
     print(f"{family} n={n} measured={outcome.total_rounds} "

@@ -83,11 +83,12 @@ class Outcome:
         return slots.get("y")
 
     def solution(self, kind: str, g: Graph) -> dict:
-        """Outputs reshaped for graphs.validate()."""
+        """Outputs reshaped for graphs.validate(); a node that never output
+        its value is left out, so validate reports it as INCOMPLETE."""
         if kind == "EDGE_COLORING":
             return {u: dict(self.outputs.get(u, {})) for u in g.nodes}
-        return {u: self.outputs[u]["y"] if "y" in self.outputs.get(u, {}) else None
-                for u in g.nodes}
+        return {u: self.outputs[u]["y"] for u in g.nodes
+                if "y" in self.outputs.get(u, {})}
 
     def undecided(self, g: Graph) -> set:
         """Nodes that terminated (or stopped) without assigning any output."""
@@ -99,11 +100,8 @@ class Outcome:
         return [ev.line() for ev in self.trace]
 
 
-def make_views(g: Graph, predictions, tree: Optional[RootedTree] = None,
-               expose: tuple = ("n", "d", "delta")) -> dict[int, NodeView]:
-    n = g.n if "n" in expose else None
-    d = g.d if "d" in expose else None
-    delta = g.delta if "delta" in expose else None
+def make_views(g: Graph, predictions, tree: Optional[RootedTree] = None) -> dict[int, NodeView]:
+    delta = g.delta
     views = {}
     for u in g.nodes:
         pred = None if predictions is NO_PREDICTIONS else predictions[u]
@@ -112,7 +110,7 @@ def make_views(g: Graph, predictions, tree: Optional[RootedTree] = None,
             p = tree.parent[u]
             is_root = p == ROOT
             parent = None if is_root else p
-        views[u] = NodeView(id=u, neighbor_ids=g.neighbors(u), n=n, d=d,
+        views[u] = NodeView(id=u, neighbor_ids=g.neighbors(u), n=g.n, d=g.d,
                             delta=delta, prediction=pred, is_root=is_root,
                             parent=parent)
     return views
@@ -124,8 +122,7 @@ def default_max_rounds(g: Graph) -> int:
 
 def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
              max_rounds: Optional[int] = None, *, tree: Optional[RootedTree] = None,
-             trace: bool = False, crash_schedule: Optional[Mapping[int, set]] = None,
-             expose: tuple = ("n", "d", "delta")) -> Outcome:
+             trace: bool = False, crash_schedule: Optional[Mapping[int, set]] = None) -> Outcome:
     """Run the program on every node of g until all nodes terminate.
 
     crash_schedule maps a round number to the set of nodes forcibly
@@ -140,7 +137,7 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
         missing = [u for u in g.nodes if u not in predictions]
         if missing:
             raise ValueError(f"predictions missing for nodes {missing}")
-    views = make_views(g, predictions, tree, expose)
+    views = make_views(g, predictions, tree)
     behaviors = {u: program.start(views[u]) for u in g.nodes}
     active = set(g.nodes)
     outputs: dict[int, dict] = {u: {} for u in g.nodes}

@@ -1,4 +1,6 @@
-"""Graph representation, generators, exact oracles and solution validators.
+"""Graph representation, generators, exact oracles, and one correctness
+rule per problem (node_rule), which both validate() and the extendability
+auditor apply.
 
 Graphs are undirected, simple, with distinct integer identifiers drawn from
 {1..d}.  All structures are immutable after construction; the oracles are
@@ -8,8 +10,9 @@ pure functions, so everything here is safe to share between threads.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Optional
 
 ROOT = 0  # parent marker for the root of a rooted tree
 
@@ -353,38 +356,36 @@ def alpha_oracle(g: Graph, cap: int = DEFAULT_ALPHA_CAP) -> int:
 
 
 def _alpha_component(adj: Mapping[int, tuple[int, ...]]) -> int:
-    """Branch and bound over bitmasks: branch on a node of largest degree
-    in what is left, and close out once every degree there is at most 1."""
     idx = {u: i for i, u in enumerate(adj)}
     nbr = [sum(1 << idx[v] for v in adj[u]) for u in adj]
-    best = 0
+    return _alpha_branch(nbr, (1 << len(nbr)) - 1, 0, 0)
 
-    def go(active: int, size: int):
-        nonlocal best
-        count = active.bit_count()
-        if size + count <= best:
-            return  # bound: even taking everything cannot win
-        top = top_deg = -1
-        ends = 0  # edge endpoints inside active
-        rest = active
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            deg = (nbr[i] & active).bit_count()
-            ends += deg
-            if deg > top_deg:
-                top, top_deg = i, deg
-            rest ^= low
-        if top_deg <= 1:
-            # a disjoint union of edges and isolated nodes (or nothing)
-            best = max(best, size + count - ends // 2)
-            return
-        bit = 1 << top
-        go(active & ~bit & ~nbr[top], size + 1)  # include top
-        go(active & ~bit, size)  # exclude top
 
-    go((1 << len(nbr)) - 1, 0)
-    return best
+def _alpha_branch(nbr: list[int], active: int, size: int, best: int) -> int:
+    """Branch and bound over bitmasks: the larger of best and the biggest
+    independent set of size chosen nodes plus some of active.  Branches on
+    a node of largest degree in active, and closes out once every degree
+    there is at most 1."""
+    count = active.bit_count()
+    if size + count <= best:
+        return best  # bound: even taking everything cannot win
+    top = top_deg = -1
+    ends = 0  # edge endpoints inside active
+    rest = active
+    while rest:
+        low = rest & -rest
+        i = low.bit_length() - 1
+        deg = (nbr[i] & active).bit_count()
+        ends += deg
+        if deg > top_deg:
+            top, top_deg = i, deg
+        rest ^= low
+    if top_deg <= 1:
+        # a disjoint union of edges and isolated nodes (or nothing)
+        return max(best, size + count - ends // 2)
+    bit = 1 << top
+    best = _alpha_branch(nbr, active & ~bit & ~nbr[top], size + 1, best)  # include top
+    return _alpha_branch(nbr, active & ~bit, size, best)  # exclude top
 
 
 def tau_oracle(g: Graph, cap: int = DEFAULT_ALPHA_CAP) -> int:
@@ -407,37 +408,39 @@ def enumerate_mis(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> list[frozenset]:
             mask &= ~(1 << idx[v])
         comp.append(mask)
     out: list[frozenset] = []
-
-    def bk(r: int, p: int, x: int):
-        if p == 0 and x == 0:
-            out.append(frozenset(nodes[i] for i in range(len(nodes)) if r >> i & 1))
-            return
-        # pivot: a node of P|X with the most candidates in P, lowest first
-        pivot = most = -1
-        rest = p | x
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            hits = (p & comp[i]).bit_count()
-            if hits > most:
-                pivot, most = i, hits
-            rest ^= low
-        cand = p & ~comp[pivot]
-        while cand:
-            i = (cand & -cand).bit_length() - 1
-            bit = 1 << i
-            bk(r | bit, p & comp[i], x & comp[i])
-            p &= ~bit
-            x |= bit
-            cand &= ~bit
-
     if nodes:
-        bk(0, full, 0)
+        _bron_kerbosch(nodes, comp, out, 0, full, 0)
     return sorted(out, key=lambda s: sorted(s))
 
 
+def _bron_kerbosch(nodes: list[int], comp: list[int], out: list, r: int, p: int, x: int):
+    """Append to out every maximal clique of the bitset graph comp that
+    extends r with nodes of p and none of x."""
+    if p == 0 and x == 0:
+        out.append(frozenset(nodes[i] for i in range(len(nodes)) if r >> i & 1))
+        return
+    # pivot: a node of P|X with the most candidates in P, lowest first
+    pivot = most = -1
+    rest = p | x
+    while rest:
+        low = rest & -rest
+        i = low.bit_length() - 1
+        hits = (p & comp[i]).bit_count()
+        if hits > most:
+            pivot, most = i, hits
+        rest ^= low
+    cand = p & ~comp[pivot]
+    while cand:
+        i = (cand & -cand).bit_length() - 1
+        bit = 1 << i
+        _bron_kerbosch(nodes, comp, out, r | bit, p & comp[i], x & comp[i])
+        p &= ~bit
+        x |= bit
+        cand &= ~bit
+
+
 # ---------------------------------------------------------------------------
-# validators
+# correctness rules and the validator
 
 
 @dataclass(frozen=True)
@@ -453,82 +456,129 @@ class Violation:
 PROBLEM_KINDS = ("MIS", "MAXIMAL_MATCHING", "VERTEX_COLORING", "EDGE_COLORING")
 
 
-def validate(kind: str, g: Graph, outputs: Mapping[int, object]) -> Optional[Violation]:
-    """None when the outputs solve the problem on g, else the first violation."""
-    for u in g.nodes:
-        if u not in outputs or outputs[u] is _MISSING:
-            return Violation("INCOMPLETE", u, "no output")
+def node_rule(kind: str, g: Graph):
+    """The problem's correctness rule on g: rule(out, u) -> Violation or None.
+
+    out maps nodes to outputs shaped as for validate(); a node missing from
+    out (or, for edge coloring, an edge missing from a node's map) has not
+    decided yet.  rule(out, u) reads only u's closed neighbourhood.  When
+    every decided node passes it, out extends to a solution (a greedy
+    completion of the undecided part exists); on a complete output that
+    is correctness.  A node's checks run in _RANK order, so a node that
+    breaks several reports its lowest-ranked one.
+    """
+    adj = g.adjacency
     if kind == "MIS":
-        return _validate_mis(g, outputs)
-    if kind == "MAXIMAL_MATCHING":
-        return _validate_matching(g, outputs)
-    if kind == "VERTEX_COLORING":
-        return _validate_vertex_coloring(g, outputs)
-    if kind == "EDGE_COLORING":
-        return _validate_edge_coloring(g, outputs)
-    raise ValueError(f"unknown problem kind {kind!r}")
-
-
-_MISSING = object()
-
-
-def _validate_mis(g, out):
-    for u in g.nodes:
-        if out[u] not in (0, 1):
-            return Violation("RANGE", u, f"bit expected, got {out[u]!r}")
-    for u, v in g.edges():
-        if out[u] == 1 and out[v] == 1:
-            return Violation("INDEPENDENCE", (u, v), "both endpoints output 1")
-    for u in g.nodes:
-        if out[u] == 0 and not any(out[v] == 1 for v in g.adjacency[u]):
-            return Violation("MAXIMALITY", u, "outputs 0 with no neighbor in the set")
-    return None
-
-
-def _validate_matching(g, out):
-    for u in g.nodes:
-        y = out[u]
-        if y is not None:
-            if y not in g.adjacency[u]:
-                return Violation("RANGE", u, f"partner {y!r} is not a neighbor")
-            if out[y] != u:
-                return Violation("SYMMETRY", (u, y), "partner does not agree")
-    for u in g.nodes:
-        if out[u] is None and any(out[v] is None for v in g.adjacency[u]):
-            v = next(v for v in g.adjacency[u] if out[v] is None)
-            return Violation("MAXIMALITY", (u, v), "two adjacent unmatched nodes")
-    return None
-
-
-def _validate_vertex_coloring(g, out):
-    hi = g.delta + 1
-    for u in g.nodes:
-        if not isinstance(out[u], int) or not 1 <= out[u] <= hi:
-            return Violation("RANGE", u, f"color {out[u]!r} outside 1..{hi}")
-    for u, v in g.edges():
-        if out[u] == out[v]:
-            return Violation("CONFLICT", (u, v), f"both colored {out[u]}")
-    return None
-
-
-def _validate_edge_coloring(g, out):
-    hi = 2 * g.delta - 1
-    for u in g.nodes:
-        cols = out[u]
-        if not isinstance(cols, Mapping) or set(cols) != set(g.adjacency[u]):
-            return Violation("INCOMPLETE", u, "missing or spurious edge colors")
-        for v, c in cols.items():
+        def rule(out, u):
+            if u not in out:
+                return None
+            value = out[u]
+            if value == 1:
+                for v in adj[u]:
+                    if out.get(v) == 1:
+                        return Violation("INDEPENDENCE", (u, v),
+                                         f"adjacent nodes {u},{v} both joined")
+            elif value == 0:
+                if not any(out.get(v) == 1 for v in adj[u]):
+                    return Violation("MAXIMALITY", u,
+                                     f"node {u} output 0 with no joined neighbor")
+            else:
+                return Violation("RANGE", u, f"node {u} output {value!r}")
+            return None
+    elif kind == "MAXIMAL_MATCHING":
+        def rule(out, u):
+            if u not in out:
+                return None
+            mate = out[u]
+            if mate is None:
+                for v in adj[u]:
+                    if out.get(v) in (None, u):
+                        return Violation("MAXIMALITY", (u, v), f"node {u} output - "
+                                         f"but neighbor {v} is not matched away")
+            elif mate not in adj[u]:
+                return Violation("RANGE", u, f"node {u} matched to non-neighbor {mate}")
+            elif out.get(mate) != u:
+                return Violation("SYMMETRY", (u, mate), f"match {u}->{mate} not mutual")
+            return None
+    elif kind == "VERTEX_COLORING":
+        hi = g.delta + 1
+        def rule(out, u):
+            if u not in out:
+                return None
+            c = out[u]
             if not isinstance(c, int) or not 1 <= c <= hi:
-                return Violation("RANGE", (u, v), f"color {c!r} outside 1..{hi}")
-    for u, v in g.edges():
-        if out[u][v] != out[v][u]:
-            return Violation("CONFLICT", (u, v), "endpoints disagree on edge color")
+                return Violation("RANGE", u, f"node {u} color {c!r} out of range")
+            for v in adj[u]:
+                if out.get(v) == c:
+                    return Violation("CONFLICT", (u, v),
+                                     f"adjacent nodes {u},{v} share color {c}")
+            return None
+    elif kind == "EDGE_COLORING":
+        hi = 2 * g.delta - 1
+        def rule(out, u):
+            if u not in out:
+                return None
+            cols = out[u]
+            for v in cols:
+                if v not in adj[u]:
+                    return Violation("INCOMPLETE", u,
+                                     f"node {u} colored non-incident edge to {v}")
+            for v, c in cols.items():
+                if not isinstance(c, int) or not 1 <= c <= hi:
+                    return Violation("RANGE", (u, v),
+                                     f"edge {{{u},{v}}} color {c!r} out of range")
+            seen = {}
+            for v, c in cols.items():
+                if c in seen:
+                    return Violation("CONFLICT", (u, (seen[c], v)),
+                                     f"node {u} used color {c} on two edges")
+                seen[c] = v
+                try:
+                    other = out[v].get(u)
+                except (KeyError, AttributeError):  # v undecided, or not a map
+                    other = None
+                if other != c:
+                    return Violation("CONFLICT", (u, v), f"edge {{{u},{v}}} colored "
+                                     f"{c} at {u} but {other!r} at {v}")
+            return None
+    else:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    return rule
+
+
+# The order in which validate() reports codes; equal ranks go by node order.
+_RANK = {
+    "MIS": {"RANGE": 0, "INDEPENDENCE": 1, "MAXIMALITY": 2},
+    "MAXIMAL_MATCHING": {"RANGE": 0, "SYMMETRY": 0, "MAXIMALITY": 1},
+    "VERTEX_COLORING": {"RANGE": 0, "CONFLICT": 1},
+    "EDGE_COLORING": {"INCOMPLETE": 0, "RANGE": 0, "CONFLICT": 1},
+}
+
+
+def validate(kind: str, g: Graph, outputs: Mapping[int, object]) -> Optional[Violation]:
+    """None when every node has an output and passes node_rule, that is, when
+    the outputs solve the problem on g.  Otherwise INCOMPLETE for the first
+    node without an output, else the failure of lowest _RANK, first in node
+    order.  An edge-coloring node must also color every incident edge."""
     for u in g.nodes:
-        seen = {}
-        for v, c in out[u].items():
-            if c in seen:
-                return Violation("CONFLICT", (u, (seen[c], v)), f"color {c} reused at {u}")
-            seen[c] = v
+        if u not in outputs:
+            return Violation("INCOMPLETE", u, "no output")
+    rule = node_rule(kind, g)
+    rank = _RANK[kind]
+    first = None
+    for u in g.nodes:
+        found = _uncolored(g, outputs, u) if kind == "EDGE_COLORING" else None
+        found = found or rule(outputs, u)
+        if found is not None and (first is None or rank[found.code] < rank[first.code]):
+            first = found
+    return first
+
+
+def _uncolored(g: Graph, out, u) -> Optional[Violation]:
+    """INCOMPLETE unless u's edge-coloring output colors every incident edge."""
+    cols = out[u]
+    if not isinstance(cols, Mapping) or any(v not in cols for v in g.adjacency[u]):
+        return Violation("INCOMPLETE", u, f"node {u} did not color every incident edge")
     return None
 
 

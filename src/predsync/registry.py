@@ -4,52 +4,38 @@ from __future__ import annotations
 
 from . import mis, problems
 
-REGISTRY = {
-    "mis.base": mis.mis_base,
-    "mis.init": mis.mis_init,
-    "mis.greedy": mis.greedy_mis,
-    "mis.cleanup": mis.mis_cleanup,
-    "mis.color_part2": lambda: mis.coloring_to_mis_part2(combined=False),
-    "mis.color_part2_combined": lambda: mis.coloring_to_mis_part2(combined=True),
-    "mis.u_bw": mis.u_bw,
-    "mis.tree_init": mis.tree_init,
-    "mis.tree_init_eager": lambda: mis.tree_init(eager=True),
-    "mis.tree_uniform": mis.tree_uniform,
-    "mis.tree_gps": mis.gps_tree_3coloring,
-    "mis.tree_part2": mis.tree_ref_part2,
-    "mm.base": problems.mm_base,
-    "mm.init": problems.mm_init,
-    "mm.uniform": problems.mm_uniform,
-    "mm.cleanup": problems.mm_cleanup,
-    "vc.base": problems.vc_base,
-    "vc.init": problems.vc_init,
-    "vc.uniform": problems.vc_uniform,
-    "vc.linial": problems.linial_coloring,
-    "ec.base": problems.ec_base,
-    "ec.uniform": problems.ec_uniform,
-    "ec.cleanup": problems.ec_cleanup,
-}
-
-# problem kind whose validator applies to each program's complete output
-PROGRAM_KIND = {
-    "mis.base": "MIS", "mis.init": "MIS", "mis.greedy": "MIS",
-    "mis.cleanup": "MIS", "mis.color_part2": "MIS",
-    "mis.color_part2_combined": "MIS", "mis.u_bw": "MIS",
-    "mis.tree_init": "MIS", "mis.tree_init_eager": "MIS",
-    "mis.tree_uniform": "MIS", "mis.tree_gps": "VERTEX_COLORING",
-    "mis.tree_part2": "MIS",
-    "mm.base": "MAXIMAL_MATCHING", "mm.init": "MAXIMAL_MATCHING",
-    "mm.uniform": "MAXIMAL_MATCHING", "mm.cleanup": "MAXIMAL_MATCHING",
-    "vc.base": "VERTEX_COLORING", "vc.init": "VERTEX_COLORING",
-    "vc.uniform": "VERTEX_COLORING", "vc.linial": "VERTEX_COLORING",
-    "ec.base": "EDGE_COLORING", "ec.uniform": "EDGE_COLORING",
-    "ec.cleanup": "EDGE_COLORING",
+# name -> (factory, problem kind whose validator applies to its complete output)
+PROGRAMS = {
+    "mis.base": (mis.mis_base, "MIS"),
+    "mis.init": (mis.mis_init, "MIS"),
+    "mis.greedy": (mis.greedy_mis, "MIS"),
+    "mis.cleanup": (mis.mis_cleanup, "MIS"),
+    "mis.color_part2": (lambda: mis.coloring_to_mis_part2(combined=False), "MIS"),
+    "mis.color_part2_combined": (lambda: mis.coloring_to_mis_part2(combined=True), "MIS"),
+    "mis.u_bw": (mis.u_bw, "MIS"),
+    "mis.tree_init": (mis.tree_init, "MIS"),
+    "mis.tree_init_eager": (lambda: mis.tree_init(eager=True), "MIS"),
+    "mis.tree_uniform": (mis.tree_uniform, "MIS"),
+    "mis.tree_gps": (mis.gps_tree_3coloring, "VERTEX_COLORING"),
+    "mis.tree_part2": (mis.tree_ref_part2, "MIS"),
+    "mm.base": (problems.mm_base, "MAXIMAL_MATCHING"),
+    "mm.init": (problems.mm_init, "MAXIMAL_MATCHING"),
+    "mm.uniform": (problems.mm_uniform, "MAXIMAL_MATCHING"),
+    "mm.cleanup": (problems.mm_cleanup, "MAXIMAL_MATCHING"),
+    "vc.base": (problems.vc_base, "VERTEX_COLORING"),
+    "vc.init": (problems.vc_init, "VERTEX_COLORING"),
+    "vc.uniform": (problems.vc_uniform, "VERTEX_COLORING"),
+    "vc.linial": (problems.linial_coloring, "VERTEX_COLORING"),
+    "ec.base": (problems.ec_base, "EDGE_COLORING"),
+    "ec.uniform": (problems.ec_uniform, "EDGE_COLORING"),
+    "ec.cleanup": (problems.ec_cleanup, "EDGE_COLORING"),
 }
 
 
 def get_program(name: str):
+    """A fresh instance of the named program, and its problem kind."""
     try:
-        factory = REGISTRY[name]
+        factory, kind = PROGRAMS[name]
     except KeyError:
-        raise KeyError(f"unknown program {name!r}; known: {sorted(REGISTRY)}")
-    return factory()
+        raise KeyError(f"unknown program {name!r}; known: {sorted(PROGRAMS)}")
+    return factory(), kind

@@ -309,7 +309,7 @@ class _FusedStage(Stage):
         return FusedRun(ctx, self.uniform, self.part1)
 
 
-class ParallelProgram:
+class ParallelProgram(StagedProgram):
     """Initialization, then a fault-tolerant reference part 1 run in parallel
     with a measure-uniform stage, then (clean-up,) reveal, then part 2."""
 
@@ -317,16 +317,5 @@ class ParallelProgram:
                  cleanup: Optional[Stage] = None, reveal: Optional[Stage] = None):
         if not part1.fault_tolerant:
             raise ConfigError("part 1 of the reference must be fault tolerant")
-        self.stages = [init_stage, _FusedStage(uniform, part1, r1)]
-        if cleanup is not None:
-            self.stages.append(cleanup)
-        if reveal is not None:
-            self.stages.append(reveal)
-        self.stages.append(part2)
-
-    def start(self, view):
-        return StagedBehavior(Ctx(view), self.stages)
-
-    def checkpoints(self, view_like, total_rounds):
-        helper = StagedProgram(self.stages)
-        return helper.checkpoints(view_like, total_rounds)
+        stages = [init_stage, _FusedStage(uniform, part1, r1), cleanup, reveal, part2]
+        super().__init__(s for s in stages if s is not None)

@@ -1,5 +1,7 @@
 """Graph construction, oracles, validators and file format."""
 
+import gc
+
 import pytest
 
 from predsync.graphs import (CapExceeded, GraphError, alpha_oracle,
@@ -85,6 +87,18 @@ def test_enumerate_mis():
     assert len(enumerate_mis(tri)) == 3
     with pytest.raises(CapExceeded):
         enumerate_mis(line(21), cap=20)
+
+
+def test_oracles_leave_no_reference_cycles():
+    g = random_graph(14, 0.3, 1)
+    for oracle in (alpha_oracle, enumerate_mis):
+        gc.collect()
+        gc.disable()
+        try:
+            oracle(g)
+            assert gc.collect() == 0, oracle.__name__
+        finally:
+            gc.enable()
 
 
 def test_validate_mis():
