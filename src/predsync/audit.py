@@ -79,7 +79,3 @@ def audit_run(kind: str, g: Graph, outcome, checkpoints) -> list[str]:
             verdict[rnd] = failing[min(failing, key=rank.__getitem__)]
     return [f"round {rnd}: {verdict[rnd]}" for rnd in checkpoints if rnd in verdict]
 
-
-def even_rounds(outcome) -> list[int]:
-    """Checkpoint list for a bare phased run: every even round."""
-    return list(range(2, outcome.total_rounds + 1, 2))

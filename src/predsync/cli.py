@@ -115,10 +115,10 @@ def run_one(cfg: dict, k: int, seed: int):
     valid = validate(kind, g, outcome.solution(kind, g))
 
     failures = []
+    if valid is not None:
+        failures.append(f"invalid solution: {valid.code}")
     consistency = degrading = robust = ""
     if inst is not None:
-        if valid is not None:
-            failures.append(f"invalid solution: {valid.code}")
         if report["eta1"] == 0:
             consistency = str(outcome.total_rounds == inst.c).lower()
         f = inst.f(report)

@@ -5,10 +5,19 @@ the end of the previous round, then all messages are delivered, then each
 active node processes its inbox, may assign output values, and may
 terminate.  A node that terminates in round r still has its round-r outbox
 delivered.  Messages addressed to already-terminated nodes are dropped.
+
+Waiting nodes cost nothing.  A node's Step may name its next wake round:
+until then, its compose and process would do nothing unless a message
+reaches it.  The engine steps only awake nodes; a sleeping node is woken
+in its wake round, or earlier by a message, in which case only its process
+runs in that round.  Stepped or not, every active node is in the same
+round, so node programs derive their stage time from rnd, never from the
+number of calls they got.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Protocol
 
@@ -24,6 +33,9 @@ class NonTermination(RuntimeError):
 
 
 NO_PREDICTIONS = None
+
+# A wake round past every round bound: sleep until a message arrives.
+NEVER = sys.maxsize
 
 
 @dataclass(frozen=True)
@@ -46,6 +58,9 @@ class Step:
 
     outputs: dict = field(default_factory=dict)  # output slot -> value
     terminate: bool = False
+    # next round to step this node if no message reaches it first; None is
+    # the next round.  compose and process must do nothing before then.
+    wake: Optional[int] = None
 
 
 class NodeBehavior(Protocol):
@@ -140,6 +155,9 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
     views = make_views(g, predictions, tree)
     behaviors = {u: program.start(views[u]) for u in g.nodes}
     active = set(g.nodes)
+    awake = sorted(active)  # nodes stepped this round, in node order
+    asleep: dict[int, int] = {}  # sleeping node -> its wake round
+    wakes: dict[int, list] = {}  # wake round -> nodes (stale entries allowed)
     outputs: dict[int, dict] = {u: {} for u in g.nodes}
     term_round: dict[int, int] = {}
     output_log: list[tuple[int, int, Any]] = []
@@ -151,9 +169,16 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
         rnd += 1
         if rnd > max_rounds:
             raise NonTermination(f"{len(active)} nodes still active after {max_rounds} rounds")
-        order = sorted(active)
-        inboxes: dict[int, dict] = {u: {} for u in order}
-        for u in order:
+        due = []
+        for u in wakes.pop(rnd, ()):
+            if asleep.get(u) == rnd:
+                del asleep[u]
+                due.append(u)
+        if due:
+            awake = sorted(awake + due)
+        inboxes: dict[int, dict] = {u: {} for u in awake}
+        roused = []  # sleeping recipients of this round's messages
+        for u in awake:
             outbox = behaviors[u].compose(rnd)
             if not outbox:
                 continue
@@ -163,7 +188,17 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
                 if events is not None:
                     events.append(TraceEvent(rnd, u, "SEND", f"{v}:{payload!r}"))
                 if v in active:
-                    inboxes[v][u] = payload
+                    try:
+                        inboxes[v][u] = payload
+                    except KeyError:  # v sleeps: it wakes to process this
+                        inboxes[v] = {u: payload}
+                        roused.append(v)
+        order = awake
+        if roused:
+            for v in roused:
+                del asleep[v]
+            order = sorted(awake + roused)
+        awake = []
         terminated_now = []
         for u in order:
             step = behaviors[u].process(rnd, inboxes[u])
@@ -178,11 +213,21 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
                         events.append(TraceEvent(rnd, u, "OUTPUT", f"{slot}={value!r}"))
             if step.terminate:
                 terminated_now.append(u)
-        for u in sorted(crash_schedule.get(rnd, ())):
-            if u in active and u not in terminated_now:
-                terminated_now.append(u)
+                continue
+            wake = step.wake
+            if wake is None or wake <= rnd + 1:
+                awake.append(u)
+            else:
+                asleep[u] = wake
+                wakes.setdefault(wake, []).append(u)
+        crashed = [u for u in sorted(crash_schedule.get(rnd, ()))
+                   if u in active and u not in terminated_now]
+        if crashed:
+            terminated_now += crashed
+            awake = [u for u in awake if u not in crashed]
         for u in sorted(terminated_now):
             active.discard(u)
+            asleep.pop(u, None)
             term_round[u] = rnd
             if events is not None:
                 events.append(TraceEvent(rnd, u, "TERMINATE", ""))

@@ -185,11 +185,6 @@ def wheel_fk(k: int, id_scheme: str = "INCREASING", seed: int = 0, d: Optional[i
     return build_graph(ids, edges, d)
 
 
-def wheel_rim_nodes(k: int, id_scheme: str = "INCREASING", seed: int = 0, d: Optional[int] = None) -> set[int]:
-    ids, _ = _assign_ids(2 * k + 1, id_scheme, seed, d)
-    return set(ids[k + 1 :])
-
-
 def grid(rows: int, cols: int, id_scheme: str = "INCREASING", seed: int = 0, d: Optional[int] = None) -> Graph:
     """rows x cols grid; position (i, j) occupies slot i*cols + j (row major)."""
     if rows < 1 or cols < 1:
@@ -314,31 +309,6 @@ def edge_induced_subgraph(g: Graph, edges: Sequence[tuple[int, int]]) -> Graph:
     """Subgraph whose nodes are the endpoints of the given edges."""
     nodes = sorted({u for e in edges for u in e})
     return build_graph(nodes, list(edges), g.d)
-
-
-INFINITE = float("inf")
-
-
-def diameter(g: Graph):
-    """Max shortest-path length over node pairs; INFINITE if disconnected."""
-    if g.n == 0:
-        return 0
-    best = 0
-    for s in g.nodes:
-        dist = {s: 0}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in g.adjacency[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        if len(dist) < g.n:
-            return INFINITE
-        best = max(best, max(dist.values()))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -584,16 +554,6 @@ def _uncolored(g: Graph, out, u) -> Optional[Violation]:
 
 # ---------------------------------------------------------------------------
 # file format
-
-
-def write_graph(g: Graph, tree: Optional[RootedTree] = None) -> str:
-    lines = [f"{g.n} {g.d}"]
-    isolated = [u for u in g.nodes if not g.adjacency[u]]
-    lines += [f"V {u}" for u in isolated]
-    lines += [f"{u} {v}" for u, v in g.edges()]
-    if tree is not None:
-        lines += [f"P {u} {tree.parent[u]}" for u in g.nodes]
-    return "\n".join(lines) + "\n"
 
 
 def read_graph(text: str):

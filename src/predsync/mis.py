@@ -180,6 +180,9 @@ class _GreedyRun(StageRun):
         if t % 2 == 1:
             if self.join:
                 return StageStep({"y": 1}, terminate=True)
+            if not inbox:
+                # a rival stays active: wait until a message changes that
+                return StageStep(idle=True)
             self.zero = _note(ctx, inbox)
         else:
             if self.zero:

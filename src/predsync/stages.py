@@ -5,6 +5,11 @@ and shared between nodes; per-node state lives in a StageRun created by
 start() and in the node's Ctx, which persists across stages (so a later
 stage can see which neighbors already terminated, which ones joined an
 independent set, locally stored colors, and so on).
+
+The drivers compute each run's stage time t from the round number, so a
+run that returns StageStep(idle=True) may skip rounds: the driver turns
+idle into the engine's wake round, and the run is next called when that
+round comes or a message arrives.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
-from .engine import NodeView, ProtocolViolation, Step
+from .engine import NEVER, NodeView, ProtocolViolation, Step
 
 
 class ConfigError(ValueError):
@@ -40,6 +45,9 @@ class Ctx:
 class StageStep:
     outputs: dict = field(default_factory=dict)
     terminate: bool = False  # the node is completely finished
+    # no work in this run until a message arrives: until then its compose
+    # returns nothing and its process with an empty inbox changes nothing
+    idle: bool = False
 
 
 class StageRun:
@@ -84,37 +92,42 @@ class StagedBehavior:
         if any(l is None for l in self.lengths[:-1]):
             raise ConfigError("only the final stage may be open-ended")
         self.idx = 0
-        self.t = 0  # rounds already spent in current stage
+        self.before = 0  # rounds before the current stage
+        self.end = self.lengths[0] if stages else None  # its last round
         self.run = stages[0].start(ctx) if stages else None
 
-    def _advance_if_needed(self):
-        while self.run is not None and self.lengths[self.idx] is not None \
-                and self.t >= self.lengths[self.idx]:
+    def compose(self, rnd):
+        # advance to the stage that round rnd falls in.  process needs no
+        # advance: it follows compose, or it is a message to a sleeper,
+        # whose wake round never lies past the start of the next stage
+        while self.run is not None and self.end is not None and rnd > self.end:
+            self.before = self.end
             self.idx += 1
-            self.t = 0
             if self.idx < len(self.stages):
                 self.run = self.stages[self.idx].start(self.ctx)
+                ln = self.lengths[self.idx]
+                self.end = None if ln is None else self.before + ln
             else:
                 self.run = None
-
-    def compose(self, rnd):
-        self._advance_if_needed()
         if self.run is None:
             return {}
-        return self.run.compose(self.ctx, self.t + 1)
+        return self.run.compose(self.ctx, rnd - self.before)
 
     def process(self, rnd, inbox):
         if self.run is None:
             # past the final fixed stage: terminate undecided
             return Step(terminate=True)
-        step = self.run.process(self.ctx, self.t + 1, inbox)
-        self.t += 1
-        out = Step(outputs=step.outputs, terminate=step.terminate)
-        if not step.terminate and self.idx == len(self.stages) - 1 \
-                and self.lengths[-1] is not None and self.t >= self.lengths[-1]:
-            # end of a fixed final stage: undecided node stops here
-            out.terminate = True
-        return out
+        step = self.run.process(self.ctx, rnd - self.before, inbox)
+        last = self.idx == len(self.stages) - 1
+        # end of a fixed final stage: undecided node stops here
+        terminate = step.terminate or (rnd == self.end and last)
+        wake = None
+        if step.idle and not terminate:
+            # sleep to the next stage, or to the last round of the final one
+            wake = NEVER if self.end is None else (
+                self.end if last else self.end + 1)
+        # positional: keyword arguments double the cost of this hot call
+        return Step(step.outputs, terminate, wake)
 
 
 class StagedProgram:
@@ -173,91 +186,70 @@ class TruncatedStage(Stage):
 
 
 class InterleavedBehavior:
-    def __init__(self, ctx, init_stage, uniform, reference, budgets):
+    def __init__(self, ctx, init_stage, uniform, reference, phase):
         self.ctx = ctx
         self.init_len = init_stage.length(ctx.view)
         self.init_run = init_stage.start(ctx)
         self.uniform = uniform
         self.reference = reference
-        self.budgets = budgets  # callable(view, i) -> rounds of phase i (1-based)
-        self.phase_i = 0
-        self.left = 0
-        self.mode = None  # "U" or "R"
+        self.phase = phase  # rounds of each U or R block
         self.runs = {}
-        self.ts = {"U": 0, "R": 0}
-        self.t_init = 0
+        self.idle = set()  # runs with no work until a message arrives
 
-    def _current(self):
-        if self.t_init < self.init_len:
-            return ("init", self.init_run)
-        if self.left == 0:
-            # phases run U(r_1), R(r_1), U(r_2), R(r_2), ...
-            if self.mode == "U":
-                self.mode = "R"
-            else:
-                self.mode = "U"
-                self.phase_i += 1
-            self.left = self.budgets(self.ctx.view, self.phase_i)
-            key = self.mode
-            stage = self.uniform if key == "U" else self.reference
-            if key not in self.runs:
-                self.runs[key] = stage.start(self.ctx)
-        return (self.mode, self.runs[self.mode])
+    def _current(self, rnd):
+        """The run that round rnd belongs to, its stage time, and the first
+        round of the next block.  Blocks run U, R, U, R, ... after init."""
+        if rnd <= self.init_len:
+            return "init", self.init_run, rnd, None
+        block, offset = divmod(rnd - self.init_len - 1, self.phase)
+        which = "R" if block % 2 else "U"
+        if which not in self.runs:
+            stage = self.uniform if which == "U" else self.reference
+            self.runs[which] = stage.start(self.ctx)
+        return (which, self.runs[which], block // 2 * self.phase + offset + 1,
+                rnd - offset + self.phase)
 
     def compose(self, rnd):
-        which, run = self._current()
-        if which == "init":
-            return run.compose(self.ctx, self.t_init + 1)
-        return run.compose(self.ctx, self.ts[which] + 1)
+        which, run, t, _ = self._current(rnd)
+        return run.compose(self.ctx, t)
 
     def process(self, rnd, inbox):
-        which, run = self._current()
-        if which == "init":
-            step = run.process(self.ctx, self.t_init + 1, inbox)
-            self.t_init += 1
-        else:
-            step = run.process(self.ctx, self.ts[which] + 1, inbox)
-            self.ts[which] += 1
-            self.left -= 1
-        return Step(outputs=step.outputs, terminate=step.terminate)
+        which, run, t, next_block = self._current(rnd)
+        step = run.process(self.ctx, t, inbox)
+        wake = None
+        if which != "init" and not step.terminate:
+            # the runs share ctx, so what one learns may give the other work
+            if inbox or not step.idle:
+                self.idle.clear()
+            if step.idle:
+                self.idle.add(which)
+                # both idle: only a message brings work; else the other
+                # run may have some when its block starts
+                wake = NEVER if len(self.idle) == 2 else next_block
+        return Step(step.outputs, step.terminate, wake)
 
 
 class InterleavedProgram:
     """Alternate phases of a measure-uniform stage and a phased reference."""
 
-    def __init__(self, init_stage, uniform, reference, budgets=None):
+    def __init__(self, init_stage, uniform, reference, phase: int):
         for s, name in ((uniform, "uniform"), (reference, "reference")):
             if not s.extendable_at_phase_end or not s.phase_len:
                 raise ConfigError(f"{name} stage must be phased and extendable at phase ends")
+        if phase < 1 or any(phase % s.phase_len for s in (uniform, reference)):
+            raise ConfigError("phase budget must be a positive multiple of the stage phase length")
         self.init_stage = init_stage
         self.uniform = uniform
         self.reference = reference
-        if budgets is None:
-            budgets = lambda view, i: uniform.phase_len
-        self.budgets = budgets
+        self.phase = phase
 
     def start(self, view):
-        ctx = Ctx(view)
-        b = self.budgets
-        for s in (self.uniform, self.reference):
-            if b(view, 1) % s.phase_len != 0:
-                raise ConfigError("phase budget must be a multiple of the stage phase length")
-        return InterleavedBehavior(ctx, self.init_stage, self.uniform, self.reference, b)
+        return InterleavedBehavior(Ctx(view), self.init_stage, self.uniform,
+                                   self.reference, self.phase)
 
     def checkpoints(self, view_like, total_rounds):
-        pts = []
-        at = self.init_stage.length(view_like)
-        if at <= total_rounds:
-            pts.append(at)
-        i = 1
-        while at < total_rounds:
-            for _ in ("U", "R"):
-                at += self.budgets(view_like, i)
-                if at <= total_rounds:
-                    pts.append(at)
-                if at >= total_rounds:
-                    break
-            i += 1
+        init_len = self.init_stage.length(view_like)
+        pts = list(range(init_len, total_rounds, self.phase))
         pts.append(total_rounds)
         return sorted(set(pts))
 
@@ -291,7 +283,8 @@ class FusedRun(StageRun):
             rstep = self.r.process(ctx, t, r_in)
             if rstep.outputs or rstep.terminate:
                 raise ProtocolViolation("part 1 must store outputs locally")
-        return step
+        # part 1 works every round, so the fused run is never idle
+        return StageStep(step.outputs, step.terminate)
 
 
 class _FusedStage(Stage):

@@ -123,8 +123,7 @@ def _mis_general(template: str, options: dict) -> TemplateInstance:
         phase = int(options.get("phase", 2))
         if phase % 2:
             raise ConfigError("interleaved greedy phases must be even")
-        budgets = lambda view, i: phase
-        prog = InterleavedProgram(init, greedy, mis.GreedyStage("min"), budgets)
+        prog = InterleavedProgram(init, greedy, mis.GreedyStage("min"), phase)
         return TemplateInstance("MIS", template, prog, c=3, f=_f_mis,
                                 phase=phase)
     r1 = options.get("r1") or (lambda v: problems.linial_budget_even(v.d, v.delta))

@@ -9,12 +9,14 @@ shared accumulators and the tests must run in file order (pytest default).
 import math
 
 from predsync import measures as M, mis, problems
-from predsync.audit import audit_run, even_rounds
+from predsync.audit import audit_run
 from predsync.engine import simulate
-from predsync.graphs import (diameter, grid, induced_subgraph, line,
-                             line_tree, random_connected_graph, random_tree,
-                             validate, wheel_fk, wheel_rim_nodes, _rng)
+from predsync.graphs import (grid, induced_subgraph, line, line_tree,
+                             random_connected_graph, random_tree, validate,
+                             wheel_fk, _rng)
 from predsync.templates import build_template
+
+from helpers import diameter, even_rounds, wheel_rim_nodes
 
 AUDITED_RUNS = []  # (label, violations list)
 MEASURE_ROWS = []  # (eta1, eta2, eta_bw, eta_t or None)

@@ -3,7 +3,9 @@
 from pathlib import Path
 
 from predsync.cli import main, parse_range
-from predsync.graphs import line, write_graph
+from predsync.graphs import line
+
+from helpers import write_graph
 
 
 def _cfg(tmp_path, text, name="c.cfg"):
@@ -49,6 +51,21 @@ def test_run_tree_program_row(tmp_path, capsys):
     header, row = out.strip().splitlines()
     cells = dict(zip(header.split(","), row.split(",")))
     assert cells["rounds"] == "2" and cells["eta_t"] == "2"
+
+
+def test_run_invalid_program_row_fails(tmp_path, capsys):
+    # mm.base leaves node 12 without output on this instance
+    cfg = _cfg(tmp_path, "graph = RANDOM_CONNECTED\nn = 10\np = 0.3\n"
+                         "problem = MAXIMAL_MATCHING\nprogram = mm.base\n"
+                         "k = 1\nseed = 0\n")
+    assert main(["run", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    header, row = captured.out.strip().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["valid"] == "INCOMPLETE" and cells["template"] == "mm.base"
+    assert ("ASSERTION FAILED (k=1, seed=0): invalid solution: INCOMPLETE"
+            in captured.err)
+    assert ",12,TERMINATE," in captured.err  # the trace is dumped
 
 
 def test_sweep_deterministic_csv(tmp_path):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from predsync.engine import (NonTermination, ProtocolViolation, Step,
+from predsync.engine import (NEVER, NonTermination, ProtocolViolation, Step,
                              default_max_rounds, simulate, snapshot_active)
 from predsync.graphs import build_graph, line
 
@@ -144,3 +144,106 @@ def test_predictions_must_be_complete():
     g = line(3)
     with pytest.raises(ValueError):
         simulate(g, Script({}), predictions={1: 1})
+
+
+class Sleeper:
+    """Program that logs every call.  plans: node -> round -> (outbox, wake,
+    stop); a round without a plan sends nothing, keeps the node awake and
+    does not stop it."""
+
+    def __init__(self, plans):
+        self.plans = plans
+        self.log = []  # (round, node, "compose" | "process", inbox)
+
+    def start(self, view):
+        plan = self.plans.get(view.id, {})
+        log = self.log
+
+        class B:
+            def compose(self, rnd):
+                log.append((rnd, view.id, "compose", None))
+                return plan.get(rnd, ({}, None, False))[0]
+
+            def process(self, rnd, inbox):
+                log.append((rnd, view.id, "process", dict(inbox)))
+                _, wake, stop = plan.get(rnd, ({}, None, False))
+                return Step(outputs={"y": rnd} if stop else {},
+                            terminate=stop, wake=wake)
+
+        return B()
+
+    def calls(self, node):
+        return [(rnd, what) for rnd, u, what, _ in self.log if u == node]
+
+
+def test_sleeping_node_not_stepped_before_its_wake_round():
+    g = build_graph([1, 2], [(1, 2)])
+    prog = Sleeper({1: {1: ({}, 5, False), 5: ({}, None, True)},
+                    2: {3: ({}, None, True)}})
+    out = simulate(g, prog)
+    assert prog.calls(1) == [(1, "compose"), (1, "process"),
+                             (5, "compose"), (5, "process")]
+    assert out.term_round == {1: 5, 2: 3} and out.total_rounds == 5
+
+
+def test_message_to_sleeper_calls_only_its_process():
+    g = build_graph([1, 2], [(1, 2)])
+    prog = Sleeper({1: {1: ({}, 9, False), 4: ({}, None, True)},
+                    2: {3: ({1: "wake up"}, None, True)}})
+    out = simulate(g, prog, trace=True)
+    assert prog.calls(1) == [(1, "compose"), (1, "process"), (3, "process"),
+                             (4, "compose"), (4, "process")]
+    assert [inbox for rnd, u, what, inbox in prog.log
+            if u == 1 and rnd == 3] == [{2: "wake up"}]
+    assert "3,2,SEND,1:'wake up'" in out.trace_lines()
+    assert out.term_round == {1: 4, 2: 3}
+
+
+def test_stale_wake_entry_is_harmless():
+    g = build_graph([1, 2], [(1, 2)])
+    # node 1 sleeps to round 6, a message rouses it in round 2, and it goes
+    # back to sleep, first to round 6 again (a second entry for the same
+    # round), then from round 6 to round 8: round 6 steps it once, and the
+    # entry left for round 6 never steps it again
+    prog = Sleeper({1: {1: ({}, 6, False), 2: ({}, 6, False),
+                        6: ({}, 8, False), 8: ({}, None, True)},
+                    2: {2: ({1: "m"}, None, True)}})
+    out = simulate(g, prog)
+    assert prog.calls(1) == [(1, "compose"), (1, "process"), (2, "process"),
+                             (6, "compose"), (6, "process"),
+                             (8, "compose"), (8, "process")]
+    assert out.term_round[1] == 8
+    # roused before its wake round and then sent further: the old entry for
+    # round 4 does not step it
+    prog = Sleeper({1: {1: ({}, 4, False), 2: ({}, 7, False),
+                        7: ({}, None, True)},
+                    2: {2: ({1: "m"}, None, True)}})
+    simulate(g, prog)
+    assert prog.calls(1) == [(1, "compose"), (1, "process"), (2, "process"),
+                             (7, "compose"), (7, "process")]
+
+
+def test_crash_of_sleeping_node_ends_it_in_scheduled_round():
+    g = build_graph([1, 2], [(1, 2)])
+    prog = Sleeper({1: {1: ({}, 5, False)}, 2: {8: ({}, None, True)}})
+    out = simulate(g, prog, crash_schedule={3: {1}}, trace=True)
+    assert prog.calls(1) == [(1, "compose"), (1, "process")]  # not in round 5
+    assert out.term_round == {1: 3, 2: 8}
+    assert "3,1,TERMINATE," in out.trace_lines()
+    # a message to a crashed sleeper is dropped, not delivered
+    prog = Sleeper({1: {1: ({}, 10, False)}, 2: {4: ({1: "late"}, None, True)}})
+    simulate(g, prog, crash_schedule={3: {1}})
+    assert prog.calls(1) == [(1, "compose"), (1, "process")]
+
+
+def test_all_nodes_asleep_forever_is_non_termination():
+    g = build_graph([1, 2, 3], [(1, 2), (2, 3)])
+    prog = Sleeper({u: {1: ({}, NEVER, False)} for u in g.nodes})
+    with pytest.raises(NonTermination) as asleep:
+        simulate(g, prog, max_rounds=7)
+    with pytest.raises(NonTermination) as awake:
+        simulate(g, Script({u: {r: ({}, {}, False) for r in range(1, 9)}
+                            for u in g.nodes}), max_rounds=7)
+    assert str(asleep.value) == str(awake.value) == \
+        "3 nodes still active after 7 rounds"
+    assert len(prog.log) == 6  # one compose and one process per node

@@ -5,12 +5,13 @@ import gc
 import pytest
 
 from predsync.graphs import (CapExceeded, GraphError, alpha_oracle,
-                             build_graph, components, diameter,
-                             edge_induced_subgraph, enumerate_mis, generate,
-                             grid, induced_subgraph, line, line_tree,
-                             random_connected_graph, random_graph,
-                             random_tree, read_graph, RootedTree, tau_oracle,
-                             validate, wheel_fk, wheel_rim_nodes, write_graph)
+                             build_graph, components, edge_induced_subgraph,
+                             enumerate_mis, generate, grid, induced_subgraph,
+                             line, line_tree, random_connected_graph,
+                             random_graph, random_tree, read_graph,
+                             RootedTree, tau_oracle, validate, wheel_fk)
+
+from helpers import diameter, wheel_rim_nodes, write_graph
 
 
 def test_line_structure():

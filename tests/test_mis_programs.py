@@ -4,12 +4,14 @@ and the rooted-tree programs."""
 import pytest
 
 from predsync import measures as M, mis
-from predsync.audit import audit_run, even_rounds, partial_outputs
+from predsync.audit import audit_run, partial_outputs
 from predsync.engine import ProtocolViolation, simulate, snapshot_active
 from predsync.graphs import (build_graph, components, grid,
                              induced_subgraph, line, line_tree,
                              random_connected_graph, random_tree, validate,
                              _rng)
+
+from helpers import even_rounds
 
 
 def _k(ids):

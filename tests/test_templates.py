@@ -22,6 +22,8 @@ def test_build_template_errors():
     with pytest.raises(ConfigError):
         build_template("MIS", "interleaved", phase=3)
     with pytest.raises(ConfigError):
+        build_template("MIS", "interleaved", phase=0)  # no block would end
+    with pytest.raises(ConfigError):
         build_template("MIS", "consecutive", tree=True)
     with pytest.raises(ConfigError):
         build_template("VERTEX_COLORING", "parallel")

@@ -1,0 +1,207 @@
+"""The wake-driven engine against stepping every node every round.
+
+The reference runs the same program behind a proxy that drops every wake
+hint, so the engine steps every active node in every round; the stage
+drivers derive stage time from the round number either way.  Both runs
+must agree on outputs, termination rounds, trace and output record.
+"""
+
+import pytest
+
+from predsync import measures as M, mis, problems
+from predsync.engine import NonTermination, ProtocolViolation, Step, simulate
+from predsync.graphs import (build_graph, generate, line,
+                             random_connected_graph, random_tree, _rng)
+from predsync.stages import StagedProgram, TruncatedStage
+from predsync.templates import build_template
+
+
+class _Counted:
+    def __init__(self, inner, counts, keep_wake):
+        self.inner = inner
+        self.counts = counts
+        self.keep_wake = keep_wake
+
+    def compose(self, rnd):
+        self.counts["compose"] += 1
+        return self.inner.compose(rnd)
+
+    def process(self, rnd, inbox):
+        self.counts["process"] += 1
+        step = self.inner.process(rnd, inbox)
+        if self.keep_wake:
+            return step
+        return Step(outputs=step.outputs, terminate=step.terminate)
+
+
+class Proxy:
+    """Counts compose and process calls; with keep_wake=False it is the
+    every-node-every-round reference."""
+
+    def __init__(self, inner, keep_wake=True):
+        self.inner = inner
+        self.keep_wake = keep_wake
+        self.counts = {"compose": 0, "process": 0}
+
+    def start(self, view):
+        return _Counted(self.inner.start(view), self.counts, self.keep_wake)
+
+
+def _run(program, keep_wake, g, predictions=None, **kwargs):
+    prog = Proxy(program, keep_wake)
+    try:
+        out = simulate(g, prog, predictions, trace=True, **kwargs)
+    except (NonTermination, ProtocolViolation) as exc:
+        return (type(exc), str(exc)), prog.counts
+    return (out.outputs, out.term_round, out.total_rounds, out.trace_lines(),
+            out.output_log), prog.counts
+
+
+def _same(program, g, predictions=None, **kwargs):
+    """Assert both engines agree; returns (wake, reference) process calls."""
+    woken, wc = _run(program, True, g, predictions, **kwargs)
+    every, ec = _run(program, False, g, predictions, **kwargs)
+    assert woken == every
+    assert wc["process"] <= ec["process"]
+    return wc["process"], ec["process"]
+
+
+FAMILIES = {
+    "LINE": {"n": 14},
+    "GRID": {"rows": 3, "cols": 4},
+    "WHEEL_FK": {"k": 5},
+    "TREE": {"n": 13},
+    "RANDOM": {"n": 12, "p": 0.3},
+    "RANDOM_CONNECTED": {"n": 12, "p": 0.3},
+}
+PROGRAMS = [("MIS", t, False) for t in
+            ("simple", "consecutive", "interleaved", "parallel")]
+PROGRAMS += [("MIS", t, True) for t in ("simple", "parallel")]
+PROGRAMS += [(p, t, False) for p in
+             ("MAXIMAL_MATCHING", "VERTEX_COLORING", "EDGE_COLORING")
+             for t in ("simple", "consecutive")]
+
+
+@pytest.mark.parametrize("problem,template,tree", PROGRAMS,
+                         ids=[f"{p}-{t}{'-tree' if tr else ''}"
+                              for p, t, tr in PROGRAMS])
+def test_wake_matches_every_round(problem, template, tree):
+    saved = 0
+    inst = build_template(problem, template, tree=tree)
+    for family, params in FAMILIES.items():
+        if tree and family != "TREE":
+            continue
+        ids = "SEEDED_PERMUTATION" if family.startswith("RANDOM") else "INCREASING"
+        for seed in range(3):
+            made = generate(family, params, ids, seed)
+            g, rooted = (made.graph, made) if family == "TREE" else (made, None)
+            preds = [M.make_predictions(problem, g, k=k, seed=seed, tree=rooted)
+                     for k in (0, 1, 3, 8)]
+            if problem == "MIS":
+                preds.append(M.make_predictions("MIS", g, pattern="ALL_ZEROS"))
+            for p in preds:
+                woken, every = _same(inst.program, g, p, tree=rooted,
+                                     max_rounds=inst.max_rounds(g))
+                saved += every - woken
+    if problem == "MIS" and template != "parallel" and not tree:
+        assert saved > 0  # greedy nodes did sleep
+
+
+@pytest.mark.parametrize("pattern", ["ALL_ZEROS", "ALL_ONES"])
+@pytest.mark.parametrize("template",
+                         ["simple", "consecutive", "interleaved", "parallel"])
+def test_wake_matches_every_round_on_line_patterns(template, pattern):
+    g = line(30)
+    inst = build_template("MIS", template)
+    p = M.make_predictions("MIS", g, pattern=pattern)
+    woken, every = _same(inst.program, g, p, max_rounds=inst.max_rounds(g))
+    if template != "parallel":  # part 1 of parallel works every round
+        assert woken < every // 2
+
+
+def test_sleeper_in_fixed_final_stage_stops_at_its_end():
+    # greedy works down an increasing line from node 10, two nodes per
+    # phase; nodes 1..4 wait, then stop undecided in the stage's last round
+    g = line(10)
+    prog = StagedProgram([TruncatedStage(mis.GreedyStage(), lambda v: 6)])
+    _same(prog, g)
+    out = simulate(g, prog)
+    assert [out.term_round[u] for u in g.nodes] == [6] * 5 + [5, 4, 3, 2, 1]
+    assert out.undecided(g) == {1, 2, 3, 4}
+
+
+def test_message_to_one_run_wakes_the_other():
+    """Interleaved runs share what a node knows, so a message one run
+    processes can give the other work.  Node 55 waits in both runs: in U
+    for 58, in R for 50.  In round 13 (the second round of the second U
+    block, phase 4) 50 leaves, so R, not U, must step 55 at the next R
+    block, where it joins."""
+    chain = [100, 90, 80, 70, 60, 50, 40, 30, 20, 10, 5]  # U wave reaches 50
+    upper = [58] + list(range(200, 210))  # keeps 58 active until after 55 joins
+    edges = list(zip(chain, chain[1:])) + list(zip(upper, upper[1:]))
+    g = build_graph(sorted(set(chain + upper + [55])),
+                    edges + [(55, 50), (55, 58)], 300)
+    inst = build_template("MIS", "interleaved", phase=4)
+    p = {u: 0 for u in g.nodes}
+    _same(inst.program, g, p, max_rounds=inst.max_rounds(g))
+    out = simulate(g, inst.program, p, inst.max_rounds(g), trace=True)
+    assert "13,50,SEND,55:'ZERO'" in out.trace_lines()
+    assert out.outputs[55] == {"y": 1} and out.term_round[55] == 16
+
+
+def _crashes(g, seed, label, last):
+    r = _rng(seed, label)
+    sched = {}
+    for u in sorted(g.nodes):
+        if r.random() < 0.4:
+            sched.setdefault(r.randrange(1, last + 1), set()).add(u)
+    return sched
+
+
+def test_wake_matches_every_round_under_crashes():
+    for seed in range(20):
+        g = random_connected_graph(6 + seed % 8, 0.35, seed)
+        budget = problems.linial_rounds(g.d, g.delta)
+        _same(problems.linial_coloring(), g, max_rounds=budget + 5,
+              crash_schedule=_crashes(g, seed, "wake-linial", budget))
+        p = M.make_predictions("MIS", g, k=2, seed=seed)
+        for template in ("simple", "interleaved", "parallel"):
+            inst = build_template("MIS", template)
+            _same(inst.program, g, p, max_rounds=inst.max_rounds(g),
+                  crash_schedule=_crashes(g, seed, f"wake-{template}", 3 * g.n))
+    for seed in range(20):
+        t = random_tree(6 + seed % 10, seed)
+        budget = mis.gps_rounds(t.graph.d)
+        _same(mis.gps_tree_3coloring(), t.graph, tree=t, max_rounds=budget + 5,
+              crash_schedule=_crashes(t.graph, seed, "wake-gps", budget))
+        inst = build_template("MIS", "parallel", tree=True)
+        p = M.make_predictions("MIS", t.graph, k=2, seed=seed, tree=t)
+        _same(inst.program, t.graph, p, tree=t,
+              max_rounds=inst.max_rounds(t.graph),
+              crash_schedule=_crashes(t.graph, seed, "wake-tree", 2 * t.graph.n))
+
+
+@pytest.mark.parametrize("template", ["simple", "interleaved"])
+def test_waiting_nodes_cost_nothing(template):
+    """Greedy MIS on a line with all-zero predictions works one node at a
+    time; stepping every node every round made n·rounds process calls."""
+    g = line(800)
+    inst = build_template("MIS", template)
+    prog = Proxy(inst.program)
+    out = simulate(g, prog, M.make_predictions("MIS", g, pattern="ALL_ZEROS"),
+                   inst.max_rounds(g))
+    assert out.total_rounds == 803
+    assert prog.counts["process"] <= 20 * g.n
+
+
+def test_work_fingerprint():
+    """Exact calls on one fixed run: a change to them is a change in the
+    work the engine does, and must be explained."""
+    g = line(30)
+    counts = {}
+    for template in ("simple", "interleaved"):
+        prog = Proxy(build_template("MIS", template).program)
+        simulate(g, prog, M.make_predictions("MIS", g, pattern="ALL_ZEROS"))
+        counts[template] = prog.counts
+    assert counts == {"simple": {"compose": 149, "process": 177},
+                      "interleaved": {"compose": 189, "process": 215}}
