@@ -8,6 +8,12 @@ Commands (all driven by a flat key=value config file):
     predsync sanity --config cfg                         lower-bound sanity report
 
 Exit codes: 0 ok, 1 assertion (bound or validity) failure, 2 config error.
+
+A Plan holds one config's runs.  Each seed's instance (graph, tree, the
+reference that predictions corrupt, and the MIS sets behind eta_H) is built
+by the first run_one of that seed and kept while the plan lives, so a sweep
+builds it once and shares it among its k values.  Runs still go k-major, so
+CSV rows and stderr keep that order.
 """
 
 from __future__ import annotations
@@ -64,8 +70,17 @@ def _graph_params(cfg: dict) -> dict:
     return params
 
 
+# config keys each graph family needs
+_FAMILY_KEYS = {"LINE": ("n",), "WHEEL_FK": ("k_rim",), "GRID": ("rows", "cols"),
+                "RANDOM": ("n", "p"), "RANDOM_CONNECTED": ("n", "p"),
+                "TREE": ("n",)}
+
+
 def build_instance(cfg: dict, seed: int):
     family = cfg.get("graph", "RANDOM_CONNECTED").upper()
+    missing = [key for key in _FAMILY_KEYS.get(family, ()) if key not in cfg]
+    if missing:
+        raise ConfigError(f"graph {family} needs {' and '.join(missing)}")
     made = generate(family, _graph_params(cfg),
                     cfg.get("id_scheme", "SEEDED_PERMUTATION"
                             if family.startswith("RANDOM") else "INCREASING"),
@@ -75,41 +90,66 @@ def build_instance(cfg: dict, seed: int):
     return made, None, family
 
 
-def _predictions(cfg: dict, kind: str, g, tree, k: int, seed: int):
-    pattern = cfg.get("pattern")
-    return measures.make_predictions(
-        kind, g, k=k, seed=seed, pattern=pattern, tree=tree,
-        rows=int(cfg["rows"]) if "rows" in cfg else None,
-        cols=int(cfg["cols"]) if "cols" in cfg else None)
+class Plan:
+    """One config's runs.  The program or template and each seed's instance
+    are built on first use, inside run_one, and live as long as the plan."""
+
+    def __init__(self, cfg: dict):
+        self.cfg = cfg
+        self.kind = cfg.get("problem", "MIS").upper()
+        self.pattern = cfg.get("pattern")
+        self._instances = {}
+        self._runner = None
+
+    def instance(self, seed: int) -> tuple:
+        """What the runs of one seed share, built once and never changed:
+        (graph, tree or None, family, measures.reference, and
+        measures.mis_masks of the graph for MIS, else None)."""
+        case = self._instances.get(seed)
+        if case is None:
+            cfg = self.cfg
+            g, tree, family = build_instance(cfg, seed)
+            ref = measures.reference(
+                self.kind, g, pattern=self.pattern, tree=tree,
+                rows=int(cfg["rows"]) if "rows" in cfg else None,
+                cols=int(cfg["cols"]) if "cols" in cfg else None)
+            masks = measures.mis_masks(g) if self.kind == "MIS" else None
+            case = self._instances[seed] = (g, tree, family, ref, masks)
+        return case
+
+    def runner(self, tree):
+        """(program, problem kind, TemplateInstance or None, CSV label)."""
+        if self._runner is None:
+            cfg = self.cfg
+            name = cfg.get("program")
+            if name:
+                program, kind = get_program(name)
+                self._runner = (program, kind, None, name)
+            else:
+                options = {}
+                if tree is not None or cfg.get("tree", "").lower() == "true":
+                    options["tree"] = True
+                if "phase" in cfg:
+                    options["phase"] = int(cfg["phase"])
+                inst = build_template(self.kind, cfg.get("template", "simple"),
+                                      **options)
+                self._runner = (inst.program, self.kind, inst, inst.template)
+        return self._runner
 
 
 def _cell(value) -> str:
     return "" if value is None or value == "" else str(value)
 
 
-def run_one(cfg: dict, k: int, seed: int):
+def run_one(plan: Plan, k: int, seed: int):
     """Execute one instance; returns (row dict, failure messages, outcome)."""
-    g, tree, family = build_instance(cfg, seed)
-    kind = cfg.get("problem", "MIS").upper()
-    program_name = cfg.get("program")
-    p = _predictions(cfg, kind, g, tree, k, seed)
-    report = measures.error_report(kind, g, p, tree)
+    g, tree, family, reference, masks = plan.instance(seed)
+    p = reference if plan.pattern is not None else measures.corrupt(
+        plan.kind, g, reference, k, seed)
+    report = measures.error_report(plan.kind, g, p, tree, masks)
+    program, kind, inst, label = plan.runner(tree)
 
-    if program_name:
-        program, kind = get_program(program_name)
-        inst = None
-        label = program_name
-    else:
-        options = {}
-        if tree is not None or cfg.get("tree", "").lower() == "true":
-            options["tree"] = True
-        if "phase" in cfg:
-            options["phase"] = int(cfg["phase"])
-        inst = build_template(kind, cfg.get("template", "simple"), **options)
-        program = inst.program
-        label = inst.template
-
-    max_rounds = int(cfg["max_rounds"]) if "max_rounds" in cfg else (
+    max_rounds = int(plan.cfg["max_rounds"]) if "max_rounds" in plan.cfg else (
         inst.max_rounds(g) if inst else None)
     outcome = simulate(g, program, p, max_rounds, tree=tree, trace=True)
     valid = validate(kind, g, outcome.solution(kind, g))
@@ -167,7 +207,7 @@ def _emit(text: str, out: str):
 def cmd_run(cfg: dict, args) -> int:
     k = int(cfg.get("k", 0))
     seed = int(cfg.get("seed", 0))
-    row, failures, outcome = run_one(cfg, k, seed)
+    row, failures, outcome = run_one(Plan(cfg), k, seed)
     _emit(format_csv([row]), args.out)
     if args.trace:
         for text in outcome.trace_lines():
@@ -185,11 +225,12 @@ def cmd_sweep(cfg: dict, args) -> int:
     seeds = parse_range(cfg.get("seed_range", cfg.get("seed", "0")))
     if not ks or not seeds:
         raise ConfigError("sweep needs non-empty k_range and seed_range")
+    plan = Plan(cfg)
     rows = []
     status = 0
     for k in ks:
         for seed in seeds:
-            row, failures, outcome = run_one(cfg, k, seed)
+            row, failures, outcome = run_one(plan, k, seed)
             rows.append(row)
             for msg in failures:
                 print(f"ASSERTION FAILED (k={k}, seed={seed}): {msg}",

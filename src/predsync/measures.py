@@ -8,6 +8,11 @@ components, so they are 0 exactly when the predictions already form a
 correct solution.  error_report runs the base algorithm once and splits
 its undecided part into components once, and every measure reads that one
 result; eta2 makes one independence-number call per component.
+
+Whatever depends only on the graph is built apart from the predictions, so
+a sweep builds it once per seed and shares it among its k values: the
+reference that predictions corrupt (reference) and the maximal
+independent sets behind eta_H (mis_masks).
 """
 
 from __future__ import annotations
@@ -125,20 +130,45 @@ def eta_t(t: RootedTree, p) -> int:
     return _eta_t(t, p, _residue("MIS", t.graph, p)[0])
 
 
-def eta_hamming(g: Graph, p) -> int:
-    """Minimum number of prediction flips to reach some correct solution."""
-    sets = enumerate_mis(g)
-    ones = {u for u in g.nodes if p[u] == 1}
-    zeros = {u for u in g.nodes if p[u] == 0}
+CAPPED = "CAPPED"  # mis_masks' answer when the enumeration is over its cap
+
+
+def mis_masks(g: Graph):
+    """Every maximal independent set of g as a bitmask int over g.nodes
+    (bit i is g.nodes[i]), or CAPPED.  Holds no exception, so keeping the
+    answer keeps no traceback alive."""
+    try:
+        sets = enumerate_mis(g)
+    except CapExceeded:
+        return CAPPED
+    bit = {u: 1 << i for i, u in enumerate(g.nodes)}
+    return [sum(bit[u] for u in m) for m in sets]
+
+
+def eta_hamming(g: Graph, p, masks=None):
+    """Minimum number of prediction flips to reach some correct solution,
+    over mis_masks(g) (computed when not given); None when capped."""
+    if masks is None:
+        masks = mis_masks(g)
+    if masks is CAPPED:
+        return None
+    ones = zeros = 0
+    for i, u in enumerate(g.nodes):
+        if p[u] == 1:
+            ones |= 1 << i
+        elif p[u] == 0:
+            zeros |= 1 << i
     # u agrees with the set m when it is in m and predicted 1, or outside
     # m and predicted 0; every other value disagrees with both
-    return min((g.n - len(ones & m) - len(zeros - m) for m in sets),
-               default=0)
+    return min((g.n - (ones & m).bit_count() - (zeros & ~m).bit_count()
+                for m in masks), default=0)
 
 
-def error_report(kind: str, g: Graph, p, tree: RootedTree = None) -> dict:
+def error_report(kind: str, g: Graph, p, tree: RootedTree = None,
+                 masks=None) -> dict:
     """All measures for one instance from one base run; oracle-capped
-    entries come back None.  A given tree must span g."""
+    entries come back None.  A given tree must span g; masks, when given,
+    are mis_masks(g)."""
     active, comps = _residue(kind, g, p)
     report = {"eta1": _worst(mu1, comps)}
     try:
@@ -148,10 +178,7 @@ def error_report(kind: str, g: Graph, p, tree: RootedTree = None) -> dict:
     if kind == "MIS":
         report["eta_bw"] = _eta_bw(g, p, active)
         report["eta_t"] = _eta_t(tree, p, active) if tree is not None else None
-        try:
-            report["eta_hamming"] = eta_hamming(g, p)
-        except CapExceeded:
-            report["eta_hamming"] = None
+        report["eta_hamming"] = eta_hamming(g, p, masks)
     else:
         report["eta_bw"] = report["eta_t"] = report["eta_hamming"] = None
     return report
@@ -211,8 +238,19 @@ def make_predictions(kind: str, g: Graph, *, k: int = 0, seed: int = 0,
                      rows: int = None, cols: int = None,
                      max_rounds=None) -> dict:
     """SOLVE_THEN_CORRUPT by default; a named pattern when pattern is set."""
+    ref = reference(kind, g, pattern=pattern, tree=tree, rows=rows, cols=cols,
+                    max_rounds=max_rounds)
+    return ref if pattern is not None else corrupt(kind, g, ref, k, seed)
+
+
+def reference(kind: str, g: Graph, *, pattern: str = None,
+              tree: RootedTree = None, rows: int = None, cols: int = None,
+              max_rounds=None) -> dict:
+    """What make_predictions starts from: the solved solution, which
+    corrupt() then changes, or the named pattern, which is used as is.
+    Neither is ever changed in place."""
     if pattern is None:
-        return corrupt(kind, g, solve(kind, g, max_rounds), k, seed)
+        return solve(kind, g, max_rounds)
     if kind != "MIS":
         raise ValueError("patterns are defined for MIS predictions only")
     if pattern == "ALL_ONES":

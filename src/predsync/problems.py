@@ -187,8 +187,10 @@ def mm_uniform() -> StagedProgram:
 
 
 def _vertex_palette(ctx: Ctx) -> set:
-    return ctx.stored.setdefault(
-        "palette", set(range(1, ctx.view.delta + 2)))
+    palette = ctx.stored.get("palette")
+    if palette is None:  # built once per node, not on every step
+        palette = ctx.stored["palette"] = set(range(1, ctx.view.delta + 2))
+    return palette
 
 
 class VcInitStage(Stage):
@@ -427,13 +429,16 @@ def linial_coloring() -> StagedProgram:
 
 
 def _edge_state(ctx: Ctx) -> dict:
-    hi = max(1, 2 * ctx.view.delta - 1)
-    return ctx.stored.setdefault("edges", {
-        "uncolored": set(ctx.view.neighbor_ids),
-        "palette": {v: set(range(1, hi + 1)) for v in ctx.view.neighbor_ids},
-        "mine": set(),  # colors this node has output
-        "two_hop": {},  # uncolored neighbor -> its uncolored neighbors
-    })
+    st = ctx.stored.get("edges")
+    if st is None:  # built once per node, not on every step
+        hi = max(1, 2 * ctx.view.delta - 1)
+        st = ctx.stored["edges"] = {
+            "uncolored": set(ctx.view.neighbor_ids),
+            "palette": {v: set(range(1, hi + 1)) for v in ctx.view.neighbor_ids},
+            "mine": set(),  # colors this node has output
+            "two_hop": {},  # uncolored neighbor -> its uncolored neighbors
+        }
+    return st
 
 
 class EcBaseStage(Stage):

@@ -1,8 +1,14 @@
 """Command-line harness: commands, exit codes and CSV determinism."""
 
+import gc
+import re
+import weakref
 from pathlib import Path
 
-from predsync.cli import main, parse_range
+import pytest
+
+from predsync import cli, measures
+from predsync.cli import Plan, main, parse_range, run_one
 from predsync.graphs import line
 
 from helpers import write_graph
@@ -85,6 +91,76 @@ def test_sweep_deterministic_csv(tmp_path):
 def test_sweep_empty_range_is_config_error(tmp_path):
     cfg = _cfg(tmp_path, "graph = LINE\nn = 5\nk_range = \nseed_range = 0\n")
     assert main(["sweep", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("problem", ["MIS", "EDGE_COLORING"])
+def test_sweep_builds_each_seed_once(tmp_path, monkeypatch, problem):
+    """Graph, reference solution and MIS sets depend only on the seed, so a
+    k 0..3 x seed 0..2 sweep builds each once per seed, not once per run."""
+    calls = {"generate": 0, "solve": 0, "enumerate_mis": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+
+    counted(cli, "generate")
+    counted(measures, "solve")
+    counted(measures, "enumerate_mis")
+    cfg = _cfg(tmp_path, "graph = RANDOM_CONNECTED\nn = 12\np = 0.3\n"
+                         f"problem = {problem}\ntemplate = simple\n"
+                         "k_range = 0..3\nseed_range = 0..2\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) in (0, 1)
+    assert calls == {"generate": 3, "solve": 3,
+                     "enumerate_mis": 3 if problem == "MIS" else 0}
+
+
+def test_plan_leaves_no_reference_cycles():
+    """A dropped plan is freed at once, capped oracles included: the plan
+    keeps a CAPPED marker, never an exception and its traceback."""
+    configs = [
+        {"graph": "LINE", "n": "30", "problem": "MIS", "template": "simple",
+         "pattern": "ALL_ONES"},  # eta2 and eta_H over their caps
+        {"graph": "RANDOM_CONNECTED", "n": "14", "p": "0.3", "problem": "MIS",
+         "template": "consecutive"},
+    ]
+    for cfg in configs:
+        gc.collect()
+        gc.disable()
+        try:
+            plan = Plan(cfg)
+            rows = [run_one(plan, k, seed)[0] for k in range(3) for seed in range(2)]
+            capped = cfg["graph"] == "LINE"
+            assert all((row["eta_H"] is None) == capped for row in rows)
+            freed = weakref.ref(plan)
+            del plan
+            assert freed() is None
+            assert gc.collect() == 0, cfg["graph"]
+        finally:
+            gc.enable()
+
+
+def test_readme_graph_families_are_accepted(tmp_path):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    listed = re.search(r"^graph = \w+ +# (.*)$", readme, re.M).group(1)
+    keys = {"LINE": "n = 5", "GRID": "rows = 3\ncols = 3", "WHEEL_FK": "k_rim = 4",
+            "TREE": "n = 6", "RANDOM": "n = 6\np = 0.5",
+            "RANDOM_CONNECTED": "n = 6\np = 0.5"}
+    families = [f.strip() for f in listed.split(",")]
+    for family in families:
+        cfg = _cfg(tmp_path, f"graph = {family}\n{keys.get(family, 'n = 6')}\n"
+                             "problem = MIS\n", f"{family}.cfg")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0, family
+    assert set(families) == set(keys)
+
+
+def test_wheel_without_k_rim_names_the_key(tmp_path, capsys):
+    cfg = _cfg(tmp_path, "graph = WHEEL_FK\nproblem = MIS\n")
+    assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "config error: graph WHEEL_FK needs k_rim\n"
 
 
 def test_verify(tmp_path, capsys):

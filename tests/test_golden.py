@@ -1,13 +1,18 @@
-"""Golden CSV corpus: every sweep below must reproduce its committed CSV
-byte for byte, with the same exit status.
+"""Golden sweep corpus: every sweep below must reproduce its committed CSV
+and stderr byte for byte, with the same exit status.
 
 The CSVs under tests/golden/ were captured before the error measures were
 reworked to share one base run.  A sweep that exits 1 keeps its rows as
 they are (EC simple still has bound_degrading failures on correct output).
+The stderr files were captured later, before each seed's instance came to
+be shared by its k values: they pin the k-major order of the assertion
+lines and trace dumps.
 To capture the corpus again, at a commit whose output is trusted, run
 `PYTHONPATH=src python tests/test_golden.py`.
 """
 
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
@@ -46,15 +51,18 @@ def _sweep(name, tmp_path):
     cfg = tmp_path / f"{name}.cfg"
     cfg.write_text(text + _SWEEP)
     out = tmp_path / f"{name}.csv"
-    status = main(["sweep", "--config", str(cfg), "--out", str(out)])
-    return status, out.read_bytes()
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = main(["sweep", "--config", str(cfg), "--out", str(out)])
+    return status, out.read_bytes(), err.getvalue().encode()
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_csv(name, tmp_path):
-    status, csv = _sweep(name, tmp_path)
+    status, csv, stderr = _sweep(name, tmp_path)
     assert status == CONFIGS[name][1]
     assert csv == (GOLDEN / f"{name}.csv").read_bytes()
+    assert stderr == (GOLDEN / f"{name}.stderr").read_bytes()
 
 
 if __name__ == "__main__":
@@ -63,6 +71,7 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CONFIGS):
-            status, csv = _sweep(name, Path(tmp))
+            status, csv, stderr = _sweep(name, Path(tmp))
             (GOLDEN / f"{name}.csv").write_bytes(csv)
-            print(name, "exit", status)
+            (GOLDEN / f"{name}.stderr").write_bytes(stderr)
+            print(name, "exit", status, len(stderr.splitlines()), "stderr lines")

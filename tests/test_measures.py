@@ -1,10 +1,13 @@
 """Error components, measures and prediction generation."""
 
+import random
+
 import pytest
 
 from predsync import measures as M
-from predsync.graphs import (CapExceeded, build_graph, grid, line, line_tree,
-                             random_connected_graph, random_tree, validate)
+from predsync.graphs import (CapExceeded, build_graph, enumerate_mis, grid,
+                             line, line_tree, random_connected_graph,
+                             random_graph, random_tree, validate)
 
 
 def _k(n):
@@ -70,6 +73,25 @@ def test_eta_hamming():
     e = build_graph([1, 2], [(1, 2)])
     assert M.eta_hamming(e, {1: 0, 2: 0}) == 1
     assert M.eta_hamming(e, {1: 1, 2: 0}) == 0
+
+
+def test_eta_hamming_masks_match_set_scoring():
+    """The bitmask popcount over mis_masks agrees with scoring each maximal
+    independent set as a set of nodes."""
+    r = random.Random(5)
+    for seed in range(25):
+        g = random_graph(2 + seed % 11, 0.35, seed)
+        masks = M.mis_masks(g)
+        assert len(masks) == len(enumerate_mis(g))
+        for _ in range(4):
+            p = {u: r.choice((0, 1, 1, 0, None)) for u in g.nodes}
+            ones = {u for u in g.nodes if p[u] == 1}
+            zeros = {u for u in g.nodes if p[u] == 0}
+            want = min(g.n - len(ones & m) - len(zeros - m)
+                       for m in enumerate_mis(g))
+            assert M.eta_hamming(g, p, masks) == M.eta_hamming(g, p) == want
+    assert M.mis_masks(line(30)) is M.CAPPED
+    assert M.eta_hamming(line(30), {u: 1 for u in line(30).nodes}) is None
 
 
 def test_solve_then_corrupt_k0_is_correct():

@@ -10,7 +10,7 @@ from typing import Mapping
 
 from predsync import measures, mis
 from predsync.audit import check_extendable
-from predsync.cli import build_instance, run_one
+from predsync.cli import Plan, run_one
 from predsync.engine import simulate
 from predsync.graphs import (line, random_connected_graph, random_graph,
                              validate)
@@ -209,8 +209,9 @@ def test_rule_messages_on_complete_outputs():
 def test_matching_node_without_output_is_incomplete():
     cfg = {"graph": "RANDOM_CONNECTED", "n": "10", "p": "0.3",
            "problem": "MAXIMAL_MATCHING", "program": "mm.base"}
-    row, _, outcome = run_one(cfg, 1, 0)
-    g, _, _ = build_instance(cfg, 0)
+    plan = Plan(cfg)
+    row, _, outcome = run_one(plan, 1, 0)
+    g = plan.instance(0)[0]
     assert outcome.outputs[12] == {} and 12 in outcome.term_round
     assert 12 not in outcome.solution("MAXIMAL_MATCHING", g)
     assert row["valid"] == "INCOMPLETE"
