@@ -43,6 +43,15 @@ CONFIGS = {
     # one 30-node component: eta2 and eta_H are above their oracle caps
     "line_capped": ("graph = LINE\nn = 30\nproblem = MIS\ntemplate = simple\n"
                     "pattern = ALL_ONES\n", 0),
+    # the tree template's own init and part-2 stage lengths
+    "tree_parallel": ("graph = TREE\nn = 14\nproblem = MIS\n"
+                      "template = parallel\n", 0),
+    # every part-1 budget r1 is below f, so no bound_degrading verdict
+    "line_parallel_allones": ("graph = LINE\nn = 30\nproblem = MIS\n"
+                              "template = parallel\npattern = ALL_ONES\n", 0),
+    # the only run with a non-default interleaving phase
+    "mis_interleaved_phase4": (_RANDOM + "problem = MIS\ntemplate = interleaved\n"
+                                         "phase = 4\n", 0),
 }
 
 
