@@ -126,9 +126,7 @@ class Plan:
                 program, kind = get_program(name)
                 self._runner = (program, kind, None, name)
             else:
-                options = {}
-                if tree is not None or cfg.get("tree", "").lower() == "true":
-                    options["tree"] = True
+                options = {"tree": tree is not None}
                 if "phase" in cfg:
                     options["phase"] = int(cfg["phase"])
                 inst = build_template(self.kind, cfg.get("template", "simple"),
@@ -161,20 +159,15 @@ def run_one(plan: Plan, k: int, seed: int):
     if inst is not None:
         if report["eta1"] == 0:
             consistency = str(outcome.total_rounds == inst.c).lower()
-        f = inst.f(report)
-        applicable = inst.template != "parallel" or inst.r1(g) >= f
-        if applicable:
-            degrading = str(outcome.total_rounds
-                            <= inst.degrading_bound(report)).lower()
-        rb = inst.robust_bound(g, report)
-        if rb is not None:
-            robust = str(outcome.total_rounds <= rb).lower()
+        degrading, robust = (
+            "" if bound is None else str(outcome.total_rounds <= bound).lower()
+            for bound in inst.bounds(g, report))
         for flag, name in ((consistency, "consistency"),
                            (degrading, "degrading"), (robust, "robust")):
             if flag == "false":
                 failures.append(f"bound_{name} violated")
         bad = audit_run(kind, g, outcome,
-                        inst.checkpoints(g, outcome.total_rounds))
+                        inst.program.checkpoints(g, outcome.total_rounds))
         failures += [f"not extendable at {msg}" for msg in bad]
 
     row = {

@@ -10,8 +10,7 @@ PROGRAMS = {
     "mis.init": (mis.mis_init, "MIS"),
     "mis.greedy": (mis.greedy_mis, "MIS"),
     "mis.cleanup": (mis.mis_cleanup, "MIS"),
-    "mis.color_part2": (lambda: mis.coloring_to_mis_part2(combined=False), "MIS"),
-    "mis.color_part2_combined": (lambda: mis.coloring_to_mis_part2(combined=True), "MIS"),
+    "mis.color_part2": (mis.coloring_to_mis_part2, "MIS"),
     "mis.u_bw": (mis.u_bw, "MIS"),
     "mis.tree_init": (mis.tree_init, "MIS"),
     "mis.tree_init_eager": (lambda: mis.tree_init(eager=True), "MIS"),

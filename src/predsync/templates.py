@@ -2,10 +2,11 @@
 measure-uniform program, a clean-up program and a reference program into a
 single node program.
 
-build_template() returns a TemplateInstance that carries the assembled
-program together with everything the bench harness needs to check round
-bounds: the consistency constant c, the budget values, and closures for the
-degradation and robustness bounds.
+build_template() returns a TemplateInstance: the assembled program, the
+consistency constant c and the error budget f.  Its round bounds are read
+from the program's own stage lengths, so each budget (initialization,
+truncation, clean-up, part 1, reveal, part 2, interleaving phase) is written
+down once, in the stage that spends it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Optional
 
 from . import mis, problems
 from .engine import default_max_rounds
-from .stages import (ConfigError, InterleavedProgram, ParallelProgram, Stage,
+from .stages import (ConfigError, InterleavedProgram, ParallelProgram,
                      StagedProgram, TruncatedStage)
 
 TEMPLATES = ("simple", "consecutive", "interleaved", "parallel")
@@ -44,14 +45,6 @@ def _f_ec(report: dict) -> int:
     return max(1, 2 * eta1 - 3) if eta1 >= 2 else eta1
 
 
-_F = {
-    "MIS": _f_mis,
-    "MAXIMAL_MATCHING": _f_mm,
-    "VERTEX_COLORING": _f_vc,
-    "EDGE_COLORING": _f_ec,
-}
-
-
 @dataclass
 class TemplateInstance:
     problem: str
@@ -59,140 +52,103 @@ class TemplateInstance:
     program: object
     c: int  # rounds used when predictions are correct
     f: Callable[[dict], int]  # error budget from a measure report
-    degrading_slack: int = 0
-    cleanup_len: int = 0
-    r: Optional[Callable] = None  # consecutive truncation budget r(view)
-    r1: Optional[Callable] = None  # parallel part-1 budget r1(view)
-    part2_len: Optional[Callable] = None
-    reveal_len: int = 0
-    init_len: int = 0
-    phase: Optional[int] = None  # interleaved per-phase budget
 
-    def checkpoints(self, view_like, total_rounds):
-        return self.program.checkpoints(view_like, total_rounds)
-
-    def degrading_bound(self, report) -> int:
-        """Round bound as a function of the error measures."""
-        f = self.f(report)
+    def bounds(self, g, report) -> tuple[Optional[int], Optional[int]]:
+        """(degrading, robust) round bounds of a run on g whose error
+        measures are report; None where a bound does not apply."""
+        c, f = self.c, self.f(report)
         if self.template == "simple":
-            return self.c + f
-        if self.template in ("consecutive", "interleaved"):
-            return self.c + 2 * f
-        return self.c + f + self.degrading_slack
-
-    def robust_bound(self, view_like, report=None) -> Optional[int]:
-        """Round bound independent of prediction quality."""
-        if self.template == "consecutive":
-            return self.c + 2 * self.r(view_like) + 2 * self.cleanup_len
+            return c + f, None
         if self.template == "interleaved":
-            if report is None:
-                return None
-            f = self.f(report)
-            phases = max(1, math.ceil(f / self.phase))
-            return self.c + 2 * phases * self.phase
-        if self.template == "parallel":
-            return (self.init_len + self.r1(view_like) + self.cleanup_len
-                    + self.reveal_len + self.part2_len(view_like))
-        return None
+            # whole U and R blocks until U has had f rounds
+            phase = self.program.phase
+            return c + 2 * f, c + 2 * max(1, math.ceil(f / phase)) * phase
+        lengths = [s.length(g) for s in self.program.stages]
+        if self.template == "consecutive":
+            # stages[1] is the truncated uniform stage: r plus the clean-up
+            return c + 2 * f, c + 2 * lengths[1]
+        # parallel: stages[1] is the fused stage, as long as the part-1
+        # budget r1; the degrading bound applies only if f fits inside it
+        return (c + f + 2 if lengths[1] >= f else None), sum(lengths)
 
     def max_rounds(self, g) -> int:
-        base = default_max_rounds(g)
-        if self.template == "parallel":
-            return base + self.r1(g) + self.part2_len(g) + 10
-        return base
+        if self.template != "parallel":
+            return default_max_rounds(g)
+        stages = self.program.stages
+        return (default_max_rounds(g) + stages[1].length(g)
+                + stages[-1].length(g) + 10)
 
 
 def _even(x: int) -> int:
     return x + (x % 2)
 
 
-def _mis_general(template: str, options: dict) -> TemplateInstance:
-    init = mis.MisInitStage("init")
-    greedy = mis.GreedyStage("max")
-    if template == "simple":
-        return TemplateInstance("MIS", template,
-                                StagedProgram([init, greedy]), c=3, f=_f_mis)
-    if template == "consecutive":
-        r = options.get("r") or (lambda v: _even(v.n))
-        budget = lambda v: r(v) + 1
-        prog = StagedProgram([init, TruncatedStage(greedy, budget),
-                              mis.MisCleanupStage(), mis.GreedyStage("max")])
-        return TemplateInstance("MIS", template, prog, c=3, f=_f_mis,
-                                cleanup_len=1, r=r)
-    if template == "interleaved":
-        phase = int(options.get("phase", 2))
-        if phase % 2:
-            raise ConfigError("interleaved greedy phases must be even")
-        prog = InterleavedProgram(init, greedy, mis.GreedyStage("min"), phase)
-        return TemplateInstance("MIS", template, prog, c=3, f=_f_mis,
-                                phase=phase)
-    r1 = options.get("r1") or (lambda v: problems.linial_budget_even(v.d, v.delta))
-    part1 = problems.LinialColoringStage(store_only=True)
-    part2 = mis.ColorPart2Stage(combined=True)
-    prog = ParallelProgram(init, greedy, part1, part2, r1,
-                           reveal=mis.RevealStage())
-    return TemplateInstance("MIS", template, prog, c=3, f=_f_mis,
-                            degrading_slack=2, r1=r1, reveal_len=1,
-                            init_len=3, part2_len=lambda v: max(1, v.delta))
+# problem -> (c, f, initialization, uniform stage, clean-up or None, default
+# truncation budget r(view) of the consecutive template); stage factories
+_PARTS = {
+    "MIS": (3, _f_mis, lambda: mis.MisInitStage("init"), mis.GreedyStage,
+            mis.MisCleanupStage, lambda v: _even(v.n)),
+    "MAXIMAL_MATCHING": (2, _f_mm, lambda: problems.MmInitStage("init"),
+                         problems.MmUniformStage, problems.MmCleanupStage,
+                         lambda v: 3 * ((v.n + 1) // 2)),
+    "VERTEX_COLORING": (2, _f_vc, lambda: problems.VcInitStage("init"),
+                        problems.VcUniformStage, None, lambda v: v.n),
+    "EDGE_COLORING": (1, _f_ec, problems.EcBaseStage, problems.EcUniformStage,
+                      problems.EcCleanupStage, lambda v: _even(2 * v.n)),
+}
 
 
-def _mis_tree(template: str, options: dict) -> TemplateInstance:
+def _mis_tree(template: str):
     init = mis.TreeInitStage(eager=False)
     uniform = mis.TreeUniformStage()
     if template == "simple":
-        prog = StagedProgram([init, uniform])
-        return TemplateInstance("MIS", template, prog, c=3, f=_f_mis)
+        return StagedProgram([init, uniform])
     if template == "parallel":
-        r1 = options.get("r1") or (lambda v: mis.gps_budget_even(v.d))
-        part1 = mis.GpsTreeColoringStage(store_only=True)
-        prog = ParallelProgram(init, uniform, part1, mis.TreePart2Stage(), r1)
-        return TemplateInstance("MIS", template, prog, c=3, f=_f_mis,
-                                degrading_slack=2, r1=r1, init_len=4,
-                                part2_len=lambda v: 2)
+        return ParallelProgram(init, uniform,
+                               mis.GpsTreeColoringStage(store_only=True),
+                               mis.TreePart2Stage(),
+                               lambda v: mis.gps_budget_even(v.d))
     raise ConfigError(f"tree variant has no {template!r} template")
 
 
-def _simple_or_consecutive(problem: str, template: str, init: Stage,
-                           uniform: Stage, cleanup: Optional[Stage],
-                           default_r: Callable, options: dict,
-                           c: int) -> TemplateInstance:
+def _program(problem: str, template: str, r: Optional[Callable], phase: int):
+    _, _, init, uniform, cleanup, default_r = _PARTS[problem]
     if template == "simple":
-        prog = StagedProgram([init, uniform])
-        return TemplateInstance(problem, template, prog, c=c, f=_F[problem])
+        return StagedProgram([init(), uniform()])
     if template == "consecutive":
-        r = options.get("r") or default_r
-        cleanup_len = cleanup.length(None) if cleanup is not None else 0
-        budget = lambda v: r(v) + cleanup_len
-        stages = [init, TruncatedStage(uniform, budget)]
-        if cleanup is not None:
-            stages.append(cleanup)
-        stages.append(type(uniform)())
-        prog = StagedProgram(stages)
-        return TemplateInstance(problem, template, prog, c=c, f=_F[problem],
-                                cleanup_len=cleanup_len, r=r)
-    raise ConfigError(f"{problem} supports simple and consecutive templates only")
+        r = r or default_r
+        tail = [cleanup()] if cleanup is not None else []
+        pad = sum(s.length(None) for s in tail)
+        return StagedProgram([init(), TruncatedStage(uniform(),
+                                                     lambda v: r(v) + pad),
+                              *tail, uniform()])
+    if problem != "MIS":
+        raise ConfigError(
+            f"{problem} supports simple and consecutive templates only")
+    if template == "interleaved":
+        if phase % 2:
+            raise ConfigError("interleaved greedy phases must be even")
+        return InterleavedProgram(init(), uniform(), mis.GreedyStage("min"),
+                                  phase)
+    return ParallelProgram(
+        init(), uniform(), problems.LinialColoringStage(store_only=True),
+        mis.ColorPart2Stage(combined=True),
+        lambda v: problems.linial_budget_even(v.d, v.delta),
+        reveal=mis.RevealStage())
 
 
-def build_template(problem: str, template: str, **options) -> TemplateInstance:
+def build_template(problem: str, template: str, *, tree: bool = False,
+                   r: Optional[Callable] = None,
+                   phase: int = 2) -> TemplateInstance:
+    """tree selects the rooted-tree MIS programs, r(view) is the
+    consecutive truncation budget, phase the interleaved block length."""
     if template not in TEMPLATES:
         raise ConfigError(f"unknown template {template!r}")
-    if problem == "MIS":
-        if options.pop("tree", False):
-            return _mis_tree(template, options)
-        return _mis_general(template, options)
-    if problem == "MAXIMAL_MATCHING":
-        return _simple_or_consecutive(
-            problem, template, problems.MmInitStage("init"),
-            problems.MmUniformStage(), problems.MmCleanupStage(),
-            lambda v: 3 * ((v.n + 1) // 2), options, c=2)
-    if problem == "VERTEX_COLORING":
-        return _simple_or_consecutive(
-            problem, template, problems.VcInitStage("init"),
-            problems.VcUniformStage(), None,
-            lambda v: v.n, options, c=2)
-    if problem == "EDGE_COLORING":
-        return _simple_or_consecutive(
-            problem, template, problems.EcBaseStage(),
-            problems.EcUniformStage(), problems.EcCleanupStage(),
-            lambda v: _even(2 * v.n), options, c=1)
-    raise ConfigError(f"unknown problem {problem!r}")
+    if problem not in _PARTS:
+        raise ConfigError(f"unknown problem {problem!r}")
+    if problem == "MIS" and tree:
+        program = _mis_tree(template)
+    else:
+        program = _program(problem, template, r, phase)
+    c, f = _PARTS[problem][:2]
+    return TemplateInstance(problem, template, program, c, f)

@@ -48,7 +48,7 @@ def test_criterion_01_consistency():
             assert out.total_rounds == 3, (tpl, seed, out.total_rounds)
             assert validate("MIS", g, out.solution("MIS", g)) is None
             _audit(f"c1/{tpl}/{seed}", "MIS", g, out,
-                   inst.checkpoints(g, out.total_rounds))
+                   inst.program.checkpoints(g, out.total_rounds))
     _passed(1, "all four MIS templates finish in exactly 3 rounds on 50 "
                "correct-prediction instances")
 
@@ -67,7 +67,7 @@ def test_criterion_02_simple_degradation():
             assert out.total_rounds <= report["eta1"] + 3, (k, seed)
             assert out.total_rounds <= report["eta2"] + 4, (k, seed)
             _audit(f"c2/{k}/{seed}", "MIS", g, out,
-                   inst.checkpoints(g, out.total_rounds))
+                   inst.program.checkpoints(g, out.total_rounds))
     _passed(2, "simple template rounds <= eta1+3 and <= eta2+4 on a "
                "k x seed sweep of 220 runs")
 
@@ -95,13 +95,13 @@ def test_criterion_04_parallel_corollary():
             out = simulate(g, inst.program, p, max_rounds=inst.max_rounds(g),
                            trace=True)
             assert validate("MIS", g, out.solution("MIS", g)) is None
-            r1 = inst.r1(g)
+            r1 = inst.program.stages[1].length(g)  # the fused stage
             if report["eta2"] + 4 <= r1:
                 assert out.total_rounds <= report["eta2"] + 4 + 2, (k, seed)
             else:
                 assert out.total_rounds <= 3 + r1 + g.delta + 1, (k, seed)
             _audit(f"c4/{k}/{seed}", "MIS", g, out,
-                   inst.checkpoints(g, out.total_rounds))
+                   inst.program.checkpoints(g, out.total_rounds))
     _passed(4, "parallel template within eta2+4+2 inside the part-1 budget, "
                "else within 3+r1+delta+1")
 
@@ -114,7 +114,7 @@ def test_criterion_05_grid_pattern():
     inst = build_template("MIS", "simple")
     out = simulate(g, inst.program, p, trace=True)
     assert validate("MIS", g, out.solution("MIS", g)) is None
-    _audit("c5", "MIS", g, out, inst.checkpoints(g, out.total_rounds))
+    _audit("c5", "MIS", g, out, inst.program.checkpoints(g, out.total_rounds))
     _passed(5, "16x16 grid block pattern gives eta1=256 and eta_bw=4")
 
 
@@ -138,6 +138,7 @@ def test_criterion_07_rooted_tree_line():
     _audit("c7/init", "MIS", t.graph, out, [out.total_rounds])
 
     inst = build_template("MIS", "parallel", tree=True)
+    init, fused = inst.program.stages[:2]
     checked_inside = 0
     for seed in range(20):
         tr = random_tree(5 + seed % 10, seed)
@@ -149,12 +150,12 @@ def test_criterion_07_rooted_tree_line():
             out = simulate(g, inst.program, pk, tree=tr,
                            max_rounds=inst.max_rounds(g), trace=True)
             assert validate("MIS", g, out.solution("MIS", g)) is None
-            if out.total_rounds <= inst.init_len + inst.r1(g):
+            if out.total_rounds <= init.length(g) + fused.length(g):
                 checked_inside += 1
                 limit = math.ceil(report["eta_t"] / 2) + 5
                 assert out.total_rounds <= limit, (seed, k)
             _audit(f"c7/{seed}/{k}", "MIS", g, out,
-                   inst.checkpoints(g, out.total_rounds))
+                   inst.program.checkpoints(g, out.total_rounds))
     assert checked_inside > 0
     _passed(7, "mod-3 line: eta_t=2 with all nodes done by round 2; tree "
                f"parallel within ceil(eta_t/2)+5 on {checked_inside} "

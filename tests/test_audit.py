@@ -168,7 +168,7 @@ def test_audit_matches_reference_on_seeded_template_runs():
                 traced = simulate(g, inst.program, p, inst.max_rounds(g), trace=True)
                 untraced = simulate(g, inst.program, p, inst.max_rounds(g))
                 assert untraced.output_log == traced.output_log
-                cps = inst.checkpoints(g, traced.total_rounds)
+                cps = inst.program.checkpoints(g, traced.total_rounds)
                 assert _agree(kind, g, traced, untraced, cps) == 0
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from predsync import cli, measures
+from predsync import cli, measures, registry
 from predsync.cli import Plan, main, parse_range, run_one
 from predsync.graphs import line
 
@@ -155,6 +155,25 @@ def test_readme_graph_families_are_accepted(tmp_path):
                              "problem = MIS\n", f"{family}.cfg")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0, family
     assert set(families) == set(keys)
+
+
+def test_tree_key_is_not_a_config_key(tmp_path, capsys):
+    # tree programs follow the graph: a "tree" key on a non-tree graph
+    # runs the general MIS programs
+    cfg = _cfg(tmp_path, "graph = RANDOM_CONNECTED\nn = 10\np = 0.3\n"
+                         "problem = MIS\ntemplate = parallel\ntree = true\n"
+                         "k = 1\nseed = 0\n")
+    assert main(["run", "--config", cfg]) == 0
+    header, row = capsys.readouterr().out.strip().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["valid"] == "VALID"
+
+
+def test_readme_programs_are_the_registry():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    listed = re.search(r"`program = <name>` runs a standalone program from\s+"
+                       r"the registry: (.*?)\.\n", readme, re.S).group(1)
+    names = re.findall(r"`([\w.]+)`", listed)
+    assert sorted(names) == sorted(registry.PROGRAMS)
 
 
 def test_wheel_without_k_rim_names_the_key(tmp_path, capsys):

@@ -2,14 +2,15 @@
 parallel part-1 isolation property."""
 
 import ast
+import math
 
 import pytest
 
 from predsync import measures as M, mis, problems
 from predsync.audit import audit_run
-from predsync.engine import simulate
-from predsync.graphs import (build_graph, random_connected_graph,
-                             random_tree, validate)
+from predsync.engine import default_max_rounds, simulate
+from predsync.graphs import (build_graph, grid, line, random_connected_graph,
+                             random_graph, random_tree, validate)
 from predsync.stages import ConfigError, ParallelProgram, StagedProgram
 from predsync.templates import build_template
 
@@ -27,6 +28,8 @@ def test_build_template_errors():
         build_template("MIS", "consecutive", tree=True)
     with pytest.raises(ConfigError):
         build_template("VERTEX_COLORING", "parallel")
+    with pytest.raises(TypeError):  # part 1 sets its own budget r1
+        build_template("MIS", "parallel", r1=lambda v: 4)
 
 
 def test_parallel_requires_fault_tolerant_part1():
@@ -52,12 +55,13 @@ def test_consecutive_truncation_branch():
     # the reference, and check the robust bound
     g = random_connected_graph(12, 0.3, 3)
     p = M.make_predictions("MIS", g, k=12, seed=0)
+    rep = M.error_report("MIS", g, p)
     r = lambda v: 2
     inst = build_template("MIS", "consecutive", r=r)
     out = simulate(g, inst.program, p, trace=True)
     assert validate("MIS", g, out.solution("MIS", g)) is None
-    assert out.total_rounds <= inst.robust_bound(g)
-    cps = inst.checkpoints(g, out.total_rounds)
+    assert out.total_rounds <= inst.bounds(g, rep)[1]
+    cps = inst.program.checkpoints(g, out.total_rounds)
     assert audit_run("MIS", g, out, cps) == []
 
 
@@ -80,19 +84,20 @@ def test_interleaved_round_accounting():
             inst = build_template("MIS", "interleaved")
             out = simulate(g, inst.program, p, trace=True)
             assert validate("MIS", g, out.solution("MIS", g)) is None
-            assert out.total_rounds <= inst.degrading_bound(rep)
-            assert out.total_rounds <= inst.robust_bound(g, rep)
-            cps = inst.checkpoints(g, out.total_rounds)
+            degrading, robust = inst.bounds(g, rep)
+            assert out.total_rounds <= degrading
+            assert out.total_rounds <= robust
+            cps = inst.program.checkpoints(g, out.total_rounds)
             assert audit_run("MIS", g, out, cps) == []
 
 
 def test_checkpoint_lists():
     g = random_connected_graph(8, 0.4, 2)
     simple = build_template("MIS", "simple")
-    pts = simple.checkpoints(g, 9)
+    pts = simple.program.checkpoints(g, 9)
     assert 3 in pts and 9 in pts and 5 in pts and 4 not in pts
     inter = build_template("MIS", "interleaved")
-    pts = inter.checkpoints(g, 9)
+    pts = inter.program.checkpoints(g, 9)
     assert pts[0] == 3 and all(b - a == 2 for a, b in zip(pts, pts[1:]))
 
 
@@ -119,7 +124,7 @@ def test_parallel_part1_isolation():
         inst = build_template("MIS", "parallel")
         out = simulate(g, inst.program, p, max_rounds=inst.max_rounds(g),
                        trace=True)
-        init_len, r1 = inst.init_len, inst.r1(g)
+        init_len, r1 = (s.length(g) for s in inst.program.stages[:2])
         fused = _r_subchannel_sends(out.trace, init_len + 1, init_len + r1)
 
         crashes = {}
@@ -148,16 +153,17 @@ def test_tree_parallel_bounds():
         t = random_tree(4 + seed, seed)
         g = t.graph
         inst = build_template("MIS", "parallel", tree=True)
+        init, fused = inst.program.stages[:2]
         for k in (0, 2, 5):
             p = M.make_predictions("MIS", g, k=k, seed=seed)
             rep = M.error_report("MIS", g, p, tree=t)
             out = simulate(g, inst.program, p, tree=t,
                            max_rounds=inst.max_rounds(g), trace=True)
             assert validate("MIS", g, out.solution("MIS", g)) is None
-            assert out.total_rounds <= inst.robust_bound(g)
-            if out.total_rounds <= inst.init_len + inst.r1(g):
+            assert out.total_rounds <= inst.bounds(g, rep)[1]
+            if out.total_rounds <= init.length(g) + fused.length(g):
                 assert out.total_rounds <= -(-rep["eta_t"] // 2) + 5
-            cps = inst.checkpoints(g, out.total_rounds)
+            cps = inst.program.checkpoints(g, out.total_rounds)
             assert audit_run("MIS", g, out, cps) == []
 
 
@@ -175,6 +181,60 @@ def test_other_problem_templates():
                     assert validate(kind, g, out.solution(kind, g)) is None
                     if k == 0:
                         assert out.total_rounds == inst.c
-                    assert out.total_rounds <= inst.degrading_bound(rep) \
-                        or (inst.robust_bound(g) is not None
-                            and out.total_rounds <= inst.robust_bound(g))
+                    degrading, robust = inst.bounds(g, rep)
+                    assert out.total_rounds <= degrading \
+                        or (robust is not None and out.total_rounds <= robust)
+
+
+# reference: each template's round bounds written out term by term, apart
+# from the stage lengths that TemplateInstance.bounds reads them from;
+# problem -> (c, consecutive truncation budget r(g), clean-up rounds)
+_TERMS = {
+    "MIS": (3, lambda g: g.n + g.n % 2, 1),
+    "MAXIMAL_MATCHING": (2, lambda g: 3 * ((g.n + 1) // 2), 1),
+    "VERTEX_COLORING": (2, lambda g: g.n, 0),
+    "EDGE_COLORING": (1, lambda g: 2 * g.n, 1),
+}
+
+
+def _reference_bounds(problem, template, options, g, f):
+    """(degrading, robust, max_rounds) of a run whose error budget is f."""
+    c, r, cleanup = _TERMS[problem]
+    base = default_max_rounds(g)
+    if template == "simple":
+        return c + f, None, base
+    if template == "consecutive":
+        return c + 2 * f, c + 2 * r(g) + 2 * cleanup, base
+    if template == "interleaved":
+        phase = options.get("phase", 2)
+        return c + 2 * f, c + 2 * max(1, math.ceil(f / phase)) * phase, base
+    if options.get("tree"):  # no clean-up and no reveal stage
+        init, r1, reveal, part2 = 4, mis.gps_budget_even(g.d), 0, 2
+    else:  # no clean-up stage
+        init, reveal, part2 = 3, 1, max(1, g.delta)
+        r1 = problems.linial_budget_even(g.d, g.delta)
+    degrading = c + f + 2 if r1 >= f else None
+    return degrading, init + r1 + reveal + part2, base + r1 + part2 + 10
+
+
+def test_bounds_match_reference_formulas():
+    cases = [(kind, tpl, {}) for kind in _TERMS
+             for tpl in ("simple", "consecutive")]
+    cases += [("MIS", "interleaved", {"phase": ph}) for ph in (2, 4, 6)]
+    cases += [("MIS", "parallel", {}), ("MIS", "simple", {"tree": True}),
+              ("MIS", "parallel", {"tree": True})]
+    graphs = [random_graph(14, 0.3, 2), random_connected_graph(20, 0.3, 5),
+              line(30), grid(4, 5), random_tree(25, 3).graph]
+    inapplicable = 0
+    for kind, tpl, options in cases:
+        inst = build_template(kind, tpl, **options)
+        for g in graphs:
+            for eta1 in range(43):
+                for eta2 in (None, 0, eta1 // 2, eta1):
+                    report = {"eta1": eta1, "eta2": eta2}
+                    want = _reference_bounds(kind, tpl, options, g,
+                                             inst.f(report))
+                    got = inst.bounds(g, report) + (inst.max_rounds(g),)
+                    assert got == want, (kind, tpl, options, g.n, report)
+                    inapplicable += want[0] is None
+    assert inapplicable  # the parallel r1 >= f rule was exercised
