@@ -9,11 +9,17 @@ Commands (all driven by a flat key=value config file):
 
 Exit codes: 0 ok, 1 assertion (bound or validity) failure, 2 config error.
 
+A config key that no command reads is a config error naming the key.
+
 A Plan holds one config's runs.  Each seed's instance (graph, tree, the
 reference that predictions corrupt, and the MIS sets behind eta_H) is built
 by the first run_one of that seed and kept while the plan lives, so a sweep
 builds it once and shares it among its k values.  Runs still go k-major, so
 CSV rows and stderr keep that order.
+
+Runs are simulated untraced.  A trace is printed only for `run --trace` and
+for a failing run, and it comes from replay: the same deterministic run
+simulated again with its trace on, and checked against the first run.
 """
 
 from __future__ import annotations
@@ -36,6 +42,14 @@ COLUMNS = ("family", "n", "d", "delta", "problem", "template", "k", "seed",
            "eta1", "eta2", "eta_bw", "eta_t", "eta_H", "rounds",
            "bound_consistency", "bound_degrading", "bound_robust", "valid")
 
+# every key some command reads: run and sweep (instance, program, k and
+# seed), verify (problem, graph_file, outputs_file) and sanity (family, n)
+CONFIG_KEYS = frozenset((
+    "graph", "id_scheme", "n", "p", "d", "k_rim", "rows", "cols", "shape",
+    "problem", "template", "phase", "program", "pattern", "max_rounds",
+    "k", "seed", "k_range", "seed_range", "graph_file", "outputs_file",
+    "family"))
+
 
 def parse_config(path: str) -> dict:
     cfg = {}
@@ -45,8 +59,10 @@ def parse_config(path: str) -> dict:
             continue
         if "=" not in s:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
-        key, value = s.split("=", 1)
-        cfg[key.strip()] = value.strip()
+        key, value = (part.strip() for part in s.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        cfg[key] = value
     return cfg
 
 
@@ -139,17 +155,26 @@ def _cell(value) -> str:
     return "" if value is None or value == "" else str(value)
 
 
-def run_one(plan: Plan, k: int, seed: int):
-    """Execute one instance; returns (row dict, failure messages, outcome)."""
-    g, tree, family, reference, masks = plan.instance(seed)
+def _inputs(plan: Plan, k: int, seed: int) -> tuple:
+    """What simulate gets for one run: (g, tree, predictions, program,
+    max_rounds)."""
+    g, tree, _, reference, _ = plan.instance(seed)
     p = reference if plan.pattern is not None else measures.corrupt(
         plan.kind, g, reference, k, seed)
-    report = measures.error_report(plan.kind, g, p, tree, masks)
-    program, kind, inst, label = plan.runner(tree)
-
+    program, _, inst, _ = plan.runner(tree)
     max_rounds = int(plan.cfg["max_rounds"]) if "max_rounds" in plan.cfg else (
         inst.max_rounds(g) if inst else None)
-    outcome = simulate(g, program, p, max_rounds, tree=tree, trace=True)
+    return g, tree, p, program, max_rounds
+
+
+def run_one(plan: Plan, k: int, seed: int):
+    """Execute one instance, untraced; returns (row dict, failure messages,
+    outcome)."""
+    g, tree, p, program, max_rounds = _inputs(plan, k, seed)
+    _, _, family, _, masks = plan.instance(seed)
+    _, kind, inst, label = plan.runner(tree)
+    report = measures.error_report(plan.kind, g, p, tree, masks)
+    outcome = simulate(g, program, p, max_rounds, tree=tree)
     valid = validate(kind, g, outcome.solution(kind, g))
 
     failures = []
@@ -183,6 +208,28 @@ def run_one(plan: Plan, k: int, seed: int):
     return row, failures, outcome
 
 
+def replay(plan: Plan, k: int, seed: int, outcome) -> list[str]:
+    """The trace lines of run_one(plan, k, seed), whose outcome is given:
+    the run simulated again, traced.  The engine is deterministic, so a
+    replay that ends differently is a fault, and it raises."""
+    g, tree, p, program, max_rounds = _inputs(plan, k, seed)
+    traced = simulate(g, program, p, max_rounds, tree=tree, trace=True)
+    for name in ("outputs", "term_round", "total_rounds", "output_log"):
+        if getattr(traced, name) != getattr(outcome, name):
+            raise RuntimeError(f"replay of k={k}, seed={seed} differs from "
+                               f"its run in {name}")
+    return traced.trace_lines()
+
+
+def _assertions(k: int, seed: int, failures) -> list[str]:
+    return [f"ASSERTION FAILED (k={k}, seed={seed}): {msg}" for msg in failures]
+
+
+def _print_err(lines):
+    for text in lines:
+        print(text, file=sys.stderr)
+
+
 def format_csv(rows) -> str:
     lines = [",".join(COLUMNS)]
     for row in rows:
@@ -200,16 +247,12 @@ def _emit(text: str, out: str):
 def cmd_run(cfg: dict, args) -> int:
     k = int(cfg.get("k", 0))
     seed = int(cfg.get("seed", 0))
-    row, failures, outcome = run_one(Plan(cfg), k, seed)
+    plan = Plan(cfg)
+    row, failures, outcome = run_one(plan, k, seed)
     _emit(format_csv([row]), args.out)
-    if args.trace:
-        for text in outcome.trace_lines():
-            print(text, file=sys.stderr)
-    for msg in failures:
-        print(f"ASSERTION FAILED (k={k}, seed={seed}): {msg}", file=sys.stderr)
-    if failures and not args.trace:
-        for text in outcome.trace_lines():
-            print(text, file=sys.stderr)
+    trace = replay(plan, k, seed, outcome) if args.trace or failures else []
+    failed = _assertions(k, seed, failures)
+    _print_err(trace + failed if args.trace else failed + trace)
     return 1 if failures else 0
 
 
@@ -225,12 +268,9 @@ def cmd_sweep(cfg: dict, args) -> int:
         for seed in seeds:
             row, failures, outcome = run_one(plan, k, seed)
             rows.append(row)
-            for msg in failures:
-                print(f"ASSERTION FAILED (k={k}, seed={seed}): {msg}",
-                      file=sys.stderr)
             if failures:
-                for text in outcome.trace_lines():
-                    print(text, file=sys.stderr)
+                _print_err(_assertions(k, seed, failures)
+                           + replay(plan, k, seed, outcome))
                 status = 1
     _emit(format_csv(rows), args.out)
     return status

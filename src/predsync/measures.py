@@ -94,11 +94,21 @@ def eta(measure: str, kind: str, g: Graph, p) -> int:
 
 
 def _eta_bw(g: Graph, p, active: set) -> int:
+    """Size of the largest component of g[{u in active: p[u] == c}] over
+    c in {0, 1}, counted by a walk over g's adjacency."""
     worst = 0
     for color in (0, 1):
-        keep = {u for u in active if p[u] == color}
-        for c in components(induced_subgraph(g, keep)):
-            worst = max(worst, c.n)
+        left = {u for u in active if p[u] == color}
+        while left:
+            stack = [left.pop()]
+            size = 0
+            while stack:
+                size += 1
+                for v in g.adjacency[stack.pop()]:
+                    if v in left:
+                        left.remove(v)
+                        stack.append(v)
+            worst = max(worst, size)
     return worst
 
 

@@ -1,13 +1,14 @@
 """Command-line harness: commands, exit codes and CSV determinism."""
 
 import gc
+import importlib.util
 import re
 import weakref
 from pathlib import Path
 
 import pytest
 
-from predsync import cli, measures, registry
+from predsync import cli, engine, measures, registry
 from predsync.cli import Plan, main, parse_range, run_one
 from predsync.graphs import line
 
@@ -158,14 +159,42 @@ def test_readme_graph_families_are_accepted(tmp_path):
 
 
 def test_tree_key_is_not_a_config_key(tmp_path, capsys):
-    # tree programs follow the graph: a "tree" key on a non-tree graph
-    # runs the general MIS programs
+    # tree programs follow the graph, so "tree" is no key: a config error,
+    # never the tree programs run on a graph without parents
     cfg = _cfg(tmp_path, "graph = RANDOM_CONNECTED\nn = 10\np = 0.3\n"
                          "problem = MIS\ntemplate = parallel\ntree = true\n"
                          "k = 1\nseed = 0\n")
-    assert main(["run", "--config", cfg]) == 0
-    header, row = capsys.readouterr().out.strip().splitlines()
-    assert dict(zip(header.split(","), row.split(",")))["valid"] == "VALID"
+    assert main(["run", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {cfg}:6: unknown key 'tree'\n"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_misspelt_key_is_a_config_error(tmp_path, capsys, command):
+    # "phsae = 4" once ran the default phase 2 and wrote a VALID row
+    cfg = _cfg(tmp_path, "graph = RANDOM_CONNECTED\nn = 10\np = 0.3\n"
+                         "problem = MIS\ntemplate = interleaved\nphsae = 4\n")
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"config error: {cfg}:6: unknown key 'phsae'\n")
+
+
+def test_documented_and_benchmarked_keys_are_config_keys():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", readme, re.S | re.M)
+    keys = {key for lang, text in blocks if not lang
+            for key in re.findall(r"^(\w+) = ", text, re.M)}
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).parent.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for configs in workloads.WORKLOADS.values():
+        keys.update(key for cfg in configs for key in cfg)
+    assert {"graph", "k_range", "graph_file", "family", "id_scheme"} <= keys
+    assert keys <= cli.CONFIG_KEYS
 
 
 def test_readme_programs_are_the_registry():
@@ -234,3 +263,44 @@ def test_trace_flag_dumps_trace(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--trace"]) == 0
     err = capsys.readouterr().err
     assert "TERMINATE" in err
+
+
+def test_passing_sweep_builds_no_trace(tmp_path, monkeypatch):
+    """Runs are simulated untraced; only a printed trace is built, by a
+    replay of the run."""
+    built = []
+
+    class Counted(engine.TraceEvent):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(engine, "TraceEvent", Counted)
+    outcomes = []
+
+    def recorded(plan, k, seed):
+        result = run_one(plan, k, seed)
+        outcomes.append(result[2])
+        return result
+    monkeypatch.setattr(cli, "run_one", recorded)
+    cfg = _cfg(tmp_path, "graph = RANDOM_CONNECTED\nn = 10\np = 0.3\n"
+                         "problem = MIS\ntemplate = consecutive\n"
+                         "k_range = 0..3\nseed_range = 0..2\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+    assert len(outcomes) == 12 and all(o.trace is None for o in outcomes)
+    assert built == []
+    assert main(["run", "--config", cfg, "--trace", "--out",
+                 str(tmp_path / "r.csv")]) == 0
+    assert built  # the replay traces through the same TraceEvent
+
+
+def test_replay_that_differs_raises():
+    plan = Plan({"graph": "RANDOM_CONNECTED", "n": "10", "p": "0.3",
+                 "problem": "MIS", "template": "simple"})
+    _, _, outcome = run_one(plan, 2, 1)
+    lines = cli.replay(plan, 2, 1, outcome)
+    assert lines[-1].endswith(",TERMINATE,")
+    node = min(outcome.outputs)
+    outcome.outputs[node] = {"y": 1 - outcome.outputs[node]["y"]}
+    with pytest.raises(RuntimeError, match=r"k=2, seed=1 .* outputs"):
+        cli.replay(plan, 2, 1, outcome)

@@ -1,12 +1,16 @@
 """Differential tests against networkx: the exact oracles (an independent
-set of g is a clique of g's complement) and the matching validator."""
+set of g is a clique of g's complement), the matching validator, and
+eta_bw (largest connected single-prediction set of undecided nodes)."""
 
 import random
 
 import pytest
 
+from predsync import measures, mis
+from predsync.engine import simulate
 from predsync.graphs import (DEFAULT_ALPHA_CAP, DEFAULT_ENUM_CAP, alpha_oracle,
-                             enumerate_mis, random_graph, tau_oracle, validate)
+                             enumerate_mis, grid, line, random_graph,
+                             random_connected_graph, tau_oracle, validate)
 
 nx = pytest.importorskip("networkx")
 
@@ -61,3 +65,42 @@ def test_matching_validator_matches_is_maximal_matching():
             assert ok == nx.is_maximal_matching(h, matching), (g.n, sorted(matching))
             verdicts.add(ok)
     assert verdicts == {True, False}
+
+
+def _eta_bw_nx(g, p):
+    """Largest connected component of G[{u undecided : p[u] = c}], c in {0, 1},
+    with the undecided nodes those a mis_base run on p leaves."""
+    h = nx.Graph()
+    h.add_nodes_from(g.nodes)
+    h.add_edges_from(g.edges())
+    undecided = simulate(g, mis.mis_base(), p).undecided(g)
+    return max((len(c) for color in (0, 1)
+                for c in nx.connected_components(
+                    h.subgraph(u for u in undecided if p[u] == color))),
+               default=0)
+
+
+def test_eta_bw_matches_largest_component():
+    cases = [(line(n), measures.reference("MIS", line(n), pattern="ALL_ONES"))
+             for n in (1, 2, 9, 30)]
+    for rows, cols in ((4, 4), (8, 12)):
+        g = grid(rows, cols)
+        cases.append((g, measures.reference("MIS", g, pattern="GRID_4BLOCK",
+                                            rows=rows, cols=cols)))
+    for seed in range(4):
+        for n, q in ((12, 0.2), (20, 0.15), (25, 0.3)):
+            g = random_connected_graph(n, q, seed)
+            ref = measures.reference("MIS", g)
+            for k in (0, 3, n // 2, n):
+                cases.append((g, measures.corrupt("MIS", g, ref, k, seed)))
+            r = random.Random(f"{n}-{q}-{seed}")
+            cases.append((g, {u: r.randint(0, 1) for u in g.nodes}))
+        g = random_graph(15, 0.2, seed)
+        cases.append((g, {u: (u + seed) % 2 for u in g.nodes}))
+    seen = set()
+    for g, p in cases:
+        want = _eta_bw_nx(g, p)
+        assert measures.error_report("MIS", g, p)["eta_bw"] == want, (
+            g.n, sorted(g.edges()), p)
+        seen.add(want)
+    assert 0 in seen and max(seen) >= 8
