@@ -38,6 +38,18 @@ CONFIGS = {
                        ["--trace"], 0),
     "ec_simple_fail": (_EC_FAIL, [], 1),
     "ec_simple_fail_trace": (_EC_FAIL, ["--trace"], 1),
+    "mis_consecutive": (_RANDOM + "problem = MIS\ntemplate = consecutive\n"
+                                  "k = 3\nseed = 1\n", ["--trace"], 0),
+    "mis_greedy": (_RANDOM + "program = mis.greedy\nk = 3\nseed = 1\n",
+                   ["--trace"], 0),
+    "mis_u_bw": ("graph = RANDOM_CONNECTED\nn = 14\np = 0.3\n"
+                 "program = mis.u_bw\nk = 4\nseed = 2\n", ["--trace"], 0),
+    # standalone initialization leaves nodes undecided (exit 1); this seed
+    # has nodes leave in both round 3 and round 4
+    "tree_init": ("graph = TREE\nn = 12\nprogram = mis.tree_init\n"
+                  "k = 9\nseed = 1\n", ["--trace"], 1),
+    "tree_uniform": ("graph = TREE\nn = 12\nprogram = mis.tree_uniform\n"
+                     "k = 3\nseed = 2\n", ["--trace"], 0),
 }
 
 
