@@ -140,6 +140,9 @@ class Plan:
             name = cfg.get("program")
             if name:
                 program, kind = get_program(name)
+                if "problem" in cfg and kind != self.kind:
+                    raise ConfigError(f"program {name} solves {kind}, "
+                                      f"but problem is {self.kind}")
                 self._runner = (program, kind, None, name)
             else:
                 options = {"tree": tree is not None}

@@ -8,6 +8,9 @@ standalone or inside the four template combinators.  Message vocabulary:
     "ZERO"     the sender outputs 0
     "LEAF"     rooted-tree algorithm: the sender is a leaf
     ("C", c)   the sender's current (stored) color
+
+A node with a neighbor in the set (ctx.nbr_one) leaves in the next leave
+round (_LeaveRun): it tells its active neighbors ZERO and outputs 0.
 """
 
 from __future__ import annotations
@@ -20,17 +23,69 @@ ZERO = "ZERO"
 LEAF = "LEAF"
 
 
-def _note(ctx: Ctx, inbox) -> bool:
-    """Record ONE/ZERO notifications; True when some ONE arrived."""
-    got_one = False
+def _note(ctx: Ctx, inbox):
+    """Record ONE/ZERO notifications."""
     for sender, msg in inbox.items():
         if msg == ONE:
             ctx.nbr_one.add(sender)
             ctx.gone(sender)
-            got_one = True
         elif msg == ZERO:
             ctx.gone(sender)
-    return got_one
+
+
+class _LeaveRun(StageRun):
+    """The leave round: a node with a neighbor in the set tells its active
+    neighbors ZERO and outputs 0; any other node notes what it receives."""
+
+    def compose(self, ctx, t):
+        if ctx.nbr_one:
+            return {v: ZERO for v in ctx.active}
+        return {}
+
+    def process(self, ctx, t, inbox):
+        if ctx.nbr_one:
+            return StageStep({"y": 0}, terminate=True)
+        _note(ctx, inbox)
+        return StageStep()
+
+
+class _JoinRun(_LeaveRun):
+    """Odd rounds: the node joins when wins(ctx, t) is true and tells its
+    active neighbors ONE.  wins is False for a candidate that lost and None
+    for a node that is no candidate this round.  Even rounds: leave."""
+
+    def __init__(self, wins):
+        self.wins = wins
+        self.join = None
+
+    def compose(self, ctx, t):
+        if t % 2 == 0:
+            return _LeaveRun.compose(self, ctx, t)
+        self.join = self.wins(ctx, t)
+        if self.join:
+            return {v: ONE for v in ctx.active}
+        return {}
+
+    def process(self, ctx, t, inbox):
+        if t % 2 == 0:
+            return _LeaveRun.process(self, ctx, t, inbox)
+        if self.join:
+            return StageStep({"y": 1}, terminate=True)
+        if not inbox:
+            # a losing candidate keeps losing until a message changes its
+            # active neighbors; a node that is no candidate may win later
+            return StageStep(idle=self.join is False)
+        _note(ctx, inbox)
+        return StageStep()
+
+
+class _JoinStage(Stage):
+    """A phased stage run by _JoinRun with the subclass's wins(ctx, t)."""
+
+    phase_len = 2
+
+    def start(self, ctx):
+        return _JoinRun(self.wins)
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +98,7 @@ class MisInitStage(Stage):
     rule="base": the independent set I is the prediction-1 nodes whose
     neighbors all have prediction 0.  rule="init": I is the prediction-1
     nodes whose prediction-1 neighbors (if any) all have smaller ids.
+    Round 2: I joins; round 3: leave.
     """
 
     def __init__(self, rule: str = "init"):
@@ -57,20 +113,19 @@ class MisInitStage(Stage):
         return _MisInitRun(self.rule)
 
 
-class _MisInitRun(StageRun):
+class _MisInitRun(_LeaveRun):
+    # rounds 2 and 3 are leave rounds for all but the joiners: in round 2
+    # nobody has a neighbor in the set yet
     def __init__(self, rule):
         self.rule = rule
         self.join = False
-        self.zero = False
 
     def compose(self, ctx, t):
         if t == 1:
             return {v: ("P", ctx.view.prediction) for v in ctx.active}
-        if t == 2 and self.join:
+        if self.join:
             return {v: ONE for v in ctx.active}
-        if t == 3 and self.zero:
-            return {v: ZERO for v in ctx.active}
-        return {}
+        return _LeaveRun.compose(self, ctx, t)
 
     def process(self, ctx, t, inbox):
         if t == 1:
@@ -84,15 +139,9 @@ class _MisInitRun(StageRun):
                 else:
                     self.join = all(s < ctx.view.id for s in ones)
             return StageStep()
-        if t == 2:
-            if self.join:
-                return StageStep({"y": 1}, terminate=True)
-            self.zero = _note(ctx, inbox)
-            return StageStep()
-        if self.zero:
-            return StageStep({"y": 0}, terminate=True)
-        _note(ctx, inbox)
-        return StageStep()
+        if self.join:
+            return StageStep({"y": 1}, terminate=True)
+        return _LeaveRun.process(self, ctx, t, inbox)
 
 
 def mis_base() -> StagedProgram:
@@ -108,26 +157,13 @@ def mis_init() -> StagedProgram:
 
 
 class MisCleanupStage(FixedStage):
-    """One round: every active neighbor of a 1-output node outputs 0."""
+    """One leave round: every active neighbor of a 1-output node outputs 0."""
 
     def __init__(self):
         super().__init__(1)
 
     def start(self, ctx):
-        return _MisCleanupRun()
-
-
-class _MisCleanupRun(StageRun):
-    def compose(self, ctx, t):
-        if ctx.nbr_one:
-            return {v: ZERO for v in ctx.active}
-        return {}
-
-    def process(self, ctx, t, inbox):
-        if ctx.nbr_one:
-            return StageStep({"y": 0}, terminate=True)
-        _note(ctx, inbox)
-        return StageStep()
+        return _LeaveRun()
 
 
 def mis_cleanup() -> StagedProgram:
@@ -138,57 +174,22 @@ def mis_cleanup() -> StagedProgram:
 # Greedy MIS
 
 
-class GreedyStage(Stage):
+class GreedyStage(_JoinStage):
     """Local-extremum-id join each odd round, notified nodes leave each even
     round.  order="max" is the standard algorithm; order="min" is the
     symmetric variant used as a distinct phased reference in tests."""
-
-    phase_len = 2
-    extendable_at_phase_end = True
 
     def __init__(self, order: str = "max"):
         if order not in ("max", "min"):
             raise ValueError(f"unknown order {order!r}")
         self.order = order
 
-    def start(self, ctx):
-        return _GreedyRun(self.order)
-
-
-class _GreedyRun(StageRun):
-    def __init__(self, order):
-        self.order = order
-        self.join = False
-        self.zero = False
-
-    def _wins(self, ctx):
+    def wins(self, ctx, t):
         if not ctx.active:
             return True
-        rival = max(ctx.active) if self.order == "max" else min(ctx.active)
-        return rival < ctx.view.id if self.order == "max" else rival > ctx.view.id
-
-    def compose(self, ctx, t):
-        if t % 2 == 1:
-            self.join = self._wins(ctx)
-            if self.join:
-                return {v: ONE for v in ctx.active}
-        elif self.zero:
-            return {v: ZERO for v in ctx.active}
-        return {}
-
-    def process(self, ctx, t, inbox):
-        if t % 2 == 1:
-            if self.join:
-                return StageStep({"y": 1}, terminate=True)
-            if not inbox:
-                # a rival stays active: wait until a message changes that
-                return StageStep(idle=True)
-            self.zero = _note(ctx, inbox)
-        else:
-            if self.zero:
-                return StageStep({"y": 0}, terminate=True)
-            _note(ctx, inbox)
-        return StageStep()
+        if self.order == "max":
+            return max(ctx.active) < ctx.view.id
+        return min(ctx.active) > ctx.view.id
 
 
 def greedy_mis(order: str = "max") -> StagedProgram:
@@ -199,49 +200,19 @@ def greedy_mis(order: str = "max") -> StagedProgram:
 # black/white alternation
 
 
-class UbwStage(Stage):
+class UbwStage(_JoinStage):
     """Greedy MIS phases run alternately on the prediction-1 (black) nodes
     and the prediction-0 (white) nodes.  The joining node notifies all its
     active neighbors regardless of their color, and the even round of each
     phase removes every notified node."""
 
-    phase_len = 2
-    extendable_at_phase_end = True
-
-    def start(self, ctx):
-        return _UbwRun(ctx.shared.get("same_color", set()))
-
-
-class _UbwRun(StageRun):
-    def __init__(self, same_color):
-        self.join = False
-        self.zero = False
-        self.same_color = same_color  # active neighbors sharing my prediction
-
-    def compose(self, ctx, t):
-        if t % 2 == 1:
-            phase_black = ((t + 1) // 2) % 2 == 1
-            my_black = ctx.view.prediction == 1
-            self.join = False
-            if phase_black == my_black:
-                rivals = ctx.active & self.same_color
-                if all(v < ctx.view.id for v in rivals):
-                    self.join = True
-                    return {v: ONE for v in ctx.active}
-        elif self.zero:
-            return {v: ZERO for v in ctx.active}
-        return {}
-
-    def process(self, ctx, t, inbox):
-        if t % 2 == 1:
-            if self.join:
-                return StageStep({"y": 1}, terminate=True)
-            self.zero = _note(ctx, inbox)
-        else:
-            if self.zero:
-                return StageStep({"y": 0}, terminate=True)
-            _note(ctx, inbox)
-        return StageStep()
+    def wins(self, ctx, t):
+        phase_black = ((t + 1) // 2) % 2 == 1
+        if phase_black != (ctx.view.prediction == 1):
+            return None
+        # rivals: the active neighbors sharing my prediction
+        rivals = ctx.active & ctx.shared.get("same_color", set())
+        return all(v < ctx.view.id for v in rivals)
 
 
 class UbwColorProbe(FixedStage):
@@ -300,61 +271,37 @@ class TreeInitStage(Stage):
         return _TreeInitRun(self.eager)
 
 
-class _TreeInitRun(StageRun):
+class _TreeInitRun(_LeaveRun):
+    # rounds 2 to 4 are leave rounds for all but the joiners: in round 2
+    # nobody has a neighbor in the set yet
     def __init__(self, eager):
         self.eager = eager
         self.join = False
-        self.white_join = False
-        self.got2 = False
-        self.got3 = False
         self.parent_pred = None
 
     def compose(self, ctx, t):
         if t == 1:
             return {v: ("P", ctx.view.prediction) for v in ctx.active}
-        if t == 2 and self.join:
+        if self.join:
             return {v: ONE for v in ctx.active}
-        if t == 3 and not self.eager:
-            if self.got2:
-                return {v: ZERO for v in ctx.active}
-            if self.white_join:
-                return {v: ONE for v in ctx.active}
-        if t == 3 and self.eager and self.white_join:
-            return {v: ONE for v in ctx.active}
-        if t == 4 and self.got3 and not self.eager:
-            return {v: ZERO for v in ctx.active}
-        return {}
+        return _LeaveRun.compose(self, ctx, t)
 
     def process(self, ctx, t, inbox):
         view = ctx.view
         if t == 1:
             preds = {s: m[1] for s, m in inbox.items()}
             self.parent_pred = None if view.is_root else preds.get(view.parent)
-            if view.prediction == 1 and self.parent_pred != 1:
-                self.join = True
+            self.join = view.prediction == 1 and self.parent_pred != 1
             return StageStep()
-        if t == 2:
-            if self.join:
-                return StageStep({"y": 1}, terminate=True)
-            self.got2 = _note(ctx, inbox)
-            if self.got2 and self.eager:
-                return StageStep({"y": 0}, terminate=True)
-            if not self.got2 and view.prediction == 0 and self.parent_pred != 0:
-                self.white_join = True
-            return StageStep()
-        if t == 3:
-            if self.got2:  # courteous mode only; eager already stopped
-                return StageStep({"y": 0}, terminate=True)
-            if self.white_join:
-                return StageStep({"y": 1}, terminate=True)
-            self.got3 = _note(ctx, inbox)
-            if self.got3 and self.eager:
-                return StageStep({"y": 0}, terminate=True)
-            return StageStep()
-        if self.got3:
+        if self.join:  # round 2 for black joiners, round 3 for white ones
+            return StageStep({"y": 1}, terminate=True)
+        step = _LeaveRun.process(self, ctx, t, inbox)
+        if self.eager and ctx.nbr_one:
             return StageStep({"y": 0}, terminate=True)
-        _note(ctx, inbox)
-        return StageStep()
+        if t == 2:
+            self.join = (not ctx.nbr_one and view.prediction == 0
+                         and self.parent_pred != 0)
+        return step
 
 
 def tree_init(eager: bool = False) -> StagedProgram:
@@ -373,55 +320,43 @@ class TreeUniformStage(Stage):
     round the notified nodes output 0."""
 
     phase_len = 2
-    extendable_at_phase_end = True
 
     def start(self, ctx):
         return _TreeUniformRun()
 
 
-class _TreeUniformRun(StageRun):
+class _TreeUniformRun(_LeaveRun):
     def __init__(self):
         self.role = None
-        self.zero = False
 
     def compose(self, ctx, t):
+        if t % 2 == 0:
+            return _LeaveRun.compose(self, ctx, t)
         view = ctx.view
-        if t % 2 == 1:
-            parent_active = not view.is_root and view.parent in ctx.active
-            children = ctx.active - {view.parent}
-            if not parent_active:
-                self.role = "root"
-                return {v: ROOT_MSG for v in children}
-            if not children:
-                self.role = "leaf"
-                return {view.parent: LEAF}
-            self.role = None
-        elif self.zero:
-            return {v: ZERO for v in ctx.active}
+        parent_active = not view.is_root and view.parent in ctx.active
+        children = ctx.active - {view.parent}
+        if not parent_active:
+            self.role = "root"
+            return {v: ROOT_MSG for v in children}
+        if not children:
+            self.role = "leaf"
+            return {view.parent: LEAF}
+        self.role = None
         return {}
 
     def process(self, ctx, t, inbox):
-        view = ctx.view
-        if t % 2 == 1:
-            if self.role == "root":
-                return StageStep({"y": 1}, terminate=True)
-            if self.role == "leaf":
-                bit = 0 if inbox.get(view.parent) == ROOT_MSG else 1
-                return StageStep({"y": bit}, terminate=True)
-            self.zero = False
-            for s, m in inbox.items():
-                if m == ROOT_MSG:  # my parent joined the set
-                    ctx.nbr_one.add(s)
-                    ctx.gone(s)
-                    self.zero = True
-                elif m == LEAF:  # this child is about to output 1
-                    ctx.nbr_one.add(s)
-                    ctx.gone(s)
-                    self.zero = True
-        else:
-            if self.zero:
-                return StageStep({"y": 0}, terminate=True)
-            _note(ctx, inbox)
+        if t % 2 == 0:
+            return _LeaveRun.process(self, ctx, t, inbox)
+        if self.role == "root":
+            return StageStep({"y": 1}, terminate=True)
+        if self.role == "leaf":
+            bit = 0 if inbox.get(ctx.view.parent) == ROOT_MSG else 1
+            return StageStep({"y": bit}, terminate=True)
+        # a ROOT sender (my parent) joined the set; a LEAF sender (a child)
+        # is about to output 1
+        for s in inbox:
+            ctx.nbr_one.add(s)
+            ctx.gone(s)
         return StageStep()
 
 
@@ -592,50 +527,38 @@ class ColorPart2Stage(Stage):
         return _ColorPart2Run(self.combined)
 
 
-class _ColorPart2Run(StageRun):
+class _ColorPart2Run(_LeaveRun):
     def __init__(self, combined):
         self.combined = combined
         self.color = None
-        self.got_ever = False
-        self.got_last = False
-        self.plan = None
+        self.join = False
 
     def compose(self, ctx, t):
+        delta = ctx.view.delta
         if self.color is None:
             self.color = _stored_color(ctx)
-            delta = ctx.view.delta
             if not 1 <= self.color <= delta + 1:
                 raise ProtocolViolation(
                     f"stored color {self.color} outside 1..{delta + 1}")
-        delta = ctx.view.delta
-        self.plan = None
-        if not self.got_ever and self.color == t:
-            self.plan = 1
-            return {v: ONE for v in ctx.active}
-        if self.combined and t < delta and not self.got_ever and self.color > t:
+        if ctx.nbr_one:
+            # leave, silently in the last round
+            return _LeaveRun.compose(self, ctx, t) if t < delta else {}
+        self.join = self.color == t
+        if self.combined and t < delta and self.color > t:
             nbr_colors = ctx.shared.get("nbr_colors", {})
-            if all(nbr_colors.get(v) != t for v in ctx.active) \
-                    and all(v < ctx.view.id for v in ctx.active):
-                self.plan = 1
-                return {v: ONE for v in ctx.active}
-        if 1 < t < delta and self.got_last:
-            self.plan = 0
-            return {v: ZERO for v in ctx.active}
+            self.join = (all(nbr_colors.get(v) != t for v in ctx.active)
+                         and all(v < ctx.view.id for v in ctx.active))
+        if self.join:
+            return {v: ONE for v in ctx.active}
         return {}
 
     def process(self, ctx, t, inbox):
-        if self.plan == 1:
+        if self.join:
             return StageStep({"y": 1}, terminate=True)
-        if self.plan == 0:
-            return StageStep({"y": 0}, terminate=True)
-        got_now = _note(ctx, inbox)
-        if t == ctx.view.delta:
-            if got_now or self.got_last:
-                return StageStep({"y": 0}, terminate=True)
-            return StageStep({"y": 1}, terminate=True)
-        self.got_last = got_now
-        self.got_ever = self.got_ever or got_now
-        return StageStep()
+        if t < ctx.view.delta:
+            return _LeaveRun.process(self, ctx, t, inbox)
+        _note(ctx, inbox)
+        return StageStep({"y": 0 if ctx.nbr_one else 1}, terminate=True)
 
 
 def coloring_to_mis_part2(combined: bool = False) -> StagedProgram:

@@ -123,7 +123,6 @@ class MmUniformStage(Stage):
     matches are announced in the third round."""
 
     phase_len = 3
-    extendable_at_phase_end = True
 
     def start(self, ctx):
         return _MmUniformRun()
@@ -257,7 +256,6 @@ class VcUniformStage(Stage):
     in its palette and leaves."""
 
     phase_len = 1
-    extendable_at_phase_end = True
 
     def start(self, ctx):
         _vertex_palette(ctx)
@@ -566,7 +564,6 @@ class EcUniformStage(Stage):
     colors; even rounds broadcast the palette removals."""
 
     phase_len = 2
-    extendable_at_phase_end = True
 
     def start(self, ctx):
         _edge_state(ctx)

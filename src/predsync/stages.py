@@ -59,10 +59,10 @@ class StageRun:
 
 
 class Stage:
-    """Blueprint. fixed_length(view) -> int, or None for open-ended stages."""
+    """Blueprint. length(view) -> int, or None for open-ended stages.  The
+    partial output of a phased stage is extendable at each phase end."""
 
     phase_len: Optional[int] = None  # rounds per phase, when phased
-    extendable_at_phase_end: bool = False
     fault_tolerant: bool = False
 
     def length(self, view: NodeView) -> Optional[int]:
@@ -156,7 +156,7 @@ class StagedProgram:
             at += ln
             if at <= total_rounds:
                 pts.append(at)
-            if s.phase_len and s.extendable_at_phase_end:
+            if s.phase_len:
                 r0 = at - ln
                 for r in range(r0 + s.phase_len, min(at, total_rounds) + 1, s.phase_len):
                     pts.append(r)
@@ -172,7 +172,6 @@ class TruncatedStage(Stage):
         self.inner = inner
         self.budget = budget
         self.phase_len = inner.phase_len
-        self.extendable_at_phase_end = inner.extendable_at_phase_end
 
     def length(self, view):
         return self.budget(view)
@@ -234,8 +233,8 @@ class InterleavedProgram:
 
     def __init__(self, init_stage, uniform, reference, phase: int):
         for s, name in ((uniform, "uniform"), (reference, "reference")):
-            if not s.extendable_at_phase_end or not s.phase_len:
-                raise ConfigError(f"{name} stage must be phased and extendable at phase ends")
+            if not s.phase_len:
+                raise ConfigError(f"{name} stage must be phased")
         if phase < 1 or any(phase % s.phase_len for s in (uniform, reference)):
             raise ConfigError("phase budget must be a positive multiple of the stage phase length")
         self.init_stage = init_stage
@@ -293,7 +292,6 @@ class _FusedStage(Stage):
         self.part1 = part1
         self.r1 = r1
         self.phase_len = uniform.phase_len
-        self.extendable_at_phase_end = uniform.extendable_at_phase_end
 
     def length(self, view):
         return self.r1(view)

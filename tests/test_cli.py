@@ -211,6 +211,29 @@ def test_wheel_without_k_rim_names_the_key(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: graph WHEEL_FK needs k_rim\n"
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_program_of_another_problem_is_a_config_error(tmp_path, capsys,
+                                                      command):
+    cfg = _cfg(tmp_path, "graph = RANDOM_CONNECTED\nn = 10\np = 0.3\n"
+                         "problem = VERTEX_COLORING\nprogram = mm.base\n"
+                         "k = 1\nseed = 0\n")
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # raised before any row
+    assert captured.err == ("config error: program mm.base solves "
+                            "MAXIMAL_MATCHING, but problem is VERTEX_COLORING\n")
+
+
+def test_program_without_problem_runs(tmp_path, capsys):
+    # without a problem key the program's own kind is validated
+    cfg = _cfg(tmp_path, "graph = TREE\nn = 12\nprogram = mis.tree_gps\n"
+                         "k = 1\nseed = 0\n")
+    assert main(["run", "--config", cfg]) == 0
+    header, row = capsys.readouterr().out.strip().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["problem"] == "VERTEX_COLORING" and cells["valid"] == "VALID"
+
+
 def test_verify(tmp_path, capsys):
     g = line(4)
     (tmp_path / "g.txt").write_text(write_graph(g))

@@ -119,6 +119,41 @@ def test_wake_matches_every_round_on_line_patterns(template, pattern):
         assert woken < every // 2
 
 
+STANDALONE = {
+    "u_bw": mis.u_bw,
+    "init+u_bw": lambda: StagedProgram([mis.MisInitStage("init"),
+                                        mis.UbwStage()]),
+    "tree_init": mis.tree_init,
+    "tree_uniform": mis.tree_uniform,
+    "color_part2": lambda: mis.coloring_to_mis_part2(False),
+    "color_part2_combined": lambda: mis.coloring_to_mis_part2(True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STANDALONE))
+def test_wake_matches_every_round_standalone(name):
+    program = STANDALONE[name]()
+    tree = name.startswith("tree")
+    # part 2 reads its stored coloring from the predictions; a corrupted
+    # coloring ends in ProtocolViolation, which both runs must agree on
+    kind = "VERTEX_COLORING" if name.startswith("color") else "MIS"
+    for seed in range(5):
+        if tree:
+            rooted = random_tree(8 + seed, seed)
+            g = rooted.graph
+        else:
+            rooted, g = None, random_connected_graph(9 + seed, 0.3, seed)
+        for k in (0, 1, 3, 6):
+            p = M.make_predictions(kind, g, k=k, seed=seed, tree=rooted)
+            _same(program, g, p, tree=rooted)
+    if "u_bw" in name:
+        # an all-white line runs greedy one node per phase: a candidate that
+        # lost sleeps through the black phases until a neighbor leaves
+        g = line(14)
+        woken, every = _same(program, g, {u: 0 for u in g.nodes})
+        assert woken < every // 2
+
+
 def test_sleeper_in_fixed_final_stage_stops_at_its_end():
     # greedy works down an increasing line from node 10, two nodes per
     # phase; nodes 1..4 wait, then stop undecided in the stage's last round
