@@ -50,6 +50,18 @@ CONFIGS = {
                   "k = 9\nseed = 1\n", ["--trace"], 1),
     "tree_uniform": ("graph = TREE\nn = 12\nprogram = mis.tree_uniform\n"
                      "k = 3\nseed = 2\n", ["--trace"], 0),
+    "vc_simple": (_RANDOM + "problem = VERTEX_COLORING\ntemplate = simple\n"
+                            "k = 6\nseed = 0\n", ["--trace"], 0),
+    "vc_linial": ("graph = RANDOM_CONNECTED\nn = 8\np = 0.3\n"
+                  "program = vc.linial\nk = 0\nseed = 1\n", ["--trace"], 0),
+    "tree_gps": ("graph = TREE\nn = 12\nproblem = VERTEX_COLORING\n"
+                 "program = mis.tree_gps\nk = 0\nseed = 1\n", ["--trace"], 0),
+    # pins the probe round that stands in for ec.base's exchange round
+    "ec_uniform": (_RANDOM + "program = ec.uniform\nk = 0\nseed = 1\n",
+                   ["--trace"], 0),
+    # the clean-up round alone leaves edges uncolored (exit 1, INCOMPLETE)
+    "ec_cleanup": (_RANDOM + "program = ec.cleanup\nk = 2\nseed = 1\n",
+                   ["--trace"], 1),
 }
 
 
