@@ -8,6 +8,8 @@ Commands (all driven by a flat key=value config file):
     predsync sanity --config cfg                         lower-bound sanity report
 
 Exit codes: 0 ok, 1 assertion (bound or validity) failure, 2 config error.
+A run that raises one of the errors in RUN_ERRORS is a failure too: its row
+says which in `valid`, and it has no rounds and no bound verdicts.
 
 A config key that no command reads is a config error naming the key.
 
@@ -31,9 +33,10 @@ from pathlib import Path
 
 from . import measures
 from .audit import audit_run
-from .engine import simulate
+from .engine import NonTermination, ProtocolViolation, simulate
 from .graphs import (GraphError, RootedTree, generate, line, read_graph,
                      validate)
+from .problems import EmptyPalette
 from .registry import get_program
 from .stages import ConfigError
 from .templates import build_template
@@ -49,6 +52,13 @@ CONFIG_KEYS = frozenset((
     "problem", "template", "phase", "program", "pattern", "max_rounds",
     "k", "seed", "k_range", "seed_range", "graph_file", "outputs_file",
     "family"))
+
+
+# errors a run may raise from inside simulate, and the code its row gets
+RUN_ERRORS = {ProtocolViolation: "PROTOCOL_VIOLATION",
+              NonTermination: "NON_TERMINATION",
+              EmptyPalette: "EMPTY_PALETTE",
+              AssertionError: "ASSERTION"}
 
 
 def parse_config(path: str) -> dict:
@@ -172,19 +182,26 @@ def _inputs(plan: Plan, k: int, seed: int) -> tuple:
 
 def run_one(plan: Plan, k: int, seed: int):
     """Execute one instance, untraced; returns (row dict, failure messages,
-    outcome)."""
+    outcome).  A run that raised one of RUN_ERRORS has outcome None."""
     g, tree, p, program, max_rounds = _inputs(plan, k, seed)
     _, _, family, _, masks = plan.instance(seed)
     _, kind, inst, label = plan.runner(tree)
     report = measures.error_report(plan.kind, g, p, tree, masks)
-    outcome = simulate(g, program, p, max_rounds, tree=tree)
-    valid = validate(kind, g, outcome.solution(kind, g))
-
     failures = []
-    if valid is not None:
-        failures.append(f"invalid solution: {valid.code}")
     consistency = degrading = robust = ""
-    if inst is not None:
+    try:
+        outcome = simulate(g, program, p, max_rounds, tree=tree)
+    except tuple(RUN_ERRORS) as exc:
+        outcome = None
+        valid = next(code for cls, code in RUN_ERRORS.items()
+                     if isinstance(exc, cls))
+        failures.append(f"{valid}: {exc}")
+    else:
+        violation = validate(kind, g, outcome.solution(kind, g))
+        valid = "VALID" if violation is None else violation.code
+        if violation is not None:
+            failures.append(f"invalid solution: {valid}")
+    if outcome is not None and inst is not None:
         if report["eta1"] == 0:
             consistency = str(outcome.total_rounds == inst.c).lower()
         degrading, robust = (
@@ -203,10 +220,10 @@ def run_one(plan: Plan, k: int, seed: int):
         "problem": kind, "template": label, "k": k, "seed": seed,
         "eta1": report["eta1"], "eta2": report["eta2"],
         "eta_bw": report["eta_bw"], "eta_t": report["eta_t"],
-        "eta_H": report["eta_hamming"], "rounds": outcome.total_rounds,
+        "eta_H": report["eta_hamming"],
+        "rounds": None if outcome is None else outcome.total_rounds,
         "bound_consistency": consistency, "bound_degrading": degrading,
-        "bound_robust": robust,
-        "valid": "VALID" if valid is None else valid.code,
+        "bound_robust": robust, "valid": valid,
     }
     return row, failures, outcome
 
@@ -214,7 +231,10 @@ def run_one(plan: Plan, k: int, seed: int):
 def replay(plan: Plan, k: int, seed: int, outcome) -> list[str]:
     """The trace lines of run_one(plan, k, seed), whose outcome is given:
     the run simulated again, traced.  The engine is deterministic, so a
-    replay that ends differently is a fault, and it raises."""
+    replay that ends differently is a fault, and it raises.  A run that
+    raised (outcome None) has no trace: its replay would raise again."""
+    if outcome is None:
+        return []
     g, tree, p, program, max_rounds = _inputs(plan, k, seed)
     traced = simulate(g, program, p, max_rounds, tree=tree, trace=True)
     for name in ("outputs", "term_round", "total_rounds", "output_log"):

@@ -358,11 +358,6 @@ def _alpha_branch(nbr: list[int], active: int, size: int, best: int) -> int:
     return _alpha_branch(nbr, active & ~bit, size, best)  # exclude top
 
 
-def tau_oracle(g: Graph, cap: int = DEFAULT_ALPHA_CAP) -> int:
-    """Exact minimum vertex cover size (complement of a maximum independent set)."""
-    return g.n - alpha_oracle(g, cap)
-
-
 def enumerate_mis(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> list[frozenset]:
     """All maximal independent sets, via Bron-Kerbosch on the complement graph."""
     if g.n > cap:

@@ -17,27 +17,11 @@ independent sets behind eta_H (mis_masks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import mis, problems
 from .engine import simulate
 from .graphs import (CapExceeded, Graph, RootedTree, _rng, alpha_oracle,
                      components, edge_induced_subgraph, enumerate_mis,
                      induced_subgraph)
-
-MU1 = "MU1"
-MU2 = "MU2"
-
-
-@dataclass(frozen=True)
-class ErrorComponent:
-    subgraph: Graph
-    kind: str  # GENERAL or EDGE_INDUCED
-
-    @property
-    def nodes(self):
-        return self.subgraph.nodes
-
 
 _BASE = {
     "MIS": mis.mis_base,
@@ -61,16 +45,9 @@ def _residue(kind: str, g: Graph, p):
     if kind == "EDGE_COLORING":
         uncolored = [(u, v) for u, v in g.edges()
                      if v not in outcome.outputs.get(u, {})]
-        sub = edge_induced_subgraph(g, uncolored)
-        return None, [ErrorComponent(c, "EDGE_INDUCED")
-                      for c in components(sub)]
+        return None, components(edge_induced_subgraph(g, uncolored))
     active = outcome.undecided(g)
-    return active, [ErrorComponent(c, "GENERAL")
-                    for c in components(induced_subgraph(g, active))]
-
-
-def error_components(kind: str, g: Graph, p) -> list[ErrorComponent]:
-    return _residue(kind, g, p)[1]
+    return active, components(induced_subgraph(g, active))
 
 
 def mu1(s: Graph) -> int:
@@ -84,13 +61,7 @@ def mu2(s: Graph) -> int:
 
 
 def _worst(mu, comps) -> int:
-    return max((mu(c.subgraph) for c in comps), default=0)
-
-
-def eta(measure: str, kind: str, g: Graph, p) -> int:
-    if measure not in (MU1, MU2):
-        raise ValueError(f"unknown measure {measure!r}")
-    return _worst(mu1 if measure == MU1 else mu2, error_components(kind, g, p))
+    return max((mu(c) for c in comps), default=0)
 
 
 def _eta_bw(g: Graph, p, active: set) -> int:
@@ -112,12 +83,9 @@ def _eta_bw(g: Graph, p, active: set) -> int:
     return worst
 
 
-def eta_bw(g: Graph, p) -> int:
-    """Largest single-color component of undecided nodes (MIS only)."""
-    return _eta_bw(g, p, _residue("MIS", g, p)[0])
-
-
 def _eta_t(t: RootedTree, p, active: set) -> int:
+    """1 plus the longest monochromatic parent-pointer path (in edges)
+    through the active nodes of a rooted tree; 0 when none is active."""
     if not active:
         return 0
     best = 0
@@ -132,12 +100,6 @@ def _eta_t(t: RootedTree, p, active: set) -> int:
             at = parent
         best = max(best, steps)
     return 1 + best
-
-
-def eta_t(t: RootedTree, p) -> int:
-    """1 plus the longest monochromatic parent-pointer path (in edges)
-    through the undecided nodes of a rooted tree."""
-    return _eta_t(t, p, _residue("MIS", t.graph, p)[0])
 
 
 CAPPED = "CAPPED"  # mis_masks' answer when the enumeration is over its cap
@@ -201,9 +163,9 @@ def error_report(kind: str, g: Graph, p, tree: RootedTree = None,
 PATTERNS = ("ALL_ONES", "ALL_ZEROS", "GRID_4BLOCK", "MOD3_LINE")
 
 
-def solve(kind: str, g: Graph, max_rounds=None) -> dict:
+def solve(kind: str, g: Graph) -> dict:
     """Correct solution from the problem's measure-uniform algorithm."""
-    outcome = simulate(g, _UNIFORM[kind](), max_rounds=max_rounds)
+    outcome = simulate(g, _UNIFORM[kind]())
     if kind == "EDGE_COLORING":
         return {u: dict(outcome.outputs.get(u, {})) for u in g.nodes}
     return {u: outcome.value(u) for u in g.nodes}
@@ -245,22 +207,19 @@ def corrupt(kind: str, g: Graph, solution: dict, k: int, seed: int) -> dict:
 
 def make_predictions(kind: str, g: Graph, *, k: int = 0, seed: int = 0,
                      pattern: str = None, tree: RootedTree = None,
-                     rows: int = None, cols: int = None,
-                     max_rounds=None) -> dict:
+                     rows: int = None, cols: int = None) -> dict:
     """SOLVE_THEN_CORRUPT by default; a named pattern when pattern is set."""
-    ref = reference(kind, g, pattern=pattern, tree=tree, rows=rows, cols=cols,
-                    max_rounds=max_rounds)
+    ref = reference(kind, g, pattern=pattern, tree=tree, rows=rows, cols=cols)
     return ref if pattern is not None else corrupt(kind, g, ref, k, seed)
 
 
 def reference(kind: str, g: Graph, *, pattern: str = None,
-              tree: RootedTree = None, rows: int = None, cols: int = None,
-              max_rounds=None) -> dict:
+              tree: RootedTree = None, rows: int = None, cols: int = None) -> dict:
     """What make_predictions starts from: the solved solution, which
     corrupt() then changes, or the named pattern, which is used as is.
     Neither is ever changed in place."""
     if pattern is None:
-        return solve(kind, g, max_rounds)
+        return solve(kind, g)
     if kind != "MIS":
         raise ValueError("patterns are defined for MIS predictions only")
     if pattern == "ALL_ONES":

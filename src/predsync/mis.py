@@ -10,12 +10,15 @@ standalone or inside the four template combinators.  Message vocabulary:
     ("C", c)   the sender's current (stored) color
 
 A node with a neighbor in the set (ctx.nbr_one) leaves in the next leave
-round (_LeaveRun): it tells its active neighbors ZERO and outputs 0.
+round (_LeaveRun): it tells its active neighbors ZERO and outputs 0.  The
+GPS tree 3-coloring is a problems.ReductionRun, like Linial's coloring, and
+the tree part 2 starts with the reveal round (_RevealRun).
 """
 
 from __future__ import annotations
 
 from .engine import ProtocolViolation
+from .problems import ReductionRun
 from .stages import Ctx, FixedStage, Stage, StageRun, StageStep, StagedProgram
 
 ONE = "ONE"
@@ -409,38 +412,16 @@ class GpsTreeColoringStage(Stage):
         return gps_rounds(view.d)
 
     def start(self, ctx):
-        return _GpsRun(self.store_only)
+        return _GpsRun(ctx.view, self.length(ctx.view), self.store_only)
 
 
-class _GpsRun(StageRun):
-    def __init__(self, store_only):
-        self.store_only = store_only
-        self.color = None
-        self.steps = None
-        self.total = None
-        self.done = False
+class _GpsRun(ReductionRun):
+    def __init__(self, view, length, store_only):
+        super().__init__(view.id, length, store_only)
+        self.steps, self.c_star = _cv_schedule(view.d + 1)
 
-    def _setup(self, ctx):
-        self.color = ctx.view.id
-        self.steps, c = _cv_schedule(ctx.view.d + 1)
-        self.total = max(1, self.steps + 2 * max(0, c - 3))
-        self.c_star = c
-
-    def compose(self, ctx, t):
-        if self.color is None:
-            self._setup(ctx)
-        if self.done:
-            return {}
-        return {v: ("C", self.color) for v in ctx.active}
-
-    def process(self, ctx, t, inbox):
-        if self.done:
-            return StageStep()
-        view = ctx.view
-        colors = {s: m[1] for s, m in inbox.items()}
-        pc = None
-        if not view.is_root and view.parent in colors:
-            pc = colors[view.parent]
+    def recolor(self, ctx, t, colors):
+        pc = colors.get(ctx.view.parent)  # None: a root, or the parent is gone
         if t <= self.steps:
             if pc is None:
                 i, bit = 0, self.color & 1
@@ -461,12 +442,6 @@ class _GpsRun(StageRun):
                 if self.color == x:
                     taken = set(colors.values())
                     self.color = min(c for c in (0, 1, 2) if c not in taken)
-        if t >= self.total:
-            self.done = True
-            ctx.stored["color"] = self.color + 1
-            if not self.store_only:
-                return StageStep({"y": self.color + 1}, terminate=True)
-        return StageStep()
 
 
 def gps_tree_3coloring() -> StagedProgram:
@@ -579,32 +554,27 @@ class TreePart2Stage(FixedStage):
         return _TreePart2Run()
 
 
-class _TreePart2Run(StageRun):
-    def __init__(self):
-        self.color = None
-        self.nbr_colors = {}
+class _TreePart2Run(_RevealRun):
+    # round 1 is the reveal round
+    color = None
 
     def compose(self, ctx, t):
         if t == 1:
             self.color = _stored_color(ctx)
             if self.color not in (1, 2, 3):
                 raise ProtocolViolation(f"stored color {self.color} outside 1..3")
-            return {v: ("C", self.color) for v in ctx.active}
+            return _RevealRun.compose(self, ctx, t)
         if self.color == 2:
-            return {v: ONE for v in ctx.active
-                    if self.nbr_colors.get(v) == 3}
+            nbr_colors = ctx.shared["nbr_colors"]
+            return {v: ONE for v in ctx.active if nbr_colors.get(v) == 3}
         return {}
 
     def process(self, ctx, t, inbox):
         if t == 1:
-            self.nbr_colors = {s: m[1] for s, m in inbox.items()}
-            for s, c in self.nbr_colors.items():
-                if c == self.color:
-                    raise ProtocolViolation(
-                        f"stored coloring not proper: nodes {ctx.view.id} and {s}")
+            _RevealRun.process(self, ctx, t, inbox)
             if self.color == 1:
                 return StageStep({"y": 1}, terminate=True)
-            for s, c in self.nbr_colors.items():
+            for s, c in ctx.shared["nbr_colors"].items():
                 if c == 1:
                     ctx.nbr_one.add(s)
                     ctx.gone(s)

@@ -6,6 +6,22 @@ Matching outputs are the partner's identifier or None (unmatched).
 Vertex colors are ints in 1..delta+1, written to slot "y".  Edge colors are
 ints in 1..2*delta-1, written to one output slot per incident edge, keyed by
 the neighbor's identifier.
+
+Each problem's stages share one decision round, written once:
+
+    _AnnounceRun    matching: a node holding ctx.stored["match"] sends
+                    (MATCHED,) to its other active neighbors and outputs
+                    its partner; any other node drops its MATCHED neighbors
+    _ColorRun       vertex coloring: a node with a pick sends
+                    ("COLOR", pick) and outputs it; any other node drops
+                    those colors from its palette and the senders
+    _ExchangeRun    edge coloring: each endpoint of an uncolored edge
+                    sends (tag, committed colors, uncolored neighbors) over
+                    it, tag "INFO" after the prediction round, "CLEAN" in
+                    the clean-up
+    ReductionRun    fault-tolerant coloring (Linial here, GPS in mis.py):
+                    ("C", color) every round, the stage's recolor rule, and
+                    color + 1 stored, or output, in the last round
 """
 
 from __future__ import annotations
@@ -47,35 +63,49 @@ class MmInitStage(Stage):
         return _MmInitRun(self.rule)
 
 
-class _MmInitRun(StageRun):
-    def __init__(self, rule):
-        self.rule = rule
-        self.partner = None
+class _AnnounceRun(StageRun):
+    """The announce round: a node holding a match in ctx.stored["match"]
+    sends MATCHED to its other active neighbors and outputs its partner;
+    any other node drops its MATCHED neighbors."""
 
     def compose(self, ctx, t):
-        pred = ctx.view.prediction
-        if t == 1:
-            return {v: ("P", pred) for v in ctx.active}
-        if t == 2 and self.partner is not None:
-            return {v: (MATCHED,) for v in ctx.active if v != self.partner}
+        partner = ctx.stored.get("match")
+        if partner is not None:
+            return {v: (MATCHED,) for v in ctx.active if v != partner}
         return {}
+
+    def process(self, ctx, t, inbox):
+        partner = ctx.stored.pop("match", None)
+        if partner is not None:
+            return StageStep({"y": partner}, terminate=True)
+        for s, m in inbox.items():
+            if m[0] == MATCHED:
+                ctx.gone(s)
+        return StageStep()
+
+
+class _MmInitRun(_AnnounceRun):
+    def __init__(self, rule):
+        self.rule = rule
+
+    def compose(self, ctx, t):
+        if t == 1:
+            return {v: ("P", ctx.view.prediction) for v in ctx.active}
+        return _AnnounceRun.compose(self, ctx, t)
 
     def process(self, ctx, t, inbox):
         pred = ctx.view.prediction
         if t == 1:
             preds = {s: m[1] for s, m in inbox.items()}
             if pred is not None and preds.get(pred) == ctx.view.id:
-                self.partner = pred
+                ctx.stored["match"] = pred
             return StageStep()
-        if self.partner is not None:
-            return StageStep({"y": self.partner}, terminate=True)
-        matched = {s for s, m in inbox.items() if m[0] == MATCHED}
-        for s in matched:
-            ctx.gone(s)
-        all_matched = set(ctx.view.neighbor_ids) <= matched
-        if all_matched and (self.rule == "init" or pred is None):
+        announced = _AnnounceRun.process(self, ctx, t, inbox)
+        # every neighbor got matched: ctx.active held all of them until now
+        if not (announced.terminate or ctx.active) and (
+                self.rule == "init" or pred is None):
             return StageStep({"y": None}, terminate=True)
-        return StageStep()
+        return announced
 
 
 def mm_base() -> StagedProgram:
@@ -93,24 +123,7 @@ class MmCleanupStage(FixedStage):
         super().__init__(1)
 
     def start(self, ctx):
-        return _MmCleanupRun()
-
-
-class _MmCleanupRun(StageRun):
-    def compose(self, ctx, t):
-        partner = ctx.stored.get("match")
-        if partner is not None:
-            return {v: (MATCHED,) for v in ctx.active if v != partner}
-        return {}
-
-    def process(self, ctx, t, inbox):
-        partner = ctx.stored.pop("match", None)
-        if partner is not None:
-            return StageStep({"y": partner}, terminate=True)
-        for s, m in inbox.items():
-            if m[0] == MATCHED:
-                ctx.gone(s)
-        return StageStep()
+        return _AnnounceRun()
 
 
 def mm_cleanup() -> StagedProgram:
@@ -128,11 +141,10 @@ class MmUniformStage(Stage):
         return _MmUniformRun()
 
 
-class _MmUniformRun(StageRun):
+class _MmUniformRun(_AnnounceRun):
     def __init__(self):
         self.proposed_to = None
         self.chosen = None
-        self.partner = None
         self.lonely = False
 
     def compose(self, ctx, t):
@@ -146,8 +158,8 @@ class _MmUniformRun(StageRun):
         elif step == 1:
             if self.chosen is not None:
                 return {self.chosen: ("ACC",)}
-        elif self.partner is not None:
-            return {v: (MATCHED,) for v in ctx.active if v != self.partner}
+        else:
+            return _AnnounceRun.compose(self, ctx, t)
         return {}
 
     def process(self, ctx, t, inbox):
@@ -159,21 +171,15 @@ class _MmUniformRun(StageRun):
             if proposals:
                 self.chosen = max(proposals)
         elif step == 1:
-            if self.proposed_to is not None and self.proposed_to in inbox:
-                self.partner = self.proposed_to
-            elif self.chosen is not None:
-                self.partner = self.chosen
-            if self.partner is not None:
-                ctx.stored["match"] = self.partner
+            # an ACC from the node proposed to, else the proposal accepted
+            partner = self.proposed_to if self.proposed_to in inbox else self.chosen
+            if partner is not None:
+                ctx.stored["match"] = partner
         else:
-            if self.partner is not None:
-                ctx.stored.pop("match", None)
-                return StageStep({"y": self.partner}, terminate=True)
-            for s, m in inbox.items():
-                if m == (MATCHED,):
-                    ctx.gone(s)
-            if not ctx.active:
+            announced = _AnnounceRun.process(self, ctx, t, inbox)
+            if not (announced.terminate or ctx.active):
                 return StageStep({"y": None}, terminate=True)
+            return announced
         return StageStep()
 
 
@@ -190,6 +196,28 @@ def _vertex_palette(ctx: Ctx) -> set:
     if palette is None:  # built once per node, not on every step
         palette = ctx.stored["palette"] = set(range(1, ctx.view.delta + 2))
     return palette
+
+
+class _ColorRun(StageRun):
+    """The color round: a node with a pick sends ("COLOR", pick) to its
+    active neighbors and outputs it; any other node drops the colors it
+    receives from its palette and their senders from ctx.active."""
+
+    pick = None
+
+    def compose(self, ctx, t):
+        if self.pick is not None:
+            return {v: ("COLOR", self.pick) for v in ctx.active}
+        return {}
+
+    def process(self, ctx, t, inbox):
+        if self.pick is not None:
+            return StageStep({"y": self.pick}, terminate=True)
+        palette = _vertex_palette(ctx)
+        for s, m in inbox.items():
+            palette.discard(m[1])
+            ctx.gone(s)
+        return StageStep()
 
 
 class VcInitStage(Stage):
@@ -210,37 +238,29 @@ class VcInitStage(Stage):
         if not isinstance(pred, int) or not 1 <= pred <= ctx.view.delta + 1:
             raise ValueError(
                 f"node {ctx.view.id}: predicted color {pred!r} out of range")
-        _vertex_palette(ctx)
         return _VcInitRun(self.rule)
 
 
-class _VcInitRun(StageRun):
+class _VcInitRun(_ColorRun):
     def __init__(self, rule):
         self.rule = rule
-        self.commit = False
 
     def compose(self, ctx, t):
         if t == 1:
             return {v: ("P", ctx.view.prediction) for v in ctx.active}
-        if self.commit:
-            return {v: ("COLOR", ctx.view.prediction) for v in ctx.active}
-        return {}
+        return _ColorRun.compose(self, ctx, t)
 
     def process(self, ctx, t, inbox):
         if t == 1:
-            clashes = [s for s, m in inbox.items() if m[1] == ctx.view.prediction]
+            pred = ctx.view.prediction
+            clashes = [s for s, m in inbox.items() if m[1] == pred]
             if self.rule == "base":
-                self.commit = not clashes
+                commit = not clashes
             else:
-                self.commit = all(s < ctx.view.id for s in clashes)
+                commit = all(s < ctx.view.id for s in clashes)
+            self.pick = pred if commit else None
             return StageStep()
-        if self.commit:
-            return StageStep({"y": ctx.view.prediction}, terminate=True)
-        palette = _vertex_palette(ctx)
-        for s, m in inbox.items():
-            palette.discard(m[1])
-            ctx.gone(s)
-        return StageStep()
+        return _ColorRun.process(self, ctx, t, inbox)
 
 
 def vc_base() -> StagedProgram:
@@ -258,14 +278,10 @@ class VcUniformStage(Stage):
     phase_len = 1
 
     def start(self, ctx):
-        _vertex_palette(ctx)
         return _VcUniformRun()
 
 
-class _VcUniformRun(StageRun):
-    def __init__(self):
-        self.pick = None
-
+class _VcUniformRun(_ColorRun):
     def compose(self, ctx, t):
         palette = _vertex_palette(ctx)
         if not palette:
@@ -273,17 +289,7 @@ class _VcUniformRun(StageRun):
         self.pick = None
         if not ctx.active or max(ctx.active) < ctx.view.id:
             self.pick = min(palette)
-            return {v: ("COLOR", self.pick) for v in ctx.active}
-        return {}
-
-    def process(self, ctx, t, inbox):
-        if self.pick is not None:
-            return StageStep({"y": self.pick}, terminate=True)
-        palette = _vertex_palette(ctx)
-        for s, m in inbox.items():
-            palette.discard(m[1])
-            ctx.gone(s)
-        return StageStep()
+        return _ColorRun.compose(self, ctx, t)
 
 
 def vc_uniform() -> StagedProgram:
@@ -342,6 +348,34 @@ def linial_budget_even(d: int, delta: int) -> int:
     return r + (r % 2)
 
 
+class ReductionRun(StageRun):
+    """The color reduction: every round up to length, send ("C", color) to
+    the active neighbors and recolor from the colors they sent, by the
+    subclass's recolor(ctx, t, colors).  The last round stores color + 1
+    and, unless store_only, outputs it.  Past length it does nothing: the
+    parallel template rounds its part-1 budget up to an even length."""
+
+    def __init__(self, color, length, store_only):
+        self.color = color
+        self.length = length
+        self.store_only = store_only
+
+    def compose(self, ctx, t):
+        if t > self.length:
+            return {}
+        return {v: ("C", self.color) for v in ctx.active}
+
+    def process(self, ctx, t, inbox):
+        if t > self.length:
+            return StageStep()
+        self.recolor(ctx, t, {s: m[1] for s, m in inbox.items()})
+        if t == self.length:
+            ctx.stored["color"] = self.color + 1
+            if not self.store_only:
+                return StageStep({"y": self.color + 1}, terminate=True)
+        return StageStep()
+
+
 def _poly_eval(color: int, q: int, t: int, x: int) -> int:
     value = 0
     for i in range(t + 1):
@@ -364,43 +398,23 @@ class LinialColoringStage(Stage):
         return linial_rounds(view.d, view.delta)
 
     def start(self, ctx):
-        return _LinialRun(self.store_only)
+        return _LinialRun(ctx.view, self.length(ctx.view), self.store_only)
 
 
-class _LinialRun(StageRun):
-    def __init__(self, store_only):
-        self.store_only = store_only
-        self.color = None
-        self.done = False
-
-    def _setup(self, ctx):
-        view = ctx.view
-        self.color = view.id
+class _LinialRun(ReductionRun):
+    def __init__(self, view, length, store_only):
         if view.delta == 0:
             self.steps, self.k_star = [], 1
-            self.color = 0
         else:
             self.steps, self.k_star = _linial_schedule(view.d, view.delta)
-        self.total = max(1, len(self.steps)
-                         + max(0, self.k_star - (view.delta + 1)))
+        super().__init__(view.id if view.delta else 0, length, store_only)
 
-    def compose(self, ctx, t):
-        if self.color is None:
-            self._setup(ctx)
-        if self.done:
-            return {}
-        return {v: ("C", self.color) for v in ctx.active}
-
-    def process(self, ctx, t, inbox):
-        if self.done:
-            return StageStep()
-        delta = ctx.view.delta
-        colors = [m[1] for m in inbox.values()]
+    def recolor(self, ctx, t, colors):
         if t <= len(self.steps):
             q, deg = self.steps[t - 1]
             for x in range(q):
                 mine = _poly_eval(self.color, q, deg, x)
-                if all(_poly_eval(c, q, deg, x) != mine for c in colors):
+                if all(_poly_eval(c, q, deg, x) != mine for c in colors.values()):
                     self.color = x * q + mine
                     break
             else:
@@ -408,14 +422,9 @@ class _LinialRun(StageRun):
         else:
             j = self.k_star - 1 - (t - len(self.steps) - 1)
             if self.color == j:
-                taken = set(colors)
-                self.color = min(c for c in range(delta + 1) if c not in taken)
-        if t >= self.total:
-            self.done = True
-            ctx.stored["color"] = self.color + 1
-            if not self.store_only:
-                return StageStep({"y": self.color + 1}, terminate=True)
-        return StageStep()
+                taken = set(colors.values())
+                self.color = min(c for c in range(ctx.view.delta + 1)
+                                 if c not in taken)
 
 
 def linial_coloring() -> StagedProgram:
@@ -439,6 +448,36 @@ def _edge_state(ctx: Ctx) -> dict:
     return st
 
 
+class _ExchangeRun(StageRun):
+    """The exchange round: each endpoint of an uncolored edge sends (tag,
+    its committed colors, its uncolored neighbors) over it, and takes the
+    colors it receives out of that edge's palette."""
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def compose(self, ctx, t):
+        st = _edge_state(ctx)
+        return {v: (self.tag, sorted(st["mine"]), sorted(st["uncolored"]))
+                for v in st["uncolored"]}
+
+    def process(self, ctx, t, inbox):
+        st = _edge_state(ctx)
+        for s, (_, cols, unc) in inbox.items():
+            st["palette"][s] -= set(cols)
+            st["two_hop"][s] = set(unc) - {ctx.view.id}
+        return StageStep()
+
+
+def _unique_predictions(pred: dict) -> dict:
+    """The predicted edge colors no other edge at the node shares, by
+    neighbor."""
+    tally = {}
+    for c in pred.values():
+        tally[c] = tally.get(c, 0) + 1
+    return {v: c for v, c in pred.items() if tally[c] == 1}
+
+
 class EcBaseStage(Stage):
     """2-round edge-coloring prologue: locally distinct predicted colors
     agreed by both endpoints are committed in round 1; round 2 broadcasts
@@ -457,46 +496,35 @@ class EcBaseStage(Stage):
             if not isinstance(c, int) or not 1 <= c <= hi:
                 raise ValueError(
                     f"node {ctx.view.id}: predicted color {c!r} out of range")
-        _edge_state(ctx)
-        return _EcBaseRun()
+        return _EcBaseRun(_unique_predictions(pred))
 
 
-class _EcBaseRun(StageRun):
+class _EcBaseRun(_ExchangeRun):
+    def __init__(self, unique):
+        super().__init__("INFO")
+        self.unique = unique
+
     def compose(self, ctx, t):
-        st = _edge_state(ctx)
         if t == 1:
-            pred = ctx.view.prediction
-            tally = {}
-            for c in pred.values():
-                tally[c] = tally.get(c, 0) + 1
-            return {v: ("PC", c) for v, c in pred.items() if tally[c] == 1}
-        return {v: ("INFO", sorted(st["mine"]), sorted(st["uncolored"]))
-                for v in st["uncolored"]}
+            return {v: ("PC", c) for v, c in self.unique.items()}
+        return _ExchangeRun.compose(self, ctx, t)
 
     def process(self, ctx, t, inbox):
+        if t > 1:
+            return _ExchangeRun.process(self, ctx, t, inbox)
         st = _edge_state(ctx)
-        if t == 1:
-            pred = ctx.view.prediction
-            tally = {}
-            for c in pred.values():
-                tally[c] = tally.get(c, 0) + 1
-            outputs = {}
-            for s, m in inbox.items():
-                c = m[1]
-                if c == pred[s] and tally[c] == 1:
-                    outputs[s] = c
-                    st["uncolored"].discard(s)
-                    st["mine"].add(c)
-            if not st["uncolored"]:
-                return StageStep(outputs, terminate=True)
-            for v in st["uncolored"]:
-                st["palette"][v] -= st["mine"]
-            return StageStep(outputs)
+        outputs = {}
         for s, m in inbox.items():
-            _, cols, unc = m
-            st["palette"][s] -= set(cols)
-            st["two_hop"][s] = set(unc) - {ctx.view.id}
-        return StageStep()
+            c = m[1]
+            if self.unique.get(s) == c:  # c is unique at both endpoints
+                outputs[s] = c
+                st["uncolored"].discard(s)
+                st["mine"].add(c)
+        if not st["uncolored"]:
+            return StageStep(outputs, terminate=True)
+        for v in st["uncolored"]:
+            st["palette"][v] -= st["mine"]
+        return StageStep(outputs)
 
 
 def ec_base() -> StagedProgram:
@@ -511,23 +539,7 @@ class EcCleanupStage(FixedStage):
         super().__init__(1)
 
     def start(self, ctx):
-        _edge_state(ctx)
-        return _EcCleanupRun()
-
-
-class _EcCleanupRun(StageRun):
-    def compose(self, ctx, t):
-        st = _edge_state(ctx)
-        return {v: ("CLEAN", sorted(st["mine"]), sorted(st["uncolored"]))
-                for v in st["uncolored"]}
-
-    def process(self, ctx, t, inbox):
-        st = _edge_state(ctx)
-        for s, m in inbox.items():
-            _, cols, unc = m
-            st["palette"][s] -= set(cols)
-            st["two_hop"][s] = set(unc) - {ctx.view.id}
-        return StageStep()
+        return _ExchangeRun("CLEAN")
 
 
 def ec_cleanup() -> StagedProgram:
@@ -542,7 +554,6 @@ class EcProbeStage(FixedStage):
         super().__init__(1)
 
     def start(self, ctx):
-        _edge_state(ctx)
         return _EcProbeRun()
 
 
@@ -566,7 +577,6 @@ class EcUniformStage(Stage):
     phase_len = 2
 
     def start(self, ctx):
-        _edge_state(ctx)
         return _EcUniformRun()
 
 

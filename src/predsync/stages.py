@@ -264,11 +264,10 @@ class FusedRun(StageRun):
     def __init__(self, ctx, uniform, part1):
         self.u = uniform.start(ctx)
         self.r = part1.start(ctx)
-        self.r_crashed = False
 
     def compose(self, ctx, t):
         u_out = self.u.compose(ctx, t)
-        r_out = self.r.compose(ctx, t) if not self.r_crashed else {}
+        r_out = self.r.compose(ctx, t)
         merged = {}
         for nbr in set(u_out) | set(r_out):
             merged[nbr] = {"U": u_out.get(nbr), "R": r_out.get(nbr)}
@@ -278,7 +277,7 @@ class FusedRun(StageRun):
         u_in = {s: m["U"] for s, m in inbox.items() if m.get("U") is not None}
         r_in = {s: m["R"] for s, m in inbox.items() if m.get("R") is not None}
         step = self.u.process(ctx, t, u_in)
-        if not step.terminate and not self.r_crashed:
+        if not step.terminate:
             rstep = self.r.process(ctx, t, r_in)
             if rstep.outputs or rstep.terminate:
                 raise ProtocolViolation("part 1 must store outputs locally")

@@ -109,8 +109,8 @@ def test_criterion_04_parallel_corollary():
 def test_criterion_05_grid_pattern():
     g = grid(16, 16)
     p = M.make_predictions("MIS", g, pattern="GRID_4BLOCK", rows=16, cols=16)
-    assert M.eta(M.MU1, "MIS", g, p) == 256
-    assert M.eta_bw(g, p) == 4
+    report = M.error_report("MIS", g, p)
+    assert report["eta1"] == 256 and report["eta_bw"] == 4
     inst = build_template("MIS", "simple")
     out = simulate(g, inst.program, p, trace=True)
     assert validate("MIS", g, out.solution("MIS", g)) is None
@@ -132,7 +132,7 @@ def test_criterion_06_wheel_diameters():
 def test_criterion_07_rooted_tree_line():
     t = line_tree(15)
     p = M.make_predictions("MIS", t.graph, pattern="MOD3_LINE", tree=t)
-    assert M.eta_t(t, p) == 2
+    assert M.error_report("MIS", t.graph, p, t)["eta_t"] == 2
     out = simulate(t.graph, mis.tree_init(eager=True), p, tree=t, trace=True)
     assert out.total_rounds == 2 and max(out.term_round.values()) == 2
     _audit("c7/init", "MIS", t.graph, out, [out.total_rounds])

@@ -327,3 +327,42 @@ def test_replay_that_differs_raises():
     outcome.outputs[node] = {"y": 1 - outcome.outputs[node]["y"]}
     with pytest.raises(RuntimeError, match=r"k=2, seed=1 .* outputs"):
         cli.replay(plan, 2, 1, outcome)
+
+
+def _rows(csv_text):
+    header, *rows = csv_text.strip().splitlines()
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+
+def test_protocol_violation_is_a_failing_row(tmp_path, capsys):
+    """A run that raises inside simulate writes its row with the error's
+    code, prints the message and no trace, and exits 1."""
+    cfg = _cfg(tmp_path, "graph = LINE\nn = 10\nprogram = mis.color_part2\n"
+                         "k = 2\nseed = 0\n")
+    for extra in ([], ["--trace"]):
+        assert main(["run", "--config", cfg, *extra]) == 1
+        out, err = capsys.readouterr()
+        [row] = _rows(out)
+        assert row["valid"] == "PROTOCOL_VIOLATION"
+        assert row["eta1"] == "2"
+        assert [row[c] for c in ("rounds", "bound_consistency",
+                                 "bound_degrading", "bound_robust")] == [""] * 4
+        assert err == ("ASSERTION FAILED (k=2, seed=0): PROTOCOL_VIOLATION: "
+                       "stored coloring not proper: nodes 1 and 2\n")
+
+
+def test_non_termination_fails_its_runs_not_the_sweep(tmp_path, capsys):
+    cfg = _cfg(tmp_path, "graph = RANDOM_CONNECTED\nn = 10\np = 0.3\n"
+                         "problem = MIS\ntemplate = simple\nmax_rounds = 2\n"
+                         "k_range = 0..1\nseed_range = 0..1\n")
+    assert main(["sweep", "--config", cfg]) == 1
+    out, err = capsys.readouterr()
+    rows = _rows(out)
+    assert [(r["k"], r["seed"], r["valid"], r["rounds"]) for r in rows] == [
+        (k, s, "NON_TERMINATION", "") for k in "01" for s in "01"]
+    assert [r["eta1"] for r in rows] == ["0", "0", "3", "6"]
+    lines = err.splitlines()
+    assert len(lines) == 4 and all(
+        re.fullmatch(r"ASSERTION FAILED \(k=\d, seed=\d\): NON_TERMINATION: "
+                     r"\d+ nodes still active after 2 rounds", line)
+        for line in lines)

@@ -5,9 +5,13 @@ import random
 import pytest
 
 from predsync import measures as M
-from predsync.graphs import (CapExceeded, build_graph, enumerate_mis, grid,
-                             line, line_tree, random_connected_graph,
-                             random_graph, random_tree, validate)
+from predsync import mis, problems
+from predsync.engine import simulate
+from predsync.graphs import (CapExceeded, alpha_oracle, build_graph,
+                             components, edge_induced_subgraph, enumerate_mis,
+                             grid, induced_subgraph, line, line_tree,
+                             random_connected_graph, random_graph, random_tree,
+                             validate)
 
 
 def _k(n):
@@ -26,45 +30,43 @@ def test_mu_values():
 
 def test_error_components_examples():
     e = build_graph([1, 2], [(1, 2)])
-    comps = M.error_components("MIS", e, {1: 1, 2: 1})
-    assert len(comps) == 1 and sorted(comps[0].nodes) == [1, 2]
+    assert M.error_report("MIS", e, {1: 1, 2: 1})["eta1"] == 2
+    # a path whose nodes all predict 0: one component of all three nodes
     lonely = build_graph([1, 2, 3], [(1, 2), (2, 3)])
-    comps = M.error_components("MIS", lonely, {1: 0, 2: 0, 3: 0})
-    assert {u for c in comps for u in c.nodes} == {1, 2, 3}
-    assert M.error_components("MIS", e, {1: 1, 2: 0}) == []
+    assert M.error_report("MIS", lonely, {1: 0, 2: 0, 3: 0})["eta1"] == 3
+    assert M.error_report("MIS", e, {1: 1, 2: 0})["eta1"] == 0
 
 
 def test_eta_examples():
     k6 = _k(6)
-    ones = {u: 1 for u in k6.nodes}
-    assert M.eta(M.MU1, "MIS", k6, ones) == 6
-    assert M.eta(M.MU2, "MIS", k6, ones) == 2
-    with pytest.raises(ValueError):
-        M.eta("MU3", "MIS", k6, ones)
+    report = M.error_report("MIS", k6, {u: 1 for u in k6.nodes})
+    assert report["eta1"] == 6 and report["eta2"] == 2
 
 
 def test_grid_pattern():
     g = grid(16, 16)
     p = M.make_predictions("MIS", g, pattern="GRID_4BLOCK", rows=16, cols=16)
-    assert M.eta(M.MU1, "MIS", g, p) == 256
-    assert M.eta_bw(g, p) == 4
+    report = M.error_report("MIS", g, p)
+    assert report["eta1"] == 256 and report["eta_bw"] == 4
 
 
 def test_eta_bw_all_ones_line():
     g = line(7)
     p = M.make_predictions("MIS", g, pattern="ALL_ONES")
-    assert M.eta_bw(g, p) == 7 == M.eta(M.MU1, "MIS", g, p)
+    report = M.error_report("MIS", g, p)
+    assert report["eta_bw"] == 7 == report["eta1"]
 
 
 def test_eta_t():
     t = line_tree(15)
     p = M.make_predictions("MIS", t.graph, pattern="MOD3_LINE", tree=t)
     assert [p[u] for u in sorted(t.graph.nodes)][:4] == [0, 1, 1, 0]
-    assert M.eta_t(t, p) == 2
+    assert M.error_report("MIS", t.graph, p, t)["eta_t"] == 2
     t6 = line_tree(6)
-    assert M.eta_t(t6, {u: 1 for u in t6.graph.nodes}) == 6
+    ones = {u: 1 for u in t6.graph.nodes}
+    assert M.error_report("MIS", t6.graph, ones, t6)["eta_t"] == 6
     solved = M.make_predictions("MIS", t6.graph, k=0)
-    assert M.eta_t(t6, solved) == 0
+    assert M.error_report("MIS", t6.graph, solved, t6)["eta_t"] == 0
 
 
 def test_eta_hamming():
@@ -99,7 +101,7 @@ def test_solve_then_corrupt_k0_is_correct():
                  "EDGE_COLORING"):
         g = random_connected_graph(10, 0.3, 11)
         p = M.make_predictions(kind, g, k=0)
-        assert M.eta(M.MU1, kind, g, p) == 0
+        assert M.error_report(kind, g, p)["eta1"] == 0
         assert validate(kind, g, p) is None
 
 
@@ -133,42 +135,78 @@ def test_measure_relations_on_random_instances():
         g = random_connected_graph(4 + seed % 9, 0.35, seed)
         for k in (1, 3, 6):
             p = M.make_predictions("MIS", g, k=k, seed=seed)
-            eta1 = M.eta(M.MU1, "MIS", g, p)
-            assert M.eta(M.MU2, "MIS", g, p) <= eta1
-            assert M.eta_bw(g, p) <= eta1
+            report = M.error_report("MIS", g, p)
+            assert report["eta2"] <= report["eta1"]
+            assert report["eta_bw"] <= report["eta1"]
     for seed in range(10):
         t = random_tree(4 + seed, seed)
         p = M.make_predictions("MIS", t.graph, k=3, seed=seed)
-        assert M.eta_t(t, p) <= M.eta_bw(t.graph, p)
+        report = M.error_report("MIS", t.graph, p, t)
+        assert report["eta_t"] <= report["eta_bw"]
 
 
 def test_init_components_nest_inside_base_components():
-    from predsync import mis
-    from predsync.engine import simulate
-    from predsync.graphs import components, induced_subgraph
     for seed in range(20):
         g = random_connected_graph(4 + seed % 9, 0.35, seed)
         p = M.make_predictions("MIS", g, k=4, seed=seed)
-        base_comps = [set(c.nodes) for c in M.error_components("MIS", g, p)]
+        base_comps = [set(c.nodes) for c in _error_components("MIS", g, p)[1]]
         init_active = simulate(g, mis.mis_init(), p).undecided(g)
         for c in components(induced_subgraph(g, init_active)):
             assert any(set(c.nodes) <= b for b in base_comps)
 
 
+_BASE_PROGRAMS = {"MIS": mis.mis_base, "MAXIMAL_MATCHING": problems.mm_base,
+                  "VERTEX_COLORING": problems.vc_base,
+                  "EDGE_COLORING": problems.ec_base}
+
+
+def _error_components(kind, g, p):
+    """(undecided nodes, error components) of one base-program run, from
+    the definition: the nodes without output, or the uncolored edges."""
+    out = simulate(g, _BASE_PROGRAMS[kind](), p)
+    if kind == "EDGE_COLORING":
+        uncolored = [(u, v) for u, v in g.edges() if v not in out.outputs[u]]
+        return None, components(edge_induced_subgraph(g, uncolored))
+    undecided = out.undecided(g)
+    return undecided, components(induced_subgraph(g, undecided))
+
+
 def _single_measures(kind, g, p, tree):
+    """Each measure from its definition, on the error components of one
+    base-program run."""
     def capped(measure):
         try:
             return measure()
         except CapExceeded:
             return None
-    expected = {"eta1": M.eta(M.MU1, kind, g, p),
-                "eta2": capped(lambda: M.eta(M.MU2, kind, g, p)),
+
+    def mu2(c):
+        alpha = alpha_oracle(c)
+        return 2 * min(alpha, c.n - alpha)
+
+    undecided, comps = _error_components(kind, g, p)
+    expected = {"eta1": max((c.n for c in comps), default=0),
+                "eta2": capped(lambda: max(map(mu2, comps), default=0)),
                 "eta_bw": None, "eta_t": None, "eta_hamming": None}
     if kind == "MIS":
-        expected["eta_bw"] = M.eta_bw(g, p)
-        expected["eta_t"] = None if tree is None else M.eta_t(tree, p)
+        expected["eta_bw"] = max(
+            (c.n for color in (0, 1) for c in components(induced_subgraph(
+                g, {u for u in undecided if p[u] == color}))), default=0)
+        if tree is not None:
+            expected["eta_t"] = _longest_path(tree, p, undecided)
         expected["eta_hamming"] = capped(lambda: M.eta_hamming(g, p))
     return expected
+
+
+def _longest_path(tree, p, undecided):
+    """eta_t by its definition: 1 plus the edges of the longest parent-
+    pointer path of undecided nodes with one prediction; 0 if none is."""
+    def up(u):
+        parent = tree.parent[u]
+        if parent in undecided and p[parent] == p[u]:
+            return 1 + up(parent)
+        return 0
+    return 1 + max(map(up, undecided)) if undecided else 0
 
 
 def test_error_report_matches_single_measures_from_one_base_run(monkeypatch):

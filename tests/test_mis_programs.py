@@ -193,7 +193,7 @@ def test_part2_combined_beats_mu2_bound():
 def test_tree_init_mod3_line():
     t = line_tree(15)
     p = M.make_predictions("MIS", t.graph, pattern="MOD3_LINE", tree=t)
-    assert M.eta_t(t, p) == 2
+    assert M.error_report("MIS", t.graph, p, t)["eta_t"] == 2
     out = simulate(t.graph, mis.tree_init(eager=True), p, tree=t)
     assert out.total_rounds == 2
     assert max(out.term_round.values()) == 2

@@ -10,7 +10,7 @@ from predsync import measures, mis
 from predsync.engine import simulate
 from predsync.graphs import (DEFAULT_ALPHA_CAP, DEFAULT_ENUM_CAP, alpha_oracle,
                              enumerate_mis, grid, line, random_graph,
-                             random_connected_graph, tau_oracle, validate)
+                             random_connected_graph, validate)
 
 nx = pytest.importorskip("networkx")
 
@@ -36,7 +36,6 @@ def test_alpha_and_tau_match_max_clique_of_complement():
     for g in _instances(DEFAULT_ALPHA_CAP):
         _, clique = nx.max_weight_clique(_complement(g), weight=None)
         assert alpha_oracle(g) == clique, (g.n, sorted(g.edges()))
-        assert tau_oracle(g) == g.n - clique
 
 
 def test_enumerate_mis_matches_cliques_of_complement():
