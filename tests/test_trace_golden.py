@@ -2,9 +2,12 @@
 exit status of each run below must match the committed files byte for byte.
 
 The files under tests/golden/trace/ were captured before the auditor was
-moved onto the engine's output record.  The two EC simple runs exit 1
-(bound_degrading fails on a correct output, ROADMAP item 1): without
---trace the trace is dumped after the assertion line, with it before.
+moved onto the engine's output record; those of vc_simple, vc_linial,
+tree_gps, ec_uniform and ec_cleanup before the matching, coloring and
+edge-coloring rounds were folded into shared runs.  The two EC simple
+runs exit 1 (bound_degrading fails on a correct output, ROADMAP item 1):
+without --trace the trace is dumped after the assertion line, with it
+before.
 To capture the corpus again, at a commit whose output is trusted, run
 `PYTHONPATH=src python tests/test_trace_golden.py`.
 """
