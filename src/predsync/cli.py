@@ -17,7 +17,9 @@ A Plan holds one config's runs.  Each seed's instance (graph, tree, the
 reference that predictions corrupt, and the MIS sets behind eta_H) is built
 by the first run_one of that seed and kept while the plan lives, so a sweep
 builds it once and shares it among its k values.  Runs still go k-major, so
-CSV rows and stderr keep that order.
+CSV rows and stderr keep that order.  A sweep with a fixed pattern runs
+each seed once, since k changes nothing there, and repeats its row for
+every k.
 
 Runs are simulated untraced.  A trace is printed only for `run --trace` and
 for a failing run, and it comes from replay: the same deterministic run
@@ -287,13 +289,23 @@ def cmd_sweep(cfg: dict, args) -> int:
     plan = Plan(cfg)
     rows = []
     status = 0
+    # a fixed pattern replaces solve-then-corrupt, so k changes nothing in
+    # a run: each seed runs once, and its row, failures and trace are
+    # repeated for every k with only the k cell changed
+    fixed = {}
     for k in ks:
         for seed in seeds:
-            row, failures, outcome = run_one(plan, k, seed)
+            if seed in fixed:
+                row, failures, trace = fixed[seed]
+                row = dict(row, k=k)
+            else:
+                row, failures, outcome = run_one(plan, k, seed)
+                trace = replay(plan, k, seed, outcome) if failures else []
+                if plan.pattern is not None:
+                    fixed[seed] = row, failures, trace
             rows.append(row)
             if failures:
-                _print_err(_assertions(k, seed, failures)
-                           + replay(plan, k, seed, outcome))
+                _print_err(_assertions(k, seed, failures) + trace)
                 status = 1
     _emit(format_csv(rows), args.out)
     return status

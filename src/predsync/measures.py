@@ -1,13 +1,13 @@
 """Prediction-error measures.
 
 Error components are the connected pieces of the subgraph induced by the
-nodes that are still undecided after running the problem's base algorithm
-on the given predictions (for edge coloring: the subgraph induced by the
-edges that remain uncolored).  All eta measures are maxima over these
-components, so they are 0 exactly when the predictions already form a
-correct solution.  error_report runs the base algorithm once and splits
-its undecided part into components once, and every measure reads that one
-result; eta2 makes one independence-number call per component.
+nodes that the problem's base algorithm leaves undecided on the given
+predictions (for edge coloring: the subgraph induced by the edges that it
+leaves uncolored).  All eta measures are maxima over these components, so
+they are 0 exactly when the predictions already form a correct solution.
+error_report evaluates the base rule directly, with no simulation, and
+splits its undecided part into components once, and every measure reads
+that one result; eta2 makes one independence-number call per component.
 
 Whatever depends only on the graph is built apart from the predictions, so
 a sweep builds it once per seed and shares it among its k values: the
@@ -17,18 +17,13 @@ independent sets behind eta_H (mis_masks).
 
 from __future__ import annotations
 
+from collections import Counter
+
 from . import mis, problems
 from .engine import simulate
 from .graphs import (CapExceeded, Graph, RootedTree, _rng, alpha_oracle,
                      components, edge_induced_subgraph, enumerate_mis,
                      induced_subgraph)
-
-_BASE = {
-    "MIS": mis.mis_base,
-    "MAXIMAL_MATCHING": problems.mm_base,
-    "VERTEX_COLORING": problems.vc_base,
-    "EDGE_COLORING": problems.ec_base,
-}
 
 _UNIFORM = {
     "MIS": mis.greedy_mis,
@@ -38,15 +33,76 @@ _UNIFORM = {
 }
 
 
+# ---------------------------------------------------------------------------
+# base rules: what mis.base, mm.base, vc.base and ec.base decide, with the
+# errors their start checks raise
+
+
+def _mis_undecided(g: Graph, p) -> set:
+    """A prediction-1 node with no prediction-1 neighbor joins, and its
+    neighbors leave."""
+    ones = {u for u in g.nodes if p[u] == 1}
+    joined = {u for u in ones if ones.isdisjoint(g.adjacency[u])}
+    left = {v for u in joined for v in g.adjacency[u]}
+    return set(g.nodes) - joined - left
+
+
+def _mm_undecided(g: Graph, p) -> set:
+    """Mutually predicted pairs match; a node predicted None whose
+    neighbors are all matched outputs None."""
+    for u in g.nodes:
+        if p[u] is not None and p[u] not in g.adjacency[u]:
+            raise ValueError(
+                f"node {u}: predicted partner {p[u]!r} is not a neighbor")
+    matched = {u for u in g.nodes if p[u] is not None and p[p[u]] == u}
+    return {u for u in g.nodes if u not in matched and not (
+        p[u] is None and matched.issuperset(g.adjacency[u]))}
+
+
+def _vc_undecided(g: Graph, p) -> set:
+    """A node whose predicted color no neighbor shares commits it."""
+    delta = g.delta
+    for u in g.nodes:
+        if not isinstance(p[u], int) or not 1 <= p[u] <= delta + 1:
+            raise ValueError(f"node {u}: predicted color {p[u]!r} out of range")
+    return {u for u in g.nodes if any(p[v] == p[u] for v in g.adjacency[u])}
+
+
+def _ec_uncolored(g: Graph, p) -> list:
+    """An edge is colored when both endpoints predict the same color for it
+    and that color is unique at each endpoint."""
+    hi = max(1, 2 * g.delta - 1)
+    unique = {}
+    for u in g.nodes:
+        pred = p[u]
+        if not isinstance(pred, dict) or set(pred) != set(g.adjacency[u]):
+            raise ValueError(f"node {u}: edge predictions incomplete")
+        for c in pred.values():
+            if not isinstance(c, int) or not 1 <= c <= hi:
+                raise ValueError(f"node {u}: predicted color {c!r} out of range")
+        tally = Counter(pred.values())
+        unique[u] = {v: c for v, c in pred.items() if tally[c] == 1}
+    return [(u, v) for u, v in g.edges()
+            if v not in unique[u] or unique[u][v] != unique[v].get(u)]
+
+
+_UNDECIDED = {
+    "MIS": _mis_undecided,
+    "MAXIMAL_MATCHING": _mm_undecided,
+    "VERTEX_COLORING": _vc_undecided,
+}
+
+
 def _residue(kind: str, g: Graph, p):
-    """One base-algorithm run on predictions p: (undecided nodes, error
-    components).  For edge coloring the undecided nodes are None."""
-    outcome = simulate(g, _BASE[kind](), p)
+    """The base rule evaluated directly on predictions p: (undecided nodes,
+    error components), as a run of the base program would leave them.  For
+    edge coloring the undecided nodes are None."""
+    missing = [u for u in g.nodes if u not in p]
+    if missing:
+        raise ValueError(f"predictions missing for nodes {missing}")
     if kind == "EDGE_COLORING":
-        uncolored = [(u, v) for u, v in g.edges()
-                     if v not in outcome.outputs.get(u, {})]
-        return None, components(edge_induced_subgraph(g, uncolored))
-    active = outcome.undecided(g)
+        return None, components(edge_induced_subgraph(g, _ec_uncolored(g, p)))
+    active = _UNDECIDED[kind](g, p)
     return active, components(induced_subgraph(g, active))
 
 
@@ -138,7 +194,7 @@ def eta_hamming(g: Graph, p, masks=None):
 
 def error_report(kind: str, g: Graph, p, tree: RootedTree = None,
                  masks=None) -> dict:
-    """All measures for one instance from one base run; oracle-capped
+    """All measures for one instance from its error components; oracle-capped
     entries come back None.  A given tree must span g; masks, when given,
     are mis_masks(g)."""
     active, comps = _residue(kind, g, p)
@@ -205,17 +261,9 @@ def corrupt(kind: str, g: Graph, solution: dict, k: int, seed: int) -> dict:
     return p
 
 
-def make_predictions(kind: str, g: Graph, *, k: int = 0, seed: int = 0,
-                     pattern: str = None, tree: RootedTree = None,
-                     rows: int = None, cols: int = None) -> dict:
-    """SOLVE_THEN_CORRUPT by default; a named pattern when pattern is set."""
-    ref = reference(kind, g, pattern=pattern, tree=tree, rows=rows, cols=cols)
-    return ref if pattern is not None else corrupt(kind, g, ref, k, seed)
-
-
 def reference(kind: str, g: Graph, *, pattern: str = None,
               tree: RootedTree = None, rows: int = None, cols: int = None) -> dict:
-    """What make_predictions starts from: the solved solution, which
+    """What a run's predictions start from: the solved solution, which
     corrupt() then changes, or the named pattern, which is used as is.
     Neither is ever changed in place."""
     if pattern is None:

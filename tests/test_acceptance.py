@@ -40,7 +40,7 @@ def test_criterion_01_consistency():
     for seed in range(50):
         n = 5 + (seed * 7) % 36  # 5..40
         g = random_connected_graph(n, 0.25, seed)
-        p = M.make_predictions("MIS", g, k=0)
+        p = M.corrupt("MIS", g, M.reference("MIS", g), 0, 0)
         for tpl in templates:
             inst = build_template("MIS", tpl)
             out = simulate(g, inst.program, p, max_rounds=inst.max_rounds(g),
@@ -59,7 +59,7 @@ def test_criterion_02_simple_degradation():
         for seed in range(20):
             n = 6 + seed % 11  # <= 16
             g = random_connected_graph(n, 0.3, seed + 100 * k)
-            p = M.make_predictions("MIS", g, k=k, seed=seed)
+            p = M.corrupt("MIS", g, M.reference("MIS", g), k, seed)
             report = M.error_report("MIS", g, p)
             _record(report)
             out = simulate(g, inst.program, p, trace=True)
@@ -89,7 +89,7 @@ def test_criterion_04_parallel_corollary():
         for seed in range(10):
             n = 6 + seed  # <= 15
             g = random_connected_graph(n, 0.3, seed + 10 * k)
-            p = M.make_predictions("MIS", g, k=k, seed=seed)
+            p = M.corrupt("MIS", g, M.reference("MIS", g), k, seed)
             report = M.error_report("MIS", g, p)
             _record(report)
             out = simulate(g, inst.program, p, max_rounds=inst.max_rounds(g),
@@ -108,7 +108,7 @@ def test_criterion_04_parallel_corollary():
 
 def test_criterion_05_grid_pattern():
     g = grid(16, 16)
-    p = M.make_predictions("MIS", g, pattern="GRID_4BLOCK", rows=16, cols=16)
+    p = M.reference("MIS", g, pattern="GRID_4BLOCK", rows=16, cols=16)
     report = M.error_report("MIS", g, p)
     assert report["eta1"] == 256 and report["eta_bw"] == 4
     inst = build_template("MIS", "simple")
@@ -131,7 +131,7 @@ def test_criterion_06_wheel_diameters():
 
 def test_criterion_07_rooted_tree_line():
     t = line_tree(15)
-    p = M.make_predictions("MIS", t.graph, pattern="MOD3_LINE", tree=t)
+    p = M.reference("MIS", t.graph, pattern="MOD3_LINE", tree=t)
     assert M.error_report("MIS", t.graph, p, t)["eta_t"] == 2
     out = simulate(t.graph, mis.tree_init(eager=True), p, tree=t, trace=True)
     assert out.total_rounds == 2 and max(out.term_round.values()) == 2
@@ -144,7 +144,7 @@ def test_criterion_07_rooted_tree_line():
         tr = random_tree(5 + seed % 10, seed)
         g = tr.graph
         for k in (1, 3, 5):
-            pk = M.make_predictions("MIS", g, k=k, seed=seed)
+            pk = M.corrupt("MIS", g, M.reference("MIS", g), k, seed)
             report = M.error_report("MIS", g, pk, tree=tr)
             _record(report)
             out = simulate(g, inst.program, pk, tree=tr,

@@ -164,7 +164,8 @@ def test_audit_matches_reference_on_seeded_template_runs():
         for seed in range(3):
             g = random_connected_graph(8 + 3 * seed, 0.3, seed)
             for k in (0, 2, 5):
-                p = measures.make_predictions(kind, g, k=k, seed=seed)
+                p = measures.corrupt(kind, g, measures.reference(kind, g),
+                                     k, seed)
                 traced = simulate(g, inst.program, p, inst.max_rounds(g), trace=True)
                 untraced = simulate(g, inst.program, p, inst.max_rounds(g))
                 assert untraced.output_log == traced.output_log

@@ -366,3 +366,28 @@ def test_non_termination_fails_its_runs_not_the_sweep(tmp_path, capsys):
         re.fullmatch(r"ASSERTION FAILED \(k=\d, seed=\d\): NON_TERMINATION: "
                      r"\d+ nodes still active after 2 rounds", line)
         for line in lines)
+
+
+def test_failing_fixed_pattern_sweep_repeats_each_seed(tmp_path, capsys,
+                                                      monkeypatch):
+    """A fixed-pattern sweep runs each seed once and repeats its row,
+    assertion lines and trace for every k, as if each k had run."""
+    text = ("graph = LINE\nn = 4\nproblem = MIS\nprogram = mis.base\n"
+            "pattern = ALL_ZEROS\nk_range = 0..2\nseed_range = 0..1\n")
+    plan = Plan(cli.parse_config(_cfg(tmp_path, text)))
+    rows, err = [], []
+    for k in range(3):
+        for seed in range(2):
+            row, failures, outcome = run_one(plan, k, seed)
+            rows.append(row)
+            err += cli._assertions(k, seed, failures)
+            err += cli.replay(plan, k, seed, outcome)
+    calls = []
+    monkeypatch.setattr(cli, "run_one", lambda plan, k, seed: (
+        calls.append((k, seed)) or run_one(plan, k, seed)))
+    assert main(["sweep", "--config", _cfg(tmp_path, text)]) == 1
+    out, got = capsys.readouterr()
+    assert out == cli.format_csv(rows)
+    assert got.splitlines() == err
+    assert "INCOMPLETE" in got and "TERMINATE" in got
+    assert calls == [(0, 0), (0, 1)]

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from predsync import cli
 from predsync.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -72,6 +73,20 @@ def test_golden_csv(name, tmp_path):
     assert status == CONFIGS[name][1]
     assert csv == (GOLDEN / f"{name}.csv").read_bytes()
     assert stderr == (GOLDEN / f"{name}.stderr").read_bytes()
+
+
+def test_fixed_pattern_sweep_runs_each_seed_once(tmp_path, monkeypatch):
+    """k changes nothing under a fixed pattern: the 12 rows of the k 0..3 x
+    seed 0..2 sweep come from one run per seed, with the same bytes."""
+    calls = []
+    real = cli.run_one
+    monkeypatch.setattr(cli, "run_one", lambda plan, k, seed: (
+        calls.append((k, seed)) or real(plan, k, seed)))
+    status, csv, stderr = _sweep("line_parallel_allones", tmp_path)
+    assert status == CONFIGS["line_parallel_allones"][1]
+    assert csv == (GOLDEN / "line_parallel_allones.csv").read_bytes()
+    assert stderr == (GOLDEN / "line_parallel_allones.stderr").read_bytes()
+    assert calls == [(0, 0), (0, 1), (0, 2)]
 
 
 if __name__ == "__main__":

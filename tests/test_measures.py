@@ -1,17 +1,19 @@
 """Error components, measures and prediction generation."""
 
+import itertools
 import random
 
 import pytest
 
 from predsync import measures as M
-from predsync import mis, problems
+from predsync import mis
 from predsync.engine import simulate
-from predsync.graphs import (CapExceeded, alpha_oracle, build_graph,
-                             components, edge_induced_subgraph, enumerate_mis,
-                             grid, induced_subgraph, line, line_tree,
-                             random_connected_graph, random_graph, random_tree,
-                             validate)
+from predsync.graphs import (CapExceeded, _assign_ids, alpha_oracle,
+                             build_graph, components, edge_induced_subgraph,
+                             enumerate_mis, grid, induced_subgraph, line,
+                             line_tree, random_connected_graph, random_graph,
+                             random_tree, validate)
+from predsync.registry import get_program
 
 
 def _k(n):
@@ -45,27 +47,27 @@ def test_eta_examples():
 
 def test_grid_pattern():
     g = grid(16, 16)
-    p = M.make_predictions("MIS", g, pattern="GRID_4BLOCK", rows=16, cols=16)
+    p = M.reference("MIS", g, pattern="GRID_4BLOCK", rows=16, cols=16)
     report = M.error_report("MIS", g, p)
     assert report["eta1"] == 256 and report["eta_bw"] == 4
 
 
 def test_eta_bw_all_ones_line():
     g = line(7)
-    p = M.make_predictions("MIS", g, pattern="ALL_ONES")
+    p = M.reference("MIS", g, pattern="ALL_ONES")
     report = M.error_report("MIS", g, p)
     assert report["eta_bw"] == 7 == report["eta1"]
 
 
 def test_eta_t():
     t = line_tree(15)
-    p = M.make_predictions("MIS", t.graph, pattern="MOD3_LINE", tree=t)
+    p = M.reference("MIS", t.graph, pattern="MOD3_LINE", tree=t)
     assert [p[u] for u in sorted(t.graph.nodes)][:4] == [0, 1, 1, 0]
     assert M.error_report("MIS", t.graph, p, t)["eta_t"] == 2
     t6 = line_tree(6)
     ones = {u: 1 for u in t6.graph.nodes}
     assert M.error_report("MIS", t6.graph, ones, t6)["eta_t"] == 6
-    solved = M.make_predictions("MIS", t6.graph, k=0)
+    solved = M.corrupt("MIS", t6.graph, M.reference("MIS", t6.graph), 0, 0)
     assert M.error_report("MIS", t6.graph, solved, t6)["eta_t"] == 0
 
 
@@ -100,7 +102,7 @@ def test_solve_then_corrupt_k0_is_correct():
     for kind in ("MIS", "MAXIMAL_MATCHING", "VERTEX_COLORING",
                  "EDGE_COLORING"):
         g = random_connected_graph(10, 0.3, 11)
-        p = M.make_predictions(kind, g, k=0)
+        p = M.corrupt(kind, g, M.reference(kind, g), 0, 0)
         assert M.error_report(kind, g, p)["eta1"] == 0
         assert validate(kind, g, p) is None
 
@@ -109,38 +111,40 @@ def test_corruption_is_deterministic_and_in_range():
     g = random_connected_graph(12, 0.3, 4)
     for kind in ("MIS", "MAXIMAL_MATCHING", "VERTEX_COLORING",
                  "EDGE_COLORING"):
-        a = M.make_predictions(kind, g, k=5, seed=9)
-        b = M.make_predictions(kind, g, k=5, seed=9)
+        a = M.corrupt(kind, g, M.reference(kind, g), 5, 9)
+        b = M.corrupt(kind, g, M.reference(kind, g), 5, 9)
         assert a == b
-    p = M.make_predictions("VERTEX_COLORING", g, k=12, seed=1)
+    p = M.corrupt("VERTEX_COLORING", g, M.reference("VERTEX_COLORING", g),
+                  12, 1)
     assert all(1 <= p[u] <= g.delta + 1 for u in g.nodes)
-    p = M.make_predictions("MAXIMAL_MATCHING", g, k=12, seed=1)
+    p = M.corrupt("MAXIMAL_MATCHING", g, M.reference("MAXIMAL_MATCHING", g),
+                  12, 1)
     assert all(p[u] is None or p[u] in g.adjacency[u] for u in g.nodes)
 
 
 def test_pattern_errors():
     g = line(5)
     with pytest.raises(ValueError):
-        M.make_predictions("MIS", g, pattern="GRID_4BLOCK", rows=2, cols=2)
+        M.reference("MIS", g, pattern="GRID_4BLOCK", rows=2, cols=2)
     with pytest.raises(ValueError):
-        M.make_predictions("MIS", g, pattern="MOD3_LINE")
+        M.reference("MIS", g, pattern="MOD3_LINE")
     with pytest.raises(ValueError):
-        M.make_predictions("VERTEX_COLORING", g, pattern="ALL_ONES")
+        M.reference("VERTEX_COLORING", g, pattern="ALL_ONES")
     with pytest.raises(ValueError):
-        M.make_predictions("MIS", g, pattern="NOPE")
+        M.reference("MIS", g, pattern="NOPE")
 
 
 def test_measure_relations_on_random_instances():
     for seed in range(15):
         g = random_connected_graph(4 + seed % 9, 0.35, seed)
         for k in (1, 3, 6):
-            p = M.make_predictions("MIS", g, k=k, seed=seed)
+            p = M.corrupt("MIS", g, M.reference("MIS", g), k, seed)
             report = M.error_report("MIS", g, p)
             assert report["eta2"] <= report["eta1"]
             assert report["eta_bw"] <= report["eta1"]
     for seed in range(10):
         t = random_tree(4 + seed, seed)
-        p = M.make_predictions("MIS", t.graph, k=3, seed=seed)
+        p = M.corrupt("MIS", t.graph, M.reference("MIS", t.graph), 3, seed)
         report = M.error_report("MIS", t.graph, p, t)
         assert report["eta_t"] <= report["eta_bw"]
 
@@ -148,22 +152,22 @@ def test_measure_relations_on_random_instances():
 def test_init_components_nest_inside_base_components():
     for seed in range(20):
         g = random_connected_graph(4 + seed % 9, 0.35, seed)
-        p = M.make_predictions("MIS", g, k=4, seed=seed)
+        p = M.corrupt("MIS", g, M.reference("MIS", g), 4, seed)
         base_comps = [set(c.nodes) for c in _error_components("MIS", g, p)[1]]
         init_active = simulate(g, mis.mis_init(), p).undecided(g)
         for c in components(induced_subgraph(g, init_active)):
             assert any(set(c.nodes) <= b for b in base_comps)
 
 
-_BASE_PROGRAMS = {"MIS": mis.mis_base, "MAXIMAL_MATCHING": problems.mm_base,
-                  "VERTEX_COLORING": problems.vc_base,
-                  "EDGE_COLORING": problems.ec_base}
+_BASE_PROGRAMS = {"MIS": "mis.base", "MAXIMAL_MATCHING": "mm.base",
+                  "VERTEX_COLORING": "vc.base", "EDGE_COLORING": "ec.base"}
 
 
 def _error_components(kind, g, p):
-    """(undecided nodes, error components) of one base-program run, from
-    the definition: the nodes without output, or the uncolored edges."""
-    out = simulate(g, _BASE_PROGRAMS[kind](), p)
+    """(undecided nodes, error components) of one simulated run of the
+    registry's base program, from the definition: the nodes without
+    output, or the uncolored edges."""
+    out = simulate(g, get_program(_BASE_PROGRAMS[kind])[0], p)
     if kind == "EDGE_COLORING":
         uncolored = [(u, v) for u, v in g.edges() if v not in out.outputs[u]]
         return None, components(edge_induced_subgraph(g, uncolored))
@@ -209,23 +213,24 @@ def _longest_path(tree, p, undecided):
     return 1 + max(map(up, undecided)) if undecided else 0
 
 
-def test_error_report_matches_single_measures_from_one_base_run(monkeypatch):
+def test_error_report_matches_single_measures_without_simulating(monkeypatch):
     cases = []
     for kind in ("MIS", "MAXIMAL_MATCHING", "VERTEX_COLORING",
                  "EDGE_COLORING"):
         for seed in range(3):
             g = random_connected_graph(12, 0.3, seed)
             for k in (0, 2, 5):
-                cases.append((kind, g, M.make_predictions(kind, g, k=k, seed=seed),
-                              None))
+                cases.append((kind, g, M.corrupt(kind, g, M.reference(kind, g),
+                                                 k, seed), None))
     t = random_tree(14, 3)
     for k in (0, 3, 6):
-        cases.append(("MIS", t.graph, M.make_predictions("MIS", t.graph, k=k,
-                                                         seed=k), t))
+        cases.append(("MIS", t.graph, M.corrupt("MIS", t.graph,
+                                                M.reference("MIS", t.graph),
+                                                k, k), t))
     long_line = line(30)
     for pattern in ("ALL_ONES", "ALL_ZEROS"):
         cases.append(("MIS", long_line,
-                      M.make_predictions("MIS", long_line, pattern=pattern), None))
+                      M.reference("MIS", long_line, pattern=pattern), None))
 
     runs = []
     real = M.simulate
@@ -236,14 +241,96 @@ def test_error_report_matches_single_measures_from_one_base_run(monkeypatch):
                             lambda *args, **kw: runs.append(1) or real(*args, **kw))
         report = M.error_report(kind, g, p, tree)
         monkeypatch.undo()
-        assert len(runs) == 1, (kind, g.n)
-        runs.clear()
+        assert not runs, (kind, g.n)
         assert report == expected, (kind, g.n)
         reports.append(report)
     assert any(r["eta_t"] for r in reports)  # a tree case has eta_t set
     assert any(r["eta2"] for r in reports) and any(r["eta_hamming"] for r in reports)
     assert reports[-1]["eta2"] is None and reports[-1]["eta_hamming"] is None
     assert reports[-1]["eta1"] == 30
+
+
+def _residue_cases():
+    """(kind, graph, predictions): every connected atlas graph on at most 5
+    nodes under two seeded identifier permutations, with every 0/1 vector
+    for MIS and solve-then-corrupt predictions for k = 0..n and seeds 0..3
+    for the other problems, then one instance shaped like each benchmark
+    workload."""
+    nx = pytest.importorskip("networkx")
+    for a in nx.graph_atlas_g():
+        n = a.number_of_nodes()
+        if not 1 <= n <= 5 or not nx.is_connected(a):
+            continue
+        for perm in range(2):
+            ids, d = _assign_ids(n, "SEEDED_PERMUTATION", perm, None)
+            g = build_graph(ids, [(ids[u], ids[v]) for u, v in a.edges()], d)
+            for bits in itertools.product((0, 1), repeat=n):
+                yield "MIS", g, dict(zip(ids, bits))
+            for kind in _OTHER_KINDS:
+                ref = M.reference(kind, g)
+                for k in range(n + 1):
+                    for seed in range(4):
+                        yield kind, g, M.corrupt(kind, g, ref, k, seed)
+    g = random_connected_graph(18, 0.3, 0)
+    for k in (0, 5, 10):
+        yield "MIS", g, M.corrupt("MIS", g, M.reference("MIS", g), k, 0)
+    g = random_connected_graph(60, 0.1, 0)
+    for kind in _OTHER_KINDS:
+        for k in (0, 4, 10):
+            yield kind, g, M.corrupt(kind, g, M.reference(kind, g), k, 0)
+    g = line(800)
+    yield "MIS", g, M.reference("MIS", g, pattern="ALL_ZEROS")
+
+
+_OTHER_KINDS = ("MAXIMAL_MATCHING", "VERTEX_COLORING", "EDGE_COLORING")
+
+
+def test_direct_residue_matches_simulated_base_programs():
+    """The base rule evaluated directly leaves the same undecided nodes and
+    error components as a simulated run of the registry's base program."""
+    sizes = {}
+    for kind, g, p in _residue_cases():
+        undecided, comps = M._residue(kind, g, p)
+        want_undecided, want_comps = _error_components(kind, g, p)
+        assert undecided == want_undecided, (kind, g.adjacency, p)
+        assert ([c.adjacency for c in comps]
+                == [c.adjacency for c in want_comps]), (kind, g.adjacency, p)
+        sizes.setdefault(kind, set()).add(sum(c.n for c in comps))
+    # every problem saw both correct and erroneous predictions
+    assert all(0 in seen and len(seen) > 1 for seen in sizes.values())
+    assert len(sizes) == 4 and 800 in sizes["MIS"]
+
+
+_INVALID = [
+    # (kind, predictions on line(3), the base program's start-check message)
+    ("MIS", {1: 1, 3: 0}, "predictions missing for nodes [2]"),
+    ("MAXIMAL_MATCHING", {1: 3, 2: None},
+     "predictions missing for nodes [3]"),
+    ("MAXIMAL_MATCHING", {1: 3, 2: None, 3: None},
+     "node 1: predicted partner 3 is not a neighbor"),
+    ("VERTEX_COLORING", {1: 1, 2: 4, 3: 1},
+     "node 2: predicted color 4 out of range"),
+    ("VERTEX_COLORING", {1: 1, 2: None, 3: 0},
+     "node 2: predicted color None out of range"),
+    ("EDGE_COLORING", {1: {2: 1}, 2: {1: 1}, 3: {2: 2}},
+     "node 2: edge predictions incomplete"),
+    ("EDGE_COLORING", {1: {2: 1}, 2: {1: 1, 3: 5}, 3: {2: 2}},
+     "node 2: predicted color 5 out of range"),
+    ("EDGE_COLORING", {1: {2: 0}, 2: {1: 1}, 3: {2: 2}},
+     "node 1: predicted color 0 out of range"),
+    ("EDGE_COLORING", {1: {2: 1}, 2: [1, 3], 3: {2: 2}},
+     "node 2: edge predictions incomplete"),
+]
+
+
+@pytest.mark.parametrize("kind, p, message", _INVALID)
+def test_invalid_predictions_raise_the_base_program_message(kind, p, message):
+    g = line(3)
+    with pytest.raises(ValueError) as direct:
+        M.error_report(kind, g, p)
+    with pytest.raises(ValueError) as simulated:
+        _error_components(kind, g, p)
+    assert str(direct.value) == str(simulated.value) == message
 
 
 def test_prediction_file_roundtrip():

@@ -55,7 +55,7 @@ def test_init_breaks_ties_by_identifier():
 def test_init_extends_base():
     for seed in range(15):
         g = random_connected_graph(4 + seed % 9, 0.35, seed)
-        p = M.make_predictions("MIS", g, k=4, seed=seed)
+        p = M.corrupt("MIS", g, M.reference("MIS", g), 4, seed)
         base = simulate(g, mis.mis_base(), p).outputs
         init = simulate(g, mis.mis_init(), p).outputs
         for u in g.nodes:
@@ -136,7 +136,7 @@ def test_greedy_steady_progress():
 
 def test_u_bw_grid_pattern():
     g = grid(16, 16)
-    p = M.make_predictions("MIS", g, pattern="GRID_4BLOCK", rows=16, cols=16)
+    p = M.reference("MIS", g, pattern="GRID_4BLOCK", rows=16, cols=16)
     out = simulate(g, mis.u_bw(), p)
     assert validate("MIS", g, out.solution("MIS", g)) is None
     # color components have <= 4 nodes; one probe round plus two alternating
@@ -192,7 +192,7 @@ def test_part2_combined_beats_mu2_bound():
 
 def test_tree_init_mod3_line():
     t = line_tree(15)
-    p = M.make_predictions("MIS", t.graph, pattern="MOD3_LINE", tree=t)
+    p = M.reference("MIS", t.graph, pattern="MOD3_LINE", tree=t)
     assert M.error_report("MIS", t.graph, p, t)["eta_t"] == 2
     out = simulate(t.graph, mis.tree_init(eager=True), p, tree=t)
     assert out.total_rounds == 2
@@ -202,7 +202,7 @@ def test_tree_init_mod3_line():
 def test_tree_init_correct_predictions():
     for seed in range(10):
         t = random_tree(3 + seed, seed)
-        p = M.make_predictions("MIS", t.graph, k=0)
+        p = M.corrupt("MIS", t.graph, M.reference("MIS", t.graph), 0, 0)
         out = simulate(t.graph, mis.tree_init(), p, tree=t)
         assert out.total_rounds == 3
         assert validate("MIS", t.graph, out.solution("MIS", t.graph)) is None
@@ -211,7 +211,7 @@ def test_tree_init_correct_predictions():
 def test_tree_init_leaves_monochromatic_components():
     for seed in range(20):
         t = random_tree(4 + seed % 10, seed)
-        p = M.make_predictions("MIS", t.graph, k=4, seed=seed)
+        p = M.corrupt("MIS", t.graph, M.reference("MIS", t.graph), 4, seed)
         out = simulate(t.graph, mis.tree_init(), p, tree=t)
         active = out.undecided(t.graph)
         for u in active:

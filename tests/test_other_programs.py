@@ -158,7 +158,7 @@ def test_linial_fault_tolerance():
 
 
 def _ec_correct(g):
-    return M.make_predictions("EDGE_COLORING", g, k=0)
+    return M.corrupt("EDGE_COLORING", g, M.reference("EDGE_COLORING", g), 0, 0)
 
 
 def test_ec_base_correct_one_round():

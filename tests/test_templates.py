@@ -54,7 +54,7 @@ def test_consecutive_truncation_branch():
     # force a tiny uniform budget so the run must fall through cleanup into
     # the reference, and check the robust bound
     g = random_connected_graph(12, 0.3, 3)
-    p = M.make_predictions("MIS", g, k=12, seed=0)
+    p = M.corrupt("MIS", g, M.reference("MIS", g), 12, 0)
     rep = M.error_report("MIS", g, p)
     r = lambda v: 2
     inst = build_template("MIS", "consecutive", r=r)
@@ -67,7 +67,7 @@ def test_consecutive_truncation_branch():
 
 def test_consecutive_inside_uniform_branch():
     g = random_connected_graph(12, 0.3, 3)
-    p = M.make_predictions("MIS", g, k=2, seed=1)
+    p = M.corrupt("MIS", g, M.reference("MIS", g), 2, 1)
     rep = M.error_report("MIS", g, p)
     inst = build_template("MIS", "consecutive")
     out = simulate(g, inst.program, p)
@@ -79,7 +79,7 @@ def test_interleaved_round_accounting():
     for seed in range(10):
         g = random_connected_graph(10, 0.35, seed)
         for k in (0, 3, 10):
-            p = M.make_predictions("MIS", g, k=k, seed=seed)
+            p = M.corrupt("MIS", g, M.reference("MIS", g), k, seed)
             rep = M.error_report("MIS", g, p)
             inst = build_template("MIS", "interleaved")
             out = simulate(g, inst.program, p, trace=True)
@@ -155,7 +155,7 @@ def test_tree_parallel_bounds():
         inst = build_template("MIS", "parallel", tree=True)
         init, fused = inst.program.stages[:2]
         for k in (0, 2, 5):
-            p = M.make_predictions("MIS", g, k=k, seed=seed)
+            p = M.corrupt("MIS", g, M.reference("MIS", g), k, seed)
             rep = M.error_report("MIS", g, p, tree=t)
             out = simulate(g, inst.program, p, tree=t,
                            max_rounds=inst.max_rounds(g), trace=True)
@@ -174,7 +174,7 @@ def test_other_problem_templates():
             for tpl in ("simple", "consecutive"):
                 inst = build_template(kind, tpl)
                 for k in (0, 4):
-                    p = M.make_predictions(kind, g, k=k, seed=seed)
+                    p = M.corrupt(kind, g, M.reference(kind, g), k, seed)
                     rep = M.error_report(kind, g, p)
                     out = simulate(g, inst.program, p,
                                    max_rounds=inst.max_rounds(g))

@@ -95,10 +95,10 @@ def test_wake_matches_every_round(problem, template, tree):
         for seed in range(3):
             made = generate(family, params, ids, seed)
             g, rooted = (made.graph, made) if family == "TREE" else (made, None)
-            preds = [M.make_predictions(problem, g, k=k, seed=seed, tree=rooted)
+            preds = [M.corrupt(problem, g, M.reference(problem, g), k, seed)
                      for k in (0, 1, 3, 8)]
             if problem == "MIS":
-                preds.append(M.make_predictions("MIS", g, pattern="ALL_ZEROS"))
+                preds.append(M.reference("MIS", g, pattern="ALL_ZEROS"))
             for p in preds:
                 woken, every = _same(inst.program, g, p, tree=rooted,
                                      max_rounds=inst.max_rounds(g))
@@ -113,7 +113,7 @@ def test_wake_matches_every_round(problem, template, tree):
 def test_wake_matches_every_round_on_line_patterns(template, pattern):
     g = line(30)
     inst = build_template("MIS", template)
-    p = M.make_predictions("MIS", g, pattern=pattern)
+    p = M.reference("MIS", g, pattern=pattern)
     woken, every = _same(inst.program, g, p, max_rounds=inst.max_rounds(g))
     if template != "parallel":  # part 1 of parallel works every round
         assert woken < every // 2
@@ -144,7 +144,7 @@ def test_wake_matches_every_round_standalone(name):
         else:
             rooted, g = None, random_connected_graph(9 + seed, 0.3, seed)
         for k in (0, 1, 3, 6):
-            p = M.make_predictions(kind, g, k=k, seed=seed, tree=rooted)
+            p = M.corrupt(kind, g, M.reference(kind, g), k, seed)
             _same(program, g, p, tree=rooted)
     if "u_bw" in name:
         # an all-white line runs greedy one node per phase: a candidate that
@@ -199,7 +199,7 @@ def test_wake_matches_every_round_under_crashes():
         budget = problems.linial_rounds(g.d, g.delta)
         _same(problems.linial_coloring(), g, max_rounds=budget + 5,
               crash_schedule=_crashes(g, seed, "wake-linial", budget))
-        p = M.make_predictions("MIS", g, k=2, seed=seed)
+        p = M.corrupt("MIS", g, M.reference("MIS", g), 2, seed)
         for template in ("simple", "interleaved", "parallel"):
             inst = build_template("MIS", template)
             _same(inst.program, g, p, max_rounds=inst.max_rounds(g),
@@ -210,7 +210,7 @@ def test_wake_matches_every_round_under_crashes():
         _same(mis.gps_tree_3coloring(), t.graph, tree=t, max_rounds=budget + 5,
               crash_schedule=_crashes(t.graph, seed, "wake-gps", budget))
         inst = build_template("MIS", "parallel", tree=True)
-        p = M.make_predictions("MIS", t.graph, k=2, seed=seed, tree=t)
+        p = M.corrupt("MIS", t.graph, M.reference("MIS", t.graph), 2, seed)
         _same(inst.program, t.graph, p, tree=t,
               max_rounds=inst.max_rounds(t.graph),
               crash_schedule=_crashes(t.graph, seed, "wake-tree", 2 * t.graph.n))
@@ -223,7 +223,7 @@ def test_waiting_nodes_cost_nothing(template):
     g = line(800)
     inst = build_template("MIS", template)
     prog = Proxy(inst.program)
-    out = simulate(g, prog, M.make_predictions("MIS", g, pattern="ALL_ZEROS"),
+    out = simulate(g, prog, M.reference("MIS", g, pattern="ALL_ZEROS"),
                    inst.max_rounds(g))
     assert out.total_rounds == 803
     assert prog.counts["process"] <= 20 * g.n
@@ -236,7 +236,7 @@ def test_work_fingerprint():
     counts = {}
     for template in ("simple", "interleaved"):
         prog = Proxy(build_template("MIS", template).program)
-        simulate(g, prog, M.make_predictions("MIS", g, pattern="ALL_ZEROS"))
+        simulate(g, prog, M.reference("MIS", g, pattern="ALL_ZEROS"))
         counts[template] = prog.counts
     assert counts == {"simple": {"compose": 149, "process": 177},
                       "interleaved": {"compose": 189, "process": 215}}
