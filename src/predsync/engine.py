@@ -5,6 +5,8 @@ the end of the previous round, then all messages are delivered, then each
 active node processes its inbox, may assign output values, and may
 terminate.  A node that terminates in round r still has its round-r outbox
 delivered.  Messages addressed to already-terminated nodes are dropped.
+Each inbox lists its messages in sender order; a round's SEND events come
+in sender order too, and each sender's in recipient order.
 
 Waiting nodes cost nothing.  A node's Step may name its next wake round:
 until then, its compose and process would do nothing unless a message
@@ -153,6 +155,7 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
         if missing:
             raise ValueError(f"predictions missing for nodes {missing}")
     views = make_views(g, predictions, tree)
+    nbr_sets = g.neighbor_sets
     behaviors = {u: program.start(views[u]) for u in g.nodes}
     active = set(g.nodes)
     awake = sorted(active)  # nodes stepped this round, in node order
@@ -182,11 +185,13 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
             outbox = behaviors[u].compose(rnd)
             if not outbox:
                 continue
-            for v, payload in sorted(outbox.items()):
-                if v not in g.adjacency[u]:
-                    raise ProtocolViolation(f"node {u} sent to non-neighbor {v} in round {rnd}")
-                if events is not None:
+            if not outbox.keys() <= nbr_sets[u]:
+                v = min(outbox.keys() - nbr_sets[u])
+                raise ProtocolViolation(f"node {u} sent to non-neighbor {v} in round {rnd}")
+            if events is not None:
+                for v, payload in sorted(outbox.items()):
                     events.append(TraceEvent(rnd, u, "SEND", f"{v}:{payload!r}"))
+            for v, payload in outbox.items():
                 if v in active:
                     try:
                         inboxes[v][u] = payload

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 ROOT = 0  # parent marker for the root of a rooted tree
@@ -39,10 +40,13 @@ class Graph:
     d: int
     adjacency: Mapping[int, tuple[int, ...]]
     _nodes: tuple[int, ...] = field(init=False, repr=False)
+    delta: int = field(init=False, repr=False)  # maximum degree
 
     def __post_init__(self):
         nodes = tuple(sorted(self.adjacency))
         object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "delta", max(
+            (len(self.adjacency[u]) for u in nodes), default=0))
         seen = set()
         for u in nodes:
             if not (1 <= u <= self.d):
@@ -67,9 +71,10 @@ class Graph:
     def nodes(self) -> tuple[int, ...]:
         return self._nodes
 
-    @property
-    def delta(self) -> int:
-        return max((len(self.adjacency[u]) for u in self._nodes), default=0)
+    @cached_property
+    def neighbor_sets(self) -> dict[int, frozenset[int]]:
+        """Each node's neighbors as a frozenset, built on first use."""
+        return {u: frozenset(vs) for u, vs in self.adjacency.items()}
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         return self.adjacency[u]
@@ -286,7 +291,8 @@ def induced_subgraph(g: Graph, keep) -> Graph:
 
 
 def components(g: Graph) -> list[Graph]:
-    """Connected components as induced subgraphs, sorted by smallest member."""
+    """Connected components as induced subgraphs, sorted by smallest member;
+    [g] itself when g is connected."""
     seen: set[int] = set()
     out = []
     for start in g.nodes:  # nodes are sorted, so components come out ordered
@@ -300,6 +306,8 @@ def components(g: Graph) -> list[Graph]:
                 if v not in comp:
                     comp.add(v)
                     stack.append(v)
+        if len(comp) == g.n:
+            return [g]
         seen |= comp
         out.append(induced_subgraph(g, comp))
     return out

@@ -26,6 +26,8 @@ Each problem's stages share one decision round, written once:
 
 from __future__ import annotations
 
+from functools import cache
+
 from .stages import Ctx, FixedStage, Stage, StageRun, StageStep, StagedProgram
 
 MATCHED = "MATCHED"
@@ -308,12 +310,13 @@ def _next_prime(x: int) -> int:
         n += 1
 
 
-def _linial_schedule(d: int, delta: int) -> tuple[list[tuple[int, int]], int]:
+@cache
+def _linial_schedule(d: int, delta: int) -> tuple[tuple[tuple[int, int], ...], int]:
     """Color-space reduction steps as (q, poly degree) pairs, and the final
-    color-space size.  One step maps colors below k to colors below q*q by
-    viewing each color as a degree-t polynomial over F_q (q prime, q**(t+1)
-    >= k, q > delta*t) and picking an evaluation point that separates the
-    node from all its neighbors."""
+    color-space size, computed once per (d, delta).  One step maps colors
+    below k to colors below q*q by viewing each color as a degree-t
+    polynomial over F_q (q prime, q**(t+1) >= k, q > delta*t) and picking
+    an evaluation point that separates the node from all its neighbors."""
     k = d + 1
     steps = []
     while True:
@@ -331,7 +334,7 @@ def _linial_schedule(d: int, delta: int) -> tuple[list[tuple[int, int]], int]:
             t += 1
         q, t = best
         if q * q >= k:
-            return steps, k
+            return tuple(steps), k
         steps.append((q, t))
         k = q * q
 
@@ -404,7 +407,7 @@ class LinialColoringStage(Stage):
 class _LinialRun(ReductionRun):
     def __init__(self, view, length, store_only):
         if view.delta == 0:
-            self.steps, self.k_star = [], 1
+            self.steps, self.k_star = (), 1
         else:
             self.steps, self.k_star = _linial_schedule(view.d, view.delta)
         super().__init__(view.id if view.delta else 0, length, store_only)

@@ -85,12 +85,10 @@ class FixedStage(Stage):
 
 
 class StagedBehavior:
-    def __init__(self, ctx: Ctx, stages):
+    def __init__(self, ctx: Ctx, stages, lengths):
         self.ctx = ctx
         self.stages = stages
-        self.lengths = [s.length(ctx.view) for s in stages]
-        if any(l is None for l in self.lengths[:-1]):
-            raise ConfigError("only the final stage may be open-ended")
+        self.lengths = lengths
         self.idx = 0
         self.before = 0  # rounds before the current stage
         self.end = self.lengths[0] if stages else None  # its last round
@@ -131,21 +129,33 @@ class StagedBehavior:
 
 
 class StagedProgram:
-    """Run stages back to back.  All fixed lengths must be computable from
-    the node view alone, so every node switches stages in the same round."""
+    """Run stages back to back.  A stage length reads only n, d and delta
+    of the view (or graph) it is given, so every node switches stages in
+    the same round, and the lengths are computed once per (n, d, delta)."""
 
     def __init__(self, stages):
         self.stages = list(stages)
+        self._lengths = (None, None)  # last (n, d, delta) and its lengths
+
+    def lengths(self, view_like) -> tuple:
+        """Each stage's length, None for an open-ended final stage."""
+        key = (view_like.n, view_like.d, view_like.delta)
+        seen, lengths = self._lengths
+        if seen != key:
+            lengths = tuple(s.length(view_like) for s in self.stages)
+            if None in lengths[:-1]:
+                raise ConfigError("only the final stage may be open-ended")
+            self._lengths = (key, lengths)
+        return lengths
 
     def start(self, view: NodeView):
-        return StagedBehavior(Ctx(view), self.stages)
+        return StagedBehavior(Ctx(view), self.stages, self.lengths(view))
 
     def checkpoints(self, view_like, total_rounds: int) -> list[int]:
         """Rounds at which the global partial output must be extendable."""
         pts = []
         at = 0
-        for s in self.stages:
-            ln = s.length(view_like)
+        for s, ln in zip(self.stages, self.lengths(view_like)):
             if ln is None:
                 if s.phase_len:
                     r = at + s.phase_len

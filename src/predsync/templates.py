@@ -63,7 +63,7 @@ class TemplateInstance:
             # whole U and R blocks until U has had f rounds
             phase = self.program.phase
             return c + 2 * f, c + 2 * max(1, math.ceil(f / phase)) * phase
-        lengths = [s.length(g) for s in self.program.stages]
+        lengths = self.program.lengths(g)
         if self.template == "consecutive":
             # stages[1] is the truncated uniform stage: r plus the clean-up
             return c + 2 * f, c + 2 * lengths[1]
@@ -74,9 +74,8 @@ class TemplateInstance:
     def max_rounds(self, g) -> int:
         if self.template != "parallel":
             return default_max_rounds(g)
-        stages = self.program.stages
-        return (default_max_rounds(g) + stages[1].length(g)
-                + stages[-1].length(g) + 10)
+        lengths = self.program.lengths(g)
+        return default_max_rounds(g) + lengths[1] + lengths[-1] + 10
 
 
 def _even(x: int) -> int:

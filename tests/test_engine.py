@@ -83,6 +83,16 @@ def test_send_to_non_neighbor_rejected():
         simulate(g, Script(plans))
 
 
+@pytest.mark.parametrize("trace", [False, True])
+def test_non_neighbor_violation_names_smallest_recipient(trace):
+    # node 1 of the path 1-2-3-4 sends to its neighbor 2 and to 4 and 3
+    g = line(4)
+    plans = {1: {1: ({}, {}, False), 2: ({4: "a", 2: "b", 3: "c"}, {}, True)}}
+    with pytest.raises(ProtocolViolation) as exc:
+        simulate(g, Script(plans), trace=trace)
+    assert str(exc.value) == "node 1 sent to non-neighbor 3 in round 2"
+
+
 def test_write_once_outputs():
     g = build_graph([1], [])
     plans = {1: {1: ({}, {"y": 0}, False), 2: ({}, {"y": 1}, True)}}

@@ -9,8 +9,9 @@ import pytest
 from predsync import measures, mis
 from predsync.engine import simulate
 from predsync.graphs import (DEFAULT_ALPHA_CAP, DEFAULT_ENUM_CAP, alpha_oracle,
-                             enumerate_mis, grid, line, random_graph,
-                             random_connected_graph, validate)
+                             build_graph, components, enumerate_mis, grid,
+                             line, random_graph, random_connected_graph,
+                             validate)
 
 nx = pytest.importorskip("networkx")
 
@@ -36,6 +37,29 @@ def test_alpha_and_tau_match_max_clique_of_complement():
     for g in _instances(DEFAULT_ALPHA_CAP):
         _, clique = nx.max_weight_clique(_complement(g), weight=None)
         assert alpha_oracle(g) == clique, (g.n, sorted(g.edges()))
+
+
+def _atlas(max_nodes):
+    """Every graph of networkx's atlas on at most max_nodes nodes, with the
+    atlas's nodes 0..n-1 as identifiers 1..n."""
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() <= max_nodes:
+            yield build_graph([u + 1 for u in h], [(u + 1, v + 1) for u, v in h.edges()])
+
+
+def test_components_match_connected_components_on_atlas():
+    for g in _atlas(6):
+        comps = components(g)
+        h = nx.Graph(list(g.edges()))
+        h.add_nodes_from(g.nodes)
+        expected = sorted((set(c) for c in nx.connected_components(h)), key=min)
+        assert [set(c.nodes) for c in comps] == expected, sorted(g.edges())
+        for c in comps:  # a component keeps every neighbor of its nodes
+            assert dict(c.adjacency) == {u: g.adjacency[u] for u in c.nodes}
+        if len(comps) == 1:
+            assert comps[0] is g
+        _, clique = nx.max_weight_clique(_complement(g), weight=None)
+        assert alpha_oracle(g) == clique, sorted(g.edges())
 
 
 def test_enumerate_mis_matches_cliques_of_complement():

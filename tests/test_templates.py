@@ -8,10 +8,11 @@ import pytest
 
 from predsync import measures as M, mis, problems
 from predsync.audit import audit_run
-from predsync.engine import default_max_rounds, simulate
+from predsync.engine import NonTermination, default_max_rounds, simulate
 from predsync.graphs import (build_graph, grid, line, random_connected_graph,
                              random_graph, random_tree, validate)
-from predsync.stages import ConfigError, ParallelProgram, StagedProgram
+from predsync.stages import (ConfigError, ParallelProgram, Stage, StageRun,
+                             StagedProgram)
 from predsync.templates import build_template
 
 
@@ -99,6 +100,46 @@ def test_checkpoint_lists():
     inter = build_template("MIS", "interleaved")
     pts = inter.program.checkpoints(g, 9)
     assert pts[0] == 3 and all(b - a == 2 for a, b in zip(pts, pts[1:]))
+
+
+class _CountedStage(Stage):
+    """Idle for delta + 1 rounds (open-ended when open); records the
+    (n, d, delta) of every length call."""
+
+    def __init__(self, open_ended=False):
+        self.open_ended = open_ended
+        self.calls = []
+
+    def length(self, view):
+        self.calls.append((view.n, view.d, view.delta))
+        return None if self.open_ended else view.delta + 1
+
+    def start(self, ctx):
+        return StageRun()
+
+
+def test_stage_lengths_computed_once_per_graph():
+    first, second = _CountedStage(), _CountedStage()
+    program = StagedProgram([first, second])
+    path = line(6)
+    star = build_graph(range(1, 6), [(1, v) for v in range(2, 6)])
+    out = simulate(path, program)
+    assert out.total_rounds == 3 + 3
+    assert first.calls == second.calls == [(6, 6, 2)]  # not once per node
+    out = simulate(star, program)
+    assert out.total_rounds == 5 + 5  # the star's own delta
+    assert first.calls == second.calls == [(6, 6, 2), (5, 5, 4)]
+    assert program.checkpoints(star, 10) == [5, 10]  # no further call
+    assert len(first.calls) == 2
+
+
+def test_only_the_final_stage_may_be_open_ended():
+    program = StagedProgram([_CountedStage(open_ended=True), _CountedStage()])
+    with pytest.raises(ConfigError, match="only the final stage may be open-ended"):
+        simulate(line(3), program)
+    last_open = StagedProgram([_CountedStage(), _CountedStage(open_ended=True)])
+    with pytest.raises(NonTermination):  # an idle open stage never ends
+        simulate(line(3), last_open, max_rounds=6)
 
 
 def _r_subchannel_sends(trace, lo, hi):
