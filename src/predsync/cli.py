@@ -124,7 +124,12 @@ class Plan:
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
-        self.kind = cfg.get("problem", "MIS").upper()
+        name = cfg.get("program")
+        if name and "problem" not in cfg:
+            # a standalone program is measured as the problem it solves
+            self.kind = get_program(name)[1]
+        else:
+            self.kind = cfg.get("problem", "MIS").upper()
         self.pattern = cfg.get("pattern")
         self._instances = {}
         self._runner = None
@@ -152,7 +157,7 @@ class Plan:
             name = cfg.get("program")
             if name:
                 program, kind = get_program(name)
-                if "problem" in cfg and kind != self.kind:
+                if kind != self.kind:
                     raise ConfigError(f"program {name} solves {kind}, "
                                       f"but problem is {self.kind}")
                 self._runner = (program, kind, None, name)

@@ -234,6 +234,28 @@ def test_program_without_problem_runs(tmp_path, capsys):
     assert cells["problem"] == "VERTEX_COLORING" and cells["valid"] == "VALID"
 
 
+@pytest.mark.parametrize("program, kind", [("ec.uniform", "EDGE_COLORING"),
+                                           ("vc.linial", "VERTEX_COLORING"),
+                                           ("mm.uniform", "MAXIMAL_MATCHING")])
+def test_program_without_problem_is_measured_as_its_own_kind(
+        tmp_path, capsys, program, kind):
+    # predictions are corrupted solutions of the program's problem, and the
+    # error measures are that problem's, with no MIS-only cells
+    cfg = _cfg(tmp_path, "graph = RANDOM_CONNECTED\nn = 10\np = 0.3\n"
+                         f"program = {program}\nk = 2\nseed = 1\n")
+    plan = Plan(cli.parse_config(cfg))
+    assert plan.kind == kind
+    assert main(["run", "--config", cfg]) == 0
+    header, row = capsys.readouterr().out.strip().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    g = plan.instance(1)[0]
+    p = measures.corrupt(kind, g, measures.reference(kind, g), 2, 1)
+    report = measures.error_report(kind, g, p)
+    assert (cells["eta1"], cells["eta2"]) == (str(report["eta1"]),
+                                              str(report["eta2"]))
+    assert cells["eta_bw"] == cells["eta_t"] == cells["eta_H"] == ""
+
+
 def test_verify(tmp_path, capsys):
     g = line(4)
     (tmp_path / "g.txt").write_text(write_graph(g))
