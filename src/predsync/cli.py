@@ -125,9 +125,10 @@ class Plan:
     def __init__(self, cfg: dict):
         self.cfg = cfg
         name = cfg.get("program")
-        if name and "problem" not in cfg:
+        self._program = get_program(name) if name else None  # (program, kind)
+        if self._program and "problem" not in cfg:
             # a standalone program is measured as the problem it solves
-            self.kind = get_program(name)[1]
+            self.kind = self._program[1]
         else:
             self.kind = cfg.get("problem", "MIS").upper()
         self.pattern = cfg.get("pattern")
@@ -156,7 +157,7 @@ class Plan:
             cfg = self.cfg
             name = cfg.get("program")
             if name:
-                program, kind = get_program(name)
+                program, kind = self._program
                 if kind != self.kind:
                     raise ConfigError(f"program {name} solves {kind}, "
                                       f"but problem is {self.kind}")

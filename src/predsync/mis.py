@@ -17,8 +17,6 @@ the tree part 2 starts with the reveal round (_RevealRun).
 
 from __future__ import annotations
 
-from functools import cache
-
 from .engine import ProtocolViolation
 from .problems import ReductionRun
 from .stages import Ctx, FixedStage, Stage, StageRun, StageStep, StagedProgram
@@ -373,10 +371,8 @@ def tree_uniform() -> StagedProgram:
 # rooted-tree 3-coloring (Cole-Vishkin reduction plus shift-down)
 
 
-@cache
 def _cv_schedule(domain: int) -> tuple[int, int]:
-    """(number of bit-reduction rounds, resulting color-space size),
-    computed once per domain."""
+    """(number of bit-reduction rounds, resulting color-space size)."""
     c = max(2, domain)
     steps = 0
     while True:

@@ -128,6 +128,25 @@ class StagedBehavior:
         return Step(step.outputs, terminate, wake)
 
 
+class _Lengths:
+    """Each stage's length, None for an open-ended final stage, for the
+    last (n, d, delta) seen.  A length reads only those three, so one
+    tuple serves every node of a run and its bounds and checkpoints."""
+
+    def __init__(self, stages):
+        self.stages = stages
+        self.key = self.lengths = None
+
+    def __call__(self, view_like) -> tuple:
+        key = (view_like.n, view_like.d, view_like.delta)
+        if key != self.key:
+            lengths = tuple(s.length(view_like) for s in self.stages)
+            if None in lengths[:-1]:
+                raise ConfigError("only the final stage may be open-ended")
+            self.key, self.lengths = key, lengths
+        return self.lengths
+
+
 class StagedProgram:
     """Run stages back to back.  A stage length reads only n, d and delta
     of the view (or graph) it is given, so every node switches stages in
@@ -135,18 +154,7 @@ class StagedProgram:
 
     def __init__(self, stages):
         self.stages = list(stages)
-        self._lengths = (None, None)  # last (n, d, delta) and its lengths
-
-    def lengths(self, view_like) -> tuple:
-        """Each stage's length, None for an open-ended final stage."""
-        key = (view_like.n, view_like.d, view_like.delta)
-        seen, lengths = self._lengths
-        if seen != key:
-            lengths = tuple(s.length(view_like) for s in self.stages)
-            if None in lengths[:-1]:
-                raise ConfigError("only the final stage may be open-ended")
-            self._lengths = (key, lengths)
-        return lengths
+        self.lengths = _Lengths(self.stages)
 
     def start(self, view: NodeView):
         return StagedBehavior(Ctx(view), self.stages, self.lengths(view))
@@ -195,9 +203,9 @@ class TruncatedStage(Stage):
 
 
 class InterleavedBehavior:
-    def __init__(self, ctx, init_stage, uniform, reference, phase):
+    def __init__(self, ctx, init_stage, init_len, uniform, reference, phase):
         self.ctx = ctx
-        self.init_len = init_stage.length(ctx.view)
+        self.init_len = init_len
         self.init_run = init_stage.start(ctx)
         self.uniform = uniform
         self.reference = reference
@@ -251,13 +259,15 @@ class InterleavedProgram:
         self.uniform = uniform
         self.reference = reference
         self.phase = phase
+        self.init_length = _Lengths([init_stage])
 
     def start(self, view):
-        return InterleavedBehavior(Ctx(view), self.init_stage, self.uniform,
+        return InterleavedBehavior(Ctx(view), self.init_stage,
+                                   self.init_length(view)[0], self.uniform,
                                    self.reference, self.phase)
 
     def checkpoints(self, view_like, total_rounds):
-        init_len = self.init_stage.length(view_like)
+        init_len = self.init_length(view_like)[0]
         pts = list(range(init_len, total_rounds, self.phase))
         pts.append(total_rounds)
         return sorted(set(pts))

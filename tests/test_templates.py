@@ -11,8 +11,8 @@ from predsync.audit import audit_run
 from predsync.engine import NonTermination, default_max_rounds, simulate
 from predsync.graphs import (build_graph, grid, line, random_connected_graph,
                              random_graph, random_tree, validate)
-from predsync.stages import (ConfigError, ParallelProgram, Stage, StageRun,
-                             StagedProgram)
+from predsync.stages import (ConfigError, InterleavedProgram, ParallelProgram,
+                             Stage, StageRun, StagedProgram)
 from predsync.templates import build_template
 
 
@@ -131,6 +131,22 @@ def test_stage_lengths_computed_once_per_graph():
     assert first.calls == second.calls == [(6, 6, 2), (5, 5, 4)]
     assert program.checkpoints(star, 10) == [5, 10]  # no further call
     assert len(first.calls) == 2
+
+
+def test_interleaved_init_length_computed_once_per_graph():
+    init = _CountedStage()
+    program = InterleavedProgram(init, mis.GreedyStage("max"),
+                                 mis.GreedyStage("min"), 2)
+    path = line(6)
+    star = build_graph(range(1, 6), [(1, v) for v in range(2, 6)])
+    out = simulate(path, program)
+    assert validate("MIS", path, out.solution("MIS", path)) is None
+    assert init.calls == [(6, 6, 2)]  # not once per node
+    out = simulate(star, program)
+    assert validate("MIS", star, out.solution("MIS", star)) is None
+    assert init.calls == [(6, 6, 2), (5, 5, 4)]
+    assert program.checkpoints(star, 9) == [5, 7, 9]  # no further call
+    assert len(init.calls) == 2
 
 
 def test_only_the_final_stage_may_be_open_ended():
