@@ -15,13 +15,18 @@ in its wake round, or earlier by a message, in which case only its process
 runs in that round.  Stepped or not, every active node is in the same
 round, so node programs derive their stage time from rnd, never from the
 number of calls they got.
+
+A broadcast may hand one payload object to all its recipients, so a
+receiver must never mutate a message it gets.  A node's NodeView is an
+immutable named tuple.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Protocol
+from types import MappingProxyType
+from typing import Any, Mapping, NamedTuple, Optional, Protocol
 
 from .graphs import Graph, RootedTree, ROOT
 
@@ -40,8 +45,7 @@ NO_PREDICTIONS = None
 NEVER = sys.maxsize
 
 
-@dataclass(frozen=True)
-class NodeView:
+class NodeView(NamedTuple):
     """What a single node is allowed to know before the first round."""
 
     id: int
@@ -54,15 +58,22 @@ class NodeView:
     parent: Optional[int] = None
 
 
-@dataclass
+# the outputs of a step that outputs nothing: shared, so read-only
+NO_OUTPUTS: Mapping = MappingProxyType({})
+
+
 class Step:
     """Result of one node's process() call."""
 
-    outputs: dict = field(default_factory=dict)  # output slot -> value
-    terminate: bool = False
-    # next round to step this node if no message reaches it first; None is
-    # the next round.  compose and process must do nothing before then.
-    wake: Optional[int] = None
+    __slots__ = ("outputs", "terminate", "wake")
+
+    def __init__(self, outputs: Mapping = NO_OUTPUTS, terminate: bool = False,
+                 wake: Optional[int] = None):
+        self.outputs = outputs  # output slot -> value
+        self.terminate = terminate
+        # next round to step this node if no message reaches it first; None
+        # is the next round.  compose and process must do nothing before then.
+        self.wake = wake
 
 
 class NodeBehavior(Protocol):
@@ -118,7 +129,7 @@ class Outcome:
 
 
 def make_views(g: Graph, predictions, tree: Optional[RootedTree] = None) -> dict[int, NodeView]:
-    delta = g.delta
+    n, d, delta, adjacency = g.n, g.d, g.delta, g.adjacency
     views = {}
     for u in g.nodes:
         pred = None if predictions is NO_PREDICTIONS else predictions[u]
@@ -127,9 +138,8 @@ def make_views(g: Graph, predictions, tree: Optional[RootedTree] = None) -> dict
             p = tree.parent[u]
             is_root = p == ROOT
             parent = None if is_root else p
-        views[u] = NodeView(id=u, neighbor_ids=g.neighbors(u), n=g.n, d=g.d,
-                            delta=delta, prediction=pred, is_root=is_root,
-                            parent=parent)
+        # positional: keyword arguments slow this once-per-node call
+        views[u] = NodeView(u, adjacency[u], n, d, delta, pred, is_root, parent)
     return views
 
 
@@ -165,7 +175,6 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
     term_round: dict[int, int] = {}
     output_log: list[tuple[int, int, Any]] = []
     events: list[TraceEvent] = [] if trace else None
-    crash_schedule = crash_schedule or {}
 
     rnd = 0
     while active:
@@ -208,7 +217,10 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
         for u in order:
             step = behaviors[u].process(rnd, inboxes[u])
             if step.outputs:
-                for slot, value in sorted(step.outputs.items(), key=repr):
+                assigned = step.outputs.items()
+                if len(assigned) > 1:
+                    assigned = sorted(assigned, key=repr)
+                for slot, value in assigned:
                     if slot in outputs[u]:
                         raise ProtocolViolation(
                             f"node {u} re-assigned output {slot!r} in round {rnd}")
@@ -225,12 +237,14 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
             else:
                 asleep[u] = wake
                 wakes.setdefault(wake, []).append(u)
-        crashed = [u for u in sorted(crash_schedule.get(rnd, ()))
-                   if u in active and u not in terminated_now]
-        if crashed:
-            terminated_now += crashed
-            awake = [u for u in awake if u not in crashed]
-        for u in sorted(terminated_now):
+        # terminated_now follows order, so it is in node order until crashes
+        if crash_schedule and rnd in crash_schedule:
+            crashed = [u for u in crash_schedule[rnd]
+                       if u in active and u not in terminated_now]
+            if crashed:
+                terminated_now = sorted(terminated_now + crashed)
+                awake = [u for u in awake if u not in crashed]
+        for u in terminated_now:
             active.discard(u)
             asleep.pop(u, None)
             term_round[u] = rnd

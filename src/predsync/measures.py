@@ -188,7 +188,8 @@ def eta_hamming(g: Graph, p, masks=None):
             zeros |= 1 << i
     # u agrees with the set m when it is in m and predicted 1, or outside
     # m and predicted 0; every other value disagrees with both
-    return min((g.n - (ones & m).bit_count() - (zeros & ~m).bit_count()
+    n = g.n
+    return min((n - (ones & m).bit_count() - (zeros & ~m).bit_count()
                 for m in masks), default=0)
 
 

@@ -42,7 +42,7 @@ class _LeaveRun(StageRun):
 
     def compose(self, ctx, t):
         if ctx.nbr_one:
-            return {v: ZERO for v in ctx.active}
+            return dict.fromkeys(ctx.active, ZERO)
         return {}
 
     def process(self, ctx, t, inbox):
@@ -66,7 +66,7 @@ class _JoinRun(_LeaveRun):
             return _LeaveRun.compose(self, ctx, t)
         self.join = self.wins(ctx, t)
         if self.join:
-            return {v: ONE for v in ctx.active}
+            return dict.fromkeys(ctx.active, ONE)
         return {}
 
     def process(self, ctx, t, inbox):
@@ -101,7 +101,9 @@ class MisInitStage(Stage):
     rule="base": the independent set I is the prediction-1 nodes whose
     neighbors all have prediction 0.  rule="init": I is the prediction-1
     nodes whose prediction-1 neighbors (if any) all have smaller ids.
-    Round 2: I joins; round 3: leave.
+    Round 2: I joins; round 3: leave.  A node outside I sleeps through
+    rounds 2 and 3 unless a neighbor joins or leaves; the interleaved
+    driver wakes such a sleeper at the first U round.
     """
 
     def __init__(self, rule: str = "init"):
@@ -125,9 +127,9 @@ class _MisInitRun(_LeaveRun):
 
     def compose(self, ctx, t):
         if t == 1:
-            return {v: ("P", ctx.view.prediction) for v in ctx.active}
+            return dict.fromkeys(ctx.active, ("P", ctx.view.prediction))
         if self.join:
-            return {v: ONE for v in ctx.active}
+            return dict.fromkeys(ctx.active, ONE)
         return _LeaveRun.compose(self, ctx, t)
 
     def process(self, ctx, t, inbox):
@@ -141,10 +143,14 @@ class _MisInitRun(_LeaveRun):
                     self.join = not ones
                 else:
                     self.join = all(s < ctx.view.id for s in ones)
-            return StageStep()
+            return StageStep(idle=not self.join)
         if self.join:
             return StageStep({"y": 1}, terminate=True)
-        return _LeaveRun.process(self, ctx, t, inbox)
+        step = _LeaveRun.process(self, ctx, t, inbox)
+        # a non-joiner without a neighbor in the set has nothing to do until
+        # a message arrives: it sleeps through the init unless one joins
+        step.idle = not (step.terminate or ctx.nbr_one)
+        return step
 
 
 def mis_base() -> StagedProgram:
@@ -232,7 +238,7 @@ class UbwColorProbe(FixedStage):
 
 class _UbwProbeRun(StageRun):
     def compose(self, ctx, t):
-        return {v: ("P", ctx.view.prediction) for v in ctx.active}
+        return dict.fromkeys(ctx.active, ("P", ctx.view.prediction))
 
     def process(self, ctx, t, inbox):
         ctx.shared["same_color"] = {
@@ -284,9 +290,9 @@ class _TreeInitRun(_LeaveRun):
 
     def compose(self, ctx, t):
         if t == 1:
-            return {v: ("P", ctx.view.prediction) for v in ctx.active}
+            return dict.fromkeys(ctx.active, ("P", ctx.view.prediction))
         if self.join:
-            return {v: ONE for v in ctx.active}
+            return dict.fromkeys(ctx.active, ONE)
         return _LeaveRun.compose(self, ctx, t)
 
     def process(self, ctx, t, inbox):
@@ -340,7 +346,7 @@ class _TreeUniformRun(_LeaveRun):
         children = ctx.active - {view.parent}
         if not parent_active:
             self.role = "root"
-            return {v: ROOT_MSG for v in children}
+            return dict.fromkeys(children, ROOT_MSG)
         if not children:
             self.role = "leaf"
             return {view.parent: LEAF}
@@ -472,6 +478,7 @@ class RevealStage(FixedStage):
 
 class _RevealRun(StageRun):
     def compose(self, ctx, t):
+        # per recipient: with no active neighbor, _stored_color never runs
         return {v: ("C", _stored_color(ctx)) for v in ctx.active}
 
     def process(self, ctx, t, inbox):
@@ -524,7 +531,7 @@ class _ColorPart2Run(_LeaveRun):
             self.join = (all(nbr_colors.get(v) != t for v in ctx.active)
                          and all(v < ctx.view.id for v in ctx.active))
         if self.join:
-            return {v: ONE for v in ctx.active}
+            return dict.fromkeys(ctx.active, ONE)
         return {}
 
     def process(self, ctx, t, inbox):

@@ -73,7 +73,7 @@ class _AnnounceRun(StageRun):
     def compose(self, ctx, t):
         partner = ctx.stored.get("match")
         if partner is not None:
-            return {v: (MATCHED,) for v in ctx.active if v != partner}
+            return dict.fromkeys(ctx.active - {partner}, (MATCHED,))
         return {}
 
     def process(self, ctx, t, inbox):
@@ -92,7 +92,7 @@ class _MmInitRun(_AnnounceRun):
 
     def compose(self, ctx, t):
         if t == 1:
-            return {v: ("P", ctx.view.prediction) for v in ctx.active}
+            return dict.fromkeys(ctx.active, ("P", ctx.view.prediction))
         return _AnnounceRun.compose(self, ctx, t)
 
     def process(self, ctx, t, inbox):
@@ -209,7 +209,7 @@ class _ColorRun(StageRun):
 
     def compose(self, ctx, t):
         if self.pick is not None:
-            return {v: ("COLOR", self.pick) for v in ctx.active}
+            return dict.fromkeys(ctx.active, ("COLOR", self.pick))
         return {}
 
     def process(self, ctx, t, inbox):
@@ -249,7 +249,7 @@ class _VcInitRun(_ColorRun):
 
     def compose(self, ctx, t):
         if t == 1:
-            return {v: ("P", ctx.view.prediction) for v in ctx.active}
+            return dict.fromkeys(ctx.active, ("P", ctx.view.prediction))
         return _ColorRun.compose(self, ctx, t)
 
     def process(self, ctx, t, inbox):
@@ -366,7 +366,7 @@ class ReductionRun(StageRun):
     def compose(self, ctx, t):
         if t > self.length:
             return {}
-        return {v: ("C", self.color) for v in ctx.active}
+        return dict.fromkeys(ctx.active, ("C", self.color))
 
     def process(self, ctx, t, inbox):
         if t > self.length:
@@ -461,8 +461,8 @@ class _ExchangeRun(StageRun):
 
     def compose(self, ctx, t):
         st = _edge_state(ctx)
-        return {v: (self.tag, sorted(st["mine"]), sorted(st["uncolored"]))
-                for v in st["uncolored"]}
+        return dict.fromkeys(st["uncolored"], (
+            self.tag, sorted(st["mine"]), sorted(st["uncolored"])))
 
     def process(self, ctx, t, inbox):
         st = _edge_state(ctx)
@@ -563,7 +563,7 @@ class EcProbeStage(FixedStage):
 class _EcProbeRun(StageRun):
     def compose(self, ctx, t):
         st = _edge_state(ctx)
-        return {v: ("INFO", sorted(st["uncolored"])) for v in st["uncolored"]}
+        return dict.fromkeys(st["uncolored"], ("INFO", sorted(st["uncolored"])))
 
     def process(self, ctx, t, inbox):
         st = _edge_state(ctx)
@@ -612,8 +612,8 @@ class _EcUniformRun(StageRun):
                 return {v: ("TAKE", c) for v, c in assign.items()}
         elif self.pending:
             cols, filled = self.pending
-            return {v: ("UPD", sorted(cols), sorted(filled))
-                    for v in st["uncolored"]}
+            return dict.fromkeys(st["uncolored"],
+                                 ("UPD", sorted(cols), sorted(filled)))
         return {}
 
     def process(self, ctx, t, inbox):

@@ -14,40 +14,41 @@ round comes or a message arrives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
-from .engine import NEVER, NodeView, ProtocolViolation, Step
+from .engine import NEVER, NO_OUTPUTS, NodeView, ProtocolViolation, Step
 
 
 class ConfigError(ValueError):
     """A template was assembled from incompatible components."""
 
 
-@dataclass
 class Ctx:
     """Cross-stage per-node knowledge."""
 
-    view: NodeView
-    active: set = field(init=False)  # neighbors believed still active
-    nbr_one: set = field(default_factory=set)  # neighbors that output 1 (MIS)
-    stored: dict = field(default_factory=dict)  # locally stored (unrevealed) values
-    shared: dict = field(default_factory=dict)  # scratch shared between stages
+    __slots__ = ("view", "active", "nbr_one", "stored", "shared")
 
-    def __post_init__(self):
-        self.active = set(self.view.neighbor_ids)
+    def __init__(self, view: NodeView):
+        self.view = view
+        self.active = set(view.neighbor_ids)  # neighbors believed still active
+        self.nbr_one = set()  # neighbors that output 1 (MIS)
+        self.stored = {}  # locally stored (unrevealed) values
+        self.shared = {}  # scratch shared between stages
 
     def gone(self, nbr: int):
         self.active.discard(nbr)
 
 
-@dataclass
 class StageStep:
-    outputs: dict = field(default_factory=dict)
-    terminate: bool = False  # the node is completely finished
-    # no work in this run until a message arrives: until then its compose
-    # returns nothing and its process with an empty inbox changes nothing
-    idle: bool = False
+    __slots__ = ("outputs", "terminate", "idle")
+
+    def __init__(self, outputs: Mapping = NO_OUTPUTS, terminate: bool = False,
+                 idle: bool = False):
+        self.outputs = outputs
+        self.terminate = terminate  # the node is completely finished
+        # no work in this run until a message arrives: until then its compose
+        # returns nothing and its process with an empty inbox changes nothing
+        self.idle = idle
 
 
 class StageRun:
@@ -217,7 +218,7 @@ class InterleavedBehavior:
         """The run that round rnd belongs to, its stage time, and the first
         round of the next block.  Blocks run U, R, U, R, ... after init."""
         if rnd <= self.init_len:
-            return "init", self.init_run, rnd, None
+            return "init", self.init_run, rnd, self.init_len + 1
         block, offset = divmod(rnd - self.init_len - 1, self.phase)
         which = "R" if block % 2 else "U"
         if which not in self.runs:
@@ -234,7 +235,10 @@ class InterleavedBehavior:
         which, run, t, next_block = self._current(rnd)
         step = run.process(self.ctx, t, inbox)
         wake = None
-        if which != "init" and not step.terminate:
+        if which == "init":
+            if step.idle and not step.terminate:
+                wake = next_block  # the first U block
+        elif not step.terminate:
             # the runs share ctx, so what one learns may give the other work
             if inbox or not step.idle:
                 self.idle.clear()

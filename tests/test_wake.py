@@ -4,7 +4,13 @@ The reference runs the same program behind a proxy that drops every wake
 hint, so the engine steps every active node in every round; the stage
 drivers derive stage time from the round number either way.  Both runs
 must agree on outputs, termination rounds, trace and output record.
+
+The same runs also pin that broadcasts may share one payload object among
+their recipients: a proxy that hands every recipient its own deep copy
+must not change what a run does.
 """
+
+import copy
 
 import pytest
 
@@ -47,14 +53,40 @@ class Proxy:
         return _Counted(self.inner.start(view), self.counts, self.keep_wake)
 
 
+class _Copying:
+    def __init__(self, inner):
+        self.inner = inner
+
+    def compose(self, rnd):
+        return {v: copy.deepcopy(m) for v, m in self.inner.compose(rnd).items()}
+
+    def process(self, rnd, inbox):
+        return self.inner.process(rnd, inbox)
+
+
+class CopyingProxy:
+    """Gives each recipient its own deep copy of every payload, so no two
+    recipients of a broadcast share a message object."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def start(self, view):
+        return _Copying(self.inner.start(view))
+
+
+def _outcome(program, g, predictions=None, **kwargs):
+    try:
+        out = simulate(g, program, predictions, trace=True, **kwargs)
+    except (NonTermination, ProtocolViolation) as exc:
+        return type(exc), str(exc)
+    return (out.outputs, out.term_round, out.total_rounds, out.trace_lines(),
+            out.output_log)
+
+
 def _run(program, keep_wake, g, predictions=None, **kwargs):
     prog = Proxy(program, keep_wake)
-    try:
-        out = simulate(g, prog, predictions, trace=True, **kwargs)
-    except (NonTermination, ProtocolViolation) as exc:
-        return (type(exc), str(exc)), prog.counts
-    return (out.outputs, out.term_round, out.total_rounds, out.trace_lines(),
-            out.output_log), prog.counts
+    return _outcome(prog, g, predictions, **kwargs), prog.counts
 
 
 def _same(program, g, predictions=None, **kwargs):
@@ -82,12 +114,12 @@ PROGRAMS += [(p, t, False) for p in
              for t in ("simple", "consecutive")]
 
 
-@pytest.mark.parametrize("problem,template,tree", PROGRAMS,
-                         ids=[f"{p}-{t}{'-tree' if tr else ''}"
-                              for p, t, tr in PROGRAMS])
-def test_wake_matches_every_round(problem, template, tree):
-    saved = 0
-    inst = build_template(problem, template, tree=tree)
+PROGRAM_IDS = [f"{p}-{t}{'-tree' if tr else ''}" for p, t, tr in PROGRAMS]
+
+
+def _template_cases(problem, tree):
+    """(graph, rooted tree or None, predictions) over FAMILIES (only TREE
+    when tree), seeds 0..2 and k 0, 1, 3, 8, plus ALL_ZEROS for MIS."""
     for family, params in FAMILIES.items():
         if tree and family != "TREE":
             continue
@@ -95,16 +127,32 @@ def test_wake_matches_every_round(problem, template, tree):
         for seed in range(3):
             made = generate(family, params, ids, seed)
             g, rooted = (made.graph, made) if family == "TREE" else (made, None)
-            preds = [M.corrupt(problem, g, M.reference(problem, g), k, seed)
-                     for k in (0, 1, 3, 8)]
+            for k in (0, 1, 3, 8):
+                yield g, rooted, M.corrupt(problem, g, M.reference(problem, g),
+                                           k, seed)
             if problem == "MIS":
-                preds.append(M.reference("MIS", g, pattern="ALL_ZEROS"))
-            for p in preds:
-                woken, every = _same(inst.program, g, p, tree=rooted,
-                                     max_rounds=inst.max_rounds(g))
-                saved += every - woken
+                yield g, rooted, M.reference("MIS", g, pattern="ALL_ZEROS")
+
+
+@pytest.mark.parametrize("problem,template,tree", PROGRAMS, ids=PROGRAM_IDS)
+def test_wake_matches_every_round(problem, template, tree):
+    saved = 0
+    inst = build_template(problem, template, tree=tree)
+    for g, rooted, p in _template_cases(problem, tree):
+        woken, every = _same(inst.program, g, p, tree=rooted,
+                             max_rounds=inst.max_rounds(g))
+        saved += every - woken
     if problem == "MIS" and template != "parallel" and not tree:
         assert saved > 0  # greedy nodes did sleep
+
+
+@pytest.mark.parametrize("problem,template,tree", PROGRAMS, ids=PROGRAM_IDS)
+def test_shared_payloads_match_copies(problem, template, tree):
+    inst = build_template(problem, template, tree=tree)
+    for g, rooted, p in _template_cases(problem, tree):
+        kwargs = {"tree": rooted, "max_rounds": inst.max_rounds(g)}
+        assert (_outcome(CopyingProxy(inst.program), g, p, **kwargs)
+                == _outcome(inst.program, g, p, **kwargs))
 
 
 @pytest.mark.parametrize("pattern", ["ALL_ZEROS", "ALL_ONES"])
@@ -120,6 +168,8 @@ def test_wake_matches_every_round_on_line_patterns(template, pattern):
 
 
 STANDALONE = {
+    "mis_base": mis.mis_base,
+    "mis_init": mis.mis_init,
     "u_bw": mis.u_bw,
     "init+u_bw": lambda: StagedProgram([mis.MisInitStage("init"),
                                         mis.UbwStage()]),
@@ -130,12 +180,12 @@ STANDALONE = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(STANDALONE))
-def test_wake_matches_every_round_standalone(name):
-    program = STANDALONE[name]()
+def _standalone_cases(name):
+    """(graph, rooted tree or None, predictions) over seeds 0..4 and k 0,
+    1, 3, 6 on random connected graphs, or random trees for tree programs.
+    Part 2 reads its stored coloring from the predictions; a corrupted
+    coloring ends in ProtocolViolation, which the runs compared must share."""
     tree = name.startswith("tree")
-    # part 2 reads its stored coloring from the predictions; a corrupted
-    # coloring ends in ProtocolViolation, which both runs must agree on
     kind = "VERTEX_COLORING" if name.startswith("color") else "MIS"
     for seed in range(5):
         if tree:
@@ -144,14 +194,39 @@ def test_wake_matches_every_round_standalone(name):
         else:
             rooted, g = None, random_connected_graph(9 + seed, 0.3, seed)
         for k in (0, 1, 3, 6):
-            p = M.corrupt(kind, g, M.reference(kind, g), k, seed)
-            _same(program, g, p, tree=rooted)
+            yield g, rooted, M.corrupt(kind, g, M.reference(kind, g), k, seed)
+
+
+@pytest.mark.parametrize("name", sorted(STANDALONE))
+def test_wake_matches_every_round_standalone(name):
+    program = STANDALONE[name]()
+    for g, rooted, p in _standalone_cases(name):
+        _same(program, g, p, tree=rooted)
     if "u_bw" in name:
         # an all-white line runs greedy one node per phase: a candidate that
         # lost sleeps through the black phases until a neighbor leaves
         g = line(14)
         woken, every = _same(program, g, {u: 0 for u in g.nodes})
         assert woken < every // 2
+
+
+@pytest.mark.parametrize("name", sorted(STANDALONE))
+def test_shared_payloads_match_copies_standalone(name):
+    program = STANDALONE[name]()
+    for g, rooted, p in _standalone_cases(name):
+        assert (_outcome(CopyingProxy(program), g, p, tree=rooted)
+                == _outcome(program, g, p, tree=rooted))
+
+
+def test_init_sleeper_in_final_stage_stops_at_its_end():
+    # with all-zero predictions nobody joins: every node sleeps through
+    # rounds 2 and 3 of the init, then stops undecided in its last round
+    g = line(10)
+    p = {u: 0 for u in g.nodes}
+    assert _same(mis.mis_init(), g, p) == (2 * g.n, 3 * g.n)
+    out = simulate(g, mis.mis_init(), p)
+    assert out.term_round == {u: 3 for u in g.nodes}
+    assert out.undecided(g) == set(g.nodes)
 
 
 def test_sleeper_in_fixed_final_stage_stops_at_its_end():
@@ -238,5 +313,6 @@ def test_work_fingerprint():
         prog = Proxy(build_template("MIS", template).program)
         simulate(g, prog, M.reference("MIS", g, pattern="ALL_ZEROS"))
         counts[template] = prog.counts
-    assert counts == {"simple": {"compose": 149, "process": 177},
-                      "interleaved": {"compose": 189, "process": 215}}
+    # every node is a non-joiner of the MIS init, asleep in its rounds 2, 3
+    assert counts == {"simple": {"compose": 89, "process": 117},
+                      "interleaved": {"compose": 129, "process": 155}}
