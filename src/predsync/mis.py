@@ -147,8 +147,8 @@ class _MisInitRun(_LeaveRun):
         if self.join:
             return StageStep({"y": 1}, terminate=True)
         step = _LeaveRun.process(self, ctx, t, inbox)
-        # a non-joiner without a neighbor in the set has nothing to do until
-        # a message arrives: it sleeps through the init unless one joins
+        # a non-joiner with no neighbor in the set has nothing to do until a
+        # message arrives
         step.idle = not (step.terminate or ctx.nbr_one)
         return step
 
