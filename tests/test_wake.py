@@ -313,6 +313,6 @@ def test_work_fingerprint():
         prog = Proxy(build_template("MIS", template).program)
         simulate(g, prog, M.reference("MIS", g, pattern="ALL_ZEROS"))
         counts[template] = prog.counts
-    # every node is a non-joiner of the MIS init, asleep in its rounds 2, 3
+    # every node is a non-joiner of the MIS init, asleep in its rounds 2 and 3
     assert counts == {"simple": {"compose": 89, "process": 117},
                       "interleaved": {"compose": 129, "process": 155}}
