@@ -18,7 +18,9 @@ number of calls they got.
 
 A broadcast may hand one payload object to all its recipients, so a
 receiver must never mutate a message it gets.  A node's NodeView is an
-immutable named tuple.
+immutable named tuple.  A traced run records each event as a plain
+TraceEvent, whose detail is the repr of the payload or value when the
+event happens.
 """
 
 from __future__ import annotations
@@ -85,12 +87,16 @@ class NodeProgram(Protocol):
     def start(self, view: NodeView) -> NodeBehavior: ...
 
 
-@dataclass(frozen=True)
 class TraceEvent:
-    round: int
-    node: int
-    event: str  # SEND, OUTPUT, TERMINATE
-    detail: str
+    """One trace record; its detail is formatted when it is recorded."""
+
+    __slots__ = ("round", "node", "event", "detail")
+
+    def __init__(self, round: int, node: int, event: str, detail: str):
+        self.round = round
+        self.node = node
+        self.event = event  # SEND, OUTPUT, TERMINATE
+        self.detail = detail
 
     def line(self) -> str:
         return f"{self.round},{self.node},{self.event},{self.detail}"

@@ -12,25 +12,19 @@ that one result; eta2 makes one independence-number call per component.
 Whatever depends only on the graph is built apart from the predictions, so
 a sweep builds it once per seed and shares it among its k values: the
 reference that predictions corrupt (reference) and the maximal
-independent sets behind eta_H (mis_masks).
+independent sets behind eta_H (mis_masks).  The reference is the output of
+the problem's measure-uniform program, its rule evaluated directly on the
+graph, again with no simulation; a differential test checks it against
+simulated runs of mis.greedy, mm.uniform, vc.uniform and ec.uniform.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from . import mis, problems
-from .engine import simulate
 from .graphs import (CapExceeded, Graph, RootedTree, _rng, alpha_oracle,
                      components, edge_induced_subgraph, enumerate_mis,
                      induced_subgraph)
-
-_UNIFORM = {
-    "MIS": mis.greedy_mis,
-    "MAXIMAL_MATCHING": problems.mm_uniform,
-    "VERTEX_COLORING": problems.vc_uniform,
-    "EDGE_COLORING": problems.ec_uniform,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +208,88 @@ def error_report(kind: str, g: Graph, p, tree: RootedTree = None,
 
 
 # ---------------------------------------------------------------------------
+# uniform rules: what mis.greedy, mm.uniform, vc.uniform and ec.uniform
+# output.  In the greedy MIS and the two coloring rules a node acts in the
+# first phase in which it beats every node within its reach that has not
+# acted, so every larger node there acts before it and no smaller one does:
+# their phases decide what one sweep in decreasing identifier order
+# decides, and that is how they are evaluated.  Matching goes phase by phase.
+
+
+def _greedy_mis(g: Graph) -> dict:
+    """A node whose identifier beats all its undecided neighbors joins, and
+    its neighbors leave."""
+    out = {}
+    for u in reversed(g.nodes):
+        out[u] = 0 if any(out.get(v) == 1 for v in g.adjacency[u]) else 1
+    return out
+
+
+def _mm_uniform(g: Graph) -> dict:
+    """Phase by phase: a local maximum proposes to its smallest active
+    neighbor, each proposed-to node accepts its largest proposer, and a
+    node left with no active neighbor outputs None."""
+    active = {u: set(g.adjacency[u]) for u in g.nodes}
+    out = {}
+    while active:
+        for u in [u for u, nbrs in active.items() if not nbrs]:
+            out[u] = None
+            del active[u]
+        accepted = {}  # proposed-to node -> its largest proposer
+        for u, nbrs in active.items():
+            if max(nbrs) < u:
+                v = min(nbrs)
+                accepted[v] = max(accepted.get(v, u), u)
+        for v, u in accepted.items():
+            out[u], out[v] = v, u
+            for w in (u, v):
+                for x in active.pop(w):
+                    if x in active:
+                        active[x].discard(w)
+    return out
+
+
+def _vc_uniform(g: Graph) -> dict:
+    """A local maximum takes the smallest color no decided neighbor uses."""
+    out = {}
+    for u in reversed(g.nodes):
+        taken = {out.get(v) for v in g.adjacency[u]}
+        c = 1
+        while c in taken:
+            c += 1
+        out[u] = c
+    return out
+
+
+def _ec_uniform(g: Graph) -> dict:
+    """A node whose identifier beats everything within two uncolored hops
+    colors its uncolored edges in sorted-neighbor order, each with the
+    smallest color free at both endpoints and not yet used in that step.
+    So each edge is colored by its larger endpoint."""
+    out = {u: {} for u in g.nodes}
+    for u in reversed(g.nodes):
+        mine = out[u]
+        for v in g.adjacency[u]:
+            if v > u:
+                break
+            taken = set(mine.values())
+            taken.update(out[v].values())
+            c = 1
+            while c in taken:
+                c += 1
+            mine[v] = out[v][u] = c
+    return out
+
+
+_UNIFORM_RULES = {
+    "MIS": _greedy_mis,
+    "MAXIMAL_MATCHING": _mm_uniform,
+    "VERTEX_COLORING": _vc_uniform,
+    "EDGE_COLORING": _ec_uniform,
+}
+
+
+# ---------------------------------------------------------------------------
 # prediction generation
 
 
@@ -221,11 +297,10 @@ PATTERNS = ("ALL_ONES", "ALL_ZEROS", "GRID_4BLOCK", "MOD3_LINE")
 
 
 def solve(kind: str, g: Graph) -> dict:
-    """Correct solution from the problem's measure-uniform algorithm."""
-    outcome = simulate(g, _UNIFORM[kind]())
-    if kind == "EDGE_COLORING":
-        return {u: dict(outcome.outputs.get(u, {})) for u in g.nodes}
-    return {u: outcome.value(u) for u in g.nodes}
+    """Correct solution: the output of the problem's measure-uniform
+    program, evaluated directly on g."""
+    out = _UNIFORM_RULES[kind](g)
+    return {u: out[u] for u in g.nodes}
 
 
 def _corrupt_one(kind: str, g: Graph, p: dict, u: int, r) -> None:

@@ -27,7 +27,9 @@ Each problem's stages share one decision round, written once:
 from __future__ import annotations
 
 from functools import cache
+from typing import Mapping
 
+from .engine import NO_OUTPUTS
 from .stages import Ctx, FixedStage, Stage, StageRun, StageStep, StagedProgram
 
 MATCHED = "MATCHED"
@@ -438,14 +440,18 @@ def linial_coloring() -> StagedProgram:
 # (2*delta-1)-edge coloring
 
 
-def _edge_state(ctx: Ctx) -> dict:
+def _edge_state(ctx: Ctx, colored: Mapping = NO_OUTPUTS) -> dict:
+    """The node's edge state, built on first use with the edges in colored
+    (neighbor -> color) already output."""
     st = ctx.stored.get("edges")
     if st is None:  # built once per node, not on every step
-        hi = max(1, 2 * ctx.view.delta - 1)
+        mine = set(colored.values())  # colors this node has output
+        free = set(range(1, max(1, 2 * ctx.view.delta - 1) + 1)) - mine
+        uncolored = set(ctx.view.neighbor_ids).difference(colored)
         st = ctx.stored["edges"] = {
-            "uncolored": set(ctx.view.neighbor_ids),
-            "palette": {v: set(range(1, hi + 1)) for v in ctx.view.neighbor_ids},
-            "mine": set(),  # colors this node has output
+            "uncolored": uncolored,
+            "palette": {v: set(free) for v in uncolored},
+            "mine": mine,
             "two_hop": {},  # uncolored neighbor -> its uncolored neighbors
         }
     return st
@@ -515,18 +521,13 @@ class _EcBaseRun(_ExchangeRun):
     def process(self, ctx, t, inbox):
         if t > 1:
             return _ExchangeRun.process(self, ctx, t, inbox)
-        st = _edge_state(ctx)
-        outputs = {}
-        for s, m in inbox.items():
-            c = m[1]
-            if self.unique.get(s) == c:  # c is unique at both endpoints
-                outputs[s] = c
-                st["uncolored"].discard(s)
-                st["mine"].add(c)
-        if not st["uncolored"]:
+        # an edge takes the predicted color that is unique at both endpoints
+        outputs = {s: m[1] for s, m in inbox.items()
+                   if self.unique.get(s) == m[1]}
+        if len(outputs) == len(ctx.view.neighbor_ids):
             return StageStep(outputs, terminate=True)
-        for v in st["uncolored"]:
-            st["palette"][v] -= st["mine"]
+        # only a node with an uncolored edge left needs the edge state
+        _edge_state(ctx, outputs)
         return StageStep(outputs)
 
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from predsync import engine
 from predsync import measures as M
 from predsync import mis
 from predsync.engine import simulate
@@ -105,6 +106,49 @@ def test_solve_then_corrupt_k0_is_correct():
         p = M.corrupt(kind, g, M.reference(kind, g), 0, 0)
         assert M.error_report(kind, g, p)["eta1"] == 0
         assert validate(kind, g, p) is None
+
+
+_UNIFORM_PROGRAMS = {"MIS": "mis.greedy", "MAXIMAL_MATCHING": "mm.uniform",
+                     "VERTEX_COLORING": "vc.uniform",
+                     "EDGE_COLORING": "ec.uniform"}
+
+
+def _solve_cases():
+    """Every atlas graph on at most 5 nodes, connected or not, under two
+    seeded identifier permutations, then graphs shaped like the benchmark
+    workloads, a line and a tree."""
+    nx = pytest.importorskip("networkx")
+    for a in nx.graph_atlas_g():
+        n = a.number_of_nodes()
+        if n > 5:
+            break
+        for perm in range(2):
+            ids, d = _assign_ids(n, "SEEDED_PERMUTATION", perm, None)
+            yield build_graph(ids, [(ids[u], ids[v]) for u, v in a.edges()], d)
+    for seed in range(10):
+        yield random_connected_graph(60, 0.1, seed)
+    for seed in range(20):
+        yield random_connected_graph(18, 0.3, seed)
+    yield line(30)
+    yield random_tree(40, 7).graph
+
+
+def test_solve_matches_the_simulated_uniform_programs():
+    """solve evaluates each uniform rule directly; it returns what a
+    simulated run of the registry's uniform program outputs."""
+    seen = 0
+    for g in _solve_cases():
+        for kind, name in _UNIFORM_PROGRAMS.items():
+            program, program_kind = get_program(name)
+            assert program_kind == kind
+            out = simulate(g, program)
+            if kind == "EDGE_COLORING":
+                want = {u: out.outputs[u] for u in g.nodes}
+            else:
+                want = {u: out.value(u) for u in g.nodes}
+            assert M.solve(kind, g) == want, (kind, g.adjacency)
+        seen += 1
+    assert seen == 2 * 53 + 32
 
 
 def test_corruption_is_deterministic_and_in_range():
@@ -214,6 +258,14 @@ def _longest_path(tree, p, undecided):
 
 
 def test_error_report_matches_single_measures_without_simulating(monkeypatch):
+    """Neither error_report nor reference runs the engine: measures binds
+    no simulate, and a counting engine.simulate sees no call from them
+    (the expected measures come from this module's own simulate)."""
+    assert not hasattr(M, "simulate")
+    runs = []
+    real = engine.simulate
+    monkeypatch.setattr(engine, "simulate",
+                        lambda *args, **kw: runs.append(1) or real(*args, **kw))
     cases = []
     for kind in ("MIS", "MAXIMAL_MATCHING", "VERTEX_COLORING",
                  "EDGE_COLORING"):
@@ -232,15 +284,11 @@ def test_error_report_matches_single_measures_without_simulating(monkeypatch):
         cases.append(("MIS", long_line,
                       M.reference("MIS", long_line, pattern=pattern), None))
 
-    runs = []
-    real = M.simulate
+    assert not runs
     reports = []
     for kind, g, p, tree in cases:
         expected = _single_measures(kind, g, p, tree)
-        monkeypatch.setattr(M, "simulate",
-                            lambda *args, **kw: runs.append(1) or real(*args, **kw))
         report = M.error_report(kind, g, p, tree)
-        monkeypatch.undo()
         assert not runs, (kind, g.n)
         assert report == expected, (kind, g.n)
         reports.append(report)

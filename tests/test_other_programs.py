@@ -7,6 +7,7 @@ from predsync.audit import audit_run
 from predsync.engine import simulate
 from predsync.graphs import (build_graph, line, random_connected_graph,
                              validate, _rng)
+from predsync.templates import build_template
 
 
 def _k(ids):
@@ -175,6 +176,30 @@ def test_ec_base_clashing_predictions_stay_uncolored():
     p = {1: {2: 1}, 2: {1: 1, 3: 1}, 3: {2: 1}}
     out = simulate(g, problems.ec_base(), p)
     assert out.undecided(g) == {1, 2, 3}
+
+
+def test_ec_edge_state_is_built_only_where_an_edge_is_left(monkeypatch):
+    """A node whose edges the predictions all color stops in round 1
+    without edge state; any other node builds it with palettes for its
+    uncolored edges only."""
+    first = {}  # node -> (palette edges, uncolored edges) when first built
+    real = problems._edge_state
+
+    def recorded(ctx, *args):
+        st = real(ctx, *args)
+        first.setdefault(ctx.view.id, (set(st["palette"]), set(st["uncolored"])))
+        return st
+    monkeypatch.setattr(problems, "_edge_state", recorded)
+    g = random_connected_graph(60, 0.1, 0)
+    inst = build_template("EDGE_COLORING", "simple")
+    ref = M.reference("EDGE_COLORING", g)
+    simulate(g, inst.program, _ec_correct(g), inst.max_rounds(g))
+    assert first == {}
+    p = M.corrupt("EDGE_COLORING", g, ref, 5, 0)
+    out = simulate(g, inst.program, p, inst.max_rounds(g))
+    assert validate("EDGE_COLORING", g, out.solution("EDGE_COLORING", g)) is None
+    assert 0 < len(first) < g.n
+    assert all(edges == left for edges, left in first.values())
 
 
 def test_ec_uniform_examples():
