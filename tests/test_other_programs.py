@@ -193,7 +193,7 @@ def test_ec_edge_state_is_built_only_where_an_edge_is_left(monkeypatch):
     g = random_connected_graph(60, 0.1, 0)
     inst = build_template("EDGE_COLORING", "simple")
     ref = M.reference("EDGE_COLORING", g)
-    simulate(g, inst.program, _ec_correct(g), inst.max_rounds(g))
+    simulate(g, inst.program, ref, inst.max_rounds(g))  # k = 0
     assert first == {}
     p = M.corrupt("EDGE_COLORING", g, ref, 5, 0)
     out = simulate(g, inst.program, p, inst.max_rounds(g))
