@@ -53,6 +53,10 @@ CONFIGS = {
     # the only run with a non-default interleaving phase
     "mis_interleaved_phase4": (_RANDOM + "problem = MIS\ntemplate = interleaved\n"
                                          "phase = 4\n", 0),
+    # seeds 0 and 1 draw edgeless graphs, whose eta = 0 runs take 2 rounds
+    # against c = 3 (bound_consistency false); every component is one node
+    "mis_edgeless": ("graph = RANDOM\nn = 6\np = 0.1\nproblem = MIS\n"
+                     "template = simple\n", 1),
 }
 
 
