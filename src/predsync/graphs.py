@@ -290,27 +290,39 @@ def induced_subgraph(g: Graph, keep) -> Graph:
     return Graph(d=g.d, adjacency=adj)
 
 
+def component_walk(adj: Mapping[int, Sequence[int]], keep) -> Iterator[list]:
+    """The connected components of the subgraph that the nodes in keep (a
+    set or a mapping keyed by node) induce in the graph adj, as node lists
+    in walk order, by smallest member."""
+    left = set(keep)
+    for start in sorted(left):
+        if start not in left:
+            continue
+        left.remove(start)
+        comp = [start]
+        for u in comp:  # a breadth-first walk: comp grows as it goes
+            for v in adj[u]:
+                if v in left:
+                    left.remove(v)
+                    comp.append(v)
+        yield comp
+
+
+def component_maps(adj: Mapping[int, Sequence[int]], keep) -> list[dict]:
+    """component_walk's components, each as a map node -> tuple of its
+    neighbors in keep, in adj's order, in increasing node order."""
+    inside = keep.__contains__
+    return [{u: tuple(filter(inside, adj[u])) for u in sorted(comp)}
+            for comp in component_walk(adj, keep)]
+
+
 def components(g: Graph) -> list[Graph]:
     """Connected components as induced subgraphs, sorted by smallest member;
     [g] itself when g is connected."""
-    seen: set[int] = set()
-    out = []
-    for start in g.nodes:  # nodes are sorted, so components come out ordered
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in g.adjacency[u]:
-                if v not in comp:
-                    comp.add(v)
-                    stack.append(v)
-        if len(comp) == g.n:
-            return [g]
-        seen |= comp
-        out.append(induced_subgraph(g, comp))
-    return out
+    maps = component_maps(g.adjacency, g.adjacency)
+    if len(maps) == 1:
+        return [g]
+    return [Graph(d=g.d, adjacency=m) for m in maps]
 
 
 def edge_induced_subgraph(g: Graph, edges: Sequence[tuple[int, int]]) -> Graph:

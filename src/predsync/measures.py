@@ -6,13 +6,16 @@ predictions (for edge coloring: the subgraph induced by the edges that it
 leaves uncolored).  All eta measures are maxima over these components, so
 they are 0 exactly when the predictions already form a correct solution.
 error_report evaluates the base rule directly, with no simulation, and
-splits its undecided part into components once, and every measure reads
-that one result; eta2 makes one independence-number call per component.
+splits its undecided part into components once, each a map node -> its
+neighbors inside the component, and every measure reads that one result;
+no Graph is built.  eta2 takes each component's independence number from
+the maximal independent sets of g when they are given (mis_masks), and
+from branch and bound on the component otherwise.
 
 Whatever depends only on the graph is built apart from the predictions, so
 a sweep builds it once per seed and shares it among its k values: the
 reference that predictions corrupt (reference) and the maximal
-independent sets behind eta_H (mis_masks).  The reference is the output of
+independent sets behind eta_H and eta2 (mis_masks).  The reference is the output of
 the problem's measure-uniform program, its rule evaluated directly on the
 graph, again with no simulation; a differential test checks it against
 simulated runs of mis.greedy, mm.uniform, vc.uniform and ec.uniform.
@@ -20,11 +23,9 @@ simulated runs of mis.greedy, mm.uniform, vc.uniform and ec.uniform.
 
 from __future__ import annotations
 
-from collections import Counter
-
-from .graphs import (CapExceeded, Graph, RootedTree, _rng, alpha_oracle,
-                     components, edge_induced_subgraph, enumerate_mis,
-                     induced_subgraph)
+from .graphs import (DEFAULT_ALPHA_CAP, CapExceeded, Graph, RootedTree,
+                     _alpha_component, _rng, alpha_oracle, component_maps,
+                     component_walk, enumerate_mis)
 
 
 # ---------------------------------------------------------------------------
@@ -62,22 +63,31 @@ def _vc_undecided(g: Graph, p) -> set:
     return {u for u in g.nodes if any(p[v] == p[u] for v in g.adjacency[u])}
 
 
-def _ec_uncolored(g: Graph, p) -> list:
+def _ec_uncolored(g: Graph, p) -> dict:
     """An edge is colored when both endpoints predict the same color for it
-    and that color is unique at each endpoint."""
+    and that color is unique at each endpoint.  Returns node -> sorted
+    tuple of its neighbors across uncolored edges, for each node with one."""
     hi = max(1, 2 * g.delta - 1)
+    adj = g.adjacency
     unique = {}
     for u in g.nodes:
         pred = p[u]
-        if not isinstance(pred, dict) or set(pred) != set(g.adjacency[u]):
+        if not isinstance(pred, dict) or set(pred) != set(adj[u]):
             raise ValueError(f"node {u}: edge predictions incomplete")
+        tally = {}
         for c in pred.values():
             if not isinstance(c, int) or not 1 <= c <= hi:
                 raise ValueError(f"node {u}: predicted color {c!r} out of range")
-        tally = Counter(pred.values())
+            tally[c] = tally.get(c, 0) + 1
         unique[u] = {v: c for v, c in pred.items() if tally[c] == 1}
-    return [(u, v) for u, v in g.edges()
-            if v not in unique[u] or unique[u][v] != unique[v].get(u)]
+    uncolored = {}
+    for u in g.nodes:
+        mine = unique[u]
+        nbrs = tuple(v for v in adj[u]
+                     if v not in mine or mine[v] != unique[v].get(u))
+        if nbrs:
+            uncolored[u] = nbrs
+    return uncolored
 
 
 _UNDECIDED = {
@@ -89,48 +99,63 @@ _UNDECIDED = {
 
 def _residue(kind: str, g: Graph, p):
     """The base rule evaluated directly on predictions p: (undecided nodes,
-    error components), as a run of the base program would leave them.  For
-    edge coloring the undecided nodes are None."""
+    error components), as a run of the base program would leave them.  A
+    component is a map node -> sorted tuple of its neighbors inside it;
+    for edge coloring only uncolored edges join nodes, and the undecided
+    nodes are None."""
     missing = [u for u in g.nodes if u not in p]
     if missing:
         raise ValueError(f"predictions missing for nodes {missing}")
     if kind == "EDGE_COLORING":
-        return None, components(edge_induced_subgraph(g, _ec_uncolored(g, p)))
+        uncolored = _ec_uncolored(g, p)
+        return None, component_maps(uncolored, uncolored)
     active = _UNDECIDED[kind](g, p)
-    return active, components(induced_subgraph(g, active))
+    return active, component_maps(g.adjacency, active)
 
 
 def mu1(s: Graph) -> int:
     return s.n
 
 
+def _mu2(n: int, alpha: int) -> int:
+    """2 min(alpha, tau) of an n-node graph, with tau = n - alpha."""
+    return 2 * min(alpha, n - alpha)
+
+
 def mu2(s: Graph) -> int:
-    """2 min(alpha, tau) with tau = n - alpha, from one alpha oracle call."""
-    a = alpha_oracle(s)
-    return 2 * min(a, s.n - a)
+    return _mu2(s.n, alpha_oracle(s))
 
 
-def _worst(mu, comps) -> int:
-    return max((mu(c) for c in comps), default=0)
+def _eta2(g: Graph, comps: list, masks):
+    """The largest mu2 over the error components; None when one is above
+    the alpha oracle's cap.  Given masks (mis_masks(g), not CAPPED), the
+    independence number of g[C] is the largest |M & C| over the maximal
+    independent sets M of g: an independent set of g[C] extends to a
+    maximal one of g, and M & C is independent in g[C].  Otherwise it
+    comes from branch and bound on the component."""
+    if any(len(c) > DEFAULT_ALPHA_CAP for c in comps):
+        return None
+    use_masks = masks is not None and masks is not CAPPED
+    if use_masks:
+        bit = {u: 1 << i for i, u in enumerate(g.nodes)}
+    worst = 0
+    for c in comps:
+        if len(c) // 2 * 2 <= worst:
+            continue  # mu2 is at most 2 floor(n / 2): c cannot be worse
+        if use_masks:
+            inside = sum(bit[u] for u in c)
+            alpha = max((m & inside).bit_count() for m in masks)
+        else:
+            alpha = _alpha_component(c)
+        worst = max(worst, _mu2(len(c), alpha))
+    return worst
 
 
 def _eta_bw(g: Graph, p, active: set) -> int:
     """Size of the largest component of g[{u in active: p[u] == c}] over
-    c in {0, 1}, counted by a walk over g's adjacency."""
-    worst = 0
-    for color in (0, 1):
-        left = {u for u in active if p[u] == color}
-        while left:
-            stack = [left.pop()]
-            size = 0
-            while stack:
-                size += 1
-                for v in g.adjacency[stack.pop()]:
-                    if v in left:
-                        left.remove(v)
-                        stack.append(v)
-            worst = max(worst, size)
-    return worst
+    c in {0, 1}."""
+    return max((len(c) for color in (0, 1) for c in component_walk(
+        g.adjacency, {u for u in active if p[u] == color})), default=0)
 
 
 def _eta_t(t: RootedTree, p, active: set) -> int:
@@ -174,30 +199,28 @@ def eta_hamming(g: Graph, p, masks=None):
         masks = mis_masks(g)
     if masks is CAPPED:
         return None
-    ones = zeros = 0
+    ones = other = 0
     for i, u in enumerate(g.nodes):
         if p[u] == 1:
             ones |= 1 << i
-        elif p[u] == 0:
-            zeros |= 1 << i
-    # u agrees with the set m when it is in m and predicted 1, or outside
-    # m and predicted 0; every other value disagrees with both
-    n = g.n
-    return min((n - (ones & m).bit_count() - (zeros & ~m).bit_count()
-                for m in masks), default=0)
+        elif p[u] != 0:
+            other |= 1 << i
+    # u disagrees with the set m when it is predicted 1 outside m or 0 in
+    # m (a bit of ones ^ m), and any other value disagrees with every set
+    return min((((ones ^ m) | other).bit_count() for m in masks), default=0)
 
 
 def error_report(kind: str, g: Graph, p, tree: RootedTree = None,
                  masks=None) -> dict:
     """All measures for one instance from its error components; oracle-capped
     entries come back None.  A given tree must span g; masks, when given,
-    are mis_masks(g)."""
+    are mis_masks(g), and only MIS reads them (an edge-coloring component
+    is not an induced subgraph of g)."""
     active, comps = _residue(kind, g, p)
-    report = {"eta1": _worst(mu1, comps)}
-    try:
-        report["eta2"] = _worst(mu2, comps)
-    except CapExceeded:
-        report["eta2"] = None
+    if kind != "MIS":
+        masks = None
+    report = {"eta1": max(map(len, comps), default=0),
+              "eta2": _eta2(g, comps, masks)}
     if kind == "MIS":
         report["eta_bw"] = _eta_bw(g, p, active)
         report["eta_t"] = _eta_t(tree, p, active) if tree is not None else None

@@ -9,7 +9,7 @@ from predsync import engine
 from predsync import measures as M
 from predsync import mis
 from predsync.engine import simulate
-from predsync.graphs import (CapExceeded, _assign_ids, alpha_oracle,
+from predsync.graphs import (CapExceeded, Graph, _assign_ids, alpha_oracle,
                              build_graph, components, edge_induced_subgraph,
                              enumerate_mis, grid, induced_subgraph, line,
                              line_tree, random_connected_graph, random_graph,
@@ -341,12 +341,96 @@ def test_direct_residue_matches_simulated_base_programs():
         undecided, comps = M._residue(kind, g, p)
         want_undecided, want_comps = _error_components(kind, g, p)
         assert undecided == want_undecided, (kind, g.adjacency, p)
-        assert ([c.adjacency for c in comps]
-                == [c.adjacency for c in want_comps]), (kind, g.adjacency, p)
-        sizes.setdefault(kind, set()).add(sum(c.n for c in comps))
+        assert ([dict(c) for c in comps]
+                == [dict(c.adjacency) for c in want_comps]), (kind, g.adjacency, p)
+        sizes.setdefault(kind, set()).add(sum(map(len, comps)))
     # every problem saw both correct and erroneous predictions
     assert all(0 in seen and len(seen) > 1 for seen in sizes.values())
     assert len(sizes) == 4 and 800 in sizes["MIS"]
+
+
+def alpha_mask_mismatches(max_nodes):
+    """(subsets checked, mismatches): over every atlas graph on at most
+    max_nodes nodes and every non-empty node subset S, the largest |M & S|
+    over the maximal independent sets M (mis_masks) against alpha_oracle of
+    the induced subgraph g[S]."""
+    import networkx as nx
+    checked, bad = 0, []
+    for a in nx.graph_atlas_g():
+        n = a.number_of_nodes()
+        if n > max_nodes:
+            break
+        g = build_graph(range(1, n + 1), [(u + 1, v + 1) for u, v in a.edges()])
+        masks = M.mis_masks(g)
+        for s in range(1, 1 << n):
+            alpha = alpha_oracle(induced_subgraph(
+                g, [u for i, u in enumerate(g.nodes) if s >> i & 1]))
+            if max((m & s).bit_count() for m in masks) != alpha:
+                bad.append((sorted(g.edges()), s))
+            checked += 1
+    return checked, bad
+
+
+def test_alpha_of_a_subset_is_its_largest_share_of_a_maximal_set():
+    """The identity behind eta2 from the masks: alpha(g[S]) equals the
+    largest |M & S| over the maximal independent sets M of g."""
+    pytest.importorskip("networkx")
+    assert alpha_mask_mismatches(6) == (11082, [])
+
+
+def test_error_report_from_masks_matches_branch_and_bound():
+    """Given mis_masks(g), error_report takes eta2 from the masks; without
+    them from branch and bound on each component.  Both agree with the
+    measures from their definitions."""
+    checked = 0
+    last = None
+    for kind, g, p in _residue_cases():
+        if kind != "MIS":
+            continue
+        if g is not last:
+            last, masks = g, M.mis_masks(g)
+        report = M.error_report("MIS", g, p, None, masks)
+        assert report == M.error_report("MIS", g, p), (g.adjacency, p)
+        assert report == _single_measures("MIS", g, p, None), (g.adjacency, p)
+        checked += report["eta2"] is not None and report["eta2"] > 0
+    assert checked
+
+
+def test_error_report_builds_no_graph(monkeypatch):
+    """error_report reads g's adjacency and builds no Graph, for any
+    problem, with or without masks, capped or not.  Only MIS reads the
+    masks: the other problems' reports are the same with them.  The alpha
+    oracle is never called, and branch and bound only without masks."""
+    cases = []
+    for kind in ("MIS", "MAXIMAL_MATCHING", "VERTEX_COLORING",
+                 "EDGE_COLORING"):
+        g = random_connected_graph(18, 0.3, 1)
+        for k in (0, 4, 10):
+            cases.append((kind, g, M.corrupt(kind, g, M.reference(kind, g),
+                                             k, 1)))
+    g = line(30)
+    cases.append(("MIS", g, M.reference("MIS", g, pattern="ALL_ONES")))
+    t = random_tree(14, 3)
+    masks = {id(g): M.mis_masks(g) for _, g, _ in cases}
+    built, searched = [], []
+    real = Graph.__post_init__
+    monkeypatch.setattr(Graph, "__post_init__",
+                        lambda self: built.append(1) or real(self))
+    monkeypatch.setattr(M, "alpha_oracle", None)
+    branch = M._alpha_component
+    monkeypatch.setattr(M, "_alpha_component",
+                        lambda adj: searched.append(1) or branch(adj))
+    eta2 = set()
+    for kind, g, p in cases:
+        searched.clear()
+        with_masks = M.error_report(kind, g, p, None, masks[id(g)])
+        assert not searched or kind != "MIS"
+        assert M.error_report(kind, g, p) == with_masks
+        eta2.add(with_masks["eta2"])
+    M.error_report("MIS", t.graph, M.reference("MIS", t.graph, pattern="ALL_ONES"),
+                   t)
+    assert not built
+    assert None in eta2 and len(eta2) > 2
 
 
 _INVALID = [
@@ -391,3 +475,15 @@ def test_prediction_file_roundtrip():
     assert M.parse_predictions("EDGE_COLORING", text) == ec
     with pytest.raises(ValueError):
         M.parse_predictions("MIS", "1 2 3\n")
+
+
+if __name__ == "__main__":
+    import sys
+
+    # the identity test over larger graphs: 7 covers the whole atlas
+    max_nodes = int(sys.argv[1]) if len(sys.argv) > 1 else 7
+    checked, bad = alpha_mask_mismatches(max_nodes)
+    print(f"{checked} subsets checked, {len(bad)} mismatches")
+    for edges, s in bad[:10]:
+        print("  edges", edges, "subset mask", bin(s))
+    sys.exit(1 if bad else 0)

@@ -9,8 +9,9 @@ import pytest
 from predsync import measures as M, mis, problems
 from predsync.audit import audit_run
 from predsync.engine import NonTermination, default_max_rounds, simulate
-from predsync.graphs import (build_graph, grid, line, random_connected_graph,
-                             random_graph, random_tree, validate)
+from predsync.graphs import (_assign_ids, build_graph, grid, line,
+                             random_connected_graph, random_graph, random_tree,
+                             validate)
 from predsync.stages import (ConfigError, InterleavedProgram, ParallelProgram,
                              Stage, StageRun, StagedProgram)
 from predsync.templates import build_template
@@ -64,6 +65,42 @@ def test_consecutive_truncation_branch():
     assert out.total_rounds <= inst.bounds(g, rep)[1]
     cps = inst.program.checkpoints(g, out.total_rounds)
     assert audit_run("MIS", g, out, cps) == []
+
+
+def test_consecutive_fallback_on_small_graphs():
+    """With the truncation budget r forced to 1..3, consecutive runs leave
+    the truncated stage for the clean-up and the reference.  Every
+    connected atlas graph on at most 5 nodes (seeded identifiers), every
+    problem, solve-then-corrupt predictions for k = 0..n and seeds 0..1:
+    each run is valid and extendable at every checkpoint, and each problem
+    has runs that end past the truncated stage.  The robust bound is not
+    checked: c + 2 r assumes r covers the reference's rounds."""
+    nx = pytest.importorskip("networkx")
+    past = dict.fromkeys(("MIS", "MAXIMAL_MATCHING", "VERTEX_COLORING",
+                          "EDGE_COLORING"), 0)
+    for a in nx.graph_atlas_g():
+        n = a.number_of_nodes()
+        if n > 5:
+            break
+        if n == 0 or not nx.is_connected(a):
+            continue
+        ids, d = _assign_ids(n, "SEEDED_PERMUTATION", 0, None)
+        g = build_graph(ids, [(ids[u], ids[v]) for u, v in a.edges()], d)
+        for kind in past:
+            ref = M.reference(kind, g)
+            for r in (1, 2, 3):
+                program = build_template(kind, "consecutive",
+                                         r=lambda v, r=r: r).program
+                init, truncated = program.lengths(g)[:2]
+                for k in range(n + 1):
+                    for seed in (0, 1):
+                        out = simulate(g, program, M.corrupt(kind, g, ref, k, seed))
+                        case = (kind, r, k, seed, sorted(g.edges()))
+                        assert validate(kind, g, out.solution(kind, g)) is None, case
+                        assert audit_run(kind, g, out, program.checkpoints(
+                            g, out.total_rounds)) == [], case
+                        past[kind] += out.total_rounds > init + truncated
+    assert all(past.values()), past
 
 
 def test_consecutive_inside_uniform_branch():
