@@ -392,8 +392,8 @@ def test_error_report_from_masks_matches_branch_and_bound():
         report = M.error_report("MIS", g, p, None, masks)
         assert report == M.error_report("MIS", g, p), (g.adjacency, p)
         assert report == _single_measures("MIS", g, p, None), (g.adjacency, p)
-        checked += report["eta2"] is not None and report["eta2"] > 0
-    assert checked
+        checked += bool(report["eta2"])
+    assert checked  # some component had an edge, so mu2 > 0
 
 
 def test_error_report_builds_no_graph(monkeypatch):
