@@ -21,6 +21,10 @@ CSV rows and stderr keep that order.  A sweep with a fixed pattern runs
 each seed once, since k changes nothing there, and repeats its row for
 every k.
 
+Each run that ends gets one correctness pass, audit.audit_run: one replay
+of its output record gives both its `valid` code and, for a template, the
+extendability of its partial output at each checkpoint.
+
 Runs are simulated untraced.  A trace is printed only for `run --trace` and
 for a failing run, and it comes from replay: the same deterministic run
 simulated again with its trace on, and checked against the first run.
@@ -197,6 +201,7 @@ def run_one(plan: Plan, k: int, seed: int):
     report = measures.error_report(plan.kind, g, p, tree, masks)
     failures = []
     consistency = degrading = robust = ""
+    unextendable = ()
     try:
         outcome = simulate(g, program, p, max_rounds, tree=tree)
     except tuple(RUN_ERRORS) as exc:
@@ -205,7 +210,9 @@ def run_one(plan: Plan, k: int, seed: int):
                      if isinstance(exc, cls))
         failures.append(f"{valid}: {exc}")
     else:
-        violation = validate(kind, g, outcome.solution(kind, g))
+        violation, unextendable = audit_run(
+            kind, g, outcome,
+            inst.program.checkpoints(g, outcome.total_rounds) if inst else ())
         valid = "VALID" if violation is None else violation.code
         if violation is not None:
             failures.append(f"invalid solution: {valid}")
@@ -219,9 +226,7 @@ def run_one(plan: Plan, k: int, seed: int):
                            (degrading, "degrading"), (robust, "robust")):
             if flag == "false":
                 failures.append(f"bound_{name} violated")
-        bad = audit_run(kind, g, outcome,
-                        inst.program.checkpoints(g, outcome.total_rounds))
-        failures += [f"not extendable at {msg}" for msg in bad]
+    failures += [f"not extendable at {msg}" for msg in unextendable]
 
     row = {
         "family": family, "n": g.n, "d": g.d, "delta": g.delta,

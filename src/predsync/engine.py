@@ -260,9 +260,3 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
     return Outcome(outputs=outputs, term_round=term_round, total_rounds=total,
                    trace=events, output_log=output_log)
 
-
-def snapshot_active(outcome: Outcome, g: Graph, rnd: int) -> set:
-    """Nodes not yet terminated at the end of round rnd."""
-    if rnd < 0 or rnd > outcome.total_rounds:
-        raise ValueError(f"round {rnd} out of range 0..{outcome.total_rounds}")
-    return {u for u in g.nodes if outcome.term_round.get(u, rnd + 1) > rnd}

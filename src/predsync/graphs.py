@@ -452,7 +452,7 @@ def node_rule(kind: str, g: Graph):
     is correctness.  A node's checks run in _RANK order, so a node that
     breaks several reports its lowest-ranked one.
     """
-    adj = g.adjacency
+    adj, nbrs = g.adjacency, g.neighbor_sets
     if kind == "MIS":
         def rule(out, u):
             if u not in out:
@@ -464,7 +464,7 @@ def node_rule(kind: str, g: Graph):
                         return Violation("INDEPENDENCE", (u, v),
                                          f"adjacent nodes {u},{v} both joined")
             elif value == 0:
-                if not any(out.get(v) == 1 for v in adj[u]):
+                if 1 not in map(out.get, adj[u]):
                     return Violation("MAXIMALITY", u,
                                      f"node {u} output 0 with no joined neighbor")
             else:
@@ -480,10 +480,15 @@ def node_rule(kind: str, g: Graph):
                     if out.get(v) in (None, u):
                         return Violation("MAXIMALITY", (u, v), f"node {u} output - "
                                          f"but neighbor {v} is not matched away")
-            elif mate not in adj[u]:
-                return Violation("RANGE", u, f"node {u} matched to non-neighbor {mate}")
-            elif out.get(mate) != u:
-                return Violation("SYMMETRY", (u, mate), f"match {u}->{mate} not mutual")
+            else:
+                try:
+                    adjacent = mate in nbrs[u]
+                except TypeError:  # unhashable, so no node
+                    adjacent = False
+                if not adjacent:
+                    return Violation("RANGE", u, f"node {u} matched to non-neighbor {mate}")
+                if out.get(mate) != u:
+                    return Violation("SYMMETRY", (u, mate), f"match {u}->{mate} not mutual")
             return None
     elif kind == "VERTEX_COLORING":
         hi = g.delta + 1
@@ -504,10 +509,10 @@ def node_rule(kind: str, g: Graph):
             if u not in out:
                 return None
             cols = out[u]
-            for v in cols:
-                if v not in adj[u]:
-                    return Violation("INCOMPLETE", u,
-                                     f"node {u} colored non-incident edge to {v}")
+            if not cols.keys() <= nbrs[u]:
+                v = next(v for v in cols if v not in nbrs[u])
+                return Violation("INCOMPLETE", u,
+                                 f"node {u} colored non-incident edge to {v}")
             for v, c in cols.items():
                 if not isinstance(c, int) or not 1 <= c <= hi:
                     return Violation("RANGE", (u, v),
@@ -542,29 +547,31 @@ _RANK = {
 
 def validate(kind: str, g: Graph, outputs: Mapping[int, object]) -> Optional[Violation]:
     """None when every node has an output and passes node_rule, that is, when
-    the outputs solve the problem on g.  Otherwise INCOMPLETE for the first
-    node without an output, else the failure of lowest _RANK, first in node
-    order.  An edge-coloring node must also color every incident edge."""
+    the outputs solve the problem on g; otherwise first_violation's pick."""
+    rule = node_rule(kind, g)
+    return first_violation(kind, g, outputs, lambda u: rule(outputs, u))
+
+
+def first_violation(kind: str, g: Graph, outputs, found) -> Optional[Violation]:
+    """validate's verdict on outputs, given found(u): u's node_rule violation
+    or None.  INCOMPLETE for the first node without an output, else the
+    failure of lowest _RANK, first in node order.  An edge-coloring node
+    must also color every incident edge."""
     for u in g.nodes:
         if u not in outputs:
             return Violation("INCOMPLETE", u, "no output")
-    rule = node_rule(kind, g)
     rank = _RANK[kind]
     first = None
     for u in g.nodes:
-        found = _uncolored(g, outputs, u) if kind == "EDGE_COLORING" else None
-        found = found or rule(outputs, u)
-        if found is not None and (first is None or rank[found.code] < rank[first.code]):
-            first = found
+        cols = outputs[u]
+        if kind == "EDGE_COLORING" and not (isinstance(cols, Mapping)
+                                            and cols.keys() >= g.neighbor_sets[u]):
+            failure = Violation("INCOMPLETE", u, f"node {u} did not color every incident edge")
+        else:
+            failure = found(u)
+        if failure is not None and (first is None or rank[failure.code] < rank[first.code]):
+            first = failure
     return first
-
-
-def _uncolored(g: Graph, out, u) -> Optional[Violation]:
-    """INCOMPLETE unless u's edge-coloring output colors every incident edge."""
-    cols = out[u]
-    if not isinstance(cols, Mapping) or any(v not in cols for v in g.adjacency[u]):
-        return Violation("INCOMPLETE", u, f"node {u} did not color every incident edge")
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,11 @@ class TemplateInstance:
 
     def bounds(self, g, report) -> tuple[Optional[int], Optional[int]]:
         """(degrading, robust) round bounds of a run on g whose error
-        measures are report; None where a bound does not apply."""
+        measures are report; None where a bound does not apply.  The
+        consecutive robust bound c + 2·lengths[1] assumes that the budget r
+        covers the reference stage: the default budgets do, and the CLI
+        never forces r.  With r forced to 1..3 it fails on 212 MM, 7 VC and
+        223 EC runs of 1014 (test_consecutive_fallback_on_small_graphs)."""
         c, f = self.c, self.f(report)
         if self.template == "simple":
             return c + f, None

@@ -18,7 +18,7 @@ from predsync.templates import build_template
 
 from helpers import diameter, even_rounds, wheel_rim_nodes
 
-AUDITED_RUNS = []  # (label, violations list)
+AUDITED_RUNS = []  # (label, extendability violations)
 MEASURE_ROWS = []  # (eta1, eta2, eta_bw, eta_t or None)
 
 
@@ -27,7 +27,8 @@ def _passed(n, text):
 
 
 def _audit(label, kind, g, outcome, checkpoints):
-    AUDITED_RUNS.append((label, audit_run(kind, g, outcome, checkpoints)))
+    _, unextendable = audit_run(kind, g, outcome, checkpoints)
+    AUDITED_RUNS.append((label, unextendable))
 
 
 def _record(report):

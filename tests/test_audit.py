@@ -6,10 +6,12 @@ import ast
 import random
 
 from predsync import measures
-from predsync.audit import audit_run, check_extendable, partial_outputs
+from predsync.audit import audit_run
 from predsync.engine import Step, simulate
-from predsync.graphs import line, random_connected_graph, random_graph
+from predsync.graphs import (line, random_connected_graph, random_graph,
+                             validate)
 from predsync.templates import build_template
+from reference import check_extendable, partial_outputs
 
 
 class Outputs:
@@ -36,7 +38,7 @@ class Outputs:
 
 def _audit(kind, g, plan, checkpoints):
     out = simulate(g, Outputs(plan))
-    return audit_run(kind, g, out, checkpoints)
+    return audit_run(kind, g, out, checkpoints)[1]
 
 
 # detection: one scripted non-extendable run per problem
@@ -143,10 +145,11 @@ def _reference_audit(kind, g, outcome, checkpoints):
 def _agree(kind, g, traced, untraced, checkpoints):
     """Both audits agree on every round; returns the violations found."""
     every = list(range(0, traced.total_rounds + 2))
+    violation = validate(kind, g, traced.solution(kind, g))
     for cps in (checkpoints, every):
         expected = _reference_audit(kind, g, traced, cps)
-        assert audit_run(kind, g, traced, cps) == expected
-        assert audit_run(kind, g, untraced, cps) == expected
+        assert audit_run(kind, g, traced, cps) == (violation, expected)
+        assert audit_run(kind, g, untraced, cps) == (violation, expected)
     for rnd in every:
         assert partial_outputs(untraced, rnd) == _parsed_partial(traced.trace, rnd)
     return len(expected)

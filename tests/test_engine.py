@@ -3,8 +3,9 @@
 import pytest
 
 from predsync.engine import (NEVER, NonTermination, ProtocolViolation, Step,
-                             default_max_rounds, simulate, snapshot_active)
+                             default_max_rounds, simulate)
 from predsync.graphs import build_graph, line
+from reference import snapshot_active
 
 
 class Script:

@@ -4,14 +4,15 @@ and the rooted-tree programs."""
 import pytest
 
 from predsync import measures as M, mis
-from predsync.audit import audit_run, partial_outputs
-from predsync.engine import ProtocolViolation, simulate, snapshot_active
+from predsync.audit import audit_run
+from predsync.engine import ProtocolViolation, simulate
 from predsync.graphs import (build_graph, components, grid,
                              induced_subgraph, line, line_tree,
                              random_connected_graph, random_tree, validate,
                              _rng)
 
 from helpers import even_rounds
+from reference import partial_outputs, snapshot_active
 
 
 def _k(ids):
@@ -88,7 +89,7 @@ def test_greedy_line5():
     out = simulate(g, mis.greedy_mis(), trace=True)
     assert out.total_rounds == 5
     assert {u for u in g.nodes if out.value(u) == 1} == {1, 3, 5}
-    assert audit_run("MIS", g, out, even_rounds(out)) == []
+    assert audit_run("MIS", g, out, even_rounds(out)) == (None, [])
 
 
 def test_greedy_clique_and_single():
@@ -232,7 +233,7 @@ def test_tree_uniform_paths():
     out = simulate(t7.graph, mis.tree_uniform(), tree=t7, trace=True)
     assert validate("MIS", t7.graph, out.solution("MIS", t7.graph)) is None
     assert out.total_rounds <= 2 * ((7 + 1) // 2)
-    assert audit_run("MIS", t7.graph, out, even_rounds(out)) == []
+    assert audit_run("MIS", t7.graph, out, even_rounds(out)) == (None, [])
 
 
 def test_tree_uniform_random_trees():
@@ -240,7 +241,7 @@ def test_tree_uniform_random_trees():
         t = random_tree(3 + seed % 12, seed)
         out = simulate(t.graph, mis.tree_uniform(), tree=t, trace=True)
         assert validate("MIS", t.graph, out.solution("MIS", t.graph)) is None
-        assert audit_run("MIS", t.graph, out, even_rounds(out)) == []
+        assert audit_run("MIS", t.graph, out, even_rounds(out)) == (None, [])
 
 
 def test_gps_examples():

@@ -75,7 +75,7 @@ def test_mm_uniform_bound_and_validity():
         assert validate("MAXIMAL_MATCHING", g, sol) is None
         assert out.total_rounds <= 3 * (g.n // 2)
         cps = prog.checkpoints(g, out.total_rounds)
-        assert audit_run("MAXIMAL_MATCHING", g, out, cps) == []
+        assert audit_run("MAXIMAL_MATCHING", g, out, cps) == (None, [])
 
 
 # vertex coloring
@@ -112,7 +112,7 @@ def test_vc_uniform_bound_and_palette_invariant():
         assert validate("VERTEX_COLORING", g, sol) is None
         assert out.total_rounds <= g.n
         cps = prog.checkpoints(g, out.total_rounds)
-        assert audit_run("VERTEX_COLORING", g, out, cps) == []
+        assert audit_run("VERTEX_COLORING", g, out, cps) == (None, [])
 
 
 # Linial-style coloring
@@ -224,7 +224,7 @@ def test_ec_uniform_bound_and_validity():
         assert validate("EDGE_COLORING", g, sol) is None
         assert out.total_rounds - 1 <= max(1, 2 * g.n - 3)
         cps = prog.checkpoints(g, out.total_rounds)
-        assert audit_run("EDGE_COLORING", g, out, cps) == []
+        assert audit_run("EDGE_COLORING", g, out, cps) == (None, [])
 
 
 def test_ec_palettes_equal_at_phase_ends():
@@ -234,7 +234,7 @@ def test_ec_palettes_equal_at_phase_ends():
     g = random_connected_graph(8, 0.4, 5)
     prog = problems.ec_uniform()
     out = simulate(g, prog, trace=True)
-    from predsync.audit import partial_outputs
+    from reference import partial_outputs
     for rnd in prog.checkpoints(g, out.total_rounds):
         partial = partial_outputs(out, rnd)
         for u, v in g.edges():

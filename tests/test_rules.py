@@ -9,11 +9,12 @@ import random
 from typing import Mapping
 
 from predsync import measures, mis
-from predsync.audit import check_extendable
 from predsync.cli import Plan, run_one
 from predsync.engine import simulate
 from predsync.graphs import (line, random_connected_graph, random_graph,
                              validate)
+
+from reference import check_extendable
 
 # ---------------------------------------------------------------------------
 # reference: one pass per violation code, over all nodes or edges

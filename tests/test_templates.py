@@ -64,7 +64,7 @@ def test_consecutive_truncation_branch():
     assert validate("MIS", g, out.solution("MIS", g)) is None
     assert out.total_rounds <= inst.bounds(g, rep)[1]
     cps = inst.program.checkpoints(g, out.total_rounds)
-    assert audit_run("MIS", g, out, cps) == []
+    assert audit_run("MIS", g, out, cps) == (None, [])
 
 
 def test_consecutive_fallback_on_small_graphs():
@@ -98,7 +98,7 @@ def test_consecutive_fallback_on_small_graphs():
                         case = (kind, r, k, seed, sorted(g.edges()))
                         assert validate(kind, g, out.solution(kind, g)) is None, case
                         assert audit_run(kind, g, out, program.checkpoints(
-                            g, out.total_rounds)) == [], case
+                            g, out.total_rounds)) == (None, []), case
                         past[kind] += out.total_rounds > init + truncated
     assert all(past.values()), past
 
@@ -126,7 +126,7 @@ def test_interleaved_round_accounting():
             assert out.total_rounds <= degrading
             assert out.total_rounds <= robust
             cps = inst.program.checkpoints(g, out.total_rounds)
-            assert audit_run("MIS", g, out, cps) == []
+            assert audit_run("MIS", g, out, cps) == (None, [])
 
 
 def test_checkpoint_lists():
@@ -258,7 +258,7 @@ def test_tree_parallel_bounds():
             if out.total_rounds <= init.length(g) + fused.length(g):
                 assert out.total_rounds <= -(-rep["eta_t"] // 2) + 5
             cps = inst.program.checkpoints(g, out.total_rounds)
-            assert audit_run("MIS", g, out, cps) == []
+            assert audit_run("MIS", g, out, cps) == (None, [])
 
 
 def test_other_problem_templates():
