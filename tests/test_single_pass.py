@@ -18,7 +18,8 @@ from predsync import measures as M
 from predsync.audit import audit_run
 from predsync.cli import RUN_ERRORS
 from predsync.engine import Outcome, simulate
-from predsync.graphs import ROOT, RootedTree, build_graph, line, random_graph, validate
+from predsync.graphs import (ROOT, RootedTree, build_graph, generate, line,
+                             random_graph, validate)
 from predsync.registry import PROGRAMS as REGISTRY
 from predsync.templates import build_template
 
@@ -188,8 +189,6 @@ def _registry_runs(name, cases):
 
 
 def test_pass_matches_reference_on_registry_runs():
-    from predsync.graphs import generate
-
     cases = {False: [], True: []}
     for family, params in FAMILIES.items():
         made = generate(family, params, "INCREASING", 0)
