@@ -156,7 +156,7 @@ class Plan:
         return case
 
     def runner(self, tree):
-        """(program, problem kind, TemplateInstance or None, CSV label)."""
+        """(program, TemplateInstance or None, CSV label)."""
         if self._runner is None:
             cfg = self.cfg
             name = cfg.get("program")
@@ -165,14 +165,14 @@ class Plan:
                 if kind != self.kind:
                     raise ConfigError(f"program {name} solves {kind}, "
                                       f"but problem is {self.kind}")
-                self._runner = (program, kind, None, name)
+                self._runner = (program, None, name)
             else:
                 options = {"tree": tree is not None}
                 if "phase" in cfg:
                     options["phase"] = int(cfg["phase"])
                 inst = build_template(self.kind, cfg.get("template", "simple"),
                                       **options)
-                self._runner = (inst.program, self.kind, inst, inst.template)
+                self._runner = (inst.program, inst, inst.template)
         return self._runner
 
 
@@ -186,7 +186,7 @@ def _inputs(plan: Plan, k: int, seed: int) -> tuple:
     g, tree, _, reference, _ = plan.instance(seed)
     p = reference if plan.pattern is not None else measures.corrupt(
         plan.kind, g, reference, k, seed)
-    program, _, inst, _ = plan.runner(tree)
+    program, inst, _ = plan.runner(tree)
     max_rounds = int(plan.cfg["max_rounds"]) if "max_rounds" in plan.cfg else (
         inst.max_rounds(g) if inst else None)
     return g, tree, p, program, max_rounds
@@ -197,7 +197,7 @@ def run_one(plan: Plan, k: int, seed: int):
     outcome).  A run that raised one of RUN_ERRORS has outcome None."""
     g, tree, p, program, max_rounds = _inputs(plan, k, seed)
     _, _, family, _, masks = plan.instance(seed)
-    _, kind, inst, label = plan.runner(tree)
+    _, inst, label = plan.runner(tree)
     report = measures.error_report(plan.kind, g, p, tree, masks)
     failures = []
     consistency = degrading = robust = ""
@@ -211,7 +211,7 @@ def run_one(plan: Plan, k: int, seed: int):
         failures.append(f"{valid}: {exc}")
     else:
         violation, unextendable = audit_run(
-            kind, g, outcome,
+            plan.kind, g, outcome,
             inst.program.checkpoints(g, outcome.total_rounds) if inst else ())
         valid = "VALID" if violation is None else violation.code
         if violation is not None:
@@ -230,7 +230,7 @@ def run_one(plan: Plan, k: int, seed: int):
 
     row = {
         "family": family, "n": g.n, "d": g.d, "delta": g.delta,
-        "problem": kind, "template": label, "k": k, "seed": seed,
+        "problem": plan.kind, "template": label, "k": k, "seed": seed,
         "eta1": report["eta1"], "eta2": report["eta2"],
         "eta_bw": report["eta_bw"], "eta_t": report["eta_t"],
         "eta_H": report["eta_hamming"],

@@ -79,9 +79,6 @@ class Graph:
     def neighbors(self, u: int) -> tuple[int, ...]:
         return self.adjacency[u]
 
-    def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in self._nodes:
             for v in self.adjacency[u]:
@@ -281,15 +278,6 @@ def generate(family: str, params: Mapping[str, object], id_scheme: str = "INCREA
 # structure operations
 
 
-def induced_subgraph(g: Graph, keep) -> Graph:
-    keep = set(keep)
-    unknown = keep - set(g.nodes)
-    if unknown:
-        raise GraphError("ID_OUT_OF_RANGE", f"unknown identifiers {sorted(unknown)}")
-    adj = {u: tuple(v for v in g.adjacency[u] if v in keep) for u in sorted(keep)}
-    return Graph(d=g.d, adjacency=adj)
-
-
 def component_walk(adj: Mapping[int, Sequence[int]], keep) -> Iterator[list]:
     """The connected components of the subgraph that the nodes in keep (a
     set or a mapping keyed by node) induce in the graph adj, as node lists
@@ -325,24 +313,8 @@ def components(g: Graph) -> list[Graph]:
     return [Graph(d=g.d, adjacency=m) for m in maps]
 
 
-def edge_induced_subgraph(g: Graph, edges: Sequence[tuple[int, int]]) -> Graph:
-    """Subgraph whose nodes are the endpoints of the given edges."""
-    nodes = sorted({u for e in edges for u in e})
-    return build_graph(nodes, list(edges), g.d)
-
-
 # ---------------------------------------------------------------------------
 # exact oracles
-
-
-def alpha_oracle(g: Graph, cap: int = DEFAULT_ALPHA_CAP) -> int:
-    """Exact maximum independent set size via branch and bound."""
-    if g.n > cap:
-        raise CapExceeded(f"alpha oracle capped at {cap} nodes, got {g.n}")
-    best = 0
-    for comp in components(g):
-        best += _alpha_component(comp.adjacency)
-    return best
 
 
 def _alpha_component(adj: Mapping[int, tuple[int, ...]]) -> int:

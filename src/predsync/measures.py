@@ -24,8 +24,8 @@ simulated runs of mis.greedy, mm.uniform, vc.uniform and ec.uniform.
 from __future__ import annotations
 
 from .graphs import (DEFAULT_ALPHA_CAP, CapExceeded, Graph, RootedTree,
-                     _alpha_component, _rng, alpha_oracle, component_maps,
-                     component_walk, enumerate_mis)
+                     _alpha_component, _rng, component_maps, component_walk,
+                     enumerate_mis)
 
 
 # ---------------------------------------------------------------------------
@@ -113,17 +113,9 @@ def _residue(kind: str, g: Graph, p):
     return active, component_maps(g.adjacency, active)
 
 
-def mu1(s: Graph) -> int:
-    return s.n
-
-
 def _mu2(n: int, alpha: int) -> int:
     """2 min(alpha, tau) of an n-node graph, with tau = n - alpha."""
     return 2 * min(alpha, n - alpha)
-
-
-def mu2(s: Graph) -> int:
-    return _mu2(s.n, alpha_oracle(s))
 
 
 def _eta2(g: Graph, comps: list, masks):

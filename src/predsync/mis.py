@@ -102,8 +102,9 @@ class MisInitStage(Stage):
     neighbors all have prediction 0.  rule="init": I is the prediction-1
     nodes whose prediction-1 neighbors (if any) all have smaller ids.
     Round 2: I joins; round 3: leave.  A node outside I sleeps through
-    rounds 2 and 3 unless a neighbor joins or leaves; the interleaved
-    driver wakes such a sleeper at the first U round.
+    rounds 2 and 3 unless a neighbor joins or leaves; the driver wakes
+    such a sleeper at the next stage start, or in round 3 when the init
+    is the final stage.
     """
 
     def __init__(self, rule: str = "init"):

@@ -1,15 +1,18 @@
 """Per-node stage machinery shared by all node programs.
 
-A node program is assembled from stages.  Each stage blueprint is stateless
-and shared between nodes; per-node state lives in a StageRun created by
-start() and in the node's Ctx, which persists across stages (so a later
-stage can see which neighbors already terminated, which ones joined an
-independent set, locally stored colors, and so on).
+Every node program is a StagedProgram: stages run back to back by one
+driver, StagedBehavior.  Each stage blueprint is stateless and shared
+between nodes; per-node state lives in a StageRun created by start() and
+in the node's Ctx, which persists across stages (so a later stage can see
+which neighbors already terminated, which ones joined an independent set,
+locally stored colors, and so on).  The templates' compositions are
+stages too: TruncatedStage, InterleavedStage and ParallelStage.
 
-The drivers compute each run's stage time t from the round number, so a
-run that returns StageStep(idle=True) may skip rounds: the driver turns
-idle into the engine's wake round, and the run is next called when that
-round comes or a message arrives.
+The driver computes each run's stage time t from the round number, so a
+run that returns StageStep(idle=...) may skip rounds.  The driver wakes it
+at the next stage start (the last round of a fixed final stage) for
+idle=True, at the stage round given as idle if that comes first, or
+earlier when a message arrives.
 """
 
 from __future__ import annotations
@@ -43,11 +46,12 @@ class StageStep:
     __slots__ = ("outputs", "terminate", "idle")
 
     def __init__(self, outputs: Mapping = NO_OUTPUTS, terminate: bool = False,
-                 idle: bool = False):
+                 idle: bool | int = False):
         self.outputs = outputs
         self.terminate = terminate  # the node is completely finished
         # no work in this run until a message arrives: until then its compose
-        # returns nothing and its process with an empty inbox changes nothing
+        # returns nothing and its process with an empty inbox changes
+        # nothing.  A stage round instead of True: the same before that round
         self.idle = idle
 
 
@@ -82,7 +86,7 @@ class FixedStage(Stage):
 
 
 # ---------------------------------------------------------------------------
-# sequential driver
+# the driver
 
 
 class StagedBehavior:
@@ -90,6 +94,7 @@ class StagedBehavior:
         self.ctx = ctx
         self.stages = stages
         self.lengths = lengths
+        self.final = len(stages) - 1  # index of the final stage
         self.idx = 0
         self.before = 0  # rounds before the current stage
         self.end = self.lengths[0] if stages else None  # its last round
@@ -99,7 +104,7 @@ class StagedBehavior:
         # advance to the stage that round rnd falls in.  process needs no
         # advance: it follows compose, or it is a message to a sleeper,
         # whose wake round never lies past the start of the next stage
-        while self.run is not None and self.end is not None and rnd > self.end:
+        while self.end is not None and rnd > self.end and self.run is not None:
             self.before = self.end
             self.idx += 1
             if self.idx < len(self.stages):
@@ -117,35 +122,17 @@ class StagedBehavior:
             # past the final fixed stage: terminate undecided
             return Step(terminate=True)
         step = self.run.process(self.ctx, rnd - self.before, inbox)
-        last = self.idx == len(self.stages) - 1
         # end of a fixed final stage: undecided node stops here
-        terminate = step.terminate or (rnd == self.end and last)
+        terminate = step.terminate or (rnd == self.end and self.idx == self.final)
         wake = None
         if step.idle and not terminate:
             # sleep to the next stage, or to the last round of the final one
             wake = NEVER if self.end is None else (
-                self.end if last else self.end + 1)
+                self.end if self.idx == self.final else self.end + 1)
+            if step.idle is not True:  # a stage round: sleep no further
+                wake = min(wake, self.before + step.idle)
         # positional: keyword arguments double the cost of this hot call
         return Step(step.outputs, terminate, wake)
-
-
-class _Lengths:
-    """Each stage's length, None for an open-ended final stage, for the
-    last (n, d, delta) seen.  A length reads only those three, so one
-    tuple serves every node of a run and its bounds and checkpoints."""
-
-    def __init__(self, stages):
-        self.stages = stages
-        self.key = self.lengths = None
-
-    def __call__(self, view_like) -> tuple:
-        key = (view_like.n, view_like.d, view_like.delta)
-        if key != self.key:
-            lengths = tuple(s.length(view_like) for s in self.stages)
-            if None in lengths[:-1]:
-                raise ConfigError("only the final stage may be open-ended")
-            self.key, self.lengths = key, lengths
-        return self.lengths
 
 
 class StagedProgram:
@@ -155,33 +142,41 @@ class StagedProgram:
 
     def __init__(self, stages):
         self.stages = list(stages)
-        self.lengths = _Lengths(self.stages)
+        self._key = self._lengths = None
+
+    def lengths(self, view_like) -> tuple:
+        """Each stage's length, None for an open-ended final stage.  Kept
+        for the last (n, d, delta) seen, so one tuple serves every node of
+        a run and its bounds and checkpoints."""
+        key = (view_like.n, view_like.d, view_like.delta)
+        if key != self._key:
+            lengths = tuple(s.length(view_like) for s in self.stages)
+            if None in lengths[:-1]:
+                raise ConfigError("only the final stage may be open-ended")
+            self._key, self._lengths = key, lengths
+        return self._lengths
 
     def start(self, view: NodeView):
         return StagedBehavior(Ctx(view), self.stages, self.lengths(view))
 
     def checkpoints(self, view_like, total_rounds: int) -> list[int]:
         """Rounds at which the global partial output must be extendable."""
-        pts = []
-        at = 0
+        pts, at = {total_rounds}, 0
         for s, ln in zip(self.stages, self.lengths(view_like)):
-            if ln is None:
-                if s.phase_len:
-                    r = at + s.phase_len
-                    while r <= total_rounds:
-                        pts.append(r)
-                        r += s.phase_len
-                break
-            at += ln
-            if at <= total_rounds:
-                pts.append(at)
+            # each stage end and phase end up to the run's end, where an
+            # open-ended (so final) stage ends
+            end = total_rounds if ln is None else at + ln
+            if end <= total_rounds:
+                pts.add(end)
             if s.phase_len:
-                r0 = at - ln
-                for r in range(r0 + s.phase_len, min(at, total_rounds) + 1, s.phase_len):
-                    pts.append(r)
-        if total_rounds not in pts:
-            pts.append(total_rounds)
-        return sorted(set(pts))
+                pts.update(range(at + s.phase_len, min(end, total_rounds) + 1,
+                                 s.phase_len))
+            at = end
+        return sorted(pts)
+
+
+# ---------------------------------------------------------------------------
+# composite stages
 
 
 class TruncatedStage(Stage):
@@ -199,86 +194,66 @@ class TruncatedStage(Stage):
         return self.inner.start(ctx)
 
 
-# ---------------------------------------------------------------------------
-# interleaved driver
+class InterleavedStage(Stage):
+    """Open-ended: blocks of phase rounds of a measure-uniform stage U and
+    a phased reference R, U first, each started at its first block.  Every
+    block ends a phase of both, so it is this stage's phase."""
 
-
-class InterleavedBehavior:
-    def __init__(self, ctx, init_stage, init_len, uniform, reference, phase):
-        self.ctx = ctx
-        self.init_len = init_len
-        self.init_run = init_stage.start(ctx)
-        self.uniform = uniform
-        self.reference = reference
-        self.phase = phase  # rounds of each U or R block
-        self.runs = {}
-        self.idle = set()  # runs with no work until a message arrives
-
-    def _current(self, rnd):
-        """The run that round rnd belongs to, its stage time, and the first
-        round of the next block.  Blocks run U, R, U, R, ... after init."""
-        if rnd <= self.init_len:
-            return "init", self.init_run, rnd, self.init_len + 1
-        block, offset = divmod(rnd - self.init_len - 1, self.phase)
-        which = "R" if block % 2 else "U"
-        if which not in self.runs:
-            stage = self.uniform if which == "U" else self.reference
-            self.runs[which] = stage.start(self.ctx)
-        return (which, self.runs[which], block // 2 * self.phase + offset + 1,
-                rnd - offset + self.phase)
-
-    def compose(self, rnd):
-        which, run, t, _ = self._current(rnd)
-        return run.compose(self.ctx, t)
-
-    def process(self, rnd, inbox):
-        which, run, t, next_block = self._current(rnd)
-        step = run.process(self.ctx, t, inbox)
-        wake = None
-        if which == "init":
-            if step.idle and not step.terminate:
-                wake = next_block  # the first U block
-        elif not step.terminate:
-            # the runs share ctx, so what one learns may give the other work
-            if inbox or not step.idle:
-                self.idle.clear()
-            if step.idle:
-                self.idle.add(which)
-                # both idle: only a message brings work; else the other
-                # run may have some when its block starts
-                wake = NEVER if len(self.idle) == 2 else next_block
-        return Step(step.outputs, step.terminate, wake)
-
-
-class InterleavedProgram:
-    """Alternate phases of a measure-uniform stage and a phased reference."""
-
-    def __init__(self, init_stage, uniform, reference, phase: int):
+    def __init__(self, uniform: Stage, reference: Stage, phase: int):
         for s, name in ((uniform, "uniform"), (reference, "reference")):
             if not s.phase_len:
                 raise ConfigError(f"{name} stage must be phased")
         if phase < 1 or any(phase % s.phase_len for s in (uniform, reference)):
             raise ConfigError("phase budget must be a positive multiple of the stage phase length")
-        self.init_stage = init_stage
-        self.uniform = uniform
-        self.reference = reference
+        self.stages = (uniform, reference)
+        self.phase_len = phase
+
+    def start(self, ctx):
+        return _InterleavedRun(self.stages, self.phase_len)
+
+
+class _InterleavedRun(StageRun):
+    def __init__(self, stages, phase):
+        self.stages = stages  # U, R
         self.phase = phase
-        self.init_length = _Lengths([init_stage])
+        self.runs = [None, None]  # the U and R runs, once started
+        self.idle = set()  # runs with no work until a message arrives
+        # first stage round past the current block; stage rounds only grow
+        self.next_block = 1
 
-    def start(self, view):
-        return InterleavedBehavior(Ctx(view), self.init_stage,
-                                   self.init_length(view)[0], self.uniform,
-                                   self.reference, self.phase)
+    def _enter(self, ctx, t):
+        """Make the block that stage round t falls in the current one."""
+        block = (t - 1) // self.phase
+        self.which = which = block % 2
+        run = self.runs[which]
+        if run is None:
+            run = self.runs[which] = self.stages[which].start(ctx)
+        self.run = run
+        # t minus the run's own stage time: the other run's rounds so far
+        self.shift = (block - block // 2) * self.phase
+        self.next_block = (block + 1) * self.phase + 1
 
-    def checkpoints(self, view_like, total_rounds):
-        init_len = self.init_length(view_like)[0]
-        pts = list(range(init_len, total_rounds, self.phase))
-        pts.append(total_rounds)
-        return sorted(set(pts))
+    def compose(self, ctx, t):
+        if t >= self.next_block:
+            self._enter(ctx, t)
+        return self.run.compose(ctx, t - self.shift)
 
-
-# ---------------------------------------------------------------------------
-# parallel driver
+    def process(self, ctx, t, inbox):
+        if t >= self.next_block:
+            self._enter(ctx, t)
+        step = self.run.process(ctx, t - self.shift, inbox)
+        if step.terminate:
+            return step
+        # the runs share ctx, so what one learns may give the other work
+        if inbox or not step.idle:
+            self.idle.clear()
+        if not step.idle:
+            return step
+        self.idle.add(self.which)
+        # both idle: only a message brings work; else the other run may
+        # have some when its block starts
+        step.idle = True if len(self.idle) == 2 else self.next_block
+        return step
 
 
 class FusedRun(StageRun):
@@ -309,8 +284,14 @@ class FusedRun(StageRun):
         return StageStep(step.outputs, step.terminate)
 
 
-class _FusedStage(Stage):
-    def __init__(self, uniform, part1, r1):
+class ParallelStage(Stage):
+    """A measure-uniform stage run alongside part 1 of a fault-tolerant
+    reference, for part 1's budget of r1(view) rounds."""
+
+    def __init__(self, uniform: Stage, part1: Stage,
+                 r1: Callable[[NodeView], int]):
+        if not part1.fault_tolerant:
+            raise ConfigError("part 1 of the reference must be fault tolerant")
         self.uniform = uniform
         self.part1 = part1
         self.r1 = r1
@@ -321,15 +302,3 @@ class _FusedStage(Stage):
 
     def start(self, ctx):
         return FusedRun(ctx, self.uniform, self.part1)
-
-
-class ParallelProgram(StagedProgram):
-    """Initialization, then a fault-tolerant reference part 1 run in parallel
-    with a measure-uniform stage, then (clean-up,) reveal, then part 2."""
-
-    def __init__(self, init_stage, uniform, part1, part2, r1,
-                 cleanup: Optional[Stage] = None, reveal: Optional[Stage] = None):
-        if not part1.fault_tolerant:
-            raise ConfigError("part 1 of the reference must be fault tolerant")
-        stages = [init_stage, _FusedStage(uniform, part1, r1), cleanup, reveal, part2]
-        super().__init__(s for s in stages if s is not None)

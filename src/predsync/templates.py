@@ -1,6 +1,9 @@
-"""Template combinators: assemble an initialization program, a
-measure-uniform program, a clean-up program and a reference program into a
-single node program.
+"""Template combinators: each template is one StagedProgram built from an
+initialization, a measure-uniform stage U, a clean-up and a reference.
+simple: [init, U].  consecutive: [init, TruncatedStage(U, r + clean-up),
+clean-up, U], with no clean-up stage for vertex colouring.  interleaved
+(MIS): [init, InterleavedStage(U, greedy, phase)].  parallel (MIS): [init,
+ParallelStage(U, part 1, r1), reveal, part 2], with no reveal on trees.
 
 build_template() returns a TemplateInstance: the assembled program, the
 consistency constant c and the error budget f.  Its round bounds are read
@@ -17,7 +20,7 @@ from typing import Callable, Optional
 
 from . import mis, problems
 from .engine import default_max_rounds
-from .stages import (ConfigError, InterleavedProgram, ParallelProgram,
+from .stages import (ConfigError, InterleavedStage, ParallelStage,
                      StagedProgram, TruncatedStage)
 
 TEMPLATES = ("simple", "consecutive", "interleaved", "parallel")
@@ -65,7 +68,7 @@ class TemplateInstance:
             return c + f, None
         if self.template == "interleaved":
             # whole U and R blocks until U has had f rounds
-            phase = self.program.phase
+            phase = self.program.stages[-1].phase_len
             return c + 2 * f, c + 2 * max(1, math.ceil(f / phase)) * phase
         lengths = self.program.lengths(g)
         if self.template == "consecutive":
@@ -107,10 +110,10 @@ def _mis_tree(template: str):
     if template == "simple":
         return StagedProgram([init, uniform])
     if template == "parallel":
-        return ParallelProgram(init, uniform,
-                               mis.GpsTreeColoringStage(store_only=True),
-                               mis.TreePart2Stage(),
-                               lambda v: mis.gps_budget_even(v.d))
+        return StagedProgram([
+            init, ParallelStage(uniform, mis.GpsTreeColoringStage(store_only=True),
+                                lambda v: mis.gps_budget_even(v.d)),
+            mis.TreePart2Stage()])
     raise ConfigError(f"tree variant has no {template!r} template")
 
 
@@ -131,13 +134,13 @@ def _program(problem: str, template: str, r: Optional[Callable], phase: int):
     if template == "interleaved":
         if phase % 2:
             raise ConfigError("interleaved greedy phases must be even")
-        return InterleavedProgram(init(), uniform(), mis.GreedyStage("min"),
-                                  phase)
-    return ParallelProgram(
-        init(), uniform(), problems.LinialColoringStage(store_only=True),
-        mis.ColorPart2Stage(combined=True),
-        lambda v: problems.linial_budget_even(v.d, v.delta),
-        reveal=mis.RevealStage())
+        return StagedProgram([init(), InterleavedStage(
+            uniform(), mis.GreedyStage("min"), phase)])
+    return StagedProgram([
+        init(), ParallelStage(uniform(),
+                              problems.LinialColoringStage(store_only=True),
+                              lambda v: problems.linial_budget_even(v.d, v.delta)),
+        mis.RevealStage(), mis.ColorPart2Stage(combined=True)])
 
 
 def build_template(problem: str, template: str, *, tree: bool = False,

@@ -1,8 +1,14 @@
-"""Reference checks computed from scratch, the independent side of the
-differential tests against predsync.audit's incremental pass.  Nothing
-under src/ needs them."""
+"""Reference checks and helpers computed from scratch: the independent
+side of the differential tests against predsync.audit's incremental pass,
+and the graph and measure helpers that only tests use.  Nothing under
+src/ needs them."""
 
-from predsync.graphs import Graph, node_rule
+from collections.abc import Sequence
+
+from predsync.graphs import (DEFAULT_ALPHA_CAP, CapExceeded, Graph,
+                             GraphError, _alpha_component, build_graph,
+                             components, node_rule)
+from predsync.measures import _mu2
 
 
 def partial_outputs(outcome, upto_round: int) -> dict:
@@ -36,3 +42,36 @@ def snapshot_active(outcome, g: Graph, rnd: int) -> set:
     if rnd < 0 or rnd > outcome.total_rounds:
         raise ValueError(f"round {rnd} out of range 0..{outcome.total_rounds}")
     return {u for u in g.nodes if outcome.term_round.get(u, rnd + 1) > rnd}
+
+
+def induced_subgraph(g: Graph, keep) -> Graph:
+    keep = set(keep)
+    unknown = keep - set(g.nodes)
+    if unknown:
+        raise GraphError("ID_OUT_OF_RANGE", f"unknown identifiers {sorted(unknown)}")
+    adj = {u: tuple(v for v in g.adjacency[u] if v in keep) for u in sorted(keep)}
+    return Graph(d=g.d, adjacency=adj)
+
+
+def edge_induced_subgraph(g: Graph, edges: Sequence[tuple[int, int]]) -> Graph:
+    """Subgraph whose nodes are the endpoints of the given edges."""
+    nodes = sorted({u for e in edges for u in e})
+    return build_graph(nodes, list(edges), g.d)
+
+
+def alpha_oracle(g: Graph, cap: int = DEFAULT_ALPHA_CAP) -> int:
+    """Exact maximum independent set size via branch and bound."""
+    if g.n > cap:
+        raise CapExceeded(f"alpha oracle capped at {cap} nodes, got {g.n}")
+    best = 0
+    for comp in components(g):
+        best += _alpha_component(comp.adjacency)
+    return best
+
+
+def mu1(s: Graph) -> int:
+    return s.n
+
+
+def mu2(s: Graph) -> int:
+    return _mu2(s.n, alpha_oracle(s))

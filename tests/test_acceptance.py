@@ -11,12 +11,12 @@ import math
 from predsync import measures as M, mis, problems
 from predsync.audit import audit_run
 from predsync.engine import simulate
-from predsync.graphs import (grid, induced_subgraph, line, line_tree,
-                             random_connected_graph, random_tree, validate,
-                             wheel_fk, _rng)
+from predsync.graphs import (grid, line, line_tree, random_connected_graph,
+                             random_tree, validate, wheel_fk, _rng)
 from predsync.templates import build_template
 
 from helpers import diameter, even_rounds, wheel_rim_nodes
+from reference import induced_subgraph, mu1, mu2
 
 AUDITED_RUNS = []  # (label, extendability violations)
 MEASURE_ROWS = []  # (eta1, eta2, eta_bw, eta_t or None)
@@ -79,7 +79,7 @@ def test_criterion_03_greedy_lemmas():
         g = random_connected_graph(n, 0.3, seed)
         out = simulate(g, mis.greedy_mis(), trace=True)
         assert validate("MIS", g, out.solution("MIS", g)) is None
-        assert out.total_rounds <= min(M.mu1(g), M.mu2(g) + 1), seed
+        assert out.total_rounds <= min(mu1(g), mu2(g) + 1), seed
         _audit(f"c3/{seed}", "MIS", g, out, even_rounds(out))
     _passed(3, "greedy MIS rounds <= min(mu1, mu2+1) on 200 connected graphs")
 

@@ -6,13 +6,13 @@ import pytest
 from predsync import measures as M, mis
 from predsync.audit import audit_run
 from predsync.engine import ProtocolViolation, simulate
-from predsync.graphs import (build_graph, components, grid,
-                             induced_subgraph, line, line_tree,
+from predsync.graphs import (build_graph, components, grid, line, line_tree,
                              random_connected_graph, random_tree, validate,
                              _rng)
 
 from helpers import even_rounds
-from reference import partial_outputs, snapshot_active
+from reference import (induced_subgraph, mu1, mu2, partial_outputs,
+                       snapshot_active)
 
 
 def _k(ids):
@@ -116,7 +116,7 @@ def test_greedy_per_component_bound():
         g = random_connected_graph(4 + seed % 12, 0.3, seed)
         out = simulate(g, mis.greedy_mis())
         assert validate("MIS", g, out.solution("MIS", g)) is None
-        assert out.total_rounds <= min(M.mu1(g), M.mu2(g) + 1)
+        assert out.total_rounds <= min(mu1(g), mu2(g) + 1)
 
 
 def test_greedy_steady_progress():
@@ -128,8 +128,8 @@ def test_greedy_steady_progress():
         for rnd in range(1, out.total_rounds + 1):
             active = snapshot_active(out, g, rnd)
             for s in components(induced_subgraph(g, active)):
-                assert rnd + M.mu1(s) <= M.mu1(g) + 2
-                assert rnd + M.mu2(s) + 1 <= M.mu2(g) + 1 + 2
+                assert rnd + mu1(s) <= mu1(g) + 2
+                assert rnd + mu2(s) + 1 <= mu2(g) + 1 + 2
 
 
 # u_bw
@@ -185,7 +185,7 @@ def test_part2_combined_beats_mu2_bound():
         colors = M.solve("VERTEX_COLORING", g)
         out = simulate(g, mis.coloring_to_mis_part2(combined=True), colors)
         assert validate("MIS", g, out.solution("MIS", g)) is None
-        assert out.total_rounds <= 1 + M.mu2(g) + 1  # reveal + mu2(S)+1
+        assert out.total_rounds <= 1 + mu2(g) + 1  # reveal + mu2(S)+1
 
 
 # rooted-tree programs

@@ -8,10 +8,11 @@ import pytest
 
 from predsync import measures, mis
 from predsync.engine import simulate
-from predsync.graphs import (DEFAULT_ALPHA_CAP, DEFAULT_ENUM_CAP, alpha_oracle,
-                             build_graph, components, enumerate_mis, grid,
-                             line, random_graph, random_connected_graph,
-                             validate)
+from predsync.graphs import (DEFAULT_ALPHA_CAP, DEFAULT_ENUM_CAP, build_graph,
+                             components, enumerate_mis, grid, line,
+                             random_graph, random_connected_graph, validate)
+
+from reference import alpha_oracle
 
 nx = pytest.importorskip("networkx")
 

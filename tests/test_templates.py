@@ -12,8 +12,8 @@ from predsync.engine import NonTermination, default_max_rounds, simulate
 from predsync.graphs import (_assign_ids, build_graph, grid, line,
                              random_connected_graph, random_graph, random_tree,
                              validate)
-from predsync.stages import (ConfigError, InterleavedProgram, ParallelProgram,
-                             Stage, StageRun, StagedProgram)
+from predsync.stages import (ConfigError, FixedStage, InterleavedStage,
+                             ParallelStage, Stage, StageRun, StagedProgram)
 from predsync.templates import build_template
 
 
@@ -36,9 +36,8 @@ def test_build_template_errors():
 
 def test_parallel_requires_fault_tolerant_part1():
     with pytest.raises(ConfigError):
-        ParallelProgram(mis.MisInitStage("init"), mis.GreedyStage("max"),
-                        mis.GreedyStage("max"), mis.TreePart2Stage(),
-                        lambda v: 4)
+        ParallelStage(mis.GreedyStage("max"), mis.GreedyStage("max"),
+                      lambda v: 4)
 
 
 def test_simple_template_k6_all_ones():
@@ -139,6 +138,20 @@ def test_checkpoint_lists():
     assert pts[0] == 3 and all(b - a == 2 for a, b in zip(pts, pts[1:]))
 
 
+def test_interleaved_checkpoints_match_block_formula():
+    """An interleaved run is extendable at the end of its initialization
+    and of every block after it, and at its last round."""
+    g = line(3)
+    for init_len in range(1, 6):
+        for phase in (2, 4, 6):
+            program = StagedProgram([FixedStage(init_len), InterleavedStage(
+                mis.GreedyStage("max"), mis.GreedyStage("min"), phase)])
+            for total in range(41):
+                want = sorted(set(range(init_len, total, phase)) | {total})
+                assert program.checkpoints(g, total) == want, (
+                    init_len, phase, total)
+
+
 class _CountedStage(Stage):
     """Idle for delta + 1 rounds (open-ended when open); records the
     (n, d, delta) of every length call."""
@@ -172,8 +185,8 @@ def test_stage_lengths_computed_once_per_graph():
 
 def test_interleaved_init_length_computed_once_per_graph():
     init = _CountedStage()
-    program = InterleavedProgram(init, mis.GreedyStage("max"),
-                                 mis.GreedyStage("min"), 2)
+    program = StagedProgram([init, InterleavedStage(
+        mis.GreedyStage("max"), mis.GreedyStage("min"), 2)])
     path = line(6)
     star = build_graph(range(1, 6), [(1, v) for v in range(2, 6)])
     out = simulate(path, program)

@@ -18,7 +18,8 @@ from predsync import measures as M, mis, problems
 from predsync.engine import NonTermination, ProtocolViolation, Step, simulate
 from predsync.graphs import (build_graph, generate, line,
                              random_connected_graph, random_tree, _rng)
-from predsync.stages import StagedProgram, TruncatedStage
+from predsync.stages import (Stage, StageRun, StageStep, StagedProgram,
+                             TruncatedStage)
 from predsync.templates import build_template
 
 
@@ -238,6 +239,71 @@ def test_sleeper_in_fixed_final_stage_stops_at_its_end():
     out = simulate(g, prog)
     assert [out.term_round[u] for u in g.nodes] == [6] * 5 + [5, 4, 3, 2, 1]
     assert out.undecided(g) == {1, 2, 3, 4}
+
+
+class _AlarmStage(Stage):
+    """Works in stage round `alarm` only, and before it returns
+    StageStep(idle=alarm).  When final, a node outputs the stage round it
+    worked in and terminates; node n is never idle and sends "go" in
+    stage round 2, and a message makes a node work at once."""
+
+    def __init__(self, alarm, rounds=None):
+        self.alarm = alarm
+        self.rounds = rounds  # None: open-ended, so final
+
+    def length(self, view):
+        return self.rounds
+
+    def start(self, ctx):
+        final = self.rounds is None
+        return _AlarmRun(self.alarm, final, final and ctx.view.id == ctx.view.n)
+
+
+class _AlarmRun(StageRun):
+    def __init__(self, alarm, final, sender):
+        self.alarm = alarm
+        self.final = final
+        self.sender = sender
+
+    def compose(self, ctx, t):
+        if self.sender and t == 2:
+            return {v: "go" for v in ctx.view.neighbor_ids}
+        return {}
+
+    def process(self, ctx, t, inbox):
+        if self.sender:
+            return StageStep({"y": t}, terminate=True) if t == 2 else StageStep()
+        if t < self.alarm and not inbox:
+            return StageStep(idle=self.alarm)
+        if self.final:
+            return StageStep({"y": t}, terminate=True)
+        return StageStep(idle=True)  # done: sleep to the next stage
+
+
+@pytest.mark.parametrize("alarm,stepped", [(2, 16), (10, 12)])
+def test_stage_round_idle_in_fixed_stage(alarm, stepped):
+    """Each node of line(4) sleeps to stage round `alarm` of a 3-round
+    first stage, or to the next stage's start when that comes first."""
+    g = line(4)
+    prog = StagedProgram([_AlarmStage(alarm, rounds=3), _AlarmStage(5)])
+    # first stage: 4 process calls in round 1, 4 more in round 2 if the
+    # alarm rings there, and none in round 3 either way
+    assert _same(prog, g) == (stepped, 26)
+    out = simulate(g, prog)
+    assert out.term_round == {1: 8, 2: 8, 3: 5, 4: 5}
+
+
+def test_stage_round_idle_in_open_final_stage():
+    """In an open-ended final stage, nodes 1..3 of line(4) sleep to stage
+    round 5; node 4's "go" in stage round 2 wakes node 3 at once."""
+    g = line(4)
+    prog = StagedProgram([_AlarmStage(5)])
+    # round 1: 4 calls; round 2: node 4, and node 3 for its message;
+    # round 5: nodes 1 and 2
+    assert _same(prog, g) == (8, 4 + 4 + 2 + 2 + 2)
+    out = simulate(g, prog)
+    assert {u: out.value(u) for u in g.nodes} == {1: 5, 2: 5, 3: 2, 4: 2}
+    assert out.term_round == {1: 5, 2: 5, 3: 2, 4: 2}
 
 
 def test_message_to_one_run_wakes_the_other():
