@@ -10,17 +10,19 @@ in sender order too, and each sender's in recipient order.
 
 Waiting nodes cost nothing.  A node's Step may name its next wake round:
 until then, its compose and process would do nothing unless a message
-reaches it.  The engine steps only awake nodes; a sleeping node is woken
-in its wake round, or earlier by a message, in which case only its process
-runs in that round.  Stepped or not, every active node is in the same
-round, so node programs derive their stage time from rnd, never from the
-number of calls they got.
+reaches it.  (A stage run names a stage round, which the stage driver
+shifts to an engine round.)  The engine steps only awake nodes; a
+sleeping node is woken in its wake round, or earlier by a message, in
+which case only its process runs in that round.  Stepped or not, every
+active node is in the same round, so node programs derive their stage
+time from rnd, never from the number of calls they got.
 
 A broadcast may hand one payload object to all its recipients, so a
 receiver must never mutate a message it gets.  A node's NodeView is an
 immutable named tuple.  A traced run records each event as a plain
-TraceEvent, whose detail is the repr of the payload or value when the
-event happens.
+TraceEvent that keeps the payload or output value itself, formatted only
+by line(), so a sender must never mutate a payload or an output value
+after the round it sends or assigns it.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ class Step:
         self.terminate = terminate
         # next round to step this node if no message reaches it first; None
         # is the next round.  compose and process must do nothing before then.
+        # An engine round to the engine, a stage round from a stage run.
         self.wake = wake
 
 
@@ -88,18 +91,26 @@ class NodeProgram(Protocol):
 
 
 class TraceEvent:
-    """One trace record; its detail is formatted when it is recorded."""
+    """One trace record: a SEND keeps its target and payload as key and
+    value, an OUTPUT its slot and value; line() formats them."""
 
-    __slots__ = ("round", "node", "event", "detail")
+    __slots__ = ("round", "node", "event", "key", "value")
 
-    def __init__(self, round: int, node: int, event: str, detail: str):
+    def __init__(self, round: int, node: int, event: str, key: Any = None,
+                 value: Any = None):
         self.round = round
         self.node = node
         self.event = event  # SEND, OUTPUT, TERMINATE
-        self.detail = detail
+        self.key = key
+        self.value = value
 
     def line(self) -> str:
-        return f"{self.round},{self.node},{self.event},{self.detail}"
+        head = f"{self.round},{self.node},{self.event},"
+        if self.event == "SEND":
+            return f"{head}{self.key}:{self.value!r}"
+        if self.event == "OUTPUT":
+            return f"{head}{self.key}={self.value!r}"
+        return head
 
 
 @dataclass
@@ -205,7 +216,7 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
                 raise ProtocolViolation(f"node {u} sent to non-neighbor {v} in round {rnd}")
             if events is not None:
                 for v, payload in sorted(outbox.items()):
-                    events.append(TraceEvent(rnd, u, "SEND", f"{v}:{payload!r}"))
+                    events.append(TraceEvent(rnd, u, "SEND", v, payload))
             for v, payload in outbox.items():
                 if v in active:
                     try:
@@ -233,7 +244,7 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
                     outputs[u][slot] = value
                     output_log.append((rnd, u, slot))
                     if events is not None:
-                        events.append(TraceEvent(rnd, u, "OUTPUT", f"{slot}={value!r}"))
+                        events.append(TraceEvent(rnd, u, "OUTPUT", slot, value))
             if step.terminate:
                 terminated_now.append(u)
                 continue
@@ -255,7 +266,7 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
             asleep.pop(u, None)
             term_round[u] = rnd
             if events is not None:
-                events.append(TraceEvent(rnd, u, "TERMINATE", ""))
+                events.append(TraceEvent(rnd, u, "TERMINATE"))
     total = max(term_round.values(), default=0)
     return Outcome(outputs=outputs, term_round=term_round, total_rounds=total,
                    trace=events, output_log=output_log)

@@ -124,7 +124,8 @@ class RootedTree:
             p = self.parent[u]
             if p != ROOT and not g.has_edge(u, p):
                 raise GraphError("MALFORMED_LINE", f"parent {p} of {u} is not a neighbor")
-        if g.num_edges() != g.n - 1 or (g.n and len(components(g)) != 1):
+        walk = component_walk(g.adjacency, g.adjacency)
+        if g.num_edges() != g.n - 1 or (g.n and len(list(walk)) != 1):
             raise GraphError("MALFORMED_LINE", "rooted tree must be connected and acyclic")
 
     @property
@@ -302,15 +303,6 @@ def component_maps(adj: Mapping[int, Sequence[int]], keep) -> list[dict]:
     inside = keep.__contains__
     return [{u: tuple(filter(inside, adj[u])) for u in sorted(comp)}
             for comp in component_walk(adj, keep)]
-
-
-def components(g: Graph) -> list[Graph]:
-    """Connected components as induced subgraphs, sorted by smallest member;
-    [g] itself when g is connected."""
-    maps = component_maps(g.adjacency, g.adjacency)
-    if len(maps) == 1:
-        return [g]
-    return [Graph(d=g.d, adjacency=m) for m in maps]
 
 
 # ---------------------------------------------------------------------------

@@ -393,19 +393,6 @@ def reference(kind: str, g: Graph, *, pattern: str = None,
 # prediction files
 
 
-def format_predictions(kind: str, p: dict) -> str:
-    lines = []
-    if kind == "EDGE_COLORING":
-        for u in sorted(p):
-            for v in sorted(p[u]):
-                lines.append(f"{u} {v} {p[u][v]}")
-    else:
-        for u in sorted(p):
-            value = "-" if p[u] is None else str(p[u])
-            lines.append(f"{u} {value}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_predictions(kind: str, text: str) -> dict:
     p: dict = {}
     for raw in text.splitlines():

@@ -17,9 +17,9 @@ the tree part 2 starts with the reveal round (_RevealRun).
 
 from __future__ import annotations
 
-from .engine import ProtocolViolation
+from .engine import NEVER, ProtocolViolation, Step
 from .problems import ReductionRun
-from .stages import Ctx, FixedStage, Stage, StageRun, StageStep, StagedProgram
+from .stages import Ctx, FixedStage, Stage, StageRun, StagedProgram
 
 ONE = "ONE"
 ZERO = "ZERO"
@@ -47,9 +47,9 @@ class _LeaveRun(StageRun):
 
     def process(self, ctx, t, inbox):
         if ctx.nbr_one:
-            return StageStep({"y": 0}, terminate=True)
+            return Step({"y": 0}, terminate=True)
         _note(ctx, inbox)
-        return StageStep()
+        return Step()
 
 
 class _JoinRun(_LeaveRun):
@@ -73,13 +73,13 @@ class _JoinRun(_LeaveRun):
         if t % 2 == 0:
             return _LeaveRun.process(self, ctx, t, inbox)
         if self.join:
-            return StageStep({"y": 1}, terminate=True)
+            return Step({"y": 1}, terminate=True)
         if not inbox:
             # a losing candidate keeps losing until a message changes its
             # active neighbors; a node that is no candidate may win later
-            return StageStep(idle=self.join is False)
+            return Step(wake=NEVER if self.join is False else None)
         _note(ctx, inbox)
-        return StageStep()
+        return Step()
 
 
 class _JoinStage(Stage):
@@ -136,7 +136,7 @@ class _MisInitRun(_LeaveRun):
     def process(self, ctx, t, inbox):
         if t == 1:
             preds = {s: m[1] for s, m in inbox.items()}
-            ctx.shared["same_color"] = {
+            ctx.stored["same_color"] = {
                 s for s, x in preds.items() if x == ctx.view.prediction}
             if ctx.view.prediction == 1:
                 ones = [s for s, x in preds.items() if x == 1]
@@ -144,13 +144,13 @@ class _MisInitRun(_LeaveRun):
                     self.join = not ones
                 else:
                     self.join = all(s < ctx.view.id for s in ones)
-            return StageStep(idle=not self.join)
+            return Step(wake=None if self.join else NEVER)
         if self.join:
-            return StageStep({"y": 1}, terminate=True)
+            return Step({"y": 1}, terminate=True)
         step = _LeaveRun.process(self, ctx, t, inbox)
         # a non-joiner with no neighbor in the set has nothing to do until a
         # message arrives
-        step.idle = not (step.terminate or ctx.nbr_one)
+        step.wake = None if step.terminate or ctx.nbr_one else NEVER
         return step
 
 
@@ -221,7 +221,7 @@ class UbwStage(_JoinStage):
         if phase_black != (ctx.view.prediction == 1):
             return None
         # rivals: the active neighbors sharing my prediction
-        rivals = ctx.active & ctx.shared.get("same_color", set())
+        rivals = ctx.active & ctx.stored.get("same_color", set())
         return all(v < ctx.view.id for v in rivals)
 
 
@@ -242,9 +242,9 @@ class _UbwProbeRun(StageRun):
         return dict.fromkeys(ctx.active, ("P", ctx.view.prediction))
 
     def process(self, ctx, t, inbox):
-        ctx.shared["same_color"] = {
+        ctx.stored["same_color"] = {
             s for s, m in inbox.items() if m[1] == ctx.view.prediction}
-        return StageStep()
+        return Step()
 
 
 def u_bw() -> StagedProgram:
@@ -302,12 +302,12 @@ class _TreeInitRun(_LeaveRun):
             preds = {s: m[1] for s, m in inbox.items()}
             self.parent_pred = None if view.is_root else preds.get(view.parent)
             self.join = view.prediction == 1 and self.parent_pred != 1
-            return StageStep()
+            return Step()
         if self.join:  # round 2 for black joiners, round 3 for white ones
-            return StageStep({"y": 1}, terminate=True)
+            return Step({"y": 1}, terminate=True)
         step = _LeaveRun.process(self, ctx, t, inbox)
         if self.eager and ctx.nbr_one:
-            return StageStep({"y": 0}, terminate=True)
+            return Step({"y": 0}, terminate=True)
         if t == 2:
             self.join = (not ctx.nbr_one and view.prediction == 0
                          and self.parent_pred != 0)
@@ -358,16 +358,16 @@ class _TreeUniformRun(_LeaveRun):
         if t % 2 == 0:
             return _LeaveRun.process(self, ctx, t, inbox)
         if self.role == "root":
-            return StageStep({"y": 1}, terminate=True)
+            return Step({"y": 1}, terminate=True)
         if self.role == "leaf":
             bit = 0 if inbox.get(ctx.view.parent) == ROOT_MSG else 1
-            return StageStep({"y": bit}, terminate=True)
+            return Step({"y": bit}, terminate=True)
         # a ROOT sender (my parent) joined the set; a LEAF sender (a child)
         # is about to output 1
         for s in inbox:
             ctx.nbr_one.add(s)
             ctx.gone(s)
-        return StageStep()
+        return Step()
 
 
 def tree_uniform() -> StagedProgram:
@@ -489,8 +489,8 @@ class _RevealRun(StageRun):
             if c == mine:
                 raise ProtocolViolation(
                     f"stored coloring not proper: nodes {ctx.view.id} and {s}")
-        ctx.shared["nbr_colors"] = nbr_colors
-        return StageStep()
+        ctx.stored["nbr_colors"] = nbr_colors
+        return Step()
 
 
 class ColorPart2Stage(Stage):
@@ -528,7 +528,7 @@ class _ColorPart2Run(_LeaveRun):
             return _LeaveRun.compose(self, ctx, t) if t < delta else {}
         self.join = self.color == t
         if self.combined and t < delta and self.color > t:
-            nbr_colors = ctx.shared.get("nbr_colors", {})
+            nbr_colors = ctx.stored.get("nbr_colors", {})
             self.join = (all(nbr_colors.get(v) != t for v in ctx.active)
                          and all(v < ctx.view.id for v in ctx.active))
         if self.join:
@@ -537,11 +537,11 @@ class _ColorPart2Run(_LeaveRun):
 
     def process(self, ctx, t, inbox):
         if self.join:
-            return StageStep({"y": 1}, terminate=True)
+            return Step({"y": 1}, terminate=True)
         if t < ctx.view.delta:
             return _LeaveRun.process(self, ctx, t, inbox)
         _note(ctx, inbox)
-        return StageStep({"y": 0 if ctx.nbr_one else 1}, terminate=True)
+        return Step({"y": 0 if ctx.nbr_one else 1}, terminate=True)
 
 
 def coloring_to_mis_part2(combined: bool = False) -> StagedProgram:
@@ -573,7 +573,7 @@ class _TreePart2Run(_RevealRun):
                 raise ProtocolViolation(f"stored color {self.color} outside 1..3")
             return _RevealRun.compose(self, ctx, t)
         if self.color == 2:
-            nbr_colors = ctx.shared["nbr_colors"]
+            nbr_colors = ctx.stored["nbr_colors"]
             return {v: ONE for v in ctx.active if nbr_colors.get(v) == 3}
         return {}
 
@@ -581,18 +581,18 @@ class _TreePart2Run(_RevealRun):
         if t == 1:
             _RevealRun.process(self, ctx, t, inbox)
             if self.color == 1:
-                return StageStep({"y": 1}, terminate=True)
-            for s, c in ctx.shared["nbr_colors"].items():
+                return Step({"y": 1}, terminate=True)
+            for s, c in ctx.stored["nbr_colors"].items():
                 if c == 1:
                     ctx.nbr_one.add(s)
                     ctx.gone(s)
             if ctx.nbr_one:
-                return StageStep({"y": 0}, terminate=True)
-            return StageStep()
+                return Step({"y": 0}, terminate=True)
+            return Step()
         if self.color == 2:
-            return StageStep({"y": 1}, terminate=True)
+            return Step({"y": 1}, terminate=True)
         bit = 0 if any(m == ONE for m in inbox.values()) else 1
-        return StageStep({"y": bit}, terminate=True)
+        return Step({"y": bit}, terminate=True)
 
 
 def tree_ref_part2() -> StagedProgram:

@@ -29,8 +29,8 @@ from __future__ import annotations
 from functools import cache
 from typing import Mapping
 
-from .engine import NO_OUTPUTS
-from .stages import Ctx, FixedStage, Stage, StageRun, StageStep, StagedProgram
+from .engine import NO_OUTPUTS, Step
+from .stages import Ctx, FixedStage, Stage, StageRun, StagedProgram
 
 MATCHED = "MATCHED"
 
@@ -81,11 +81,11 @@ class _AnnounceRun(StageRun):
     def process(self, ctx, t, inbox):
         partner = ctx.stored.pop("match", None)
         if partner is not None:
-            return StageStep({"y": partner}, terminate=True)
+            return Step({"y": partner}, terminate=True)
         for s, m in inbox.items():
             if m[0] == MATCHED:
                 ctx.gone(s)
-        return StageStep()
+        return Step()
 
 
 class _MmInitRun(_AnnounceRun):
@@ -103,12 +103,12 @@ class _MmInitRun(_AnnounceRun):
             preds = {s: m[1] for s, m in inbox.items()}
             if pred is not None and preds.get(pred) == ctx.view.id:
                 ctx.stored["match"] = pred
-            return StageStep()
+            return Step()
         announced = _AnnounceRun.process(self, ctx, t, inbox)
         # every neighbor got matched: ctx.active held all of them until now
         if not (announced.terminate or ctx.active) and (
                 self.rule == "init" or pred is None):
-            return StageStep({"y": None}, terminate=True)
+            return Step({"y": None}, terminate=True)
         return announced
 
 
@@ -170,7 +170,7 @@ class _MmUniformRun(_AnnounceRun):
         step = (t - 1) % 3
         if step == 0:
             if self.lonely:
-                return StageStep({"y": None}, terminate=True)
+                return Step({"y": None}, terminate=True)
             proposals = [s for s, m in inbox.items() if m == ("PROP",)]
             if proposals:
                 self.chosen = max(proposals)
@@ -182,9 +182,9 @@ class _MmUniformRun(_AnnounceRun):
         else:
             announced = _AnnounceRun.process(self, ctx, t, inbox)
             if not (announced.terminate or ctx.active):
-                return StageStep({"y": None}, terminate=True)
+                return Step({"y": None}, terminate=True)
             return announced
-        return StageStep()
+        return Step()
 
 
 def mm_uniform() -> StagedProgram:
@@ -216,12 +216,12 @@ class _ColorRun(StageRun):
 
     def process(self, ctx, t, inbox):
         if self.pick is not None:
-            return StageStep({"y": self.pick}, terminate=True)
+            return Step({"y": self.pick}, terminate=True)
         palette = _vertex_palette(ctx)
         for s, m in inbox.items():
             palette.discard(m[1])
             ctx.gone(s)
-        return StageStep()
+        return Step()
 
 
 class VcInitStage(Stage):
@@ -263,7 +263,7 @@ class _VcInitRun(_ColorRun):
             else:
                 commit = all(s < ctx.view.id for s in clashes)
             self.pick = pred if commit else None
-            return StageStep()
+            return Step()
         return _ColorRun.process(self, ctx, t, inbox)
 
 
@@ -372,13 +372,13 @@ class ReductionRun(StageRun):
 
     def process(self, ctx, t, inbox):
         if t > self.length:
-            return StageStep()
+            return Step()
         self.recolor(ctx, t, {s: m[1] for s, m in inbox.items()})
         if t == self.length:
             ctx.stored["color"] = self.color + 1
             if not self.store_only:
-                return StageStep({"y": self.color + 1}, terminate=True)
-        return StageStep()
+                return Step({"y": self.color + 1}, terminate=True)
+        return Step()
 
 
 def _poly_eval(color: int, q: int, t: int, x: int) -> int:
@@ -475,7 +475,7 @@ class _ExchangeRun(StageRun):
         for s, (_, cols, unc) in inbox.items():
             st["palette"][s] -= set(cols)
             st["two_hop"][s] = set(unc) - {ctx.view.id}
-        return StageStep()
+        return Step()
 
 
 def _unique_predictions(pred: dict) -> dict:
@@ -525,10 +525,10 @@ class _EcBaseRun(_ExchangeRun):
         outputs = {s: m[1] for s, m in inbox.items()
                    if self.unique.get(s) == m[1]}
         if len(outputs) == len(ctx.view.neighbor_ids):
-            return StageStep(outputs, terminate=True)
+            return Step(outputs, terminate=True)
         # only a node with an uncolored edge left needs the edge state
         _edge_state(ctx, outputs)
-        return StageStep(outputs)
+        return Step(outputs)
 
 
 def ec_base() -> StagedProgram:
@@ -570,7 +570,7 @@ class _EcProbeRun(StageRun):
         st = _edge_state(ctx)
         for s, m in inbox.items():
             st["two_hop"][s] = set(m[1]) - {ctx.view.id}
-        return StageStep()
+        return Step()
 
 
 class EcUniformStage(Stage):
@@ -621,9 +621,9 @@ class _EcUniformRun(StageRun):
         st = _edge_state(ctx)
         if t % 2 == 1:
             if self.assign is not None:
-                return StageStep(dict(self.assign), terminate=True)
+                return Step(dict(self.assign), terminate=True)
             if not st["uncolored"]:
-                return StageStep(terminate=True)
+                return Step(terminate=True)
             outputs = {}
             got = set()
             for s, m in inbox.items():
@@ -633,12 +633,12 @@ class _EcUniformRun(StageRun):
                     st["uncolored"].discard(s)
                     st["mine"].add(m[1])
             if outputs and not st["uncolored"]:
-                return StageStep(outputs, terminate=True)
+                return Step(outputs, terminate=True)
             if outputs:
                 for v in st["uncolored"]:
                     st["palette"][v] -= got
                 self.pending = (got, set(outputs))
-            return StageStep(outputs)
+            return Step(outputs)
         if self.pending:
             self.pending = None
         for s, m in inbox.items():
@@ -646,7 +646,7 @@ class _EcUniformRun(StageRun):
                 _, cols, filled = m
                 st["palette"][s] -= set(cols)
                 st["two_hop"][s] -= set(filled)
-        return StageStep()
+        return Step()
 
 
 def ec_uniform() -> StagedProgram:

@@ -8,18 +8,18 @@ which neighbors already terminated, which ones joined an independent set,
 locally stored colors, and so on).  The templates' compositions are
 stages too: TruncatedStage, InterleavedStage and ParallelStage.
 
-The driver computes each run's stage time t from the round number, so a
-run that returns StageStep(idle=...) may skip rounds.  The driver wakes it
-at the next stage start (the last round of a fixed final stage) for
-idle=True, at the stage round given as idle if that comes first, or
-earlier when a message arrives.
+A run returns the engine's Step, and its wake is a stage round: NEVER for
+no work until a message arrives, a finite wake for none before that
+round.  The driver derives stage time from the round number, so it shifts
+the wake in place, capped at the next stage start (the last round of a
+fixed final stage); a message still wakes the node earlier.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Mapping, Optional
 
-from .engine import NEVER, NO_OUTPUTS, NodeView, ProtocolViolation, Step
+from .engine import NEVER, NodeView, ProtocolViolation, Step
 
 
 class ConfigError(ValueError):
@@ -29,38 +29,27 @@ class ConfigError(ValueError):
 class Ctx:
     """Cross-stage per-node knowledge."""
 
-    __slots__ = ("view", "active", "nbr_one", "stored", "shared")
+    __slots__ = ("view", "active", "nbr_one", "stored")
 
     def __init__(self, view: NodeView):
         self.view = view
         self.active = set(view.neighbor_ids)  # neighbors believed still active
         self.nbr_one = set()  # neighbors that output 1 (MIS)
-        self.stored = {}  # locally stored (unrevealed) values
-        self.shared = {}  # scratch shared between stages
+        self.stored = {}  # unrevealed values and what later stages read
 
     def gone(self, nbr: int):
         self.active.discard(nbr)
 
 
-class StageStep:
-    __slots__ = ("outputs", "terminate", "idle")
-
-    def __init__(self, outputs: Mapping = NO_OUTPUTS, terminate: bool = False,
-                 idle: bool | int = False):
-        self.outputs = outputs
-        self.terminate = terminate  # the node is completely finished
-        # no work in this run until a message arrives: until then its compose
-        # returns nothing and its process with an empty inbox changes
-        # nothing.  A stage round instead of True: the same before that round
-        self.idle = idle
-
-
 class StageRun:
+    """One node's run of a stage.  process returns a new Step on every call,
+    as the driver edits it; its outputs may be the shared NO_OUTPUTS."""
+
     def compose(self, ctx: Ctx, t: int) -> dict:
         return {}
 
-    def process(self, ctx: Ctx, t: int, inbox: Mapping[int, Any]) -> StageStep:
-        return StageStep()
+    def process(self, ctx: Ctx, t: int, inbox: Mapping[int, Any]) -> Step:
+        return Step()
 
 
 class Stage:
@@ -122,17 +111,15 @@ class StagedBehavior:
             # past the final fixed stage: terminate undecided
             return Step(terminate=True)
         step = self.run.process(self.ctx, rnd - self.before, inbox)
-        # end of a fixed final stage: undecided node stops here
-        terminate = step.terminate or (rnd == self.end and self.idx == self.final)
-        wake = None
-        if step.idle and not terminate:
-            # sleep to the next stage, or to the last round of the final one
-            wake = NEVER if self.end is None else (
+        if rnd == self.end and self.idx == self.final:
+            step.terminate = True  # end of a fixed final stage: stop undecided
+        elif step.wake is not None:
+            # a stage round to an engine round: no later than the next stage
+            # start, or the last round of the final stage
+            cap = NEVER if self.end is None else (
                 self.end if self.idx == self.final else self.end + 1)
-            if step.idle is not True:  # a stage round: sleep no further
-                wake = min(wake, self.before + step.idle)
-        # positional: keyword arguments double the cost of this hot call
-        return Step(step.outputs, terminate, wake)
+            step.wake = min(self.before + step.wake, cap)
+        return step
 
 
 class StagedProgram:
@@ -245,14 +232,14 @@ class _InterleavedRun(StageRun):
         if step.terminate:
             return step
         # the runs share ctx, so what one learns may give the other work
-        if inbox or not step.idle:
+        if inbox or step.wake is None:
             self.idle.clear()
-        if not step.idle:
+        if step.wake is None:
             return step
         self.idle.add(self.which)
         # both idle: only a message brings work; else the other run may
         # have some when its block starts
-        step.idle = True if len(self.idle) == 2 else self.next_block
+        step.wake = NEVER if len(self.idle) == 2 else self.next_block
         return step
 
 
@@ -281,7 +268,8 @@ class FusedRun(StageRun):
             if rstep.outputs or rstep.terminate:
                 raise ProtocolViolation("part 1 must store outputs locally")
         # part 1 works every round, so the fused run is never idle
-        return StageStep(step.outputs, step.terminate)
+        step.wake = None
+        return step
 
 
 class ParallelStage(Stage):

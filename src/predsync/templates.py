@@ -50,7 +50,6 @@ def _f_ec(report: dict) -> int:
 
 @dataclass
 class TemplateInstance:
-    problem: str
     template: str
     program: object
     c: int  # rounds used when predictions are correct
@@ -157,4 +156,4 @@ def build_template(problem: str, template: str, *, tree: bool = False,
     else:
         program = _program(problem, template, r, phase)
     c, f = _PARTS[problem][:2]
-    return TemplateInstance(problem, template, program, c, f)
+    return TemplateInstance(template, program, c, f)

@@ -7,7 +7,7 @@ from collections.abc import Sequence
 
 from predsync.graphs import (DEFAULT_ALPHA_CAP, CapExceeded, Graph,
                              GraphError, _alpha_component, build_graph,
-                             components, node_rule)
+                             component_maps, node_rule)
 from predsync.measures import _mu2
 
 
@@ -59,6 +59,15 @@ def edge_induced_subgraph(g: Graph, edges: Sequence[tuple[int, int]]) -> Graph:
     return build_graph(nodes, list(edges), g.d)
 
 
+def components(g: Graph) -> list[Graph]:
+    """Connected components as induced subgraphs, sorted by smallest member;
+    [g] itself when g is connected."""
+    maps = component_maps(g.adjacency, g.adjacency)
+    if len(maps) == 1:
+        return [g]
+    return [Graph(d=g.d, adjacency=m) for m in maps]
+
+
 def alpha_oracle(g: Graph, cap: int = DEFAULT_ALPHA_CAP) -> int:
     """Exact maximum independent set size via branch and bound."""
     if g.n > cap:
@@ -75,3 +84,17 @@ def mu1(s: Graph) -> int:
 
 def mu2(s: Graph) -> int:
     return _mu2(s.n, alpha_oracle(s))
+
+
+def format_predictions(kind: str, p: dict) -> str:
+    """The inverse of measures.parse_predictions."""
+    lines = []
+    if kind == "EDGE_COLORING":
+        for u in sorted(p):
+            for v in sorted(p[u]):
+                lines.append(f"{u} {v} {p[u][v]}")
+    else:
+        for u in sorted(p):
+            value = "-" if p[u] is None else str(p[u])
+            lines.append(f"{u} {value}")
+    return "\n".join(lines) + "\n"

@@ -204,15 +204,12 @@ def test_criterion_10_extendability_audit():
 
 
 def test_criterion_11_fault_tolerance():
-    import ast
-
     def per_round_colors(trace):
         by_round = {}
         for ev in trace:
             if ev.event != "SEND":
                 continue
-            _, payload = ev.detail.split(":", 1)
-            msg = ast.literal_eval(payload)
+            msg = ev.value
             if isinstance(msg, tuple) and msg and msg[0] == "C":
                 by_round.setdefault(ev.round, {})[ev.node] = msg[1]
         return by_round

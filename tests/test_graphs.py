@@ -5,13 +5,14 @@ import gc
 import pytest
 
 from predsync.graphs import (CapExceeded, GraphError, build_graph,
-                             components, enumerate_mis, generate, grid, line,
+                             enumerate_mis, generate, grid, line,
                              line_tree, random_connected_graph, random_graph,
                              random_tree, read_graph, RootedTree, validate,
                              wheel_fk)
 
 from helpers import diameter, wheel_rim_nodes, write_graph
-from reference import alpha_oracle, edge_induced_subgraph, induced_subgraph
+from reference import (alpha_oracle, components, edge_induced_subgraph,
+                       induced_subgraph)
 
 
 def test_line_structure():

@@ -10,13 +10,13 @@ from predsync import measures as M
 from predsync import mis
 from predsync.engine import simulate
 from predsync.graphs import (CapExceeded, Graph, _assign_ids, build_graph,
-                             components, enumerate_mis, grid, line, line_tree,
+                             enumerate_mis, grid, line, line_tree,
                              random_connected_graph, random_graph,
                              random_tree, validate)
 from predsync.registry import get_program
 
-from reference import (alpha_oracle, edge_induced_subgraph, induced_subgraph,
-                       mu1, mu2)
+from reference import (alpha_oracle, components, edge_induced_subgraph,
+                       format_predictions, induced_subgraph, mu1, mu2)
 
 
 def _k(n):
@@ -470,10 +470,10 @@ def test_invalid_predictions_raise_the_base_program_message(kind, p, message):
 def test_prediction_file_roundtrip():
     g = line(3)
     p = {1: 2, 2: None, 3: 2}
-    text = M.format_predictions("MAXIMAL_MATCHING", p)
+    text = format_predictions("MAXIMAL_MATCHING", p)
     assert M.parse_predictions("MAXIMAL_MATCHING", text) == p
     ec = {1: {2: 1}, 2: {1: 1, 3: 2}, 3: {2: 2}}
-    text = M.format_predictions("EDGE_COLORING", ec)
+    text = format_predictions("EDGE_COLORING", ec)
     assert M.parse_predictions("EDGE_COLORING", text) == ec
     with pytest.raises(ValueError):
         M.parse_predictions("MIS", "1 2 3\n")

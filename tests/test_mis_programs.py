@@ -6,13 +6,13 @@ import pytest
 from predsync import measures as M, mis
 from predsync.audit import audit_run
 from predsync.engine import ProtocolViolation, simulate
-from predsync.graphs import (build_graph, components, grid, line, line_tree,
+from predsync.graphs import (build_graph, grid, line, line_tree,
                              random_connected_graph, random_tree, validate,
                              _rng)
 
 from helpers import even_rounds
-from reference import (induced_subgraph, mu1, mu2, partial_outputs,
-                       snapshot_active)
+from reference import (components, induced_subgraph, mu1, mu2,
+                       partial_outputs, snapshot_active)
 
 
 def _k(ids):

@@ -9,10 +9,10 @@ import pytest
 from predsync import measures, mis
 from predsync.engine import simulate
 from predsync.graphs import (DEFAULT_ALPHA_CAP, DEFAULT_ENUM_CAP, build_graph,
-                             components, enumerate_mis, grid, line,
+                             enumerate_mis, grid, line,
                              random_graph, random_connected_graph, validate)
 
-from reference import alpha_oracle
+from reference import alpha_oracle, components
 
 nx = pytest.importorskip("networkx")
 

@@ -1,7 +1,6 @@
 """Template combinators: assembly checks, round bounds, checkpoints and the
 parallel part-1 isolation property."""
 
-import ast
 import math
 
 import pytest
@@ -215,10 +214,9 @@ def _r_subchannel_sends(trace, lo, hi):
     for ev in trace:
         if ev.event != "SEND" or not lo <= ev.round <= hi:
             continue
-        target, payload = ev.detail.split(":", 1)
-        msg = ast.literal_eval(payload)
+        msg = ev.value
         if isinstance(msg, dict) and msg.get("R") is not None:
-            sends[(ev.round - lo + 1, ev.node, int(target))] = msg["R"]
+            sends[(ev.round - lo + 1, ev.node, ev.key)] = msg["R"]
     return sends
 
 
@@ -245,8 +243,7 @@ def test_parallel_part1_isolation():
         for ev in ref.trace:
             if ev.event != "SEND":
                 continue
-            target, payload = ev.detail.split(":", 1)
-            lone[(ev.round, ev.node, int(target))] = ast.literal_eval(payload)
+            lone[(ev.round, ev.node, ev.key)] = ev.value
         shared = set(fused) & set(lone)
         assert shared, "no overlapping part-1 traffic to compare"
         for key in shared:

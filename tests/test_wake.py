@@ -7,19 +7,23 @@ must agree on outputs, termination rounds, trace and output record.
 
 The same runs also pin that broadcasts may share one payload object among
 their recipients: a proxy that hands every recipient its own deep copy
-must not change what a run does.
+must not change what a run does.  Over every template and registry
+program, they pin two sender-side rules: a trace event's payload or value
+does not change after its round, and every process call returns a new
+Step.
 """
 
 import copy
 
 import pytest
 
-from predsync import measures as M, mis, problems
-from predsync.engine import NonTermination, ProtocolViolation, Step, simulate
+from predsync import engine, measures as M, mis, problems
+from predsync.cli import RUN_ERRORS
+from predsync.engine import NEVER, NonTermination, ProtocolViolation, Step, simulate
 from predsync.graphs import (build_graph, generate, line,
                              random_connected_graph, random_tree, _rng)
-from predsync.stages import (Stage, StageRun, StageStep, StagedProgram,
-                             TruncatedStage)
+from predsync.registry import PROGRAMS as REGISTRY
+from predsync.stages import Stage, StageRun, StagedProgram, TruncatedStage
 from predsync.templates import build_template
 
 
@@ -156,6 +160,100 @@ def test_shared_payloads_match_copies(problem, template, tree):
                 == _outcome(inst.program, g, p, **kwargs))
 
 
+def _matrix(name):
+    """(program, its cases, max_rounds(g)) of a template, over
+    _template_cases, or of a registry program, over FAMILIES at seed 0
+    (only TREE for tree programs) and k 0, 2, 5.  The part-2 programs read
+    a stored coloring from their predictions."""
+    if name in REGISTRY:
+        factory, kind = REGISTRY[name]
+        source = "VERTEX_COLORING" if "part2" in name else kind
+        graphs = []
+        for family, params in FAMILIES.items():
+            made = generate(family, params, "INCREASING", 0)
+            if family == "TREE":
+                graphs.append((made.graph, made))
+            elif "tree" not in name:
+                graphs.append((made, None))
+        cases = [(g, rooted, M.corrupt(source, g, M.solve(source, g), k, seed))
+                 for g, rooted in graphs for k, seed in ((0, 0), (2, 1), (5, 2))]
+        return factory(), cases, lambda g: None
+    problem, template, tree = PROGRAMS[PROGRAM_IDS.index(name)]
+    inst = build_template(problem, template, tree=tree)
+    return inst.program, _template_cases(problem, tree), inst.max_rounds
+
+
+MATRIX = PROGRAM_IDS + sorted(REGISTRY)
+
+
+class _EagerEvent(engine.TraceEvent):
+    """A trace event that also formats its line when it happens."""
+
+    __slots__ = ("early",)
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.early = self.line()
+
+
+@pytest.mark.parametrize("name", MATRIX)
+def test_trace_formatted_late_matches_formatted_early(name, monkeypatch):
+    """Events keep their payloads and values and line() formats them late,
+    so no sender may change one after its round."""
+    monkeypatch.setattr(engine, "TraceEvent", _EagerEvent)
+    program, cases, max_rounds = _matrix(name)
+    traced = 0
+    for g, rooted, p in cases:
+        try:
+            out = simulate(g, program, p, max_rounds(g), tree=rooted, trace=True)
+        except tuple(RUN_ERRORS):
+            continue
+        assert [ev.early for ev in out.trace] == out.trace_lines()
+        traced += 1
+    assert traced
+
+
+class _Keeping:
+    def __init__(self, inner, steps):
+        self.inner = inner
+        self.steps = steps
+
+    def compose(self, rnd):
+        return self.inner.compose(rnd)
+
+    def process(self, rnd, inbox):
+        step = self.inner.process(rnd, inbox)
+        self.steps.append(step)
+        return step
+
+
+class KeepingProxy:
+    """Keeps every Step that process returns.  Kept alive, no two distinct
+    steps can share an id."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.steps = []
+
+    def start(self, view):
+        return _Keeping(self.inner.start(view), self.steps)
+
+
+@pytest.mark.parametrize("name", MATRIX)
+def test_every_process_call_returns_a_new_step(name):
+    """The stage driver edits a run's Step in place, so a run that returned
+    one object twice would see the driver's edits to it."""
+    program, cases, max_rounds = _matrix(name)
+    prog = KeepingProxy(program)
+    for g, rooted, p in cases:
+        try:
+            simulate(g, prog, p, max_rounds(g), tree=rooted)
+        except tuple(RUN_ERRORS):
+            pass
+    assert prog.steps
+    assert len(set(map(id, prog.steps))) == len(prog.steps)
+
+
 @pytest.mark.parametrize("pattern", ["ALL_ZEROS", "ALL_ONES"])
 @pytest.mark.parametrize("template",
                          ["simple", "consecutive", "interleaved", "parallel"])
@@ -243,7 +341,7 @@ def test_sleeper_in_fixed_final_stage_stops_at_its_end():
 
 class _AlarmStage(Stage):
     """Works in stage round `alarm` only, and before it returns
-    StageStep(idle=alarm).  When final, a node outputs the stage round it
+    Step(wake=alarm).  When final, a node outputs the stage round it
     worked in and terminates; node n is never idle and sends "go" in
     stage round 2, and a message makes a node work at once."""
 
@@ -272,12 +370,12 @@ class _AlarmRun(StageRun):
 
     def process(self, ctx, t, inbox):
         if self.sender:
-            return StageStep({"y": t}, terminate=True) if t == 2 else StageStep()
+            return Step({"y": t}, terminate=True) if t == 2 else Step()
         if t < self.alarm and not inbox:
-            return StageStep(idle=self.alarm)
+            return Step(wake=self.alarm)
         if self.final:
-            return StageStep({"y": t}, terminate=True)
-        return StageStep(idle=True)  # done: sleep to the next stage
+            return Step({"y": t}, terminate=True)
+        return Step(wake=NEVER)  # done: sleep to the next stage
 
 
 @pytest.mark.parametrize("alarm,stepped", [(2, 16), (10, 12)])
