@@ -8,8 +8,9 @@ Commands (all driven by a flat key=value config file):
     predsync sanity --config cfg                         lower-bound sanity report
 
 Exit codes: 0 ok, 1 assertion (bound or validity) failure, 2 config error.
-A run that raises one of the errors in RUN_ERRORS is a failure too: its row
-says which in `valid`, and it has no rounds and no bound verdicts.
+A run whose simulation raises is a failure too, unless the error is a
+ConfigError: its row says which in `valid` (the code of RUN_ERRORS that
+matches, else PROGRAM_ERROR), and it has no rounds and no bound verdicts.
 
 A config key that no command reads is a config error naming the key.
 
@@ -60,7 +61,8 @@ CONFIG_KEYS = frozenset((
     "family"))
 
 
-# errors a run may raise from inside simulate, and the code its row gets
+# errors a run may raise from inside simulate, and the code its row gets;
+# any other error but a ConfigError gets PROGRAM_ERROR
 RUN_ERRORS = {ProtocolViolation: "PROTOCOL_VIOLATION",
               NonTermination: "NON_TERMINATION",
               EmptyPalette: "EMPTY_PALETTE",
@@ -187,14 +189,33 @@ def _inputs(plan: Plan, k: int, seed: int) -> tuple:
     p = reference if plan.pattern is not None else measures.corrupt(
         plan.kind, g, reference, k, seed)
     program, inst, _ = plan.runner(tree)
-    max_rounds = int(plan.cfg["max_rounds"]) if "max_rounds" in plan.cfg else (
-        inst.max_rounds(g) if inst else None)
+    if "max_rounds" in plan.cfg:
+        max_rounds = int(plan.cfg["max_rounds"])
+        if max_rounds < 1:
+            raise ConfigError("max_rounds must be >= 1")
+    else:
+        max_rounds = inst.max_rounds(g) if inst else None
     return g, tree, p, program, max_rounds
+
+
+def _run_error(exc: Exception) -> tuple[str, str]:
+    """(valid code, failure message) of an error raised inside simulate.  A
+    PROGRAM_ERROR's message names the error's type and the line that
+    raised it."""
+    for cls, code in RUN_ERRORS.items():
+        if isinstance(exc, cls):
+            return code, f"{code}: {exc}"
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    where = f"{Path(tb.tb_frame.f_code.co_filename).name}:{tb.tb_lineno}"
+    return "PROGRAM_ERROR", (f"PROGRAM_ERROR: {type(exc).__name__}: {exc} "
+                             f"(at {where})")
 
 
 def run_one(plan: Plan, k: int, seed: int):
     """Execute one instance, untraced; returns (row dict, failure messages,
-    outcome).  A run that raised one of RUN_ERRORS has outcome None."""
+    outcome).  A run whose simulation raised has outcome None."""
     g, tree, p, program, max_rounds = _inputs(plan, k, seed)
     _, _, family, _, masks = plan.instance(seed)
     _, inst, label = plan.runner(tree)
@@ -204,11 +225,12 @@ def run_one(plan: Plan, k: int, seed: int):
     unextendable = ()
     try:
         outcome = simulate(g, program, p, max_rounds, tree=tree)
-    except tuple(RUN_ERRORS) as exc:
+    except ConfigError:
+        raise
+    except Exception as exc:  # the run fails; the sweep goes on
         outcome = None
-        valid = next(code for cls, code in RUN_ERRORS.items()
-                     if isinstance(exc, cls))
-        failures.append(f"{valid}: {exc}")
+        valid, message = _run_error(exc)
+        failures.append(message)
     else:
         violation, unextendable = audit_run(
             plan.kind, g, outcome,

@@ -28,7 +28,6 @@ after the round it sends or assigns it.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple, Optional, Protocol
 
@@ -113,14 +112,16 @@ class TraceEvent:
         return head
 
 
-@dataclass
 class Outcome:
-    outputs: dict  # node -> {slot: value}; empty dict = no output
-    term_round: dict  # node -> round it terminated
-    total_rounds: int
-    trace: Optional[list[TraceEvent]] = None
-    # (round, node, slot) per output assignment, in trace order; traced or not
-    output_log: list[tuple[int, int, Any]] = field(default_factory=list)
+    def __init__(self, outputs: dict, term_round: dict, total_rounds: int,
+                 trace: Optional[list[TraceEvent]] = None,
+                 output_log: Optional[list[tuple[int, int, Any]]] = None):
+        self.outputs = outputs  # node -> {slot: value}; empty dict = no output
+        self.term_round = term_round  # node -> round it terminated
+        self.total_rounds = total_rounds
+        self.trace = trace
+        # (round, node, slot) per output assignment, in trace order; traced or not
+        self.output_log = [] if output_log is None else output_log
 
     def value(self, node: int):
         """Single-slot output value, or None when the node never output."""

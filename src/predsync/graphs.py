@@ -3,7 +3,9 @@ rule per problem (node_rule), which both validate() and the extendability
 auditor apply.
 
 Graphs are undirected, simple, with distinct integer identifiers drawn from
-{1..d}.  All structures are immutable after construction; the oracles are
+{1..d}.  All structures are immutable after construction: Graph and
+RootedTree are slotted classes whose attributes cannot be assigned once
+__init__ has set them, and Violation is a named tuple.  The oracles are
 pure functions, so everything here is safe to share between threads.
 """
 
@@ -11,9 +13,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 ROOT = 0  # parent marker for the root of a rooted tree
 
@@ -35,52 +35,60 @@ class CapExceeded(RuntimeError):
     """An exact oracle was asked for a graph above its configured cap."""
 
 
-@dataclass(frozen=True)
-class Graph:
-    d: int
-    adjacency: Mapping[int, tuple[int, ...]]
-    _nodes: tuple[int, ...] = field(init=False, repr=False)
-    delta: int = field(init=False, repr=False)  # maximum degree
+class _Frozen:
+    """Attributes are set once, by __init__ through object.__setattr__;
+    assigning or deleting one afterwards raises AttributeError."""
 
-    def __post_init__(self):
-        nodes = tuple(sorted(self.adjacency))
-        object.__setattr__(self, "_nodes", nodes)
-        object.__setattr__(self, "delta", max(
-            (len(self.adjacency[u]) for u in nodes), default=0))
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(_Frozen):
+    """d, the adjacency map node -> sorted tuple of neighbours, and what
+    follows from it: nodes (sorted), n, delta (the maximum degree) and
+    neighbor_sets (each node's neighbours as a frozenset)."""
+
+    __slots__ = ("d", "adjacency", "nodes", "n", "delta", "neighbor_sets")
+
+    def __init__(self, d: int, adjacency: Mapping[int, tuple[int, ...]]):
+        nodes = tuple(sorted(adjacency))
+        sets = {u: frozenset(vs) for u, vs in adjacency.items()}
         seen = set()
         for u in nodes:
-            if not (1 <= u <= self.d):
-                raise GraphError("ID_OUT_OF_RANGE", f"node {u} outside 1..{self.d}")
+            if not (1 <= u <= d):
+                raise GraphError("ID_OUT_OF_RANGE", f"node {u} outside 1..{d}")
             if u in seen:
                 raise GraphError("DUPLICATE_ID", f"node {u} repeated")
             seen.add(u)
-            nbrs = self.adjacency[u]
-            if list(nbrs) != sorted(set(nbrs)):
+            nbrs = adjacency[u]
+            if list(nbrs) != sorted(sets[u]):
                 raise GraphError("MALFORMED_LINE", f"neighbors of {u} not sorted/unique")
             for v in nbrs:
                 if v == u:
                     raise GraphError("SELF_LOOP", f"self loop at {u}")
-                if v not in self.adjacency or u not in self.adjacency[v]:
+                if u not in sets.get(v, ()):
                     raise GraphError("MALFORMED_LINE", f"edge {u}-{v} not symmetric")
+        init = object.__setattr__
+        init(self, "d", d)
+        init(self, "adjacency", adjacency)
+        init(self, "nodes", nodes)
+        init(self, "n", len(nodes))
+        init(self, "delta", max(map(len, adjacency.values()), default=0))
+        init(self, "neighbor_sets", sets)
 
-    @property
-    def n(self) -> int:
-        return len(self._nodes)
-
-    @property
-    def nodes(self) -> tuple[int, ...]:
-        return self._nodes
-
-    @cached_property
-    def neighbor_sets(self) -> dict[int, frozenset[int]]:
-        """Each node's neighbors as a frozenset, built on first use."""
-        return {u: frozenset(vs) for u, vs in self.adjacency.items()}
+    def __reduce__(self):  # copy and pickle through __init__
+        return Graph, (self.d, self.adjacency)
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         return self.adjacency[u]
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in self._nodes:
+        for u in self.nodes:
             for v in self.adjacency[u]:
                 if u < v:
                     yield (u, v)
@@ -110,23 +118,28 @@ def build_graph(nodes: Sequence[int], edges: Sequence[tuple[int, int]], d: Optio
     return Graph(d=d, adjacency={u: tuple(sorted(vs)) for u, vs in adj.items()})
 
 
-@dataclass(frozen=True)
-class RootedTree:
-    graph: Graph
-    parent: Mapping[int, int]  # node -> parent id, ROOT for the root
+class RootedTree(_Frozen):
+    """A tree graph and parent, a map node -> parent id, ROOT for the root."""
 
-    def __post_init__(self):
-        g = self.graph
-        roots = [u for u in g.nodes if self.parent[u] == ROOT]
+    __slots__ = ("graph", "parent")
+
+    def __init__(self, graph: Graph, parent: Mapping[int, int]):
+        g = graph
+        roots = [u for u in g.nodes if parent[u] == ROOT]
         if len(roots) != 1:
             raise GraphError("MALFORMED_LINE", f"expected exactly one root, got {len(roots)}")
         for u in g.nodes:
-            p = self.parent[u]
+            p = parent[u]
             if p != ROOT and not g.has_edge(u, p):
                 raise GraphError("MALFORMED_LINE", f"parent {p} of {u} is not a neighbor")
         walk = component_walk(g.adjacency, g.adjacency)
         if g.num_edges() != g.n - 1 or (g.n and len(list(walk)) != 1):
             raise GraphError("MALFORMED_LINE", "rooted tree must be connected and acyclic")
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "parent", parent)
+
+    def __reduce__(self):
+        return RootedTree, (self.graph, self.parent)
 
     @property
     def root(self) -> int:
@@ -204,28 +217,33 @@ def grid(rows: int, cols: int, id_scheme: str = "INCREASING", seed: int = 0, d: 
     return build_graph(ids, edges, d)
 
 
-def random_graph(n: int, p: float, seed: int, id_scheme: str = "SEEDED_PERMUTATION", d: Optional[int] = None) -> Graph:
-    """Erdos-Renyi G(n, p); identifier permutation drawn from the same seed."""
+def _gnp(n: int, p: float, seed: int, id_scheme: str, d: Optional[int]):
+    """(ids, G(n, p) edges, d) as random_graph draws them."""
     if not 0.0 <= p <= 1.0:
         raise GraphError("MALFORMED_LINE", f"edge probability {p} outside [0,1]")
     if n < 0:
         raise GraphError("MALFORMED_LINE", "n must be nonnegative")
     ids, d = _assign_ids(n, id_scheme, seed, d)
-    r = _rng(seed, "edges")
-    edges = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n) if r.random() < p]
-    return build_graph(ids, edges, d)
+    draw = _rng(seed, "edges").random
+    edges = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1 :] if draw() < p]
+    return ids, edges, d
+
+
+def random_graph(n: int, p: float, seed: int, id_scheme: str = "SEEDED_PERMUTATION", d: Optional[int] = None) -> Graph:
+    """Erdos-Renyi G(n, p); identifier permutation drawn from the same seed."""
+    return build_graph(*_gnp(n, p, seed, id_scheme, d))
 
 
 def random_connected_graph(n: int, p: float, seed: int, id_scheme: str = "SEEDED_PERMUTATION", d: Optional[int] = None) -> Graph:
-    """G(n, p) plus a random spanning tree so the result is connected."""
-    g = random_graph(n, p, seed, id_scheme, d)
-    ids = list(g.nodes)
+    """random_graph's G(n, p) plus a random spanning tree over the sorted
+    identifiers, so the result is connected; one Graph is built."""
+    ids, edges, d = _gnp(n, p, seed, id_scheme, d)
+    ids.sort()
     r = _rng(seed, "spanning")
     order = ids[:]
     r.shuffle(order)
-    extra = [(order[i], order[r.randrange(i)]) for i in range(1, n)]
-    all_edges = set(g.edges()) | {(min(e), max(e)) for e in extra}
-    return build_graph(ids, sorted(all_edges), g.d)
+    edges += [(order[i], order[r.randrange(i)]) for i in range(1, n)]
+    return build_graph(ids, edges, d)
 
 
 def random_tree(n: int, seed: int, id_scheme: str = "SEEDED_PERMUTATION", d: Optional[int] = None) -> RootedTree:
@@ -342,31 +360,26 @@ def _alpha_branch(nbr: list[int], active: int, size: int, best: int) -> int:
     return _alpha_branch(nbr, active & ~bit, size, best)  # exclude top
 
 
-def enumerate_mis(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> list[frozenset]:
-    """All maximal independent sets, via Bron-Kerbosch on the complement graph."""
+def mis_bitmasks(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> list[int]:
+    """Every maximal independent set of g as a bitmask over g.nodes (bit i
+    is g.nodes[i]), in search order: Bron-Kerbosch on the complement."""
     if g.n > cap:
         raise CapExceeded(f"MIS enumeration capped at {cap} nodes, got {g.n}")
-    nodes = list(g.nodes)
-    idx = {u: i for i, u in enumerate(nodes)}
-    full = (1 << len(nodes)) - 1
+    bit = {u: 1 << i for i, u in enumerate(g.nodes)}
+    full = (1 << g.n) - 1
     # complement adjacency as bitsets
-    comp = []
-    for u in nodes:
-        mask = full & ~(1 << idx[u])
-        for v in g.adjacency[u]:
-            mask &= ~(1 << idx[v])
-        comp.append(mask)
-    out: list[frozenset] = []
-    if nodes:
-        _bron_kerbosch(nodes, comp, out, 0, full, 0)
-    return sorted(out, key=lambda s: sorted(s))
+    comp = [full ^ bit[u] ^ sum(bit[v] for v in g.adjacency[u]) for u in g.nodes]
+    out: list[int] = []
+    if comp:
+        _bron_kerbosch(comp, out, 0, full, 0)
+    return out
 
 
-def _bron_kerbosch(nodes: list[int], comp: list[int], out: list, r: int, p: int, x: int):
+def _bron_kerbosch(comp: list[int], out: list, r: int, p: int, x: int):
     """Append to out every maximal clique of the bitset graph comp that
     extends r with nodes of p and none of x."""
     if p == 0 and x == 0:
-        out.append(frozenset(nodes[i] for i in range(len(nodes)) if r >> i & 1))
+        out.append(r)
         return
     # pivot: a node of P|X with the most candidates in P, lowest first
     pivot = most = -1
@@ -382,7 +395,7 @@ def _bron_kerbosch(nodes: list[int], comp: list[int], out: list, r: int, p: int,
     while cand:
         i = (cand & -cand).bit_length() - 1
         bit = 1 << i
-        _bron_kerbosch(nodes, comp, out, r | bit, p & comp[i], x & comp[i])
+        _bron_kerbosch(comp, out, r | bit, p & comp[i], x & comp[i])
         p &= ~bit
         x |= bit
         cand &= ~bit
@@ -392,8 +405,7 @@ def _bron_kerbosch(nodes: list[int], comp: list[int], out: list, r: int, p: int,
 # correctness rules and the validator
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str  # INDEPENDENCE, MAXIMALITY, SYMMETRY, RANGE, CONFLICT, INCOMPLETE
     where: object  # offending node or edge
     detail: str = ""

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .graphs import (DEFAULT_ALPHA_CAP, CapExceeded, Graph, RootedTree,
                      _alpha_component, _rng, component_maps, component_walk,
-                     enumerate_mis)
+                     mis_bitmasks)
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +173,13 @@ CAPPED = "CAPPED"  # mis_masks' answer when the enumeration is over its cap
 
 
 def mis_masks(g: Graph):
-    """Every maximal independent set of g as a bitmask int over g.nodes
-    (bit i is g.nodes[i]), or CAPPED.  Holds no exception, so keeping the
-    answer keeps no traceback alive."""
+    """graphs.mis_bitmasks(g), every maximal independent set of g as a
+    bitmask over g.nodes, or CAPPED above its cap.  Holds no exception, so
+    keeping the answer keeps no traceback alive."""
     try:
-        sets = enumerate_mis(g)
+        return mis_bitmasks(g)
     except CapExceeded:
         return CAPPED
-    bit = {u: 1 << i for i, u in enumerate(g.nodes)}
-    return [sum(bit[u] for u in m) for m in sets]
 
 
 def eta_hamming(g: Graph, p, masks=None):

@@ -15,7 +15,6 @@ down once, in the stage that spends it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import mis, problems
@@ -48,12 +47,13 @@ def _f_ec(report: dict) -> int:
     return max(1, 2 * eta1 - 3) if eta1 >= 2 else eta1
 
 
-@dataclass
 class TemplateInstance:
-    template: str
-    program: object
-    c: int  # rounds used when predictions are correct
-    f: Callable[[dict], int]  # error budget from a measure report
+    def __init__(self, template: str, program, c: int,
+                 f: Callable[[dict], int]):
+        self.template = template
+        self.program = program
+        self.c = c  # rounds used when predictions are correct
+        self.f = f  # error budget from a measure report
 
     def bounds(self, g, report) -> tuple[Optional[int], Optional[int]]:
         """(degrading, robust) round bounds of a run on g whose error

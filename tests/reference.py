@@ -1,13 +1,14 @@
 """Reference checks and helpers computed from scratch: the independent
-side of the differential tests against predsync.audit's incremental pass,
-and the graph and measure helpers that only tests use.  Nothing under
-src/ needs them."""
+side of the differential tests against predsync.audit's incremental pass
+and the one-build graph generators, and the graph and measure helpers that
+only tests use.  Nothing under src/ needs them."""
 
 from collections.abc import Sequence
 
-from predsync.graphs import (DEFAULT_ALPHA_CAP, CapExceeded, Graph,
-                             GraphError, _alpha_component, build_graph,
-                             component_maps, node_rule)
+from predsync.graphs import (DEFAULT_ALPHA_CAP, DEFAULT_ENUM_CAP, CapExceeded,
+                             Graph, GraphError, _alpha_component,
+                             _assign_ids, _rng, build_graph, component_maps,
+                             mis_bitmasks, node_rule)
 from predsync.measures import _mu2
 
 
@@ -76,6 +77,38 @@ def alpha_oracle(g: Graph, cap: int = DEFAULT_ALPHA_CAP) -> int:
     for comp in components(g):
         best += _alpha_component(comp.adjacency)
     return best
+
+
+def enumerate_mis(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> list[frozenset]:
+    """All maximal independent sets as node sets, sorted: mis_bitmasks
+    decoded."""
+    return sorted((frozenset(u for i, u in enumerate(g.nodes) if m >> i & 1)
+                   for m in mis_bitmasks(g, cap)), key=sorted)
+
+
+def random_graph(n: int, p: float, seed: int, id_scheme: str, d=None) -> Graph:
+    """graphs.random_graph as it was before the generators shared _gnp."""
+    if not 0.0 <= p <= 1.0:
+        raise GraphError("MALFORMED_LINE", f"edge probability {p} outside [0,1]")
+    if n < 0:
+        raise GraphError("MALFORMED_LINE", "n must be nonnegative")
+    ids, d = _assign_ids(n, id_scheme, seed, d)
+    r = _rng(seed, "edges")
+    edges = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n) if r.random() < p]
+    return build_graph(ids, edges, d)
+
+
+def random_connected_graph(n: int, p: float, seed: int, id_scheme: str, d=None) -> Graph:
+    """graphs.random_connected_graph as it was: a G(n, p) Graph, whose edges
+    and sorted nodes make a second Graph with a random spanning tree."""
+    g = random_graph(n, p, seed, id_scheme, d)
+    ids = list(g.nodes)
+    r = _rng(seed, "spanning")
+    order = ids[:]
+    r.shuffle(order)
+    extra = [(order[i], order[r.randrange(i)]) for i in range(1, n)]
+    all_edges = set(g.edges()) | {(min(e), max(e)) for e in extra}
+    return build_graph(ids, sorted(all_edges), g.d)
 
 
 def mu1(s: Graph) -> int:

@@ -2,7 +2,10 @@
 
 import gc
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -10,7 +13,9 @@ import pytest
 
 from predsync import cli, engine, measures, registry
 from predsync.cli import Plan, main, parse_range, run_one
+from predsync.engine import Step
 from predsync.graphs import line
+from predsync.stages import FixedStage, StagedProgram, StageRun
 
 from helpers import write_graph
 
@@ -98,7 +103,7 @@ def test_sweep_empty_range_is_config_error(tmp_path):
 def test_sweep_builds_each_seed_once(tmp_path, monkeypatch, problem):
     """Graph, reference solution and MIS sets depend only on the seed, so a
     k 0..3 x seed 0..2 sweep builds each once per seed, not once per run."""
-    calls = {"generate": 0, "solve": 0, "enumerate_mis": 0}
+    calls = {"generate": 0, "solve": 0, "mis_bitmasks": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -110,13 +115,13 @@ def test_sweep_builds_each_seed_once(tmp_path, monkeypatch, problem):
 
     counted(cli, "generate")
     counted(measures, "solve")
-    counted(measures, "enumerate_mis")
+    counted(measures, "mis_bitmasks")
     cfg = _cfg(tmp_path, "graph = RANDOM_CONNECTED\nn = 12\np = 0.3\n"
                          f"problem = {problem}\ntemplate = simple\n"
                          "k_range = 0..3\nseed_range = 0..2\n")
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) in (0, 1)
     assert calls == {"generate": 3, "solve": 3,
-                     "enumerate_mis": 3 if problem == "MIS" else 0}
+                     "mis_bitmasks": 3 if problem == "MIS" else 0}
 
 
 def test_plan_leaves_no_reference_cycles():
@@ -413,3 +418,66 @@ def test_failing_fixed_pattern_sweep_repeats_each_seed(tmp_path, capsys,
     assert got.splitlines() == err
     assert "INCOMPLETE" in got and "TERMINATE" in got
     assert calls == [(0, 0), (0, 1)]
+
+
+def test_cli_imports_no_dataclasses():
+    """Starting the CLI does not import dataclasses, which pulls in
+    inspect, ast, dis and tokenize."""
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, predsync.cli; print('dataclasses' in sys.modules)"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+class _KeyErrorStage(FixedStage):
+    """Five rounds; every node's program raises KeyError in round 2."""
+
+    def __init__(self):
+        super().__init__(5)
+
+    def start(self, ctx):
+        return _KeyErrorRun()
+
+
+class _KeyErrorRun(StageRun):
+    def process(self, ctx, t, inbox):
+        if t == 2:
+            return {}["missing"]
+        return Step()
+
+
+def test_program_error_is_a_failing_row_not_a_config_error(tmp_path, capsys,
+                                                           monkeypatch):
+    """A node program that raises KeyError mid-run fails its run: the row
+    says PROGRAM_ERROR, no trace is printed, and the exit code is 1.  An
+    unknown program name is still a config error."""
+    monkeypatch.setitem(registry.PROGRAMS, "test.key_error", (
+        lambda: StagedProgram([_KeyErrorStage()]), "MIS"))
+    cfg = _cfg(tmp_path, "graph = LINE\nn = 4\nprogram = test.key_error\n"
+                         "k_range = 0..1\nseed = 0\n")
+    for command, extra in (("run", []), ("run", ["--trace"]), ("sweep", [])):
+        assert main([command, "--config", cfg, *extra]) == 1
+        out, err = capsys.readouterr()
+        rows = _rows(out)
+        assert [(r["valid"], r["rounds"]) for r in rows] == [
+            ("PROGRAM_ERROR", "")] * len(rows)
+        assert len(rows) == (2 if command == "sweep" else 1)
+        lines = err.splitlines()
+        assert len(lines) == len(rows) and all(re.fullmatch(
+            rf"ASSERTION FAILED \(k={k}, seed=0\): PROGRAM_ERROR: KeyError: "
+            r"'missing' \(at test_cli\.py:\d+\)", line)
+            for k, line in enumerate(lines))
+    cfg = _cfg(tmp_path, "graph = LINE\nn = 4\nprogram = nope.prog\n")
+    assert main(["run", "--config", cfg]) == 2
+    known = sorted(registry.PROGRAMS)
+    assert capsys.readouterr().err == (
+        f"config error: \"unknown program 'nope.prog'; known: {known}\"\n")
+
+
+def test_max_rounds_below_one_is_a_config_error(tmp_path, capsys):
+    cfg = _cfg(tmp_path, "graph = LINE\nn = 4\nproblem = MIS\n"
+                         "template = simple\nmax_rounds = 0\n")
+    assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "config error: max_rounds must be >= 1\n"

@@ -1,18 +1,21 @@
 """Graph construction, oracles, validators and file format."""
 
+import copy
 import gc
+import pickle
 
 import pytest
 
-from predsync.graphs import (CapExceeded, GraphError, build_graph,
-                             enumerate_mis, generate, grid, line,
-                             line_tree, random_connected_graph, random_graph,
-                             random_tree, read_graph, RootedTree, validate,
-                             wheel_fk)
+from predsync.graphs import (CapExceeded, Graph, GraphError, Violation,
+                             build_graph, generate, grid, line, line_tree,
+                             mis_bitmasks, random_connected_graph,
+                             random_graph, random_tree, read_graph,
+                             RootedTree, validate, wheel_fk)
 
+import reference
 from helpers import diameter, wheel_rim_nodes, write_graph
 from reference import (alpha_oracle, components, edge_induced_subgraph,
-                       induced_subgraph)
+                       enumerate_mis, induced_subgraph)
 
 
 def test_line_structure():
@@ -85,15 +88,20 @@ def test_alpha_tau_oracles():
 def test_enumerate_mis():
     e = build_graph([1, 2], [(1, 2)])
     assert sorted(enumerate_mis(e)) == [frozenset({1}), frozenset({2})]
+    assert sorted(mis_bitmasks(e)) == [0b01, 0b10]
     tri = build_graph([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
     assert len(enumerate_mis(tri)) == 3
+    assert mis_bitmasks(build_graph([], [])) == []
+    assert mis_bitmasks(build_graph([4, 9], [])) == [0b11]
     with pytest.raises(CapExceeded):
-        enumerate_mis(line(21), cap=20)
+        mis_bitmasks(line(21), cap=20)
+    with pytest.raises(CapExceeded):
+        mis_bitmasks(line(21))  # the default cap is 20
 
 
 def test_oracles_leave_no_reference_cycles():
     g = random_graph(14, 0.3, 1)
-    for oracle in (alpha_oracle, enumerate_mis):
+    for oracle in (alpha_oracle, mis_bitmasks):
         gc.collect()
         gc.disable()
         try:
@@ -101,6 +109,87 @@ def test_oracles_leave_no_reference_cycles():
             assert gc.collect() == 0, oracle.__name__
         finally:
             gc.enable()
+
+
+@pytest.mark.parametrize("family", ["RANDOM", "RANDOM_CONNECTED"])
+def test_generators_match_the_two_build_reference(family, monkeypatch):
+    """RANDOM and the one-build RANDOM_CONNECTED give the reference's graph:
+    the same d, adjacency tuples and adjacency key order, and each
+    generate() call constructs one Graph."""
+    want = (reference.random_connected_graph if family == "RANDOM_CONNECTED"
+            else reference.random_graph)
+    built = []
+    construct = Graph.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        construct(self, *args, **kwargs)
+    monkeypatch.setattr(Graph, "__init__", counted)
+    for n in [*range(26), 60]:
+        for p in (0, 0.1, 0.3, 1):
+            for seed in range(31):
+                for scheme in ("INCREASING", "SEEDED_PERMUTATION"):
+                    built.clear()
+                    g = generate(family, {"n": n, "p": p}, scheme, seed)
+                    assert len(built) == 1
+                    h = want(n, p, seed, scheme)
+                    assert g.d == h.d, (n, p, seed, scheme)
+                    assert list(g.adjacency.items()) == list(h.adjacency.items()), (
+                        n, p, seed, scheme)
+
+
+class _Repeated(dict):
+    """An adjacency map that lists each node twice."""
+
+    def __iter__(self):
+        return iter([*super().__iter__()] * 2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Graph(2, {3: ()}), "ID_OUT_OF_RANGE: node 3 outside 1..2"),
+    (lambda: build_graph([1, 2, 1], []),
+     "DUPLICATE_ID: duplicate node identifiers"),
+    (lambda: Graph(2, _Repeated({1: ()})), "DUPLICATE_ID: node 1 repeated"),
+    (lambda: Graph(3, {1: (3, 2), 2: (1,), 3: (1,)}),
+     "MALFORMED_LINE: neighbors of 1 not sorted/unique"),
+    (lambda: Graph(2, {1: (2, 2), 2: (1,)}),
+     "MALFORMED_LINE: neighbors of 1 not sorted/unique"),
+    (lambda: Graph(2, {1: (1,)}), "SELF_LOOP: self loop at 1"),
+    (lambda: build_graph([1, 2], [(2, 2)]), "SELF_LOOP: self loop at 2"),
+    (lambda: Graph(2, {1: (2,), 2: ()}),
+     "MALFORMED_LINE: edge 1-2 not symmetric"),
+    (lambda: Graph(3, {1: (3,)}), "MALFORMED_LINE: edge 1-3 not symmetric"),
+    (lambda: build_graph([1, 2], [(1, 3)]),
+     "ID_OUT_OF_RANGE: edge 1-3 uses unknown node"),
+], ids=["id-range", "duplicate-list", "duplicate-map", "unsorted", "repeated",
+        "self-loop", "self-loop-edge", "asymmetric", "unknown-neighbor",
+        "unknown-edge-end"])
+def test_each_graph_error_branch(build, message):
+    with pytest.raises(GraphError) as err:
+        build()
+    assert str(err.value) == message
+    assert err.value.code == message.split(":")[0]
+
+
+def test_graph_tree_and_violation_are_immutable():
+    """Assigning or deleting an attribute raises; copies and pickles are
+    built through the constructor."""
+    t = line_tree(3)
+    g = t.graph
+    v = Violation("RANGE", 1, "node 1 output 2")
+    for obj, name in ((g, "d"), (g, "adjacency"), (g, "nodes"), (g, "delta"),
+                      (g, "neighbor_sets"), (g, "unset"), (t, "graph"),
+                      (t, "parent"), (v, "code"), (v, "unset")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    for obj, name in ((g, "d"), (t, "parent")):
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert (g.d, g.n, g.delta, t.root) == (3, 3, 2, 1)
+    assert str(v) == "RANGE at 1: node 1 output 2"
+    back = pickle.loads(pickle.dumps(t))
+    assert (back.graph.adjacency, back.parent) == (g.adjacency, t.parent)
+    assert copy.deepcopy(g).neighbor_sets == g.neighbor_sets
 
 
 def test_validate_mis():

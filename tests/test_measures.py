@@ -10,13 +10,13 @@ from predsync import measures as M
 from predsync import mis
 from predsync.engine import simulate
 from predsync.graphs import (CapExceeded, Graph, _assign_ids, build_graph,
-                             enumerate_mis, grid, line, line_tree,
-                             random_connected_graph, random_graph,
-                             random_tree, validate)
+                             grid, line, line_tree, random_connected_graph,
+                             random_graph, random_tree, validate)
 from predsync.registry import get_program
 
 from reference import (alpha_oracle, components, edge_induced_subgraph,
-                       format_predictions, induced_subgraph, mu1, mu2)
+                       enumerate_mis, format_predictions, induced_subgraph,
+                       mu1, mu2)
 
 
 def _k(n):
@@ -97,7 +97,8 @@ def test_eta_hamming_masks_match_set_scoring():
             want = min(g.n - len(ones & m) - len(zeros - m)
                        for m in enumerate_mis(g))
             assert M.eta_hamming(g, p, masks) == M.eta_hamming(g, p) == want
-    assert M.mis_masks(line(30)) is M.CAPPED
+    assert M.mis_masks(line(30)) is M.mis_masks(line(21)) is M.CAPPED
+    assert len(M.mis_masks(line(20))) == len(enumerate_mis(line(20)))
     assert M.eta_hamming(line(30), {u: 1 for u in line(30).nodes}) is None
 
 
@@ -415,9 +416,9 @@ def test_error_report_builds_no_graph(monkeypatch):
     t = random_tree(14, 3)
     masks = {id(g): M.mis_masks(g) for _, g, _ in cases}
     built, searched = [], []
-    real = Graph.__post_init__
-    monkeypatch.setattr(Graph, "__post_init__",
-                        lambda self: built.append(1) or real(self))
+    real = Graph.__init__
+    monkeypatch.setattr(Graph, "__init__", lambda self, *args, **kwargs:
+                        built.append(1) or real(self, *args, **kwargs))
     assert not hasattr(M, "alpha_oracle")  # measures cannot reach it
     branch = M._alpha_component
     monkeypatch.setattr(M, "_alpha_component",

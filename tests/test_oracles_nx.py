@@ -9,10 +9,10 @@ import pytest
 from predsync import measures, mis
 from predsync.engine import simulate
 from predsync.graphs import (DEFAULT_ALPHA_CAP, DEFAULT_ENUM_CAP, build_graph,
-                             enumerate_mis, grid, line,
-                             random_graph, random_connected_graph, validate)
+                             grid, line, random_graph,
+                             random_connected_graph, validate)
 
-from reference import alpha_oracle, components
+from reference import alpha_oracle, components, enumerate_mis
 
 nx = pytest.importorskip("networkx")
 
@@ -49,6 +49,8 @@ def _atlas(max_nodes):
 
 
 def test_components_match_connected_components_on_atlas():
+    """Components, alpha and the maximal independent sets (mis_bitmasks,
+    each found once) of every atlas graph on at most 6 nodes."""
     for g in _atlas(6):
         comps = components(g)
         h = nx.Graph(list(g.edges()))
@@ -61,6 +63,10 @@ def test_components_match_connected_components_on_atlas():
             assert comps[0] is g
         _, clique = nx.max_weight_clique(_complement(g), weight=None)
         assert alpha_oracle(g) == clique, sorted(g.edges())
+        found = enumerate_mis(g)  # mis_bitmasks decoded
+        assert len(set(found)) == len(found), sorted(g.edges())
+        assert set(found) == set(map(frozenset, nx.find_cliques(_complement(g)))), (
+            sorted(g.edges()))
 
 
 def test_enumerate_mis_matches_cliques_of_complement():
