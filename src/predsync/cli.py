@@ -41,8 +41,8 @@ from pathlib import Path
 from . import measures
 from .audit import audit_run
 from .engine import NonTermination, ProtocolViolation, simulate
-from .graphs import (GraphError, RootedTree, generate, line, read_graph,
-                     validate)
+from .graphs import (GraphError, RootedTree, _assign_ids, generate, line,
+                     read_graph, validate)
 from .problems import EmptyPalette
 from .registry import get_program
 from .stages import ConfigError
@@ -111,17 +111,21 @@ _FAMILY_KEYS = {"LINE": ("n",), "WHEEL_FK": ("k_rim",), "GRID": ("rows", "cols")
 
 
 def build_instance(cfg: dict, seed: int):
+    """(graph, rooted tree or None, family, and for a grid its identifiers
+    in position order, else None)."""
     family = cfg.get("graph", "RANDOM_CONNECTED").upper()
     missing = [key for key in _FAMILY_KEYS.get(family, ()) if key not in cfg]
     if missing:
         raise ConfigError(f"graph {family} needs {' and '.join(missing)}")
-    made = generate(family, _graph_params(cfg),
-                    cfg.get("id_scheme", "SEEDED_PERMUTATION"
-                            if family.startswith("RANDOM") else "INCREASING"),
-                    seed)
+    id_scheme = cfg.get("id_scheme", "SEEDED_PERMUTATION"
+                        if family.startswith("RANDOM") else "INCREASING")
+    made = generate(family, _graph_params(cfg), id_scheme, seed)
     if isinstance(made, RootedTree):
-        return made.graph, made, family
-    return made, None, family
+        return made.graph, made, family, None
+    # the same draw that graphs.grid places row major
+    ids = (_assign_ids(made.n, id_scheme, seed, made.d)[0]
+           if family == "GRID" else None)
+    return made, None, family, ids
 
 
 class Plan:
@@ -148,11 +152,11 @@ class Plan:
         case = self._instances.get(seed)
         if case is None:
             cfg = self.cfg
-            g, tree, family = build_instance(cfg, seed)
+            g, tree, family, ids = build_instance(cfg, seed)
             ref = measures.reference(
                 self.kind, g, pattern=self.pattern, tree=tree,
                 rows=int(cfg["rows"]) if "rows" in cfg else None,
-                cols=int(cfg["cols"]) if "cols" in cfg else None)
+                cols=int(cfg["cols"]) if "cols" in cfg else None, ids=ids)
             masks = measures.mis_masks(g) if self.kind == "MIS" else None
             case = self._instances[seed] = (g, tree, family, ref, masks)
         return case
@@ -345,11 +349,18 @@ def cmd_sweep(cfg: dict, args) -> int:
 
 
 def cmd_verify(cfg: dict, args) -> int:
+    missing = [key for key in ("graph_file", "outputs_file") if key not in cfg]
+    if missing:
+        raise ConfigError(f"verify needs {' and '.join(missing)}")
     kind = cfg.get("problem", "MIS").upper()
     made = read_graph(Path(cfg["graph_file"]).read_text())
     g = made.graph if isinstance(made, RootedTree) else made
     outputs = measures.parse_predictions(
         kind, Path(cfg["outputs_file"]).read_text())
+    if kind == "EDGE_COLORING":
+        # a node without a line colours no edge, as in Outcome.solution
+        for u in g.nodes:
+            outputs.setdefault(u, {})
     violation = validate(kind, g, outputs)
     if violation is None:
         print("VALID")

@@ -33,6 +33,35 @@ from .graphs import (DEFAULT_ALPHA_CAP, CapExceeded, Graph, RootedTree,
 # errors their start checks raise
 
 
+def check_prediction(kind: str, u: int, pred, nbrs, delta: int) -> None:
+    """The start check of the matching and colouring initializations:
+    raise ValueError when node u, with neighbours nbrs, cannot start from
+    its prediction pred."""
+    if kind == "MAXIMAL_MATCHING":
+        if pred is not None and pred not in nbrs:
+            raise ValueError(
+                f"node {u}: predicted partner {pred!r} is not a neighbor")
+        return
+    if kind == "VERTEX_COLORING":
+        colors, hi = (pred,), delta + 1
+    else:
+        if not isinstance(pred, dict) or set(pred) != set(nbrs):
+            raise ValueError(f"node {u}: edge predictions incomplete")
+        colors, hi = pred.values(), max(1, 2 * delta - 1)
+    for c in colors:
+        if not isinstance(c, int) or not 1 <= c <= hi:
+            raise ValueError(f"node {u}: predicted color {c!r} out of range")
+
+
+def unique_predictions(pred: dict) -> dict:
+    """The predicted edge colors no other edge at the node shares, by
+    neighbor."""
+    tally = {}
+    for c in pred.values():
+        tally[c] = tally.get(c, 0) + 1
+    return {v: c for v, c in pred.items() if tally[c] == 1}
+
+
 def _mis_undecided(g: Graph, p) -> set:
     """A prediction-1 node with no prediction-1 neighbor joins, and its
     neighbors leave."""
@@ -46,9 +75,7 @@ def _mm_undecided(g: Graph, p) -> set:
     """Mutually predicted pairs match; a node predicted None whose
     neighbors are all matched outputs None."""
     for u in g.nodes:
-        if p[u] is not None and p[u] not in g.adjacency[u]:
-            raise ValueError(
-                f"node {u}: predicted partner {p[u]!r} is not a neighbor")
+        check_prediction("MAXIMAL_MATCHING", u, p[u], g.adjacency[u], g.delta)
     matched = {u for u in g.nodes if p[u] is not None and p[p[u]] == u}
     return {u for u in g.nodes if u not in matched and not (
         p[u] is None and matched.issuperset(g.adjacency[u]))}
@@ -56,10 +83,8 @@ def _mm_undecided(g: Graph, p) -> set:
 
 def _vc_undecided(g: Graph, p) -> set:
     """A node whose predicted color no neighbor shares commits it."""
-    delta = g.delta
     for u in g.nodes:
-        if not isinstance(p[u], int) or not 1 <= p[u] <= delta + 1:
-            raise ValueError(f"node {u}: predicted color {p[u]!r} out of range")
+        check_prediction("VERTEX_COLORING", u, p[u], g.adjacency[u], g.delta)
     return {u for u in g.nodes if any(p[v] == p[u] for v in g.adjacency[u])}
 
 
@@ -67,19 +92,11 @@ def _ec_uncolored(g: Graph, p) -> dict:
     """An edge is colored when both endpoints predict the same color for it
     and that color is unique at each endpoint.  Returns node -> sorted
     tuple of its neighbors across uncolored edges, for each node with one."""
-    hi = max(1, 2 * g.delta - 1)
     adj = g.adjacency
     unique = {}
     for u in g.nodes:
-        pred = p[u]
-        if not isinstance(pred, dict) or set(pred) != set(adj[u]):
-            raise ValueError(f"node {u}: edge predictions incomplete")
-        tally = {}
-        for c in pred.values():
-            if not isinstance(c, int) or not 1 <= c <= hi:
-                raise ValueError(f"node {u}: predicted color {c!r} out of range")
-            tally[c] = tally.get(c, 0) + 1
-        unique[u] = {v: c for v, c in pred.items() if tally[c] == 1}
+        check_prediction("EDGE_COLORING", u, p[u], adj[u], g.delta)
+        unique[u] = unique_predictions(p[u])
     uncolored = {}
     for u in g.nodes:
         mine = unique[u]
@@ -351,10 +368,13 @@ def corrupt(kind: str, g: Graph, solution: dict, k: int, seed: int) -> dict:
 
 
 def reference(kind: str, g: Graph, *, pattern: str = None,
-              tree: RootedTree = None, rows: int = None, cols: int = None) -> dict:
+              tree: RootedTree = None, rows: int = None, cols: int = None,
+              ids: list = None) -> dict:
     """What a run's predictions start from: the solved solution, which
     corrupt() then changes, or the named pattern, which is used as is.
-    Neither is ever changed in place."""
+    Neither is ever changed in place.  ids are the identifiers of a grid
+    in position order, row major; sorted by default, as INCREASING ids
+    are placed."""
     if pattern is None:
         return solve(kind, g)
     if kind != "MIS":
@@ -366,7 +386,7 @@ def reference(kind: str, g: Graph, *, pattern: str = None,
     if pattern == "GRID_4BLOCK":
         if rows is None or cols is None or rows * cols != g.n:
             raise ValueError("GRID_4BLOCK needs matching rows and cols")
-        ids = sorted(g.nodes)
+        ids = ids or sorted(g.nodes)
         p = {}
         for i in range(rows):
             for j in range(cols):

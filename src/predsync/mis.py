@@ -1,7 +1,7 @@
-"""Node programs for the Maximal Independent Set problem.
+"""Stages of the node programs for the Maximal Independent Set problem.
 
-All programs are built from stages (see stages.py) so they can run either
-standalone or inside the four template combinators.  Message vocabulary:
+registry.py puts them together into standalone programs, and
+templates.py into the four template combinators.  Message vocabulary:
 
     ("P", x)   round-1 prediction exchange
     "ONE"      the sender joins the independent set (output 1)
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .engine import NEVER, ProtocolViolation, Step
 from .problems import ReductionRun
-from .stages import Ctx, FixedStage, Stage, StageRun, StagedProgram
+from .stages import Ctx, FixedStage, Stage, StageRun
 
 ONE = "ONE"
 ZERO = "ZERO"
@@ -154,14 +154,6 @@ class _MisInitRun(_LeaveRun):
         return step
 
 
-def mis_base() -> StagedProgram:
-    return StagedProgram([MisInitStage("base")])
-
-
-def mis_init() -> StagedProgram:
-    return StagedProgram([MisInitStage("init")])
-
-
 # ---------------------------------------------------------------------------
 # clean-up
 
@@ -174,10 +166,6 @@ class MisCleanupStage(FixedStage):
 
     def start(self, ctx):
         return _LeaveRun()
-
-
-def mis_cleanup() -> StagedProgram:
-    return StagedProgram([MisCleanupStage()])
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +190,6 @@ class GreedyStage(_JoinStage):
         return min(ctx.active) > ctx.view.id
 
 
-def greedy_mis(order: str = "max") -> StagedProgram:
-    return StagedProgram([GreedyStage(order)])
-
-
 # ---------------------------------------------------------------------------
 # black/white alternation
 
@@ -227,7 +211,7 @@ class UbwStage(_JoinStage):
 
 class UbwColorProbe(FixedStage):
     """One exchange round so each node learns which active neighbors share
-    its prediction (needed when u_bw runs without an initialization that
+    its prediction (needed when UbwStage runs without an initialization that
     already exchanged predictions)."""
 
     def __init__(self):
@@ -245,10 +229,6 @@ class _UbwProbeRun(StageRun):
         ctx.stored["same_color"] = {
             s for s, m in inbox.items() if m[1] == ctx.view.prediction}
         return Step()
-
-
-def u_bw() -> StagedProgram:
-    return StagedProgram([UbwColorProbe(), UbwStage()])
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +294,6 @@ class _TreeInitRun(_LeaveRun):
         return step
 
 
-def tree_init(eager: bool = False) -> StagedProgram:
-    return StagedProgram([TreeInitStage(eager)])
-
-
 # ---------------------------------------------------------------------------
 # rooted-tree measure-uniform MIS
 
@@ -368,10 +344,6 @@ class _TreeUniformRun(_LeaveRun):
             ctx.nbr_one.add(s)
             ctx.gone(s)
         return Step()
-
-
-def tree_uniform() -> StagedProgram:
-    return StagedProgram([TreeUniformStage()])
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +421,6 @@ class _GpsRun(ReductionRun):
                 if self.color == x:
                     taken = set(colors.values())
                     self.color = min(c for c in (0, 1, 2) if c not in taken)
-
-
-def gps_tree_3coloring() -> StagedProgram:
-    return StagedProgram([GpsTreeColoringStage(store_only=False)])
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +512,6 @@ class _ColorPart2Run(_LeaveRun):
         return Step({"y": 0 if ctx.nbr_one else 1}, terminate=True)
 
 
-def coloring_to_mis_part2(combined: bool = False) -> StagedProgram:
-    """Standalone harness form: the stored color is taken from the node's
-    prediction, revealed in one round, then resolved in delta rounds."""
-    return StagedProgram([RevealStage(), ColorPart2Stage(combined)])
-
-
 class TreePart2Stage(FixedStage):
     """Two rounds from a stored proper 3-coloring of a rooted tree to an
     MIS: color 1 joins immediately (its neighbors leave), then color 2
@@ -593,8 +555,3 @@ class _TreePart2Run(_RevealRun):
             return Step({"y": 1}, terminate=True)
         bit = 0 if any(m == ONE for m in inbox.values()) else 1
         return Step({"y": bit}, terminate=True)
-
-
-def tree_ref_part2() -> StagedProgram:
-    """Standalone harness form: the 3-coloring is taken from predictions."""
-    return StagedProgram([TreePart2Stage()])

@@ -1,6 +1,6 @@
-"""Node programs for Maximal Matching, (delta+1)-Vertex Coloring and
-(2*delta-1)-Edge Coloring, plus the fault-tolerant Linial-style coloring
-used as a parallel-template reference.
+"""Stages of the node programs for Maximal Matching, (delta+1)-Vertex
+Coloring and (2*delta-1)-Edge Coloring, plus the fault-tolerant
+Linial-style coloring used as a parallel-template reference.
 
 Matching outputs are the partner's identifier or None (unmatched).
 Vertex colors are ints in 1..delta+1, written to slot "y".  Edge colors are
@@ -30,7 +30,8 @@ from functools import cache
 from typing import Mapping
 
 from .engine import NO_OUTPUTS, Step
-from .stages import Ctx, FixedStage, Stage, StageRun, StagedProgram
+from .measures import check_prediction, unique_predictions
+from .stages import Ctx, FixedStage, Stage, StageRun
 
 MATCHED = "MATCHED"
 
@@ -60,10 +61,9 @@ class MmInitStage(Stage):
         return 2
 
     def start(self, ctx):
-        pred = ctx.view.prediction
-        if pred is not None and pred not in ctx.view.neighbor_ids:
-            raise ValueError(
-                f"node {ctx.view.id}: predicted partner {pred!r} is not a neighbor")
+        v = ctx.view
+        check_prediction("MAXIMAL_MATCHING", v.id, v.prediction,
+                         v.neighbor_ids, v.delta)
         return _MmInitRun(self.rule)
 
 
@@ -112,14 +112,6 @@ class _MmInitRun(_AnnounceRun):
         return announced
 
 
-def mm_base() -> StagedProgram:
-    return StagedProgram([MmInitStage("base")])
-
-
-def mm_init() -> StagedProgram:
-    return StagedProgram([MmInitStage("init")])
-
-
 class MmCleanupStage(FixedStage):
     """One round: a node holding an unannounced mutual match outputs it."""
 
@@ -128,10 +120,6 @@ class MmCleanupStage(FixedStage):
 
     def start(self, ctx):
         return _AnnounceRun()
-
-
-def mm_cleanup() -> StagedProgram:
-    return StagedProgram([MmCleanupStage()])
 
 
 class MmUniformStage(Stage):
@@ -187,10 +175,6 @@ class _MmUniformRun(_AnnounceRun):
         return Step()
 
 
-def mm_uniform() -> StagedProgram:
-    return StagedProgram([MmUniformStage()])
-
-
 # ---------------------------------------------------------------------------
 # (delta+1)-vertex coloring
 
@@ -238,10 +222,9 @@ class VcInitStage(Stage):
         return 2
 
     def start(self, ctx):
-        pred = ctx.view.prediction
-        if not isinstance(pred, int) or not 1 <= pred <= ctx.view.delta + 1:
-            raise ValueError(
-                f"node {ctx.view.id}: predicted color {pred!r} out of range")
+        v = ctx.view
+        check_prediction("VERTEX_COLORING", v.id, v.prediction,
+                         v.neighbor_ids, v.delta)
         return _VcInitRun(self.rule)
 
 
@@ -267,14 +250,6 @@ class _VcInitRun(_ColorRun):
         return _ColorRun.process(self, ctx, t, inbox)
 
 
-def vc_base() -> StagedProgram:
-    return StagedProgram([VcInitStage("base")])
-
-
-def vc_init() -> StagedProgram:
-    return StagedProgram([VcInitStage("init")])
-
-
 class VcUniformStage(Stage):
     """Each round the local-maximum identifier takes the smallest color left
     in its palette and leaves."""
@@ -294,10 +269,6 @@ class _VcUniformRun(_ColorRun):
         if not ctx.active or max(ctx.active) < ctx.view.id:
             self.pick = min(palette)
         return _ColorRun.compose(self, ctx, t)
-
-
-def vc_uniform() -> StagedProgram:
-    return StagedProgram([VcUniformStage()])
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +403,6 @@ class _LinialRun(ReductionRun):
                                  if c not in taken)
 
 
-def linial_coloring() -> StagedProgram:
-    return StagedProgram([LinialColoringStage(store_only=False)])
-
-
 # ---------------------------------------------------------------------------
 # (2*delta-1)-edge coloring
 
@@ -478,15 +445,6 @@ class _ExchangeRun(StageRun):
         return Step()
 
 
-def _unique_predictions(pred: dict) -> dict:
-    """The predicted edge colors no other edge at the node shares, by
-    neighbor."""
-    tally = {}
-    for c in pred.values():
-        tally[c] = tally.get(c, 0) + 1
-    return {v: c for v, c in pred.items() if tally[c] == 1}
-
-
 class EcBaseStage(Stage):
     """2-round edge-coloring prologue: locally distinct predicted colors
     agreed by both endpoints are committed in round 1; round 2 broadcasts
@@ -497,15 +455,10 @@ class EcBaseStage(Stage):
         return 2
 
     def start(self, ctx):
-        pred = ctx.view.prediction
-        hi = max(1, 2 * ctx.view.delta - 1)
-        if not isinstance(pred, dict) or set(pred) != set(ctx.view.neighbor_ids):
-            raise ValueError(f"node {ctx.view.id}: edge predictions incomplete")
-        for v, c in pred.items():
-            if not isinstance(c, int) or not 1 <= c <= hi:
-                raise ValueError(
-                    f"node {ctx.view.id}: predicted color {c!r} out of range")
-        return _EcBaseRun(_unique_predictions(pred))
+        v = ctx.view
+        check_prediction("EDGE_COLORING", v.id, v.prediction,
+                         v.neighbor_ids, v.delta)
+        return _EcBaseRun(unique_predictions(v.prediction))
 
 
 class _EcBaseRun(_ExchangeRun):
@@ -531,10 +484,6 @@ class _EcBaseRun(_ExchangeRun):
         return Step(outputs)
 
 
-def ec_base() -> StagedProgram:
-    return StagedProgram([EcBaseStage()])
-
-
 class EcCleanupStage(FixedStage):
     """One round: endpoints of uncolored edges re-exchange their committed
     colors and uncolored neighbor sets, restoring equal palettes."""
@@ -546,12 +495,8 @@ class EcCleanupStage(FixedStage):
         return _ExchangeRun("CLEAN")
 
 
-def ec_cleanup() -> StagedProgram:
-    return StagedProgram([EcCleanupStage()])
-
-
 class EcProbeStage(FixedStage):
-    """One round standalone substitute for the ec_base round-2 exchange:
+    """One round standalone substitute for the round-2 exchange of EcBaseStage:
     establishes 2-hop identifier knowledge with everything uncolored."""
 
     def __init__(self):
@@ -647,9 +592,3 @@ class _EcUniformRun(StageRun):
                 st["palette"][s] -= set(cols)
                 st["two_hop"][s] -= set(filled)
         return Step()
-
-
-def ec_uniform() -> StagedProgram:
-    """Standalone harness form: a probe round supplies the 2-hop identifier
-    knowledge that ec_base round 2 provides inside templates."""
-    return StagedProgram([EcProbeStage(), EcUniformStage()])

@@ -1,40 +1,53 @@
-"""Name registry for all standalone node programs addressable from configs."""
+"""Name registry for all standalone node programs addressable from configs.
+
+This is the one place where a standalone program is put together from its
+stage blueprints.  Blueprints are stateless, so every program built from
+an entry shares them."""
 
 from __future__ import annotations
 
 from . import mis, problems
+from .stages import StagedProgram
 
-# name -> (factory, problem kind whose validator applies to its complete output)
+# name -> (stages, problem kind whose validator applies to its complete output)
 PROGRAMS = {
-    "mis.base": (mis.mis_base, "MIS"),
-    "mis.init": (mis.mis_init, "MIS"),
-    "mis.greedy": (mis.greedy_mis, "MIS"),
-    "mis.cleanup": (mis.mis_cleanup, "MIS"),
-    "mis.color_part2": (mis.coloring_to_mis_part2, "MIS"),
-    "mis.u_bw": (mis.u_bw, "MIS"),
-    "mis.tree_init": (mis.tree_init, "MIS"),
-    "mis.tree_init_eager": (lambda: mis.tree_init(eager=True), "MIS"),
-    "mis.tree_uniform": (mis.tree_uniform, "MIS"),
-    "mis.tree_gps": (mis.gps_tree_3coloring, "VERTEX_COLORING"),
-    "mis.tree_part2": (mis.tree_ref_part2, "MIS"),
-    "mm.base": (problems.mm_base, "MAXIMAL_MATCHING"),
-    "mm.init": (problems.mm_init, "MAXIMAL_MATCHING"),
-    "mm.uniform": (problems.mm_uniform, "MAXIMAL_MATCHING"),
-    "mm.cleanup": (problems.mm_cleanup, "MAXIMAL_MATCHING"),
-    "vc.base": (problems.vc_base, "VERTEX_COLORING"),
-    "vc.init": (problems.vc_init, "VERTEX_COLORING"),
-    "vc.uniform": (problems.vc_uniform, "VERTEX_COLORING"),
-    "vc.linial": (problems.linial_coloring, "VERTEX_COLORING"),
-    "ec.base": (problems.ec_base, "EDGE_COLORING"),
-    "ec.uniform": (problems.ec_uniform, "EDGE_COLORING"),
-    "ec.cleanup": (problems.ec_cleanup, "EDGE_COLORING"),
+    "mis.base": ((mis.MisInitStage("base"),), "MIS"),
+    "mis.init": ((mis.MisInitStage("init"),), "MIS"),
+    "mis.greedy": ((mis.GreedyStage(),), "MIS"),
+    "mis.cleanup": ((mis.MisCleanupStage(),), "MIS"),
+    # the stored colour is taken from the prediction, revealed in one
+    # round, then resolved in delta rounds
+    "mis.color_part2": ((mis.RevealStage(), mis.ColorPart2Stage()), "MIS"),
+    "mis.u_bw": ((mis.UbwColorProbe(), mis.UbwStage()), "MIS"),
+    "mis.tree_init": ((mis.TreeInitStage(),), "MIS"),
+    "mis.tree_init_eager": ((mis.TreeInitStage(eager=True),), "MIS"),
+    "mis.tree_uniform": ((mis.TreeUniformStage(),), "MIS"),
+    "mis.tree_gps": ((mis.GpsTreeColoringStage(store_only=False),),
+                     "VERTEX_COLORING"),
+    # the stored 3-colouring is taken from the prediction
+    "mis.tree_part2": ((mis.TreePart2Stage(),), "MIS"),
+    "mm.base": ((problems.MmInitStage("base"),), "MAXIMAL_MATCHING"),
+    "mm.init": ((problems.MmInitStage("init"),), "MAXIMAL_MATCHING"),
+    "mm.uniform": ((problems.MmUniformStage(),), "MAXIMAL_MATCHING"),
+    "mm.cleanup": ((problems.MmCleanupStage(),), "MAXIMAL_MATCHING"),
+    "vc.base": ((problems.VcInitStage("base"),), "VERTEX_COLORING"),
+    "vc.init": ((problems.VcInitStage("init"),), "VERTEX_COLORING"),
+    "vc.uniform": ((problems.VcUniformStage(),), "VERTEX_COLORING"),
+    "vc.linial": ((problems.LinialColoringStage(store_only=False),),
+                  "VERTEX_COLORING"),
+    "ec.base": ((problems.EcBaseStage(),), "EDGE_COLORING"),
+    # a probe round supplies the 2-hop identifier knowledge that round 2
+    # of ec.base provides inside the templates
+    "ec.uniform": ((problems.EcProbeStage(), problems.EcUniformStage()),
+                   "EDGE_COLORING"),
+    "ec.cleanup": ((problems.EcCleanupStage(),), "EDGE_COLORING"),
 }
 
 
 def get_program(name: str):
-    """A fresh instance of the named program, and its problem kind."""
+    """A fresh program of the named stages, and its problem kind."""
     try:
-        factory, kind = PROGRAMS[name]
+        stages, kind = PROGRAMS[name]
     except KeyError:
         raise KeyError(f"unknown program {name!r}; known: {sorted(PROGRAMS)}")
-    return factory(), kind
+    return StagedProgram(stages), kind

@@ -89,17 +89,19 @@ def _even(x: int) -> int:
 
 
 # problem -> (c, f, initialization, uniform stage, clean-up or None, default
-# truncation budget r(view) of the consecutive template); stage factories
+# truncation budget r(view) of the consecutive template); the stages are
+# blueprints, shared by every program built from them
 _PARTS = {
-    "MIS": (3, _f_mis, lambda: mis.MisInitStage("init"), mis.GreedyStage,
-            mis.MisCleanupStage, lambda v: _even(v.n)),
-    "MAXIMAL_MATCHING": (2, _f_mm, lambda: problems.MmInitStage("init"),
-                         problems.MmUniformStage, problems.MmCleanupStage,
+    "MIS": (3, _f_mis, mis.MisInitStage("init"), mis.GreedyStage(),
+            mis.MisCleanupStage(), lambda v: _even(v.n)),
+    "MAXIMAL_MATCHING": (2, _f_mm, problems.MmInitStage("init"),
+                         problems.MmUniformStage(), problems.MmCleanupStage(),
                          lambda v: 3 * ((v.n + 1) // 2)),
-    "VERTEX_COLORING": (2, _f_vc, lambda: problems.VcInitStage("init"),
-                        problems.VcUniformStage, None, lambda v: v.n),
-    "EDGE_COLORING": (1, _f_ec, problems.EcBaseStage, problems.EcUniformStage,
-                      problems.EcCleanupStage, lambda v: _even(2 * v.n)),
+    "VERTEX_COLORING": (2, _f_vc, problems.VcInitStage("init"),
+                        problems.VcUniformStage(), None, lambda v: v.n),
+    "EDGE_COLORING": (1, _f_ec, problems.EcBaseStage(),
+                      problems.EcUniformStage(), problems.EcCleanupStage(),
+                      lambda v: _even(2 * v.n)),
 }
 
 
@@ -119,26 +121,26 @@ def _mis_tree(template: str):
 def _program(problem: str, template: str, r: Optional[Callable], phase: int):
     _, _, init, uniform, cleanup, default_r = _PARTS[problem]
     if template == "simple":
-        return StagedProgram([init(), uniform()])
+        return StagedProgram([init, uniform])
     if template == "consecutive":
         r = r or default_r
-        tail = [cleanup()] if cleanup is not None else []
+        tail = [cleanup] if cleanup is not None else []
         pad = sum(s.length(None) for s in tail)
-        return StagedProgram([init(), TruncatedStage(uniform(),
-                                                     lambda v: r(v) + pad),
-                              *tail, uniform()])
+        return StagedProgram([init, TruncatedStage(uniform,
+                                                   lambda v: r(v) + pad),
+                              *tail, uniform])
     if problem != "MIS":
         raise ConfigError(
             f"{problem} supports simple and consecutive templates only")
     if template == "interleaved":
         if phase % 2:
             raise ConfigError("interleaved greedy phases must be even")
-        return StagedProgram([init(), InterleavedStage(
-            uniform(), mis.GreedyStage("min"), phase)])
+        return StagedProgram([init, InterleavedStage(
+            uniform, mis.GreedyStage("min"), phase)])
     return StagedProgram([
-        init(), ParallelStage(uniform(),
-                              problems.LinialColoringStage(store_only=True),
-                              lambda v: problems.linial_budget_even(v.d, v.delta)),
+        init, ParallelStage(uniform,
+                            problems.LinialColoringStage(store_only=True),
+                            lambda v: problems.linial_budget_even(v.d, v.delta)),
         mis.RevealStage(), mis.ColorPart2Stage(combined=True)])
 
 

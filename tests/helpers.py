@@ -1,9 +1,11 @@
-"""Test-only helpers: graph facts and files the tests check against, and a
-checkpoint list for bare phased runs.  Nothing under src/ needs them."""
+"""Test-only helpers: graph facts and files the tests check against, a
+checkpoint list for bare phased runs, and registry programs by name.
+Nothing under src/ needs them."""
 
 from typing import Optional
 
 from predsync.graphs import Graph, RootedTree, _assign_ids
+from predsync.registry import get_program
 
 INFINITE = float("inf")
 
@@ -50,3 +52,8 @@ def write_graph(g: Graph, tree: Optional[RootedTree] = None) -> str:
 def even_rounds(outcome) -> list[int]:
     """Checkpoint list for a bare phased run: every even round."""
     return list(range(2, outcome.total_rounds + 1, 2))
+
+
+def program(name: str):
+    """A fresh program of the registry's stages for name."""
+    return get_program(name)[0]

@@ -15,7 +15,7 @@ from predsync.graphs import (grid, line, line_tree, random_connected_graph,
                              random_tree, validate, wheel_fk, _rng)
 from predsync.templates import build_template
 
-from helpers import diameter, even_rounds, wheel_rim_nodes
+from helpers import diameter, even_rounds, program, wheel_rim_nodes
 from reference import induced_subgraph, mu1, mu2
 
 AUDITED_RUNS = []  # (label, extendability violations)
@@ -77,7 +77,7 @@ def test_criterion_03_greedy_lemmas():
     for seed in range(200):
         n = 4 + seed % 13  # <= 16
         g = random_connected_graph(n, 0.3, seed)
-        out = simulate(g, mis.greedy_mis(), trace=True)
+        out = simulate(g, program("mis.greedy"), trace=True)
         assert validate("MIS", g, out.solution("MIS", g)) is None
         assert out.total_rounds <= min(mu1(g), mu2(g) + 1), seed
         _audit(f"c3/{seed}", "MIS", g, out, even_rounds(out))
@@ -134,7 +134,7 @@ def test_criterion_07_rooted_tree_line():
     t = line_tree(15)
     p = M.reference("MIS", t.graph, pattern="MOD3_LINE", tree=t)
     assert M.error_report("MIS", t.graph, p, t)["eta_t"] == 2
-    out = simulate(t.graph, mis.tree_init(eager=True), p, tree=t, trace=True)
+    out = simulate(t.graph, program("mis.tree_init_eager"), p, tree=t, trace=True)
     assert out.total_rounds == 2 and max(out.term_round.values()) == 2
     _audit("c7/init", "MIS", t.graph, out, [out.total_rounds])
 
@@ -165,16 +165,16 @@ def test_criterion_07_rooted_tree_line():
 
 def test_criterion_08_other_problems():
     cases = (
-        ("MAXIMAL_MATCHING", problems.mm_uniform, lambda s: 3 * (s // 2), 0),
-        ("VERTEX_COLORING", problems.vc_uniform, lambda s: s, 0),
-        ("EDGE_COLORING", problems.ec_uniform,
+        ("MAXIMAL_MATCHING", "mm.uniform", lambda s: 3 * (s // 2), 0),
+        ("VERTEX_COLORING", "vc.uniform", lambda s: s, 0),
+        ("EDGE_COLORING", "ec.uniform",
          lambda s: max(1, 2 * s - 3), 1),  # one probe-round prologue
     )
-    for kind, factory, bound, prologue in cases:
+    for kind, name, bound, prologue in cases:
         for seed in range(100):
             n = 4 + seed % 11  # <= 14
             g = random_connected_graph(n, 0.3, seed)
-            prog = factory()
+            prog = program(name)
             out = simulate(g, prog, trace=True)
             assert validate(kind, g, out.solution(kind, g)) is None, (kind, seed)
             assert out.total_rounds - prologue <= bound(g.n), (kind, seed)
@@ -185,12 +185,11 @@ def test_criterion_08_other_problems():
 
 
 def test_criterion_09_lower_bound_sanity():
-    out = simulate(line(101), mis.greedy_mis(), max_rounds=500)
+    out = simulate(line(101), program("mis.greedy"), max_rounds=500)
     assert out.total_rounds >= 48
-    for factory in (problems.mm_uniform, problems.vc_uniform,
-                    problems.ec_uniform):
-        out = simulate(line(51), factory(), max_rounds=500)
-        assert out.total_rounds >= 24, factory.__name__
+    for name in ("mm.uniform", "vc.uniform", "ec.uniform"):
+        out = simulate(line(51), program(name), max_rounds=500)
+        assert out.total_rounds >= 24, name
     _passed(9, "greedy MIS needs >= 48 rounds on the 101-line; matching, "
                "vertex and edge coloring need >= 24 on 51-lines")
 
@@ -232,7 +231,7 @@ def test_criterion_11_fault_tolerance():
         for u in sorted(g.nodes):
             if r.random() < 0.5:
                 sched.setdefault(r.randrange(1, budget + 1), set()).add(u)
-        out = simulate(g, problems.linial_coloring(), max_rounds=budget + 5,
+        out = simulate(g, program("vc.linial"), max_rounds=budget + 5,
                        crash_schedule=sched, trace=True)
         check(g, out, f"linial/{seed}")
 
@@ -245,7 +244,7 @@ def test_criterion_11_fault_tolerance():
         for u in sorted(g.nodes):
             if r.random() < 0.5:
                 sched.setdefault(r.randrange(1, budget + 1), set()).add(u)
-        out = simulate(g, mis.gps_tree_3coloring(), tree=t,
+        out = simulate(g, program("mis.tree_gps"), tree=t,
                        max_rounds=budget + 5, crash_schedule=sched, trace=True)
         check(g, out, f"gps/{seed}")
     _passed(11, "Linial and tree 3-coloring stay proper under 100 seeded "

@@ -15,7 +15,7 @@ from predsync import cli, engine, measures, registry
 from predsync.cli import Plan, main, parse_range, run_one
 from predsync.engine import Step
 from predsync.graphs import line
-from predsync.stages import FixedStage, StagedProgram, StageRun
+from predsync.stages import FixedStage, StageRun
 
 from helpers import write_graph
 
@@ -45,14 +45,17 @@ def test_run_consistency_row(tmp_path, capsys):
 
 
 def test_run_grid_pattern_row(tmp_path, capsys):
-    cfg = _cfg(tmp_path, "graph = GRID\nrows = 16\ncols = 16\nproblem = MIS\n"
-                         "template = simple\npattern = GRID_4BLOCK\n")
-    assert main(["run", "--config", cfg]) == 0
-    out = capsys.readouterr().out
-    header, row = out.strip().splitlines()
-    cells = dict(zip(header.split(","), row.split(",")))
-    assert cells["eta1"] == "256" and cells["eta_bw"] == "4"
-    assert cells["eta2"] == ""  # above the oracle cap: empty, never 0
+    # the blocks follow grid positions under either id scheme
+    for ids in ("", "id_scheme = SEEDED_PERMUTATION\nseed = 3\n"):
+        cfg = _cfg(tmp_path, "graph = GRID\nrows = 16\ncols = 16\n"
+                             "problem = MIS\ntemplate = simple\n"
+                             "pattern = GRID_4BLOCK\n" + ids)
+        assert main(["run", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        header, row = out.strip().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["eta1"] == "256" and cells["eta_bw"] == "4", ids
+        assert cells["eta2"] == ""  # above the oracle cap: empty, never 0
 
 
 def test_run_tree_program_row(tmp_path, capsys):
@@ -210,6 +213,22 @@ def test_readme_programs_are_the_registry():
     assert sorted(names) == sorted(registry.PROGRAMS)
 
 
+def test_readme_verify_example_is_valid(tmp_path, capsys, monkeypatch):
+    """The config, graph file and outputs file that README gives for
+    verify, in that order, and the verdict it promises."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = re.search(r"`verify` validates (.*?)\n`sanity`", readme,
+                        re.S).group(1)
+    config, graph, outputs = (text for _, text in re.findall(
+        r"^```(\w*)\n(.*?)^```$", section, re.S | re.M))
+    assert "prints `VALID`" in section
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text(graph)
+    (tmp_path / "out.txt").write_text(outputs)
+    assert main(["verify", "--config", _cfg(tmp_path, config)]) == 0
+    assert capsys.readouterr().out == "VALID\n"
+
+
 def test_wheel_without_k_rim_names_the_key(tmp_path, capsys):
     cfg = _cfg(tmp_path, "graph = WHEEL_FK\nproblem = MIS\n")
     assert main(["run", "--config", cfg]) == 2
@@ -284,6 +303,30 @@ def test_verify_incomplete(tmp_path, capsys):
                          f"outputs_file = {tmp_path}/o.txt\n")
     assert main(["verify", "--config", cfg]) == 1
     assert "INCOMPLETE" in capsys.readouterr().out
+
+
+def test_verify_edge_coloring_with_an_isolated_node(tmp_path, capsys):
+    """Node 3 has no edge and so no line: valid, as a run's own check
+    finds.  Node 2 without its line leaves edge 1-2 uncoloured."""
+    (tmp_path / "g.txt").write_text("3 3\nV 3\n1 2\n")
+    for lines, status, printed in (
+            ("1 2 1\n2 1 1\n", 0, "VALID\n"),
+            ("1 2 1\n", 1, "INCOMPLETE at 2: node 2 did not color every "
+                           "incident edge\n")):
+        (tmp_path / "o.txt").write_text(lines)
+        cfg = _cfg(tmp_path, f"problem = EDGE_COLORING\n"
+                             f"graph_file = {tmp_path}/g.txt\n"
+                             f"outputs_file = {tmp_path}/o.txt\n")
+        assert main(["verify", "--config", cfg]) == status
+        assert capsys.readouterr().out == printed
+
+
+def test_verify_names_the_files_it_needs(tmp_path, capsys):
+    for text, named in (("", "graph_file and outputs_file"),
+                        ("graph_file = g.txt\n", "outputs_file")):
+        cfg = _cfg(tmp_path, "problem = MIS\n" + text)
+        assert main(["verify", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"config error: verify needs {named}\n"
 
 
 def test_sanity_families(tmp_path, capsys):
@@ -453,8 +496,8 @@ def test_program_error_is_a_failing_row_not_a_config_error(tmp_path, capsys,
     """A node program that raises KeyError mid-run fails its run: the row
     says PROGRAM_ERROR, no trace is printed, and the exit code is 1.  An
     unknown program name is still a config error."""
-    monkeypatch.setitem(registry.PROGRAMS, "test.key_error", (
-        lambda: StagedProgram([_KeyErrorStage()]), "MIS"))
+    monkeypatch.setitem(registry.PROGRAMS, "test.key_error",
+                        ((_KeyErrorStage(),), "MIS"))
     cfg = _cfg(tmp_path, "graph = LINE\nn = 4\nprogram = test.key_error\n"
                          "k_range = 0..1\nseed = 0\n")
     for command, extra in (("run", []), ("run", ["--trace"]), ("sweep", [])):

@@ -7,13 +7,13 @@ import pytest
 
 from predsync import engine
 from predsync import measures as M
-from predsync import mis
 from predsync.engine import simulate
 from predsync.graphs import (CapExceeded, Graph, _assign_ids, build_graph,
                              grid, line, line_tree, random_connected_graph,
                              random_graph, random_tree, validate)
 from predsync.registry import get_program
 
+from helpers import program
 from reference import (alpha_oracle, components, edge_induced_subgraph,
                        enumerate_mis, format_predictions, induced_subgraph,
                        mu1, mu2)
@@ -201,7 +201,7 @@ def test_init_components_nest_inside_base_components():
         g = random_connected_graph(4 + seed % 9, 0.35, seed)
         p = M.corrupt("MIS", g, M.reference("MIS", g), 4, seed)
         base_comps = [set(c.nodes) for c in _error_components("MIS", g, p)[1]]
-        init_active = simulate(g, mis.mis_init(), p).undecided(g)
+        init_active = simulate(g, program("mis.init"), p).undecided(g)
         for c in components(induced_subgraph(g, init_active)):
             assert any(set(c.nodes) <= b for b in base_comps)
 
@@ -214,7 +214,7 @@ def _error_components(kind, g, p):
     """(undecided nodes, error components) of one simulated run of the
     registry's base program, from the definition: the nodes without
     output, or the uncolored edges."""
-    out = simulate(g, get_program(_BASE_PROGRAMS[kind])[0], p)
+    out = simulate(g, program(_BASE_PROGRAMS[kind]), p)
     if kind == "EDGE_COLORING":
         uncolored = [(u, v) for u, v in g.edges() if v not in out.outputs[u]]
         return None, components(edge_induced_subgraph(g, uncolored))

@@ -9,8 +9,9 @@ from predsync.engine import ProtocolViolation, simulate
 from predsync.graphs import (build_graph, grid, line, line_tree,
                              random_connected_graph, random_tree, validate,
                              _rng)
+from predsync.stages import StagedProgram
 
-from helpers import even_rounds
+from helpers import even_rounds, program
 from reference import (components, induced_subgraph, mu1, mu2,
                        partial_outputs, snapshot_active)
 
@@ -27,29 +28,29 @@ def _k(ids):
 def test_base_correct_predictions_output_prediction():
     g = line(5)
     p = {1: 1, 2: 0, 3: 1, 4: 0, 5: 1}
-    out = simulate(g, mis.mis_base(), p)
+    out = simulate(g, program("mis.base"), p)
     assert out.total_rounds <= 3
     assert {u: out.value(u) for u in g.nodes} == p
 
 
 def test_base_all_zero_line_is_empty():
     g = line(3)
-    out = simulate(g, mis.mis_base(), {1: 0, 2: 0, 3: 0})
+    out = simulate(g, program("mis.base"), {1: 0, 2: 0, 3: 0})
     assert out.undecided(g) == {1, 2, 3}
 
 
 def test_base_conflicting_edge_undecided():
     g = build_graph([1, 2], [(1, 2)])
-    out = simulate(g, mis.mis_base(), {1: 1, 2: 1})
+    out = simulate(g, program("mis.base"), {1: 1, 2: 1})
     assert out.undecided(g) == {1, 2}
 
 
 def test_init_breaks_ties_by_identifier():
     g = build_graph([3, 7], [(3, 7)])
-    out = simulate(g, mis.mis_init(), {3: 1, 7: 1})
+    out = simulate(g, program("mis.init"), {3: 1, 7: 1})
     assert out.value(7) == 1 and out.value(3) == 0
     tri = _k([2, 5, 9])
-    out = simulate(tri, mis.mis_init(), {2: 1, 5: 1, 9: 1})
+    out = simulate(tri, program("mis.init"), {2: 1, 5: 1, 9: 1})
     assert out.value(9) == 1 and out.value(2) == 0 and out.value(5) == 0
 
 
@@ -57,8 +58,8 @@ def test_init_extends_base():
     for seed in range(15):
         g = random_connected_graph(4 + seed % 9, 0.35, seed)
         p = M.corrupt("MIS", g, M.reference("MIS", g), 4, seed)
-        base = simulate(g, mis.mis_base(), p).outputs
-        init = simulate(g, mis.mis_init(), p).outputs
+        base = simulate(g, program("mis.base"), p).outputs
+        init = simulate(g, program("mis.init"), p).outputs
         for u in g.nodes:
             if base[u]:
                 assert init[u] == base[u]
@@ -86,24 +87,24 @@ def test_cleanup_star():
 
 def test_greedy_line5():
     g = line(5)
-    out = simulate(g, mis.greedy_mis(), trace=True)
+    out = simulate(g, program("mis.greedy"), trace=True)
     assert out.total_rounds == 5
     assert {u for u in g.nodes if out.value(u) == 1} == {1, 3, 5}
     assert audit_run("MIS", g, out, even_rounds(out)) == (None, [])
 
 
 def test_greedy_clique_and_single():
-    out = simulate(_k(range(1, 7)), mis.greedy_mis())
+    out = simulate(_k(range(1, 7)), program("mis.greedy"))
     assert out.total_rounds == 2
     single = build_graph([4], [])
-    out = simulate(single, mis.greedy_mis())
+    out = simulate(single, program("mis.greedy"))
     assert out.total_rounds == 1 and out.value(4) == 1
 
 
 def test_greedy_even_round_zero_iff_one_neighbor():
     for seed in range(20):
         g = random_connected_graph(4 + seed % 10, 0.3, seed)
-        out = simulate(g, mis.greedy_mis(), trace=True)
+        out = simulate(g, program("mis.greedy"), trace=True)
         for rnd in range(2, out.total_rounds + 1, 2):
             y = {u: s.get("y") for u, s in partial_outputs(out, rnd).items()}
             for u in g.nodes:
@@ -114,7 +115,7 @@ def test_greedy_even_round_zero_iff_one_neighbor():
 def test_greedy_per_component_bound():
     for seed in range(40):
         g = random_connected_graph(4 + seed % 12, 0.3, seed)
-        out = simulate(g, mis.greedy_mis())
+        out = simulate(g, program("mis.greedy"))
         assert validate("MIS", g, out.solution("MIS", g)) is None
         assert out.total_rounds <= min(mu1(g), mu2(g) + 1)
 
@@ -124,7 +125,7 @@ def test_greedy_steady_progress():
     # r + f(mu(S)) <= f(mu(G)) + 2 for f = id (mu1) and f = x+1 (mu2)
     for seed in range(15):
         g = random_connected_graph(5 + seed % 8, 0.35, seed)
-        out = simulate(g, mis.greedy_mis(), trace=True)
+        out = simulate(g, program("mis.greedy"), trace=True)
         for rnd in range(1, out.total_rounds + 1):
             active = snapshot_active(out, g, rnd)
             for s in components(induced_subgraph(g, active)):
@@ -138,7 +139,7 @@ def test_greedy_steady_progress():
 def test_u_bw_grid_pattern():
     g = grid(16, 16)
     p = M.reference("MIS", g, pattern="GRID_4BLOCK", rows=16, cols=16)
-    out = simulate(g, mis.u_bw(), p)
+    out = simulate(g, program("mis.u_bw"), p)
     assert validate("MIS", g, out.solution("MIS", g)) is None
     # color components have <= 4 nodes; one probe round plus two alternating
     # passes of the greedy bound
@@ -147,7 +148,7 @@ def test_u_bw_grid_pattern():
 
 def test_u_bw_all_black():
     g = line(6)
-    out = simulate(g, mis.u_bw(), {u: 1 for u in g.nodes})
+    out = simulate(g, program("mis.u_bw"), {u: 1 for u in g.nodes})
     assert validate("MIS", g, out.solution("MIS", g)) is None
 
 
@@ -156,34 +157,35 @@ def test_u_bw_all_black():
 
 def test_part2_path():
     g = line(3)
-    out = simulate(g, mis.coloring_to_mis_part2(), {1: 1, 2: 2, 3: 1})
+    out = simulate(g, program("mis.color_part2"), {1: 1, 2: 2, 3: 1})
     assert out.value(1) == 1 and out.value(3) == 1 and out.value(2) == 0
 
 
 def test_part2_clique_color1_wins_first():
     g = _k([1, 2, 3, 4])
-    out = simulate(g, mis.coloring_to_mis_part2(), {1: 2, 2: 1, 3: 3, 4: 4})
+    out = simulate(g, program("mis.color_part2"), {1: 2, 2: 1, 3: 3, 4: 4})
     assert out.value(2) == 1 and out.term_round[2] == 2  # reveal + round 1
     assert all(out.value(u) == 0 for u in (1, 3, 4))
 
 
 def test_part2_single_node():
     g = build_graph([5], [])
-    out = simulate(g, mis.coloring_to_mis_part2(), {5: 1})
+    out = simulate(g, program("mis.color_part2"), {5: 1})
     assert out.value(5) == 1
 
 
 def test_part2_rejects_improper_coloring():
     g = build_graph([1, 2], [(1, 2)])
     with pytest.raises(ProtocolViolation):
-        simulate(g, mis.coloring_to_mis_part2(), {1: 1, 2: 1})
+        simulate(g, program("mis.color_part2"), {1: 1, 2: 1})
 
 
 def test_part2_combined_beats_mu2_bound():
+    combined = StagedProgram([mis.RevealStage(), mis.ColorPart2Stage(True)])
     for seed in range(15):
         g = random_connected_graph(4 + seed % 9, 0.4, seed)
         colors = M.solve("VERTEX_COLORING", g)
-        out = simulate(g, mis.coloring_to_mis_part2(combined=True), colors)
+        out = simulate(g, combined, colors)
         assert validate("MIS", g, out.solution("MIS", g)) is None
         assert out.total_rounds <= 1 + mu2(g) + 1  # reveal + mu2(S)+1
 
@@ -195,7 +197,7 @@ def test_tree_init_mod3_line():
     t = line_tree(15)
     p = M.reference("MIS", t.graph, pattern="MOD3_LINE", tree=t)
     assert M.error_report("MIS", t.graph, p, t)["eta_t"] == 2
-    out = simulate(t.graph, mis.tree_init(eager=True), p, tree=t)
+    out = simulate(t.graph, program("mis.tree_init_eager"), p, tree=t)
     assert out.total_rounds == 2
     assert max(out.term_round.values()) == 2
 
@@ -204,7 +206,7 @@ def test_tree_init_correct_predictions():
     for seed in range(10):
         t = random_tree(3 + seed, seed)
         p = M.corrupt("MIS", t.graph, M.reference("MIS", t.graph), 0, 0)
-        out = simulate(t.graph, mis.tree_init(), p, tree=t)
+        out = simulate(t.graph, program("mis.tree_init"), p, tree=t)
         assert out.total_rounds == 3
         assert validate("MIS", t.graph, out.solution("MIS", t.graph)) is None
 
@@ -213,7 +215,7 @@ def test_tree_init_leaves_monochromatic_components():
     for seed in range(20):
         t = random_tree(4 + seed % 10, seed)
         p = M.corrupt("MIS", t.graph, M.reference("MIS", t.graph), 4, seed)
-        out = simulate(t.graph, mis.tree_init(), p, tree=t)
+        out = simulate(t.graph, program("mis.tree_init"), p, tree=t)
         active = out.undecided(t.graph)
         for u in active:
             for v in t.graph.neighbors(u):
@@ -223,14 +225,14 @@ def test_tree_init_leaves_monochromatic_components():
 
 def test_tree_uniform_paths():
     single = random_tree(1, 0)
-    out = simulate(single.graph, mis.tree_uniform(), tree=single)
+    out = simulate(single.graph, program("mis.tree_uniform"), tree=single)
     assert out.total_rounds == 1
     t2 = line_tree(2)
-    out = simulate(t2.graph, mis.tree_uniform(), tree=t2)
+    out = simulate(t2.graph, program("mis.tree_uniform"), tree=t2)
     assert out.total_rounds == 1
     assert out.value(1) == 1 and out.value(2) == 0
     t7 = line_tree(7)
-    out = simulate(t7.graph, mis.tree_uniform(), tree=t7, trace=True)
+    out = simulate(t7.graph, program("mis.tree_uniform"), tree=t7, trace=True)
     assert validate("MIS", t7.graph, out.solution("MIS", t7.graph)) is None
     assert out.total_rounds <= 2 * ((7 + 1) // 2)
     assert audit_run("MIS", t7.graph, out, even_rounds(out)) == (None, [])
@@ -239,21 +241,21 @@ def test_tree_uniform_paths():
 def test_tree_uniform_random_trees():
     for seed in range(20):
         t = random_tree(3 + seed % 12, seed)
-        out = simulate(t.graph, mis.tree_uniform(), tree=t, trace=True)
+        out = simulate(t.graph, program("mis.tree_uniform"), tree=t, trace=True)
         assert validate("MIS", t.graph, out.solution("MIS", t.graph)) is None
         assert audit_run("MIS", t.graph, out, even_rounds(out)) == (None, [])
 
 
 def test_gps_examples():
     t = random_tree(1, 0)
-    out = simulate(t.graph, mis.gps_tree_3coloring(), tree=t)
+    out = simulate(t.graph, program("mis.tree_gps"), tree=t)
     assert out.value(next(iter(t.graph.nodes))) in (1, 2, 3)
     t2 = line_tree(2)
-    out = simulate(t2.graph, mis.gps_tree_3coloring(), tree=t2)
+    out = simulate(t2.graph, program("mis.tree_gps"), tree=t2)
     assert out.value(1) != out.value(2)
     t200 = random_tree(200, 3, d=10 ** 6)
     budget = mis.gps_budget_even(10 ** 6)
-    out = simulate(t200.graph, mis.gps_tree_3coloring(), tree=t200,
+    out = simulate(t200.graph, program("mis.tree_gps"), tree=t200,
                    max_rounds=budget + 5)
     sol = {u: out.value(u) for u in t200.graph.nodes}
     assert all(c in (1, 2, 3) for c in sol.values())
@@ -271,7 +273,7 @@ def test_gps_fault_tolerance():
         for u in sorted(g.nodes):
             if r.random() < 0.4:
                 sched.setdefault(r.randrange(1, budget + 1), set()).add(u)
-        out = simulate(g, mis.gps_tree_3coloring(), tree=t,
+        out = simulate(g, program("mis.tree_gps"), tree=t,
                        max_rounds=budget + 5, crash_schedule=sched)
         sol = {u: out.value(u) for u in g.nodes}
         for u, v in g.edges():
@@ -281,16 +283,16 @@ def test_gps_fault_tolerance():
 
 def test_tree_part2():
     single = build_graph([5], [])
-    out = simulate(single, mis.tree_ref_part2(), {5: 2})
+    out = simulate(single, program("mis.tree_part2"), {5: 2})
     assert out.value(5) == 1 and out.term_round[5] == 2
     edgeless = build_graph([1, 2], [])
-    out = simulate(edgeless, mis.tree_ref_part2(), {1: 1, 2: 1})
+    out = simulate(edgeless, program("mis.tree_part2"), {1: 1, 2: 1})
     assert out.value(1) == 1 and out.value(2) == 1
     assert out.term_round[1] == 1
     t7 = line_tree(7)
     colors = {u: (i % 2) + 2 for i, u in enumerate(sorted(t7.graph.nodes))}
-    out = simulate(t7.graph, mis.tree_ref_part2(), colors)
+    out = simulate(t7.graph, program("mis.tree_part2"), colors)
     assert out.total_rounds == 2
     assert validate("MIS", t7.graph, out.solution("MIS", t7.graph)) is None
     with pytest.raises(ProtocolViolation):
-        simulate(line(2), mis.tree_ref_part2(), {1: 3, 2: 3})
+        simulate(line(2), program("mis.tree_part2"), {1: 3, 2: 3})

@@ -6,12 +6,13 @@ import random
 
 import pytest
 
-from predsync import measures, mis
+from predsync import measures
 from predsync.engine import simulate
 from predsync.graphs import (DEFAULT_ALPHA_CAP, DEFAULT_ENUM_CAP, build_graph,
                              grid, line, random_graph,
                              random_connected_graph, validate)
 
+from helpers import program
 from reference import alpha_oracle, components, enumerate_mis
 
 nx = pytest.importorskip("networkx")
@@ -99,11 +100,11 @@ def test_matching_validator_matches_is_maximal_matching():
 
 def _eta_bw_nx(g, p):
     """Largest connected component of G[{u undecided : p[u] = c}], c in {0, 1},
-    with the undecided nodes those a mis_base run on p leaves."""
+    with the undecided nodes those an mis.base run on p leaves."""
     h = nx.Graph()
     h.add_nodes_from(g.nodes)
     h.add_edges_from(g.edges())
-    undecided = simulate(g, mis.mis_base(), p).undecided(g)
+    undecided = simulate(g, program("mis.base"), p).undecided(g)
     return max((len(c) for color in (0, 1)
                 for c in nx.connected_components(
                     h.subgraph(u for u in undecided if p[u] == color))),

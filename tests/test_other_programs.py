@@ -9,6 +9,8 @@ from predsync.graphs import (build_graph, line, random_connected_graph,
                              validate, _rng)
 from predsync.templates import build_template
 
+from helpers import program
+
 
 def _k(ids):
     ids = list(ids)
@@ -22,45 +24,45 @@ def _k(ids):
 def test_mm_base_correct_two_rounds():
     g = line(4)
     p = {1: 2, 2: 1, 3: 4, 4: 3}
-    out = simulate(g, problems.mm_base(), p)
+    out = simulate(g, program("mm.base"), p)
     assert out.total_rounds == 2
     assert {u: out.value(u) for u in g.nodes} == p
 
 
 def test_mm_base_half_prediction_undecided():
     g = build_graph([1, 2], [(1, 2)])
-    out = simulate(g, problems.mm_base(), {1: 2, 2: None})
+    out = simulate(g, program("mm.base"), {1: 2, 2: None})
     assert out.undecided(g) == {1, 2}
 
 
 def test_mm_base_isolated_bot():
     g = build_graph([7], [])
-    out = simulate(g, problems.mm_base(), {7: None})
+    out = simulate(g, program("mm.base"), {7: None})
     assert out.value(7) is None and out.total_rounds == 2
 
 
 def test_mm_init_bot_despite_prediction():
     # 1-2 matched; 3 predicts 2 but all of 3's neighbors got matched
     g = line(3)
-    out = simulate(g, problems.mm_init(), {1: 2, 2: 1, 3: 2})
+    out = simulate(g, program("mm.init"), {1: 2, 2: 1, 3: 2})
     assert out.value(1) == 2 and out.value(2) == 1 and out.value(3) is None
 
 
 def test_mm_init_rejects_non_neighbor_partner():
     g = line(3)
     with pytest.raises(ValueError):
-        simulate(g, problems.mm_init(), {1: 3, 2: None, 3: 1})
+        simulate(g, program("mm.init"), {1: 3, 2: None, 3: 1})
 
 
 def test_mm_uniform_examples():
     e = build_graph([1, 2], [(1, 2)])
-    out = simulate(e, problems.mm_uniform())
+    out = simulate(e, program("mm.uniform"))
     assert out.total_rounds == 3 and out.value(1) == 2
     iso = build_graph([4], [])
-    out = simulate(iso, problems.mm_uniform())
+    out = simulate(iso, program("mm.uniform"))
     assert out.value(4) is None and out.total_rounds == 1
     p3 = line(3)
-    out = simulate(p3, problems.mm_uniform())
+    out = simulate(p3, program("mm.uniform"))
     assert out.total_rounds == 3
     assert validate("MAXIMAL_MATCHING", p3,
                     out.solution("MAXIMAL_MATCHING", p3)) is None
@@ -69,7 +71,7 @@ def test_mm_uniform_examples():
 def test_mm_uniform_bound_and_validity():
     for seed in range(40):
         g = random_connected_graph(4 + seed % 11, 0.3, seed)
-        prog = problems.mm_uniform()
+        prog = program("mm.uniform")
         out = simulate(g, prog, trace=True)
         sol = out.solution("MAXIMAL_MATCHING", g)
         assert validate("MAXIMAL_MATCHING", g, sol) is None
@@ -83,22 +85,22 @@ def test_mm_uniform_bound_and_validity():
 
 def test_vc_base_and_init():
     g = line(3)
-    out = simulate(g, problems.vc_base(), {1: 1, 2: 2, 3: 1})
+    out = simulate(g, program("vc.base"), {1: 1, 2: 2, 3: 1})
     assert out.total_rounds == 2
     assert [out.value(u) for u in (1, 2, 3)] == [1, 2, 1]
     pair = build_graph([3, 7], [(3, 7)])
-    out = simulate(pair, problems.vc_init(), {3: 1, 7: 1})
+    out = simulate(pair, program("vc.init"), {3: 1, 7: 1})
     assert out.value(7) == 1 and out.undecided(pair) == {3}
     with pytest.raises(ValueError):
-        simulate(pair, problems.vc_init(), {3: 0, 7: 1})
+        simulate(pair, program("vc.init"), {3: 0, 7: 1})
 
 
 def test_vc_uniform_examples():
     single = build_graph([1], [])
-    out = simulate(single, problems.vc_uniform())
+    out = simulate(single, program("vc.uniform"))
     assert out.total_rounds == 1 and out.value(1) == 1
     k4 = _k([1, 2, 3, 4])
-    out = simulate(k4, problems.vc_uniform())
+    out = simulate(k4, program("vc.uniform"))
     assert out.total_rounds == 4
     assert sorted(out.value(u) for u in k4.nodes) == [1, 2, 3, 4]
 
@@ -106,7 +108,7 @@ def test_vc_uniform_examples():
 def test_vc_uniform_bound_and_palette_invariant():
     for seed in range(40):
         g = random_connected_graph(4 + seed % 11, 0.35, seed)
-        prog = problems.vc_uniform()
+        prog = program("vc.uniform")
         out = simulate(g, prog, trace=True)
         sol = out.solution("VERTEX_COLORING", g)
         assert validate("VERTEX_COLORING", g, sol) is None
@@ -120,14 +122,14 @@ def test_vc_uniform_bound_and_palette_invariant():
 
 def test_linial_small_and_huge_d():
     g = line(5)
-    out = simulate(g, problems.linial_coloring(), max_rounds=200)
+    out = simulate(g, program("vc.linial"), max_rounds=200)
     assert validate("VERTEX_COLORING", g, out.solution("VERTEX_COLORING", g)) is None
     edgeless = build_graph([1, 2, 3], [])
-    out = simulate(edgeless, problems.linial_coloring(), max_rounds=10)
+    out = simulate(edgeless, program("vc.linial"), max_rounds=10)
     assert all(out.value(u) == 1 for u in edgeless.nodes)
     g50 = line(50, id_scheme="SEEDED_PERMUTATION", seed=2, d=10 ** 9)
     budget = problems.linial_rounds(10 ** 9, 2)
-    out = simulate(g50, problems.linial_coloring(), max_rounds=budget + 5)
+    out = simulate(g50, program("vc.linial"), max_rounds=budget + 5)
     assert validate("VERTEX_COLORING", g50,
                     out.solution("VERTEX_COLORING", g50)) is None
     assert out.total_rounds <= budget
@@ -147,7 +149,7 @@ def test_linial_fault_tolerance():
         for u in sorted(g.nodes):
             if r.random() < 0.4:
                 sched.setdefault(r.randrange(1, budget + 1), set()).add(u)
-        out = simulate(g, problems.linial_coloring(), max_rounds=budget + 5,
+        out = simulate(g, program("vc.linial"), max_rounds=budget + 5,
                        crash_schedule=sched)
         sol = {u: out.value(u) for u in g.nodes}
         for u, v in g.edges():
@@ -165,7 +167,7 @@ def _ec_correct(g):
 def test_ec_base_correct_one_round():
     g = line(4)
     p = _ec_correct(g)
-    out = simulate(g, problems.ec_base(), p)
+    out = simulate(g, program("ec.base"), p)
     assert max(out.term_round.values()) <= 2
     assert all(out.term_round[u] == 1 for u in g.nodes if g.adjacency[u])
     assert validate("EDGE_COLORING", g, out.solution("EDGE_COLORING", g)) is None
@@ -174,7 +176,7 @@ def test_ec_base_correct_one_round():
 def test_ec_base_clashing_predictions_stay_uncolored():
     g = line(3)  # edges (1,2) and (2,3) both predicted color 1 at node 2
     p = {1: {2: 1}, 2: {1: 1, 3: 1}, 3: {2: 1}}
-    out = simulate(g, problems.ec_base(), p)
+    out = simulate(g, program("ec.base"), p)
     assert out.undecided(g) == {1, 2, 3}
 
 
@@ -204,21 +206,21 @@ def test_ec_edge_state_is_built_only_where_an_edge_is_left(monkeypatch):
 
 def test_ec_uniform_examples():
     e = build_graph([1, 2], [(1, 2)])
-    out = simulate(e, problems.ec_uniform())
+    out = simulate(e, program("ec.uniform"))
     assert out.term_round[1] == out.term_round[2] == 2  # probe + round 1
     star = build_graph([9, 1, 2, 3, 4], [(9, i) for i in (1, 2, 3, 4)])
-    out = simulate(star, problems.ec_uniform())
+    out = simulate(star, program("ec.uniform"))
     assert out.term_round[9] == 2
     assert sorted(out.outputs[9].values()) == [1, 2, 3, 4]
     single = build_graph([1], [])
-    out = simulate(single, problems.ec_uniform())
+    out = simulate(single, program("ec.uniform"))
     assert out.outputs[1] == {} and out.total_rounds == 2
 
 
 def test_ec_uniform_bound_and_validity():
     for seed in range(40):
         g = random_connected_graph(4 + seed % 9, 0.35, seed)
-        prog = problems.ec_uniform()
+        prog = program("ec.uniform")
         out = simulate(g, prog, trace=True)
         sol = out.solution("EDGE_COLORING", g)
         assert validate("EDGE_COLORING", g, sol) is None
@@ -232,7 +234,7 @@ def test_ec_palettes_equal_at_phase_ends():
     # same palette; derivable from outputs since palettes are full minus the
     # colors seen at the endpoints
     g = random_connected_graph(8, 0.4, 5)
-    prog = problems.ec_uniform()
+    prog = program("ec.uniform")
     out = simulate(g, prog, trace=True)
     from reference import partial_outputs
     for rnd in prog.checkpoints(g, out.total_rounds):
@@ -245,7 +247,7 @@ def test_ec_palettes_equal_at_phase_ends():
 def test_ec_prediction_validation():
     g = line(3)
     with pytest.raises(ValueError):
-        simulate(g, problems.ec_base(), {1: {2: 1}, 2: {1: 1}, 3: {2: 1}})
+        simulate(g, program("ec.base"), {1: {2: 1}, 2: {1: 1}, 3: {2: 1}})
     with pytest.raises(ValueError):
-        simulate(g, problems.ec_base(),
+        simulate(g, program("ec.base"),
                  {1: {2: 99}, 2: {1: 99, 3: 1}, 3: {2: 1}})

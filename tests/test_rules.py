@@ -8,12 +8,13 @@ find the same violation code, or none."""
 import random
 from typing import Mapping
 
-from predsync import measures, mis
+from predsync import measures
 from predsync.cli import Plan, run_one
 from predsync.engine import simulate
 from predsync.graphs import (line, random_connected_graph, random_graph,
                              validate)
 
+from helpers import program
 from reference import check_extendable
 
 # ---------------------------------------------------------------------------
@@ -220,7 +221,7 @@ def test_matching_node_without_output_is_incomplete():
 
 def test_mis_init_all_zero_predictions_is_incomplete():
     g = line(5)
-    out = simulate(g, mis.mis_init(), {u: 0 for u in g.nodes})
+    out = simulate(g, program("mis.init"), {u: 0 for u in g.nodes})
     assert out.undecided(g) == set(g.nodes)
     assert out.solution("MIS", g) == {}
     assert validate("MIS", g, out.solution("MIS", g)).code == "INCOMPLETE"

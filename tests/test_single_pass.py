@@ -20,7 +20,7 @@ from predsync.cli import RUN_ERRORS
 from predsync.engine import Outcome, simulate
 from predsync.graphs import (ROOT, RootedTree, build_graph, generate, line,
                              random_graph, validate)
-from predsync.registry import PROGRAMS as REGISTRY
+from predsync.registry import PROGRAMS as REGISTRY, get_program
 from predsync.templates import build_template
 
 from reference import check_extendable, partial_outputs
@@ -170,8 +170,7 @@ def test_pass_matches_reference_on_template_runs():
 def _registry_runs(name, cases):
     """Check one registry program on (graph, rooted tree or None) cases;
     returns how many runs ended without raising."""
-    factory, kind = REGISTRY[name]
-    program = factory()
+    program, kind = get_program(name)
     # the part-2 programs read a stored coloring from their predictions
     source = "VERTEX_COLORING" if "part2" in name else kind
     ran = 0

@@ -26,6 +26,8 @@ from predsync.registry import PROGRAMS as REGISTRY
 from predsync.stages import Stage, StageRun, StagedProgram, TruncatedStage
 from predsync.templates import build_template
 
+from helpers import program
+
 
 class _Counted:
     def __init__(self, inner, counts, keep_wake):
@@ -166,7 +168,7 @@ def _matrix(name):
     (only TREE for tree programs) and k 0, 2, 5.  The part-2 programs read
     a stored coloring from their predictions."""
     if name in REGISTRY:
-        factory, kind = REGISTRY[name]
+        kind = REGISTRY[name][1]
         source = "VERTEX_COLORING" if "part2" in name else kind
         graphs = []
         for family, params in FAMILIES.items():
@@ -177,7 +179,7 @@ def _matrix(name):
                 graphs.append((made, None))
         cases = [(g, rooted, M.corrupt(source, g, M.solve(source, g), k, seed))
                  for g, rooted in graphs for k, seed in ((0, 0), (2, 1), (5, 2))]
-        return factory(), cases, lambda g: None
+        return program(name), cases, lambda g: None
     problem, template, tree = PROGRAMS[PROGRAM_IDS.index(name)]
     inst = build_template(problem, template, tree=tree)
     return inst.program, _template_cases(problem, tree), inst.max_rounds
@@ -254,6 +256,39 @@ def test_every_process_call_returns_a_new_step(name):
     assert len(set(map(id, prog.steps))) == len(prog.steps)
 
 
+def _blueprint(stage):
+    """A stage's type and attributes, with its inner stages taken apart in
+    turn, copied so that a later change to them shows."""
+    def value(v):
+        if isinstance(v, Stage):
+            return _blueprint(v)
+        if isinstance(v, tuple):
+            return tuple(map(value, v))
+        return copy.deepcopy(v)
+    return type(stage), {k: value(v) for k, v in vars(stage).items()}
+
+
+@pytest.mark.parametrize("name", MATRIX)
+def test_runs_leave_shared_blueprints_unchanged(name):
+    """Every program built from the registry or the templates' parts shares
+    its stage blueprints, so a run that changed one would leak into later
+    runs.  Each registry program is a new StagedProgram, with its own
+    lengths cache."""
+    if name in REGISTRY:
+        first, second = program(name), program(name)
+        assert first is not second and first.stages == second.stages
+        first.lengths(line(5))
+        assert second._key is None
+    prog, cases, max_rounds = _matrix(name)
+    before = [_blueprint(s) for s in prog.stages]
+    for g, rooted, p in cases:
+        try:
+            simulate(g, prog, p, max_rounds(g), tree=rooted)
+        except tuple(RUN_ERRORS):
+            pass
+    assert [_blueprint(s) for s in prog.stages] == before
+
+
 @pytest.mark.parametrize("pattern", ["ALL_ZEROS", "ALL_ONES"])
 @pytest.mark.parametrize("template",
                          ["simple", "consecutive", "interleaved", "parallel"])
@@ -266,16 +301,16 @@ def test_wake_matches_every_round_on_line_patterns(template, pattern):
         assert woken < every // 2
 
 
+# name -> stages
 STANDALONE = {
-    "mis_base": mis.mis_base,
-    "mis_init": mis.mis_init,
-    "u_bw": mis.u_bw,
-    "init+u_bw": lambda: StagedProgram([mis.MisInitStage("init"),
-                                        mis.UbwStage()]),
-    "tree_init": mis.tree_init,
-    "tree_uniform": mis.tree_uniform,
-    "color_part2": lambda: mis.coloring_to_mis_part2(False),
-    "color_part2_combined": lambda: mis.coloring_to_mis_part2(True),
+    "mis_base": REGISTRY["mis.base"][0],
+    "mis_init": REGISTRY["mis.init"][0],
+    "u_bw": REGISTRY["mis.u_bw"][0],
+    "init+u_bw": (mis.MisInitStage("init"), mis.UbwStage()),
+    "tree_init": REGISTRY["mis.tree_init"][0],
+    "tree_uniform": REGISTRY["mis.tree_uniform"][0],
+    "color_part2": REGISTRY["mis.color_part2"][0],
+    "color_part2_combined": (mis.RevealStage(), mis.ColorPart2Stage(True)),
 }
 
 
@@ -298,7 +333,7 @@ def _standalone_cases(name):
 
 @pytest.mark.parametrize("name", sorted(STANDALONE))
 def test_wake_matches_every_round_standalone(name):
-    program = STANDALONE[name]()
+    program = StagedProgram(STANDALONE[name])
     for g, rooted, p in _standalone_cases(name):
         _same(program, g, p, tree=rooted)
     if "u_bw" in name:
@@ -311,7 +346,7 @@ def test_wake_matches_every_round_standalone(name):
 
 @pytest.mark.parametrize("name", sorted(STANDALONE))
 def test_shared_payloads_match_copies_standalone(name):
-    program = STANDALONE[name]()
+    program = StagedProgram(STANDALONE[name])
     for g, rooted, p in _standalone_cases(name):
         assert (_outcome(CopyingProxy(program), g, p, tree=rooted)
                 == _outcome(program, g, p, tree=rooted))
@@ -322,8 +357,8 @@ def test_init_sleeper_in_final_stage_stops_at_its_end():
     # rounds 2 and 3 of the init, then stops undecided in its last round
     g = line(10)
     p = {u: 0 for u in g.nodes}
-    assert _same(mis.mis_init(), g, p) == (2 * g.n, 3 * g.n)
-    out = simulate(g, mis.mis_init(), p)
+    assert _same(program("mis.init"), g, p) == (2 * g.n, 3 * g.n)
+    out = simulate(g, program("mis.init"), p)
     assert out.term_round == {u: 3 for u in g.nodes}
     assert out.undecided(g) == set(g.nodes)
 
@@ -436,7 +471,7 @@ def test_wake_matches_every_round_under_crashes():
     for seed in range(20):
         g = random_connected_graph(6 + seed % 8, 0.35, seed)
         budget = problems.linial_rounds(g.d, g.delta)
-        _same(problems.linial_coloring(), g, max_rounds=budget + 5,
+        _same(program("vc.linial"), g, max_rounds=budget + 5,
               crash_schedule=_crashes(g, seed, "wake-linial", budget))
         p = M.corrupt("MIS", g, M.reference("MIS", g), 2, seed)
         for template in ("simple", "interleaved", "parallel"):
@@ -446,7 +481,7 @@ def test_wake_matches_every_round_under_crashes():
     for seed in range(20):
         t = random_tree(6 + seed % 10, seed)
         budget = mis.gps_rounds(t.graph.d)
-        _same(mis.gps_tree_3coloring(), t.graph, tree=t, max_rounds=budget + 5,
+        _same(program("mis.tree_gps"), t.graph, tree=t, max_rounds=budget + 5,
               crash_schedule=_crashes(t.graph, seed, "wake-gps", budget))
         inst = build_template("MIS", "parallel", tree=True)
         p = M.corrupt("MIS", t.graph, M.reference("MIS", t.graph), 2, seed)
