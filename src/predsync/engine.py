@@ -4,9 +4,8 @@ Each round, every active node first composes its outbox from its state at
 the end of the previous round, then all messages are delivered, then each
 active node processes its inbox, may assign output values, and may
 terminate.  A node that terminates in round r still has its round-r outbox
-delivered.  Messages addressed to already-terminated nodes are dropped.
-Each inbox lists its messages in sender order; a round's SEND events come
-in sender order too, and each sender's in recipient order.
+delivered.  Each inbox lists its messages in sender order; a round's SEND
+events come in sender order too, and each sender's in recipient order.
 
 Waiting nodes cost nothing.  A node's Step may name its next wake round:
 until then, its compose and process would do nothing unless a message
@@ -23,6 +22,10 @@ immutable named tuple.  A traced run records each event as a plain
 TraceEvent that keeps the payload or output value itself, formatted only
 by line(), so a sender must never mutate a payload or an output value
 after the round it sends or assigns it.
+
+Delivery rests on one invariant: every active node is either awake, and
+has an inbox this round, or asleep.  A message to any other node, one
+that terminated or crashed, is dropped.
 """
 
 from __future__ import annotations
@@ -146,21 +149,6 @@ class Outcome:
         return [ev.line() for ev in self.trace]
 
 
-def make_views(g: Graph, predictions, tree: Optional[RootedTree] = None) -> dict[int, NodeView]:
-    n, d, delta, adjacency = g.n, g.d, g.delta, g.adjacency
-    views = {}
-    for u in g.nodes:
-        pred = None if predictions is NO_PREDICTIONS else predictions[u]
-        is_root = parent = None
-        if tree is not None:
-            p = tree.parent[u]
-            is_root = p == ROOT
-            parent = None if is_root else p
-        # positional: keyword arguments slow this once-per-node call
-        views[u] = NodeView(u, adjacency[u], n, d, delta, pred, is_root, parent)
-    return views
-
-
 def default_max_rounds(g: Graph) -> int:
     return 4 * g.n + 20
 
@@ -182,9 +170,19 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
         missing = [u for u in g.nodes if u not in predictions]
         if missing:
             raise ValueError(f"predictions missing for nodes {missing}")
-    views = make_views(g, predictions, tree)
+    n, d, delta, adjacency = g.n, g.d, g.delta, g.adjacency
+    behaviors = {}
+    for u in g.nodes:
+        pred = None if predictions is NO_PREDICTIONS else predictions[u]
+        is_root = parent = None
+        if tree is not None:
+            p = tree.parent[u]
+            is_root = p == ROOT
+            parent = None if is_root else p
+        # positional: keyword arguments slow this once-per-node call
+        behaviors[u] = program.start(
+            NodeView(u, adjacency[u], n, d, delta, pred, is_root, parent))
     nbr_sets = g.neighbor_sets
-    behaviors = {u: program.start(views[u]) for u in g.nodes}
     active = set(g.nodes)
     awake = sorted(active)  # nodes stepped this round, in node order
     asleep: dict[int, int] = {}  # sleeping node -> its wake round
@@ -219,12 +217,11 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
                 for v, payload in sorted(outbox.items()):
                     events.append(TraceEvent(rnd, u, "SEND", v, payload))
             for v, payload in outbox.items():
-                if v in active:
-                    try:
-                        inboxes[v][u] = payload
-                    except KeyError:  # v sleeps: it wakes to process this
-                        inboxes[v] = {u: payload}
-                        roused.append(v)
+                if v in inboxes:
+                    inboxes[v][u] = payload
+                elif v in asleep:  # v wakes to process this
+                    inboxes[v] = {u: payload}
+                    roused.append(v)
         order = awake
         if roused:
             for v in roused:

@@ -31,9 +31,9 @@ def _note(ctx: Ctx, inbox):
     for sender, msg in inbox.items():
         if msg == ONE:
             ctx.nbr_one.add(sender)
-            ctx.gone(sender)
+            ctx.active.discard(sender)
         elif msg == ZERO:
-            ctx.gone(sender)
+            ctx.active.discard(sender)
 
 
 class _LeaveRun(StageRun):
@@ -135,15 +135,14 @@ class _MisInitRun(_LeaveRun):
 
     def process(self, ctx, t, inbox):
         if t == 1:
-            preds = {s: m[1] for s, m in inbox.items()}
-            ctx.stored["same_color"] = {
-                s for s, x in preds.items() if x == ctx.view.prediction}
-            if ctx.view.prediction == 1:
-                ones = [s for s, x in preds.items() if x == 1]
+            pred = ctx.view.prediction
+            same = ctx.stored["same_color"] = {
+                s for s, m in inbox.items() if m[1] == pred}
+            if pred == 1:  # same is its prediction-1 neighbors
                 if self.rule == "base":
-                    self.join = not ones
+                    self.join = not same
                 else:
-                    self.join = all(s < ctx.view.id for s in ones)
+                    self.join = max(same, default=0) < ctx.view.id
             return Step(wake=None if self.join else NEVER)
         if self.join:
             return Step({"y": 1}, terminate=True)
@@ -342,7 +341,7 @@ class _TreeUniformRun(_LeaveRun):
         # is about to output 1
         for s in inbox:
             ctx.nbr_one.add(s)
-            ctx.gone(s)
+            ctx.active.discard(s)
         return Step()
 
 
@@ -547,7 +546,7 @@ class _TreePart2Run(_RevealRun):
             for s, c in ctx.stored["nbr_colors"].items():
                 if c == 1:
                     ctx.nbr_one.add(s)
-                    ctx.gone(s)
+                    ctx.active.discard(s)
             if ctx.nbr_one:
                 return Step({"y": 0}, terminate=True)
             return Step()

@@ -84,7 +84,7 @@ class _AnnounceRun(StageRun):
             return Step({"y": partner}, terminate=True)
         for s, m in inbox.items():
             if m[0] == MATCHED:
-                ctx.gone(s)
+                ctx.active.discard(s)
         return Step()
 
 
@@ -100,8 +100,8 @@ class _MmInitRun(_AnnounceRun):
     def process(self, ctx, t, inbox):
         pred = ctx.view.prediction
         if t == 1:
-            preds = {s: m[1] for s, m in inbox.items()}
-            if pred is not None and preds.get(pred) == ctx.view.id:
+            m = inbox.get(pred)
+            if m is not None and m[1] == ctx.view.id:
                 ctx.stored["match"] = pred
             return Step()
         announced = _AnnounceRun.process(self, ctx, t, inbox)
@@ -204,7 +204,7 @@ class _ColorRun(StageRun):
         palette = _vertex_palette(ctx)
         for s, m in inbox.items():
             palette.discard(m[1])
-            ctx.gone(s)
+            ctx.active.discard(s)
         return Step()
 
 

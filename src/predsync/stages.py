@@ -37,9 +37,6 @@ class Ctx:
         self.nbr_one = set()  # neighbors that output 1 (MIS)
         self.stored = {}  # unrevealed values and what later stages read
 
-    def gone(self, nbr: int):
-        self.active.discard(nbr)
-
 
 class StageRun:
     """One node's run of a stage.  process returns a new Step on every call,

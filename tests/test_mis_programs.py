@@ -1,12 +1,14 @@
 """MIS node programs: base, init, cleanup, greedy, u_bw, coloring part 2,
 and the rooted-tree programs."""
 
+import itertools
+
 import pytest
 
 from predsync import measures as M, mis
 from predsync.audit import audit_run
 from predsync.engine import ProtocolViolation, simulate
-from predsync.graphs import (build_graph, grid, line, line_tree,
+from predsync.graphs import (_assign_ids, build_graph, grid, line, line_tree,
                              random_connected_graph, random_tree, validate,
                              _rng)
 from predsync.stages import StagedProgram
@@ -63,6 +65,40 @@ def test_init_extends_base():
         for u in g.nodes:
             if base[u]:
                 assert init[u] == base[u]
+
+
+def test_init_joins_follow_the_rule_on_small_graphs():
+    """The joins of round 2 are the rule evaluated from the predictions:
+    base joins a prediction-1 node with no prediction-1 neighbor, init one
+    whose prediction-1 neighbors all have smaller ids.  Over every 0/1
+    prediction on every connected atlas graph on at most 5 nodes, under
+    two seeded identifier permutations."""
+    nx = pytest.importorskip("networkx")
+    checked = 0
+    for a in nx.graph_atlas_g():
+        n = a.number_of_nodes()
+        if n > 5:
+            break
+        if not n or not nx.is_connected(a):
+            continue
+        for perm in range(2):
+            ids, d = _assign_ids(n, "SEEDED_PERMUTATION", perm, None)
+            g = build_graph(ids, [(ids[u], ids[v]) for u, v in a.edges()], d)
+            for bits in itertools.product((0, 1), repeat=n):
+                p = dict(zip(ids, bits))
+                ones = {u for u in g.nodes if p[u] == 1}
+                want = {
+                    "base": {u for u in ones if not ones & g.neighbor_sets[u]},
+                    "init": {u for u in ones
+                             if all(v < u for v in ones & g.neighbor_sets[u])}}
+                for rule, joined in want.items():
+                    out = simulate(g, program(f"mis.{rule}"), p)
+                    got = {u for r, u, slot in out.output_log
+                           if r == 2 and out.outputs[u][slot] == 1}
+                    assert got == joined, (rule, g.adjacency, p)
+                    checked += 1
+    # 1, 1, 2, 6 and 21 connected graphs on 1..5 nodes: 790 predictions
+    assert checked == 2 * 2 * 790
 
 
 def test_cleanup_star():

@@ -515,3 +515,15 @@ def test_work_fingerprint():
     # every node is a non-joiner of the MIS init, asleep in its rounds 2 and 3
     assert counts == {"simple": {"compose": 89, "process": 117},
                       "interleaved": {"compose": 129, "process": 155}}
+    # the benchmark's MIS shape: most of a run's work is the initialization
+    g = random_connected_graph(18, 0.3, 3, "SEEDED_PERMUTATION")
+    p = M.corrupt("MIS", g, M.reference("MIS", g), 10, 3)
+    counts = {}
+    for template in ("simple", "consecutive", "interleaved", "parallel"):
+        prog = Proxy(build_template("MIS", template).program)
+        simulate(g, prog, p)
+        counts[template] = prog.counts
+    assert counts == {"simple": {"compose": 43, "process": 61},
+                      "consecutive": {"compose": 43, "process": 61},
+                      "interleaved": {"compose": 43, "process": 61},
+                      "parallel": {"compose": 44, "process": 61}}
