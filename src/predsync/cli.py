@@ -41,8 +41,8 @@ from pathlib import Path
 from . import measures
 from .audit import audit_run
 from .engine import NonTermination, ProtocolViolation, simulate
-from .graphs import (GraphError, RootedTree, _assign_ids, generate, line,
-                     read_graph, validate)
+from .graphs import (PROBLEM_KINDS, GraphError, RootedTree, _assign_ids,
+                     generate, line, read_graph, validate)
 from .problems import EmptyPalette
 from .registry import get_program
 from .stages import ConfigError
@@ -92,13 +92,42 @@ def parse_range(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
+def _read(cfg: dict, key: str, parse, default=None):
+    """cfg[key] parsed, or default when the key is absent.  A value that
+    parse rejects with a ValueError is a config error naming the key."""
+    if key not in cfg:
+        return default
+    try:
+        return parse(cfg[key])
+    except ValueError as exc:
+        raise ConfigError(f"{key} = {cfg[key]}: {exc}") from None
+
+
+def _k(value) -> int:
+    k = int(value)
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return k
+
+
+def _k_range(text: str) -> list[int]:
+    return [_k(k) for k in parse_range(text)]
+
+
+def _problem(text: str) -> str:
+    kind = text.upper()
+    if kind not in PROBLEM_KINDS:
+        raise ValueError(f"unknown problem; known: {', '.join(PROBLEM_KINDS)}")
+    return kind
+
+
 def _graph_params(cfg: dict) -> dict:
     params = {}
     for key in ("n", "k_rim", "rows", "cols", "d"):
         if key in cfg:
-            params["k" if key == "k_rim" else key] = int(cfg[key])
+            params["k" if key == "k_rim" else key] = _read(cfg, key, int)
     if "p" in cfg:
-        params["p"] = float(cfg["p"])
+        params["p"] = _read(cfg, "p", float)
     if "shape" in cfg:
         params["shape"] = cfg["shape"]
     return params
@@ -140,7 +169,7 @@ class Plan:
             # a standalone program is measured as the problem it solves
             self.kind = self._program[1]
         else:
-            self.kind = cfg.get("problem", "MIS").upper()
+            self.kind = _read(cfg, "problem", _problem, "MIS")
         self.pattern = cfg.get("pattern")
         self._instances = {}
         self._runner = None
@@ -155,8 +184,8 @@ class Plan:
             g, tree, family, ids = build_instance(cfg, seed)
             ref = measures.reference(
                 self.kind, g, pattern=self.pattern, tree=tree,
-                rows=int(cfg["rows"]) if "rows" in cfg else None,
-                cols=int(cfg["cols"]) if "cols" in cfg else None, ids=ids)
+                rows=_read(cfg, "rows", int), cols=_read(cfg, "cols", int),
+                ids=ids)
             masks = measures.mis_masks(g) if self.kind == "MIS" else None
             case = self._instances[seed] = (g, tree, family, ref, masks)
         return case
@@ -175,7 +204,7 @@ class Plan:
             else:
                 options = {"tree": tree is not None}
                 if "phase" in cfg:
-                    options["phase"] = int(cfg["phase"])
+                    options["phase"] = _read(cfg, "phase", int)
                 inst = build_template(self.kind, cfg.get("template", "simple"),
                                       **options)
                 self._runner = (inst.program, inst, inst.template)
@@ -194,7 +223,7 @@ def _inputs(plan: Plan, k: int, seed: int) -> tuple:
         plan.kind, g, reference, k, seed)
     program, inst, _ = plan.runner(tree)
     if "max_rounds" in plan.cfg:
-        max_rounds = int(plan.cfg["max_rounds"])
+        max_rounds = _read(plan.cfg, "max_rounds", int)
         if max_rounds < 1:
             raise ConfigError("max_rounds must be >= 1")
     else:
@@ -307,8 +336,8 @@ def _emit(text: str, out: str):
 
 
 def cmd_run(cfg: dict, args) -> int:
-    k = int(cfg.get("k", 0))
-    seed = int(cfg.get("seed", 0))
+    k = _read(cfg, "k", _k, 0)
+    seed = _read(cfg, "seed", int, 0)
     plan = Plan(cfg)
     row, failures, outcome = run_one(plan, k, seed)
     _emit(format_csv([row]), args.out)
@@ -319,8 +348,9 @@ def cmd_run(cfg: dict, args) -> int:
 
 
 def cmd_sweep(cfg: dict, args) -> int:
-    ks = parse_range(cfg.get("k_range", cfg.get("k", "0")))
-    seeds = parse_range(cfg.get("seed_range", cfg.get("seed", "0")))
+    ks = _read(cfg, "k_range" if "k_range" in cfg else "k", _k_range, [0])
+    seeds = _read(cfg, "seed_range" if "seed_range" in cfg else "seed",
+                  parse_range, [0])
     if not ks or not seeds:
         raise ConfigError("sweep needs non-empty k_range and seed_range")
     plan = Plan(cfg)
@@ -352,11 +382,14 @@ def cmd_verify(cfg: dict, args) -> int:
     missing = [key for key in ("graph_file", "outputs_file") if key not in cfg]
     if missing:
         raise ConfigError(f"verify needs {' and '.join(missing)}")
-    kind = cfg.get("problem", "MIS").upper()
+    kind = _read(cfg, "problem", _problem, "MIS")
     made = read_graph(Path(cfg["graph_file"]).read_text())
     g = made.graph if isinstance(made, RootedTree) else made
-    outputs = measures.parse_predictions(
-        kind, Path(cfg["outputs_file"]).read_text())
+    text = Path(cfg["outputs_file"]).read_text()
+    outputs = measures.parse_predictions(kind, text)
+    for lineno, u, _ in measures.prediction_lines(kind, text):
+        if u not in g.neighbor_sets:
+            raise ConfigError(f"line {lineno}: node {u} is not in the graph")
     if kind == "EDGE_COLORING":
         # a node without a line colours no edge, as in Outcome.solution
         for u in g.nodes:
@@ -382,7 +415,7 @@ def cmd_sanity(cfg: dict, args) -> int:
     family = cfg.get("family", "MIS_LINE").upper()
     if family not in SANITY:
         raise ConfigError(f"unknown sanity family {family!r}")
-    n = int(cfg.get("n", 101))
+    n = _read(cfg, "n", int, 101)
     name, threshold_fn = SANITY[family]
     g = line(n)
     program, _ = get_program(name)

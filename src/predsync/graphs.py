@@ -73,13 +73,7 @@ class Graph(_Frozen):
                     raise GraphError("SELF_LOOP", f"self loop at {u}")
                 if u not in sets.get(v, ()):
                     raise GraphError("MALFORMED_LINE", f"edge {u}-{v} not symmetric")
-        init = object.__setattr__
-        init(self, "d", d)
-        init(self, "adjacency", adjacency)
-        init(self, "nodes", nodes)
-        init(self, "n", len(nodes))
-        init(self, "delta", max(map(len, adjacency.values()), default=0))
-        init(self, "neighbor_sets", sets)
+        _fill(self, d, adjacency, nodes, sets)
 
     def __reduce__(self):  # copy and pickle through __init__
         return Graph, (self.d, self.adjacency)
@@ -100,8 +94,22 @@ class Graph(_Frozen):
         return v in self.adjacency.get(u, ())
 
 
+def _fill(g: Graph, d: int, adjacency, nodes: tuple, sets: dict) -> Graph:
+    """Set g's fields from checked parts."""
+    init = object.__setattr__
+    init(g, "d", d)
+    init(g, "adjacency", adjacency)
+    init(g, "nodes", nodes)
+    init(g, "n", len(nodes))
+    init(g, "delta", max(map(len, adjacency.values()), default=0))
+    init(g, "neighbor_sets", sets)
+    return g
+
+
 def build_graph(nodes: Sequence[int], edges: Sequence[tuple[int, int]], d: Optional[int] = None) -> Graph:
-    """Assemble a Graph from a node list and an edge list."""
+    """Assemble a Graph from a node list and an edge list.  It checks the
+    ids and edges; the adjacency it builds is sorted, symmetric and
+    loop-free, so Graph.__init__'s per-edge checks are not run again."""
     node_set = set(nodes)
     if len(node_set) != len(list(nodes)):
         raise GraphError("DUPLICATE_ID", "duplicate node identifiers")
@@ -115,7 +123,13 @@ def build_graph(nodes: Sequence[int], edges: Sequence[tuple[int, int]], d: Optio
         adj[v].add(u)
     if d is None:
         d = max(node_set, default=1)
-    return Graph(d=d, adjacency={u: tuple(sorted(vs)) for u, vs in adj.items()})
+    ordered = tuple(sorted(node_set))
+    if ordered and not (1 <= ordered[0] and ordered[-1] <= d):
+        u = next(u for u in ordered if not 1 <= u <= d)
+        raise GraphError("ID_OUT_OF_RANGE", f"node {u} outside 1..{d}")
+    adjacency = {u: tuple(sorted(vs)) for u, vs in adj.items()}
+    return _fill(object.__new__(Graph), d, adjacency, ordered,
+                 {u: frozenset(vs) for u, vs in adj.items()})
 
 
 class RootedTree(_Frozen):
@@ -603,9 +617,6 @@ def read_graph(text: str):
     ids = sorted(set(nodes))
     if len(ids) != n:
         raise GraphError("MALFORMED_LINE", f"header says n={n} but found {len(ids)} nodes")
-    for u in ids:
-        if not 1 <= u <= d:
-            raise GraphError("ID_OUT_OF_RANGE", f"node {u} outside 1..{d}")
     if len(set(edges)) != len(edges):
         raise GraphError("DUPLICATE_ID", "duplicate edge")
     g = build_graph(ids, edges, d)

@@ -23,6 +23,8 @@ simulated runs of mis.greedy, mm.uniform, vc.uniform and ec.uniform.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .graphs import (DEFAULT_ALPHA_CAP, CapExceeded, Graph, RootedTree,
                      _alpha_component, _rng, component_maps, component_walk,
                      mis_bitmasks)
@@ -411,9 +413,10 @@ def reference(kind: str, g: Graph, *, pattern: str = None,
 # prediction files
 
 
-def parse_predictions(kind: str, text: str) -> dict:
-    p: dict = {}
-    for raw in text.splitlines():
+def prediction_lines(kind: str, text: str) -> Iterator[tuple]:
+    """(line number, node, value) for each line of a prediction or outputs
+    file; for edge colouring the value is (neighbour, colour)."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         raw = raw.strip()
         if not raw or raw.startswith("#"):
             continue
@@ -421,11 +424,26 @@ def parse_predictions(kind: str, text: str) -> dict:
         if kind == "EDGE_COLORING":
             if len(parts) != 3:
                 raise ValueError(f"bad edge prediction line {raw!r}")
-            u, v, c = int(parts[0]), int(parts[1]), int(parts[2])
-            p.setdefault(u, {})[v] = c
+            yield lineno, int(parts[0]), (int(parts[1]), int(parts[2]))
         else:
             if len(parts) != 2:
                 raise ValueError(f"bad prediction line {raw!r}")
-            u = int(parts[0])
-            p[u] = None if parts[1] == "-" else int(parts[1])
+            yield lineno, int(parts[0]), None if parts[1] == "-" else int(parts[1])
+
+
+def parse_predictions(kind: str, text: str) -> dict:
+    """The file's predictions; a second line for one node, or for one edge
+    end u v in edge colouring, is an error naming the line."""
+    p: dict = {}
+    for lineno, u, value in prediction_lines(kind, text):
+        if kind == "EDGE_COLORING":
+            v, c = value
+            slots = p.setdefault(u, {})
+            if v in slots:
+                raise ValueError(f"line {lineno}: edge {u} {v} repeated")
+            slots[v] = c
+        elif u in p:
+            raise ValueError(f"line {lineno}: node {u} repeated")
+        else:
+            p[u] = value
     return p

@@ -89,8 +89,9 @@ def _even(x: int) -> int:
 
 
 # problem -> (c, f, initialization, uniform stage, clean-up or None, default
-# truncation budget r(view) of the consecutive template); the stages are
-# blueprints, shared by every program built from them
+# truncation budget r(view) of the consecutive template).  Here and below,
+# stages are blueprints, shared by every program built from them; only a
+# composite stage of a per-call r or phase is built per call
 _PARTS = {
     "MIS": (3, _f_mis, mis.MisInitStage("init"), mis.GreedyStage(),
             mis.MisCleanupStage(), lambda v: _even(v.n)),
@@ -105,17 +106,25 @@ _PARTS = {
 }
 
 
-def _mis_tree(template: str):
-    init = mis.TreeInitStage(eager=False)
-    uniform = mis.TreeUniformStage()
-    if template == "simple":
-        return StagedProgram([init, uniform])
-    if template == "parallel":
-        return StagedProgram([
-            init, ParallelStage(uniform, mis.GpsTreeColoringStage(store_only=True),
-                                lambda v: mis.gps_budget_even(v.d)),
-            mis.TreePart2Stage()])
-    raise ConfigError(f"tree variant has no {template!r} template")
+_GREEDY_MIN = mis.GreedyStage("min")  # the interleaved reference
+# the parallel MIS template after its initialization: U fused with Linial
+# part 1, the reveal round and part 2
+_MIS_PARALLEL = (
+    ParallelStage(_PARTS["MIS"][3],
+                  problems.LinialColoringStage(store_only=True),
+                  lambda v: problems.linial_budget_even(v.d, v.delta)),
+    mis.RevealStage(), mis.ColorPart2Stage(combined=True))
+# the rooted-tree MIS templates; there is no reveal stage on trees
+_TREE_INIT = mis.TreeInitStage(eager=False)
+_TREE_UNIFORM = mis.TreeUniformStage()
+_MIS_TREE = {
+    "simple": (_TREE_INIT, _TREE_UNIFORM),
+    "parallel": (_TREE_INIT,
+                 ParallelStage(_TREE_UNIFORM,
+                               mis.GpsTreeColoringStage(store_only=True),
+                               lambda v: mis.gps_budget_even(v.d)),
+                 mis.TreePart2Stage()),
+}
 
 
 def _program(problem: str, template: str, r: Optional[Callable], phase: int):
@@ -135,13 +144,9 @@ def _program(problem: str, template: str, r: Optional[Callable], phase: int):
     if template == "interleaved":
         if phase % 2:
             raise ConfigError("interleaved greedy phases must be even")
-        return StagedProgram([init, InterleavedStage(
-            uniform, mis.GreedyStage("min"), phase)])
-    return StagedProgram([
-        init, ParallelStage(uniform,
-                            problems.LinialColoringStage(store_only=True),
-                            lambda v: problems.linial_budget_even(v.d, v.delta)),
-        mis.RevealStage(), mis.ColorPart2Stage(combined=True)])
+        return StagedProgram([init, InterleavedStage(uniform, _GREEDY_MIN,
+                                                     phase)])
+    return StagedProgram([init, *_MIS_PARALLEL])
 
 
 def build_template(problem: str, template: str, *, tree: bool = False,
@@ -154,7 +159,9 @@ def build_template(problem: str, template: str, *, tree: bool = False,
     if problem not in _PARTS:
         raise ConfigError(f"unknown problem {problem!r}")
     if problem == "MIS" and tree:
-        program = _mis_tree(template)
+        if template not in _MIS_TREE:
+            raise ConfigError(f"tree variant has no {template!r} template")
+        program = StagedProgram(_MIS_TREE[template])
     else:
         program = _program(problem, template, r, phase)
     c, f = _PARTS[problem][:2]

@@ -321,6 +321,27 @@ def test_verify_edge_coloring_with_an_isolated_node(tmp_path, capsys):
         assert capsys.readouterr().out == printed
 
 
+@pytest.mark.parametrize("problem, graph, lines, message", [
+    ("MIS", "3 3\n1 2\n2 3\n", "1 1\n1 0\n2 0\n3 1\n",
+     "line 2: node 1 repeated"),
+    ("MIS", "3 3\n1 2\n2 3\n", "1 1\n2 0\n3 1\n9 1\n",
+     "line 4: node 9 is not in the graph"),
+    ("EDGE_COLORING", "3 3\nV 3\n1 2\n", "1 2 1\n2 1 1\n# again\n1 2 2\n",
+     "line 4: edge 1 2 repeated"),
+], ids=["repeated-node", "unknown-node", "repeated-edge"])
+def test_verify_rejects_lines_without_meaning(tmp_path, capsys, problem,
+                                              graph, lines, message):
+    """A second line for a node or edge end, or a line for a node outside
+    the graph, is a config error naming the line, not a verdict."""
+    (tmp_path / "g.txt").write_text(graph)
+    (tmp_path / "o.txt").write_text(lines)
+    cfg = _cfg(tmp_path, f"problem = {problem}\ngraph_file = {tmp_path}/g.txt\n"
+                         f"outputs_file = {tmp_path}/o.txt\n")
+    assert main(["verify", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"config error: {message}\n")
+
+
 def test_verify_names_the_files_it_needs(tmp_path, capsys):
     for text, named in (("", "graph_file and outputs_file"),
                         ("graph_file = g.txt\n", "outputs_file")):
@@ -348,6 +369,21 @@ def test_config_errors(tmp_path):
     assert main(["run", "--config", cfg]) == 2
     cfg = _cfg(tmp_path, "graph = LINE\nn = 4\nprogram = nope.prog\n", "p.cfg")
     assert main(["run", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("sweep", "graph = LINE\nn = 4\nk_range = -2\n",
+     "k_range = -2: k must be >= 0"),
+    ("run", "graph = LINE\nn = 4\nproblem = X\n",
+     "problem = X: unknown problem; known: MIS, MAXIMAL_MATCHING, "
+     "VERTEX_COLORING, EDGE_COLORING"),
+    ("run", "graph = LINE\nn = x\n",
+     "n = x: invalid literal for int() with base 10: 'x'"),
+], ids=["negative-k", "unknown-problem", "non-integer-n"])
+def test_config_errors_name_their_key(tmp_path, capsys, command, text, message):
+    cfg = _cfg(tmp_path, text)
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_trace_flag_dumps_trace(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from predsync import graphs
 from predsync.graphs import (CapExceeded, Graph, GraphError, Violation,
                              build_graph, generate, grid, line, line_tree,
                              mis_bitmasks, random_connected_graph,
@@ -115,16 +116,16 @@ def test_oracles_leave_no_reference_cycles():
 def test_generators_match_the_two_build_reference(family, monkeypatch):
     """RANDOM and the one-build RANDOM_CONNECTED give the reference's graph:
     the same d, adjacency tuples and adjacency key order, and each
-    generate() call constructs one Graph."""
+    generate() call fills one Graph."""
     want = (reference.random_connected_graph if family == "RANDOM_CONNECTED"
             else reference.random_graph)
     built = []
-    construct = Graph.__init__
+    fill = graphs._fill
 
-    def counted(self, *args, **kwargs):
+    def counted(*args):
         built.append(1)
-        construct(self, *args, **kwargs)
-    monkeypatch.setattr(Graph, "__init__", counted)
+        return fill(*args)
+    monkeypatch.setattr(graphs, "_fill", counted)
     for n in [*range(26), 60]:
         for p in (0, 0.1, 0.3, 1):
             for seed in range(31):
@@ -161,9 +162,12 @@ class _Repeated(dict):
     (lambda: Graph(3, {1: (3,)}), "MALFORMED_LINE: edge 1-3 not symmetric"),
     (lambda: build_graph([1, 2], [(1, 3)]),
      "ID_OUT_OF_RANGE: edge 1-3 uses unknown node"),
+    (lambda: build_graph([2, 5, 4], [(2, 5)], 3),
+     "ID_OUT_OF_RANGE: node 4 outside 1..3"),
+    (lambda: build_graph([0, 1], []), "ID_OUT_OF_RANGE: node 0 outside 1..1"),
 ], ids=["id-range", "duplicate-list", "duplicate-map", "unsorted", "repeated",
         "self-loop", "self-loop-edge", "asymmetric", "unknown-neighbor",
-        "unknown-edge-end"])
+        "unknown-edge-end", "built-id-range", "built-id-zero"])
 def test_each_graph_error_branch(build, message):
     with pytest.raises(GraphError) as err:
         build()

@@ -268,17 +268,35 @@ def _blueprint(stage):
     return type(stage), {k: value(v) for k, v in vars(stage).items()}
 
 
+def _leaves(stages):
+    """The stages that hold no inner stage, inner stages taken apart."""
+    out = []
+    for stage in stages:
+        inner = [v for v in vars(stage).values() if isinstance(v, Stage)]
+        inner += [s for v in vars(stage).values() if isinstance(v, tuple)
+                  for s in v if isinstance(s, Stage)]
+        out += _leaves(inner) if inner else [stage]
+    return out
+
+
 @pytest.mark.parametrize("name", MATRIX)
 def test_runs_leave_shared_blueprints_unchanged(name):
     """Every program built from the registry or the templates' parts shares
     its stage blueprints, so a run that changed one would leak into later
     runs.  Each registry program is a new StagedProgram, with its own
-    lengths cache."""
+    lengths cache; two builds of one template share every leaf stage."""
     if name in REGISTRY:
         first, second = program(name), program(name)
         assert first is not second and first.stages == second.stages
         first.lengths(line(5))
         assert second._key is None
+    else:
+        problem, template, tree = PROGRAMS[PROGRAM_IDS.index(name)]
+        first, second = (build_template(problem, template, tree=tree).program
+                         for _ in range(2))
+        leaves = _leaves(first.stages)
+        assert len(leaves) >= 2 and all(
+            a is b for a, b in zip(leaves, _leaves(second.stages), strict=True))
     prog, cases, max_rounds = _matrix(name)
     before = [_blueprint(s) for s in prog.stages]
     for g, rooted, p in cases:
