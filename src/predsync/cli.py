@@ -12,9 +12,12 @@ A run whose simulation raises is a failure too, unless the error is a
 ConfigError: its row says which in `valid` (the code of RUN_ERRORS that
 matches, else PROGRAM_ERROR), and it has no rounds and no bound verdicts.
 
-A config key that no command reads is a config error naming the key.
+A config key that no command reads, or a sweep-only key (k_range,
+seed_range) given to run, is a config error naming the key.
 
-A Plan holds one config's runs.  Each seed's instance (graph, tree, the
+A Plan holds one config's runs.  Its constructor resolves the config once:
+the kind, the program or TemplateInstance, the CSV label and a configured
+max_rounds.  Each seed's instance (graph, tree, the
 reference that predictions corrupt, and the MIS sets behind eta_H) is built
 by the first run_one of that seed and kept while the plan lives, so a sweep
 builds it once and shares it among its k values.  Runs still go k-major, so
@@ -48,9 +51,10 @@ from .registry import get_program
 from .stages import ConfigError
 from .templates import build_template
 
+BOUNDS = ("bound_consistency", "bound_degrading", "bound_robust")
 COLUMNS = ("family", "n", "d", "delta", "problem", "template", "k", "seed",
-           "eta1", "eta2", "eta_bw", "eta_t", "eta_H", "rounds",
-           "bound_consistency", "bound_degrading", "bound_robust", "valid")
+           "eta1", "eta2", "eta_bw", "eta_t", "eta_H", "rounds", *BOUNDS,
+           "valid")
 
 # every key some command reads: run and sweep (instance, program, k and
 # seed), verify (problem, graph_file, outputs_file) and sanity (family, n)
@@ -121,6 +125,13 @@ def _problem(text: str) -> str:
     return kind
 
 
+def _pattern(text: str) -> str:
+    if text not in measures.PATTERNS:
+        raise ValueError(
+            f"unknown pattern; known: {', '.join(measures.PATTERNS)}")
+    return text
+
+
 def _graph_params(cfg: dict) -> dict:
     params = {}
     for key in ("n", "k_rim", "rows", "cols", "d"):
@@ -158,21 +169,33 @@ def build_instance(cfg: dict, seed: int):
 
 
 class Plan:
-    """One config's runs.  The program or template and each seed's instance
-    are built on first use, inside run_one, and live as long as the plan."""
+    """One config's runs, with the config resolved once; each seed's
+    instance is built on first use and lives as long as the plan."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
         name = cfg.get("program")
-        self._program = get_program(name) if name else None  # (program, kind)
-        if self._program and "problem" not in cfg:
+        if name:
+            self.program, kind = get_program(name)
             # a standalone program is measured as the problem it solves
-            self.kind = self._program[1]
+            self.kind = _read(cfg, "problem", _problem, kind)
+            if kind != self.kind:
+                raise ConfigError(f"program {name} solves {kind}, "
+                                  f"but problem is {self.kind}")
+            self.inst, self.label = None, name
         else:
             self.kind = _read(cfg, "problem", _problem, "MIS")
-        self.pattern = cfg.get("pattern")
+            options = {"tree": cfg.get("graph", "").upper() == "TREE"}
+            if "phase" in cfg:
+                options["phase"] = _read(cfg, "phase", int)
+            self.inst = build_template(
+                self.kind, cfg.get("template", "simple"), **options)
+            self.program, self.label = self.inst.program, self.inst.template
+        self.pattern = _read(cfg, "pattern", _pattern)
+        self.max_rounds = _read(cfg, "max_rounds", int)
+        if self.max_rounds is not None and self.max_rounds < 1:
+            raise ConfigError("max_rounds must be >= 1")
         self._instances = {}
-        self._runner = None
 
     def instance(self, seed: int) -> tuple:
         """What the runs of one seed share, built once and never changed:
@@ -190,45 +213,16 @@ class Plan:
             case = self._instances[seed] = (g, tree, family, ref, masks)
         return case
 
-    def runner(self, tree):
-        """(program, TemplateInstance or None, CSV label)."""
-        if self._runner is None:
-            cfg = self.cfg
-            name = cfg.get("program")
-            if name:
-                program, kind = self._program
-                if kind != self.kind:
-                    raise ConfigError(f"program {name} solves {kind}, "
-                                      f"but problem is {self.kind}")
-                self._runner = (program, None, name)
-            else:
-                options = {"tree": tree is not None}
-                if "phase" in cfg:
-                    options["phase"] = _read(cfg, "phase", int)
-                inst = build_template(self.kind, cfg.get("template", "simple"),
-                                      **options)
-                self._runner = (inst.program, inst, inst.template)
-        return self._runner
-
-
-def _cell(value) -> str:
-    return "" if value is None or value == "" else str(value)
-
-
-def _inputs(plan: Plan, k: int, seed: int) -> tuple:
-    """What simulate gets for one run: (g, tree, predictions, program,
-    max_rounds)."""
-    g, tree, _, reference, _ = plan.instance(seed)
-    p = reference if plan.pattern is not None else measures.corrupt(
-        plan.kind, g, reference, k, seed)
-    program, inst, _ = plan.runner(tree)
-    if "max_rounds" in plan.cfg:
-        max_rounds = _read(plan.cfg, "max_rounds", int)
-        if max_rounds < 1:
-            raise ConfigError("max_rounds must be >= 1")
-    else:
-        max_rounds = inst.max_rounds(g) if inst else None
-    return g, tree, p, program, max_rounds
+    def inputs(self, k: int, seed: int) -> tuple:
+        """What simulate gets for one run: (g, tree, predictions,
+        max_rounds)."""
+        g, tree, _, reference, _ = self.instance(seed)
+        p = reference if self.pattern is not None else measures.corrupt(
+            self.kind, g, reference, k, seed)
+        max_rounds = self.max_rounds
+        if max_rounds is None and self.inst is not None:
+            max_rounds = self.inst.max_rounds(g)
+        return g, tree, p, max_rounds
 
 
 def _run_error(exc: Exception) -> tuple[str, str]:
@@ -249,15 +243,15 @@ def _run_error(exc: Exception) -> tuple[str, str]:
 def run_one(plan: Plan, k: int, seed: int):
     """Execute one instance, untraced; returns (row dict, failure messages,
     outcome).  A run whose simulation raised has outcome None."""
-    g, tree, p, program, max_rounds = _inputs(plan, k, seed)
+    g, tree, p, max_rounds = plan.inputs(k, seed)
     _, _, family, _, masks = plan.instance(seed)
-    _, inst, label = plan.runner(tree)
+    inst = plan.inst
     report = measures.error_report(plan.kind, g, p, tree, masks)
     failures = []
-    consistency = degrading = robust = ""
+    verdicts = ("", "", "")  # the BOUNDS cells
     unextendable = ()
     try:
-        outcome = simulate(g, program, p, max_rounds, tree=tree)
+        outcome = simulate(g, plan.program, p, max_rounds, tree=tree)
     except ConfigError:
         raise
     except Exception as exc:  # the run fails; the sweep goes on
@@ -271,27 +265,20 @@ def run_one(plan: Plan, k: int, seed: int):
         valid = "VALID" if violation is None else violation.code
         if violation is not None:
             failures.append(f"invalid solution: {valid}")
-    if outcome is not None and inst is not None:
-        if report["eta1"] == 0:
-            consistency = str(outcome.total_rounds == inst.c).lower()
-        degrading, robust = (
-            "" if bound is None else str(outcome.total_rounds <= bound).lower()
-            for bound in inst.bounds(g, report))
-        for flag, name in ((consistency, "consistency"),
-                           (degrading, "degrading"), (robust, "robust")):
-            if flag == "false":
-                failures.append(f"bound_{name} violated")
+        if inst is not None:
+            verdicts = inst.verdicts(g, report, outcome.total_rounds)
+            failures += [f"{name} violated" for name, cell
+                         in zip(BOUNDS, verdicts) if cell == "false"]
     failures += [f"not extendable at {msg}" for msg in unextendable]
 
     row = {
         "family": family, "n": g.n, "d": g.d, "delta": g.delta,
-        "problem": plan.kind, "template": label, "k": k, "seed": seed,
+        "problem": plan.kind, "template": plan.label, "k": k, "seed": seed,
         "eta1": report["eta1"], "eta2": report["eta2"],
         "eta_bw": report["eta_bw"], "eta_t": report["eta_t"],
         "eta_H": report["eta_hamming"],
         "rounds": None if outcome is None else outcome.total_rounds,
-        "bound_consistency": consistency, "bound_degrading": degrading,
-        "bound_robust": robust, "valid": valid,
+        **dict(zip(BOUNDS, verdicts)), "valid": valid,
     }
     return row, failures, outcome
 
@@ -303,8 +290,8 @@ def replay(plan: Plan, k: int, seed: int, outcome) -> list[str]:
     raised (outcome None) has no trace: its replay would raise again."""
     if outcome is None:
         return []
-    g, tree, p, program, max_rounds = _inputs(plan, k, seed)
-    traced = simulate(g, program, p, max_rounds, tree=tree, trace=True)
+    g, tree, p, max_rounds = plan.inputs(k, seed)
+    traced = simulate(g, plan.program, p, max_rounds, tree=tree, trace=True)
     for name in ("outputs", "term_round", "total_rounds", "output_log"):
         if getattr(traced, name) != getattr(outcome, name):
             raise RuntimeError(f"replay of k={k}, seed={seed} differs from "
@@ -324,7 +311,8 @@ def _print_err(lines):
 def format_csv(rows) -> str:
     lines = [",".join(COLUMNS)]
     for row in rows:
-        lines.append(",".join(_cell(row[c]) for c in COLUMNS))
+        lines.append(",".join("" if row[c] is None else str(row[c])
+                              for c in COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -336,6 +324,10 @@ def _emit(text: str, out: str):
 
 
 def cmd_run(cfg: dict, args) -> int:
+    for key in ("k_range", "seed_range"):
+        if key in cfg:
+            raise ConfigError(f"{key} = {cfg[key]}: only sweep reads it; "
+                              "run reads k and seed")
     k = _read(cfg, "k", _k, 0)
     seed = _read(cfg, "seed", int, 0)
     plan = Plan(cfg)

@@ -126,11 +126,6 @@ class Outcome:
         # (round, node, slot) per output assignment, in trace order; traced or not
         self.output_log = [] if output_log is None else output_log
 
-    def value(self, node: int):
-        """Single-slot output value, or None when the node never output."""
-        slots = self.outputs.get(node, {})
-        return slots.get("y")
-
     def solution(self, kind: str, g: Graph) -> dict:
         """Outputs reshaped for graphs.validate(); a node that never output
         its value is left out, so validate reports it as INCOMPLETE."""
@@ -138,10 +133,6 @@ class Outcome:
             return {u: dict(self.outputs.get(u, {})) for u in g.nodes}
         return {u: self.outputs[u]["y"] for u in g.nodes
                 if "y" in self.outputs.get(u, {})}
-
-    def undecided(self, g: Graph) -> set:
-        """Nodes that terminated (or stopped) without assigning any output."""
-        return {u for u in g.nodes if not self.outputs.get(u)}
 
     def trace_lines(self) -> list[str]:
         if self.trace is None:

@@ -174,7 +174,7 @@ class MisCleanupStage(FixedStage):
 class GreedyStage(_JoinStage):
     """Local-extremum-id join each odd round, notified nodes leave each even
     round.  order="max" is the standard algorithm; order="min" is the
-    symmetric variant used as a distinct phased reference in tests."""
+    symmetric variant, the interleaved template's phased reference."""
 
     def __init__(self, order: str = "max"):
         if order not in ("max", "min"):

@@ -23,7 +23,8 @@ from .engine import NEVER, NodeView, ProtocolViolation, Step
 
 
 class ConfigError(ValueError):
-    """A template was assembled from incompatible components."""
+    """A bad config: a value the CLI rejects, or a program or template
+    assembled from incompatible components."""
 
 
 class Ctx:

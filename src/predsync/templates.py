@@ -6,10 +6,10 @@ clean-up, U], with no clean-up stage for vertex colouring.  interleaved
 ParallelStage(U, part 1, r1), reveal, part 2], with no reveal on trees.
 
 build_template() returns a TemplateInstance: the assembled program, the
-consistency constant c and the error budget f.  Its round bounds are read
-from the program's own stage lengths, so each budget (initialization,
-truncation, clean-up, part 1, reveal, part 2, interleaving phase) is written
-down once, in the stage that spends it.
+consistency constant c, the error budget f and the stages whose lengths its
+round bounds and bound verdicts read, so each budget (initialization,
+truncation, clean-up, part 1, reveal, part 2, interleaving phase) is
+written down once, in the stage that spends it.
 """
 
 from __future__ import annotations
@@ -49,16 +49,18 @@ def _f_ec(report: dict) -> int:
 
 class TemplateInstance:
     def __init__(self, template: str, program, c: int,
-                 f: Callable[[dict], int]):
+                 f: Callable[[dict], int], main=None, part2=None):
         self.template = template
         self.program = program
         self.c = c  # rounds used when predictions are correct
         self.f = f  # error budget from a measure report
+        self.main = main  # the truncated, interleaved or fused stage
+        self.part2 = part2  # the parallel template's last stage
 
     def bounds(self, g, report) -> tuple[Optional[int], Optional[int]]:
         """(degrading, robust) round bounds of a run on g whose error
         measures are report; None where a bound does not apply.  The
-        consecutive robust bound c + 2·lengths[1] assumes that the budget r
+        consecutive robust bound c + 2·main assumes that the budget r
         covers the reference stage: the default budgets do, and the CLI
         never forces r.  With r forced to 1..3 it fails on 212 MM, 7 VC and
         223 EC runs of 1014 (test_consecutive_fallback_on_small_graphs)."""
@@ -67,21 +69,30 @@ class TemplateInstance:
             return c + f, None
         if self.template == "interleaved":
             # whole U and R blocks until U has had f rounds
-            phase = self.program.stages[-1].phase_len
+            phase = self.main.phase_len
             return c + 2 * f, c + 2 * max(1, math.ceil(f / phase)) * phase
-        lengths = self.program.lengths(g)
         if self.template == "consecutive":
-            # stages[1] is the truncated uniform stage: r plus the clean-up
-            return c + 2 * f, c + 2 * lengths[1]
-        # parallel: stages[1] is the fused stage, as long as the part-1
-        # budget r1; the degrading bound applies only if f fits inside it
-        return (c + f + 2 if lengths[1] >= f else None), sum(lengths)
+            # the truncated stage lasts r plus the clean-up
+            return c + 2 * f, c + 2 * self.main.length(g)
+        # parallel: the fused stage lasts the part-1 budget r1; the
+        # degrading bound applies only if f fits inside it
+        return ((c + f + 2 if self.main.length(g) >= f else None),
+                sum(self.program.lengths(g)))
+
+    def verdicts(self, g, report, rounds: int) -> tuple[str, str, str]:
+        """The bound_consistency, bound_degrading and bound_robust cells of
+        a run on g that took rounds rounds: "true", "false", or "" where a
+        bound does not apply.  Consistency applies when eta1 is 0."""
+        cells = ["" if report["eta1"] else str(rounds == self.c).lower()]
+        for bound in self.bounds(g, report):
+            cells.append("" if bound is None else str(rounds <= bound).lower())
+        return tuple(cells)
 
     def max_rounds(self, g) -> int:
-        if self.template != "parallel":
+        if self.part2 is None:
             return default_max_rounds(g)
-        lengths = self.program.lengths(g)
-        return default_max_rounds(g) + lengths[1] + lengths[-1] + 10
+        return (default_max_rounds(g) + self.main.length(g)
+                + self.part2.length(g) + 10)
 
 
 def _even(x: int) -> int:
@@ -107,46 +118,48 @@ _PARTS = {
 
 
 _GREEDY_MIN = mis.GreedyStage("min")  # the interleaved reference
-# the parallel MIS template after its initialization: U fused with Linial
-# part 1, the reveal round and part 2
-_MIS_PARALLEL = (
-    ParallelStage(_PARTS["MIS"][3],
-                  problems.LinialColoringStage(store_only=True),
-                  lambda v: problems.linial_budget_even(v.d, v.delta)),
-    mis.RevealStage(), mis.ColorPart2Stage(combined=True))
+# the parallel MIS template: U fused with Linial part 1, the reveal round
+# and part 2
+_MIS_FUSED = ParallelStage(_PARTS["MIS"][3],
+                           problems.LinialColoringStage(store_only=True),
+                           lambda v: problems.linial_budget_even(v.d, v.delta))
+_MIS_PART2 = mis.ColorPart2Stage(combined=True)
+_MIS_PARALLEL = ((_PARTS["MIS"][2], _MIS_FUSED, mis.RevealStage(), _MIS_PART2),
+                 _MIS_FUSED, _MIS_PART2)
 # the rooted-tree MIS templates; there is no reveal stage on trees
 _TREE_INIT = mis.TreeInitStage(eager=False)
 _TREE_UNIFORM = mis.TreeUniformStage()
+_TREE_FUSED = ParallelStage(_TREE_UNIFORM,
+                            mis.GpsTreeColoringStage(store_only=True),
+                            lambda v: mis.gps_budget_even(v.d))
+_TREE_PART2 = mis.TreePart2Stage()
 _MIS_TREE = {
-    "simple": (_TREE_INIT, _TREE_UNIFORM),
-    "parallel": (_TREE_INIT,
-                 ParallelStage(_TREE_UNIFORM,
-                               mis.GpsTreeColoringStage(store_only=True),
-                               lambda v: mis.gps_budget_even(v.d)),
-                 mis.TreePart2Stage()),
+    "simple": ((_TREE_INIT, _TREE_UNIFORM), None, None),
+    "parallel": ((_TREE_INIT, _TREE_FUSED, _TREE_PART2), _TREE_FUSED,
+                 _TREE_PART2),
 }
 
 
-def _program(problem: str, template: str, r: Optional[Callable], phase: int):
+def _stages(problem: str, template: str, r: Optional[Callable], phase: int):
+    """(stages, main, part2) of a template, as TemplateInstance names them."""
     _, _, init, uniform, cleanup, default_r = _PARTS[problem]
     if template == "simple":
-        return StagedProgram([init, uniform])
+        return (init, uniform), None, None
     if template == "consecutive":
         r = r or default_r
-        tail = [cleanup] if cleanup is not None else []
+        tail = (cleanup,) if cleanup is not None else ()
         pad = sum(s.length(None) for s in tail)
-        return StagedProgram([init, TruncatedStage(uniform,
-                                                   lambda v: r(v) + pad),
-                              *tail, uniform])
+        main = TruncatedStage(uniform, lambda v: r(v) + pad)
+        return (init, main, *tail, uniform), main, None
     if problem != "MIS":
         raise ConfigError(
             f"{problem} supports simple and consecutive templates only")
     if template == "interleaved":
         if phase % 2:
             raise ConfigError("interleaved greedy phases must be even")
-        return StagedProgram([init, InterleavedStage(uniform, _GREEDY_MIN,
-                                                     phase)])
-    return StagedProgram([init, *_MIS_PARALLEL])
+        main = InterleavedStage(uniform, _GREEDY_MIN, phase)
+        return (init, main), main, None
+    return _MIS_PARALLEL
 
 
 def build_template(problem: str, template: str, *, tree: bool = False,
@@ -161,8 +174,9 @@ def build_template(problem: str, template: str, *, tree: bool = False,
     if problem == "MIS" and tree:
         if template not in _MIS_TREE:
             raise ConfigError(f"tree variant has no {template!r} template")
-        program = StagedProgram(_MIS_TREE[template])
+        stages, main, part2 = _MIS_TREE[template]
     else:
-        program = _program(problem, template, r, phase)
+        stages, main, part2 = _stages(problem, template, r, phase)
     c, f = _PARTS[problem][:2]
-    return TemplateInstance(template, program, c, f)
+    return TemplateInstance(template, StagedProgram(stages), c, f, main,
+                            part2)

@@ -1,6 +1,6 @@
 """Test-only helpers: graph facts and files the tests check against, a
-checkpoint list for bare phased runs, and registry programs by name.
-Nothing under src/ needs them."""
+run's output values and undecided nodes, a checkpoint list for bare phased
+runs, and registry programs by name.  Nothing under src/ needs them."""
 
 from typing import Optional
 
@@ -47,6 +47,16 @@ def write_graph(g: Graph, tree: Optional[RootedTree] = None) -> str:
     if tree is not None:
         lines += [f"P {u} {tree.parent[u]}" for u in g.nodes]
     return "\n".join(lines) + "\n"
+
+
+def value(outcome, node: int):
+    """A node's single-slot output value, or None when it never output."""
+    return outcome.outputs.get(node, {}).get("y")
+
+
+def undecided(outcome, g: Graph) -> set:
+    """Nodes that terminated (or stopped) without assigning any output."""
+    return {u for u in g.nodes if not outcome.outputs.get(u)}
 
 
 def even_rounds(outcome) -> list[int]:

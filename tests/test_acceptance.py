@@ -15,7 +15,8 @@ from predsync.graphs import (grid, line, line_tree, random_connected_graph,
                              random_tree, validate, wheel_fk, _rng)
 from predsync.templates import build_template
 
-from helpers import diameter, even_rounds, program, wheel_rim_nodes
+from helpers import (diameter, even_rounds, program, value,
+                     wheel_rim_nodes)
 from reference import induced_subgraph, mu1, mu2
 
 AUDITED_RUNS = []  # (label, extendability violations)
@@ -218,7 +219,7 @@ def test_criterion_11_fault_tolerance():
             for u, v in g.edges():
                 if colors.get(u) is not None and colors.get(u) == colors.get(v):
                     raise AssertionError(f"{label}: round {rnd} edge {u},{v}")
-        sol = {u: outcome.value(u) for u in g.nodes}
+        sol = {u: value(outcome, u) for u in g.nodes}
         for u, v in g.edges():
             if sol[u] is not None and sol[v] is not None:
                 assert sol[u] != sol[v], (label, u, v)

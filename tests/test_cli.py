@@ -379,7 +379,15 @@ def test_config_errors(tmp_path):
      "VERTEX_COLORING, EDGE_COLORING"),
     ("run", "graph = LINE\nn = x\n",
      "n = x: invalid literal for int() with base 10: 'x'"),
-], ids=["negative-k", "unknown-problem", "non-integer-n"])
+    ("run", "graph = LINE\nn = 4\nseed_range = a\n",
+     "seed_range = a: only sweep reads it; run reads k and seed"),
+    ("run", "graph = LINE\nn = 4\nk_range = 0..2\n",
+     "k_range = 0..2: only sweep reads it; run reads k and seed"),
+    ("run", "graph = LINE\nn = 4\npattern = FOO\n",
+     "pattern = FOO: unknown pattern; known: ALL_ONES, ALL_ZEROS, "
+     "GRID_4BLOCK, MOD3_LINE"),
+], ids=["negative-k", "unknown-problem", "non-integer-n", "run-seed-range",
+        "run-k-range", "unknown-pattern"])
 def test_config_errors_name_their_key(tmp_path, capsys, command, text, message):
     cfg = _cfg(tmp_path, text)
     assert main([command, "--config", cfg]) == 2
@@ -412,12 +420,13 @@ def test_passing_sweep_builds_no_trace(tmp_path, monkeypatch):
         outcomes.append(result[2])
         return result
     monkeypatch.setattr(cli, "run_one", recorded)
-    cfg = _cfg(tmp_path, "graph = RANDOM_CONNECTED\nn = 10\np = 0.3\n"
-                         "problem = MIS\ntemplate = consecutive\n"
-                         "k_range = 0..3\nseed_range = 0..2\n")
+    text = ("graph = RANDOM_CONNECTED\nn = 10\np = 0.3\n"
+            "problem = MIS\ntemplate = consecutive\n")
+    cfg = _cfg(tmp_path, text + "k_range = 0..3\nseed_range = 0..2\n")
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
     assert len(outcomes) == 12 and all(o.trace is None for o in outcomes)
     assert built == []
+    cfg = _cfg(tmp_path, text)  # run rejects the sweep-only keys
     assert main(["run", "--config", cfg, "--trace", "--out",
                  str(tmp_path / "r.csv")]) == 0
     assert built  # the replay traces through the same TraceEvent
@@ -534,9 +543,11 @@ def test_program_error_is_a_failing_row_not_a_config_error(tmp_path, capsys,
     unknown program name is still a config error."""
     monkeypatch.setitem(registry.PROGRAMS, "test.key_error",
                         ((_KeyErrorStage(),), "MIS"))
-    cfg = _cfg(tmp_path, "graph = LINE\nn = 4\nprogram = test.key_error\n"
-                         "k_range = 0..1\nseed = 0\n")
+    text = "graph = LINE\nn = 4\nprogram = test.key_error\nseed = 0\n"
     for command, extra in (("run", []), ("run", ["--trace"]), ("sweep", [])):
+        # run rejects the sweep-only k_range
+        cfg = _cfg(tmp_path, text + ("k_range = 0..1\n" if command == "sweep"
+                                     else ""))
         assert main([command, "--config", cfg, *extra]) == 1
         out, err = capsys.readouterr()
         rows = _rows(out)

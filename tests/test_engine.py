@@ -5,6 +5,8 @@ import pytest
 from predsync.engine import (NEVER, NonTermination, ProtocolViolation, Step,
                              default_max_rounds, simulate)
 from predsync.graphs import build_graph, line
+
+from helpers import undecided
 from reference import snapshot_active
 
 
@@ -148,7 +150,7 @@ def test_trace_and_snapshot():
     assert "2,2,TERMINATE," in lines
     assert snapshot_active(out, g, 1) == {2}
     assert snapshot_active(out, g, 2) == set()
-    assert out.undecided(g) == set()
+    assert undecided(out, g) == set()
 
 
 def test_predictions_must_be_complete():

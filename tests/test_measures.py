@@ -13,7 +13,7 @@ from predsync.graphs import (CapExceeded, Graph, _assign_ids, build_graph,
                              random_graph, random_tree, validate)
 from predsync.registry import get_program
 
-from helpers import program
+from helpers import program, undecided, value
 from reference import (alpha_oracle, components, edge_induced_subgraph,
                        enumerate_mis, format_predictions, induced_subgraph,
                        mu1, mu2)
@@ -148,7 +148,7 @@ def test_solve_matches_the_simulated_uniform_programs():
             if kind == "EDGE_COLORING":
                 want = {u: out.outputs[u] for u in g.nodes}
             else:
-                want = {u: out.value(u) for u in g.nodes}
+                want = {u: value(out, u) for u in g.nodes}
             assert M.solve(kind, g) == want, (kind, g.adjacency)
         seen += 1
     assert seen == 2 * 53 + 32
@@ -201,7 +201,7 @@ def test_init_components_nest_inside_base_components():
         g = random_connected_graph(4 + seed % 9, 0.35, seed)
         p = M.corrupt("MIS", g, M.reference("MIS", g), 4, seed)
         base_comps = [set(c.nodes) for c in _error_components("MIS", g, p)[1]]
-        init_active = simulate(g, program("mis.init"), p).undecided(g)
+        init_active = undecided(simulate(g, program("mis.init"), p), g)
         for c in components(induced_subgraph(g, init_active)):
             assert any(set(c.nodes) <= b for b in base_comps)
 
@@ -218,8 +218,8 @@ def _error_components(kind, g, p):
     if kind == "EDGE_COLORING":
         uncolored = [(u, v) for u, v in g.edges() if v not in out.outputs[u]]
         return None, components(edge_induced_subgraph(g, uncolored))
-    undecided = out.undecided(g)
-    return undecided, components(induced_subgraph(g, undecided))
+    nodes = undecided(out, g)
+    return nodes, components(induced_subgraph(g, nodes))
 
 
 def _single_measures(kind, g, p, tree):

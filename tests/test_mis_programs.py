@@ -13,7 +13,7 @@ from predsync.graphs import (_assign_ids, build_graph, grid, line, line_tree,
                              _rng)
 from predsync.stages import StagedProgram
 
-from helpers import even_rounds, program
+from helpers import even_rounds, program, undecided, value
 from reference import (components, induced_subgraph, mu1, mu2,
                        partial_outputs, snapshot_active)
 
@@ -32,28 +32,28 @@ def test_base_correct_predictions_output_prediction():
     p = {1: 1, 2: 0, 3: 1, 4: 0, 5: 1}
     out = simulate(g, program("mis.base"), p)
     assert out.total_rounds <= 3
-    assert {u: out.value(u) for u in g.nodes} == p
+    assert {u: value(out, u) for u in g.nodes} == p
 
 
 def test_base_all_zero_line_is_empty():
     g = line(3)
     out = simulate(g, program("mis.base"), {1: 0, 2: 0, 3: 0})
-    assert out.undecided(g) == {1, 2, 3}
+    assert undecided(out, g) == {1, 2, 3}
 
 
 def test_base_conflicting_edge_undecided():
     g = build_graph([1, 2], [(1, 2)])
     out = simulate(g, program("mis.base"), {1: 1, 2: 1})
-    assert out.undecided(g) == {1, 2}
+    assert undecided(out, g) == {1, 2}
 
 
 def test_init_breaks_ties_by_identifier():
     g = build_graph([3, 7], [(3, 7)])
     out = simulate(g, program("mis.init"), {3: 1, 7: 1})
-    assert out.value(7) == 1 and out.value(3) == 0
+    assert value(out, 7) == 1 and value(out, 3) == 0
     tri = _k([2, 5, 9])
     out = simulate(tri, program("mis.init"), {2: 1, 5: 1, 9: 1})
-    assert out.value(9) == 1 and out.value(2) == 0 and out.value(5) == 0
+    assert value(out, 9) == 1 and value(out, 2) == 0 and value(out, 5) == 0
 
 
 def test_init_extends_base():
@@ -115,7 +115,7 @@ def test_cleanup_star():
     from predsync.stages import StagedProgram
     out = simulate(star, StagedProgram([Pre()]), None)
     assert out.total_rounds == 1
-    assert all(out.value(u) == 0 for u in (1, 2, 3))
+    assert all(value(out, u) == 0 for u in (1, 2, 3))
 
 
 # greedy
@@ -125,7 +125,7 @@ def test_greedy_line5():
     g = line(5)
     out = simulate(g, program("mis.greedy"), trace=True)
     assert out.total_rounds == 5
-    assert {u for u in g.nodes if out.value(u) == 1} == {1, 3, 5}
+    assert {u for u in g.nodes if value(out, u) == 1} == {1, 3, 5}
     assert audit_run("MIS", g, out, even_rounds(out)) == (None, [])
 
 
@@ -134,7 +134,7 @@ def test_greedy_clique_and_single():
     assert out.total_rounds == 2
     single = build_graph([4], [])
     out = simulate(single, program("mis.greedy"))
-    assert out.total_rounds == 1 and out.value(4) == 1
+    assert out.total_rounds == 1 and value(out, 4) == 1
 
 
 def test_greedy_even_round_zero_iff_one_neighbor():
@@ -194,20 +194,20 @@ def test_u_bw_all_black():
 def test_part2_path():
     g = line(3)
     out = simulate(g, program("mis.color_part2"), {1: 1, 2: 2, 3: 1})
-    assert out.value(1) == 1 and out.value(3) == 1 and out.value(2) == 0
+    assert value(out, 1) == 1 and value(out, 3) == 1 and value(out, 2) == 0
 
 
 def test_part2_clique_color1_wins_first():
     g = _k([1, 2, 3, 4])
     out = simulate(g, program("mis.color_part2"), {1: 2, 2: 1, 3: 3, 4: 4})
-    assert out.value(2) == 1 and out.term_round[2] == 2  # reveal + round 1
-    assert all(out.value(u) == 0 for u in (1, 3, 4))
+    assert value(out, 2) == 1 and out.term_round[2] == 2  # reveal + round 1
+    assert all(value(out, u) == 0 for u in (1, 3, 4))
 
 
 def test_part2_single_node():
     g = build_graph([5], [])
     out = simulate(g, program("mis.color_part2"), {5: 1})
-    assert out.value(5) == 1
+    assert value(out, 5) == 1
 
 
 def test_part2_rejects_improper_coloring():
@@ -252,7 +252,7 @@ def test_tree_init_leaves_monochromatic_components():
         t = random_tree(4 + seed % 10, seed)
         p = M.corrupt("MIS", t.graph, M.reference("MIS", t.graph), 4, seed)
         out = simulate(t.graph, program("mis.tree_init"), p, tree=t)
-        active = out.undecided(t.graph)
+        active = undecided(out, t.graph)
         for u in active:
             for v in t.graph.neighbors(u):
                 if v in active:
@@ -266,7 +266,7 @@ def test_tree_uniform_paths():
     t2 = line_tree(2)
     out = simulate(t2.graph, program("mis.tree_uniform"), tree=t2)
     assert out.total_rounds == 1
-    assert out.value(1) == 1 and out.value(2) == 0
+    assert value(out, 1) == 1 and value(out, 2) == 0
     t7 = line_tree(7)
     out = simulate(t7.graph, program("mis.tree_uniform"), tree=t7, trace=True)
     assert validate("MIS", t7.graph, out.solution("MIS", t7.graph)) is None
@@ -285,15 +285,15 @@ def test_tree_uniform_random_trees():
 def test_gps_examples():
     t = random_tree(1, 0)
     out = simulate(t.graph, program("mis.tree_gps"), tree=t)
-    assert out.value(next(iter(t.graph.nodes))) in (1, 2, 3)
+    assert value(out, next(iter(t.graph.nodes))) in (1, 2, 3)
     t2 = line_tree(2)
     out = simulate(t2.graph, program("mis.tree_gps"), tree=t2)
-    assert out.value(1) != out.value(2)
+    assert value(out, 1) != value(out, 2)
     t200 = random_tree(200, 3, d=10 ** 6)
     budget = mis.gps_budget_even(10 ** 6)
     out = simulate(t200.graph, program("mis.tree_gps"), tree=t200,
                    max_rounds=budget + 5)
-    sol = {u: out.value(u) for u in t200.graph.nodes}
+    sol = {u: value(out, u) for u in t200.graph.nodes}
     assert all(c in (1, 2, 3) for c in sol.values())
     assert all(sol[u] != sol[v] for u, v in t200.graph.edges())
     assert out.total_rounds <= budget
@@ -311,7 +311,7 @@ def test_gps_fault_tolerance():
                 sched.setdefault(r.randrange(1, budget + 1), set()).add(u)
         out = simulate(g, program("mis.tree_gps"), tree=t,
                        max_rounds=budget + 5, crash_schedule=sched)
-        sol = {u: out.value(u) for u in g.nodes}
+        sol = {u: value(out, u) for u in g.nodes}
         for u, v in g.edges():
             if sol[u] is not None and sol[v] is not None:
                 assert sol[u] != sol[v], (seed, u, v)
@@ -320,10 +320,10 @@ def test_gps_fault_tolerance():
 def test_tree_part2():
     single = build_graph([5], [])
     out = simulate(single, program("mis.tree_part2"), {5: 2})
-    assert out.value(5) == 1 and out.term_round[5] == 2
+    assert value(out, 5) == 1 and out.term_round[5] == 2
     edgeless = build_graph([1, 2], [])
     out = simulate(edgeless, program("mis.tree_part2"), {1: 1, 2: 1})
-    assert out.value(1) == 1 and out.value(2) == 1
+    assert value(out, 1) == 1 and value(out, 2) == 1
     assert out.term_round[1] == 1
     t7 = line_tree(7)
     colors = {u: (i % 2) + 2 for i, u in enumerate(sorted(t7.graph.nodes))}

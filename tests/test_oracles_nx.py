@@ -12,7 +12,7 @@ from predsync.graphs import (DEFAULT_ALPHA_CAP, DEFAULT_ENUM_CAP, build_graph,
                              grid, line, random_graph,
                              random_connected_graph, validate)
 
-from helpers import program
+from helpers import program, undecided
 from reference import alpha_oracle, components, enumerate_mis
 
 nx = pytest.importorskip("networkx")
@@ -104,10 +104,10 @@ def _eta_bw_nx(g, p):
     h = nx.Graph()
     h.add_nodes_from(g.nodes)
     h.add_edges_from(g.edges())
-    undecided = simulate(g, program("mis.base"), p).undecided(g)
+    left = undecided(simulate(g, program("mis.base"), p), g)
     return max((len(c) for color in (0, 1)
                 for c in nx.connected_components(
-                    h.subgraph(u for u in undecided if p[u] == color))),
+                    h.subgraph(u for u in left if p[u] == color))),
                default=0)
 
 

@@ -9,7 +9,7 @@ from predsync.graphs import (build_graph, line, random_connected_graph,
                              validate, _rng)
 from predsync.templates import build_template
 
-from helpers import program
+from helpers import program, undecided, value
 
 
 def _k(ids):
@@ -26,26 +26,26 @@ def test_mm_base_correct_two_rounds():
     p = {1: 2, 2: 1, 3: 4, 4: 3}
     out = simulate(g, program("mm.base"), p)
     assert out.total_rounds == 2
-    assert {u: out.value(u) for u in g.nodes} == p
+    assert {u: value(out, u) for u in g.nodes} == p
 
 
 def test_mm_base_half_prediction_undecided():
     g = build_graph([1, 2], [(1, 2)])
     out = simulate(g, program("mm.base"), {1: 2, 2: None})
-    assert out.undecided(g) == {1, 2}
+    assert undecided(out, g) == {1, 2}
 
 
 def test_mm_base_isolated_bot():
     g = build_graph([7], [])
     out = simulate(g, program("mm.base"), {7: None})
-    assert out.value(7) is None and out.total_rounds == 2
+    assert value(out, 7) is None and out.total_rounds == 2
 
 
 def test_mm_init_bot_despite_prediction():
     # 1-2 matched; 3 predicts 2 but all of 3's neighbors got matched
     g = line(3)
     out = simulate(g, program("mm.init"), {1: 2, 2: 1, 3: 2})
-    assert out.value(1) == 2 and out.value(2) == 1 and out.value(3) is None
+    assert value(out, 1) == 2 and value(out, 2) == 1 and value(out, 3) is None
 
 
 def test_mm_init_rejects_non_neighbor_partner():
@@ -57,10 +57,10 @@ def test_mm_init_rejects_non_neighbor_partner():
 def test_mm_uniform_examples():
     e = build_graph([1, 2], [(1, 2)])
     out = simulate(e, program("mm.uniform"))
-    assert out.total_rounds == 3 and out.value(1) == 2
+    assert out.total_rounds == 3 and value(out, 1) == 2
     iso = build_graph([4], [])
     out = simulate(iso, program("mm.uniform"))
-    assert out.value(4) is None and out.total_rounds == 1
+    assert value(out, 4) is None and out.total_rounds == 1
     p3 = line(3)
     out = simulate(p3, program("mm.uniform"))
     assert out.total_rounds == 3
@@ -87,10 +87,10 @@ def test_vc_base_and_init():
     g = line(3)
     out = simulate(g, program("vc.base"), {1: 1, 2: 2, 3: 1})
     assert out.total_rounds == 2
-    assert [out.value(u) for u in (1, 2, 3)] == [1, 2, 1]
+    assert [value(out, u) for u in (1, 2, 3)] == [1, 2, 1]
     pair = build_graph([3, 7], [(3, 7)])
     out = simulate(pair, program("vc.init"), {3: 1, 7: 1})
-    assert out.value(7) == 1 and out.undecided(pair) == {3}
+    assert value(out, 7) == 1 and undecided(out, pair) == {3}
     with pytest.raises(ValueError):
         simulate(pair, program("vc.init"), {3: 0, 7: 1})
 
@@ -98,11 +98,11 @@ def test_vc_base_and_init():
 def test_vc_uniform_examples():
     single = build_graph([1], [])
     out = simulate(single, program("vc.uniform"))
-    assert out.total_rounds == 1 and out.value(1) == 1
+    assert out.total_rounds == 1 and value(out, 1) == 1
     k4 = _k([1, 2, 3, 4])
     out = simulate(k4, program("vc.uniform"))
     assert out.total_rounds == 4
-    assert sorted(out.value(u) for u in k4.nodes) == [1, 2, 3, 4]
+    assert sorted(value(out, u) for u in k4.nodes) == [1, 2, 3, 4]
 
 
 def test_vc_uniform_bound_and_palette_invariant():
@@ -126,7 +126,7 @@ def test_linial_small_and_huge_d():
     assert validate("VERTEX_COLORING", g, out.solution("VERTEX_COLORING", g)) is None
     edgeless = build_graph([1, 2, 3], [])
     out = simulate(edgeless, program("vc.linial"), max_rounds=10)
-    assert all(out.value(u) == 1 for u in edgeless.nodes)
+    assert all(value(out, u) == 1 for u in edgeless.nodes)
     g50 = line(50, id_scheme="SEEDED_PERMUTATION", seed=2, d=10 ** 9)
     budget = problems.linial_rounds(10 ** 9, 2)
     out = simulate(g50, program("vc.linial"), max_rounds=budget + 5)
@@ -151,7 +151,7 @@ def test_linial_fault_tolerance():
                 sched.setdefault(r.randrange(1, budget + 1), set()).add(u)
         out = simulate(g, program("vc.linial"), max_rounds=budget + 5,
                        crash_schedule=sched)
-        sol = {u: out.value(u) for u in g.nodes}
+        sol = {u: value(out, u) for u in g.nodes}
         for u, v in g.edges():
             if sol[u] is not None and sol[v] is not None:
                 assert sol[u] != sol[v], (seed, u, v)
@@ -177,7 +177,7 @@ def test_ec_base_clashing_predictions_stay_uncolored():
     g = line(3)  # edges (1,2) and (2,3) both predicted color 1 at node 2
     p = {1: {2: 1}, 2: {1: 1, 3: 1}, 3: {2: 1}}
     out = simulate(g, program("ec.base"), p)
-    assert out.undecided(g) == {1, 2, 3}
+    assert undecided(out, g) == {1, 2, 3}
 
 
 def test_ec_edge_state_is_built_only_where_an_edge_is_left(monkeypatch):

@@ -14,7 +14,7 @@ from predsync.engine import simulate
 from predsync.graphs import (line, random_connected_graph, random_graph,
                              validate)
 
-from helpers import program
+from helpers import program, undecided
 from reference import check_extendable
 
 # ---------------------------------------------------------------------------
@@ -222,6 +222,6 @@ def test_matching_node_without_output_is_incomplete():
 def test_mis_init_all_zero_predictions_is_incomplete():
     g = line(5)
     out = simulate(g, program("mis.init"), {u: 0 for u in g.nodes})
-    assert out.undecided(g) == set(g.nodes)
+    assert undecided(out, g) == set(g.nodes)
     assert out.solution("MIS", g) == {}
     assert validate("MIS", g, out.solution("MIS", g)).code == "INCOMPLETE"

@@ -15,6 +15,8 @@ from predsync.stages import (ConfigError, FixedStage, InterleavedStage,
                              ParallelStage, Stage, StageRun, StagedProgram)
 from predsync.templates import build_template
 
+from helpers import value
+
 
 def test_build_template_errors():
     with pytest.raises(ConfigError):
@@ -47,7 +49,7 @@ def test_simple_template_k6_all_ones():
     # the identifier rule lets node 6 join during initialization, so the run
     # ends in 3 rounds, well inside eta2 + 4 = 6
     assert out.total_rounds == 3
-    assert out.value(6) == 1
+    assert value(out, 6) == 1
 
 
 def test_consecutive_truncation_branch():
@@ -108,7 +110,10 @@ def test_consecutive_inside_uniform_branch():
     inst = build_template("MIS", "consecutive")
     out = simulate(g, inst.program, p)
     assert validate("MIS", g, out.solution("MIS", g)) is None
-    assert out.total_rounds <= inst.c + inst.f(rep)
+    # inside the uniform branch the run ends within c + f, the simple
+    # template's degrading bound
+    simple = build_template("MIS", "simple")
+    assert out.total_rounds <= simple.bounds(g, rep)[0]
 
 
 def test_interleaved_round_accounting():
@@ -283,11 +288,11 @@ def test_other_problem_templates():
                     out = simulate(g, inst.program, p,
                                    max_rounds=inst.max_rounds(g))
                     assert validate(kind, g, out.solution(kind, g)) is None
+                    consistency, degrading, robust = inst.verdicts(
+                        g, rep, out.total_rounds)
                     if k == 0:
-                        assert out.total_rounds == inst.c
-                    degrading, robust = inst.bounds(g, rep)
-                    assert out.total_rounds <= degrading \
-                        or (robust is not None and out.total_rounds <= robust)
+                        assert consistency == "true"
+                    assert "true" in (degrading, robust)
 
 
 # reference: each template's round bounds written out term by term, apart
@@ -342,3 +347,37 @@ def test_bounds_match_reference_formulas():
                     assert got == want, (kind, tpl, options, g.n, report)
                     inapplicable += want[0] is None
     assert inapplicable  # the parallel r1 >= f rule was exercised
+
+
+def test_verdicts_match_reference_formulas():
+    """The three bound cells of TemplateInstance.verdicts, over the cases
+    and graphs of test_bounds_match_reference_formulas, at one round below,
+    at and above each bound and c; "" where a bound does not apply."""
+    cases = [(kind, tpl, {}) for kind in _TERMS
+             for tpl in ("simple", "consecutive")]
+    cases += [("MIS", "interleaved", {"phase": ph}) for ph in (2, 4, 6)]
+    cases += [("MIS", "parallel", {}), ("MIS", "simple", {"tree": True}),
+              ("MIS", "parallel", {"tree": True})]
+    graphs = [random_graph(14, 0.3, 2), random_connected_graph(20, 0.3, 5),
+              line(30), grid(4, 5), random_tree(25, 3).graph]
+    seen = set()
+    for kind, tpl, options in cases:
+        inst = build_template(kind, tpl, **options)
+        c = _TERMS[kind][0]
+        for g in graphs:
+            for eta1 in range(43):
+                for eta2 in (None, 0, eta1 // 2, eta1):
+                    report = {"eta1": eta1, "eta2": eta2}
+                    want = _reference_bounds(kind, tpl, options, g,
+                                             inst.f(report))[:2]
+                    near = {c, *(b for b in want if b is not None)}
+                    for rounds in {x + d for x in near for d in (-1, 0, 1)}:
+                        cells = ["" if eta1 else str(rounds == c).lower()]
+                        cells += ["" if b is None else str(rounds <= b).lower()
+                                  for b in want]
+                        got = inst.verdicts(g, report, rounds)
+                        assert got == tuple(cells), (kind, tpl, options, g.n,
+                                                     report, rounds)
+                        seen.update(enumerate(got))
+    # every cell was true, false and inapplicable somewhere
+    assert seen == {(i, v) for i in range(3) for v in ("true", "false", "")}

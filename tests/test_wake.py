@@ -26,7 +26,7 @@ from predsync.registry import PROGRAMS as REGISTRY
 from predsync.stages import Stage, StageRun, StagedProgram, TruncatedStage
 from predsync.templates import build_template
 
-from helpers import program
+from helpers import program, undecided, value
 
 
 class _Counted:
@@ -378,7 +378,7 @@ def test_init_sleeper_in_final_stage_stops_at_its_end():
     assert _same(program("mis.init"), g, p) == (2 * g.n, 3 * g.n)
     out = simulate(g, program("mis.init"), p)
     assert out.term_round == {u: 3 for u in g.nodes}
-    assert out.undecided(g) == set(g.nodes)
+    assert undecided(out, g) == set(g.nodes)
 
 
 def test_sleeper_in_fixed_final_stage_stops_at_its_end():
@@ -389,7 +389,7 @@ def test_sleeper_in_fixed_final_stage_stops_at_its_end():
     _same(prog, g)
     out = simulate(g, prog)
     assert [out.term_round[u] for u in g.nodes] == [6] * 5 + [5, 4, 3, 2, 1]
-    assert out.undecided(g) == {1, 2, 3, 4}
+    assert undecided(out, g) == {1, 2, 3, 4}
 
 
 class _AlarmStage(Stage):
@@ -453,7 +453,7 @@ def test_stage_round_idle_in_open_final_stage():
     # round 5: nodes 1 and 2
     assert _same(prog, g) == (8, 4 + 4 + 2 + 2 + 2)
     out = simulate(g, prog)
-    assert {u: out.value(u) for u in g.nodes} == {1: 5, 2: 5, 3: 2, 4: 2}
+    assert {u: value(out, u) for u in g.nodes} == {1: 5, 2: 5, 3: 2, 4: 2}
     assert out.term_round == {1: 5, 2: 5, 3: 2, 4: 2}
 
 
