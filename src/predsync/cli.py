@@ -44,8 +44,8 @@ from pathlib import Path
 from . import measures
 from .audit import audit_run
 from .engine import NonTermination, ProtocolViolation, simulate
-from .graphs import (PROBLEM_KINDS, GraphError, RootedTree, _assign_ids,
-                     generate, line, read_graph, validate)
+from .graphs import (ID_SCHEMES, PROBLEM_KINDS, GraphError, RootedTree,
+                     _assign_ids, generate, line, read_graph, validate)
 from .problems import EmptyPalette
 from .registry import get_program
 from .stages import ConfigError
@@ -118,18 +118,18 @@ def _k_range(text: str) -> list[int]:
     return [_k(k) for k in parse_range(text)]
 
 
-def _problem(text: str) -> str:
-    kind = text.upper()
-    if kind not in PROBLEM_KINDS:
-        raise ValueError(f"unknown problem; known: {', '.join(PROBLEM_KINDS)}")
-    return kind
+def _one_of(names, what: str, fold=str):
+    """A parser of one of names, read after fold, that names them all when
+    the value is none of them."""
+    def parse(text: str) -> str:
+        if fold(text) not in names:
+            raise ValueError(f"unknown {what}; known: {', '.join(names)}")
+        return fold(text)
+    return parse
 
 
-def _pattern(text: str) -> str:
-    if text not in measures.PATTERNS:
-        raise ValueError(
-            f"unknown pattern; known: {', '.join(measures.PATTERNS)}")
-    return text
+_problem = _one_of(PROBLEM_KINDS, "problem", str.upper)
+_pattern = _one_of(measures.PATTERNS, "pattern")
 
 
 def _graph_params(cfg: dict) -> dict:
@@ -148,6 +148,8 @@ def _graph_params(cfg: dict) -> dict:
 _FAMILY_KEYS = {"LINE": ("n",), "WHEEL_FK": ("k_rim",), "GRID": ("rows", "cols"),
                 "RANDOM": ("n", "p"), "RANDOM_CONNECTED": ("n", "p"),
                 "TREE": ("n",)}
+_family = _one_of(tuple(_FAMILY_KEYS), "graph family", str.upper)
+_id_scheme = _one_of(ID_SCHEMES, "id scheme")
 
 
 def build_instance(cfg: dict, seed: int):
@@ -174,8 +176,14 @@ class Plan:
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
+        _read(cfg, "graph", _family)
+        _read(cfg, "id_scheme", _id_scheme)
         name = cfg.get("program")
         if name:
+            for key in ("template", "phase"):
+                if key in cfg:
+                    raise ConfigError(f"{key} = {cfg[key]}: a standalone "
+                                      f"program takes no {key}")
             self.program, kind = get_program(name)
             # a standalone program is measured as the problem it solves
             self.kind = _read(cfg, "problem", _problem, kind)
@@ -185,11 +193,12 @@ class Plan:
             self.inst, self.label = None, name
         else:
             self.kind = _read(cfg, "problem", _problem, "MIS")
-            options = {"tree": cfg.get("graph", "").upper() == "TREE"}
-            if "phase" in cfg:
-                options["phase"] = _read(cfg, "phase", int)
-            self.inst = build_template(
-                self.kind, cfg.get("template", "simple"), **options)
+            template = cfg.get("template", "simple")
+            tree = cfg.get("graph", "").upper() == "TREE"
+            self.inst = build_template(self.kind, template, tree=tree)
+            if "phase" in cfg:  # so an error of the rebuild is the phase's
+                self.inst = _read(cfg, "phase", lambda text: build_template(
+                    self.kind, template, tree=tree, phase=int(text)))
             self.program, self.label = self.inst.program, self.inst.template
         self.pattern = _read(cfg, "pattern", _pattern)
         self.max_rounds = _read(cfg, "max_rounds", int)
@@ -205,10 +214,15 @@ class Plan:
         if case is None:
             cfg = self.cfg
             g, tree, family, ids = build_instance(cfg, seed)
-            ref = measures.reference(
-                self.kind, g, pattern=self.pattern, tree=tree,
-                rows=_read(cfg, "rows", int), cols=_read(cfg, "cols", int),
-                ids=ids)
+            try:
+                ref = measures.reference(
+                    self.kind, g, pattern=self.pattern, tree=tree,
+                    rows=_read(cfg, "rows", int), cols=_read(cfg, "cols", int),
+                    ids=ids)
+            except ValueError as exc:  # a given pattern that does not fit
+                if self.pattern is None:
+                    raise
+                raise ConfigError(f"pattern = {self.pattern}: {exc}") from None
             masks = measures.mis_masks(g) if self.kind == "MIS" else None
             case = self._instances[seed] = (g, tree, family, ref, masks)
         return case
@@ -390,7 +404,7 @@ def cmd_verify(cfg: dict, args) -> int:
     if violation is None:
         print("VALID")
         return 0
-    print(f"{violation.code} at {violation.where}: {violation.detail}")
+    print(violation)
     return 1
 
 

@@ -173,20 +173,19 @@ def _rng(seed: int, *salt) -> random.Random:
     return random.Random(f"{seed}|{salt!r}")
 
 
+ID_SCHEMES = ("INCREASING", "SEEDED_PERMUTATION")
+
+
 def _assign_ids(n: int, id_scheme: str, seed: int, d: Optional[int]) -> tuple[list[int], int]:
     """Map positions 0..n-1 to identifiers; returns (ids, d)."""
+    if id_scheme not in ID_SCHEMES:
+        raise GraphError("MALFORMED_LINE", f"unknown id scheme {id_scheme!r}")
+    d = d or (n if id_scheme == "INCREASING" else max(2 * n, 1))
+    if d < n:
+        raise GraphError("ID_OUT_OF_RANGE", f"d={d} too small for n={n}")
     if id_scheme == "INCREASING":
-        d = d or n
-        if d < n:
-            raise GraphError("ID_OUT_OF_RANGE", f"d={d} too small for n={n}")
         return list(range(1, n + 1)), d
-    if id_scheme == "SEEDED_PERMUTATION":
-        d = d or max(2 * n, 1)
-        if d < n:
-            raise GraphError("ID_OUT_OF_RANGE", f"d={d} too small for n={n}")
-        ids = _rng(seed, "ids").sample(range(1, d + 1), n)
-        return ids, d
-    raise GraphError("MALFORMED_LINE", f"unknown id scheme {id_scheme!r}")
+    return _rng(seed, "ids").sample(range(1, d + 1), n), d
 
 
 def line(n: int, id_scheme: str = "INCREASING", seed: int = 0, d: Optional[int] = None) -> Graph:

@@ -12,14 +12,16 @@ templates.py into the four template combinators.  Message vocabulary:
 A node with a neighbor in the set (ctx.nbr_one) leaves in the next leave
 round (_LeaveRun): it tells its active neighbors ZERO and outputs 0.  The
 GPS tree 3-coloring is a problems.ReductionRun, like Linial's coloring, and
-the tree part 2 starts with the reveal round (_RevealRun).
+the tree part 2 starts with the reveal round (RevealStage).  Each stage
+class is also one node's run of it (stages.Stage); a variant of a stage is
+a subclass that sets one class attribute.
 """
 
 from __future__ import annotations
 
 from .engine import NEVER, ProtocolViolation, Step
 from .problems import ReductionRun
-from .stages import Ctx, FixedStage, Stage, StageRun
+from .stages import Ctx, Stage
 
 ONE = "ONE"
 ZERO = "ZERO"
@@ -36,7 +38,7 @@ def _note(ctx: Ctx, inbox):
             ctx.active.discard(sender)
 
 
-class _LeaveRun(StageRun):
+class _LeaveRun(Stage):
     """The leave round: a node with a neighbor in the set tells its active
     neighbors ZERO and outputs 0; any other node notes what it receives."""
 
@@ -53,13 +55,13 @@ class _LeaveRun(StageRun):
 
 
 class _JoinRun(_LeaveRun):
-    """Odd rounds: the node joins when wins(ctx, t) is true and tells its
-    active neighbors ONE.  wins is False for a candidate that lost and None
-    for a node that is no candidate this round.  Even rounds: leave."""
+    """Phases of two rounds.  Odd rounds: the node joins when the
+    subclass's wins(ctx, t) is true and tells its active neighbors ONE.
+    wins is False for a candidate that lost and None for a node that is no
+    candidate this round.  Even rounds: leave."""
 
-    def __init__(self, wins):
-        self.wins = wins
-        self.join = None
+    phase_len = 2
+    join = None
 
     def compose(self, ctx, t):
         if t % 2 == 0:
@@ -82,49 +84,25 @@ class _JoinRun(_LeaveRun):
         return Step()
 
 
-class _JoinStage(Stage):
-    """A phased stage run by _JoinRun with the subclass's wins(ctx, t)."""
-
-    phase_len = 2
-
-    def start(self, ctx):
-        return _JoinRun(self.wins)
-
-
 # ---------------------------------------------------------------------------
 # initialization
 
 
-class MisInitStage(Stage):
+class MisInitStage(_LeaveRun):
     """3-round pruning prologue.
 
-    rule="base": the independent set I is the prediction-1 nodes whose
-    neighbors all have prediction 0.  rule="init": I is the prediction-1
-    nodes whose prediction-1 neighbors (if any) all have smaller ids.
-    Round 2: I joins; round 3: leave.  A node outside I sleeps through
-    rounds 2 and 3 unless a neighbor joins or leaves; the driver wakes
-    such a sleeper at the next stage start, or in round 3 when the init
-    is the final stage.
+    The independent set I is the prediction-1 nodes whose prediction-1
+    neighbors (if any) all have smaller ids.  Round 2: I joins; round 3:
+    leave.  A node outside I sleeps through rounds 2 and 3 unless a
+    neighbor joins or leaves; the driver wakes such a sleeper at the next
+    stage start, or in round 3 when the init is the final stage.
     """
 
-    def __init__(self, rule: str = "init"):
-        if rule not in ("base", "init"):
-            raise ValueError(f"unknown initialization rule {rule!r}")
-        self.rule = rule
-
-    def length(self, view):
-        return 3
-
-    def start(self, ctx):
-        return _MisInitRun(self.rule)
-
-
-class _MisInitRun(_LeaveRun):
     # rounds 2 and 3 are leave rounds for all but the joiners: in round 2
     # nobody has a neighbor in the set yet
-    def __init__(self, rule):
-        self.rule = rule
-        self.join = False
+    rounds = 3
+    rule = "init"
+    join = False
 
     def compose(self, ctx, t):
         if t == 1:
@@ -153,47 +131,48 @@ class _MisInitRun(_LeaveRun):
         return step
 
 
+class MisBaseStage(MisInitStage):
+    """MisInitStage whose I is the prediction-1 nodes whose neighbors all
+    have prediction 0."""
+
+    rule = "base"
+
+
 # ---------------------------------------------------------------------------
 # clean-up
 
 
-class MisCleanupStage(FixedStage):
+class MisCleanupStage(_LeaveRun):
     """One leave round: every active neighbor of a 1-output node outputs 0."""
 
-    def __init__(self):
-        super().__init__(1)
-
-    def start(self, ctx):
-        return _LeaveRun()
+    rounds = 1
 
 
 # ---------------------------------------------------------------------------
 # Greedy MIS
 
 
-class GreedyStage(_JoinStage):
-    """Local-extremum-id join each odd round, notified nodes leave each even
-    round.  order="max" is the standard algorithm; order="min" is the
-    symmetric variant, the interleaved template's phased reference."""
-
-    def __init__(self, order: str = "max"):
-        if order not in ("max", "min"):
-            raise ValueError(f"unknown order {order!r}")
-        self.order = order
+class GreedyStage(_JoinRun):
+    """Local-maximum-id join each odd round, notified nodes leave each even
+    round: the standard algorithm."""
 
     def wins(self, ctx, t):
-        if not ctx.active:
-            return True
-        if self.order == "max":
-            return max(ctx.active) < ctx.view.id
-        return min(ctx.active) > ctx.view.id
+        return not ctx.active or max(ctx.active) < ctx.view.id
+
+
+class GreedyMinStage(GreedyStage):
+    """The symmetric local-minimum-id variant, the interleaved template's
+    phased reference."""
+
+    def wins(self, ctx, t):
+        return not ctx.active or min(ctx.active) > ctx.view.id
 
 
 # ---------------------------------------------------------------------------
 # black/white alternation
 
 
-class UbwStage(_JoinStage):
+class UbwStage(_JoinRun):
     """Greedy MIS phases run alternately on the prediction-1 (black) nodes
     and the prediction-0 (white) nodes.  The joining node notifies all its
     active neighbors regardless of their color, and the even round of each
@@ -208,19 +187,13 @@ class UbwStage(_JoinStage):
         return all(v < ctx.view.id for v in rivals)
 
 
-class UbwColorProbe(FixedStage):
+class UbwColorProbe(Stage):
     """One exchange round so each node learns which active neighbors share
     its prediction (needed when UbwStage runs without an initialization that
     already exchanged predictions)."""
 
-    def __init__(self):
-        super().__init__(1)
+    rounds = 1
 
-    def start(self, ctx):
-        return _UbwProbeRun()
-
-
-class _UbwProbeRun(StageRun):
     def compose(self, ctx, t):
         return dict.fromkeys(ctx.active, ("P", ctx.view.prediction))
 
@@ -234,7 +207,7 @@ class _UbwProbeRun(StageRun):
 # rooted-tree initialization
 
 
-class TreeInitStage(Stage):
+class TreeInitStage(_LeaveRun):
     """4-round initialization for rooted trees.
 
     The independent set joined in round 2 is the prediction-1 nodes without
@@ -242,31 +215,14 @@ class TreeInitStage(Stage):
     and lets unnotified prediction-0 nodes without a prediction-0 parent
     join.  Round 4 settles the nodes notified in round 3.  Afterwards every
     active component is monochromatic in the predictions.
-
-    eager=True makes notified nodes output 0 and stop in the round the
-    notification arrives, without telling anyone.  That keeps the outputs
-    identical but shortens runs (a correctly 3-colorable line finishes in 2
-    rounds); it is only safe standalone, because silent terminations leave
-    neighbors' active-set bookkeeping stale for any following stage.
     """
 
-    def __init__(self, eager: bool = False):
-        self.eager = eager
-
-    def length(self, view):
-        return 4
-
-    def start(self, ctx):
-        return _TreeInitRun(self.eager)
-
-
-class _TreeInitRun(_LeaveRun):
     # rounds 2 to 4 are leave rounds for all but the joiners: in round 2
     # nobody has a neighbor in the set yet
-    def __init__(self, eager):
-        self.eager = eager
-        self.join = False
-        self.parent_pred = None
+    rounds = 4
+    eager = False
+    join = False
+    parent_pred = None
 
     def compose(self, ctx, t):
         if t == 1:
@@ -293,26 +249,30 @@ class _TreeInitRun(_LeaveRun):
         return step
 
 
+class TreeInitEagerStage(TreeInitStage):
+    """TreeInitStage whose notified nodes output 0 and stop in the round
+    the notification arrives, without telling anyone.  That keeps the
+    outputs identical but shortens runs (a correctly 3-colorable line
+    finishes in 2 rounds); it is only safe standalone, because silent
+    terminations leave neighbors' active-set bookkeeping stale for any
+    following stage."""
+
+    eager = True
+
+
 # ---------------------------------------------------------------------------
 # rooted-tree measure-uniform MIS
 
 ROOT_MSG = "ROOT"
 
 
-class TreeUniformStage(Stage):
+class TreeUniformStage(_LeaveRun):
     """Every odd round the component roots join the set (notifying their
     children) and the leaves join unless their parent is a root; every even
     round the notified nodes output 0."""
 
     phase_len = 2
-
-    def start(self, ctx):
-        return _TreeUniformRun()
-
-
-class _TreeUniformRun(_LeaveRun):
-    def __init__(self):
-        self.role = None
+    role = None
 
     def compose(self, ctx, t):
         if t % 2 == 0:
@@ -371,32 +331,23 @@ def gps_budget_even(d: int) -> int:
     return r + (r % 2)
 
 
-class GpsTreeColoringStage(Stage):
+class GpsTreeColoringStage(ReductionRun):
     """Fault-tolerant 3-coloring of a rooted tree.
 
     Identifier colors are reduced to at most 6 with iterated lowest-
     differing-bit steps, then the colors above 3 are removed with shift-down
     plus recolor pairs.  A node whose parent disappears acts as a root from
     then on, so the coloring of the surviving subgraph stays proper at every
-    round.  The final color is stored (store_only) or output at the end.
+    round.  The final color is output, and stored, at the end.
     """
 
-    fault_tolerant = True
-
-    def __init__(self, store_only: bool = True):
-        self.store_only = store_only
-
-    def length(self, view):
+    @classmethod
+    def length(cls, view):
         return gps_rounds(view.d)
 
-    def start(self, ctx):
-        return _GpsRun(ctx.view, self.length(ctx.view), self.store_only)
-
-
-class _GpsRun(ReductionRun):
-    def __init__(self, view, length, store_only):
-        super().__init__(view.id, length, store_only)
-        self.steps, self.c_star = _cv_schedule(view.d + 1)
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self.steps, self.c_star = _cv_schedule(ctx.view.d + 1)
 
     def recolor(self, ctx, t, colors):
         pc = colors.get(ctx.view.parent)  # None: a root, or the parent is gone
@@ -422,6 +373,13 @@ class _GpsRun(ReductionRun):
                     self.color = min(c for c in (0, 1, 2) if c not in taken)
 
 
+class GpsPart1Stage(GpsTreeColoringStage):
+    """GpsTreeColoringStage that only stores its final color: part 1 of the
+    rooted-tree parallel template."""
+
+    store_only = True
+
+
 # ---------------------------------------------------------------------------
 # turning a stored coloring into an MIS
 
@@ -433,18 +391,12 @@ def _stored_color(ctx):
     return color
 
 
-class RevealStage(FixedStage):
+class RevealStage(Stage):
     """One round: exchange locally stored colors with the active neighbors
     and check that the surviving coloring is proper."""
 
-    def __init__(self):
-        super().__init__(1)
+    rounds = 1
 
-    def start(self, ctx):
-        return _RevealRun()
-
-
-class _RevealRun(StageRun):
     def compose(self, ctx, t):
         # per recipient: with no active neighbor, _stored_color never runs
         return {v: ("C", _stored_color(ctx)) for v in ctx.active}
@@ -460,28 +412,18 @@ class _RevealRun(StageRun):
         return Step()
 
 
-class ColorPart2Stage(Stage):
+class ColorPart2Stage(_LeaveRun):
     """Produce an MIS from a stored proper (delta+1)-coloring in delta
     rounds: color class i joins in round i, color delta+1 resolves silently
-    in the last round.  The combined variant additionally lets the largest
-    identifier in a neighborhood with no active color-i node join, which
-    makes progress every other round regardless of delta."""
+    in the last round."""
 
-    def __init__(self, combined: bool = False):
-        self.combined = combined
+    combined = False
+    color = None
+    join = False
 
-    def length(self, view):
+    @classmethod
+    def length(cls, view):
         return max(1, view.delta)
-
-    def start(self, ctx):
-        return _ColorPart2Run(self.combined)
-
-
-class _ColorPart2Run(_LeaveRun):
-    def __init__(self, combined):
-        self.combined = combined
-        self.color = None
-        self.join = False
 
     def compose(self, ctx, t):
         delta = ctx.view.delta
@@ -511,20 +453,21 @@ class _ColorPart2Run(_LeaveRun):
         return Step({"y": 0 if ctx.nbr_one else 1}, terminate=True)
 
 
-class TreePart2Stage(FixedStage):
+class ColorPart2CombinedStage(ColorPart2Stage):
+    """ColorPart2Stage that also lets the largest identifier in a
+    neighborhood with no active color-i node join, which makes progress
+    every other round regardless of delta."""
+
+    combined = True
+
+
+class TreePart2Stage(RevealStage):
     """Two rounds from a stored proper 3-coloring of a rooted tree to an
     MIS: color 1 joins immediately (its neighbors leave), then color 2
     joins and color 3 keeps whatever remains consistent."""
 
-    def __init__(self):
-        super().__init__(2)
-
-    def start(self, ctx):
-        return _TreePart2Run()
-
-
-class _TreePart2Run(_RevealRun):
     # round 1 is the reveal round
+    rounds = 2
     color = None
 
     def compose(self, ctx, t):
@@ -532,7 +475,7 @@ class _TreePart2Run(_RevealRun):
             self.color = _stored_color(ctx)
             if self.color not in (1, 2, 3):
                 raise ProtocolViolation(f"stored color {self.color} outside 1..3")
-            return _RevealRun.compose(self, ctx, t)
+            return RevealStage.compose(self, ctx, t)
         if self.color == 2:
             nbr_colors = ctx.stored["nbr_colors"]
             return {v: ONE for v in ctx.active if nbr_colors.get(v) == 3}
@@ -540,7 +483,7 @@ class _TreePart2Run(_RevealRun):
 
     def process(self, ctx, t, inbox):
         if t == 1:
-            _RevealRun.process(self, ctx, t, inbox)
+            RevealStage.process(self, ctx, t, inbox)
             if self.color == 1:
                 return Step({"y": 1}, terminate=True)
             for s, c in ctx.stored["nbr_colors"].items():

@@ -22,6 +22,9 @@ Each problem's stages share one decision round, written once:
     ReductionRun    fault-tolerant coloring (Linial here, GPS in mis.py):
                     ("C", color) every round, the stage's recolor rule, and
                     color + 1 stored, or output, in the last round
+
+Each is a stages.Stage that the problem's stage classes subclass; a
+variant of a stage is a subclass that sets one class attribute.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Mapping
 
 from .engine import NO_OUTPUTS, Step
 from .measures import check_prediction, unique_predictions
-from .stages import Ctx, FixedStage, Stage, StageRun
+from .stages import Ctx, Stage
 
 MATCHED = "MATCHED"
 
@@ -44,30 +47,7 @@ class EmptyPalette(RuntimeError):
 # maximal matching
 
 
-class MmInitStage(Stage):
-    """2-round matching prologue: mutually predicted pairs match.
-
-    rule="base" lets a node output None only when its own prediction is
-    None and all its neighbors got matched; rule="init" drops the
-    own-prediction condition.
-    """
-
-    def __init__(self, rule: str = "init"):
-        if rule not in ("base", "init"):
-            raise ValueError(f"unknown initialization rule {rule!r}")
-        self.rule = rule
-
-    def length(self, view):
-        return 2
-
-    def start(self, ctx):
-        v = ctx.view
-        check_prediction("MAXIMAL_MATCHING", v.id, v.prediction,
-                         v.neighbor_ids, v.delta)
-        return _MmInitRun(self.rule)
-
-
-class _AnnounceRun(StageRun):
+class _AnnounceRun(Stage):
     """The announce round: a node holding a match in ctx.stored["match"]
     sends MATCHED to its other active neighbors and outputs its partner;
     any other node drops its MATCHED neighbors."""
@@ -88,9 +68,17 @@ class _AnnounceRun(StageRun):
         return Step()
 
 
-class _MmInitRun(_AnnounceRun):
-    def __init__(self, rule):
-        self.rule = rule
+class MmInitStage(_AnnounceRun):
+    """2-round matching prologue: mutually predicted pairs match, and a
+    node all of whose neighbors got matched outputs None."""
+
+    rounds = 2
+    rule = "init"
+
+    def __init__(self, ctx):
+        v = ctx.view
+        check_prediction("MAXIMAL_MATCHING", v.id, v.prediction,
+                         v.neighbor_ids, v.delta)
 
     def compose(self, ctx, t):
         if t == 1:
@@ -112,32 +100,27 @@ class _MmInitRun(_AnnounceRun):
         return announced
 
 
-class MmCleanupStage(FixedStage):
+class MmBaseStage(MmInitStage):
+    """MmInitStage whose node outputs None only when its own prediction is
+    None too."""
+
+    rule = "base"
+
+
+class MmCleanupStage(_AnnounceRun):
     """One round: a node holding an unannounced mutual match outputs it."""
 
-    def __init__(self):
-        super().__init__(1)
-
-    def start(self, ctx):
-        return _AnnounceRun()
+    rounds = 1
 
 
-class MmUniformStage(Stage):
+class MmUniformStage(_AnnounceRun):
     """Groups of three rounds: the local-maximum identifier proposes to its
     smallest active neighbor, proposals are accepted largest-first, and
     matches are announced in the third round."""
 
     phase_len = 3
-
-    def start(self, ctx):
-        return _MmUniformRun()
-
-
-class _MmUniformRun(_AnnounceRun):
-    def __init__(self):
-        self.proposed_to = None
-        self.chosen = None
-        self.lonely = False
+    proposed_to = chosen = None
+    lonely = False
 
     def compose(self, ctx, t):
         step = (t - 1) % 3
@@ -186,7 +169,7 @@ def _vertex_palette(ctx: Ctx) -> set:
     return palette
 
 
-class _ColorRun(StageRun):
+class _ColorRun(Stage):
     """The color round: a node with a pick sends ("COLOR", pick) to its
     active neighbors and outputs it; any other node drops the colors it
     receives from its palette and their senders from ctx.active."""
@@ -208,29 +191,17 @@ class _ColorRun(StageRun):
         return Step()
 
 
-class VcInitStage(Stage):
-    """2-round coloring prologue.  rule="base" commits a predicted color
-    that differs from every neighbor's prediction; rule="init" also commits
-    when every same-prediction neighbor has a smaller identifier."""
+class VcInitStage(_ColorRun):
+    """2-round coloring prologue: a node commits its predicted color when
+    every neighbor with the same prediction has a smaller identifier."""
 
-    def __init__(self, rule: str = "init"):
-        if rule not in ("base", "init"):
-            raise ValueError(f"unknown initialization rule {rule!r}")
-        self.rule = rule
+    rounds = 2
+    rule = "init"
 
-    def length(self, view):
-        return 2
-
-    def start(self, ctx):
+    def __init__(self, ctx):
         v = ctx.view
         check_prediction("VERTEX_COLORING", v.id, v.prediction,
                          v.neighbor_ids, v.delta)
-        return _VcInitRun(self.rule)
-
-
-class _VcInitRun(_ColorRun):
-    def __init__(self, rule):
-        self.rule = rule
 
     def compose(self, ctx, t):
         if t == 1:
@@ -250,17 +221,19 @@ class _VcInitRun(_ColorRun):
         return _ColorRun.process(self, ctx, t, inbox)
 
 
-class VcUniformStage(Stage):
+class VcBaseStage(VcInitStage):
+    """VcInitStage that commits only a predicted color that differs from
+    every neighbor's prediction."""
+
+    rule = "base"
+
+
+class VcUniformStage(_ColorRun):
     """Each round the local-maximum identifier takes the smallest color left
     in its palette and leaves."""
 
     phase_len = 1
 
-    def start(self, ctx):
-        return _VcUniformRun()
-
-
-class _VcUniformRun(_ColorRun):
     def compose(self, ctx, t):
         palette = _vertex_palette(ctx)
         if not palette:
@@ -324,28 +297,31 @@ def linial_budget_even(d: int, delta: int) -> int:
     return r + (r % 2)
 
 
-class ReductionRun(StageRun):
-    """The color reduction: every round up to length, send ("C", color) to
-    the active neighbors and recolor from the colors they sent, by the
-    subclass's recolor(ctx, t, colors).  The last round stores color + 1
-    and, unless store_only, outputs it.  Past length it does nothing: the
-    parallel template rounds its part-1 budget up to an even length."""
+class ReductionRun(Stage):
+    """The color reduction, fault tolerant: every round up to its length,
+    send ("C", color) to the active neighbors and recolor from the colors
+    they sent, by the subclass's recolor(ctx, t, colors); color starts as
+    the node's identifier.  The last round stores color + 1 and, unless
+    store_only, outputs it.  Past its length it does nothing: the parallel
+    template rounds its part-1 budget up to an even length."""
 
-    def __init__(self, color, length, store_only):
-        self.color = color
-        self.length = length
-        self.store_only = store_only
+    fault_tolerant = True
+    store_only = False
+
+    def __init__(self, ctx):
+        self.color = ctx.view.id
+        self.last = self.length(ctx.view)
 
     def compose(self, ctx, t):
-        if t > self.length:
+        if t > self.last:
             return {}
         return dict.fromkeys(ctx.active, ("C", self.color))
 
     def process(self, ctx, t, inbox):
-        if t > self.length:
+        if t > self.last:
             return Step()
         self.recolor(ctx, t, {s: m[1] for s, m in inbox.items()})
-        if t == self.length:
+        if t == self.last:
             ctx.stored["color"] = self.color + 1
             if not self.store_only:
                 return Step({"y": self.color + 1}, terminate=True)
@@ -360,30 +336,22 @@ def _poly_eval(color: int, q: int, t: int, x: int) -> int:
     return value
 
 
-class LinialColoringStage(Stage):
+class LinialColoringStage(ReductionRun):
     """Fault-tolerant (delta+1)-coloring: polynomial color-space reduction
     down to O(delta**2) colors, then one color class per round recolors into
     1..delta+1.  Proper on the surviving subgraph at every round."""
 
-    fault_tolerant = True
-
-    def __init__(self, store_only: bool = True):
-        self.store_only = store_only
-
-    def length(self, view):
+    @classmethod
+    def length(cls, view):
         return linial_rounds(view.d, view.delta)
 
-    def start(self, ctx):
-        return _LinialRun(ctx.view, self.length(ctx.view), self.store_only)
-
-
-class _LinialRun(ReductionRun):
-    def __init__(self, view, length, store_only):
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        view = ctx.view
         if view.delta == 0:
-            self.steps, self.k_star = (), 1
+            self.steps, self.k_star, self.color = (), 1, 0
         else:
             self.steps, self.k_star = _linial_schedule(view.d, view.delta)
-        super().__init__(view.id if view.delta else 0, length, store_only)
 
     def recolor(self, ctx, t, colors):
         if t <= len(self.steps):
@@ -401,6 +369,13 @@ class _LinialRun(ReductionRun):
                 taken = set(colors.values())
                 self.color = min(c for c in range(ctx.view.delta + 1)
                                  if c not in taken)
+
+
+class LinialPart1Stage(LinialColoringStage):
+    """LinialColoringStage that only stores its final color: part 1 of the
+    parallel MIS template."""
+
+    store_only = True
 
 
 # ---------------------------------------------------------------------------
@@ -424,13 +399,12 @@ def _edge_state(ctx: Ctx, colored: Mapping = NO_OUTPUTS) -> dict:
     return st
 
 
-class _ExchangeRun(StageRun):
+class _ExchangeRun(Stage):
     """The exchange round: each endpoint of an uncolored edge sends (tag,
     its committed colors, its uncolored neighbors) over it, and takes the
     colors it receives out of that edge's palette."""
 
-    def __init__(self, tag):
-        self.tag = tag
+    tag = "INFO"
 
     def compose(self, ctx, t):
         st = _edge_state(ctx)
@@ -445,26 +419,19 @@ class _ExchangeRun(StageRun):
         return Step()
 
 
-class EcBaseStage(Stage):
+class EcBaseStage(_ExchangeRun):
     """2-round edge-coloring prologue: locally distinct predicted colors
     agreed by both endpoints are committed in round 1; round 2 broadcasts
     committed colors and the identifiers needed for the 2-hop rule of the
     measure-uniform stage."""
 
-    def length(self, view):
-        return 2
+    rounds = 2
 
-    def start(self, ctx):
+    def __init__(self, ctx):
         v = ctx.view
         check_prediction("EDGE_COLORING", v.id, v.prediction,
                          v.neighbor_ids, v.delta)
-        return _EcBaseRun(unique_predictions(v.prediction))
-
-
-class _EcBaseRun(_ExchangeRun):
-    def __init__(self, unique):
-        super().__init__("INFO")
-        self.unique = unique
+        self.unique = unique_predictions(v.prediction)
 
     def compose(self, ctx, t):
         if t == 1:
@@ -484,29 +451,20 @@ class _EcBaseRun(_ExchangeRun):
         return Step(outputs)
 
 
-class EcCleanupStage(FixedStage):
+class EcCleanupStage(_ExchangeRun):
     """One round: endpoints of uncolored edges re-exchange their committed
     colors and uncolored neighbor sets, restoring equal palettes."""
 
-    def __init__(self):
-        super().__init__(1)
-
-    def start(self, ctx):
-        return _ExchangeRun("CLEAN")
+    rounds = 1
+    tag = "CLEAN"
 
 
-class EcProbeStage(FixedStage):
+class EcProbeStage(Stage):
     """One round standalone substitute for the round-2 exchange of EcBaseStage:
     establishes 2-hop identifier knowledge with everything uncolored."""
 
-    def __init__(self):
-        super().__init__(1)
+    rounds = 1
 
-    def start(self, ctx):
-        return _EcProbeRun()
-
-
-class _EcProbeRun(StageRun):
     def compose(self, ctx, t):
         st = _edge_state(ctx)
         return dict.fromkeys(st["uncolored"], ("INFO", sorted(st["uncolored"])))
@@ -524,15 +482,7 @@ class EcUniformStage(Stage):
     colors; even rounds broadcast the palette removals."""
 
     phase_len = 2
-
-    def start(self, ctx):
-        return _EcUniformRun()
-
-
-class _EcUniformRun(StageRun):
-    def __init__(self):
-        self.assign = None
-        self.pending = None
+    assign = pending = None
 
     def compose(self, ctx, t):
         st = _edge_state(ctx)

@@ -1,8 +1,8 @@
 """Name registry for all standalone node programs addressable from configs.
 
 This is the one place where a standalone program is put together from its
-stage blueprints.  Blueprints are stateless, so every program built from
-an entry shares them."""
+stages.  A leaf stage is its class (stages.Stage), so every program built
+from an entry shares it."""
 
 from __future__ import annotations
 
@@ -11,36 +11,34 @@ from .stages import StagedProgram
 
 # name -> (stages, problem kind whose validator applies to its complete output)
 PROGRAMS = {
-    "mis.base": ((mis.MisInitStage("base"),), "MIS"),
-    "mis.init": ((mis.MisInitStage("init"),), "MIS"),
-    "mis.greedy": ((mis.GreedyStage(),), "MIS"),
-    "mis.cleanup": ((mis.MisCleanupStage(),), "MIS"),
+    "mis.base": ((mis.MisBaseStage,), "MIS"),
+    "mis.init": ((mis.MisInitStage,), "MIS"),
+    "mis.greedy": ((mis.GreedyStage,), "MIS"),
+    "mis.cleanup": ((mis.MisCleanupStage,), "MIS"),
     # the stored colour is taken from the prediction, revealed in one
     # round, then resolved in delta rounds
-    "mis.color_part2": ((mis.RevealStage(), mis.ColorPart2Stage()), "MIS"),
-    "mis.u_bw": ((mis.UbwColorProbe(), mis.UbwStage()), "MIS"),
-    "mis.tree_init": ((mis.TreeInitStage(),), "MIS"),
-    "mis.tree_init_eager": ((mis.TreeInitStage(eager=True),), "MIS"),
-    "mis.tree_uniform": ((mis.TreeUniformStage(),), "MIS"),
-    "mis.tree_gps": ((mis.GpsTreeColoringStage(store_only=False),),
-                     "VERTEX_COLORING"),
+    "mis.color_part2": ((mis.RevealStage, mis.ColorPart2Stage), "MIS"),
+    "mis.u_bw": ((mis.UbwColorProbe, mis.UbwStage), "MIS"),
+    "mis.tree_init": ((mis.TreeInitStage,), "MIS"),
+    "mis.tree_init_eager": ((mis.TreeInitEagerStage,), "MIS"),
+    "mis.tree_uniform": ((mis.TreeUniformStage,), "MIS"),
+    "mis.tree_gps": ((mis.GpsTreeColoringStage,), "VERTEX_COLORING"),
     # the stored 3-colouring is taken from the prediction
-    "mis.tree_part2": ((mis.TreePart2Stage(),), "MIS"),
-    "mm.base": ((problems.MmInitStage("base"),), "MAXIMAL_MATCHING"),
-    "mm.init": ((problems.MmInitStage("init"),), "MAXIMAL_MATCHING"),
-    "mm.uniform": ((problems.MmUniformStage(),), "MAXIMAL_MATCHING"),
-    "mm.cleanup": ((problems.MmCleanupStage(),), "MAXIMAL_MATCHING"),
-    "vc.base": ((problems.VcInitStage("base"),), "VERTEX_COLORING"),
-    "vc.init": ((problems.VcInitStage("init"),), "VERTEX_COLORING"),
-    "vc.uniform": ((problems.VcUniformStage(),), "VERTEX_COLORING"),
-    "vc.linial": ((problems.LinialColoringStage(store_only=False),),
-                  "VERTEX_COLORING"),
-    "ec.base": ((problems.EcBaseStage(),), "EDGE_COLORING"),
+    "mis.tree_part2": ((mis.TreePart2Stage,), "MIS"),
+    "mm.base": ((problems.MmBaseStage,), "MAXIMAL_MATCHING"),
+    "mm.init": ((problems.MmInitStage,), "MAXIMAL_MATCHING"),
+    "mm.uniform": ((problems.MmUniformStage,), "MAXIMAL_MATCHING"),
+    "mm.cleanup": ((problems.MmCleanupStage,), "MAXIMAL_MATCHING"),
+    "vc.base": ((problems.VcBaseStage,), "VERTEX_COLORING"),
+    "vc.init": ((problems.VcInitStage,), "VERTEX_COLORING"),
+    "vc.uniform": ((problems.VcUniformStage,), "VERTEX_COLORING"),
+    "vc.linial": ((problems.LinialColoringStage,), "VERTEX_COLORING"),
+    "ec.base": ((problems.EcBaseStage,), "EDGE_COLORING"),
     # a probe round supplies the 2-hop identifier knowledge that round 2
     # of ec.base provides inside the templates
-    "ec.uniform": ((problems.EcProbeStage(), problems.EcUniformStage()),
+    "ec.uniform": ((problems.EcProbeStage, problems.EcUniformStage),
                    "EDGE_COLORING"),
-    "ec.cleanup": ((problems.EcCleanupStage(),), "EDGE_COLORING"),
+    "ec.cleanup": ((problems.EcCleanupStage,), "EDGE_COLORING"),
 }
 
 

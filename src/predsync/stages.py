@@ -1,12 +1,14 @@
 """Per-node stage machinery shared by all node programs.
 
 Every node program is a StagedProgram: stages run back to back by one
-driver, StagedBehavior.  Each stage blueprint is stateless and shared
-between nodes; per-node state lives in a StageRun created by start() and
-in the node's Ctx, which persists across stages (so a later stage can see
-which neighbors already terminated, which ones joined an independent set,
-locally stored colors, and so on).  The templates' compositions are
-stages too: TruncatedStage, InterleavedStage and ParallelStage.
+driver, StagedBehavior.  A leaf stage is a Stage subclass: the class is
+the blueprint, shared by every node and program, and an instance, made by
+stage(ctx) when the stage starts, is one node's run.  Per-node state lives
+in that run and in the node's Ctx, which persists across stages (so a
+later stage can see which neighbors already terminated, which ones joined
+an independent set, locally stored colors, and so on).  The templates'
+compositions are stages too, objects of a per-call budget or phase:
+TruncatedStage, InterleavedStage and ParallelStage.
 
 A run returns the engine's Step, and its wake is a stage round: NEVER for
 no work until a message arrives, a finite wake for none before that
@@ -39,37 +41,30 @@ class Ctx:
         self.stored = {}  # unrevealed values and what later stages read
 
 
-class StageRun:
-    """One node's run of a stage.  process returns a new Step on every call,
-    as the driver edits it; its outputs may be the shared NO_OUTPUTS."""
+class Stage:
+    """One node's run of a stage; the class is the stage's blueprint.
+    length(view) -> int, or None for open-ended stages.  The partial output
+    of a phased stage is extendable at each phase end.  process returns a
+    new Step on every call, as the driver edits it; its outputs may be the
+    shared NO_OUTPUTS.  Class attributes are shared by every node, so each
+    default is immutable."""
+
+    rounds: Optional[int] = None  # the fixed length; None: open-ended
+    phase_len: Optional[int] = None  # rounds per phase, when phased
+    fault_tolerant: bool = False
+
+    @classmethod
+    def length(cls, view: NodeView) -> Optional[int]:
+        return cls.rounds
+
+    def __init__(self, ctx: Ctx):
+        pass
 
     def compose(self, ctx: Ctx, t: int) -> dict:
         return {}
 
     def process(self, ctx: Ctx, t: int, inbox: Mapping[int, Any]) -> Step:
         return Step()
-
-
-class Stage:
-    """Blueprint. length(view) -> int, or None for open-ended stages.  The
-    partial output of a phased stage is extendable at each phase end."""
-
-    phase_len: Optional[int] = None  # rounds per phase, when phased
-    fault_tolerant: bool = False
-
-    def length(self, view: NodeView) -> Optional[int]:
-        return None
-
-    def start(self, ctx: Ctx) -> StageRun:
-        raise NotImplementedError
-
-
-class FixedStage(Stage):
-    def __init__(self, rounds: int):
-        self._rounds = rounds
-
-    def length(self, view):
-        return self._rounds
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +80,7 @@ class StagedBehavior:
         self.idx = 0
         self.before = 0  # rounds before the current stage
         self.end = self.lengths[0] if stages else None  # its last round
-        self.run = stages[0].start(ctx) if stages else None
+        self.run = stages[0](ctx) if stages else None
 
     def compose(self, rnd):
         # advance to the stage that round rnd falls in.  process needs no
@@ -95,7 +90,7 @@ class StagedBehavior:
             self.before = self.end
             self.idx += 1
             if self.idx < len(self.stages):
-                self.run = self.stages[self.idx].start(self.ctx)
+                self.run = self.stages[self.idx](self.ctx)
                 ln = self.lengths[self.idx]
                 self.end = None if ln is None else self.before + ln
             else:
@@ -164,10 +159,12 @@ class StagedProgram:
 # composite stages
 
 
-class TruncatedStage(Stage):
+class TruncatedStage:
     """Run an inner open-ended stage for a fixed number of rounds, then stop."""
 
-    def __init__(self, inner: Stage, budget: Callable[[NodeView], int]):
+    fault_tolerant = False
+
+    def __init__(self, inner: type[Stage], budget: Callable[[NodeView], int]):
         self.inner = inner
         self.budget = budget
         self.phase_len = inner.phase_len
@@ -175,16 +172,19 @@ class TruncatedStage(Stage):
     def length(self, view):
         return self.budget(view)
 
-    def start(self, ctx):
-        return self.inner.start(ctx)
+    def __call__(self, ctx):
+        return self.inner(ctx)
 
 
-class InterleavedStage(Stage):
+class InterleavedStage:
     """Open-ended: blocks of phase rounds of a measure-uniform stage U and
     a phased reference R, U first, each started at its first block.  Every
     block ends a phase of both, so it is this stage's phase."""
 
-    def __init__(self, uniform: Stage, reference: Stage, phase: int):
+    fault_tolerant = False
+
+    def __init__(self, uniform: type[Stage], reference: type[Stage],
+                 phase: int):
         for s, name in ((uniform, "uniform"), (reference, "reference")):
             if not s.phase_len:
                 raise ConfigError(f"{name} stage must be phased")
@@ -193,11 +193,14 @@ class InterleavedStage(Stage):
         self.stages = (uniform, reference)
         self.phase_len = phase
 
-    def start(self, ctx):
+    def length(self, view):
+        return None
+
+    def __call__(self, ctx):
         return _InterleavedRun(self.stages, self.phase_len)
 
 
-class _InterleavedRun(StageRun):
+class _InterleavedRun:
     def __init__(self, stages, phase):
         self.stages = stages  # U, R
         self.phase = phase
@@ -212,7 +215,7 @@ class _InterleavedRun(StageRun):
         self.which = which = block % 2
         run = self.runs[which]
         if run is None:
-            run = self.runs[which] = self.stages[which].start(ctx)
+            run = self.runs[which] = self.stages[which](ctx)
         self.run = run
         # t minus the run's own stage time: the other run's rounds so far
         self.shift = (block - block // 2) * self.phase
@@ -241,13 +244,13 @@ class _InterleavedRun(StageRun):
         return step
 
 
-class FusedRun(StageRun):
+class FusedRun:
     """One round of the measure-uniform stage and one round of part 1 of the
     reference per engine round, in two tagged sub-channels of one message."""
 
     def __init__(self, ctx, uniform, part1):
-        self.u = uniform.start(ctx)
-        self.r = part1.start(ctx)
+        self.u = uniform(ctx)
+        self.r = part1(ctx)
 
     def compose(self, ctx, t):
         u_out = self.u.compose(ctx, t)
@@ -270,11 +273,13 @@ class FusedRun(StageRun):
         return step
 
 
-class ParallelStage(Stage):
+class ParallelStage:
     """A measure-uniform stage run alongside part 1 of a fault-tolerant
     reference, for part 1's budget of r1(view) rounds."""
 
-    def __init__(self, uniform: Stage, part1: Stage,
+    fault_tolerant = False
+
+    def __init__(self, uniform: type[Stage], part1: type[Stage],
                  r1: Callable[[NodeView], int]):
         if not part1.fault_tolerant:
             raise ConfigError("part 1 of the reference must be fault tolerant")
@@ -286,5 +291,5 @@ class ParallelStage(Stage):
     def length(self, view):
         return self.r1(view)
 
-    def start(self, ctx):
+    def __call__(self, ctx):
         return FusedRun(ctx, self.uniform, self.part1)

@@ -101,42 +101,36 @@ def _even(x: int) -> int:
 
 # problem -> (c, f, initialization, uniform stage, clean-up or None, default
 # truncation budget r(view) of the consecutive template).  Here and below,
-# stages are blueprints, shared by every program built from them; only a
+# a leaf stage is its class, shared by every program built from it; only a
 # composite stage of a per-call r or phase is built per call
 _PARTS = {
-    "MIS": (3, _f_mis, mis.MisInitStage("init"), mis.GreedyStage(),
-            mis.MisCleanupStage(), lambda v: _even(v.n)),
-    "MAXIMAL_MATCHING": (2, _f_mm, problems.MmInitStage("init"),
-                         problems.MmUniformStage(), problems.MmCleanupStage(),
+    "MIS": (3, _f_mis, mis.MisInitStage, mis.GreedyStage,
+            mis.MisCleanupStage, lambda v: _even(v.n)),
+    "MAXIMAL_MATCHING": (2, _f_mm, problems.MmInitStage,
+                         problems.MmUniformStage, problems.MmCleanupStage,
                          lambda v: 3 * ((v.n + 1) // 2)),
-    "VERTEX_COLORING": (2, _f_vc, problems.VcInitStage("init"),
-                        problems.VcUniformStage(), None, lambda v: v.n),
-    "EDGE_COLORING": (1, _f_ec, problems.EcBaseStage(),
-                      problems.EcUniformStage(), problems.EcCleanupStage(),
+    "VERTEX_COLORING": (2, _f_vc, problems.VcInitStage,
+                        problems.VcUniformStage, None, lambda v: v.n),
+    "EDGE_COLORING": (1, _f_ec, problems.EcBaseStage,
+                      problems.EcUniformStage, problems.EcCleanupStage,
                       lambda v: _even(2 * v.n)),
 }
 
 
-_GREEDY_MIN = mis.GreedyStage("min")  # the interleaved reference
 # the parallel MIS template: U fused with Linial part 1, the reveal round
 # and part 2
-_MIS_FUSED = ParallelStage(_PARTS["MIS"][3],
-                           problems.LinialColoringStage(store_only=True),
+_MIS_FUSED = ParallelStage(mis.GreedyStage, problems.LinialPart1Stage,
                            lambda v: problems.linial_budget_even(v.d, v.delta))
-_MIS_PART2 = mis.ColorPart2Stage(combined=True)
-_MIS_PARALLEL = ((_PARTS["MIS"][2], _MIS_FUSED, mis.RevealStage(), _MIS_PART2),
+_MIS_PART2 = mis.ColorPart2CombinedStage
+_MIS_PARALLEL = ((mis.MisInitStage, _MIS_FUSED, mis.RevealStage, _MIS_PART2),
                  _MIS_FUSED, _MIS_PART2)
 # the rooted-tree MIS templates; there is no reveal stage on trees
-_TREE_INIT = mis.TreeInitStage(eager=False)
-_TREE_UNIFORM = mis.TreeUniformStage()
-_TREE_FUSED = ParallelStage(_TREE_UNIFORM,
-                            mis.GpsTreeColoringStage(store_only=True),
+_TREE_FUSED = ParallelStage(mis.TreeUniformStage, mis.GpsPart1Stage,
                             lambda v: mis.gps_budget_even(v.d))
-_TREE_PART2 = mis.TreePart2Stage()
 _MIS_TREE = {
-    "simple": ((_TREE_INIT, _TREE_UNIFORM), None, None),
-    "parallel": ((_TREE_INIT, _TREE_FUSED, _TREE_PART2), _TREE_FUSED,
-                 _TREE_PART2),
+    "simple": ((mis.TreeInitStage, mis.TreeUniformStage), None, None),
+    "parallel": ((mis.TreeInitStage, _TREE_FUSED, mis.TreePart2Stage),
+                 _TREE_FUSED, mis.TreePart2Stage),
 }
 
 
@@ -148,7 +142,7 @@ def _stages(problem: str, template: str, r: Optional[Callable], phase: int):
     if template == "consecutive":
         r = r or default_r
         tail = (cleanup,) if cleanup is not None else ()
-        pad = sum(s.length(None) for s in tail)
+        pad = sum(s.rounds for s in tail)
         main = TruncatedStage(uniform, lambda v: r(v) + pad)
         return (init, main, *tail, uniform), main, None
     if problem != "MIS":
@@ -157,7 +151,7 @@ def _stages(problem: str, template: str, r: Optional[Callable], phase: int):
     if template == "interleaved":
         if phase % 2:
             raise ConfigError("interleaved greedy phases must be even")
-        main = InterleavedStage(uniform, _GREEDY_MIN, phase)
+        main = InterleavedStage(uniform, mis.GreedyMinStage, phase)
         return (init, main), main, None
     return _MIS_PARALLEL
 

@@ -15,7 +15,7 @@ from predsync import cli, engine, measures, registry
 from predsync.cli import Plan, main, parse_range, run_one
 from predsync.engine import Step
 from predsync.graphs import line
-from predsync.stages import FixedStage, StageRun
+from predsync.stages import Stage
 
 from helpers import write_graph
 
@@ -386,8 +386,31 @@ def test_config_errors(tmp_path):
     ("run", "graph = LINE\nn = 4\npattern = FOO\n",
      "pattern = FOO: unknown pattern; known: ALL_ONES, ALL_ZEROS, "
      "GRID_4BLOCK, MOD3_LINE"),
+    ("run", "graph = LINE\nn = 5\nprogram = mis.greedy\ntemplate = sideways\n"
+     "phase = 7\n", "template = sideways: a standalone program takes no template"),
+    ("sweep", "graph = LINE\nn = 5\nprogram = mis.greedy\nphase = 7\n",
+     "phase = 7: a standalone program takes no phase"),
+    ("run", "graph = LINE\nn = 5\ntemplate = interleaved\nphase = 3\n",
+     "phase = 3: interleaved greedy phases must be even"),
+    ("run", "graph = LINE\nn = 5\ntemplate = interleaved\nphase = 0\n",
+     "phase = 0: phase budget must be a positive multiple of the stage phase "
+     "length"),
+    ("run", "graph = LINE\nn = 4\nproblem = VERTEX_COLORING\n"
+     "pattern = ALL_ONES\n",
+     "pattern = ALL_ONES: patterns are defined for MIS predictions only"),
+    ("sweep", "graph = LINE\nn = 4\npattern = MOD3_LINE\n",
+     "pattern = MOD3_LINE: MOD3_LINE needs a rooted tree"),
+    ("run", "graph = LINE\nn = 4\npattern = GRID_4BLOCK\n",
+     "pattern = GRID_4BLOCK: GRID_4BLOCK needs matching rows and cols"),
+    ("run", "graph = NOPE\nn = 4\n",
+     "graph = NOPE: unknown graph family; known: LINE, WHEEL_FK, GRID, RANDOM, "
+     "RANDOM_CONNECTED, TREE"),
+    ("sweep", "graph = LINE\nn = 4\nid_scheme = X\n",
+     "id_scheme = X: unknown id scheme; known: INCREASING, SEEDED_PERMUTATION"),
 ], ids=["negative-k", "unknown-problem", "non-integer-n", "run-seed-range",
-        "run-k-range", "unknown-pattern"])
+        "run-k-range", "unknown-pattern", "program-template", "program-phase",
+        "odd-phase", "zero-phase", "pattern-problem", "pattern-tree",
+        "pattern-grid", "unknown-graph", "unknown-id-scheme"])
 def test_config_errors_name_their_key(tmp_path, capsys, command, text, message):
     cfg = _cfg(tmp_path, text)
     assert main([command, "--config", cfg]) == 2
@@ -519,17 +542,11 @@ def test_cli_imports_no_dataclasses():
     assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
-class _KeyErrorStage(FixedStage):
+class _KeyErrorStage(Stage):
     """Five rounds; every node's program raises KeyError in round 2."""
 
-    def __init__(self):
-        super().__init__(5)
+    rounds = 5
 
-    def start(self, ctx):
-        return _KeyErrorRun()
-
-
-class _KeyErrorRun(StageRun):
     def process(self, ctx, t, inbox):
         if t == 2:
             return {}["missing"]
@@ -542,7 +559,7 @@ def test_program_error_is_a_failing_row_not_a_config_error(tmp_path, capsys,
     says PROGRAM_ERROR, no trace is printed, and the exit code is 1.  An
     unknown program name is still a config error."""
     monkeypatch.setitem(registry.PROGRAMS, "test.key_error",
-                        ((_KeyErrorStage(),), "MIS"))
+                        ((_KeyErrorStage,), "MIS"))
     text = "graph = LINE\nn = 4\nprogram = test.key_error\nseed = 0\n"
     for command, extra in (("run", []), ("run", ["--trace"]), ("sweep", [])):
         # run rejects the sweep-only k_range

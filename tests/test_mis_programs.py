@@ -107,13 +107,11 @@ def test_cleanup_star():
     # leaves know 9 joined (stage state persists via Ctx only inside one
     # program, so drive the cleanup with a prediction standing in for it)
     class Pre(mis.MisCleanupStage):
-        def start(self, ctx):
+        def __init__(self, ctx):
             if ctx.view.id != 9:
                 ctx.nbr_one.add(9)
-            return super().start(ctx)
 
-    from predsync.stages import StagedProgram
-    out = simulate(star, StagedProgram([Pre()]), None)
+    out = simulate(star, StagedProgram([Pre]), None)
     assert out.total_rounds == 1
     assert all(value(out, u) == 0 for u in (1, 2, 3))
 
@@ -217,7 +215,7 @@ def test_part2_rejects_improper_coloring():
 
 
 def test_part2_combined_beats_mu2_bound():
-    combined = StagedProgram([mis.RevealStage(), mis.ColorPart2Stage(True)])
+    combined = StagedProgram([mis.RevealStage, mis.ColorPart2CombinedStage])
     for seed in range(15):
         g = random_connected_graph(4 + seed % 9, 0.4, seed)
         colors = M.solve("VERTEX_COLORING", g)

@@ -11,8 +11,8 @@ from predsync.engine import NonTermination, default_max_rounds, simulate
 from predsync.graphs import (_assign_ids, build_graph, grid, line,
                              random_connected_graph, random_graph, random_tree,
                              validate)
-from predsync.stages import (ConfigError, FixedStage, InterleavedStage,
-                             ParallelStage, Stage, StageRun, StagedProgram)
+from predsync.stages import (ConfigError, InterleavedStage, ParallelStage,
+                             Stage, StagedProgram)
 from predsync.templates import build_template
 
 from helpers import value
@@ -37,8 +37,7 @@ def test_build_template_errors():
 
 def test_parallel_requires_fault_tolerant_part1():
     with pytest.raises(ConfigError):
-        ParallelStage(mis.GreedyStage("max"), mis.GreedyStage("max"),
-                      lambda v: 4)
+        ParallelStage(mis.GreedyStage, mis.GreedyStage, lambda v: 4)
 
 
 def test_simple_template_k6_all_ones():
@@ -148,17 +147,21 @@ def test_interleaved_checkpoints_match_block_formula():
     g = line(3)
     for init_len in range(1, 6):
         for phase in (2, 4, 6):
-            program = StagedProgram([FixedStage(init_len), InterleavedStage(
-                mis.GreedyStage("max"), mis.GreedyStage("min"), phase)])
+            init = type("Init", (Stage,), {"rounds": init_len})
+            program = StagedProgram([init, InterleavedStage(
+                mis.GreedyStage, mis.GreedyMinStage, phase)])
             for total in range(41):
                 want = sorted(set(range(init_len, total, phase)) | {total})
                 assert program.checkpoints(g, total) == want, (
                     init_len, phase, total)
 
 
-class _CountedStage(Stage):
+class _CountedStage:
     """Idle for delta + 1 rounds (open-ended when open); records the
     (n, d, delta) of every length call."""
+
+    phase_len = None
+    fault_tolerant = False
 
     def __init__(self, open_ended=False):
         self.open_ended = open_ended
@@ -168,8 +171,8 @@ class _CountedStage(Stage):
         self.calls.append((view.n, view.d, view.delta))
         return None if self.open_ended else view.delta + 1
 
-    def start(self, ctx):
-        return StageRun()
+    def __call__(self, ctx):
+        return Stage(ctx)
 
 
 def test_stage_lengths_computed_once_per_graph():
@@ -190,7 +193,7 @@ def test_stage_lengths_computed_once_per_graph():
 def test_interleaved_init_length_computed_once_per_graph():
     init = _CountedStage()
     program = StagedProgram([init, InterleavedStage(
-        mis.GreedyStage("max"), mis.GreedyStage("min"), 2)])
+        mis.GreedyStage, mis.GreedyMinStage, 2)])
     path = line(6)
     star = build_graph(range(1, 6), [(1, v) for v in range(2, 6)])
     out = simulate(path, program)
@@ -241,7 +244,7 @@ def test_parallel_part1_isolation():
         for u, t in out.term_round.items():
             if init_len < t <= init_len + r1:
                 crashes.setdefault(t - init_len, set()).add(u)
-        alone = StagedProgram([problems.LinialColoringStage(store_only=True)])
+        alone = StagedProgram([problems.LinialPart1Stage])
         ref = simulate(g, alone, crash_schedule=crashes,
                        max_rounds=r1 + 5, trace=True)
         lone = {}

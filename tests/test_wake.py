@@ -17,13 +17,13 @@ import copy
 
 import pytest
 
-from predsync import engine, measures as M, mis, problems
+from predsync import engine, measures as M, mis, problems, stages
 from predsync.cli import RUN_ERRORS
 from predsync.engine import NEVER, NonTermination, ProtocolViolation, Step, simulate
 from predsync.graphs import (build_graph, generate, line,
                              random_connected_graph, random_tree, _rng)
 from predsync.registry import PROGRAMS as REGISTRY
-from predsync.stages import Stage, StageRun, StagedProgram, TruncatedStage
+from predsync.stages import Stage, StagedProgram, TruncatedStage
 from predsync.templates import build_template
 
 from helpers import program, undecided, value
@@ -257,32 +257,55 @@ def test_every_process_call_returns_a_new_step(name):
 
 
 def _blueprint(stage):
-    """A stage's type and attributes, with its inner stages taken apart in
-    turn, copied so that a later change to them shows."""
+    """A stage copied so that a later change to it shows: a stage class's
+    namespace and its bases', or a composite's type and attributes, with its
+    inner stages taken apart in turn.  The namespaces are shallow copies,
+    which suffices while no class attribute is mutable."""
+    if isinstance(stage, type):
+        return [(cls, dict(vars(cls))) for cls in stage.__mro__]
     def value(v):
-        if isinstance(v, Stage):
-            return _blueprint(v)
         if isinstance(v, tuple):
             return tuple(map(value, v))
-        return copy.deepcopy(v)
+        return _blueprint(v) if isinstance(v, type) else copy.deepcopy(v)
     return type(stage), {k: value(v) for k, v in vars(stage).items()}
 
 
 def _leaves(stages):
-    """The stages that hold no inner stage, inner stages taken apart."""
+    """The stages that hold no inner stage, inner stages taken apart.  A
+    stage is anything with a phase_len: a stage class or a composite."""
     out = []
     for stage in stages:
-        inner = [v for v in vars(stage).values() if isinstance(v, Stage)]
-        inner += [s for v in vars(stage).values() if isinstance(v, tuple)
-                  for s in v if isinstance(s, Stage)]
+        inner = [] if isinstance(stage, type) else [
+            s for v in vars(stage).values()
+            for s in (v if isinstance(v, tuple) else (v,))
+            if hasattr(s, "phase_len")]
         out += _leaves(inner) if inner else [stage]
     return out
+
+
+def test_leaf_stages_are_classes_with_immutable_defaults():
+    """Every leaf stage of a registry program or a template is a Stage
+    subclass, whose instances are the runs of one node each.  Its class
+    attributes are shared by every node, so none is a list, dict or set."""
+    progs = [program(name) for name in REGISTRY]
+    progs += [build_template(p, t, tree=tr).program for p, t, tr in PROGRAMS]
+    for prog in progs:
+        for leaf in _leaves(prog.stages):
+            assert isinstance(leaf, type) and issubclass(leaf, Stage), leaf
+    classes = {cls for module in (mis, problems, stages)
+               for cls in vars(module).values()
+               if isinstance(cls, type) and issubclass(cls, Stage)}
+    assert {mis.GreedyStage, problems.ReductionRun, Stage} <= classes
+    for cls in classes:
+        for key, v in vars(cls).items():
+            assert key.startswith("__") or not isinstance(
+                v, (list, dict, set)), (cls, key)
 
 
 @pytest.mark.parametrize("name", MATRIX)
 def test_runs_leave_shared_blueprints_unchanged(name):
     """Every program built from the registry or the templates' parts shares
-    its stage blueprints, so a run that changed one would leak into later
+    its stage classes, so a run that changed one would leak into later
     runs.  Each registry program is a new StagedProgram, with its own
     lengths cache; two builds of one template share every leaf stage."""
     if name in REGISTRY:
@@ -324,11 +347,11 @@ STANDALONE = {
     "mis_base": REGISTRY["mis.base"][0],
     "mis_init": REGISTRY["mis.init"][0],
     "u_bw": REGISTRY["mis.u_bw"][0],
-    "init+u_bw": (mis.MisInitStage("init"), mis.UbwStage()),
+    "init+u_bw": (mis.MisInitStage, mis.UbwStage),
     "tree_init": REGISTRY["mis.tree_init"][0],
     "tree_uniform": REGISTRY["mis.tree_uniform"][0],
     "color_part2": REGISTRY["mis.color_part2"][0],
-    "color_part2_combined": (mis.RevealStage(), mis.ColorPart2Stage(True)),
+    "color_part2_combined": (mis.RevealStage, mis.ColorPart2CombinedStage),
 }
 
 
@@ -385,18 +408,21 @@ def test_sleeper_in_fixed_final_stage_stops_at_its_end():
     # greedy works down an increasing line from node 10, two nodes per
     # phase; nodes 1..4 wait, then stop undecided in the stage's last round
     g = line(10)
-    prog = StagedProgram([TruncatedStage(mis.GreedyStage(), lambda v: 6)])
+    prog = StagedProgram([TruncatedStage(mis.GreedyStage, lambda v: 6)])
     _same(prog, g)
     out = simulate(g, prog)
     assert [out.term_round[u] for u in g.nodes] == [6] * 5 + [5, 4, 3, 2, 1]
     assert undecided(out, g) == {1, 2, 3, 4}
 
 
-class _AlarmStage(Stage):
+class _AlarmStage:
     """Works in stage round `alarm` only, and before it returns
     Step(wake=alarm).  When final, a node outputs the stage round it
     worked in and terminates; node n is never idle and sends "go" in
     stage round 2, and a message makes a node work at once."""
+
+    phase_len = None
+    fault_tolerant = False
 
     def __init__(self, alarm, rounds=None):
         self.alarm = alarm
@@ -405,12 +431,12 @@ class _AlarmStage(Stage):
     def length(self, view):
         return self.rounds
 
-    def start(self, ctx):
+    def __call__(self, ctx):
         final = self.rounds is None
         return _AlarmRun(self.alarm, final, final and ctx.view.id == ctx.view.n)
 
 
-class _AlarmRun(StageRun):
+class _AlarmRun:
     def __init__(self, alarm, final, sender):
         self.alarm = alarm
         self.final = final
