@@ -184,7 +184,7 @@ class Plan:
                 if key in cfg:
                     raise ConfigError(f"{key} = {cfg[key]}: a standalone "
                                       f"program takes no {key}")
-            self.program, kind = get_program(name)
+            self.program, kind = _read(cfg, "program", get_program)
             # a standalone program is measured as the problem it solves
             self.kind = _read(cfg, "problem", _problem, kind)
             if kind != self.kind:
@@ -193,12 +193,17 @@ class Plan:
             self.inst, self.label = None, name
         else:
             self.kind = _read(cfg, "problem", _problem, "MIS")
-            template = cfg.get("template", "simple")
             tree = cfg.get("graph", "").upper() == "TREE"
-            self.inst = build_template(self.kind, template, tree=tree)
+            build = lambda template, **kw: build_template(
+                self.kind, template, tree=tree, **kw)
+            # simple, the default, builds for every problem
+            self.inst = _read(cfg, "template", build) or build("simple")
             if "phase" in cfg:  # so an error of the rebuild is the phase's
-                self.inst = _read(cfg, "phase", lambda text: build_template(
-                    self.kind, template, tree=tree, phase=int(text)))
+                if self.inst.template != "interleaved":
+                    raise ConfigError(f"phase = {cfg['phase']}: only the "
+                                      f"interleaved template reads it")
+                self.inst = _read(cfg, "phase", lambda text: build(
+                    "interleaved", phase=int(text)))
             self.program, self.label = self.inst.program, self.inst.template
         self.pattern = _read(cfg, "pattern", _pattern)
         self.max_rounds = _read(cfg, "max_rounds", int)

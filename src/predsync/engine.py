@@ -17,11 +17,11 @@ active node is in the same round, so node programs derive their stage
 time from rnd, never from the number of calls they got.
 
 A broadcast may hand one payload object to all its recipients, so a
-receiver must never mutate a message it gets.  A node's NodeView is an
-immutable named tuple.  A traced run records each event as a plain
-TraceEvent that keeps the payload or output value itself, formatted only
-by line(), so a sender must never mutate a payload or an output value
-after the round it sends or assigns it.
+receiver must never mutate a message it gets.  A node's NodeView, a run's
+Outcome and each TraceEvent are immutable named tuples.  A traced run
+records each event as a TraceEvent that keeps the payload or output value
+itself, formatted only by line(), so a sender must never mutate a payload
+or an output value after the round it sends or assigns it.
 
 Delivery rests on one invariant: every active node is either awake, and
 has an inbox this round, or asleep.  A message to any other node, one
@@ -92,19 +92,15 @@ class NodeProgram(Protocol):
     def start(self, view: NodeView) -> NodeBehavior: ...
 
 
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One trace record: a SEND keeps its target and payload as key and
     value, an OUTPUT its slot and value; line() formats them."""
 
-    __slots__ = ("round", "node", "event", "key", "value")
-
-    def __init__(self, round: int, node: int, event: str, key: Any = None,
-                 value: Any = None):
-        self.round = round
-        self.node = node
-        self.event = event  # SEND, OUTPUT, TERMINATE
-        self.key = key
-        self.value = value
+    round: int
+    node: int
+    event: str  # SEND, OUTPUT, TERMINATE
+    key: Any = None
+    value: Any = None
 
     def line(self) -> str:
         head = f"{self.round},{self.node},{self.event},"
@@ -115,16 +111,13 @@ class TraceEvent:
         return head
 
 
-class Outcome:
-    def __init__(self, outputs: dict, term_round: dict, total_rounds: int,
-                 trace: Optional[list[TraceEvent]] = None,
-                 output_log: Optional[list[tuple[int, int, Any]]] = None):
-        self.outputs = outputs  # node -> {slot: value}; empty dict = no output
-        self.term_round = term_round  # node -> round it terminated
-        self.total_rounds = total_rounds
-        self.trace = trace
-        # (round, node, slot) per output assignment, in trace order; traced or not
-        self.output_log = [] if output_log is None else output_log
+class Outcome(NamedTuple):
+    outputs: dict  # node -> {slot: value}; empty dict = no output
+    term_round: dict  # node -> round it terminated
+    total_rounds: int
+    # (round, node, slot) per output assignment, in trace order; traced or not
+    output_log: list[tuple[int, int, Any]]
+    trace: Optional[list[TraceEvent]] = None
 
     def solution(self, kind: str, g: Graph) -> dict:
         """Outputs reshaped for graphs.validate(); a node that never output
@@ -257,6 +250,5 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
             if events is not None:
                 events.append(TraceEvent(rnd, u, "TERMINATE"))
     total = max(term_round.values(), default=0)
-    return Outcome(outputs=outputs, term_round=term_round, total_rounds=total,
-                   trace=events, output_log=output_log)
+    return Outcome(outputs, term_round, total, output_log, events)
 

@@ -3,10 +3,10 @@ rule per problem (node_rule), which both validate() and the extendability
 auditor apply.
 
 Graphs are undirected, simple, with distinct integer identifiers drawn from
-{1..d}.  All structures are immutable after construction: Graph and
-RootedTree are slotted classes whose attributes cannot be assigned once
-__init__ has set them, and Violation is a named tuple.  The oracles are
-pure functions, so everything here is safe to share between threads.
+{1..d}.  All structures are immutable named tuples: Graph, built and
+checked only by build_graph; RootedTree, built and checked only by
+rooted_tree; and Violation.  The oracles are pure functions, so everything
+here is safe to share between threads.
 """
 
 from __future__ import annotations
@@ -35,48 +35,18 @@ class CapExceeded(RuntimeError):
     """An exact oracle was asked for a graph above its configured cap."""
 
 
-class _Frozen:
-    """Attributes are set once, by __init__ through object.__setattr__;
-    assigning or deleting one afterwards raises AttributeError."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class Graph(_Frozen):
+class Graph(NamedTuple):
     """d, the adjacency map node -> sorted tuple of neighbours, and what
     follows from it: nodes (sorted), n, delta (the maximum degree) and
-    neighbor_sets (each node's neighbours as a frozenset)."""
+    neighbor_sets (each node's neighbours as a frozenset).  build_graph is
+    the one builder that checks them."""
 
-    __slots__ = ("d", "adjacency", "nodes", "n", "delta", "neighbor_sets")
-
-    def __init__(self, d: int, adjacency: Mapping[int, tuple[int, ...]]):
-        nodes = tuple(sorted(adjacency))
-        sets = {u: frozenset(vs) for u, vs in adjacency.items()}
-        seen = set()
-        for u in nodes:
-            if not (1 <= u <= d):
-                raise GraphError("ID_OUT_OF_RANGE", f"node {u} outside 1..{d}")
-            if u in seen:
-                raise GraphError("DUPLICATE_ID", f"node {u} repeated")
-            seen.add(u)
-            nbrs = adjacency[u]
-            if list(nbrs) != sorted(sets[u]):
-                raise GraphError("MALFORMED_LINE", f"neighbors of {u} not sorted/unique")
-            for v in nbrs:
-                if v == u:
-                    raise GraphError("SELF_LOOP", f"self loop at {u}")
-                if u not in sets.get(v, ()):
-                    raise GraphError("MALFORMED_LINE", f"edge {u}-{v} not symmetric")
-        _fill(self, d, adjacency, nodes, sets)
-
-    def __reduce__(self):  # copy and pickle through __init__
-        return Graph, (self.d, self.adjacency)
+    d: int
+    adjacency: Mapping[int, tuple[int, ...]]
+    nodes: tuple[int, ...]
+    n: int
+    delta: int
+    neighbor_sets: Mapping[int, frozenset]
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         return self.adjacency[u]
@@ -94,22 +64,9 @@ class Graph(_Frozen):
         return v in self.adjacency.get(u, ())
 
 
-def _fill(g: Graph, d: int, adjacency, nodes: tuple, sets: dict) -> Graph:
-    """Set g's fields from checked parts."""
-    init = object.__setattr__
-    init(g, "d", d)
-    init(g, "adjacency", adjacency)
-    init(g, "nodes", nodes)
-    init(g, "n", len(nodes))
-    init(g, "delta", max(map(len, adjacency.values()), default=0))
-    init(g, "neighbor_sets", sets)
-    return g
-
-
 def build_graph(nodes: Sequence[int], edges: Sequence[tuple[int, int]], d: Optional[int] = None) -> Graph:
-    """Assemble a Graph from a node list and an edge list.  It checks the
-    ids and edges; the adjacency it builds is sorted, symmetric and
-    loop-free, so Graph.__init__'s per-edge checks are not run again."""
+    """Check a node list and an edge list, and build the Graph they give:
+    its adjacency is sorted, symmetric and loop-free."""
     node_set = set(nodes)
     if len(node_set) != len(list(nodes)):
         raise GraphError("DUPLICATE_ID", "duplicate node identifiers")
@@ -128,32 +85,17 @@ def build_graph(nodes: Sequence[int], edges: Sequence[tuple[int, int]], d: Optio
         u = next(u for u in ordered if not 1 <= u <= d)
         raise GraphError("ID_OUT_OF_RANGE", f"node {u} outside 1..{d}")
     adjacency = {u: tuple(sorted(vs)) for u, vs in adj.items()}
-    return _fill(object.__new__(Graph), d, adjacency, ordered,
+    return Graph(d, adjacency, ordered, len(ordered),
+                 max(map(len, adjacency.values()), default=0),
                  {u: frozenset(vs) for u, vs in adj.items()})
 
 
-class RootedTree(_Frozen):
-    """A tree graph and parent, a map node -> parent id, ROOT for the root."""
+class RootedTree(NamedTuple):
+    """A tree graph and parent, a map node -> parent id, ROOT for the root.
+    rooted_tree is the one builder that checks them."""
 
-    __slots__ = ("graph", "parent")
-
-    def __init__(self, graph: Graph, parent: Mapping[int, int]):
-        g = graph
-        roots = [u for u in g.nodes if parent[u] == ROOT]
-        if len(roots) != 1:
-            raise GraphError("MALFORMED_LINE", f"expected exactly one root, got {len(roots)}")
-        for u in g.nodes:
-            p = parent[u]
-            if p != ROOT and not g.has_edge(u, p):
-                raise GraphError("MALFORMED_LINE", f"parent {p} of {u} is not a neighbor")
-        walk = component_walk(g.adjacency, g.adjacency)
-        if g.num_edges() != g.n - 1 or (g.n and len(list(walk)) != 1):
-            raise GraphError("MALFORMED_LINE", "rooted tree must be connected and acyclic")
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "parent", parent)
-
-    def __reduce__(self):
-        return RootedTree, (self.graph, self.parent)
+    graph: Graph
+    parent: Mapping[int, int]
 
     @property
     def root(self) -> int:
@@ -161,6 +103,27 @@ class RootedTree(_Frozen):
 
     def children(self, u: int) -> tuple[int, ...]:
         return tuple(v for v in self.graph.neighbors(u) if self.parent[v] == u)
+
+
+def rooted_tree(g: Graph, parent: Mapping[int, int]) -> RootedTree:
+    """Check that g is a tree and that parent (which covers g's nodes) has
+    one root and points each other node along an edge toward it; on a tree,
+    a cycle of parents can only be two nodes that point at each other."""
+    roots = [u for u in g.nodes if parent[u] == ROOT]
+    if len(roots) != 1:
+        raise GraphError("MALFORMED_LINE", f"expected exactly one root, got {len(roots)}")
+    for u in g.nodes:
+        p = parent[u]
+        if p == ROOT:
+            continue
+        if not g.has_edge(u, p):
+            raise GraphError("MALFORMED_LINE", f"parent {p} of {u} is not a neighbor")
+        if parent[p] == u:
+            raise GraphError("MALFORMED_LINE", f"nodes {u} and {p} are each other's parent")
+    walk = component_walk(g.adjacency, g.adjacency)
+    if g.num_edges() != g.n - 1 or (g.n and len(list(walk)) != 1):
+        raise GraphError("MALFORMED_LINE", "rooted tree must be connected and acyclic")
+    return RootedTree(g, parent)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +234,7 @@ def random_tree(n: int, seed: int, id_scheme: str = "SEEDED_PERMUTATION", d: Opt
         p = ids[r.randrange(i)]
         parent[ids[i]] = p
         edges.append((p, ids[i]))
-    return RootedTree(graph=build_graph(ids, edges, d), parent=parent)
+    return rooted_tree(build_graph(ids, edges, d), parent)
 
 
 def line_tree(n: int, id_scheme: str = "INCREASING", seed: int = 0, d: Optional[int] = None) -> RootedTree:
@@ -281,7 +244,7 @@ def line_tree(n: int, id_scheme: str = "INCREASING", seed: int = 0, d: Optional[
     parent = {ids[0]: ROOT}
     for i in range(1, n):
         parent[ids[i]] = ids[i - 1]
-    return RootedTree(graph=g, parent=parent)
+    return rooted_tree(g, parent)
 
 
 def generate(family: str, params: Mapping[str, object], id_scheme: str = "INCREASING", seed: int = 0):
@@ -622,5 +585,5 @@ def read_graph(text: str):
     if parents:
         if set(parents) != set(ids):
             raise GraphError("MALFORMED_LINE", "parent lines must cover all nodes")
-        return RootedTree(graph=g, parent=parents)
+        return rooted_tree(g, parents)
     return g

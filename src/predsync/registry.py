@@ -7,7 +7,7 @@ from an entry shares it."""
 from __future__ import annotations
 
 from . import mis, problems
-from .stages import StagedProgram
+from .stages import ConfigError, StagedProgram
 
 # name -> (stages, problem kind whose validator applies to its complete output)
 PROGRAMS = {
@@ -44,8 +44,7 @@ PROGRAMS = {
 
 def get_program(name: str):
     """A fresh program of the named stages, and its problem kind."""
-    try:
-        stages, kind = PROGRAMS[name]
-    except KeyError:
-        raise KeyError(f"unknown program {name!r}; known: {sorted(PROGRAMS)}")
+    if name not in PROGRAMS:
+        raise ConfigError(f"unknown program; known: {', '.join(sorted(PROGRAMS))}")
+    stages, kind = PROGRAMS[name]
     return StagedProgram(stages), kind

@@ -7,7 +7,7 @@ from collections.abc import Sequence
 
 from predsync.graphs import (DEFAULT_ALPHA_CAP, DEFAULT_ENUM_CAP, CapExceeded,
                              Graph, GraphError, _alpha_component,
-                             _assign_ids, _rng, build_graph, component_maps,
+                             _assign_ids, _rng, build_graph, component_walk,
                              mis_bitmasks, node_rule)
 from predsync.measures import _mu2
 
@@ -50,8 +50,8 @@ def induced_subgraph(g: Graph, keep) -> Graph:
     unknown = keep - set(g.nodes)
     if unknown:
         raise GraphError("ID_OUT_OF_RANGE", f"unknown identifiers {sorted(unknown)}")
-    adj = {u: tuple(v for v in g.adjacency[u] if v in keep) for u in sorted(keep)}
-    return Graph(d=g.d, adjacency=adj)
+    edges = [(u, v) for u in keep for v in g.adjacency[u] if u < v and v in keep]
+    return build_graph(sorted(keep), edges, g.d)
 
 
 def edge_induced_subgraph(g: Graph, edges: Sequence[tuple[int, int]]) -> Graph:
@@ -63,10 +63,10 @@ def edge_induced_subgraph(g: Graph, edges: Sequence[tuple[int, int]]) -> Graph:
 def components(g: Graph) -> list[Graph]:
     """Connected components as induced subgraphs, sorted by smallest member;
     [g] itself when g is connected."""
-    maps = component_maps(g.adjacency, g.adjacency)
-    if len(maps) == 1:
+    comps = list(component_walk(g.adjacency, g.adjacency))
+    if len(comps) == 1:
         return [g]
-    return [Graph(d=g.d, adjacency=m) for m in maps]
+    return [induced_subgraph(g, c) for c in comps]
 
 
 def alpha_oracle(g: Graph, cap: int = DEFAULT_ALPHA_CAP) -> int:

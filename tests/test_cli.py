@@ -407,10 +407,23 @@ def test_config_errors(tmp_path):
      "RANDOM_CONNECTED, TREE"),
     ("sweep", "graph = LINE\nn = 4\nid_scheme = X\n",
      "id_scheme = X: unknown id scheme; known: INCREASING, SEEDED_PERMUTATION"),
+    ("run", "graph = LINE\nn = 5\ntemplate = simple\nphase = 7\n",
+     "phase = 7: only the interleaved template reads it"),
+    ("run", "graph = LINE\nn = 5\ntemplate = consecutive\nphase = 3\n",
+     "phase = 3: only the interleaved template reads it"),
+    ("run", "graph = LINE\nn = 5\ntemplate = sideways\n",
+     "template = sideways: unknown template 'sideways'"),
+    ("sweep", "graph = TREE\nn = 5\ntemplate = consecutive\n",
+     "template = consecutive: tree variant has no 'consecutive' template"),
+    ("run", "graph = LINE\nn = 5\nproblem = VERTEX_COLORING\n"
+     "template = parallel\n", "template = parallel: VERTEX_COLORING supports "
+     "simple and consecutive templates only"),
 ], ids=["negative-k", "unknown-problem", "non-integer-n", "run-seed-range",
         "run-k-range", "unknown-pattern", "program-template", "program-phase",
         "odd-phase", "zero-phase", "pattern-problem", "pattern-tree",
-        "pattern-grid", "unknown-graph", "unknown-id-scheme"])
+        "pattern-grid", "unknown-graph", "unknown-id-scheme", "simple-phase",
+        "consecutive-phase", "unknown-template", "tree-template",
+        "problem-template"])
 def test_config_errors_name_their_key(tmp_path, capsys, command, text, message):
     cfg = _cfg(tmp_path, text)
     assert main([command, "--config", cfg]) == 2
@@ -433,7 +446,6 @@ def test_passing_sweep_builds_no_trace(tmp_path, monkeypatch):
     class Counted(engine.TraceEvent):
         def __init__(self, *args):
             built.append(args)
-            super().__init__(*args)
 
     monkeypatch.setattr(engine, "TraceEvent", Counted)
     outcomes = []
@@ -578,9 +590,9 @@ def test_program_error_is_a_failing_row_not_a_config_error(tmp_path, capsys,
             for k, line in enumerate(lines))
     cfg = _cfg(tmp_path, "graph = LINE\nn = 4\nprogram = nope.prog\n")
     assert main(["run", "--config", cfg]) == 2
-    known = sorted(registry.PROGRAMS)
+    known = ", ".join(sorted(registry.PROGRAMS))
     assert capsys.readouterr().err == (
-        f"config error: \"unknown program 'nope.prog'; known: {known}\"\n")
+        f"config error: program = nope.prog: unknown program; known: {known}\n")
 
 
 def test_max_rounds_below_one_is_a_config_error(tmp_path, capsys):

@@ -7,7 +7,8 @@ import pickle
 import pytest
 
 from predsync import graphs
-from predsync.graphs import (CapExceeded, Graph, GraphError, Violation,
+from predsync.engine import Outcome, TraceEvent
+from predsync.graphs import (CapExceeded, GraphError, Violation,
                              build_graph, generate, grid, line, line_tree,
                              mis_bitmasks, random_connected_graph,
                              random_graph, random_tree, read_graph,
@@ -116,16 +117,16 @@ def test_oracles_leave_no_reference_cycles():
 def test_generators_match_the_two_build_reference(family, monkeypatch):
     """RANDOM and the one-build RANDOM_CONNECTED give the reference's graph:
     the same d, adjacency tuples and adjacency key order, and each
-    generate() call fills one Graph."""
+    generate() call builds one Graph."""
     want = (reference.random_connected_graph if family == "RANDOM_CONNECTED"
             else reference.random_graph)
     built = []
-    fill = graphs._fill
+    real = graphs.Graph
 
     def counted(*args):
         built.append(1)
-        return fill(*args)
-    monkeypatch.setattr(graphs, "_fill", counted)
+        return real(*args)
+    monkeypatch.setattr(graphs, "Graph", counted)
     for n in [*range(26), 60]:
         for p in (0, 0.1, 0.3, 1):
             for seed in range(31):
@@ -139,35 +140,29 @@ def test_generators_match_the_two_build_reference(family, monkeypatch):
                         n, p, seed, scheme)
 
 
-class _Repeated(dict):
-    """An adjacency map that lists each node twice."""
-
-    def __iter__(self):
-        return iter([*super().__iter__()] * 2)
+_PATH_TREE = "3 3\n1 2\n2 3\nP 1 0\n"
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: Graph(2, {3: ()}), "ID_OUT_OF_RANGE: node 3 outside 1..2"),
     (lambda: build_graph([1, 2, 1], []),
      "DUPLICATE_ID: duplicate node identifiers"),
-    (lambda: Graph(2, _Repeated({1: ()})), "DUPLICATE_ID: node 1 repeated"),
-    (lambda: Graph(3, {1: (3, 2), 2: (1,), 3: (1,)}),
-     "MALFORMED_LINE: neighbors of 1 not sorted/unique"),
-    (lambda: Graph(2, {1: (2, 2), 2: (1,)}),
-     "MALFORMED_LINE: neighbors of 1 not sorted/unique"),
-    (lambda: Graph(2, {1: (1,)}), "SELF_LOOP: self loop at 1"),
     (lambda: build_graph([1, 2], [(2, 2)]), "SELF_LOOP: self loop at 2"),
-    (lambda: Graph(2, {1: (2,), 2: ()}),
-     "MALFORMED_LINE: edge 1-2 not symmetric"),
-    (lambda: Graph(3, {1: (3,)}), "MALFORMED_LINE: edge 1-3 not symmetric"),
     (lambda: build_graph([1, 2], [(1, 3)]),
      "ID_OUT_OF_RANGE: edge 1-3 uses unknown node"),
     (lambda: build_graph([2, 5, 4], [(2, 5)], 3),
      "ID_OUT_OF_RANGE: node 4 outside 1..3"),
     (lambda: build_graph([0, 1], []), "ID_OUT_OF_RANGE: node 0 outside 1..1"),
-], ids=["id-range", "duplicate-list", "duplicate-map", "unsorted", "repeated",
-        "self-loop", "self-loop-edge", "asymmetric", "unknown-neighbor",
-        "unknown-edge-end", "built-id-range", "built-id-zero"])
+    (lambda: read_graph(_PATH_TREE + "P 2 0\nP 3 2\n"),
+     "MALFORMED_LINE: expected exactly one root, got 2"),
+    (lambda: read_graph(_PATH_TREE + "P 2 1\nP 3 1\n"),
+     "MALFORMED_LINE: parent 1 of 3 is not a neighbor"),
+    (lambda: read_graph("3 3\n1 2\n2 3\n1 3\nP 1 0\nP 2 1\nP 3 1\n"),
+     "MALFORMED_LINE: rooted tree must be connected and acyclic"),
+    (lambda: read_graph("4 4\n1 2\n2 3\n3 4\nP 1 0\nP 2 1\nP 3 4\nP 4 3\n"),
+     "MALFORMED_LINE: nodes 3 and 4 are each other's parent"),
+], ids=["duplicate-list", "self-loop-edge", "unknown-edge-end", "built-id-range",
+        "built-id-zero", "tree-two-roots", "tree-parent-not-neighbor",
+        "tree-edge-cycle", "tree-parent-cycle"])
 def test_each_graph_error_branch(build, message):
     with pytest.raises(GraphError) as err:
         build()
@@ -176,17 +171,23 @@ def test_each_graph_error_branch(build, message):
 
 
 def test_graph_tree_and_violation_are_immutable():
-    """Assigning or deleting an attribute raises; copies and pickles are
-    built through the constructor."""
+    """Assigning or deleting a field of a graph, a rooted tree, a violation,
+    an outcome or a trace event raises; copies and pickles keep every
+    field."""
     t = line_tree(3)
     g = t.graph
     v = Violation("RANGE", 1, "node 1 output 2")
+    ev = TraceEvent(1, 1, "SEND", 2, "x")
+    out = Outcome({1: {}}, {1: 1}, 1, [], [ev])
     for obj, name in ((g, "d"), (g, "adjacency"), (g, "nodes"), (g, "delta"),
                       (g, "neighbor_sets"), (g, "unset"), (t, "graph"),
-                      (t, "parent"), (v, "code"), (v, "unset")):
+                      (t, "parent"), (v, "code"), (v, "unset"),
+                      (out, "outputs"), (out, "trace"), (out, "unset"),
+                      (ev, "round"), (ev, "value"), (ev, "unset")):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
-    for obj, name in ((g, "d"), (t, "parent")):
+    for obj, name in ((g, "d"), (t, "parent"), (out, "total_rounds"),
+                      (ev, "event")):
         with pytest.raises(AttributeError):
             delattr(obj, name)
     assert (g.d, g.n, g.delta, t.root) == (3, 3, 2, 1)

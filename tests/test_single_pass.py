@@ -18,8 +18,8 @@ from predsync import measures as M
 from predsync.audit import audit_run
 from predsync.cli import RUN_ERRORS
 from predsync.engine import Outcome, simulate
-from predsync.graphs import (ROOT, RootedTree, build_graph, generate, line,
-                             random_graph, validate)
+from predsync.graphs import (ROOT, build_graph, generate, line,
+                             random_graph, rooted_tree, validate)
 from predsync.registry import PROGRAMS as REGISTRY, get_program
 from predsync.templates import build_template
 
@@ -242,7 +242,7 @@ def _atlas_cases(max_nodes):
                     if v not in parent:
                         parent[v] = u
                         frontier.append(v)
-            rooted = RootedTree(graph=g, parent=parent)
+            rooted = rooted_tree(g, parent)
         yield g, rooted
 
 

@@ -191,10 +191,7 @@ MATRIX = PROGRAM_IDS + sorted(REGISTRY)
 class _EagerEvent(engine.TraceEvent):
     """A trace event that also formats its line when it happens."""
 
-    __slots__ = ("early",)
-
     def __init__(self, *args):
-        super().__init__(*args)
         self.early = self.line()
 
 
