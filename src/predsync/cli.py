@@ -16,14 +16,15 @@ A config key that no command reads, or a sweep-only key (k_range,
 seed_range) given to run, is a config error naming the key.
 
 A Plan holds one config's runs.  Its constructor resolves the config once:
-the kind, the program or TemplateInstance, the CSV label and a configured
-max_rounds.  Each seed's instance (graph, tree, the
-reference that predictions corrupt, and the MIS sets behind eta_H) is built
-by the first run_one of that seed and kept while the plan lives, so a sweep
-builds it once and shares it among its k values.  Runs still go k-major, so
-CSV rows and stderr keep that order.  A sweep with a fixed pattern runs
-each seed once, since k changes nothing there, and repeats its row for
-every k.
+the graph family, id scheme and the parameters graphs.FAMILIES says the
+family reads (any other graph key is a config error), the kind, the program
+or TemplateInstance, the CSV label and a configured max_rounds.  Each
+seed's instance (graph, tree, the reference that predictions corrupt, and
+the MIS sets behind eta_H) is built by the first run_one of that seed with
+one graphs.generate call and kept while the plan lives, so a sweep builds
+it once and shares it among its k values.  Runs still go k-major, so CSV
+rows and stderr keep that order.  A sweep with a fixed pattern runs each
+seed once, since k changes nothing there, and repeats its row for every k.
 
 Each run that ends gets one correctness pass, audit.audit_run: one replay
 of its output record gives both its `valid` code and, for a template, the
@@ -44,12 +45,13 @@ from pathlib import Path
 from . import measures
 from .audit import audit_run
 from .engine import NonTermination, ProtocolViolation, simulate
-from .graphs import (ID_SCHEMES, PROBLEM_KINDS, GraphError, RootedTree,
-                     _assign_ids, generate, line, read_graph, validate)
+from .graphs import (FAMILIES, ID_SCHEMES, PROBLEM_KINDS, GraphError,
+                     RootedTree, _assign_ids, generate, line, read_graph,
+                     validate)
 from .problems import EmptyPalette
 from .registry import get_program
 from .stages import ConfigError
-from .templates import build_template
+from .templates import TEMPLATES, build_template
 
 BOUNDS = ("bound_consistency", "bound_degrading", "bound_robust")
 COLUMNS = ("family", "n", "d", "delta", "problem", "template", "k", "seed",
@@ -107,11 +109,16 @@ def _read(cfg: dict, key: str, parse, default=None):
         raise ConfigError(f"{key} = {cfg[key]}: {exc}") from None
 
 
-def _k(value) -> int:
-    k = int(value)
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return k
+def _at_least(low: int, what: str):
+    """A parser of an integer that is at least low."""
+    def parse(text) -> int:
+        if int(text) < low:
+            raise ValueError(f"{what} must be >= {low}")
+        return int(text)
+    return parse
+
+
+_k = _at_least(0, "k")
 
 
 def _k_range(text: str) -> list[int]:
@@ -130,44 +137,13 @@ def _one_of(names, what: str, fold=str):
 
 _problem = _one_of(PROBLEM_KINDS, "problem", str.upper)
 _pattern = _one_of(measures.PATTERNS, "pattern")
-
-
-def _graph_params(cfg: dict) -> dict:
-    params = {}
-    for key in ("n", "k_rim", "rows", "cols", "d"):
-        if key in cfg:
-            params["k" if key == "k_rim" else key] = _read(cfg, key, int)
-    if "p" in cfg:
-        params["p"] = _read(cfg, "p", float)
-    if "shape" in cfg:
-        params["shape"] = cfg["shape"]
-    return params
-
-
-# config keys each graph family needs
-_FAMILY_KEYS = {"LINE": ("n",), "WHEEL_FK": ("k_rim",), "GRID": ("rows", "cols"),
-                "RANDOM": ("n", "p"), "RANDOM_CONNECTED": ("n", "p"),
-                "TREE": ("n",)}
-_family = _one_of(tuple(_FAMILY_KEYS), "graph family", str.upper)
+_family = _one_of(tuple(FAMILIES), "graph family", str.upper)
 _id_scheme = _one_of(ID_SCHEMES, "id scheme")
-
-
-def build_instance(cfg: dict, seed: int):
-    """(graph, rooted tree or None, family, and for a grid its identifiers
-    in position order, else None)."""
-    family = cfg.get("graph", "RANDOM_CONNECTED").upper()
-    missing = [key for key in _FAMILY_KEYS.get(family, ()) if key not in cfg]
-    if missing:
-        raise ConfigError(f"graph {family} needs {' and '.join(missing)}")
-    id_scheme = cfg.get("id_scheme", "SEEDED_PERMUTATION"
-                        if family.startswith("RANDOM") else "INCREASING")
-    made = generate(family, _graph_params(cfg), id_scheme, seed)
-    if isinstance(made, RootedTree):
-        return made.graph, made, family, None
-    # the same draw that graphs.grid places row major
-    ids = (_assign_ids(made.n, id_scheme, seed, made.d)[0]
-           if family == "GRID" else None)
-    return made, None, family, ids
+_template = _one_of(TEMPLATES, "template")
+# every graph key, with its parser
+_GRAPH_KEYS = {"n": int, "p": float, "d": int, "k_rim": int, "rows": int,
+               "cols": int, "shape": _one_of(("random", "line"), "tree shape",
+                                             str.lower)}
 
 
 class Plan:
@@ -175,9 +151,24 @@ class Plan:
     instance is built on first use and lives as long as the plan."""
 
     def __init__(self, cfg: dict):
-        self.cfg = cfg
-        _read(cfg, "graph", _family)
-        _read(cfg, "id_scheme", _id_scheme)
+        self.family = family = _read(cfg, "graph", _family, "RANDOM_CONNECTED")
+        self.id_scheme = _read(cfg, "id_scheme", _id_scheme, (
+            "SEEDED_PERMUTATION" if family.startswith("RANDOM")
+            else "INCREASING"))
+        # k_rim is the config key of wheel_fk's k
+        needs = ["k_rim" if n == "k" else n for n in FAMILIES[family][1]]
+        missing = [key for key in needs if key not in cfg]
+        if missing:
+            raise ConfigError(f"graph {family} needs {' and '.join(missing)}")
+        reads = {*needs, "d"} | ({"shape"} if family == "TREE" else set())
+        self.params = {}  # generate's params, by parameter name
+        for key, parse in _GRAPH_KEYS.items():
+            if key in cfg:
+                if key not in reads:
+                    raise ConfigError(f"{key} = {cfg[key]}: graph {family} "
+                                      f"does not read it")
+                param = "k" if key == "k_rim" else key
+                self.params[param] = _read(cfg, key, parse)
         name = cfg.get("program")
         if name:
             for key in ("template", "phase"):
@@ -188,14 +179,13 @@ class Plan:
             # a standalone program is measured as the problem it solves
             self.kind = _read(cfg, "problem", _problem, kind)
             if kind != self.kind:
-                raise ConfigError(f"program {name} solves {kind}, "
-                                  f"but problem is {self.kind}")
+                raise ConfigError(f"problem = {cfg['problem']}: program "
+                                  f"{name} solves {kind}")
             self.inst, self.label = None, name
         else:
             self.kind = _read(cfg, "problem", _problem, "MIS")
-            tree = cfg.get("graph", "").upper() == "TREE"
             build = lambda template, **kw: build_template(
-                self.kind, template, tree=tree, **kw)
+                self.kind, _template(template), tree=family == "TREE", **kw)
             # simple, the default, builds for every problem
             self.inst = _read(cfg, "template", build) or build("simple")
             if "phase" in cfg:  # so an error of the rebuild is the phase's
@@ -206,36 +196,38 @@ class Plan:
                     "interleaved", phase=int(text)))
             self.program, self.label = self.inst.program, self.inst.template
         self.pattern = _read(cfg, "pattern", _pattern)
-        self.max_rounds = _read(cfg, "max_rounds", int)
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise ConfigError("max_rounds must be >= 1")
+        self.max_rounds = _read(cfg, "max_rounds", _at_least(1, "max_rounds"))
         self._instances = {}
 
     def instance(self, seed: int) -> tuple:
         """What the runs of one seed share, built once and never changed:
-        (graph, tree or None, family, measures.reference, and
-        measures.mis_masks of the graph for MIS, else None)."""
+        (graph, tree or None, measures.reference, and measures.mis_masks of
+        the graph for MIS, else None)."""
         case = self._instances.get(seed)
         if case is None:
-            cfg = self.cfg
-            g, tree, family, ids = build_instance(cfg, seed)
+            made = generate(self.family, self.params, self.id_scheme, seed)
+            g, tree = ((made.graph, made) if self.family == "TREE"
+                       else (made, None))
+            # for a grid, the same draw that graphs.grid places row major
+            ids = (_assign_ids(g.n, self.id_scheme, seed, g.d)[0]
+                   if self.family == "GRID" else None)
             try:
                 ref = measures.reference(
                     self.kind, g, pattern=self.pattern, tree=tree,
-                    rows=_read(cfg, "rows", int), cols=_read(cfg, "cols", int),
-                    ids=ids)
+                    rows=self.params.get("rows"),
+                    cols=self.params.get("cols"), ids=ids)
             except ValueError as exc:  # a given pattern that does not fit
                 if self.pattern is None:
                     raise
                 raise ConfigError(f"pattern = {self.pattern}: {exc}") from None
             masks = measures.mis_masks(g) if self.kind == "MIS" else None
-            case = self._instances[seed] = (g, tree, family, ref, masks)
+            case = self._instances[seed] = (g, tree, ref, masks)
         return case
 
     def inputs(self, k: int, seed: int) -> tuple:
         """What simulate gets for one run: (g, tree, predictions,
         max_rounds)."""
-        g, tree, _, reference, _ = self.instance(seed)
+        g, tree, reference, _ = self.instance(seed)
         p = reference if self.pattern is not None else measures.corrupt(
             self.kind, g, reference, k, seed)
         max_rounds = self.max_rounds
@@ -263,7 +255,7 @@ def run_one(plan: Plan, k: int, seed: int):
     """Execute one instance, untraced; returns (row dict, failure messages,
     outcome).  A run whose simulation raised has outcome None."""
     g, tree, p, max_rounds = plan.inputs(k, seed)
-    _, _, family, _, masks = plan.instance(seed)
+    _, _, _, masks = plan.instance(seed)
     inst = plan.inst
     report = measures.error_report(plan.kind, g, p, tree, masks)
     failures = []
@@ -291,7 +283,7 @@ def run_one(plan: Plan, k: int, seed: int):
     failures += [f"not extendable at {msg}" for msg in unextendable]
 
     row = {
-        "family": family, "n": g.n, "d": g.d, "delta": g.delta,
+        "family": plan.family, "n": g.n, "d": g.d, "delta": g.delta,
         "problem": plan.kind, "template": plan.label, "k": k, "seed": seed,
         "eta1": report["eta1"], "eta2": report["eta2"],
         "eta_bw": report["eta_bw"], "eta_t": report["eta_t"],
@@ -397,10 +389,7 @@ def cmd_verify(cfg: dict, args) -> int:
     made = read_graph(Path(cfg["graph_file"]).read_text())
     g = made.graph if isinstance(made, RootedTree) else made
     text = Path(cfg["outputs_file"]).read_text()
-    outputs = measures.parse_predictions(kind, text)
-    for lineno, u, _ in measures.prediction_lines(kind, text):
-        if u not in g.neighbor_sets:
-            raise ConfigError(f"line {lineno}: node {u} is not in the graph")
+    outputs = measures.parse_predictions(kind, text, g.neighbor_sets)
     if kind == "EDGE_COLORING":
         # a node without a line colours no edge, as in Outcome.solution
         for u in g.nodes:
@@ -423,9 +412,8 @@ SANITY = {
 
 
 def cmd_sanity(cfg: dict, args) -> int:
-    family = cfg.get("family", "MIS_LINE").upper()
-    if family not in SANITY:
-        raise ConfigError(f"unknown sanity family {family!r}")
+    family = _read(cfg, "family", _one_of(tuple(SANITY), "sanity family",
+                                          str.upper), "MIS_LINE")
     n = _read(cfg, "n", int, 101)
     name, threshold_fn = SANITY[family]
     g = line(n)

@@ -247,26 +247,28 @@ def line_tree(n: int, id_scheme: str = "INCREASING", seed: int = 0, d: Optional[
     return rooted_tree(g, parent)
 
 
+def shaped_tree(n: int, shape: str = "random", **kw) -> RootedTree:
+    """line_tree for shape line, else random_tree."""
+    return (line_tree if shape == "line" else random_tree)(n, **kw)
+
+
+# family: (generator, the size parameters it needs)
+FAMILIES = {
+    "LINE": (line, ("n",)),
+    "WHEEL_FK": (wheel_fk, ("k",)),
+    "GRID": (grid, ("rows", "cols")),
+    "RANDOM": (random_graph, ("n", "p")),
+    "RANDOM_CONNECTED": (random_connected_graph, ("n", "p")),
+    "TREE": (shaped_tree, ("n",)),
+}
+
+
 def generate(family: str, params: Mapping[str, object], id_scheme: str = "INCREASING", seed: int = 0):
-    """CLI-facing dispatcher over the graph families."""
-    family = family.upper()
-    d = params.get("d")
-    if family == "LINE":
-        return line(int(params["n"]), id_scheme, seed, d)
-    if family == "WHEEL_FK":
-        return wheel_fk(int(params["k"]), id_scheme, seed, d)
-    if family == "GRID":
-        return grid(int(params["rows"]), int(params["cols"]), id_scheme, seed, d)
-    if family == "RANDOM":
-        return random_graph(int(params["n"]), float(params["p"]), seed, id_scheme, d)
-    if family == "RANDOM_CONNECTED":
-        return random_connected_graph(int(params["n"]), float(params["p"]), seed, id_scheme, d)
-    if family == "TREE":
-        shape = str(params.get("shape", "random")).lower()
-        if shape == "line":
-            return line_tree(int(params["n"]), id_scheme, seed, d)
-        return random_tree(int(params["n"]), int(seed), id_scheme, d)
-    raise GraphError("MALFORMED_LINE", f"unknown graph family {family!r}")
+    """The family's generator called with params as keywords: its size
+    parameters and, optionally, d and (for TREE) shape."""
+    if family.upper() not in FAMILIES:
+        raise GraphError("MALFORMED_LINE", f"unknown graph family {family!r}")
+    return FAMILIES[family.upper()][0](**params, id_scheme=id_scheme, seed=seed)
 
 
 # ---------------------------------------------------------------------------

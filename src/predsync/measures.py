@@ -23,8 +23,6 @@ simulated runs of mis.greedy, mm.uniform, vc.uniform and ec.uniform.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 from .graphs import (DEFAULT_ALPHA_CAP, CapExceeded, Graph, RootedTree,
                      _alpha_component, _rng, component_maps, component_walk,
                      mis_bitmasks)
@@ -413,37 +411,36 @@ def reference(kind: str, g: Graph, *, pattern: str = None,
 # prediction files
 
 
-def prediction_lines(kind: str, text: str) -> Iterator[tuple]:
-    """(line number, node, value) for each line of a prediction or outputs
-    file; for edge colouring the value is (neighbour, colour)."""
+def parse_predictions(kind: str, text: str, nodes=None) -> dict:
+    """The predictions of a prediction or outputs file: one `u value` line
+    per node, `-` for no value, or for edge colouring one `u v c` line per
+    edge end, read as {u: {v: c}}.  A line that cannot be read, a second
+    line for one node or edge end, or a line for a node not in nodes (when
+    given) is an error naming the line."""
+    edge = kind == "EDGE_COLORING"
+    p: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         raw = raw.strip()
         if not raw or raw.startswith("#"):
             continue
         parts = raw.split()
-        if kind == "EDGE_COLORING":
-            if len(parts) != 3:
-                raise ValueError(f"bad edge prediction line {raw!r}")
-            yield lineno, int(parts[0]), (int(parts[1]), int(parts[2]))
-        else:
-            if len(parts) != 2:
-                raise ValueError(f"bad prediction line {raw!r}")
-            yield lineno, int(parts[0]), None if parts[1] == "-" else int(parts[1])
-
-
-def parse_predictions(kind: str, text: str) -> dict:
-    """The file's predictions; a second line for one node, or for one edge
-    end u v in edge colouring, is an error naming the line."""
-    p: dict = {}
-    for lineno, u, value in prediction_lines(kind, text):
-        if kind == "EDGE_COLORING":
-            v, c = value
-            slots = p.setdefault(u, {})
-            if v in slots:
-                raise ValueError(f"line {lineno}: edge {u} {v} repeated")
-            slots[v] = c
-        elif u in p:
-            raise ValueError(f"line {lineno}: node {u} repeated")
-        else:
-            p[u] = value
+        try:
+            if len(parts) != (3 if edge else 2):
+                raise ValueError(f"bad {'edge ' if edge else ''}prediction "
+                                 f"line {raw!r}")
+            u = int(parts[0])
+            if nodes is not None and u not in nodes:
+                raise ValueError(f"node {u} is not in the graph")
+            if edge:
+                v, c = int(parts[1]), int(parts[2])
+                slots = p.setdefault(u, {})
+                if v in slots:
+                    raise ValueError(f"edge {u} {v} repeated")
+                slots[v] = c
+            elif u in p:
+                raise ValueError(f"node {u} repeated")
+            else:
+                p[u] = None if parts[1] == "-" else int(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return p

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from predsync import cli, engine, measures, registry
+from predsync import cli, engine, graphs, measures, registry
 from predsync.cli import Plan, main, parse_range, run_one
 from predsync.engine import Step
 from predsync.graphs import line
@@ -201,6 +201,8 @@ def test_documented_and_benchmarked_keys_are_config_keys():
     spec.loader.exec_module(workloads)
     for configs in workloads.WORKLOADS.values():
         keys.update(key for cfg in configs for key in cfg)
+    keys.update("k_rim" if name == "k" else name
+                for _, names in graphs.FAMILIES.values() for name in names)
     assert {"graph", "k_range", "graph_file", "family", "id_scheme"} <= keys
     assert keys <= cli.CONFIG_KEYS
 
@@ -244,8 +246,8 @@ def test_program_of_another_problem_is_a_config_error(tmp_path, capsys,
     assert main([command, "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""  # raised before any row
-    assert captured.err == ("config error: program mm.base solves "
-                            "MAXIMAL_MATCHING, but problem is VERTEX_COLORING\n")
+    assert captured.err == ("config error: problem = VERTEX_COLORING: program "
+                            "mm.base solves MAXIMAL_MATCHING\n")
 
 
 def test_program_without_problem_runs(tmp_path, capsys):
@@ -328,11 +330,17 @@ def test_verify_edge_coloring_with_an_isolated_node(tmp_path, capsys):
      "line 4: node 9 is not in the graph"),
     ("EDGE_COLORING", "3 3\nV 3\n1 2\n", "1 2 1\n2 1 1\n# again\n1 2 2\n",
      "line 4: edge 1 2 repeated"),
-], ids=["repeated-node", "unknown-node", "repeated-edge"])
+    ("MIS", "3 3\n1 2\n2 3\n", "1 1\n2 0 5\n3 1\n",
+     "line 2: bad prediction line '2 0 5'"),
+    ("MIS", "3 3\n1 2\n2 3\n", "1 1\n2 x\n3 1\n",
+     "line 2: invalid literal for int() with base 10: 'x'"),
+], ids=["repeated-node", "unknown-node", "repeated-edge", "extra-field",
+        "non-integer-value"])
 def test_verify_rejects_lines_without_meaning(tmp_path, capsys, problem,
                                               graph, lines, message):
-    """A second line for a node or edge end, or a line for a node outside
-    the graph, is a config error naming the line, not a verdict."""
+    """A line that cannot be read, a second line for a node or edge end,
+    or a line for a node outside the graph, is a config error naming the
+    line, not a verdict."""
     (tmp_path / "g.txt").write_text(graph)
     (tmp_path / "o.txt").write_text(lines)
     cfg = _cfg(tmp_path, f"problem = {problem}\ngraph_file = {tmp_path}/g.txt\n"
@@ -412,18 +420,33 @@ def test_config_errors(tmp_path):
     ("run", "graph = LINE\nn = 5\ntemplate = consecutive\nphase = 3\n",
      "phase = 3: only the interleaved template reads it"),
     ("run", "graph = LINE\nn = 5\ntemplate = sideways\n",
-     "template = sideways: unknown template 'sideways'"),
+     "template = sideways: unknown template; known: simple, consecutive, "
+     "interleaved, parallel"),
     ("sweep", "graph = TREE\nn = 5\ntemplate = consecutive\n",
      "template = consecutive: tree variant has no 'consecutive' template"),
     ("run", "graph = LINE\nn = 5\nproblem = VERTEX_COLORING\n"
      "template = parallel\n", "template = parallel: VERTEX_COLORING supports "
      "simple and consecutive templates only"),
+    ("sanity", "family = X\n", "family = X: unknown sanity family; known: "
+     "MIS_LINE, MM_LINE, VC_LINE, EC_LINE"),
+    ("run", "graph = LINE\nn = 5\np = 0.3\n",
+     "p = 0.3: graph LINE does not read it"),
+    ("run", "graph = GRID\nrows = 2\ncols = 3\nk_rim = 9\n",
+     "k_rim = 9: graph GRID does not read it"),
+    ("sweep", "graph = RANDOM_CONNECTED\nn = 5\np = 0.3\nrows = 2\n",
+     "rows = 2: graph RANDOM_CONNECTED does not read it"),
+    ("run", "graph = LINE\nn = 5\nshape = line\n",
+     "shape = line: graph LINE does not read it"),
+    ("run", "graph = TREE\nn = 5\nshape = sideways\n",
+     "shape = sideways: unknown tree shape; known: random, line"),
+    ("run", "graph = GRID\nrows = 2\n", "graph GRID needs cols"),
 ], ids=["negative-k", "unknown-problem", "non-integer-n", "run-seed-range",
         "run-k-range", "unknown-pattern", "program-template", "program-phase",
         "odd-phase", "zero-phase", "pattern-problem", "pattern-tree",
         "pattern-grid", "unknown-graph", "unknown-id-scheme", "simple-phase",
         "consecutive-phase", "unknown-template", "tree-template",
-        "problem-template"])
+        "problem-template", "unknown-sanity-family", "line-p", "grid-k-rim",
+        "random-rows", "line-shape", "unknown-tree-shape", "grid-no-cols"])
 def test_config_errors_name_their_key(tmp_path, capsys, command, text, message):
     cfg = _cfg(tmp_path, text)
     assert main([command, "--config", cfg]) == 2
@@ -599,4 +622,5 @@ def test_max_rounds_below_one_is_a_config_error(tmp_path, capsys):
     cfg = _cfg(tmp_path, "graph = LINE\nn = 4\nproblem = MIS\n"
                          "template = simple\nmax_rounds = 0\n")
     assert main(["run", "--config", cfg]) == 2
-    assert capsys.readouterr().err == "config error: max_rounds must be >= 1\n"
+    assert capsys.readouterr().err == (
+        "config error: max_rounds = 0: max_rounds must be >= 1\n")
