@@ -38,6 +38,7 @@ simulated again with its trace on, and checked against the first run.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from pathlib import Path
@@ -66,6 +67,11 @@ CONFIG_KEYS = frozenset((
     "k", "seed", "k_range", "seed_range", "graph_file", "outputs_file",
     "family"))
 
+
+# the collector's young-generation threshold while a command runs: a run
+# leaves no reference cycles (test_plan_leaves_no_reference_cycles pins
+# this), so young passes would only rescan its live per-node objects
+GC_YOUNG_THRESHOLD = 100_000
 
 # errors a run may raise from inside simulate, and the code its row gets;
 # any other error but a ConfigError gets PROGRAM_ERROR
@@ -435,6 +441,8 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", action="store_true")
     parser.add_argument("--out", default="")
     args = parser.parse_args(argv)
+    threshold = gc.get_threshold()
+    gc.set_threshold(GC_YOUNG_THRESHOLD, *threshold[1:])
     try:
         cfg = parse_config(args.config)
         handler = {"run": cmd_run, "sweep": cmd_sweep,
@@ -443,6 +451,8 @@ def main(argv=None) -> int:
     except (ConfigError, GraphError, KeyError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        gc.set_threshold(*threshold)
 
 
 if __name__ == "__main__":

@@ -181,13 +181,14 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
         rnd += 1
         if rnd > max_rounds:
             raise NonTermination(f"{len(active)} nodes still active after {max_rounds} rounds")
-        due = []
-        for u in wakes.pop(rnd, ()):
-            if asleep.get(u) == rnd:
-                del asleep[u]
-                due.append(u)
-        if due:
-            awake = sorted(awake + due)
+        if rnd in wakes:
+            due = []
+            for u in wakes.pop(rnd):
+                if asleep.get(u) == rnd:
+                    del asleep[u]
+                    due.append(u)
+            if due:
+                awake = sorted(awake + due)
         inboxes: dict[int, dict] = {u: {} for u in awake}
         roused = []  # sleeping recipients of this round's messages
         for u in awake:
@@ -219,11 +220,12 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
                 assigned = step.outputs.items()
                 if len(assigned) > 1:
                     assigned = sorted(assigned, key=repr)
+                out = outputs[u]
                 for slot, value in assigned:
-                    if slot in outputs[u]:
+                    if slot in out:
                         raise ProtocolViolation(
                             f"node {u} re-assigned output {slot!r} in round {rnd}")
-                    outputs[u][slot] = value
+                    out[slot] = value
                     output_log.append((rnd, u, slot))
                     if events is not None:
                         events.append(TraceEvent(rnd, u, "OUTPUT", slot, value))

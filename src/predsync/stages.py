@@ -1,7 +1,7 @@
 """Per-node stage machinery shared by all node programs.
 
 Every node program is a StagedProgram: stages run back to back by one
-driver, StagedBehavior.  A leaf stage is a Stage subclass: the class is
+driver, the node's Ctx.  A leaf stage is a Stage subclass: the class is
 the blueprint, shared by every node and program, and an instance, made by
 stage(ctx) when the stage starts, is one node's run.  Per-node state lives
 in that run and in the node's Ctx, which persists across stages (so a
@@ -27,18 +27,6 @@ from .engine import NEVER, NodeView, ProtocolViolation, Step
 class ConfigError(ValueError):
     """A bad config: a value the CLI rejects, or a program or template
     assembled from incompatible components."""
-
-
-class Ctx:
-    """Cross-stage per-node knowledge."""
-
-    __slots__ = ("view", "active", "nbr_one", "stored")
-
-    def __init__(self, view: NodeView):
-        self.view = view
-        self.active = set(view.neighbor_ids)  # neighbors believed still active
-        self.nbr_one = set()  # neighbors that output 1 (MIS)
-        self.stored = {}  # unrevealed values and what later stages read
 
 
 class Stage:
@@ -71,16 +59,25 @@ class Stage:
 # the driver
 
 
-class StagedBehavior:
-    def __init__(self, ctx: Ctx, stages, lengths):
-        self.ctx = ctx
+class Ctx:
+    """One node's run of a program: the cross-stage knowledge stages share,
+    and the driver's state.  Slotted, so a per-node field is deliberate."""
+
+    __slots__ = ("view", "active", "nbr_one", "stored", "stages", "lengths",
+                 "final", "idx", "before", "end", "run")
+
+    def __init__(self, view: NodeView, stages, lengths):
+        self.view = view
+        self.active = set(view.neighbor_ids)  # neighbors believed still active
+        self.nbr_one = set()  # neighbors that output 1 (MIS)
+        self.stored = {}  # unrevealed values and what later stages read
         self.stages = stages
         self.lengths = lengths
         self.final = len(stages) - 1  # index of the final stage
         self.idx = 0
         self.before = 0  # rounds before the current stage
-        self.end = self.lengths[0] if stages else None  # its last round
-        self.run = stages[0](ctx) if stages else None
+        self.end = lengths[0] if stages else None  # its last round
+        self.run = stages[0](self) if stages else None
 
     def compose(self, rnd):
         # advance to the stage that round rnd falls in.  process needs no
@@ -90,20 +87,20 @@ class StagedBehavior:
             self.before = self.end
             self.idx += 1
             if self.idx < len(self.stages):
-                self.run = self.stages[self.idx](self.ctx)
+                self.run = self.stages[self.idx](self)
                 ln = self.lengths[self.idx]
                 self.end = None if ln is None else self.before + ln
             else:
                 self.run = None
         if self.run is None:
             return {}
-        return self.run.compose(self.ctx, rnd - self.before)
+        return self.run.compose(self, rnd - self.before)
 
     def process(self, rnd, inbox):
         if self.run is None:
             # past the final fixed stage: terminate undecided
             return Step(terminate=True)
-        step = self.run.process(self.ctx, rnd - self.before, inbox)
+        step = self.run.process(self, rnd - self.before, inbox)
         if rnd == self.end and self.idx == self.final:
             step.terminate = True  # end of a fixed final stage: stop undecided
         elif step.wake is not None:
@@ -137,7 +134,7 @@ class StagedProgram:
         return self._lengths
 
     def start(self, view: NodeView):
-        return StagedBehavior(Ctx(view), self.stages, self.lengths(view))
+        return Ctx(view, self.stages, self.lengths(view))
 
     def checkpoints(self, view_like, total_rounds: int) -> list[int]:
         """Rounds at which the global partial output must be extendable."""
@@ -162,15 +159,10 @@ class StagedProgram:
 class TruncatedStage:
     """Run an inner open-ended stage for a fixed number of rounds, then stop."""
 
-    fault_tolerant = False
-
     def __init__(self, inner: type[Stage], budget: Callable[[NodeView], int]):
         self.inner = inner
-        self.budget = budget
+        self.length = budget  # length(view) is the budget
         self.phase_len = inner.phase_len
-
-    def length(self, view):
-        return self.budget(view)
 
     def __call__(self, ctx):
         return self.inner(ctx)
@@ -180,8 +172,6 @@ class InterleavedStage:
     """Open-ended: blocks of phase rounds of a measure-uniform stage U and
     a phased reference R, U first, each started at its first block.  Every
     block ends a phase of both, so it is this stage's phase."""
-
-    fault_tolerant = False
 
     def __init__(self, uniform: type[Stage], reference: type[Stage],
                  phase: int):
@@ -277,19 +267,14 @@ class ParallelStage:
     """A measure-uniform stage run alongside part 1 of a fault-tolerant
     reference, for part 1's budget of r1(view) rounds."""
 
-    fault_tolerant = False
-
     def __init__(self, uniform: type[Stage], part1: type[Stage],
                  r1: Callable[[NodeView], int]):
         if not part1.fault_tolerant:
             raise ConfigError("part 1 of the reference must be fault tolerant")
         self.uniform = uniform
         self.part1 = part1
-        self.r1 = r1
+        self.length = r1  # length(view) is part 1's budget
         self.phase_len = uniform.phase_len
-
-    def length(self, view):
-        return self.r1(view)
 
     def __call__(self, ctx):
         return FusedRun(ctx, self.uniform, self.part1)

@@ -16,6 +16,7 @@ from predsync.cli import Plan, main, parse_range, run_one
 from predsync.engine import Step
 from predsync.graphs import line
 from predsync.stages import Stage
+from predsync.templates import TEMPLATES
 
 from helpers import write_graph
 
@@ -129,27 +130,86 @@ def test_sweep_builds_each_seed_once(tmp_path, monkeypatch, problem):
 
 def test_plan_leaves_no_reference_cycles():
     """A dropped plan is freed at once, capped oracles included: the plan
-    keeps a CAPPED marker, never an exception and its traceback."""
+    keeps a CAPPED marker, never an exception and its traceback.  No run
+    leaves a reference cycle either, on any problem and template, failing
+    and replayed or raising inside simulate; cli.GC_YOUNG_THRESHOLD rests
+    on that."""
+    rc = {"graph": "RANDOM_CONNECTED", "n": "14", "p": "0.3"}
     configs = [
         {"graph": "LINE", "n": "30", "problem": "MIS", "template": "simple",
          "pattern": "ALL_ONES"},  # eta2 and eta_H over their caps
-        {"graph": "RANDOM_CONNECTED", "n": "14", "p": "0.3", "problem": "MIS",
-         "template": "consecutive"},
+        *({**rc, "problem": "MIS", "template": t} for t in TEMPLATES),
+        *({**rc, "problem": kind, "template": t}
+          for kind in ("MAXIMAL_MATCHING", "VERTEX_COLORING", "EDGE_COLORING")
+          for t in ("simple", "consecutive")),
+        *({"graph": "TREE", "n": "14", "problem": "MIS", "template": t}
+          for t in ("simple", "parallel")),
+        {**rc, "program": "mis.greedy"},
+        # bound_degrading fails for k >= 1, so those rows are replayed
+        {"graph": "LINE", "n": "10", "problem": "EDGE_COLORING",
+         "template": "simple"},
+        # NON_TERMINATION raised inside simulate
+        {"graph": "LINE", "n": "20", "problem": "MIS", "pattern": "ALL_ZEROS",
+         "max_rounds": "2"},
     ]
+    replayed = raised = 0
     for cfg in configs:
         gc.collect()
         gc.disable()
         try:
             plan = Plan(cfg)
-            rows = [run_one(plan, k, seed)[0] for k in range(3) for seed in range(2)]
-            capped = cfg["graph"] == "LINE"
-            assert all((row["eta_H"] is None) == capped for row in rows)
+            rows = []
+            for k in range(3):
+                for seed in range(2):
+                    row, failures, outcome = run_one(plan, k, seed)
+                    rows.append(row)
+                    if failures and outcome is not None:
+                        replayed += bool(cli.replay(plan, k, seed, outcome))
+                    raised += outcome is None
+            if plan.kind == "MIS":
+                capped = cfg.get("pattern") == "ALL_ONES"
+                assert all((row["eta_H"] is None) == capped for row in rows)
             freed = weakref.ref(plan)
             del plan
             assert freed() is None
-            assert gc.collect() == 0, cfg["graph"]
+            assert gc.collect() == 0, cfg
         finally:
             gc.enable()
+    assert replayed >= 4 and raised == 6
+
+
+def test_main_restores_the_gc_threshold(tmp_path, monkeypatch):
+    """A command runs under GC_YOUNG_THRESHOLD and leaves the collector's
+    thresholds as it found them, however it exits."""
+    ok = _cfg(tmp_path, "graph = LINE\nn = 5\nproblem = MIS\n", "ok.cfg")
+    failing = _cfg(tmp_path, "graph = LINE\nn = 10\nproblem = EDGE_COLORING\n"
+                             "k_range = 0..1\n", "failing.cfg")
+    bad = _cfg(tmp_path, "graph = NOPE\n", "bad.cfg")
+    during = []
+
+    def raising(cfg, args):
+        during.append(gc.get_threshold())
+        raise RuntimeError("escapes the handler")
+
+    saved = gc.get_threshold()
+    gc.set_threshold(500, 7, 9)
+    try:
+        assert main(["run", "--config", ok]) == 0
+        assert gc.get_threshold() == (500, 7, 9)
+        assert main(["sweep", "--config", failing]) == 1
+        assert gc.get_threshold() == (500, 7, 9)
+        assert main(["run", "--config", bad]) == 2
+        assert gc.get_threshold() == (500, 7, 9)
+        with pytest.raises(SystemExit):
+            main(["nope", "--config", ok])
+        assert gc.get_threshold() == (500, 7, 9)
+        monkeypatch.setattr(cli, "cmd_sweep", raising)
+        with pytest.raises(RuntimeError, match="escapes the handler"):
+            main(["sweep", "--config", ok])
+        assert gc.get_threshold() == (500, 7, 9)
+    finally:
+        gc.set_threshold(*saved)
+    assert during == [(cli.GC_YOUNG_THRESHOLD, 7, 9)]
 
 
 def test_readme_graph_families_are_accepted(tmp_path):

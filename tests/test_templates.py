@@ -7,7 +7,8 @@ import pytest
 
 from predsync import measures as M, mis, problems
 from predsync.audit import audit_run
-from predsync.engine import NonTermination, default_max_rounds, simulate
+from predsync.engine import (NodeView, NonTermination, default_max_rounds,
+                             simulate)
 from predsync.graphs import (_assign_ids, build_graph, grid, line,
                              random_connected_graph, random_graph, random_tree,
                              validate)
@@ -213,6 +214,15 @@ def test_only_the_final_stage_may_be_open_ended():
     last_open = StagedProgram([_CountedStage(), _CountedStage(open_ended=True)])
     with pytest.raises(NonTermination):  # an idle open stage never ends
         simulate(line(3), last_open, max_rounds=6)
+
+
+def test_a_node_is_one_slotted_object():
+    """What StagedProgram.start returns has no __dict__, so a new per-node
+    field has to be added as a deliberate slot."""
+    view = NodeView(1, (2,), 2, 2, 1, 0)
+    for template in ("simple", "consecutive", "interleaved", "parallel"):
+        node = build_template("MIS", template).program.start(view)
+        assert not hasattr(node, "__dict__"), template
 
 
 def _r_subchannel_sends(trace, lo, hi):
