@@ -7,32 +7,22 @@ Commands (all driven by a flat key=value config file):
     predsync verify --config cfg                         validate an outputs file
     predsync sanity --config cfg                         lower-bound sanity report
 
-Exit codes: 0 ok, 1 assertion (bound or validity) failure, 2 config error.
-A run whose simulation raises is a failure too, unless the error is a
-ConfigError: its row says which in `valid` (the code of RUN_ERRORS that
-matches, else PROGRAM_ERROR), and it has no rounds and no bound verdicts.
+Exit codes: 0 ok, 1 assertion (bound or validity) failure, 2 config error,
+3 program fault.  A run whose simulation raises fails too, unless the
+error is a ConfigError: its row has the code of RUN_ERRORS that matches
+(else PROGRAM_ERROR) in `valid`, and no rounds or bound verdicts.  Any
+other error outside a run exits 3 with its PROGRAM_ERROR message.
 
-A config key that no command reads, or a sweep-only key (k_range,
-seed_range) given to run, is a config error naming the key.
+KEYS says which commands read each config key: any other key is a config
+error naming the key and the command.  run reads k and seed; sweep reads
+k_range and seed_range.  A Plan resolves a config once and checks what
+depends on its values: the graph keys its family reads, the sizes its
+generator accepts, and a template's or a standalone program's keys.  Each
+seed's instance is built by its first run_one and shared by its runs.
 
-A Plan holds one config's runs.  Its constructor resolves the config once:
-the graph family, id scheme and the parameters graphs.FAMILIES says the
-family reads (any other graph key is a config error), the kind, the program
-or TemplateInstance, the CSV label and a configured max_rounds.  Each
-seed's instance (graph, tree, the reference that predictions corrupt, and
-the MIS sets behind eta_H) is built by the first run_one of that seed with
-one graphs.generate call and kept while the plan lives, so a sweep builds
-it once and shares it among its k values.  Runs still go k-major, so CSV
-rows and stderr keep that order.  A sweep with a fixed pattern runs each
-seed once, since k changes nothing there, and repeats its row for every k.
-
-Each run that ends gets one correctness pass, audit.audit_run: one replay
-of its output record gives both its `valid` code and, for a template, the
-extendability of its partial output at each checkpoint.
-
-Runs are simulated untraced.  A trace is printed only for `run --trace` and
-for a failing run, and it comes from replay: the same deterministic run
-simulated again with its trace on, and checked against the first run.
+Each run that ends gets one audit.audit_run pass: one replay of its output
+record gives its `valid` code and, for a template, the extendability of
+its partial output at each checkpoint.  A printed trace comes from replay.
 """
 
 from __future__ import annotations
@@ -59,15 +49,6 @@ COLUMNS = ("family", "n", "d", "delta", "problem", "template", "k", "seed",
            "eta1", "eta2", "eta_bw", "eta_t", "eta_H", "rounds", *BOUNDS,
            "valid")
 
-# every key some command reads: run and sweep (instance, program, k and
-# seed), verify (problem, graph_file, outputs_file) and sanity (family, n)
-CONFIG_KEYS = frozenset((
-    "graph", "id_scheme", "n", "p", "d", "k_rim", "rows", "cols", "shape",
-    "problem", "template", "phase", "program", "pattern", "max_rounds",
-    "k", "seed", "k_range", "seed_range", "graph_file", "outputs_file",
-    "family"))
-
-
 # the collector's young-generation threshold while a command runs: a run
 # leaves no reference cycles (test_plan_leaves_no_reference_cycles pins
 # this), so young passes would only rescan its live per-node objects
@@ -81,38 +62,21 @@ RUN_ERRORS = {ProtocolViolation: "PROTOCOL_VIOLATION",
               AssertionError: "ASSERTION"}
 
 
-def parse_config(path: str) -> dict:
-    cfg = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        s = raw.split("#", 1)[0].strip()
-        if not s:
-            continue
-        if "=" not in s:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
-        key, value = (part.strip() for part in s.split("=", 1))
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        cfg[key] = value
-    return cfg
-
-
 def parse_range(text: str) -> list[int]:
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",") if x.strip()]
+    lo, dots, hi = text.partition("..")
+    values = (list(range(int(lo), int(hi) + 1)) if dots
+              else [int(x) for x in text.split(",") if x.strip()])
+    if not values:
+        raise ValueError("empty range")
+    return values
 
 
-def _read(cfg: dict, key: str, parse, default=None):
-    """cfg[key] parsed, or default when the key is absent.  A value that
-    parse rejects with a ValueError is a config error naming the key."""
-    if key not in cfg:
-        return default
+def _text(path: str) -> str:
+    """A file's text; a file that is not UTF-8 is a config error."""
     try:
-        return parse(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key} = {cfg[key]}: {exc}") from None
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8: {exc}") from None
 
 
 def _at_least(low: int, what: str):
@@ -127,13 +91,8 @@ def _at_least(low: int, what: str):
 _k = _at_least(0, "k")
 
 
-def _k_range(text: str) -> list[int]:
-    return [_k(k) for k in parse_range(text)]
-
-
 def _one_of(names, what: str, fold=str):
-    """A parser of one of names, read after fold, that names them all when
-    the value is none of them."""
+    """A parser of one of names, read after fold."""
     def parse(text: str) -> str:
         if fold(text) not in names:
             raise ValueError(f"unknown {what}; known: {', '.join(names)}")
@@ -141,15 +100,73 @@ def _one_of(names, what: str, fold=str):
     return parse
 
 
-_problem = _one_of(PROBLEM_KINDS, "problem", str.upper)
-_pattern = _one_of(measures.PATTERNS, "pattern")
-_family = _one_of(tuple(FAMILIES), "graph family", str.upper)
-_id_scheme = _one_of(ID_SCHEMES, "id scheme")
-_template = _one_of(TEMPLATES, "template")
-# every graph key, with its parser
-_GRAPH_KEYS = {"n": int, "p": float, "d": int, "k_rim": int, "rows": int,
-               "cols": int, "shape": _one_of(("random", "line"), "tree shape",
-                                             str.lower)}
+SANITY = {
+    # family: (program name, threshold function of n)
+    "MIS_LINE": ("mis.greedy", lambda n: (n - 5) / 2),
+    "MM_LINE": ("mm.uniform", lambda n: (n - 3) / 2),
+    "VC_LINE": ("vc.uniform", lambda n: (n - 3) / 2),
+    "EC_LINE": ("ec.uniform", lambda n: (n - 3) / 2),
+}
+
+BUILD = ("run", "sweep")
+# key: (parser, the commands that read it, graphs.generate's parameter)
+KEYS = {
+    "graph": (_one_of(FAMILIES, "graph family", str.upper), BUILD, None),
+    "id_scheme": (_one_of(ID_SCHEMES, "id scheme"), BUILD, None),
+    "n": (int, (*BUILD, "sanity"), "n"),
+    "p": (float, BUILD, "p"),
+    "d": (int, BUILD, "d"),
+    "k_rim": (int, BUILD, "k"),  # wheel_fk's rim size
+    "rows": (int, BUILD, "rows"),
+    "cols": (int, BUILD, "cols"),
+    "shape": (_one_of(("random", "line"), "tree shape", str.lower), BUILD,
+              "shape"),
+    "problem": (_one_of(PROBLEM_KINDS, "problem", str.upper),
+                (*BUILD, "verify"), None),
+    "template": (_one_of(TEMPLATES, "template"), BUILD, None),
+    "phase": (int, BUILD, None),
+    "program": (get_program, BUILD, None),
+    "pattern": (_one_of(measures.PATTERNS, "pattern"), BUILD, None),
+    "max_rounds": (_at_least(1, "max_rounds"), BUILD, None),
+    "k": (_k, ("run",), None),
+    "seed": (int, ("run",), None),
+    "k_range": (lambda t: list(map(_k, parse_range(t))), ("sweep",), None),
+    "seed_range": (parse_range, ("sweep",), None),
+    "graph_file": (_text, ("verify",), None),
+    "outputs_file": (_text, ("verify",), None),
+    "family": (_one_of(SANITY, "sanity family", str.upper), ("sanity",), None),
+}
+
+
+def parse_config(path: str, command: str) -> dict:
+    """The config's values by key, as text, for keys that command reads."""
+    cfg = {}
+    for lineno, raw in enumerate(_text(path).splitlines(), start=1):
+        s = raw.split("#", 1)[0].strip()
+        if not s:
+            continue
+        if "=" not in s:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, value = (part.strip() for part in s.split("=", 1))
+        if key not in KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if command not in KEYS[key][1]:
+            raise ConfigError(f"{key} = {value}: {command} does not read it")
+        cfg[key] = value
+    return cfg
+
+
+def _read(cfg: dict, key: str, default=None, then=None):
+    """cfg[key] read by its KEYS parser, then by then if given; default if
+    absent.  A ValueError of either is a config error naming the key."""
+    if key not in cfg:
+        return default
+    try:
+        value = KEYS[key][0](cfg[key])
+        return value if then is None else then(value)
+    except ValueError as exc:
+        raise ConfigError(f"{key} = {cfg[key]}: "
+                          f"{getattr(exc, 'reason', exc)}") from None
 
 
 class Plan:
@@ -157,52 +174,50 @@ class Plan:
     instance is built on first use and lives as long as the plan."""
 
     def __init__(self, cfg: dict):
-        self.family = family = _read(cfg, "graph", _family, "RANDOM_CONNECTED")
-        self.id_scheme = _read(cfg, "id_scheme", _id_scheme, (
-            "SEEDED_PERMUTATION" if family.startswith("RANDOM")
-            else "INCREASING"))
-        # k_rim is the config key of wheel_fk's k
-        needs = ["k_rim" if n == "k" else n for n in FAMILIES[family][1]]
-        missing = [key for key in needs if key not in cfg]
+        self.family = family = _read(cfg, "graph", "RANDOM_CONNECTED")
+        self.id_scheme = _read(cfg, "id_scheme", "SEEDED_PERMUTATION"
+                               if family.startswith("RANDOM") else "INCREASING")
+        needs = FAMILIES[family][1]
+        missing = [key for key, (_, _, param) in KEYS.items()
+                   if param in needs and key not in cfg]
         if missing:
             raise ConfigError(f"graph {family} needs {' and '.join(missing)}")
         reads = {*needs, "d"} | ({"shape"} if family == "TREE" else set())
-        self.params = {}  # generate's params, by parameter name
-        for key, parse in _GRAPH_KEYS.items():
-            if key in cfg:
-                if key not in reads:
+        self.params = {}  # the graph keys' values, by key
+        for key, (_, _, param) in KEYS.items():
+            if param and key in cfg:
+                if param not in reads:
                     raise ConfigError(f"{key} = {cfg[key]}: graph {family} "
                                       f"does not read it")
-                param = "k" if key == "k_rim" else key
-                self.params[param] = _read(cfg, key, parse)
+                self.params[key] = _read(cfg, key)
         name = cfg.get("program")
-        if name:
+        if name is not None:
             for key in ("template", "phase"):
                 if key in cfg:
                     raise ConfigError(f"{key} = {cfg[key]}: a standalone "
                                       f"program takes no {key}")
-            self.program, kind = _read(cfg, "program", get_program)
+            self.program, kind = _read(cfg, "program")
             # a standalone program is measured as the problem it solves
-            self.kind = _read(cfg, "problem", _problem, kind)
+            self.kind = _read(cfg, "problem", kind)
             if kind != self.kind:
                 raise ConfigError(f"problem = {cfg['problem']}: program "
                                   f"{name} solves {kind}")
             self.inst, self.label = None, name
         else:
-            self.kind = _read(cfg, "problem", _problem, "MIS")
+            self.kind = _read(cfg, "problem", "MIS")
             build = lambda template, **kw: build_template(
-                self.kind, _template(template), tree=family == "TREE", **kw)
+                self.kind, template, tree=family == "TREE", **kw)
             # simple, the default, builds for every problem
-            self.inst = _read(cfg, "template", build) or build("simple")
+            self.inst = _read(cfg, "template", None, build) or build("simple")
             if "phase" in cfg:  # so an error of the rebuild is the phase's
                 if self.inst.template != "interleaved":
                     raise ConfigError(f"phase = {cfg['phase']}: only the "
                                       f"interleaved template reads it")
-                self.inst = _read(cfg, "phase", lambda text: build(
-                    "interleaved", phase=int(text)))
+                self.inst = _read(cfg, "phase", None, lambda phase: build(
+                    "interleaved", phase=phase))
             self.program, self.label = self.inst.program, self.inst.template
-        self.pattern = _read(cfg, "pattern", _pattern)
-        self.max_rounds = _read(cfg, "max_rounds", _at_least(1, "max_rounds"))
+        self.pattern = _read(cfg, "pattern")
+        self.max_rounds = _read(cfg, "max_rounds")
         self._instances = {}
 
     def instance(self, seed: int) -> tuple:
@@ -211,7 +226,12 @@ class Plan:
         the graph for MIS, else None)."""
         case = self._instances.get(seed)
         if case is None:
-            made = generate(self.family, self.params, self.id_scheme, seed)
+            params = {KEYS[key][2]: v for key, v in self.params.items()}
+            try:
+                made = generate(self.family, params, self.id_scheme, seed)
+            except GraphError as exc:  # sizes the generator rejects
+                given = ", ".join(f"{k} = {v}" for k, v in self.params.items())
+                raise ConfigError(f"{given}: {exc.reason}") from None
             g, tree = ((made.graph, made) if self.family == "TREE"
                        else (made, None))
             # for a grid, the same draw that graphs.grid places row major
@@ -236,10 +256,8 @@ class Plan:
         g, tree, reference, _ = self.instance(seed)
         p = reference if self.pattern is not None else measures.corrupt(
             self.kind, g, reference, k, seed)
-        max_rounds = self.max_rounds
-        if max_rounds is None and self.inst is not None:
-            max_rounds = self.inst.max_rounds(g)
-        return g, tree, p, max_rounds
+        return g, tree, p, (self.max_rounds if self.inst is None
+                            else self.max_rounds or self.inst.max_rounds(g))
 
 
 def _run_error(exc: Exception) -> tuple[str, str]:
@@ -321,8 +339,7 @@ def _assertions(k: int, seed: int, failures) -> list[str]:
 
 
 def _print_err(lines):
-    for text in lines:
-        print(text, file=sys.stderr)
+    sys.stderr.writelines(f"{text}\n" for text in lines)
 
 
 def format_csv(rows) -> str:
@@ -341,12 +358,8 @@ def _emit(text: str, out: str):
 
 
 def cmd_run(cfg: dict, args) -> int:
-    for key in ("k_range", "seed_range"):
-        if key in cfg:
-            raise ConfigError(f"{key} = {cfg[key]}: only sweep reads it; "
-                              "run reads k and seed")
-    k = _read(cfg, "k", _k, 0)
-    seed = _read(cfg, "seed", int, 0)
+    k = _read(cfg, "k", 0)
+    seed = _read(cfg, "seed", 0)
     plan = Plan(cfg)
     row, failures, outcome = run_one(plan, k, seed)
     _emit(format_csv([row]), args.out)
@@ -357,11 +370,8 @@ def cmd_run(cfg: dict, args) -> int:
 
 
 def cmd_sweep(cfg: dict, args) -> int:
-    ks = _read(cfg, "k_range" if "k_range" in cfg else "k", _k_range, [0])
-    seeds = _read(cfg, "seed_range" if "seed_range" in cfg else "seed",
-                  parse_range, [0])
-    if not ks or not seeds:
-        raise ConfigError("sweep needs non-empty k_range and seed_range")
+    ks = _read(cfg, "k_range", [0])
+    seeds = _read(cfg, "seed_range", [0])
     plan = Plan(cfg)
     rows = []
     status = 0
@@ -391,11 +401,11 @@ def cmd_verify(cfg: dict, args) -> int:
     missing = [key for key in ("graph_file", "outputs_file") if key not in cfg]
     if missing:
         raise ConfigError(f"verify needs {' and '.join(missing)}")
-    kind = _read(cfg, "problem", _problem, "MIS")
-    made = read_graph(Path(cfg["graph_file"]).read_text())
+    kind = _read(cfg, "problem", "MIS")
+    made = _read(cfg, "graph_file", None, read_graph)
     g = made.graph if isinstance(made, RootedTree) else made
-    text = Path(cfg["outputs_file"]).read_text()
-    outputs = measures.parse_predictions(kind, text, g.neighbor_sets)
+    outputs = _read(cfg, "outputs_file", None, lambda text: (
+        measures.parse_predictions(kind, text, g.neighbor_sets)))
     if kind == "EDGE_COLORING":
         # a node without a line colours no edge, as in Outcome.solution
         for u in g.nodes:
@@ -408,26 +418,15 @@ def cmd_verify(cfg: dict, args) -> int:
     return 1
 
 
-SANITY = {
-    # family: (program name, threshold function of n)
-    "MIS_LINE": ("mis.greedy", lambda n: (n - 5) / 2),
-    "MM_LINE": ("mm.uniform", lambda n: (n - 3) / 2),
-    "VC_LINE": ("vc.uniform", lambda n: (n - 3) / 2),
-    "EC_LINE": ("ec.uniform", lambda n: (n - 3) / 2),
-}
-
-
 def cmd_sanity(cfg: dict, args) -> int:
-    family = _read(cfg, "family", _one_of(tuple(SANITY), "sanity family",
-                                          str.upper), "MIS_LINE")
-    n = _read(cfg, "n", int, 101)
+    family = _read(cfg, "family", "MIS_LINE")
+    g = _read(cfg, "n", None, line) or line(101)
     name, threshold_fn = SANITY[family]
-    g = line(n)
     program, _ = get_program(name)
-    outcome = simulate(g, program, max_rounds=4 * n + 20)
-    threshold = math.ceil(threshold_fn(n))
+    outcome = simulate(g, program)  # the engine's cap: 4n + 20 rounds
+    threshold = math.ceil(threshold_fn(g.n))
     ok = outcome.total_rounds >= threshold
-    print(f"{family} n={n} measured={outcome.total_rounds} "
+    print(f"{family} n={g.n} measured={outcome.total_rounds} "
           f"threshold={threshold} {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
@@ -444,13 +443,14 @@ def main(argv=None) -> int:
     threshold = gc.get_threshold()
     gc.set_threshold(GC_YOUNG_THRESHOLD, *threshold[1:])
     try:
-        cfg = parse_config(args.config)
-        handler = {"run": cmd_run, "sweep": cmd_sweep,
-                   "verify": cmd_verify, "sanity": cmd_sanity}[args.command]
-        return handler(cfg, args)
-    except (ConfigError, GraphError, KeyError, ValueError, OSError) as exc:
+        cfg = parse_config(args.config, args.command)
+        return globals()[f"cmd_{args.command}"](cfg, args)
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of the config
+        print(_run_error(exc)[1], file=sys.stderr)
+        return 3
     finally:
         gc.set_threshold(*threshold)
 

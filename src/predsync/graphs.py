@@ -26,9 +26,8 @@ class GraphError(ValueError):
 
     def __init__(self, code: str, message: str, line: Optional[int] = None):
         self.code = code
-        self.line = line
-        where = f" (line {line})" if line is not None else ""
-        super().__init__(f"{code}: {message}{where}")
+        self.reason = message + (f" (line {line})" if line is not None else "")
+        super().__init__(f"{code}: {self.reason}")
 
 
 class CapExceeded(RuntimeError):
@@ -143,7 +142,8 @@ def _assign_ids(n: int, id_scheme: str, seed: int, d: Optional[int]) -> tuple[li
     """Map positions 0..n-1 to identifiers; returns (ids, d)."""
     if id_scheme not in ID_SCHEMES:
         raise GraphError("MALFORMED_LINE", f"unknown id scheme {id_scheme!r}")
-    d = d or (n if id_scheme == "INCREASING" else max(2 * n, 1))
+    if d is None:
+        d = n if id_scheme == "INCREASING" else max(2 * n, 1)
     if d < n:
         raise GraphError("ID_OUT_OF_RANGE", f"d={d} too small for n={n}")
     if id_scheme == "INCREASING":

@@ -180,16 +180,19 @@ def test_plan_leaves_no_reference_cycles():
 
 def test_main_restores_the_gc_threshold(tmp_path, monkeypatch):
     """A command runs under GC_YOUNG_THRESHOLD and leaves the collector's
-    thresholds as it found them, however it exits."""
+    thresholds as it found them, however it exits: a program fault exits
+    3, and a KeyboardInterrupt escapes."""
     ok = _cfg(tmp_path, "graph = LINE\nn = 5\nproblem = MIS\n", "ok.cfg")
     failing = _cfg(tmp_path, "graph = LINE\nn = 10\nproblem = EDGE_COLORING\n"
                              "k_range = 0..1\n", "failing.cfg")
     bad = _cfg(tmp_path, "graph = NOPE\n", "bad.cfg")
     during = []
 
-    def raising(cfg, args):
-        during.append(gc.get_threshold())
-        raise RuntimeError("escapes the handler")
+    def raising(error):
+        def handler(cfg, args):
+            during.append(gc.get_threshold())
+            raise error
+        return handler
 
     saved = gc.get_threshold()
     gc.set_threshold(500, 7, 9)
@@ -203,13 +206,16 @@ def test_main_restores_the_gc_threshold(tmp_path, monkeypatch):
         with pytest.raises(SystemExit):
             main(["nope", "--config", ok])
         assert gc.get_threshold() == (500, 7, 9)
-        monkeypatch.setattr(cli, "cmd_sweep", raising)
-        with pytest.raises(RuntimeError, match="escapes the handler"):
+        monkeypatch.setattr(cli, "cmd_sweep", raising(RuntimeError("fault")))
+        assert main(["sweep", "--config", ok]) == 3
+        assert gc.get_threshold() == (500, 7, 9)
+        monkeypatch.setattr(cli, "cmd_sweep", raising(KeyboardInterrupt()))
+        with pytest.raises(KeyboardInterrupt):
             main(["sweep", "--config", ok])
         assert gc.get_threshold() == (500, 7, 9)
     finally:
         gc.set_threshold(*saved)
-    assert during == [(cli.GC_YOUNG_THRESHOLD, 7, 9)]
+    assert during == [(cli.GC_YOUNG_THRESHOLD, 7, 9)] * 2
 
 
 def test_readme_graph_families_are_accepted(tmp_path):
@@ -251,20 +257,31 @@ def test_misspelt_key_is_a_config_error(tmp_path, capsys, command):
 
 
 def test_documented_and_benchmarked_keys_are_config_keys():
+    """Each README config block's keys are read by the command that the
+    paragraph before it names, every benchmark key is read by sweep, and
+    every generator parameter is some graph key's."""
     readme = (Path(__file__).parent.parent / "README.md").read_text()
-    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", readme, re.S | re.M)
-    keys = {key for lang, text in blocks if not lang
-            for key in re.findall(r"^(\w+) = ", text, re.M)}
+    # each untagged block, and the paragraph before it
+    blocks = re.findall(r"([^\n]+(?:\n[^\n]+)*)\n\n```\n(.*?)^```$", readme,
+                        re.S | re.M)
+    read = {}
+    for lead, text in blocks:
+        keys = re.findall(r"^(\w+) = ", text, re.M)
+        if keys:
+            command = lead.split()[0].strip("`").lower()
+            read.setdefault(command, set()).update(keys)
+            assert all(command in cli.KEYS[key][1] for key in keys), lead
+    assert set(read) == {"run", "sweep", "verify", "sanity"}
+    assert {"graph", "k", "k_range", "graph_file", "family"} <= set().union(
+        *read.values())
     spec = importlib.util.spec_from_file_location(
         "workloads", Path(__file__).parent.parent / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     for configs in workloads.WORKLOADS.values():
-        keys.update(key for cfg in configs for key in cfg)
-    keys.update("k_rim" if name == "k" else name
-                for _, names in graphs.FAMILIES.values() for name in names)
-    assert {"graph", "k_range", "graph_file", "family", "id_scheme"} <= keys
-    assert keys <= cli.CONFIG_KEYS
+        assert all("sweep" in cli.KEYS[key][1] for cfg in configs for key in cfg)
+    assert {name for _, names in graphs.FAMILIES.values() for name in names} <= {
+        param for _, _, param in cli.KEYS.values()}
 
 
 def test_readme_programs_are_the_registry():
@@ -301,8 +318,9 @@ def test_wheel_without_k_rim_names_the_key(tmp_path, capsys):
 def test_program_of_another_problem_is_a_config_error(tmp_path, capsys,
                                                       command):
     cfg = _cfg(tmp_path, "graph = RANDOM_CONNECTED\nn = 10\np = 0.3\n"
-                         "problem = VERTEX_COLORING\nprogram = mm.base\n"
-                         "k = 1\nseed = 0\n")
+                         "problem = VERTEX_COLORING\nprogram = mm.base\n" +
+                         ("k = 1\nseed = 0\n" if command == "run"
+                          else "k_range = 1\nseed_range = 0\n"))
     assert main([command, "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""  # raised before any row
@@ -329,7 +347,7 @@ def test_program_without_problem_is_measured_as_its_own_kind(
     # error measures are that problem's, with no MIS-only cells
     cfg = _cfg(tmp_path, "graph = RANDOM_CONNECTED\nn = 10\np = 0.3\n"
                          f"program = {program}\nk = 2\nseed = 1\n")
-    plan = Plan(cli.parse_config(cfg))
+    plan = Plan(cli.parse_config(cfg, "run"))
     assert plan.kind == kind
     assert main(["run", "--config", cfg]) == 0
     header, row = capsys.readouterr().out.strip().splitlines()
@@ -407,7 +425,8 @@ def test_verify_rejects_lines_without_meaning(tmp_path, capsys, problem,
                          f"outputs_file = {tmp_path}/o.txt\n")
     assert main(["verify", "--config", cfg]) == 2
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", f"config error: {message}\n")
+    assert (captured.out, captured.err) == (
+        "", f"config error: outputs_file = {tmp_path}/o.txt: {message}\n")
 
 
 def test_verify_names_the_files_it_needs(tmp_path, capsys):
@@ -448,9 +467,9 @@ def test_config_errors(tmp_path):
     ("run", "graph = LINE\nn = x\n",
      "n = x: invalid literal for int() with base 10: 'x'"),
     ("run", "graph = LINE\nn = 4\nseed_range = a\n",
-     "seed_range = a: only sweep reads it; run reads k and seed"),
+     "seed_range = a: run does not read it"),
     ("run", "graph = LINE\nn = 4\nk_range = 0..2\n",
-     "k_range = 0..2: only sweep reads it; run reads k and seed"),
+     "k_range = 0..2: run does not read it"),
     ("run", "graph = LINE\nn = 4\npattern = FOO\n",
      "pattern = FOO: unknown pattern; known: ALL_ONES, ALL_ZEROS, "
      "GRID_4BLOCK, MOD3_LINE"),
@@ -500,17 +519,85 @@ def test_config_errors(tmp_path):
     ("run", "graph = TREE\nn = 5\nshape = sideways\n",
      "shape = sideways: unknown tree shape; known: random, line"),
     ("run", "graph = GRID\nrows = 2\n", "graph GRID needs cols"),
+    ("sanity", "template = sideways\ngraph = NOPE\n",
+     "template = sideways: sanity does not read it"),
+    ("verify", "graph = NOPE\nk = -5\n", "graph = NOPE: verify does not read it"),
+    ("run", "graph = LINE\nn = 4\nfamily = MIS_LINE\n",
+     "family = MIS_LINE: run does not read it"),
+    ("sweep", "graph = LINE\nn = 4\ngraph_file = x\n",
+     "graph_file = x: sweep does not read it"),
+    ("sweep", "graph = LINE\nn = 4\nk = 1\nk_range = 0..2\n",
+     "k = 1: sweep does not read it"),
+    ("sweep", "graph = LINE\nn = 4\nseed = 3\nseed_range = 0..1\n",
+     "seed = 3: sweep does not read it"),
+    ("sweep", "graph = LINE\nn = 4\nk_range = 2..1\n",
+     "k_range = 2..1: empty range"),
+    ("run", "graph = LINE\nn = 0\n", "n = 0: line needs n >= 1"),
+    ("sweep", "graph = TREE\nn = 0\n", "n = 0: tree needs n >= 1"),
+    ("sanity", "n = 0\n", "n = 0: line needs n >= 1"),
+    ("run", "graph = RANDOM\nn = 5\np = -0.1\n",
+     "n = 5, p = -0.1: edge probability -0.1 outside [0,1]"),
+    ("run", "graph = LINE\nn = 4\nd = 2\n", "n = 4, d = 2: d=2 too small for n=4"),
+    ("run", "graph = LINE\nn = 4\nd = 0\n", "n = 4, d = 0: d=0 too small for n=4"),
+    ("run", "graph = WHEEL_FK\nk_rim = 2\n", "k_rim = 2: wheel needs k >= 3"),
+    ("run", "graph = GRID\nrows = 0\ncols = 3\n",
+     "rows = 0, cols = 3: grid needs positive dimensions"),
 ], ids=["negative-k", "unknown-problem", "non-integer-n", "run-seed-range",
         "run-k-range", "unknown-pattern", "program-template", "program-phase",
         "odd-phase", "zero-phase", "pattern-problem", "pattern-tree",
         "pattern-grid", "unknown-graph", "unknown-id-scheme", "simple-phase",
         "consecutive-phase", "unknown-template", "tree-template",
         "problem-template", "unknown-sanity-family", "line-p", "grid-k-rim",
-        "random-rows", "line-shape", "unknown-tree-shape", "grid-no-cols"])
+        "random-rows", "line-shape", "unknown-tree-shape", "grid-no-cols",
+        "sanity-template", "verify-graph", "run-family", "sweep-graph-file",
+        "sweep-k", "sweep-seed", "empty-k-range", "line-n-0", "tree-n-0",
+        "sanity-n-0", "negative-p", "small-d", "zero-d", "small-k-rim",
+        "zero-rows"])
 def test_config_errors_name_their_key(tmp_path, capsys, command, text, message):
     cfg = _cfg(tmp_path, text)
     assert main([command, "--config", cfg]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_files_that_are_not_utf8_are_config_errors(tmp_path, capsys):
+    """A config, graph or outputs file with a byte that is not UTF-8 is a
+    config error that names the file."""
+    (tmp_path / "g.txt").write_text("3 3\n1 2\n2 3\n")
+    (tmp_path / "o.txt").write_text("1 1\n2 0\n3 1\n")
+    (tmp_path / "bad.txt").write_bytes(b"1 1\n\xff\n")
+    cases = (("graph_file = bad.txt\noutputs_file = o.txt\n", "graph_file"),
+             ("graph_file = g.txt\noutputs_file = bad.txt\n", "outputs_file"))
+    for text, key in cases:
+        cfg = _cfg(tmp_path, text.replace("= ", f"= {tmp_path}/"))
+        assert main(["verify", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {key} = {tmp_path}/bad.txt: {tmp_path}/bad.txt "
+            "is not UTF-8: ")
+    bad = str(tmp_path / "bad.txt")
+    for command in ("run", "sweep", "verify", "sanity"):
+        assert main([command, "--config", bad]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {bad} is not UTF-8: ")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("error", [
+    ValueError("broken measure"),
+    graphs.GraphError("MALFORMED_LINE", "broken measure")])
+def test_fault_outside_a_run_exits_3(tmp_path, capsys, monkeypatch, command,
+                                     error):
+    """A ValueError raised outside simulate, here by the error measures,
+    is a fault of the program, and so is a GraphError there: no config
+    error, no row, exit 3."""
+    def broken(*args):
+        raise error
+    monkeypatch.setattr(measures, "error_report", broken)
+    cfg = _cfg(tmp_path, "graph = LINE\nn = 4\nproblem = MIS\n")
+    assert main([command, "--config", cfg]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(rf"PROGRAM_ERROR: {type(error).__name__}: {error} "
+                        r"\(at test_cli\.py:\d+\)\n", err)
 
 
 def test_trace_flag_dumps_trace(tmp_path, capsys):
@@ -607,7 +694,7 @@ def test_failing_fixed_pattern_sweep_repeats_each_seed(tmp_path, capsys,
     assertion lines and trace for every k, as if each k had run."""
     text = ("graph = LINE\nn = 4\nproblem = MIS\nprogram = mis.base\n"
             "pattern = ALL_ZEROS\nk_range = 0..2\nseed_range = 0..1\n")
-    plan = Plan(cli.parse_config(_cfg(tmp_path, text)))
+    plan = Plan(cli.parse_config(_cfg(tmp_path, text), "sweep"))
     rows, err = [], []
     for k in range(3):
         for seed in range(2):
@@ -655,11 +742,10 @@ def test_program_error_is_a_failing_row_not_a_config_error(tmp_path, capsys,
     unknown program name is still a config error."""
     monkeypatch.setitem(registry.PROGRAMS, "test.key_error",
                         ((_KeyErrorStage,), "MIS"))
-    text = "graph = LINE\nn = 4\nprogram = test.key_error\nseed = 0\n"
+    text = "graph = LINE\nn = 4\nprogram = test.key_error\n"
     for command, extra in (("run", []), ("run", ["--trace"]), ("sweep", [])):
-        # run rejects the sweep-only k_range
-        cfg = _cfg(tmp_path, text + ("k_range = 0..1\n" if command == "sweep"
-                                     else ""))
+        cfg = _cfg(tmp_path, text + ("k_range = 0..1\nseed_range = 0\n"
+                                     if command == "sweep" else "seed = 0\n"))
         assert main([command, "--config", cfg, *extra]) == 1
         out, err = capsys.readouterr()
         rows = _rows(out)
