@@ -13,12 +13,13 @@ error is a ConfigError: its row has the code of RUN_ERRORS that matches
 (else PROGRAM_ERROR) in `valid`, and no rounds or bound verdicts.  Any
 other error outside a run exits 3 with its PROGRAM_ERROR message.
 
-KEYS says which commands read each config key: any other key is a config
-error naming the key and the command.  run reads k and seed; sweep reads
-k_range and seed_range.  A Plan resolves a config once and checks what
-depends on its values: the graph keys its family reads, the sizes its
-generator accepts, and a template's or a standalone program's keys.  Each
-seed's instance is built by its first run_one and shared by its runs.
+KEYS says which commands read each config key, and FLAGS each flag: any
+other key or flag is a config error naming it and the command.  run reads
+k and seed; sweep reads k_range and seed_range.  A Plan resolves a config
+once and checks what depends on its values: the graph keys its family
+reads, the sizes its generator accepts, and a template's or a standalone
+program's keys.  Each seed's instance is built by its first run_one and
+shared by its runs.
 
 Each run that ends gets one audit.audit_run pass: one replay of its output
 record gives its `valid` code and, for a template, the extendability of
@@ -136,6 +137,8 @@ KEYS = {
     "outputs_file": (_text, ("verify",), None),
     "family": (_one_of(SANITY, "sanity family", str.upper), ("sanity",), None),
 }
+# flag: the commands that read it; like a key, any other command rejects it
+FLAGS = {"trace": ("run",), "out": BUILD}
 
 
 def parse_config(path: str, command: str) -> dict:
@@ -190,6 +193,8 @@ class Plan:
                     raise ConfigError(f"{key} = {cfg[key]}: graph {family} "
                                       f"does not read it")
                 self.params[key] = _read(cfg, key)
+        if family.startswith("RANDOM") and self.params["n"] < 1:
+            raise ConfigError(f"n = {cfg['n']}: random graph needs n >= 1")
         name = cfg.get("program")
         if name is not None:
             for key in ("template", "phase"):
@@ -443,6 +448,9 @@ def main(argv=None) -> int:
     threshold = gc.get_threshold()
     gc.set_threshold(GC_YOUNG_THRESHOLD, *threshold[1:])
     try:
+        for flag, commands in FLAGS.items():
+            if getattr(args, flag) and args.command not in commands:
+                raise ConfigError(f"--{flag}: {args.command} does not read it")
         cfg = parse_config(args.config, args.command)
         return globals()[f"cmd_{args.command}"](cfg, args)
     except (ConfigError, OSError) as exc:

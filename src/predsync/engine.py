@@ -9,16 +9,18 @@ events come in sender order too, and each sender's in recipient order.
 
 Waiting nodes cost nothing.  A node's Step may name its next wake round:
 until then, its compose and process would do nothing unless a message
-reaches it.  (A stage run names a stage round, which the stage driver
-shifts to an engine round.)  The engine steps only awake nodes; a
-sleeping node is woken in its wake round, or earlier by a message, in
-which case only its process runs in that round.  Stepped or not, every
-active node is in the same round, so node programs derive their stage
-time from rnd, never from the number of calls they got.
+reaches it.  (A stage run names a stage round; to shift it, or to stop a
+run, the stage driver returns a new Step.)  The engine steps only awake
+nodes; a sleeping node is woken in its wake round, or earlier by a
+message, in which case only its process runs in that round.  A NEVER
+sleeper is kept only in asleep, for only a message wakes it.  Stepped or
+not, every active node is in the same round, so node programs derive
+their stage time from rnd, never from the number of calls they got.
 
 A broadcast may hand one payload object to all its recipients, so a
 receiver must never mutate a message it gets.  A node's NodeView, a run's
-Outcome and each TraceEvent are immutable named tuples.  A traced run
+Outcome and each TraceEvent are immutable named tuples, and no code edits
+a Step once returned: IDLE, SLEEP and STOP are shared.  A traced run
 records each event as a TraceEvent that keeps the payload or output value
 itself, formatted only by line(), so a sender must never mutate a payload
 or an output value after the round it sends or assigns it.
@@ -69,7 +71,8 @@ NO_OUTPUTS: Mapping = MappingProxyType({})
 
 
 class Step:
-    """Result of one node's process() call."""
+    """Result of one node's process() call.  Shared, so never edited once
+    returned: IDLE, SLEEP and STOP serve every node that they fit."""
 
     __slots__ = ("outputs", "terminate", "wake")
 
@@ -81,6 +84,11 @@ class Step:
         # is the next round.  compose and process must do nothing before then.
         # An engine round to the engine, a stage round from a stage run.
         self.wake = wake
+
+
+IDLE = Step()
+SLEEP = Step(wake=NEVER)
+STOP = Step(terminate=True)
 
 
 class NodeBehavior(Protocol):
@@ -155,6 +163,7 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
         if missing:
             raise ValueError(f"predictions missing for nodes {missing}")
     n, d, delta, adjacency = g.n, g.d, g.delta, g.adjacency
+    make_view = tuple.__new__  # NodeView(...) without its Python-level __new__
     behaviors = {}
     for u in g.nodes:
         pred = None if predictions is NO_PREDICTIONS else predictions[u]
@@ -163,14 +172,13 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
             p = tree.parent[u]
             is_root = p == ROOT
             parent = None if is_root else p
-        # positional: keyword arguments slow this once-per-node call
-        behaviors[u] = program.start(
-            NodeView(u, adjacency[u], n, d, delta, pred, is_root, parent))
+        behaviors[u] = program.start(make_view(
+            NodeView, (u, adjacency[u], n, d, delta, pred, is_root, parent)))
     nbr_sets = g.neighbor_sets
     active = set(g.nodes)
     awake = sorted(active)  # nodes stepped this round, in node order
     asleep: dict[int, int] = {}  # sleeping node -> its wake round
-    wakes: dict[int, list] = {}  # wake round -> nodes (stale entries allowed)
+    wakes: dict[int, list] = {}  # finite wake round -> nodes (stale entries allowed)
     outputs: dict[int, dict] = {u: {} for u in g.nodes}
     term_round: dict[int, int] = {}
     output_log: list[tuple[int, int, Any]] = []
@@ -216,16 +224,13 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
         terminated_now = []
         for u in order:
             step = behaviors[u].process(rnd, inboxes[u])
-            if step.outputs:
-                assigned = step.outputs.items()
-                if len(assigned) > 1:
-                    assigned = sorted(assigned, key=repr)
+            if assigned := step.outputs:
                 out = outputs[u]
-                for slot, value in assigned:
+                for slot in sorted(assigned, key=repr) if len(assigned) > 1 else assigned:
                     if slot in out:
                         raise ProtocolViolation(
                             f"node {u} re-assigned output {slot!r} in round {rnd}")
-                    out[slot] = value
+                    value = out[slot] = assigned[slot]
                     output_log.append((rnd, u, slot))
                     if events is not None:
                         events.append(TraceEvent(rnd, u, "OUTPUT", slot, value))
@@ -237,7 +242,8 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
                 awake.append(u)
             else:
                 asleep[u] = wake
-                wakes.setdefault(wake, []).append(u)
+                if wake != NEVER:
+                    wakes.setdefault(wake, []).append(u)
         # terminated_now follows order, so it is in node order until crashes
         if crash_schedule and rnd in crash_schedule:
             crashed = [u for u in crash_schedule[rnd]

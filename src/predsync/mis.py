@@ -19,13 +19,19 @@ a subclass that sets one class attribute.
 
 from __future__ import annotations
 
-from .engine import NEVER, ProtocolViolation, Step
+from types import MappingProxyType
+
+from .engine import IDLE, SLEEP, ProtocolViolation, Step
 from .problems import ReductionRun
 from .stages import Ctx, Stage
 
 ONE = "ONE"
 ZERO = "ZERO"
 LEAF = "LEAF"
+
+# the two terminal results, shared like engine.IDLE, so read-only
+JOINED = Step(MappingProxyType({"y": 1}), terminate=True)
+LEFT = Step(MappingProxyType({"y": 0}), terminate=True)
 
 
 def _note(ctx: Ctx, inbox):
@@ -49,9 +55,9 @@ class _LeaveRun(Stage):
 
     def process(self, ctx, t, inbox):
         if ctx.nbr_one:
-            return Step({"y": 0}, terminate=True)
+            return LEFT
         _note(ctx, inbox)
-        return Step()
+        return IDLE
 
 
 class _JoinRun(_LeaveRun):
@@ -75,13 +81,13 @@ class _JoinRun(_LeaveRun):
         if t % 2 == 0:
             return _LeaveRun.process(self, ctx, t, inbox)
         if self.join:
-            return Step({"y": 1}, terminate=True)
+            return JOINED
         if not inbox:
             # a losing candidate keeps losing until a message changes its
             # active neighbors; a node that is no candidate may win later
-            return Step(wake=NEVER if self.join is False else None)
+            return SLEEP if self.join is False else IDLE
         _note(ctx, inbox)
-        return Step()
+        return IDLE
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +127,12 @@ class MisInitStage(_LeaveRun):
                     self.join = not same
                 else:
                     self.join = max(same, default=0) < ctx.view.id
-            return Step(wake=None if self.join else NEVER)
+            return IDLE if self.join else SLEEP
         if self.join:
-            return Step({"y": 1}, terminate=True)
+            return JOINED
         step = _LeaveRun.process(self, ctx, t, inbox)
-        # a non-joiner with no neighbor in the set has nothing to do until a
-        # message arrives
-        step.wake = None if step.terminate or ctx.nbr_one else NEVER
-        return step
+        # a non-joiner with no neighbor in the set waits for a message
+        return step if step.terminate or ctx.nbr_one else SLEEP
 
 
 class MisBaseStage(MisInitStage):
@@ -200,7 +204,7 @@ class UbwColorProbe(Stage):
     def process(self, ctx, t, inbox):
         ctx.stored["same_color"] = {
             s for s, m in inbox.items() if m[1] == ctx.view.prediction}
-        return Step()
+        return IDLE
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +241,12 @@ class TreeInitStage(_LeaveRun):
             preds = {s: m[1] for s, m in inbox.items()}
             self.parent_pred = None if view.is_root else preds.get(view.parent)
             self.join = view.prediction == 1 and self.parent_pred != 1
-            return Step()
+            return IDLE
         if self.join:  # round 2 for black joiners, round 3 for white ones
-            return Step({"y": 1}, terminate=True)
+            return JOINED
         step = _LeaveRun.process(self, ctx, t, inbox)
         if self.eager and ctx.nbr_one:
-            return Step({"y": 0}, terminate=True)
+            return LEFT
         if t == 2:
             self.join = (not ctx.nbr_one and view.prediction == 0
                          and self.parent_pred != 0)
@@ -293,16 +297,15 @@ class TreeUniformStage(_LeaveRun):
         if t % 2 == 0:
             return _LeaveRun.process(self, ctx, t, inbox)
         if self.role == "root":
-            return Step({"y": 1}, terminate=True)
+            return JOINED
         if self.role == "leaf":
-            bit = 0 if inbox.get(ctx.view.parent) == ROOT_MSG else 1
-            return Step({"y": bit}, terminate=True)
+            return LEFT if inbox.get(ctx.view.parent) == ROOT_MSG else JOINED
         # a ROOT sender (my parent) joined the set; a LEAF sender (a child)
         # is about to output 1
         for s in inbox:
             ctx.nbr_one.add(s)
             ctx.active.discard(s)
-        return Step()
+        return IDLE
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +412,7 @@ class RevealStage(Stage):
                 raise ProtocolViolation(
                     f"stored coloring not proper: nodes {ctx.view.id} and {s}")
         ctx.stored["nbr_colors"] = nbr_colors
-        return Step()
+        return IDLE
 
 
 class ColorPart2Stage(_LeaveRun):
@@ -446,11 +449,11 @@ class ColorPart2Stage(_LeaveRun):
 
     def process(self, ctx, t, inbox):
         if self.join:
-            return Step({"y": 1}, terminate=True)
+            return JOINED
         if t < ctx.view.delta:
             return _LeaveRun.process(self, ctx, t, inbox)
         _note(ctx, inbox)
-        return Step({"y": 0 if ctx.nbr_one else 1}, terminate=True)
+        return LEFT if ctx.nbr_one else JOINED
 
 
 class ColorPart2CombinedStage(ColorPart2Stage):
@@ -485,15 +488,12 @@ class TreePart2Stage(RevealStage):
         if t == 1:
             RevealStage.process(self, ctx, t, inbox)
             if self.color == 1:
-                return Step({"y": 1}, terminate=True)
+                return JOINED
             for s, c in ctx.stored["nbr_colors"].items():
                 if c == 1:
                     ctx.nbr_one.add(s)
                     ctx.active.discard(s)
-            if ctx.nbr_one:
-                return Step({"y": 0}, terminate=True)
-            return Step()
+            return LEFT if ctx.nbr_one else IDLE
         if self.color == 2:
-            return Step({"y": 1}, terminate=True)
-        bit = 0 if any(m == ONE for m in inbox.values()) else 1
-        return Step({"y": bit}, terminate=True)
+            return JOINED
+        return LEFT if any(m == ONE for m in inbox.values()) else JOINED

@@ -32,7 +32,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Mapping
 
-from .engine import NO_OUTPUTS, Step
+from .engine import IDLE, NO_OUTPUTS, STOP, Step
 from .measures import check_prediction, unique_predictions
 from .stages import Ctx, Stage
 
@@ -65,7 +65,7 @@ class _AnnounceRun(Stage):
         for s, m in inbox.items():
             if m[0] == MATCHED:
                 ctx.active.discard(s)
-        return Step()
+        return IDLE
 
 
 class MmInitStage(_AnnounceRun):
@@ -91,7 +91,7 @@ class MmInitStage(_AnnounceRun):
             m = inbox.get(pred)
             if m is not None and m[1] == ctx.view.id:
                 ctx.stored["match"] = pred
-            return Step()
+            return IDLE
         announced = _AnnounceRun.process(self, ctx, t, inbox)
         # every neighbor got matched: ctx.active held all of them until now
         if not (announced.terminate or ctx.active) and (
@@ -155,7 +155,7 @@ class MmUniformStage(_AnnounceRun):
             if not (announced.terminate or ctx.active):
                 return Step({"y": None}, terminate=True)
             return announced
-        return Step()
+        return IDLE
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +188,7 @@ class _ColorRun(Stage):
         for s, m in inbox.items():
             palette.discard(m[1])
             ctx.active.discard(s)
-        return Step()
+        return IDLE
 
 
 class VcInitStage(_ColorRun):
@@ -217,7 +217,7 @@ class VcInitStage(_ColorRun):
             else:
                 commit = all(s < ctx.view.id for s in clashes)
             self.pick = pred if commit else None
-            return Step()
+            return IDLE
         return _ColorRun.process(self, ctx, t, inbox)
 
 
@@ -319,13 +319,13 @@ class ReductionRun(Stage):
 
     def process(self, ctx, t, inbox):
         if t > self.last:
-            return Step()
+            return IDLE
         self.recolor(ctx, t, {s: m[1] for s, m in inbox.items()})
         if t == self.last:
             ctx.stored["color"] = self.color + 1
             if not self.store_only:
                 return Step({"y": self.color + 1}, terminate=True)
-        return Step()
+        return IDLE
 
 
 def _poly_eval(color: int, q: int, t: int, x: int) -> int:
@@ -416,7 +416,7 @@ class _ExchangeRun(Stage):
         for s, (_, cols, unc) in inbox.items():
             st["palette"][s] -= set(cols)
             st["two_hop"][s] = set(unc) - {ctx.view.id}
-        return Step()
+        return IDLE
 
 
 class EcBaseStage(_ExchangeRun):
@@ -473,7 +473,7 @@ class EcProbeStage(Stage):
         st = _edge_state(ctx)
         for s, m in inbox.items():
             st["two_hop"][s] = set(m[1]) - {ctx.view.id}
-        return Step()
+        return IDLE
 
 
 class EcUniformStage(Stage):
@@ -518,7 +518,7 @@ class EcUniformStage(Stage):
             if self.assign is not None:
                 return Step(dict(self.assign), terminate=True)
             if not st["uncolored"]:
-                return Step(terminate=True)
+                return STOP
             outputs = {}
             got = set()
             for s, m in inbox.items():
@@ -541,4 +541,4 @@ class EcUniformStage(Stage):
                 _, cols, filled = m
                 st["palette"][s] -= set(cols)
                 st["two_hop"][s] -= set(filled)
-        return Step()
+        return IDLE

@@ -12,16 +12,17 @@ TruncatedStage, InterleavedStage and ParallelStage.
 
 A run returns the engine's Step, and its wake is a stage round: NEVER for
 no work until a message arrives, a finite wake for none before that
-round.  The driver derives stage time from the round number, so it shifts
-the wake in place, capped at the next stage start (the last round of a
-fixed final stage); a message still wakes the node earlier.
+round.  Steps are shared (engine.IDLE, SLEEP, STOP; mis.JOINED, LEFT), so
+the driver, which derives stage time from the round number, returns a new
+Step with the wake shifted, capped at the next stage start (the last round
+of a fixed final stage); a message still wakes the node earlier.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Mapping, Optional
 
-from .engine import NEVER, NodeView, ProtocolViolation, Step
+from .engine import IDLE, NEVER, STOP, NodeView, ProtocolViolation, Step
 
 
 class ConfigError(ValueError):
@@ -33,8 +34,8 @@ class Stage:
     """One node's run of a stage; the class is the stage's blueprint.
     length(view) -> int, or None for open-ended stages.  The partial output
     of a phased stage is extendable at each phase end.  process returns a
-    new Step on every call, as the driver edits it; its outputs may be the
-    shared NO_OUTPUTS.  Class attributes are shared by every node, so each
+    Step that no code edits, so a shared one such as IDLE serves every
+    call it fits.  Class attributes are shared by every node, so each
     default is immutable."""
 
     rounds: Optional[int] = None  # the fixed length; None: open-ended
@@ -52,7 +53,7 @@ class Stage:
         return {}
 
     def process(self, ctx: Ctx, t: int, inbox: Mapping[int, Any]) -> Step:
-        return Step()
+        return IDLE
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +65,7 @@ class Ctx:
     and the driver's state.  Slotted, so a per-node field is deliberate."""
 
     __slots__ = ("view", "active", "nbr_one", "stored", "stages", "lengths",
-                 "final", "idx", "before", "end", "run")
+                 "final", "idx", "before", "end", "cap", "run")
 
     def __init__(self, view: NodeView, stages, lengths):
         self.view = view
@@ -74,10 +75,16 @@ class Ctx:
         self.stages = stages
         self.lengths = lengths
         self.final = len(stages) - 1  # index of the final stage
-        self.idx = 0
-        self.before = 0  # rounds before the current stage
-        self.end = lengths[0] if stages else None  # its last round
-        self.run = stages[0](self) if stages else None
+        self.before, self.end = 0, None  # rounds before the current stage
+        self.run = self._enter(0) if stages else None
+
+    def _enter(self, idx):
+        """Stage idx's run, which starts after round self.before.  cap is the
+        latest wake: the next stage start, or the final stage's last round."""
+        self.idx, ln = idx, self.lengths[idx]
+        self.end = None if ln is None else self.before + ln  # its last round
+        self.cap = NEVER if ln is None else self.end + (idx < self.final)
+        return self.stages[idx](self)
 
     def compose(self, rnd):
         # advance to the stage that round rnd falls in.  process needs no
@@ -85,13 +92,7 @@ class Ctx:
         # whose wake round never lies past the start of the next stage
         while self.end is not None and rnd > self.end and self.run is not None:
             self.before = self.end
-            self.idx += 1
-            if self.idx < len(self.stages):
-                self.run = self.stages[self.idx](self)
-                ln = self.lengths[self.idx]
-                self.end = None if ln is None else self.before + ln
-            else:
-                self.run = None
+            self.run = None if self.idx == self.final else self._enter(self.idx + 1)
         if self.run is None:
             return {}
         return self.run.compose(self, rnd - self.before)
@@ -99,16 +100,15 @@ class Ctx:
     def process(self, rnd, inbox):
         if self.run is None:
             # past the final fixed stage: terminate undecided
-            return Step(terminate=True)
+            return STOP
         step = self.run.process(self, rnd - self.before, inbox)
-        if rnd == self.end and self.idx == self.final:
-            step.terminate = True  # end of a fixed final stage: stop undecided
-        elif step.wake is not None:
-            # a stage round to an engine round: no later than the next stage
-            # start, or the last round of the final stage
-            cap = NEVER if self.end is None else (
-                self.end if self.idx == self.final else self.end + 1)
-            step.wake = min(self.before + step.wake, cap)
+        if rnd == self.end and self.idx == self.final:  # stop undecided
+            return step if step.terminate else Step(step.outputs, True)
+        wake = step.wake
+        if wake is not None:
+            wake = min(self.before + wake, self.cap)  # as an engine round
+            if wake != step.wake:
+                return Step(step.outputs, step.terminate, wake)
         return step
 
 
@@ -134,7 +134,9 @@ class StagedProgram:
         return self._lengths
 
     def start(self, view: NodeView):
-        return Ctx(view, self.stages, self.lengths(view))
+        if (view.n, view.d, view.delta) != self._key:
+            self.lengths(view)
+        return Ctx(view, self.stages, self._lengths)
 
     def checkpoints(self, view_like, total_rounds: int) -> list[int]:
         """Rounds at which the global partial output must be extendable."""
@@ -230,8 +232,8 @@ class _InterleavedRun:
         self.idle.add(self.which)
         # both idle: only a message brings work; else the other run may
         # have some when its block starts
-        step.wake = NEVER if len(self.idle) == 2 else self.next_block
-        return step
+        wake = NEVER if len(self.idle) == 2 else self.next_block
+        return step if wake == step.wake else Step(step.outputs, wake=wake)
 
 
 class FusedRun:
@@ -259,8 +261,7 @@ class FusedRun:
             if rstep.outputs or rstep.terminate:
                 raise ProtocolViolation("part 1 must store outputs locally")
         # part 1 works every round, so the fused run is never idle
-        step.wake = None
-        return step
+        return step if step.wake is None else Step(step.outputs, step.terminate)
 
 
 class ParallelStage:

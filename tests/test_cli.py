@@ -559,6 +559,46 @@ def test_config_errors_name_their_key(tmp_path, capsys, command, text, message):
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("command,flags,message", [
+    ("sweep", ["--trace"], "--trace: sweep does not read it"),
+    ("verify", ["--trace"], "--trace: verify does not read it"),
+    ("verify", ["--out", "o.csv"], "--out: verify does not read it"),
+    ("verify", ["--out", "o.csv", "--trace"], "--trace: verify does not read it"),
+    ("sanity", ["--trace"], "--trace: sanity does not read it"),
+    ("sanity", ["--out", "o.csv"], "--out: sanity does not read it"),
+])
+def test_flags_a_command_does_not_read_are_config_errors(
+        tmp_path, capsys, monkeypatch, command, flags, message):
+    """A flag is read like a key: verify with --out used to print VALID,
+    exit 0 and write no file, and sweep --trace printed no trace."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text("2 2\n1 2\n")
+    (tmp_path / "o.txt").write_text("1 1\n2 0\n")
+    cfg = _cfg(tmp_path, {
+        "sweep": "graph = LINE\nn = 4\n", "sanity": "n = 12\n",
+        "verify": "graph_file = g.txt\noutputs_file = o.txt\n"}[command])
+    assert main([command, "--config", cfg]) == 0
+    capsys.readouterr()
+    assert main([command, "--config", cfg, *flags]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("family", ["RANDOM", "RANDOM_CONNECTED"])
+def test_random_graph_with_no_nodes_is_a_config_error(tmp_path, capsys,
+                                                      command, family):
+    """As for LINE and TREE, n = 0 is a config error that names n; run
+    used to write a row with 0 rounds and exit 1.  The generators still
+    build the empty graph."""
+    cfg = _cfg(tmp_path, f"graph = {family}\nn = 0\np = 0.3\n")
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr() == (
+        "", "config error: n = 0: random graph needs n >= 1\n")
+    assert graphs.random_graph(0, 0.3, 1).n == 0
+    assert graphs.random_connected_graph(0, 0.3, 1).n == 0
+
+
 def test_files_that_are_not_utf8_are_config_errors(tmp_path, capsys):
     """A config, graph or outputs file with a byte that is not UTF-8 is a
     config error that names the file."""

@@ -103,6 +103,22 @@ def test_write_once_outputs():
         simulate(g, Script(plans))
 
 
+def test_multi_slot_outputs_are_assigned_in_repr_order():
+    """A step's slots reach the output record and the trace sorted by
+    repr, the order that sorting (slot, value) pairs by repr gave."""
+    g = build_graph([1, 2], [(1, 2)])
+    ints = {9: "a", 100: "b", 1: "c", 10: "d"}
+    strs = {"b": 1, "ab": 2, "B": 3, "a": 4}
+    plans = {1: {1: ({}, ints, True)}, 2: {1: ({}, strs, True)}}
+    out = simulate(g, Script(plans), trace=True)
+    expected = {1: [1, 10, 100, 9], 2: ["B", "a", "ab", "b"]}
+    for u, slots in ((1, ints), (2, strs)):
+        assert [s for s, _ in sorted(slots.items(), key=repr)] == expected[u]
+    assert out.output_log == [(1, u, s) for u in (1, 2) for s in expected[u]]
+    assert [(ev.node, ev.key) for ev in out.trace if ev.event == "OUTPUT"] == [
+        (u, s) for u in (1, 2) for s in expected[u]]
+
+
 def test_non_termination_guard():
     g = build_graph([1], [])
     plans = {1: {r: ({}, {}, False) for r in range(1, 100)}}

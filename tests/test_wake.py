@@ -9,11 +9,13 @@ The same runs also pin that broadcasts may share one payload object among
 their recipients: a proxy that hands every recipient its own deep copy
 must not change what a run does.  Over every template and registry
 program, they pin two sender-side rules: a trace event's payload or value
-does not change after its round, and every process call returns a new
-Step.
+does not change after its round, and no Step changes once it is returned,
+so the shared steps never change; any other Step is new on each call.
 """
 
+import ast
 import copy
+from pathlib import Path
 
 import pytest
 
@@ -212,45 +214,123 @@ def test_trace_formatted_late_matches_formatted_early(name, monkeypatch):
     assert traced
 
 
-class _Keeping:
-    def __init__(self, inner, steps):
+def _fields(step):
+    return dict(step.outputs), step.terminate, step.wake
+
+
+class _Recording:
+    def __init__(self, inner, returned):
         self.inner = inner
-        self.steps = steps
+        self.returned = returned
 
     def compose(self, rnd):
         return self.inner.compose(rnd)
 
     def process(self, rnd, inbox):
         step = self.inner.process(rnd, inbox)
-        self.steps.append(step)
+        self.returned.append((step, _fields(step)))
         return step
 
 
-class KeepingProxy:
-    """Keeps every Step that process returns.  Kept alive, no two distinct
-    steps can share an id."""
+class RecordingProxy:
+    """Records every Step that process returns, with its fields as they
+    were when it was returned."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.steps = []
+        self.returned = []
 
     def start(self, view):
-        return _Keeping(self.inner.start(view), self.steps)
+        return _Recording(self.inner.start(view), self.returned)
 
 
-@pytest.mark.parametrize("name", MATRIX)
-def test_every_process_call_returns_a_new_step(name):
-    """The stage driver edits a run's Step in place, so a run that returned
-    one object twice would see the driver's edits to it."""
+SHARED_STEPS = {"IDLE": engine.IDLE, "SLEEP": engine.SLEEP,
+                "STOP": engine.STOP, "JOINED": mis.JOINED, "LEFT": mis.LEFT}
+
+
+def _returned(name):
+    """Every Step the runs of a MATRIX entry return, with its fields as
+    they were when it was returned; all are kept alive, so no two distinct
+    steps share an id."""
     program, cases, max_rounds = _matrix(name)
-    prog = KeepingProxy(program)
+    prog = RecordingProxy(program)
     for g, rooted, p in cases:
         try:
             simulate(g, prog, p, max_rounds(g), tree=rooted)
         except tuple(RUN_ERRORS):
             pass
-    assert prog.steps
-    assert len(set(map(id, prog.steps))) == len(prog.steps)
+    assert prog.returned
+    return prog.returned
+
+
+@pytest.mark.parametrize("name", MATRIX)
+def test_every_process_call_returns_a_new_step(name):
+    """A process call returns a new Step unless it returns a shared one, so
+    the shared steps are the only steps that two calls can hand out, and
+    the only ones that test_no_step_is_edited_after_it_is_returned must
+    watch beyond each step's own call."""
+    shared = set(map(id, SHARED_STEPS.values()))
+    own = [id(step) for step, _ in _returned(name) if id(step) not in shared]
+    assert len(set(own)) == len(own)
+
+
+@pytest.mark.parametrize("name", MATRIX)
+def test_no_step_is_edited_after_it_is_returned(name):
+    """Steps are shared, IDLE by every node, so no code may edit one once
+    it is returned: not the stage driver, the composite runs, nor the
+    engine.  Every step still holds the fields it was returned with after
+    every run, and so do the shared steps."""
+    shared = {key: _fields(step) for key, step in SHARED_STEPS.items()}
+    assert shared == {"IDLE": ({}, False, None), "SLEEP": ({}, False, NEVER),
+                      "STOP": ({}, True, None), "JOINED": ({"y": 1}, True, None),
+                      "LEFT": ({"y": 0}, True, None)}
+    for step, fields in _returned(name):
+        assert _fields(step) == fields
+    assert {key: _fields(step) for key, step in SHARED_STEPS.items()} == shared
+
+
+# a Step's parameters, and the source of each default
+STEP_DEFAULTS = {"outputs": ("NO_OUTPUTS", "{}"), "terminate": ("False",),
+                 "wake": ("None",)}
+# the arguments, defaults left out, of each shared step
+SHARED_ARGS = [{}, {"wake": "NEVER"}, {"terminate": "True"},
+               {"outputs": "{'y': 1}", "terminate": "True"},
+               {"outputs": "{'y': 0}", "terminate": "True"}]
+
+
+def _shared_step_calls(tree):
+    """Lines of the Step(...) calls in a module that build a step a shared
+    one already is; the definitions of SHARED_STEPS are left out."""
+    defined = {id(node.value) for node in tree.body
+               if isinstance(node, ast.Assign) and any(
+                   getattr(t, "id", None) in SHARED_STEPS for t in node.targets)}
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None)
+                == "Step") or id(node) in defined:
+            continue
+        given = dict(zip(STEP_DEFAULTS, map(ast.unparse, node.args)))
+        given.update((kw.arg, ast.unparse(kw.value)) for kw in node.keywords)
+        args = {k: v for k, v in given.items() if v not in STEP_DEFAULTS[k]}
+        if args in SHARED_ARGS:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_stage_builds_a_step_that_is_shared():
+    """A Step(...) that equals a shared step allocates on every call for
+    nothing, and no run's result would show it, so the sources are read."""
+    sample = ast.parse("IDLE = Step()\n"
+                       "def process():\n"
+                       "    Step(wake=NEVER); Step(NO_OUTPUTS, False)\n"
+                       "    Step(terminate=True); Step({'y': 0}, True)\n"
+                       "    Step(outputs={'y': 1}, terminate=True)\n"
+                       "    Step({'y': 2}, True); Step(wake=5); Step(out)\n")
+    assert _shared_step_calls(sample) == [3, 3, 4, 4, 5]
+    src = Path(engine.__file__).parent
+    found = {f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
+             for line in _shared_step_calls(ast.parse(path.read_text()))}
+    assert not found
 
 
 def _blueprint(stage):
