@@ -36,9 +36,9 @@ class CapExceeded(RuntimeError):
 
 class Graph(NamedTuple):
     """d, the adjacency map node -> sorted tuple of neighbours, and what
-    follows from it: nodes (sorted), n, delta (the maximum degree) and
-    neighbor_sets (each node's neighbours as a frozenset).  build_graph is
-    the one builder that checks them."""
+    follows from it: nodes (sorted), n, delta (the maximum degree), each
+    node's neighbours as a frozenset (neighbor_sets) and as a mask whose bit
+    i is nodes[i] (neighbor_bits, by index).  build_graph checks them all."""
 
     d: int
     adjacency: Mapping[int, tuple[int, ...]]
@@ -46,6 +46,7 @@ class Graph(NamedTuple):
     n: int
     delta: int
     neighbor_sets: Mapping[int, frozenset]
+    neighbor_bits: tuple[int, ...]
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         return self.adjacency[u]
@@ -84,9 +85,11 @@ def build_graph(nodes: Sequence[int], edges: Sequence[tuple[int, int]], d: Optio
         u = next(u for u in ordered if not 1 <= u <= d)
         raise GraphError("ID_OUT_OF_RANGE", f"node {u} outside 1..{d}")
     adjacency = {u: tuple(sorted(vs)) for u, vs in adj.items()}
+    bit = {u: 1 << i for i, u in enumerate(ordered)}.__getitem__
     return Graph(d, adjacency, ordered, len(ordered),
                  max(map(len, adjacency.values()), default=0),
-                 {u: frozenset(vs) for u, vs in adj.items()})
+                 {u: frozenset(vs) for u, vs in adj.items()},
+                 tuple(sum(map(bit, adj[u])) for u in ordered))
 
 
 class RootedTree(NamedTuple):
@@ -293,25 +296,28 @@ def component_walk(adj: Mapping[int, Sequence[int]], keep) -> Iterator[list]:
         yield comp
 
 
-def component_maps(adj: Mapping[int, Sequence[int]], keep) -> list[dict]:
-    """component_walk's components, each as a map node -> tuple of its
-    neighbors in keep, in adj's order, in increasing node order."""
-    inside = keep.__contains__
-    return [{u: tuple(filter(inside, adj[u])) for u in sorted(comp)}
-            for comp in component_walk(adj, keep)]
+def mask_components(nbr: Sequence[int], keep: int) -> list[int]:
+    """component_walk over masks: the components that the bits of keep
+    induce, nbr[i] being bit i's neighbour mask, by lowest bit."""
+    comps = []
+    while keep:
+        comp = todo = keep & -keep
+        keep ^= comp
+        while todo:  # todo: the bits of comp whose neighbours are not in yet
+            low = todo & -todo
+            new = nbr[low.bit_length() - 1] & keep
+            keep ^= new
+            comp |= new
+            todo ^= low | new
+        comps.append(comp)
+    return comps
 
 
 # ---------------------------------------------------------------------------
 # exact oracles
 
 
-def _alpha_component(adj: Mapping[int, tuple[int, ...]]) -> int:
-    idx = {u: i for i, u in enumerate(adj)}
-    nbr = [sum(1 << idx[v] for v in adj[u]) for u in adj]
-    return _alpha_branch(nbr, (1 << len(nbr)) - 1, 0, 0)
-
-
-def _alpha_branch(nbr: list[int], active: int, size: int, best: int) -> int:
+def _alpha_branch(nbr: Sequence[int], active: int, size: int, best: int) -> int:
     """Branch and bound over bitmasks: the larger of best and the biggest
     independent set of size chosen nodes plus some of active.  Branches on
     a node of largest degree in active, and closes out once every degree
@@ -343,10 +349,9 @@ def mis_bitmasks(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> list[int]:
     is g.nodes[i]), in search order: Bron-Kerbosch on the complement."""
     if g.n > cap:
         raise CapExceeded(f"MIS enumeration capped at {cap} nodes, got {g.n}")
-    bit = {u: 1 << i for i, u in enumerate(g.nodes)}
     full = (1 << g.n) - 1
     # complement adjacency as bitsets
-    comp = [full ^ bit[u] ^ sum(bit[v] for v in g.adjacency[u]) for u in g.nodes]
+    comp = [full ^ 1 << i ^ nb for i, nb in enumerate(g.neighbor_bits)]
     out: list[int] = []
     if comp:
         _bron_kerbosch(comp, out, 0, full, 0)

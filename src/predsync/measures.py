@@ -6,11 +6,11 @@ predictions (for edge coloring: the subgraph induced by the edges that it
 leaves uncolored).  All eta measures are maxima over these components, so
 they are 0 exactly when the predictions already form a correct solution.
 error_report evaluates the base rule directly, with no simulation, and
-splits its undecided part into components once, each a map node -> its
-neighbors inside the component, and every measure reads that one result;
-no Graph is built.  eta2 takes each component's independence number from
-the maximal independent sets of g when they are given (mis_masks), and
-from branch and bound on the component otherwise.
+splits its undecided part into components once, each a mask over g.nodes
+(bit i is g.nodes[i]) read against g.neighbor_bits, and every measure
+reads that one result; no Graph is built.  eta2 takes each component's
+independence number from the maximal independent sets of g when they are
+given (mis_masks), and from branch and bound on the component otherwise.
 
 Whatever depends only on the graph is built apart from the predictions, so
 a sweep builds it once per seed and shares it among its k values: the
@@ -24,8 +24,7 @@ simulated runs of mis.greedy, mm.uniform, vc.uniform and ec.uniform.
 from __future__ import annotations
 
 from .graphs import (DEFAULT_ALPHA_CAP, CapExceeded, Graph, RootedTree,
-                     _alpha_component, _rng, component_maps, component_walk,
-                     mis_bitmasks)
+                     _alpha_branch, _rng, mask_components, mis_bitmasks)
 
 
 # ---------------------------------------------------------------------------
@@ -62,48 +61,51 @@ def unique_predictions(pred: dict) -> dict:
     return {v: c for v, c in pred.items() if tally[c] == 1}
 
 
-def _mis_undecided(g: Graph, p) -> set:
+def _mask(g: Graph, p, value) -> int:
+    """The nodes predicted value, as a mask over g.nodes."""
+    return sum([1 << i for i, u in enumerate(g.nodes) if p[u] == value])
+
+
+def _mis_undecided(g: Graph, p) -> int:
     """A prediction-1 node with no prediction-1 neighbor joins, and its
     neighbors leave."""
-    ones = {u for u in g.nodes if p[u] == 1}
-    joined = {u for u in ones if ones.isdisjoint(g.adjacency[u])}
-    left = {v for u in joined for v in g.adjacency[u]}
-    return set(g.nodes) - joined - left
+    ones, decided = _mask(g, p, 1), 0
+    for i, nb in enumerate(g.neighbor_bits):
+        if ones >> i & 1 and not nb & ones:
+            decided |= 1 << i | nb
+    return (1 << g.n) - 1 & ~decided
 
 
-def _mm_undecided(g: Graph, p) -> set:
+def _mm_undecided(g: Graph, p) -> int:
     """Mutually predicted pairs match; a node predicted None whose
     neighbors are all matched outputs None."""
-    for u in g.nodes:
-        check_prediction("MAXIMAL_MATCHING", u, p[u], g.adjacency[u], g.delta)
-    matched = {u for u in g.nodes if p[u] is not None and p[p[u]] == u}
-    return {u for u in g.nodes if u not in matched and not (
-        p[u] is None and matched.issuperset(g.adjacency[u]))}
+    matched = sum(1 << i for i, u in enumerate(g.nodes)
+                  if p[u] is not None and p[p[u]] == u)
+    return sum(1 << i for i, (u, nb) in enumerate(zip(g.nodes, g.neighbor_bits))
+               if not matched >> i & 1 and (p[u] is not None or nb & ~matched))
 
 
-def _vc_undecided(g: Graph, p) -> set:
+def _vc_undecided(g: Graph, p) -> int:
     """A node whose predicted color no neighbor shares commits it."""
-    for u in g.nodes:
-        check_prediction("VERTEX_COLORING", u, p[u], g.adjacency[u], g.delta)
-    return {u for u in g.nodes if any(p[v] == p[u] for v in g.adjacency[u])}
+    return sum(1 << i for i, u in enumerate(g.nodes)
+               if any(p[v] == p[u] for v in g.adjacency[u]))
 
 
-def _ec_uncolored(g: Graph, p) -> dict:
+def _ec_uncolored(g: Graph, p) -> list[int]:
     """An edge is colored when both endpoints predict the same color for it
-    and that color is unique at each endpoint.  Returns node -> sorted
-    tuple of its neighbors across uncolored edges, for each node with one."""
+    and that color is unique at each endpoint.  Returns, at index i, the
+    mask of nodes[i]'s neighbors across uncolored edges."""
     adj = g.adjacency
-    unique = {}
-    for u in g.nodes:
-        check_prediction("EDGE_COLORING", u, p[u], adj[u], g.delta)
-        unique[u] = unique_predictions(p[u])
-    uncolored = {}
-    for u in g.nodes:
-        mine = unique[u]
-        nbrs = tuple(v for v in adj[u]
-                     if v not in mine or mine[v] != unique[v].get(u))
-        if nbrs:
-            uncolored[u] = nbrs
+    unique = {u: unique_predictions(p[u]) for u in g.nodes}
+    uncolored = []
+    for u, rest in zip(g.nodes, g.neighbor_bits):
+        mine, mask = unique[u], 0
+        for v in adj[u]:  # adj[u] is sorted, so v is rest's lowest bit
+            low = rest & -rest
+            rest ^= low
+            if mine.get(v, 0) != unique[v].get(u):  # colors are >= 1
+                mask |= low
+        uncolored.append(mask)
     return uncolored
 
 
@@ -116,18 +118,22 @@ _UNDECIDED = {
 
 def _residue(kind: str, g: Graph, p):
     """The base rule evaluated directly on predictions p: (undecided nodes,
-    error components), as a run of the base program would leave them.  A
-    component is a map node -> sorted tuple of its neighbors inside it;
-    for edge coloring only uncolored edges join nodes, and the undecided
-    nodes are None."""
+    neighbor masks, error components), as a run of the base program would
+    leave them, with node sets as masks over g.nodes.  The neighbor masks
+    are g.neighbor_bits, or for edge coloring those of the uncolored edges
+    alone, and then the undecided nodes are None."""
     missing = [u for u in g.nodes if u not in p]
     if missing:
         raise ValueError(f"predictions missing for nodes {missing}")
+    if kind != "MIS":  # the start checks of the other initializations
+        for u in g.nodes:
+            check_prediction(kind, u, p[u], g.adjacency[u], g.delta)
     if kind == "EDGE_COLORING":
-        uncolored = _ec_uncolored(g, p)
-        return None, component_maps(uncolored, uncolored)
+        nbr = _ec_uncolored(g, p)
+        keep = sum(1 << i for i, nb in enumerate(nbr) if nb)
+        return None, nbr, mask_components(nbr, keep)
     active = _UNDECIDED[kind](g, p)
-    return active, component_maps(g.adjacency, active)
+    return active, g.neighbor_bits, mask_components(g.neighbor_bits, active)
 
 
 def _mu2(n: int, alpha: int) -> int:
@@ -135,53 +141,38 @@ def _mu2(n: int, alpha: int) -> int:
     return 2 * min(alpha, n - alpha)
 
 
-def _eta2(g: Graph, comps: list, masks):
+def _eta2(nbr, comps: list, masks):
     """The largest mu2 over the error components; None when one is above
     the alpha oracle's cap.  Given masks (mis_masks(g), not CAPPED), the
     independence number of g[C] is the largest |M & C| over the maximal
     independent sets M of g: an independent set of g[C] extends to a
     maximal one of g, and M & C is independent in g[C].  Otherwise it
     comes from branch and bound on the component."""
-    if any(len(c) > DEFAULT_ALPHA_CAP for c in comps):
-        return None
     use_masks = masks is not None and masks is not CAPPED
-    if use_masks:
-        bit = {u: 1 << i for i, u in enumerate(g.nodes)}
     worst = 0
     for c in comps:
-        if len(c) // 2 * 2 <= worst:
+        size = c.bit_count()
+        if size > DEFAULT_ALPHA_CAP:
+            return None
+        if size // 2 * 2 <= worst:
             continue  # mu2 is at most 2 floor(n / 2): c cannot be worse
-        if use_masks:
-            inside = sum(bit[u] for u in c)
-            alpha = max((m & inside).bit_count() for m in masks)
-        else:
-            alpha = _alpha_component(c)
-        worst = max(worst, _mu2(len(c), alpha))
+        alpha = (max(map(int.bit_count, map(c.__and__, masks))) if use_masks
+                 else _alpha_branch(nbr, c, 0, 0))
+        worst = max(worst, _mu2(size, alpha))
     return worst
 
 
-def _eta_bw(g: Graph, p, active: set) -> int:
-    """Size of the largest component of g[{u in active: p[u] == c}] over
-    c in {0, 1}."""
-    return max((len(c) for color in (0, 1) for c in component_walk(
-        g.adjacency, {u for u in active if p[u] == color})), default=0)
-
-
-def _eta_t(t: RootedTree, p, active: set) -> int:
+def _eta_t(t: RootedTree, p, active: int) -> int:
     """1 plus the longest monochromatic parent-pointer path (in edges)
     through the active nodes of a rooted tree; 0 when none is active."""
     if not active:
         return 0
+    active = {u for i, u in enumerate(t.graph.nodes) if active >> i & 1}
     best = 0
     for u in active:
-        steps = 0
-        at = u
-        while True:
-            parent = t.parent[at]
-            if parent not in active or p[parent] != p[u]:
-                break
+        steps, at = 0, u
+        while (at := t.parent[at]) in active and p[at] == p[u]:
             steps += 1
-            at = parent
         best = max(best, steps)
     return 1 + best
 
@@ -202,19 +193,19 @@ def mis_masks(g: Graph):
 def eta_hamming(g: Graph, p, masks=None):
     """Minimum number of prediction flips to reach some correct solution,
     over mis_masks(g) (computed when not given); None when capped."""
-    if masks is None:
-        masks = mis_masks(g)
+    return _hamming(mis_masks(g) if masks is None else masks, g.n,
+                    _mask(g, p, 1), _mask(g, p, 0))
+
+
+def _hamming(masks, n: int, ones: int, zeros: int):
+    """eta_hamming, given the nodes predicted 1 and 0 as masks."""
     if masks is CAPPED:
         return None
-    ones = other = 0
-    for i, u in enumerate(g.nodes):
-        if p[u] == 1:
-            ones |= 1 << i
-        elif p[u] != 0:
-            other |= 1 << i
+    other = (1 << n) - 1 & ~ones & ~zeros
     # u disagrees with the set m when it is predicted 1 outside m or 0 in
     # m (a bit of ones ^ m), and any other value disagrees with every set
-    return min((((ones ^ m) | other).bit_count() for m in masks), default=0)
+    flips = map(int.bit_count, map(ones.__xor__, map((~other).__and__, masks)))
+    return other.bit_count() + min(flips, default=0)
 
 
 def error_report(kind: str, g: Graph, p, tree: RootedTree = None,
@@ -223,15 +214,19 @@ def error_report(kind: str, g: Graph, p, tree: RootedTree = None,
     entries come back None.  A given tree must span g; masks, when given,
     are mis_masks(g), and only MIS reads them (an edge-coloring component
     is not an induced subgraph of g)."""
-    active, comps = _residue(kind, g, p)
-    if kind != "MIS":
-        masks = None
-    report = {"eta1": max(map(len, comps), default=0),
-              "eta2": _eta2(g, comps, masks)}
+    active, nbr, comps = _residue(kind, g, p)
+    report = {"eta1": max((c.bit_count() for c in comps), default=0),
+              "eta2": _eta2(nbr, comps, masks if kind == "MIS" else None)}
     if kind == "MIS":
-        report["eta_bw"] = _eta_bw(g, p, active)
+        ones, zeros = _mask(g, p, 1), _mask(g, p, 0)
+        # eta_bw is eta1 when every undecided node has one prediction
+        parts = (active & zeros, active & ones)
+        report["eta_bw"] = report["eta1"] if active in parts else max(
+            (c.bit_count() for part in parts for c in mask_components(nbr, part)),
+            default=0)
         report["eta_t"] = _eta_t(tree, p, active) if tree is not None else None
-        report["eta_hamming"] = eta_hamming(g, p, masks)
+        report["eta_hamming"] = _hamming(
+            mis_masks(g) if masks is None else masks, g.n, ones, zeros)
     else:
         report["eta_bw"] = report["eta_t"] = report["eta_hamming"] = None
     return report

@@ -6,9 +6,9 @@ only tests use.  Nothing under src/ needs them."""
 from collections.abc import Sequence
 
 from predsync.graphs import (DEFAULT_ALPHA_CAP, DEFAULT_ENUM_CAP, CapExceeded,
-                             Graph, GraphError, _alpha_component,
-                             _assign_ids, _rng, build_graph, component_walk,
-                             mis_bitmasks, node_rule)
+                             Graph, GraphError, _assign_ids, _rng,
+                             build_graph, component_walk, mis_bitmasks,
+                             node_rule)
 from predsync.measures import _mu2
 
 
@@ -70,13 +70,26 @@ def components(g: Graph) -> list[Graph]:
 
 
 def alpha_oracle(g: Graph, cap: int = DEFAULT_ALPHA_CAP) -> int:
-    """Exact maximum independent set size via branch and bound."""
+    """Exact maximum independent set size, by a search over node sets that
+    shares no code with the bitmask measures."""
     if g.n > cap:
         raise CapExceeded(f"alpha oracle capped at {cap} nodes, got {g.n}")
-    best = 0
-    for comp in components(g):
-        best += _alpha_component(comp.adjacency)
-    return best
+    return _alpha_sets(g.neighbor_sets, frozenset(g.nodes))
+
+
+def _alpha_sets(nbrs, left: frozenset) -> int:
+    """The largest independent set inside left.  Some largest one holds a
+    node of degree at most 1 in left, so such a node is taken; otherwise
+    a node of largest degree is either taken or dropped."""
+    if not left:
+        return 0
+    degree = {u: len(nbrs[u] & left) for u in left}
+    low = min(left, key=degree.get)
+    if degree[low] <= 1:
+        return 1 + _alpha_sets(nbrs, left - nbrs[low] - {low})
+    top = max(left, key=degree.get)
+    return max(1 + _alpha_sets(nbrs, left - nbrs[top] - {top}),
+               _alpha_sets(nbrs, left - {top}))
 
 
 def enumerate_mis(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> list[frozenset]:
@@ -84,6 +97,22 @@ def enumerate_mis(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> list[frozenset]:
     decoded."""
     return sorted((frozenset(u for i, u in enumerate(g.nodes) if m >> i & 1)
                    for m in mis_bitmasks(g, cap)), key=sorted)
+
+
+def greedy_mis_rounds(g: Graph) -> dict:
+    """The round in which each node of a standalone mis.greedy run ends, by
+    phases: in phase p, each undecided node whose identifier beats every
+    undecided neighbour joins and ends in round 2p - 1, and those undecided
+    neighbours leave and end in round 2p."""
+    left, end, phase = set(g.nodes), {}, 0
+    while left:
+        phase += 1
+        joins = {u for u in left if all(v < u for v in g.neighbor_sets[u] & left)}
+        leaves = {v for u in joins for v in g.neighbor_sets[u] & left}
+        end.update(dict.fromkeys(joins, 2 * phase - 1))
+        end.update(dict.fromkeys(leaves, 2 * phase))
+        left -= joins | leaves
+    return end
 
 
 def random_graph(n: int, p: float, seed: int, id_scheme: str, d=None) -> Graph:

@@ -5,14 +5,16 @@ import gc
 import pickle
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from predsync import graphs
 from predsync.engine import Outcome, TraceEvent
 from predsync.graphs import (CapExceeded, GraphError, Violation,
-                             build_graph, generate, grid, line, line_tree,
-                             mis_bitmasks, random_connected_graph,
-                             random_graph, random_tree, read_graph,
-                             RootedTree, validate, wheel_fk)
+                             build_graph, component_walk, generate, grid,
+                             line, line_tree, mask_components, mis_bitmasks,
+                             random_connected_graph, random_graph,
+                             random_tree, read_graph, RootedTree, validate,
+                             wheel_fk)
 
 import reference
 from helpers import diameter, wheel_rim_nodes, write_graph
@@ -99,6 +101,37 @@ def test_enumerate_mis():
         mis_bitmasks(line(21), cap=20)
     with pytest.raises(CapExceeded):
         mis_bitmasks(line(21))  # the default cap is 20
+
+
+@st.composite
+def _graph_and_keep(draw):
+    """A graph on up to 12 identifiers in 1..40 and a set of its nodes."""
+    nodes = sorted(draw(st.sets(st.integers(1, 40), max_size=12)))
+    pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    keep = draw(st.sets(st.sampled_from(nodes))) if nodes else set()
+    return build_graph(nodes, edges), keep
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_graph_and_keep())
+@example((build_graph([], []), set()))
+@example((build_graph([2, 5, 9], []), {2, 9}))
+@example((line(800), set(range(1, 801))))
+@example((line(800), {u for u in range(1, 801) if u % 3}))
+def test_mask_components_match_component_walk(case):
+    """mask_components over neighbor_bits gives component_walk's components
+    of the kept nodes, in the same order (by smallest member)."""
+    g, keep = case
+    got = []
+    for comp in mask_components(g.neighbor_bits, sum(
+            1 << i for i, u in enumerate(g.nodes) if u in keep)):
+        got.append([])
+        while comp:  # decoded lowest bit first, so in node order
+            low = comp & -comp
+            got[-1].append(g.nodes[low.bit_length() - 1])
+            comp ^= low
+    assert got == [sorted(comp) for comp in component_walk(g.adjacency, keep)]
 
 
 def test_oracles_leave_no_reference_cycles():

@@ -341,12 +341,18 @@ def test_direct_residue_matches_simulated_base_programs():
     error components as a simulated run of the registry's base program."""
     sizes = {}
     for kind, g, p in _residue_cases():
-        undecided, comps = M._residue(kind, g, p)
+        undecided, nbr, comps = M._residue(kind, g, p)
         want_undecided, want_comps = _error_components(kind, g, p)
+
+        def nodes(mask):  # a mask over g.nodes decoded, in node order
+            return tuple(u for i, u in enumerate(g.nodes) if mask >> i & 1)
+        if undecided is not None:
+            undecided = set(nodes(undecided))
         assert undecided == want_undecided, (kind, g.adjacency, p)
-        assert ([dict(c) for c in comps]
+        index = {u: i for i, u in enumerate(g.nodes)}
+        assert ([{u: nodes(nbr[index[u]] & c) for u in nodes(c)} for c in comps]
                 == [dict(c.adjacency) for c in want_comps]), (kind, g.adjacency, p)
-        sizes.setdefault(kind, set()).add(sum(map(len, comps)))
+        sizes.setdefault(kind, set()).add(sum(c.bit_count() for c in comps))
     # every problem saw both correct and erroneous predictions
     assert all(0 in seen and len(seen) > 1 for seen in sizes.values())
     assert len(sizes) == 4 and 800 in sizes["MIS"]
@@ -420,9 +426,9 @@ def test_error_report_builds_no_graph(monkeypatch):
     monkeypatch.setattr(Graph, "__init__", lambda self, *args, **kwargs:
                         built.append(1) or real(self, *args, **kwargs))
     assert not hasattr(M, "alpha_oracle")  # measures cannot reach it
-    branch = M._alpha_component
-    monkeypatch.setattr(M, "_alpha_component",
-                        lambda adj: searched.append(1) or branch(adj))
+    branch = M._alpha_branch
+    monkeypatch.setattr(M, "_alpha_branch",
+                        lambda *args: searched.append(1) or branch(*args))
     eta2 = set()
     for kind, g, p in cases:
         searched.clear()

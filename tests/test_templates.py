@@ -9,12 +9,12 @@ from predsync import measures as M, mis, problems
 from predsync.audit import audit_run
 from predsync.engine import (NodeView, NonTermination, default_max_rounds,
                              simulate)
-from predsync.graphs import (_assign_ids, build_graph, grid, line,
-                             random_connected_graph, random_graph, random_tree,
-                             validate)
+from predsync.graphs import (PROBLEM_KINDS, _assign_ids, build_graph, grid,
+                             line, random_connected_graph, random_graph,
+                             random_tree, validate)
 from predsync.stages import (ConfigError, InterleavedStage, ParallelStage,
                              Stage, StagedProgram)
-from predsync.templates import build_template
+from predsync.templates import TEMPLATES, build_template
 
 from helpers import value
 
@@ -34,6 +34,32 @@ def test_build_template_errors():
         build_template("VERTEX_COLORING", "parallel")
     with pytest.raises(TypeError):  # part 1 sets its own budget r1
         build_template("MIS", "parallel", r1=lambda v: 4)
+
+
+# initializations longer than c, as (rounds, c): the cause of the EC and
+# tree MIS simple templates' degradation failures (ROADMAP item 3)
+_LONG_INITS = {"EDGE_COLORING": (2, 1), "tree MIS": (4, 3)}
+
+
+def test_initializations_last_at_most_c_rounds():
+    """The first stage of every template, its initialization, lasts at most
+    c rounds, except in _LONG_INITS.  A new exception fails, and so does a
+    fixed one, so the table changes only on purpose."""
+    long, built = {}, 0
+    for problem in PROBLEM_KINDS:
+        for tree in (False, True) if problem == "MIS" else (False,):
+            for template in TEMPLATES:
+                try:
+                    t = build_template(problem, template, tree=tree)
+                except ConfigError:  # the problem has no such template
+                    continue
+                built += 1
+                rounds = t.program.stages[0].rounds
+                if rounds > t.c:
+                    long.setdefault("tree MIS" if tree else problem,
+                                    set()).add((rounds, t.c))
+    assert built == 4 + 2 + 3 * 2
+    assert long == {name: {pair} for name, pair in _LONG_INITS.items()}
 
 
 def test_parallel_requires_fault_tolerant_part1():
