@@ -155,6 +155,8 @@ def parse_config(path: str, command: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if command not in KEYS[key][1]:
             raise ConfigError(f"{key} = {value}: {command} does not read it")
+        if key in cfg:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeated")
         cfg[key] = value
     return cfg
 

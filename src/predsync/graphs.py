@@ -122,8 +122,8 @@ def rooted_tree(g: Graph, parent: Mapping[int, int]) -> RootedTree:
             raise GraphError("MALFORMED_LINE", f"parent {p} of {u} is not a neighbor")
         if parent[p] == u:
             raise GraphError("MALFORMED_LINE", f"nodes {u} and {p} are each other's parent")
-    walk = component_walk(g.adjacency, g.adjacency)
-    if g.num_edges() != g.n - 1 or (g.n and len(list(walk)) != 1):
+    if g.num_edges() != g.n - 1 or (g.n and len(
+            mask_components(g.neighbor_bits, (1 << g.n) - 1)) != 1):
         raise GraphError("MALFORMED_LINE", "rooted tree must be connected and acyclic")
     return RootedTree(g, parent)
 
@@ -278,27 +278,9 @@ def generate(family: str, params: Mapping[str, object], id_scheme: str = "INCREA
 # structure operations
 
 
-def component_walk(adj: Mapping[int, Sequence[int]], keep) -> Iterator[list]:
-    """The connected components of the subgraph that the nodes in keep (a
-    set or a mapping keyed by node) induce in the graph adj, as node lists
-    in walk order, by smallest member."""
-    left = set(keep)
-    for start in sorted(left):
-        if start not in left:
-            continue
-        left.remove(start)
-        comp = [start]
-        for u in comp:  # a breadth-first walk: comp grows as it goes
-            for v in adj[u]:
-                if v in left:
-                    left.remove(v)
-                    comp.append(v)
-        yield comp
-
-
 def mask_components(nbr: Sequence[int], keep: int) -> list[int]:
-    """component_walk over masks: the components that the bits of keep
-    induce, nbr[i] being bit i's neighbour mask, by lowest bit."""
+    """The connected components that the bits of keep induce, nbr[i] being
+    bit i's neighbour mask, as masks by lowest bit."""
     comps = []
     while keep:
         comp = todo = keep & -keep
@@ -567,6 +549,8 @@ def read_graph(text: str):
                 u, p = int(parts[1]), int(parts[2])
             except ValueError:
                 raise GraphError("MALFORMED_LINE", "non-integer parent line", lineno)
+            if u in parents:
+                raise GraphError("MALFORMED_LINE", f"parent of {u} repeated", lineno)
             parents[u] = p
         else:
             if len(parts) != 2:

@@ -5,20 +5,22 @@ clean-up, U], with no clean-up stage for vertex colouring.  interleaved
 (MIS): [init, InterleavedStage(U, greedy, phase)].  parallel (MIS): [init,
 ParallelStage(U, part 1, r1), reveal, part 2], with no reveal on trees.
 
-build_template() returns a TemplateInstance: the assembled program, the
-consistency constant c, the error budget f and the stages whose lengths its
-round bounds and bound verdicts read, so each budget (initialization,
-truncation, clean-up, part 1, reveal, part 2, interleaving phase) is
-written down once, in the stage that spends it.
+build_template() assembles every template from one row of _PARTS and
+returns a TemplateInstance: the program, the consistency constant c and
+the error budget f.  Its round bounds read the lengths the program runs
+with, so each budget (initialization, truncation, clean-up, part 1,
+reveal, part 2, interleaving phase) is written down once, in the stage
+that spends it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import mis, problems
 from .engine import default_max_rounds
+from .graphs import PROBLEM_KINDS
 from .stages import (ConfigError, InterleavedStage, ParallelStage,
                      StagedProgram, TruncatedStage)
 
@@ -47,37 +49,34 @@ def _f_ec(report: dict) -> int:
     return max(1, 2 * eta1 - 3) if eta1 >= 2 else eta1
 
 
-class TemplateInstance:
-    def __init__(self, template: str, program, c: int,
-                 f: Callable[[dict], int], main=None, part2=None):
-        self.template = template
-        self.program = program
-        self.c = c  # rounds used when predictions are correct
-        self.f = f  # error budget from a measure report
-        self.main = main  # the truncated, interleaved or fused stage
-        self.part2 = part2  # the parallel template's last stage
+class TemplateInstance(NamedTuple):
+    template: str
+    program: StagedProgram
+    c: int  # rounds used when predictions are correct
+    f: Callable[[dict], int]  # error budget from a measure report
 
     def bounds(self, g, report) -> tuple[Optional[int], Optional[int]]:
         """(degrading, robust) round bounds of a run on g whose error
-        measures are report; None where a bound does not apply.  The
-        consecutive robust bound c + 2·main assumes that the budget r
-        covers the reference stage: the default budgets do, and the CLI
-        never forces r.  With r forced to 1..3 it fails on 212 MM, 7 VC and
-        223 EC runs of 1014 (test_consecutive_fallback_on_small_graphs)."""
+        measures are report; None where a bound does not apply.  Stage 1
+        is the truncated, interleaved or fused stage.  The consecutive
+        robust bound c + 2·lengths[1] assumes that the budget r covers the
+        reference stage: the default budgets do, and the CLI never forces
+        r.  With r forced to 1..3 it fails on 212 MM, 7 VC and 223 EC runs
+        of 1014 (test_consecutive_fallback_on_small_graphs)."""
         c, f = self.c, self.f(report)
         if self.template == "simple":
             return c + f, None
         if self.template == "interleaved":
             # whole U and R blocks until U has had f rounds
-            phase = self.main.phase_len
+            phase = self.program.stages[1].phase_len
             return c + 2 * f, c + 2 * max(1, math.ceil(f / phase)) * phase
+        lengths = self.program.lengths(g)
         if self.template == "consecutive":
             # the truncated stage lasts r plus the clean-up
-            return c + 2 * f, c + 2 * self.main.length(g)
+            return c + 2 * f, c + 2 * lengths[1]
         # parallel: the fused stage lasts the part-1 budget r1; the
         # degrading bound applies only if f fits inside it
-        return ((c + f + 2 if self.main.length(g) >= f else None),
-                sum(self.program.lengths(g)))
+        return (c + f + 2 if lengths[1] >= f else None), sum(lengths)
 
     def verdicts(self, g, report, rounds: int) -> tuple[str, str, str]:
         """The bound_consistency, bound_degrading and bound_robust cells of
@@ -89,71 +88,43 @@ class TemplateInstance:
         return tuple(cells)
 
     def max_rounds(self, g) -> int:
-        if self.part2 is None:
+        if self.template != "parallel":
             return default_max_rounds(g)
-        return (default_max_rounds(g) + self.main.length(g)
-                + self.part2.length(g) + 10)
+        lengths = self.program.lengths(g)  # part 1's r1, and part 2
+        return default_max_rounds(g) + lengths[1] + lengths[-1] + 10
 
 
 def _even(x: int) -> int:
     return x + (x % 2)
 
 
-# problem -> (c, f, initialization, uniform stage, clean-up or None, default
-# truncation budget r(view) of the consecutive template).  Here and below,
-# a leaf stage is its class, shared by every program built from it; only a
-# composite stage of a per-call r or phase is built per call
+# row -> (c, f, initialization, uniform stage, clean-up or None,
+# consecutive truncation budget r(view) or None, interleaved reference or
+# None, parallel part or None).  A parallel part is (part 1, its budget
+# r1(view), the stages after it).  A None r, reference or parallel part
+# means the row has no such template.  TREE is MIS on a rooted tree: a
+# row, never a problem.  A leaf stage is its class, shared by every
+# program built from it; build_template builds only the composite stages,
+# once per call
 _PARTS = {
     "MIS": (3, _f_mis, mis.MisInitStage, mis.GreedyStage,
-            mis.MisCleanupStage, lambda v: _even(v.n)),
+            mis.MisCleanupStage, lambda v: _even(v.n), mis.GreedyMinStage,
+            (problems.LinialPart1Stage,
+             lambda v: problems.linial_budget_even(v.d, v.delta),
+             (mis.RevealStage, mis.ColorPart2CombinedStage))),
     "MAXIMAL_MATCHING": (2, _f_mm, problems.MmInitStage,
                          problems.MmUniformStage, problems.MmCleanupStage,
-                         lambda v: 3 * ((v.n + 1) // 2)),
+                         lambda v: 3 * ((v.n + 1) // 2), None, None),
     "VERTEX_COLORING": (2, _f_vc, problems.VcInitStage,
-                        problems.VcUniformStage, None, lambda v: v.n),
+                        problems.VcUniformStage, None, lambda v: v.n, None,
+                        None),
     "EDGE_COLORING": (1, _f_ec, problems.EcBaseStage,
                       problems.EcUniformStage, problems.EcCleanupStage,
-                      lambda v: _even(2 * v.n)),
+                      lambda v: _even(2 * v.n), None, None),
+    "TREE": (3, _f_mis, mis.TreeInitStage, mis.TreeUniformStage, None, None,
+             None, (mis.GpsPart1Stage, lambda v: mis.gps_budget_even(v.d),
+                    (mis.TreePart2Stage,))),
 }
-
-
-# the parallel MIS template: U fused with Linial part 1, the reveal round
-# and part 2
-_MIS_FUSED = ParallelStage(mis.GreedyStage, problems.LinialPart1Stage,
-                           lambda v: problems.linial_budget_even(v.d, v.delta))
-_MIS_PART2 = mis.ColorPart2CombinedStage
-_MIS_PARALLEL = ((mis.MisInitStage, _MIS_FUSED, mis.RevealStage, _MIS_PART2),
-                 _MIS_FUSED, _MIS_PART2)
-# the rooted-tree MIS templates; there is no reveal stage on trees
-_TREE_FUSED = ParallelStage(mis.TreeUniformStage, mis.GpsPart1Stage,
-                            lambda v: mis.gps_budget_even(v.d))
-_MIS_TREE = {
-    "simple": ((mis.TreeInitStage, mis.TreeUniformStage), None, None),
-    "parallel": ((mis.TreeInitStage, _TREE_FUSED, mis.TreePart2Stage),
-                 _TREE_FUSED, mis.TreePart2Stage),
-}
-
-
-def _stages(problem: str, template: str, r: Optional[Callable], phase: int):
-    """(stages, main, part2) of a template, as TemplateInstance names them."""
-    _, _, init, uniform, cleanup, default_r = _PARTS[problem]
-    if template == "simple":
-        return (init, uniform), None, None
-    if template == "consecutive":
-        r = r or default_r
-        tail = (cleanup,) if cleanup is not None else ()
-        pad = sum(s.rounds for s in tail)
-        main = TruncatedStage(uniform, lambda v: r(v) + pad)
-        return (init, main, *tail, uniform), main, None
-    if problem != "MIS":
-        raise ConfigError(
-            f"{problem} supports simple and consecutive templates only")
-    if template == "interleaved":
-        if phase % 2:
-            raise ConfigError("interleaved greedy phases must be even")
-        main = InterleavedStage(uniform, mis.GreedyMinStage, phase)
-        return (init, main), main, None
-    return _MIS_PARALLEL
 
 
 def build_template(problem: str, template: str, *, tree: bool = False,
@@ -163,14 +134,28 @@ def build_template(problem: str, template: str, *, tree: bool = False,
     consecutive truncation budget, phase the interleaved block length."""
     if template not in TEMPLATES:
         raise ConfigError(f"unknown template {template!r}")
-    if problem not in _PARTS:
+    if problem not in PROBLEM_KINDS:
         raise ConfigError(f"unknown problem {problem!r}")
-    if problem == "MIS" and tree:
-        if template not in _MIS_TREE:
-            raise ConfigError(f"tree variant has no {template!r} template")
-        stages, main, part2 = _MIS_TREE[template]
+    row = "TREE" if tree and problem == "MIS" else problem
+    c, f, init, uniform, cleanup, default_r, reference, parallel = _PARTS[row]
+    if template == "simple":
+        stages = (init, uniform)
+    elif template == "consecutive" and default_r is not None:
+        r = r or default_r
+        tail = (cleanup,) if cleanup is not None else ()
+        pad = sum(s.rounds for s in tail)
+        stages = (init, TruncatedStage(uniform, lambda v: r(v) + pad), *tail,
+                  uniform)
+    elif template == "interleaved" and reference is not None:
+        if phase % 2:
+            raise ConfigError("interleaved greedy phases must be even")
+        stages = (init, InterleavedStage(uniform, reference, phase))
+    elif template == "parallel" and parallel is not None:
+        part1, r1, after = parallel
+        stages = (init, ParallelStage(uniform, part1, r1), *after)
+    elif row == "TREE":
+        raise ConfigError(f"tree variant has no {template!r} template")
     else:
-        stages, main, part2 = _stages(problem, template, r, phase)
-    c, f = _PARTS[problem][:2]
-    return TemplateInstance(template, StagedProgram(stages), c, f, main,
-                            part2)
+        raise ConfigError(
+            f"{problem} supports simple and consecutive templates only")
+    return TemplateInstance(template, StagedProgram(stages), c, f)

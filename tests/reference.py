@@ -3,12 +3,11 @@ side of the differential tests against predsync.audit's incremental pass
 and the one-build graph generators, and the graph and measure helpers that
 only tests use.  Nothing under src/ needs them."""
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Mapping, Sequence
 
 from predsync.graphs import (DEFAULT_ALPHA_CAP, DEFAULT_ENUM_CAP, CapExceeded,
                              Graph, GraphError, _assign_ids, _rng,
-                             build_graph, component_walk, mis_bitmasks,
-                             node_rule)
+                             build_graph, mis_bitmasks, node_rule)
 from predsync.measures import _mu2
 
 
@@ -58,6 +57,25 @@ def edge_induced_subgraph(g: Graph, edges: Sequence[tuple[int, int]]) -> Graph:
     """Subgraph whose nodes are the endpoints of the given edges."""
     nodes = sorted({u for e in edges for u in e})
     return build_graph(nodes, list(edges), g.d)
+
+
+def component_walk(adj: Mapping[int, Sequence[int]], keep) -> Iterator[list]:
+    """The connected components of the subgraph that the nodes in keep (a
+    set or a mapping keyed by node) induce in the graph adj, as node lists
+    in walk order, by smallest member: the set-based reference of
+    graphs.mask_components."""
+    left = set(keep)
+    for start in sorted(left):
+        if start not in left:
+            continue
+        left.remove(start)
+        comp = [start]
+        for u in comp:  # a breadth-first walk: comp grows as it goes
+            for v in adj[u]:
+                if v in left:
+                    left.remove(v)
+                    comp.append(v)
+        yield comp
 
 
 def components(g: Graph) -> list[Graph]:
@@ -112,6 +130,17 @@ def greedy_mis_rounds(g: Graph) -> dict:
         end.update(dict.fromkeys(joins, 2 * phase - 1))
         end.update(dict.fromkeys(leaves, 2 * phase))
         left -= joins | leaves
+    return end
+
+
+def vc_uniform_rounds(g: Graph) -> dict:
+    """The round in which each node of a standalone vc.uniform run ends:
+    a node colours itself the round after its last larger-identifier
+    neighbour, and in round 1 when it has none."""
+    end = {}
+    for u in reversed(g.nodes):
+        end[u] = 1 + max((end[v] for v in g.neighbor_sets[u] if v > u),
+                         default=0)
     return end
 
 

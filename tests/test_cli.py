@@ -256,6 +256,18 @@ def test_misspelt_key_is_a_config_error(tmp_path, capsys, command):
         f"config error: {cfg}:6: unknown key 'phsae'\n")
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_repeated_key_is_a_config_error(tmp_path, capsys, command):
+    # the last "k" once won: run wrote the k = 2 row and exited 0
+    key = "k" if command == "run" else "k_range"
+    cfg = _cfg(tmp_path, f"graph = LINE\nn = 5\n{key} = 1\n{key} = 2\n")
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"config error: {cfg}:4: key {key!r} repeated\n")
+
+
 def test_documented_and_benchmarked_keys_are_config_keys():
     """Each README config block's keys are read by the command that the
     paragraph before it names, every benchmark key is read by sweep, and

@@ -19,6 +19,9 @@ import pytest
 
 from predsync import cli
 from predsync.cli import main
+from predsync.graphs import PROBLEM_KINDS
+from predsync.stages import ConfigError
+from predsync.templates import TEMPLATES, build_template
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -58,6 +61,28 @@ CONFIGS = {
     "mis_edgeless": ("graph = RANDOM\nn = 6\np = 0.1\nproblem = MIS\n"
                      "template = simple\n", 1),
 }
+
+
+def test_every_template_has_a_golden():
+    """The (problem, template, tree) combinations that build_template
+    accepts are the ones CONFIGS sweeps, so a new template cannot land
+    without a CSV golden.  tree matters only for MIS."""
+    built = set()
+    for problem in PROBLEM_KINDS:
+        for tree in (False, True) if problem == "MIS" else (False,):
+            for template in TEMPLATES:
+                try:
+                    build_template(problem, template, tree=tree)
+                except ConfigError:  # the problem has no such template
+                    continue
+                built.add((problem, template, tree))
+    swept = set()
+    for text, _ in CONFIGS.values():
+        cfg = dict(line.split(" = ") for line in text.splitlines())
+        swept.add((cfg.get("problem", "MIS"), cfg.get("template", "simple"),
+                   cfg["graph"] == "TREE"))
+    assert built == swept
+    assert len(built) == 12
 
 
 def _sweep(name, tmp_path):

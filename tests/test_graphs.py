@@ -10,16 +10,16 @@ from hypothesis import example, given, settings, strategies as st
 from predsync import graphs
 from predsync.engine import Outcome, TraceEvent
 from predsync.graphs import (CapExceeded, GraphError, Violation,
-                             build_graph, component_walk, generate, grid,
-                             line, line_tree, mask_components, mis_bitmasks,
+                             build_graph, generate, grid, line, line_tree,
+                             mask_components, mis_bitmasks,
                              random_connected_graph, random_graph,
                              random_tree, read_graph, RootedTree, validate,
                              wheel_fk)
 
 import reference
 from helpers import diameter, wheel_rim_nodes, write_graph
-from reference import (alpha_oracle, components, edge_induced_subgraph,
-                       enumerate_mis, induced_subgraph)
+from reference import (alpha_oracle, component_walk, components,
+                       edge_induced_subgraph, enumerate_mis, induced_subgraph)
 
 
 def test_line_structure():
@@ -193,9 +193,12 @@ _PATH_TREE = "3 3\n1 2\n2 3\nP 1 0\n"
      "MALFORMED_LINE: rooted tree must be connected and acyclic"),
     (lambda: read_graph("4 4\n1 2\n2 3\n3 4\nP 1 0\nP 2 1\nP 3 4\nP 4 3\n"),
      "MALFORMED_LINE: nodes 3 and 4 are each other's parent"),
+    # the last P line for node 1 once won, and gave a tree rooted at 2
+    (lambda: read_graph("3 3\n1 2\n2 3\nP 1 0\nP 2 1\nP 3 2\nP 1 2\nP 2 0\n"),
+     "MALFORMED_LINE: parent of 1 repeated (line 7)"),
 ], ids=["duplicate-list", "self-loop-edge", "unknown-edge-end", "built-id-range",
         "built-id-zero", "tree-two-roots", "tree-parent-not-neighbor",
-        "tree-edge-cycle", "tree-parent-cycle"])
+        "tree-edge-cycle", "tree-parent-cycle", "tree-parent-repeated"])
 def test_each_graph_error_branch(build, message):
     with pytest.raises(GraphError) as err:
         build()

@@ -15,7 +15,8 @@ from predsync.stages import StagedProgram
 
 from helpers import even_rounds, program, undecided, value
 from reference import (components, greedy_mis_rounds, induced_subgraph,
-                       mu1, mu2, partial_outputs, snapshot_active)
+                       mu1, mu2, partial_outputs, snapshot_active,
+                       vc_uniform_rounds)
 
 
 def _k(ids):
@@ -170,10 +171,13 @@ def test_greedy_steady_progress():
 # u_bw
 
 
-def test_greedy_rounds_match_the_phase_model():
-    """Each node of standalone mis.greedy ends in the round that the phase
-    model in reference.greedy_mis_rounds gives: on every atlas graph on at
-    most 6 nodes, and on seeded graphs with permuted identifiers."""
+@pytest.mark.parametrize("name, model", [
+    ("mis.greedy", greedy_mis_rounds), ("vc.uniform", vc_uniform_rounds),
+], ids=["mis.greedy", "vc.uniform"])
+def test_greedy_rounds_match_the_phase_model(name, model):
+    """Each node of the standalone uniform program ends in the round that
+    its phase model in reference gives: on every atlas graph on at most 6
+    nodes, and on seeded graphs with permuted identifiers."""
     nx = pytest.importorskip("networkx")
     graphs = [build_graph([u + 1 for u in a], [(u + 1, v + 1) for u, v in a.edges()])
               for a in nx.graph_atlas_g() if a.number_of_nodes() <= 6]
@@ -183,8 +187,8 @@ def test_greedy_rounds_match_the_phase_model():
                    grid(5, 7, "SEEDED_PERMUTATION", seed)]
     phases = set()
     for g in graphs:
-        out = simulate(g, program("mis.greedy"))
-        want = greedy_mis_rounds(g)
+        out = simulate(g, program(name))
+        want = model(g)
         assert out.term_round == want, sorted(g.edges())
         phases.add(max(want.values(), default=0))
     assert len(graphs) == 209 + 30 and max(phases) >= 8

@@ -24,6 +24,8 @@ def test_build_template_errors():
         build_template("MIS", "sideways")
     with pytest.raises(ConfigError):
         build_template("NOPE", "simple")
+    with pytest.raises(ConfigError):  # a parts row, but not a problem
+        build_template("TREE", "simple")
     with pytest.raises(ConfigError):
         build_template("MIS", "interleaved", phase=3)
     with pytest.raises(ConfigError):
