@@ -522,7 +522,8 @@ def first_violation(kind: str, g: Graph, outputs, found) -> Optional[Violation]:
 def read_graph(text: str):
     """Parse the graph file format; returns Graph or RootedTree."""
     n = d = None
-    nodes: list[int] = []
+    nodes: list[int] = []  # edge ends
+    lone: dict[int, int] = {}  # node of a V line -> its line
     edges: list[tuple[int, int]] = []
     parents: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -541,7 +542,10 @@ def read_graph(text: str):
         if parts[0] == "V":
             if len(parts) != 2 or not parts[1].isdigit():
                 raise GraphError("MALFORMED_LINE", "expected 'V u'", lineno)
-            nodes.append(int(parts[1]))
+            u = int(parts[1])
+            if u in lone:
+                raise GraphError("MALFORMED_LINE", f"node {u} repeated", lineno)
+            lone[u] = lineno
         elif parts[0] == "P":
             if len(parts) != 3:
                 raise GraphError("MALFORMED_LINE", "expected 'P u p'", lineno)
@@ -567,7 +571,11 @@ def read_graph(text: str):
             nodes += [u, v]
     if n is None:
         raise GraphError("MALFORMED_LINE", "empty graph file")
-    ids = sorted(set(nodes))
+    ends = set(nodes)
+    for u, at in lone.items():
+        if u in ends:
+            raise GraphError("MALFORMED_LINE", f"node {u} has edges", at)
+    ids = sorted(ends.union(lone))
     if len(ids) != n:
         raise GraphError("MALFORMED_LINE", f"header says n={n} but found {len(ids)} nodes")
     if len(set(edges)) != len(edges):

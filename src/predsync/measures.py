@@ -33,28 +33,33 @@ from .graphs import (DEFAULT_ALPHA_CAP, CapExceeded, Graph, RootedTree,
 
 
 def check_prediction(kind: str, u: int, pred, nbrs, delta: int) -> None:
-    """The start check of the matching and colouring initializations:
-    raise ValueError when node u, with neighbours nbrs, cannot start from
-    its prediction pred."""
+    """The start check of the matching and vertex-colouring
+    initializations: raise ValueError when node u, with neighbour set
+    nbrs, cannot start from its prediction pred."""
     if kind == "MAXIMAL_MATCHING":
-        if pred is not None and pred not in nbrs:
+        try:
+            known = pred is None or pred in nbrs
+        except TypeError:  # unhashable, so no node
+            known = False
+        if not known:
             raise ValueError(
                 f"node {u}: predicted partner {pred!r} is not a neighbor")
-        return
-    if kind == "VERTEX_COLORING":
-        colors, hi = (pred,), delta + 1
-    else:
-        if not isinstance(pred, dict) or set(pred) != set(nbrs):
-            raise ValueError(f"node {u}: edge predictions incomplete")
-        colors, hi = pred.values(), max(1, 2 * delta - 1)
-    for c in colors:
+    elif not isinstance(pred, int) or not 1 <= pred <= delta + 1:
+        raise ValueError(f"node {u}: predicted color {pred!r} out of range")
+
+
+def edge_predictions(u: int, pred, nbrs, delta: int) -> dict:
+    """check_prediction for the edge-colouring initialization (keys, then
+    each colour's range), which returns the predicted colours no other edge
+    at u shares, by neighbour: pred itself, read-only, when all differ."""
+    if not isinstance(pred, dict) or pred.keys() != nbrs:
+        raise ValueError(f"node {u}: edge predictions incomplete")
+    hi = max(1, 2 * delta - 1)
+    for c in pred.values():
         if not isinstance(c, int) or not 1 <= c <= hi:
             raise ValueError(f"node {u}: predicted color {c!r} out of range")
-
-
-def unique_predictions(pred: dict) -> dict:
-    """The predicted edge colors no other edge at the node shares, by
-    neighbor."""
+    if len(set(pred.values())) == len(pred):
+        return pred
     tally = {}
     for c in pred.values():
         tally[c] = tally.get(c, 0) + 1
@@ -95,8 +100,8 @@ def _ec_uncolored(g: Graph, p) -> list[int]:
     """An edge is colored when both endpoints predict the same color for it
     and that color is unique at each endpoint.  Returns, at index i, the
     mask of nodes[i]'s neighbors across uncolored edges."""
-    adj = g.adjacency
-    unique = {u: unique_predictions(p[u]) for u in g.nodes}
+    adj, nbrs = g.adjacency, g.neighbor_sets
+    unique = {u: edge_predictions(u, p[u], nbrs[u], g.delta) for u in g.nodes}
     uncolored = []
     for u, rest in zip(g.nodes, g.neighbor_bits):
         mine, mask = unique[u], 0
@@ -125,10 +130,10 @@ def _residue(kind: str, g: Graph, p):
     missing = [u for u in g.nodes if u not in p]
     if missing:
         raise ValueError(f"predictions missing for nodes {missing}")
-    if kind != "MIS":  # the start checks of the other initializations
-        for u in g.nodes:
-            check_prediction(kind, u, p[u], g.adjacency[u], g.delta)
-    if kind == "EDGE_COLORING":
+    if kind in ("MAXIMAL_MATCHING", "VERTEX_COLORING"):
+        for u in g.nodes:  # the start checks of their initializations
+            check_prediction(kind, u, p[u], g.neighbor_sets[u], g.delta)
+    if kind == "EDGE_COLORING":  # checked as it is tallied
         nbr = _ec_uncolored(g, p)
         keep = sum(1 << i for i, nb in enumerate(nbr) if nb)
         return None, nbr, mask_components(nbr, keep)

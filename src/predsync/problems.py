@@ -33,7 +33,7 @@ from functools import cache
 from typing import Mapping
 
 from .engine import IDLE, NO_OUTPUTS, STOP, Step
-from .measures import check_prediction, unique_predictions
+from .measures import check_prediction, edge_predictions
 from .stages import Ctx, Stage
 
 MATCHED = "MATCHED"
@@ -75,10 +75,10 @@ class MmInitStage(_AnnounceRun):
     rounds = 2
     rule = "init"
 
-    def __init__(self, ctx):
+    def __init__(self, ctx):  # the first stage, so ctx.active is fresh
         v = ctx.view
-        check_prediction("MAXIMAL_MATCHING", v.id, v.prediction,
-                         v.neighbor_ids, v.delta)
+        check_prediction("MAXIMAL_MATCHING", v.id, v.prediction, ctx.active,
+                         v.delta)
 
     def compose(self, ctx, t):
         if t == 1:
@@ -200,8 +200,8 @@ class VcInitStage(_ColorRun):
 
     def __init__(self, ctx):
         v = ctx.view
-        check_prediction("VERTEX_COLORING", v.id, v.prediction,
-                         v.neighbor_ids, v.delta)
+        check_prediction("VERTEX_COLORING", v.id, v.prediction, ctx.active,
+                         v.delta)
 
     def compose(self, ctx, t):
         if t == 1:
@@ -427,11 +427,9 @@ class EcBaseStage(_ExchangeRun):
 
     rounds = 2
 
-    def __init__(self, ctx):
+    def __init__(self, ctx):  # no edge-colouring stage edits ctx.active
         v = ctx.view
-        check_prediction("EDGE_COLORING", v.id, v.prediction,
-                         v.neighbor_ids, v.delta)
-        self.unique = unique_predictions(v.prediction)
+        self.unique = edge_predictions(v.id, v.prediction, ctx.active, v.delta)
 
     def compose(self, ctx, t):
         if t == 1:

@@ -64,26 +64,27 @@ class Ctx:
     """One node's run of a program: the cross-stage knowledge stages share,
     and the driver's state.  Slotted, so a per-node field is deliberate."""
 
-    __slots__ = ("view", "active", "nbr_one", "stored", "stages", "lengths",
-                 "final", "idx", "before", "end", "cap", "run")
+    __slots__ = ("view", "active", "nbr_one", "stored", "stages", "spans",
+                 "idx", "before", "end", "cap", "run")
 
-    def __init__(self, view: NodeView, stages, lengths):
+    def __init__(self, view: NodeView, stages, spans):
         self.view = view
         self.active = set(view.neighbor_ids)  # neighbors believed still active
         self.nbr_one = set()  # neighbors that output 1 (MIS)
         self.stored = {}  # unrevealed values and what later stages read
         self.stages = stages
-        self.lengths = lengths
-        self.final = len(stages) - 1  # index of the final stage
-        self.before, self.end = 0, None  # rounds before the current stage
-        self.run = self._enter(0) if stages else None
+        self.spans = spans  # shared by every node of the run
+        if stages:
+            self.run = self._enter(0)
+        else:
+            self.end = self.run = None
 
     def _enter(self, idx):
-        """Stage idx's run, which starts after round self.before.  cap is the
-        latest wake: the next stage start, or the final stage's last round."""
-        self.idx, ln = idx, self.lengths[idx]
-        self.end = None if ln is None else self.before + ln  # its last round
-        self.cap = NEVER if ln is None else self.end + (idx < self.final)
+        """Stage idx's run, which starts after round self.before.  end is its
+        last round, None when open-ended; cap is the latest wake: the next
+        stage start, or the final stage's last round."""
+        self.idx = idx
+        self.before, self.end, self.cap = self.spans[idx]
         return self.stages[idx](self)
 
     def compose(self, rnd):
@@ -91,8 +92,8 @@ class Ctx:
         # advance: it follows compose, or it is a message to a sleeper,
         # whose wake round never lies past the start of the next stage
         while self.end is not None and rnd > self.end and self.run is not None:
-            self.before = self.end
-            self.run = None if self.idx == self.final else self._enter(self.idx + 1)
+            nxt = self.idx + 1
+            self.run = self._enter(nxt) if nxt < len(self.stages) else None
         if self.run is None:
             return {}
         return self.run.compose(self, rnd - self.before)
@@ -102,7 +103,7 @@ class Ctx:
             # past the final fixed stage: terminate undecided
             return STOP
         step = self.run.process(self, rnd - self.before, inbox)
-        if rnd == self.end and self.idx == self.final:  # stop undecided
+        if rnd == self.end and self.idx == len(self.stages) - 1:  # stop undecided
             return step if step.terminate else Step(step.outputs, True)
         wake = step.wake
         if wake is not None:
@@ -119,24 +120,32 @@ class StagedProgram:
 
     def __init__(self, stages):
         self.stages = list(stages)
-        self._key = self._lengths = None
+        self._key = self._lengths = self._spans = None
 
     def lengths(self, view_like) -> tuple:
         """Each stage's length, None for an open-ended final stage.  Kept
         for the last (n, d, delta) seen, so one tuple serves every node of
-        a run and its bounds and checkpoints."""
+        a run and its bounds and checkpoints, and so does each stage's
+        span for Ctx: (rounds before it, its last round, its cap)."""
         key = (view_like.n, view_like.d, view_like.delta)
         if key != self._key:
             lengths = tuple(s.length(view_like) for s in self.stages)
             if None in lengths[:-1]:
                 raise ConfigError("only the final stage may be open-ended")
-            self._key, self._lengths = key, lengths
+            spans, before, last = [], 0, len(lengths) - 1
+            for idx, ln in enumerate(lengths):
+                if ln is None:
+                    spans.append((before, None, NEVER))
+                else:  # cap: the next stage start, or the last round
+                    spans.append((before, before + ln, before + ln + (idx < last)))
+                    before += ln
+            self._key, self._lengths, self._spans = key, lengths, tuple(spans)
         return self._lengths
 
     def start(self, view: NodeView):
         if (view.n, view.d, view.delta) != self._key:
             self.lengths(view)
-        return Ctx(view, self.stages, self._lengths)
+        return Ctx(view, self.stages, self._spans)
 
     def checkpoints(self, view_like, total_rounds: int) -> list[int]:
         """Rounds at which the global partial output must be extendable."""

@@ -7,7 +7,8 @@ from collections.abc import Iterator, Mapping, Sequence
 
 from predsync.graphs import (DEFAULT_ALPHA_CAP, DEFAULT_ENUM_CAP, CapExceeded,
                              Graph, GraphError, _assign_ids, _rng,
-                             build_graph, mis_bitmasks, node_rule)
+                             build_graph, first_violation, mis_bitmasks,
+                             node_rule)
 from predsync.measures import _mu2
 
 
@@ -35,6 +36,51 @@ def check_extendable(kind: str, g: Graph, partial) -> str:
         if found is not None:
             return found.detail
     return ""
+
+
+def rule_audit(kind: str, g: Graph, outcome, checkpoints) -> tuple:
+    """audit.audit_run's answer from node_rule alone: at each checkpoint,
+    replay the output record up to it and recheck by node_rule every node
+    whose rule reads an output so far, with no mask filter in front."""
+    rule = node_rule(kind, g)
+    per_edge = kind == "EDGE_COLORING"
+    log, end = outcome.output_log, outcome.total_rounds
+    out, order, failing, verdict = {}, {}, {}, {}
+    for rnd in sorted({r for r in checkpoints if r <= end} | {end}):
+        recheck = set()
+        for at, node, slot in log:
+            if at > rnd:
+                break
+            order.setdefault(node)
+            value = outcome.outputs[node][slot]
+            if per_edge:
+                out.setdefault(node, {})[slot] = value
+                recheck.update((node, slot))
+            elif slot == "y":
+                out[node] = value
+                recheck.update((node, *g.adjacency[node]))
+        for u in recheck & out.keys():
+            found = rule(out, u)
+            if found is None:
+                failing.pop(u, None)
+            else:
+                failing[u] = found
+        if failing:
+            verdict[rnd] = failing[next(u for u in order if u in failing)].detail
+    if per_edge:
+        for u in g.nodes:
+            out.setdefault(u, {})
+    messages = [f"round {rnd}: {verdict[rnd]}"
+                for rnd in checkpoints if rnd in verdict]
+    return first_violation(kind, g, out, failing.get), messages
+
+
+def unique_edge_colors(pred: Mapping) -> dict:
+    """The predicted edge colours, by neighbour, that no other edge of the
+    node is predicted: the tally of measures.edge_predictions, by
+    counting each colour in a list."""
+    colors = list(pred.values())
+    return {v: c for v, c in pred.items() if colors.count(c) == 1}
 
 
 def snapshot_active(outcome, g: Graph, rnd: int) -> set:

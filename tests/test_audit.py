@@ -6,11 +6,12 @@ import random
 
 from predsync import measures
 from predsync.audit import audit_run
-from predsync.engine import Step, simulate
+from predsync.engine import Outcome, Step, simulate
 from predsync.graphs import (line, random_connected_graph, random_graph,
                              validate)
 from predsync.templates import build_template
-from reference import check_extendable, partial_outputs
+from reference import check_extendable, partial_outputs, rule_audit
+from test_rules import _seeded_outputs
 
 
 class Outputs:
@@ -144,6 +145,7 @@ def _agree(kind, g, traced, untraced, checkpoints):
         expected = _reference_audit(kind, g, traced, cps)
         assert audit_run(kind, g, traced, cps) == (violation, expected)
         assert audit_run(kind, g, untraced, cps) == (violation, expected)
+        assert rule_audit(kind, g, untraced, cps) == (violation, expected)
     for rnd in every:
         assert partial_outputs(untraced, rnd) == _parsed_partial(traced.trace, rnd)
     return len(expected)
@@ -208,3 +210,35 @@ def test_audit_matches_reference_on_faulty_scripted_runs():
             found += _agree(kind, g, traced, untraced,
                             sorted(r.sample(range(traced.total_rounds + 2), 2)))
         assert found > 0, kind
+
+
+def test_mask_filter_agrees_with_the_rule_alone():
+    """The filtered audit gives what node_rule alone gives, on the random
+    invalid outputs of test_rules, each output spread over 1-4 rounds (an
+    edge colouring slot by slot) and audited at random checkpoints."""
+    found = set()
+    for n, (kind, g, final) in enumerate(_seeded_outputs(complete=False)):
+        r = random.Random(n)
+        rounds = r.randint(1, 4)
+        log = []
+        for u, value in final.items():
+            if kind != "EDGE_COLORING":
+                log.append((r.randint(1, rounds), u, "y", value))
+            elif isinstance(value, dict):
+                log += [(r.randint(1, rounds), u, v, c) for v, c in value.items()]
+        log.sort(key=lambda entry: entry[0])
+        outputs = {u: {} for u in g.nodes}
+        for _, u, slot, value in log:
+            outputs[u][slot] = value
+        outcome = Outcome(outputs, dict.fromkeys(g.nodes, rounds), rounds,
+                          [entry[:3] for entry in log])
+        cps = sorted(r.sample(range(rounds + 2), 2))
+        got = audit_run(kind, g, outcome, cps)
+        assert got == rule_audit(kind, g, outcome, cps), (kind, g.adjacency, log)
+        found.add((kind, bool(got[1])))
+    assert len(found) == 8  # each problem, clean and not
+    # a colour out of range can still equal a neighbour's: 2.0 == 2
+    outcome = Outcome({1: {"y": 2.0}, 2: {"y": 2}}, {1: 1, 2: 1}, 1,
+                      [(1, 2, "y"), (1, 1, "y")])
+    assert audit_run("VERTEX_COLORING", line(2), outcome, [1]) == rule_audit(
+        "VERTEX_COLORING", line(2), outcome, [1])

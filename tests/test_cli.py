@@ -268,16 +268,35 @@ def test_repeated_key_is_a_config_error(tmp_path, capsys, command):
         f"config error: {cfg}:4: key {key!r} repeated\n")
 
 
+def _untagged_blocks(text: str) -> list[tuple[str, str]]:
+    r"""(paragraph, block text) for each untagged fenced block that follows
+    a paragraph and a blank line, by one scan over the lines: what the
+    pattern ([^\n]+(?:\n[^\n]+)*)\n\n```\n(.*?)^```$ finds under re.S | re.M,
+    without its backtracking."""
+    lines = text.split("\n")
+    blocks, lead, i = [], [], 0
+    while i < len(lines):
+        if lines[i]:
+            lead.append(lines[i])
+        elif lead and lines[i + 1:i + 2] == ["```"] and "```" in lines[i + 2:]:
+            end = lines.index("```", i + 2)
+            body = lines[i + 2:end]
+            blocks.append(("\n".join(lead), "".join(f"{s}\n" for s in body)))
+            i = end  # the next paragraph starts after the closing fence
+            lead = []
+        else:
+            lead = []
+        i += 1
+    return blocks
+
+
 def test_documented_and_benchmarked_keys_are_config_keys():
     """Each README config block's keys are read by the command that the
     paragraph before it names, every benchmark key is read by sweep, and
     every generator parameter is some graph key's."""
     readme = (Path(__file__).parent.parent / "README.md").read_text()
-    # each untagged block, and the paragraph before it
-    blocks = re.findall(r"([^\n]+(?:\n[^\n]+)*)\n\n```\n(.*?)^```$", readme,
-                        re.S | re.M)
     read = {}
-    for lead, text in blocks:
+    for lead, text in _untagged_blocks(readme):
         keys = re.findall(r"^(\w+) = ", text, re.M)
         if keys:
             command = lead.split()[0].strip("`").lower()

@@ -196,9 +196,15 @@ _PATH_TREE = "3 3\n1 2\n2 3\nP 1 0\n"
     # the last P line for node 1 once won, and gave a tree rooted at 2
     (lambda: read_graph("3 3\n1 2\n2 3\nP 1 0\nP 2 1\nP 3 2\nP 1 2\nP 2 0\n"),
      "MALFORMED_LINE: parent of 1 repeated (line 7)"),
+    # both once gave the path 1-2-3, V lines ignored
+    (lambda: read_graph("3 3\nV 1\nV 1\n1 2\n2 3\n"),
+     "MALFORMED_LINE: node 1 repeated (line 3)"),
+    (lambda: read_graph("3 3\nV 1\n1 2\n2 3\n"),
+     "MALFORMED_LINE: node 1 has edges (line 2)"),
 ], ids=["duplicate-list", "self-loop-edge", "unknown-edge-end", "built-id-range",
         "built-id-zero", "tree-two-roots", "tree-parent-not-neighbor",
-        "tree-edge-cycle", "tree-parent-cycle", "tree-parent-repeated"])
+        "tree-edge-cycle", "tree-parent-cycle", "tree-parent-repeated",
+        "lone-node-repeated", "lone-node-with-edges"])
 def test_each_graph_error_branch(build, message):
     with pytest.raises(GraphError) as err:
         build()

@@ -1,5 +1,6 @@
 """Error components, measures and prediction generation."""
 
+import copy
 import itertools
 import random
 
@@ -12,11 +13,12 @@ from predsync.graphs import (CapExceeded, Graph, _assign_ids, build_graph,
                              grid, line, line_tree, random_connected_graph,
                              random_graph, random_tree, validate)
 from predsync.registry import get_program
+from predsync.templates import build_template
 
 from helpers import program, undecided, value
 from reference import (alpha_oracle, components, edge_induced_subgraph,
                        enumerate_mis, format_predictions, induced_subgraph,
-                       mu1, mu2)
+                       mu1, mu2, unique_edge_colors)
 
 
 def _k(n):
@@ -461,6 +463,10 @@ _INVALID = [
      "node 1: predicted color 0 out of range"),
     ("EDGE_COLORING", {1: {2: 1}, 2: [1, 3], 3: {2: 2}},
      "node 2: edge predictions incomplete"),
+    ("EDGE_COLORING", {1: {2: 1.0}, 2: {1: 1, 3: 2}, 3: {2: 2}},
+     "node 1: predicted color 1.0 out of range"),
+    ("EDGE_COLORING", {1: {2: 1}, 2: {1: 1, 3: 2}, 3: {1: 2}},
+     "node 3: edge predictions incomplete"),
 ]
 
 
@@ -472,6 +478,55 @@ def test_invalid_predictions_raise_the_base_program_message(kind, p, message):
     with pytest.raises(ValueError) as simulated:
         _error_components(kind, g, p)
     assert str(direct.value) == str(simulated.value) == message
+
+
+def _ec_predictions():
+    """(g, predictions) for seeded edge-colouring corruptions, some with a
+    colour repeated at a node."""
+    for seed in range(6):
+        g = random_connected_graph(12 + 4 * seed, 0.3, seed)
+        solved = M.reference("EDGE_COLORING", g)
+        for k in (0, 3, 8, g.n):
+            yield g, M.corrupt("EDGE_COLORING", g, solved, k, seed)
+
+
+def test_edge_predictions_match_the_reference_tally():
+    """edge_predictions returns each node's unique predicted colours, as
+    the reference tally counts them, and the prediction itself when all
+    its colours are distinct."""
+    repeated = distinct = 0
+    for g, p in _ec_predictions():
+        for u in g.nodes:
+            got = M.edge_predictions(u, p[u], g.neighbor_sets[u], g.delta)
+            assert got == unique_edge_colors(p[u]), (u, p[u])
+            if len(set(p[u].values())) == len(p[u]):
+                assert got is p[u]
+                distinct += 1
+            else:
+                repeated += 1
+    assert repeated > 10 and distinct > 10
+
+
+def test_start_checks_leave_predictions_unchanged():
+    """Neither error_report nor a simulated run changes a prediction,
+    although the edge-colouring start check shares a node's prediction
+    map when its colours are distinct."""
+    programs = [program(_BASE_PROGRAMS["EDGE_COLORING"])]
+    programs += [build_template("EDGE_COLORING", t).program
+                 for t in ("simple", "consecutive")]
+    for g, p in _ec_predictions():
+        before = copy.deepcopy(p)
+        M.error_report("EDGE_COLORING", g, p)
+        for prog in programs:
+            simulate(g, prog, p, 4 * g.n + 20)
+        assert p == before
+    for kind in ("MAXIMAL_MATCHING", "VERTEX_COLORING"):
+        g = random_connected_graph(20, 0.3, 2)
+        p = M.corrupt(kind, g, M.reference(kind, g), 6, 2)
+        before = dict(p)
+        M.error_report(kind, g, p)
+        simulate(g, program(_BASE_PROGRAMS[kind]), p)
+        assert p == before
 
 
 def test_prediction_file_roundtrip():
