@@ -5,7 +5,6 @@ Commands (all driven by a flat key=value config file):
     predsync run    --config cfg [--trace] [--out csv]   one instance
     predsync sweep  --config cfg [--out csv]             k x seed Cartesian sweep
     predsync verify --config cfg                         validate an outputs file
-    predsync sanity --config cfg                         lower-bound sanity report
 
 Exit codes: 0 ok, 1 assertion (bound or validity) failure, 2 config error,
 3 program fault.  A run whose simulation raises fails too, unless the
@@ -14,8 +13,9 @@ error is a ConfigError: its row has the code of RUN_ERRORS that matches
 other error outside a run exits 3 with its PROGRAM_ERROR message.
 
 KEYS says which commands read each config key, and FLAGS each flag: any
-other key or flag is a config error naming it and the command.  run reads
-k and seed; sweep reads k_range and seed_range.  A Plan resolves a config
+other key or flag is a config error naming it and the command.  run is a
+one-run sweep: it reads k and seed where sweep reads k_range and
+seed_range, and only run reads --trace.  A Plan resolves a config
 once and checks what depends on its values: the graph keys its family
 reads, the sizes its generator accepts, and a template's or a standalone
 program's keys.  Each seed's instance is built by its first run_one and
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import math
 import sys
 from pathlib import Path
 
@@ -38,8 +37,7 @@ from . import measures
 from .audit import audit_run
 from .engine import NonTermination, ProtocolViolation, simulate
 from .graphs import (FAMILIES, ID_SCHEMES, PROBLEM_KINDS, GraphError,
-                     RootedTree, _assign_ids, generate, line, read_graph,
-                     validate)
+                     RootedTree, _assign_ids, generate, read_graph, validate)
 from .problems import EmptyPalette
 from .registry import get_program
 from .stages import ConfigError
@@ -101,20 +99,12 @@ def _one_of(names, what: str, fold=str):
     return parse
 
 
-SANITY = {
-    # family: (program name, threshold function of n)
-    "MIS_LINE": ("mis.greedy", lambda n: (n - 5) / 2),
-    "MM_LINE": ("mm.uniform", lambda n: (n - 3) / 2),
-    "VC_LINE": ("vc.uniform", lambda n: (n - 3) / 2),
-    "EC_LINE": ("ec.uniform", lambda n: (n - 3) / 2),
-}
-
 BUILD = ("run", "sweep")
 # key: (parser, the commands that read it, graphs.generate's parameter)
 KEYS = {
     "graph": (_one_of(FAMILIES, "graph family", str.upper), BUILD, None),
     "id_scheme": (_one_of(ID_SCHEMES, "id scheme"), BUILD, None),
-    "n": (int, (*BUILD, "sanity"), "n"),
+    "n": (int, BUILD, "n"),
     "p": (float, BUILD, "p"),
     "d": (int, BUILD, "d"),
     "k_rim": (int, BUILD, "k"),  # wheel_fk's rim size
@@ -135,7 +125,6 @@ KEYS = {
     "seed_range": (parse_range, ("sweep",), None),
     "graph_file": (_text, ("verify",), None),
     "outputs_file": (_text, ("verify",), None),
-    "family": (_one_of(SANITY, "sanity family", str.upper), ("sanity",), None),
 }
 # flag: the commands that read it; like a key, any other command rejects it
 FLAGS = {"trace": ("run",), "out": BUILD}
@@ -341,14 +330,6 @@ def replay(plan: Plan, k: int, seed: int, outcome) -> list[str]:
     return traced.trace_lines()
 
 
-def _assertions(k: int, seed: int, failures) -> list[str]:
-    return [f"ASSERTION FAILED (k={k}, seed={seed}): {msg}" for msg in failures]
-
-
-def _print_err(lines):
-    sys.stderr.writelines(f"{text}\n" for text in lines)
-
-
 def format_csv(rows) -> str:
     lines = [",".join(COLUMNS)]
     for row in rows:
@@ -357,29 +338,11 @@ def format_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out: str):
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def cmd_run(cfg: dict, args) -> int:
-    k = _read(cfg, "k", 0)
-    seed = _read(cfg, "seed", 0)
-    plan = Plan(cfg)
-    row, failures, outcome = run_one(plan, k, seed)
-    _emit(format_csv([row]), args.out)
-    trace = replay(plan, k, seed, outcome) if args.trace or failures else []
-    failed = _assertions(k, seed, failures)
-    _print_err(trace + failed if args.trace else failed + trace)
-    return 1 if failures else 0
-
-
-def cmd_sweep(cfg: dict, args) -> int:
-    ks = _read(cfg, "k_range", [0])
-    seeds = _read(cfg, "seed_range", [0])
-    plan = Plan(cfg)
+def _runs(plan: Plan, ks, seeds, out: str, trace: bool = False) -> int:
+    """Run every (k, seed), k-major, then write the CSV to out (stdout if
+    empty).  A failing run, and every run under trace, prints the trace of
+    its replay to stderr: after its assertion lines, or before them under
+    trace."""
     rows = []
     status = 0
     # a fixed pattern replaces solve-then-corrupt, so k changes nothing in
@@ -389,19 +352,36 @@ def cmd_sweep(cfg: dict, args) -> int:
     for k in ks:
         for seed in seeds:
             if seed in fixed:
-                row, failures, trace = fixed[seed]
+                row, failures, traced = fixed[seed]
                 row = dict(row, k=k)
             else:
                 row, failures, outcome = run_one(plan, k, seed)
-                trace = replay(plan, k, seed, outcome) if failures else []
+                traced = (replay(plan, k, seed, outcome) if trace or failures
+                          else [])
                 if plan.pattern is not None:
-                    fixed[seed] = row, failures, trace
+                    fixed[seed] = row, failures, traced
             rows.append(row)
-            if failures:
-                _print_err(_assertions(k, seed, failures) + trace)
-                status = 1
-    _emit(format_csv(rows), args.out)
+            failed = [f"ASSERTION FAILED (k={k}, seed={seed}): {msg}"
+                      for msg in failures]
+            sys.stderr.writelines(f"{text}\n" for text in (
+                traced + failed if trace else failed + traced))
+            status = 1 if failures else status
+    text = format_csv(rows)
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
     return status
+
+
+def cmd_run(cfg: dict, args) -> int:
+    ks, seeds = [_read(cfg, "k", 0)], [_read(cfg, "seed", 0)]
+    return _runs(Plan(cfg), ks, seeds, args.out, args.trace)
+
+
+def cmd_sweep(cfg: dict, args) -> int:
+    ks, seeds = _read(cfg, "k_range", [0]), _read(cfg, "seed_range", [0])
+    return _runs(Plan(cfg), ks, seeds, args.out)
 
 
 def cmd_verify(cfg: dict, args) -> int:
@@ -425,24 +405,11 @@ def cmd_verify(cfg: dict, args) -> int:
     return 1
 
 
-def cmd_sanity(cfg: dict, args) -> int:
-    family = _read(cfg, "family", "MIS_LINE")
-    g = _read(cfg, "n", None, line) or line(101)
-    name, threshold_fn = SANITY[family]
-    program, _ = get_program(name)
-    outcome = simulate(g, program)  # the engine's cap: 4n + 20 rounds
-    threshold = math.ceil(threshold_fn(g.n))
-    ok = outcome.total_rounds >= threshold
-    print(f"{family} n={g.n} measured={outcome.total_rounds} "
-          f"threshold={threshold} {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="predsync",
         description="bench harness for prediction-augmented distributed algorithms")
-    parser.add_argument("command", choices=("run", "sweep", "verify", "sanity"))
+    parser.add_argument("command", choices=("run", "sweep", "verify"))
     parser.add_argument("--config", required=True)
     parser.add_argument("--trace", action="store_true")
     parser.add_argument("--out", default="")

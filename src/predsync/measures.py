@@ -195,15 +195,10 @@ def mis_masks(g: Graph):
         return CAPPED
 
 
-def eta_hamming(g: Graph, p, masks=None):
-    """Minimum number of prediction flips to reach some correct solution,
-    over mis_masks(g) (computed when not given); None when capped."""
-    return _hamming(mis_masks(g) if masks is None else masks, g.n,
-                    _mask(g, p, 1), _mask(g, p, 0))
-
-
 def _hamming(masks, n: int, ones: int, zeros: int):
-    """eta_hamming, given the nodes predicted 1 and 0 as masks."""
+    """eta_hamming: the fewest prediction flips that reach one of masks
+    (mis_masks), given the nodes predicted 1 and 0 as masks; None when
+    masks is CAPPED."""
     if masks is CAPPED:
         return None
     other = (1 << n) - 1 & ~ones & ~zeros

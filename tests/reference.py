@@ -3,12 +3,14 @@ side of the differential tests against predsync.audit's incremental pass
 and the one-build graph generators, and the graph and measure helpers that
 only tests use.  Nothing under src/ needs them."""
 
+import itertools
 from collections.abc import Iterator, Mapping, Sequence
+from functools import cache
 
-from predsync.graphs import (DEFAULT_ALPHA_CAP, DEFAULT_ENUM_CAP, CapExceeded,
-                             Graph, GraphError, _assign_ids, _rng,
-                             build_graph, first_violation, mis_bitmasks,
-                             node_rule)
+from predsync.graphs import (DEFAULT_ALPHA_CAP, DEFAULT_ENUM_CAP, ROOT,
+                             CapExceeded, Graph, GraphError, RootedTree,
+                             _assign_ids, _rng, build_graph, first_violation,
+                             mis_bitmasks, node_rule, rooted_tree)
 from predsync.measures import _mu2
 
 
@@ -188,6 +190,70 @@ def vc_uniform_rounds(g: Graph) -> dict:
         end[u] = 1 + max((end[v] for v in g.neighbor_sets[u] if v > u),
                          default=0)
     return end
+
+
+def mm_uniform_rounds(g: Graph) -> dict:
+    """The round in which each node of a standalone mm.uniform run ends, by
+    phases of three rounds: a node with no neighbour ends in round 1; in
+    phase p, each local maximum proposes to its smallest active neighbour,
+    each proposed-to node accepts its largest proposer, every matched pair
+    ends in round 3p, and so does every node that the matches of phase p
+    leave with no active neighbour."""
+    active = {u: set(nbrs) for u, nbrs in g.neighbor_sets.items() if nbrs}
+    end = dict.fromkeys(set(g.nodes) - set(active), 1)
+    phase = 0
+    while active:
+        phase += 1
+        accepted = {}  # proposed-to node -> its largest proposer
+        for u, nbrs in active.items():
+            if max(nbrs) < u:
+                v = min(nbrs)
+                accepted[v] = max(accepted.get(v, u), u)
+        matched = {*accepted, *accepted.values()}
+        for w in matched:
+            for x in active.pop(w):
+                if x in active:
+                    active[x].discard(w)
+        alone = {u for u, nbrs in active.items() if not nbrs}
+        for u in alone:
+            del active[u]
+        end.update(dict.fromkeys(matched | alone, 3 * phase))
+    return end
+
+
+@cache
+def labelled_graphs(n: int) -> tuple[Graph, ...]:
+    """Every connected graph on the node set 1..n, each labelling apart;
+    cached, so built once per process (1, 1, 4, 38 and 728 graphs for
+    n = 1..5)."""
+    nodes = range(1, n + 1)
+    pairs = list(itertools.combinations(nodes, 2))
+    graphs = []
+    for bits in range(1 << len(pairs)):
+        edges = [e for i, e in enumerate(pairs) if bits >> i & 1]
+        g = build_graph(nodes, edges)
+        if len(list(component_walk(g.adjacency, g.adjacency))) == 1:
+            graphs.append(g)
+    return tuple(graphs)
+
+
+@cache
+def labelled_rooted_trees(n: int) -> tuple[RootedTree, ...]:
+    """Every tree on the node set 1..n with every root: n ** (n - 1)
+    rooted trees, cached like labelled_graphs."""
+    trees = []
+    for g in labelled_graphs(n):
+        if len(list(g.edges())) != n - 1:
+            continue
+        for root in g.nodes:
+            parent, walk = {root: ROOT}, [root]
+            for u in walk:  # breadth first from the root
+                for v in g.adjacency[u]:
+                    if v not in parent:
+                        parent[v] = u
+                        walk.append(v)
+            trees.append(rooted_tree(g, parent))
+    return tuple(trees)
 
 
 def random_graph(n: int, p: float, seed: int, id_scheme: str, d=None) -> Graph:

@@ -302,8 +302,8 @@ def test_documented_and_benchmarked_keys_are_config_keys():
             command = lead.split()[0].strip("`").lower()
             read.setdefault(command, set()).update(keys)
             assert all(command in cli.KEYS[key][1] for key in keys), lead
-    assert set(read) == {"run", "sweep", "verify", "sanity"}
-    assert {"graph", "k", "k_range", "graph_file", "family"} <= set().union(
+    assert set(read) == {"run", "sweep", "verify"}
+    assert {"graph", "k", "k_range", "graph_file"} <= set().union(
         *read.values())
     spec = importlib.util.spec_from_file_location(
         "workloads", Path(__file__).parent.parent / "perfbench" / "workloads.py")
@@ -327,7 +327,7 @@ def test_readme_verify_example_is_valid(tmp_path, capsys, monkeypatch):
     """The config, graph file and outputs file that README gives for
     verify, in that order, and the verdict it promises."""
     readme = (Path(__file__).parent.parent / "README.md").read_text()
-    section = re.search(r"`verify` validates (.*?)\n`sanity`", readme,
+    section = re.search(r"`verify` validates (.*?)\n## ", readme,
                         re.S).group(1)
     config, graph, outputs = (text for _, text in re.findall(
         r"^```(\w*)\n(.*?)^```$", section, re.S | re.M))
@@ -469,14 +469,21 @@ def test_verify_names_the_files_it_needs(tmp_path, capsys):
 
 
 def test_sanity_families(tmp_path, capsys):
-    for family, n in (("MIS_LINE", 101), ("MM_LINE", 51),
-                      ("VC_LINE", 51), ("EC_LINE", 51)):
-        cfg = _cfg(tmp_path, f"family = {family}\nn = {n}\n",
-                   f"{family}.cfg")
-        assert main(["sanity", "--config", cfg]) == 0
-        assert "PASS" in capsys.readouterr().out
-    cfg = _cfg(tmp_path, "family = MIS_LINE\nn = 1\n", "tiny.cfg")
-    assert main(["sanity", "--config", cfg]) == 0
+    """The lower bounds the removed sanity command checked, through run:
+    greedy MIS >= 48 rounds on line(101), MM, VC and EC >= 24 on line(51)."""
+    for name, n, bound in (("mis.greedy", 101, 48), ("mm.uniform", 51, 24),
+                           ("vc.uniform", 51, 24), ("ec.uniform", 51, 24)):
+        cfg = _cfg(tmp_path, f"graph = LINE\nn = {n}\nprogram = {name}\n",
+                   f"{name}.cfg")
+        assert main(["run", "--config", cfg]) == 0
+        header, values = (text.split(",") for text in
+                          capsys.readouterr().out.splitlines())
+        row = dict(zip(header, values))
+        assert int(row["rounds"]) >= bound, name
+        assert row["valid"] == "VALID", name
+    cfg = _cfg(tmp_path, "graph = LINE\nn = 1\nprogram = mis.greedy\n",
+               "tiny.cfg")
+    assert main(["run", "--config", cfg]) == 0
 
 
 def test_config_errors(tmp_path):
@@ -537,8 +544,8 @@ def test_config_errors(tmp_path):
     ("run", "graph = LINE\nn = 5\nproblem = VERTEX_COLORING\n"
      "template = parallel\n", "template = parallel: VERTEX_COLORING supports "
      "simple and consecutive templates only"),
-    ("sanity", "family = X\n", "family = X: unknown sanity family; known: "
-     "MIS_LINE, MM_LINE, VC_LINE, EC_LINE"),
+    ("sweep", "graph = LINE\nn = 4\nfamily = X\n",
+     "{cfg}:3: unknown key 'family'"),
     ("run", "graph = LINE\nn = 5\np = 0.3\n",
      "p = 0.3: graph LINE does not read it"),
     ("run", "graph = GRID\nrows = 2\ncols = 3\nk_rim = 9\n",
@@ -550,11 +557,9 @@ def test_config_errors(tmp_path):
     ("run", "graph = TREE\nn = 5\nshape = sideways\n",
      "shape = sideways: unknown tree shape; known: random, line"),
     ("run", "graph = GRID\nrows = 2\n", "graph GRID needs cols"),
-    ("sanity", "template = sideways\ngraph = NOPE\n",
-     "template = sideways: sanity does not read it"),
     ("verify", "graph = NOPE\nk = -5\n", "graph = NOPE: verify does not read it"),
     ("run", "graph = LINE\nn = 4\nfamily = MIS_LINE\n",
-     "family = MIS_LINE: run does not read it"),
+     "{cfg}:3: unknown key 'family'"),
     ("sweep", "graph = LINE\nn = 4\ngraph_file = x\n",
      "graph_file = x: sweep does not read it"),
     ("sweep", "graph = LINE\nn = 4\nk = 1\nk_range = 0..2\n",
@@ -565,7 +570,6 @@ def test_config_errors(tmp_path):
      "k_range = 2..1: empty range"),
     ("run", "graph = LINE\nn = 0\n", "n = 0: line needs n >= 1"),
     ("sweep", "graph = TREE\nn = 0\n", "n = 0: tree needs n >= 1"),
-    ("sanity", "n = 0\n", "n = 0: line needs n >= 1"),
     ("run", "graph = RANDOM\nn = 5\np = -0.1\n",
      "n = 5, p = -0.1: edge probability -0.1 outside [0,1]"),
     ("run", "graph = LINE\nn = 4\nd = 2\n", "n = 4, d = 2: d=2 too small for n=4"),
@@ -580,14 +584,14 @@ def test_config_errors(tmp_path):
         "consecutive-phase", "unknown-template", "tree-template",
         "problem-template", "unknown-sanity-family", "line-p", "grid-k-rim",
         "random-rows", "line-shape", "unknown-tree-shape", "grid-no-cols",
-        "sanity-template", "verify-graph", "run-family", "sweep-graph-file",
+        "verify-graph", "run-family", "sweep-graph-file",
         "sweep-k", "sweep-seed", "empty-k-range", "line-n-0", "tree-n-0",
-        "sanity-n-0", "negative-p", "small-d", "zero-d", "small-k-rim",
+        "negative-p", "small-d", "zero-d", "small-k-rim",
         "zero-rows"])
 def test_config_errors_name_their_key(tmp_path, capsys, command, text, message):
     cfg = _cfg(tmp_path, text)
     assert main([command, "--config", cfg]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert capsys.readouterr().err == f"config error: {message.format(cfg=cfg)}\n"
 
 
 @pytest.mark.parametrize("command,flags,message", [
@@ -595,8 +599,6 @@ def test_config_errors_name_their_key(tmp_path, capsys, command, text, message):
     ("verify", ["--trace"], "--trace: verify does not read it"),
     ("verify", ["--out", "o.csv"], "--out: verify does not read it"),
     ("verify", ["--out", "o.csv", "--trace"], "--trace: verify does not read it"),
-    ("sanity", ["--trace"], "--trace: sanity does not read it"),
-    ("sanity", ["--out", "o.csv"], "--out: sanity does not read it"),
 ])
 def test_flags_a_command_does_not_read_are_config_errors(
         tmp_path, capsys, monkeypatch, command, flags, message):
@@ -606,13 +608,28 @@ def test_flags_a_command_does_not_read_are_config_errors(
     (tmp_path / "g.txt").write_text("2 2\n1 2\n")
     (tmp_path / "o.txt").write_text("1 1\n2 0\n")
     cfg = _cfg(tmp_path, {
-        "sweep": "graph = LINE\nn = 4\n", "sanity": "n = 12\n",
+        "sweep": "graph = LINE\nn = 4\n",
         "verify": "graph_file = g.txt\noutputs_file = o.txt\n"}[command])
     assert main([command, "--config", cfg]) == 0
     capsys.readouterr()
     assert main([command, "--config", cfg, *flags]) == 2
     assert capsys.readouterr() == ("", f"config error: {message}\n")
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_sanity_is_no_command_and_family_no_key(tmp_path, capsys):
+    """sanity is no command (exit 2) and family is no key of any command:
+    acceptance criterion 9 checks the lower bounds on lines with simulate."""
+    cfg = _cfg(tmp_path, "n = 12\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["sanity", "--config", cfg])
+    assert exc.value.code == 2
+    assert "invalid choice: 'sanity'" in capsys.readouterr().err
+    cfg = _cfg(tmp_path, "family = MIS_LINE\n")
+    for command in ("run", "sweep", "verify"):
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: {cfg}:1: unknown key 'family'\n")
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -645,7 +662,7 @@ def test_files_that_are_not_utf8_are_config_errors(tmp_path, capsys):
             f"config error: {key} = {tmp_path}/bad.txt: {tmp_path}/bad.txt "
             "is not UTF-8: ")
     bad = str(tmp_path / "bad.txt")
-    for command in ("run", "sweep", "verify", "sanity"):
+    for command in ("run", "sweep", "verify"):
         assert main([command, "--config", bad]) == 2
         assert capsys.readouterr().err.startswith(
             f"config error: {bad} is not UTF-8: ")
@@ -771,7 +788,8 @@ def test_failing_fixed_pattern_sweep_repeats_each_seed(tmp_path, capsys,
         for seed in range(2):
             row, failures, outcome = run_one(plan, k, seed)
             rows.append(row)
-            err += cli._assertions(k, seed, failures)
+            err += [f"ASSERTION FAILED (k={k}, seed={seed}): {msg}"
+                    for msg in failures]
             err += cli.replay(plan, k, seed, outcome)
     calls = []
     monkeypatch.setattr(cli, "run_one", lambda plan, k, seed: (

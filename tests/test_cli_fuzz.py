@@ -32,7 +32,7 @@ _often = _one_of(True, True, True, False)
 
 FILES = ("graph.txt", "outputs.txt", "binary.txt", "missing.txt")
 
-# each key's values, valid and not; n is at most 12 (60 for sanity)
+# each key's values, valid and not; n is at most 12
 VALUES = {
     "graph": _one_of(*FAMILIES, "line", "NOPE"),
     "id_scheme": _one_of(*ID_SCHEMES, "increasing"),
@@ -55,7 +55,6 @@ VALUES = {
     "seed_range": _one_of("0..1", "2", "", "x", "1..0"),
     "graph_file": _one_of(*FILES),
     "outputs_file": _one_of(*FILES),
-    "family": _one_of(*cli.SANITY, "mis_line", "X"),
 }
 # sizes that every family builds
 SIZES = {"n": _ints(1, 12), "p": _one_of("0.2", "0.5"), "k_rim": _ints(3, 5),
@@ -65,7 +64,7 @@ SIZES = {"n": _ints(1, 12), "p": _one_of("0.2", "0.5"), "k_rim": _ints(3, 5),
 @st.composite
 def configs(draw):
     """(command, config text)."""
-    command = draw(_one_of("run", "sweep", "verify", "sanity"))
+    command = draw(_one_of("run", "sweep", "verify"))
     read = [key for key, (_, commands, _) in cli.KEYS.items()
             if command in commands]
     cfg = {}
@@ -80,8 +79,7 @@ def configs(draw):
     if command == "verify" and draw(_often):
         cfg.update(graph_file="graph.txt", outputs_file="outputs.txt")
     for key in draw(st.lists(_one_of(*read), unique=True, max_size=4)):
-        cfg[key] = draw(_ints(-1, 60) if (command, key) == ("sanity", "n")
-                        else VALUES[key])
+        cfg[key] = draw(VALUES[key])
     lines = [f"{key} = {value}" for key, value in cfg.items()]
     if not draw(_often):  # a key this command may not read, or junk
         lines.append(draw(_one_of(*(f"{key} = 1" for key in cli.KEYS),

@@ -76,12 +76,16 @@ def test_eta_t():
     assert M.error_report("MIS", t6.graph, solved, t6)["eta_t"] == 0
 
 
+def _eta_hamming(g, p, masks=None):
+    return M.error_report("MIS", g, p, masks=masks)["eta_hamming"]
+
+
 def test_eta_hamming():
     tri = build_graph([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
-    assert M.eta_hamming(tri, {1: 1, 2: 1, 3: 1}) == 2
+    assert _eta_hamming(tri, {1: 1, 2: 1, 3: 1}) == 2
     e = build_graph([1, 2], [(1, 2)])
-    assert M.eta_hamming(e, {1: 0, 2: 0}) == 1
-    assert M.eta_hamming(e, {1: 1, 2: 0}) == 0
+    assert _eta_hamming(e, {1: 0, 2: 0}) == 1
+    assert _eta_hamming(e, {1: 1, 2: 0}) == 0
 
 
 def test_eta_hamming_masks_match_set_scoring():
@@ -98,10 +102,10 @@ def test_eta_hamming_masks_match_set_scoring():
             zeros = {u for u in g.nodes if p[u] == 0}
             want = min(g.n - len(ones & m) - len(zeros - m)
                        for m in enumerate_mis(g))
-            assert M.eta_hamming(g, p, masks) == M.eta_hamming(g, p) == want
+            assert _eta_hamming(g, p, masks) == _eta_hamming(g, p) == want
     assert M.mis_masks(line(30)) is M.mis_masks(line(21)) is M.CAPPED
     assert len(M.mis_masks(line(20))) == len(enumerate_mis(line(20)))
-    assert M.eta_hamming(line(30), {u: 1 for u in line(30).nodes}) is None
+    assert _eta_hamming(line(30), {u: 1 for u in line(30).nodes}) is None
 
 
 def test_solve_then_corrupt_k0_is_correct():
@@ -247,7 +251,11 @@ def _single_measures(kind, g, p, tree):
                 g, {u for u in undecided if p[u] == color}))), default=0)
         if tree is not None:
             expected["eta_t"] = _longest_path(tree, p, undecided)
-        expected["eta_hamming"] = capped(lambda: M.eta_hamming(g, p))
+        # the fewest flips to some maximal independent set, scored as sets
+        expected["eta_hamming"] = capped(lambda: min(
+            g.n - sum(p[u] == 1 for u in m)
+            - sum(p[u] == 0 for u in g.nodes if u not in m)
+            for m in enumerate_mis(g)))
     return expected
 
 

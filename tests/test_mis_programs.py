@@ -15,8 +15,9 @@ from predsync.stages import StagedProgram
 
 from helpers import even_rounds, program, undecided, value
 from reference import (components, greedy_mis_rounds, induced_subgraph,
-                       mu1, mu2, partial_outputs, snapshot_active,
-                       vc_uniform_rounds)
+                       labelled_graphs, labelled_rooted_trees,
+                       mm_uniform_rounds, mu1, mu2, partial_outputs,
+                       snapshot_active, vc_uniform_rounds)
 
 
 def _k(ids):
@@ -171,13 +172,30 @@ def test_greedy_steady_progress():
 # u_bw
 
 
+def test_labelled_slices_hold_every_graph_and_rooted_tree():
+    """labelled_graphs holds the connected labelled graphs (OEIS A001187)
+    and labelled_rooted_trees the rooted labelled trees, n ** (n - 1)."""
+    assert [len(labelled_graphs(n)) for n in range(1, 6)] == [1, 1, 4, 38, 728]
+    assert [len(labelled_rooted_trees(n)) for n in range(1, 6)] == [
+        n ** (n - 1) for n in range(1, 6)]
+    assert sum(len(labelled_graphs(n)) for n in range(1, 6)) == 772
+    assert sum(len(labelled_rooted_trees(n)) for n in range(1, 6)) == 701
+    for n in range(1, 6):
+        assert len({tuple(g.edges()) for g in labelled_graphs(n)}) == len(
+            labelled_graphs(n))
+        assert len({(tuple(t.graph.edges()), t.root)
+                    for t in labelled_rooted_trees(n)}) == n ** (n - 1)
+
+
 @pytest.mark.parametrize("name, model", [
     ("mis.greedy", greedy_mis_rounds), ("vc.uniform", vc_uniform_rounds),
-], ids=["mis.greedy", "vc.uniform"])
+    ("mm.uniform", mm_uniform_rounds),
+], ids=["mis.greedy", "vc.uniform", "mm.uniform"])
 def test_greedy_rounds_match_the_phase_model(name, model):
     """Each node of the standalone uniform program ends in the round that
     its phase model in reference gives: on every atlas graph on at most 6
-    nodes, and on seeded graphs with permuted identifiers."""
+    nodes, on every connected labelled graph on at most 5 nodes, and on
+    seeded graphs with permuted identifiers."""
     nx = pytest.importorskip("networkx")
     graphs = [build_graph([u + 1 for u in a], [(u + 1, v + 1) for u, v in a.edges()])
               for a in nx.graph_atlas_g() if a.number_of_nodes() <= 6]
@@ -185,13 +203,15 @@ def test_greedy_rounds_match_the_phase_model(name, model):
         graphs += [random_connected_graph(30, 0.15, seed),
                    line(25, "SEEDED_PERMUTATION", seed),
                    grid(5, 7, "SEEDED_PERMUTATION", seed)]
+    for n in range(1, 6):
+        graphs += labelled_graphs(n)
     phases = set()
     for g in graphs:
         out = simulate(g, program(name))
         want = model(g)
         assert out.term_round == want, sorted(g.edges())
         phases.add(max(want.values(), default=0))
-    assert len(graphs) == 209 + 30 and max(phases) >= 8
+    assert len(graphs) == 209 + 30 + 772 and max(phases) >= 8
 
 
 def test_u_bw_grid_pattern():
