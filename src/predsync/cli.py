@@ -218,8 +218,8 @@ class Plan:
 
     def instance(self, seed: int) -> tuple:
         """What the runs of one seed share, built once and never changed:
-        (graph, tree or None, measures.reference, and measures.mis_masks of
-        the graph for MIS, else None)."""
+        (graph, tree or None, measures.reference, and mis_bitmasks of the
+        graph for MIS, which is None above its cap, else None)."""
         case = self._instances.get(seed)
         if case is None:
             params = {KEYS[key][2]: v for key, v in self.params.items()}
@@ -242,7 +242,7 @@ class Plan:
                 if self.pattern is None:
                     raise
                 raise ConfigError(f"pattern = {self.pattern}: {exc}") from None
-            masks = measures.mis_masks(g) if self.kind == "MIS" else None
+            masks = measures.mis_bitmasks(g) if self.kind == "MIS" else None
             case = self._instances[seed] = (g, tree, ref, masks)
         return case
 

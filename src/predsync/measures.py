@@ -10,21 +10,22 @@ splits its undecided part into components once, each a mask over g.nodes
 (bit i is g.nodes[i]) read against g.neighbor_bits, and every measure
 reads that one result; no Graph is built.  eta2 takes each component's
 independence number from the maximal independent sets of g when they are
-given (mis_masks), and from branch and bound on the component otherwise.
+given (mis_bitmasks), and from branch and bound on the component otherwise.
 
 Whatever depends only on the graph is built apart from the predictions, so
 a sweep builds it once per seed and shares it among its k values: the
 reference that predictions corrupt (reference) and the maximal
-independent sets behind eta_H and eta2 (mis_masks).  The reference is the output of
-the problem's measure-uniform program, its rule evaluated directly on the
-graph, again with no simulation; a differential test checks it against
-simulated runs of mis.greedy, mm.uniform, vc.uniform and ec.uniform.
+independent sets behind eta_H and eta2 (mis_bitmasks, None above its
+cap).  The reference is the output of the problem's measure-uniform
+program, its rule evaluated directly on the graph, again with no
+simulation; a differential test checks it against simulated runs of
+mis.greedy, mm.uniform, vc.uniform and ec.uniform.
 """
 
 from __future__ import annotations
 
-from .graphs import (DEFAULT_ALPHA_CAP, CapExceeded, Graph, RootedTree,
-                     _alpha_branch, _rng, mask_components, mis_bitmasks)
+from .graphs import (DEFAULT_ALPHA_CAP, Graph, RootedTree, _alpha_branch,
+                     _rng, mask_components, mis_bitmasks)
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +149,11 @@ def _mu2(n: int, alpha: int) -> int:
 
 def _eta2(nbr, comps: list, masks):
     """The largest mu2 over the error components; None when one is above
-    the alpha oracle's cap.  Given masks (mis_masks(g), not CAPPED), the
+    the alpha oracle's cap.  Given masks (mis_bitmasks(g), not None), the
     independence number of g[C] is the largest |M & C| over the maximal
     independent sets M of g: an independent set of g[C] extends to a
     maximal one of g, and M & C is independent in g[C].  Otherwise it
     comes from branch and bound on the component."""
-    use_masks = masks is not None and masks is not CAPPED
     worst = 0
     for c in comps:
         size = c.bit_count()
@@ -161,8 +161,8 @@ def _eta2(nbr, comps: list, masks):
             return None
         if size // 2 * 2 <= worst:
             continue  # mu2 is at most 2 floor(n / 2): c cannot be worse
-        alpha = (max(map(int.bit_count, map(c.__and__, masks))) if use_masks
-                 else _alpha_branch(nbr, c, 0, 0))
+        alpha = (max(map(int.bit_count, map(c.__and__, masks)))
+                 if masks is not None else _alpha_branch(nbr, c, 0, 0))
         worst = max(worst, _mu2(size, alpha))
     return worst
 
@@ -182,24 +182,11 @@ def _eta_t(t: RootedTree, p, active: int) -> int:
     return 1 + best
 
 
-CAPPED = "CAPPED"  # mis_masks' answer when the enumeration is over its cap
-
-
-def mis_masks(g: Graph):
-    """graphs.mis_bitmasks(g), every maximal independent set of g as a
-    bitmask over g.nodes, or CAPPED above its cap.  Holds no exception, so
-    keeping the answer keeps no traceback alive."""
-    try:
-        return mis_bitmasks(g)
-    except CapExceeded:
-        return CAPPED
-
-
 def _hamming(masks, n: int, ones: int, zeros: int):
     """eta_hamming: the fewest prediction flips that reach one of masks
-    (mis_masks), given the nodes predicted 1 and 0 as masks; None when
-    masks is CAPPED."""
-    if masks is CAPPED:
+    (mis_bitmasks), given the nodes predicted 1 and 0 as masks; None when
+    masks is None."""
+    if masks is None:
         return None
     other = (1 << n) - 1 & ~ones & ~zeros
     # u disagrees with the set m when it is predicted 1 outside m or 0 in
@@ -212,8 +199,8 @@ def error_report(kind: str, g: Graph, p, tree: RootedTree = None,
                  masks=None) -> dict:
     """All measures for one instance from its error components; oracle-capped
     entries come back None.  A given tree must span g; masks, when given,
-    are mis_masks(g), and only MIS reads them (an edge-coloring component
-    is not an induced subgraph of g)."""
+    are mis_bitmasks(g), and only MIS reads them (an edge-coloring
+    component is not an induced subgraph of g)."""
     active, nbr, comps = _residue(kind, g, p)
     report = {"eta1": max((c.bit_count() for c in comps), default=0),
               "eta2": _eta2(nbr, comps, masks if kind == "MIS" else None)}
@@ -226,7 +213,7 @@ def error_report(kind: str, g: Graph, p, tree: RootedTree = None,
             default=0)
         report["eta_t"] = _eta_t(tree, p, active) if tree is not None else None
         report["eta_hamming"] = _hamming(
-            mis_masks(g) if masks is None else masks, g.n, ones, zeros)
+            mis_bitmasks(g) if masks is None else masks, g.n, ones, zeros)
     else:
         report["eta_bw"] = report["eta_t"] = report["eta_hamming"] = None
     return report
@@ -415,8 +402,8 @@ def parse_predictions(kind: str, text: str, nodes=None) -> dict:
     edge = kind == "EDGE_COLORING"
     p: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        raw = raw.strip()
-        if not raw or raw.startswith("#"):
+        raw = raw.split("#", 1)[0].strip()
+        if not raw:
             continue
         parts = raw.split()
         try:

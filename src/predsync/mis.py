@@ -191,27 +191,19 @@ class UbwStage(_JoinRun):
         return all(v < ctx.view.id for v in rivals)
 
 
-class UbwColorProbe(Stage):
-    """One exchange round so each node learns which active neighbors share
-    its prediction (needed when UbwStage runs without an initialization that
-    already exchanged predictions)."""
+class UbwColorProbe(MisInitStage):
+    """The initialization's first round alone, so each node learns which
+    active neighbors share its prediction (needed when UbwStage runs
+    without an initialization that already exchanged predictions)."""
 
     rounds = 1
-
-    def compose(self, ctx, t):
-        return dict.fromkeys(ctx.active, ("P", ctx.view.prediction))
-
-    def process(self, ctx, t, inbox):
-        ctx.stored["same_color"] = {
-            s for s, m in inbox.items() if m[1] == ctx.view.prediction}
-        return IDLE
 
 
 # ---------------------------------------------------------------------------
 # rooted-tree initialization
 
 
-class TreeInitStage(_LeaveRun):
+class TreeInitStage(MisInitStage):
     """4-round initialization for rooted trees.
 
     The independent set joined in round 2 is the prediction-1 nodes without
@@ -225,15 +217,7 @@ class TreeInitStage(_LeaveRun):
     # nobody has a neighbor in the set yet
     rounds = 4
     eager = False
-    join = False
     parent_pred = None
-
-    def compose(self, ctx, t):
-        if t == 1:
-            return dict.fromkeys(ctx.active, ("P", ctx.view.prediction))
-        if self.join:
-            return dict.fromkeys(ctx.active, ONE)
-        return _LeaveRun.compose(self, ctx, t)
 
     def process(self, ctx, t, inbox):
         view = ctx.view
@@ -327,11 +311,6 @@ def _cv_schedule(domain: int) -> tuple[int, int]:
 def gps_rounds(d: int) -> int:
     steps, c = _cv_schedule(d + 1)
     return max(1, steps + 2 * max(0, c - 3))
-
-
-def gps_budget_even(d: int) -> int:
-    r = gps_rounds(d)
-    return r + (r % 2)
 
 
 class GpsTreeColoringStage(ReductionRun):

@@ -292,11 +292,6 @@ def linial_rounds(d: int, delta: int) -> int:
     return max(1, len(steps) + max(0, k - (delta + 1)))
 
 
-def linial_budget_even(d: int, delta: int) -> int:
-    r = linial_rounds(d, delta)
-    return r + (r % 2)
-
-
 class ReductionRun(Stage):
     """The color reduction, fault tolerant: every round up to its length,
     send ("C", color) to the active neighbors and recolor from the colors

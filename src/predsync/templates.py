@@ -110,7 +110,7 @@ _PARTS = {
     "MIS": (3, _f_mis, mis.MisInitStage, mis.GreedyStage,
             mis.MisCleanupStage, lambda v: _even(v.n), mis.GreedyMinStage,
             (problems.LinialPart1Stage,
-             lambda v: problems.linial_budget_even(v.d, v.delta),
+             lambda v: _even(problems.linial_rounds(v.d, v.delta)),
              (mis.RevealStage, mis.ColorPart2CombinedStage))),
     "MAXIMAL_MATCHING": (2, _f_mm, problems.MmInitStage,
                          problems.MmUniformStage, problems.MmCleanupStage,
@@ -122,7 +122,7 @@ _PARTS = {
                       problems.EcUniformStage, problems.EcCleanupStage,
                       lambda v: _even(2 * v.n), None, None),
     "TREE": (3, _f_mis, mis.TreeInitStage, mis.TreeUniformStage, None, None,
-             None, (mis.GpsPart1Stage, lambda v: mis.gps_budget_even(v.d),
+             None, (mis.GpsPart1Stage, lambda v: _even(mis.gps_rounds(v.d)),
                     (mis.TreePart2Stage,))),
 }
 

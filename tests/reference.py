@@ -158,11 +158,15 @@ def _alpha_sets(nbrs, left: frozenset) -> int:
                _alpha_sets(nbrs, left - {top}))
 
 
-def enumerate_mis(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> list[frozenset]:
+def enumerate_mis(g: Graph) -> list[frozenset]:
     """All maximal independent sets as node sets, sorted: mis_bitmasks
-    decoded."""
+    decoded.  Raises CapExceeded where mis_bitmasks returns None."""
+    masks = mis_bitmasks(g)
+    if masks is None:
+        raise CapExceeded(f"MIS enumeration capped at {DEFAULT_ENUM_CAP} "
+                          f"nodes, got {g.n}")
     return sorted((frozenset(u for i, u in enumerate(g.nodes) if m >> i & 1)
-                   for m in mis_bitmasks(g, cap)), key=sorted)
+                   for m in masks), key=sorted)
 
 
 def greedy_mis_rounds(g: Graph) -> dict:

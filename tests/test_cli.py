@@ -129,11 +129,11 @@ def test_sweep_builds_each_seed_once(tmp_path, monkeypatch, problem):
 
 
 def test_plan_leaves_no_reference_cycles():
-    """A dropped plan is freed at once, capped oracles included: the plan
-    keeps a CAPPED marker, never an exception and its traceback.  No run
-    leaves a reference cycle either, on any problem and template, failing
-    and replayed or raising inside simulate; cli.GC_YOUNG_THRESHOLD rests
-    on that."""
+    """A dropped plan is freed at once, capped oracles included: a capped
+    enumeration is None, and no oracle raises, so no plan holds a
+    traceback.  No run leaves a reference cycle either, on any problem and
+    template, failing and replayed or raising inside simulate;
+    cli.GC_YOUNG_THRESHOLD rests on that."""
     rc = {"graph": "RANDOM_CONNECTED", "n": "14", "p": "0.3"}
     configs = [
         {"graph": "LINE", "n": "30", "problem": "MIS", "template": "simple",
@@ -406,6 +406,18 @@ def test_verify(tmp_path, capsys):
     assert "INDEPENDENCE" in capsys.readouterr().out
 
 
+def test_verify_reads_trailing_comments(tmp_path, capsys):
+    """A trailing # comment is skipped in an outputs file as in a config
+    and a graph file; an outputs file once rejected it as a bad line."""
+    (tmp_path / "g.txt").write_text("3 3  # n d\n1 2  # edge\n2 3\n")
+    (tmp_path / "o.txt").write_text("1 1  # joins\n2 0  # left\n3 1\n")
+    cfg = _cfg(tmp_path, f"problem = MIS  # the default\n"
+                         f"graph_file = {tmp_path}/g.txt\n"
+                         f"outputs_file = {tmp_path}/o.txt  # read last\n")
+    assert main(["verify", "--config", cfg]) == 0
+    assert capsys.readouterr() == ("VALID\n", "")
+
+
 def test_verify_incomplete(tmp_path, capsys):
     g = line(3)
     (tmp_path / "g.txt").write_text(write_graph(g))
@@ -599,7 +611,7 @@ def test_config_errors_name_their_key(tmp_path, capsys, command, text, message):
     ("verify", ["--trace"], "--trace: verify does not read it"),
     ("verify", ["--out", "o.csv"], "--out: verify does not read it"),
     ("verify", ["--out", "o.csv", "--trace"], "--trace: verify does not read it"),
-])
+], ids=["sweep-trace", "verify-trace", "verify-out", "verify-out-trace"])
 def test_flags_a_command_does_not_read_are_config_errors(
         tmp_path, capsys, monkeypatch, command, flags, message):
     """A flag is read like a key: verify with --out used to print VALID,

@@ -97,10 +97,10 @@ def test_enumerate_mis():
     assert len(enumerate_mis(tri)) == 3
     assert mis_bitmasks(build_graph([], [])) == []
     assert mis_bitmasks(build_graph([4, 9], [])) == [0b11]
+    assert mis_bitmasks(line(21)) is None  # the cap is 20
+    assert isinstance(mis_bitmasks(line(20)), list)
     with pytest.raises(CapExceeded):
-        mis_bitmasks(line(21), cap=20)
-    with pytest.raises(CapExceeded):
-        mis_bitmasks(line(21))  # the default cap is 20
+        enumerate_mis(line(21))
 
 
 @st.composite

@@ -89,12 +89,12 @@ def test_eta_hamming():
 
 
 def test_eta_hamming_masks_match_set_scoring():
-    """The bitmask popcount over mis_masks agrees with scoring each maximal
-    independent set as a set of nodes."""
+    """The bitmask popcount over mis_bitmasks agrees with scoring each
+    maximal independent set as a set of nodes."""
     r = random.Random(5)
     for seed in range(25):
         g = random_graph(2 + seed % 11, 0.35, seed)
-        masks = M.mis_masks(g)
+        masks = M.mis_bitmasks(g)
         assert len(masks) == len(enumerate_mis(g))
         for _ in range(4):
             p = {u: r.choice((0, 1, 1, 0, None)) for u in g.nodes}
@@ -103,8 +103,8 @@ def test_eta_hamming_masks_match_set_scoring():
             want = min(g.n - len(ones & m) - len(zeros - m)
                        for m in enumerate_mis(g))
             assert _eta_hamming(g, p, masks) == _eta_hamming(g, p) == want
-    assert M.mis_masks(line(30)) is M.mis_masks(line(21)) is M.CAPPED
-    assert len(M.mis_masks(line(20))) == len(enumerate_mis(line(20)))
+    assert M.mis_bitmasks(line(30)) is M.mis_bitmasks(line(21)) is None
+    assert len(M.mis_bitmasks(line(20))) == len(enumerate_mis(line(20)))
     assert _eta_hamming(line(30), {u: 1 for u in line(30).nodes}) is None
 
 
@@ -371,8 +371,8 @@ def test_direct_residue_matches_simulated_base_programs():
 def alpha_mask_mismatches(max_nodes):
     """(subsets checked, mismatches): over every atlas graph on at most
     max_nodes nodes and every non-empty node subset S, the largest |M & S|
-    over the maximal independent sets M (mis_masks) against alpha_oracle of
-    the induced subgraph g[S]."""
+    over the maximal independent sets M (mis_bitmasks) against alpha_oracle
+    of the induced subgraph g[S]."""
     import networkx as nx
     checked, bad = 0, []
     for a in nx.graph_atlas_g():
@@ -380,7 +380,7 @@ def alpha_mask_mismatches(max_nodes):
         if n > max_nodes:
             break
         g = build_graph(range(1, n + 1), [(u + 1, v + 1) for u, v in a.edges()])
-        masks = M.mis_masks(g)
+        masks = M.mis_bitmasks(g)
         for s in range(1, 1 << n):
             alpha = alpha_oracle(induced_subgraph(
                 g, [u for i, u in enumerate(g.nodes) if s >> i & 1]))
@@ -398,7 +398,7 @@ def test_alpha_of_a_subset_is_its_largest_share_of_a_maximal_set():
 
 
 def test_error_report_from_masks_matches_branch_and_bound():
-    """Given mis_masks(g), error_report takes eta2 from the masks; without
+    """Given mis_bitmasks(g), error_report takes eta2 from the masks; without
     them from branch and bound on each component.  Both agree with the
     measures from their definitions."""
     checked = 0
@@ -407,7 +407,7 @@ def test_error_report_from_masks_matches_branch_and_bound():
         if kind != "MIS":
             continue
         if g is not last:
-            last, masks = g, M.mis_masks(g)
+            last, masks = g, M.mis_bitmasks(g)
         report = M.error_report("MIS", g, p, None, masks)
         assert report == M.error_report("MIS", g, p), (g.adjacency, p)
         assert report == _single_measures("MIS", g, p, None), (g.adjacency, p)
@@ -430,7 +430,7 @@ def test_error_report_builds_no_graph(monkeypatch):
     g = line(30)
     cases.append(("MIS", g, M.reference("MIS", g, pattern="ALL_ONES")))
     t = random_tree(14, 3)
-    masks = {id(g): M.mis_masks(g) for _, g, _ in cases}
+    masks = {id(g): M.mis_bitmasks(g) for _, g, _ in cases}
     built, searched = [], []
     real = Graph.__init__
     monkeypatch.setattr(Graph, "__init__", lambda self, *args, **kwargs:

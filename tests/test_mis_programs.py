@@ -332,7 +332,7 @@ def test_gps_examples():
     out = simulate(t2.graph, program("mis.tree_gps"), tree=t2)
     assert value(out, 1) != value(out, 2)
     t200 = random_tree(200, 3, d=10 ** 6)
-    budget = mis.gps_budget_even(10 ** 6)
+    budget = mis.gps_rounds(10 ** 6)
     out = simulate(t200.graph, program("mis.tree_gps"), tree=t200,
                    max_rounds=budget + 5)
     sol = {u: value(out, u) for u in t200.graph.nodes}

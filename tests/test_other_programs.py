@@ -2,11 +2,11 @@
 
 import pytest
 
-from predsync import measures as M, problems
+from predsync import measures as M, mis, problems
 from predsync.audit import audit_run
 from predsync.engine import simulate
 from predsync.graphs import (build_graph, line, random_connected_graph,
-                             validate, _rng)
+                             random_tree, validate, _rng)
 from predsync.templates import build_template
 
 from helpers import program, undecided, value
@@ -136,7 +136,20 @@ def test_linial_small_and_huge_d():
 
 
 def test_linial_budget_monotone_enough():
-    assert problems.linial_budget_even(10, 3) % 2 == 0
+    """The parallel template's part-1 budget is part 1's length rounded up
+    to an even number of rounds, for MIS and for rooted-tree MIS."""
+    rounded = 0
+    for seed in range(6):
+        g = random_connected_graph(6 + 3 * seed, 0.3, seed)
+        t = random_tree(6 + 3 * seed, seed)
+        for rounds, tree, graph in (
+                (problems.linial_rounds(g.d, g.delta), False, g),
+                (mis.gps_rounds(t.graph.d), True, t.graph)):
+            program = build_template("MIS", "parallel", tree=tree).program
+            r1 = program.lengths(graph)[1]
+            assert r1 % 2 == 0 and r1 - rounds in (0, 1), (seed, tree)
+            rounded += r1 > rounds
+    assert rounded  # some part 1 has an odd length
     assert problems.linial_rounds(5, 0) == 1
 
 

@@ -347,6 +347,10 @@ _TERMS = {
 }
 
 
+def _even(x):
+    return x + x % 2
+
+
 def _reference_bounds(problem, template, options, g, f):
     """(degrading, robust, max_rounds) of a run whose error budget is f."""
     c, r, cleanup = _TERMS[problem]
@@ -359,10 +363,10 @@ def _reference_bounds(problem, template, options, g, f):
         phase = options.get("phase", 2)
         return c + 2 * f, c + 2 * max(1, math.ceil(f / phase)) * phase, base
     if options.get("tree"):  # no clean-up and no reveal stage
-        init, r1, reveal, part2 = 4, mis.gps_budget_even(g.d), 0, 2
+        init, r1, reveal, part2 = 4, _even(mis.gps_rounds(g.d)), 0, 2
     else:  # no clean-up stage
         init, reveal, part2 = 3, 1, max(1, g.delta)
-        r1 = problems.linial_budget_even(g.d, g.delta)
+        r1 = _even(problems.linial_rounds(g.d, g.delta))
     degrading = c + f + 2 if r1 >= f else None
     return degrading, init + r1 + reveal + part2, base + r1 + part2 + 10
 
