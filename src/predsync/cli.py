@@ -23,7 +23,8 @@ shared by its runs.
 
 Each run that ends gets one audit.audit_run pass: one replay of its output
 record gives its `valid` code and, for a template, the extendability of
-its partial output at each checkpoint.  A printed trace comes from replay.
+its partial output at each checkpoint.  A run is simulated once: a
+printed trace is formatted from its outcome's send and output records.
 """
 
 from __future__ import annotations
@@ -314,22 +315,6 @@ def run_one(plan: Plan, k: int, seed: int):
     return row, failures, outcome
 
 
-def replay(plan: Plan, k: int, seed: int, outcome) -> list[str]:
-    """The trace lines of run_one(plan, k, seed), whose outcome is given:
-    the run simulated again, traced.  The engine is deterministic, so a
-    replay that ends differently is a fault, and it raises.  A run that
-    raised (outcome None) has no trace: its replay would raise again."""
-    if outcome is None:
-        return []
-    g, tree, p, max_rounds = plan.inputs(k, seed)
-    traced = simulate(g, plan.program, p, max_rounds, tree=tree, trace=True)
-    for name in ("outputs", "term_round", "total_rounds", "output_log"):
-        if getattr(traced, name) != getattr(outcome, name):
-            raise RuntimeError(f"replay of k={k}, seed={seed} differs from "
-                               f"its run in {name}")
-    return traced.trace_lines()
-
-
 def format_csv(rows) -> str:
     lines = [",".join(COLUMNS)]
     for row in rows:
@@ -340,9 +325,9 @@ def format_csv(rows) -> str:
 
 def _runs(plan: Plan, ks, seeds, out: str, trace: bool = False) -> int:
     """Run every (k, seed), k-major, then write the CSV to out (stdout if
-    empty).  A failing run, and every run under trace, prints the trace of
-    its replay to stderr: after its assertion lines, or before them under
-    trace."""
+    empty).  A failing run, and every run under trace, prints its trace,
+    formatted from its outcome's record, to stderr: after its assertion
+    lines, or before them under trace.  A run that raised has none."""
     rows = []
     status = 0
     # a fixed pattern replaces solve-then-corrupt, so k changes nothing in
@@ -356,8 +341,8 @@ def _runs(plan: Plan, ks, seeds, out: str, trace: bool = False) -> int:
                 row = dict(row, k=k)
             else:
                 row, failures, outcome = run_one(plan, k, seed)
-                traced = (replay(plan, k, seed, outcome) if trace or failures
-                          else [])
+                traced = (outcome.trace_lines() if outcome is not None
+                          and (trace or failures) else [])
                 if plan.pattern is not None:
                     fixed[seed] = row, failures, traced
             rows.append(row)

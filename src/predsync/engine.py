@@ -20,10 +20,12 @@ their stage time from rnd, never from the number of calls they got.
 A broadcast may hand one payload object to all its recipients, so a
 receiver must never mutate a message it gets.  A node's NodeView, a run's
 Outcome and each TraceEvent are immutable named tuples, and no code edits
-a Step once returned: IDLE, SLEEP and STOP are shared.  A traced run
-records each event as a TraceEvent that keeps the payload or output value
-itself, formatted only by line(), so a sender must never mutate a payload
-or an output value after the round it sends or assigns it.
+a Step once returned: IDLE, SLEEP and STOP are shared.  Every run keeps a
+send record, each non-empty outbox as compose returned it, and its trace
+is formatted from that record, the output record and the termination
+rounds once the run ends.  So compose returns a dict that its node never
+edits again, and a sender never mutates a payload or an output value
+after the round it sends or assigns it.
 
 Delivery rests on one invariant: every active node is either awake, and
 has an inbox this round, or asleep.  A message to any other node, one
@@ -33,6 +35,7 @@ that terminated or crashed, is dropped.
 from __future__ import annotations
 
 import sys
+from itertools import starmap
 from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple, Optional, Protocol
 
@@ -100,6 +103,15 @@ class NodeProgram(Protocol):
     def start(self, view: NodeView) -> NodeBehavior: ...
 
 
+def _line(rnd: int, node: int, event: str, key, value) -> str:
+    """The trace line of one event."""
+    if event == "SEND":
+        return f"{rnd},{node},SEND,{key}:{value!r}"
+    if event == "OUTPUT":
+        return f"{rnd},{node},OUTPUT,{key}={value!r}"
+    return f"{rnd},{node},{event},"
+
+
 class TraceEvent(NamedTuple):
     """One trace record: a SEND keeps its target and payload as key and
     value, an OUTPUT its slot and value; line() formats them."""
@@ -111,12 +123,7 @@ class TraceEvent(NamedTuple):
     value: Any = None
 
     def line(self) -> str:
-        head = f"{self.round},{self.node},{self.event},"
-        if self.event == "SEND":
-            return f"{head}{self.key}:{self.value!r}"
-        if self.event == "OUTPUT":
-            return f"{head}{self.key}={self.value!r}"
-        return head
+        return _line(*self)
 
 
 class Outcome(NamedTuple):
@@ -125,7 +132,9 @@ class Outcome(NamedTuple):
     total_rounds: int
     # (round, node, slot) per output assignment, in trace order; traced or not
     output_log: list[tuple[int, int, Any]]
-    trace: Optional[list[TraceEvent]] = None
+    trace: Optional[list[TraceEvent]] = None  # events() as TraceEvents, if traced
+    # (round, node, outbox) per non-empty outbox, in trace order
+    sends: list[tuple[int, int, Mapping]] = ()
 
     def solution(self, kind: str, g: Graph) -> dict:
         """Outputs reshaped for graphs.validate(); a node that never output
@@ -135,10 +144,29 @@ class Outcome(NamedTuple):
         return {u: self.outputs[u]["y"] for u in g.nodes
                 if "y" in self.outputs.get(u, {})}
 
+    def events(self):
+        """(round, node, event, key, value) per trace event, in trace order:
+        per round the SENDs by sender, then recipient, then the OUTPUTs in
+        process order, then the TERMINATEs in term_round's (ending) order."""
+        outputs = self.outputs
+        sends, outs = iter(self.sends), iter(self.output_log)
+        terms = iter(self.term_round.items())
+        send, out, term = next(sends, None), next(outs, None), next(terms, None)
+        for rnd in range(1, self.total_rounds + 1):
+            while send and send[0] == rnd:
+                for v, payload in sorted(send[2].items()):
+                    yield rnd, send[1], "SEND", v, payload
+                send = next(sends, None)
+            while out and out[0] == rnd:
+                _, u, slot = out
+                yield rnd, u, "OUTPUT", slot, outputs[u][slot]
+                out = next(outs, None)
+            while term and term[1] == rnd:
+                yield rnd, term[0], "TERMINATE", None, None
+                term = next(terms, None)
+
     def trace_lines(self) -> list[str]:
-        if self.trace is None:
-            raise ValueError("simulation ran without trace enabled")
-        return [ev.line() for ev in self.trace]
+        return list(starmap(_line, self.events()))
 
 
 def default_max_rounds(g: Graph) -> int:
@@ -182,7 +210,7 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
     outputs: dict[int, dict] = {u: {} for u in g.nodes}
     term_round: dict[int, int] = {}
     output_log: list[tuple[int, int, Any]] = []
-    events: list[TraceEvent] = [] if trace else None
+    sends: list[tuple[int, int, Mapping]] = []
 
     rnd = 0
     while active:
@@ -206,9 +234,7 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
             if not outbox.keys() <= nbr_sets[u]:
                 v = min(outbox.keys() - nbr_sets[u])
                 raise ProtocolViolation(f"node {u} sent to non-neighbor {v} in round {rnd}")
-            if events is not None:
-                for v, payload in sorted(outbox.items()):
-                    events.append(TraceEvent(rnd, u, "SEND", v, payload))
+            sends.append((rnd, u, outbox))
             for v, payload in outbox.items():
                 if v in inboxes:
                     inboxes[v][u] = payload
@@ -230,10 +256,8 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
                     if slot in out:
                         raise ProtocolViolation(
                             f"node {u} re-assigned output {slot!r} in round {rnd}")
-                    value = out[slot] = assigned[slot]
+                    out[slot] = assigned[slot]
                     output_log.append((rnd, u, slot))
-                    if events is not None:
-                        events.append(TraceEvent(rnd, u, "OUTPUT", slot, value))
             if step.terminate:
                 terminated_now.append(u)
                 continue
@@ -255,8 +279,9 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
             active.discard(u)
             asleep.pop(u, None)
             term_round[u] = rnd
-            if events is not None:
-                events.append(TraceEvent(rnd, u, "TERMINATE"))
     total = max(term_round.values(), default=0)
-    return Outcome(outputs, term_round, total, output_log, events)
+    outcome = Outcome(outputs, term_round, total, output_log, None, sends)
+    if trace:
+        return outcome._replace(trace=[TraceEvent(*ev) for ev in outcome.events()])
+    return outcome
 

@@ -132,7 +132,7 @@ def test_plan_leaves_no_reference_cycles():
     """A dropped plan is freed at once, capped oracles included: a capped
     enumeration is None, and no oracle raises, so no plan holds a
     traceback.  No run leaves a reference cycle either, on any problem and
-    template, failing and replayed or raising inside simulate;
+    template, failing with its trace formatted or raising inside simulate;
     cli.GC_YOUNG_THRESHOLD rests on that."""
     rc = {"graph": "RANDOM_CONNECTED", "n": "14", "p": "0.3"}
     configs = [
@@ -145,14 +145,14 @@ def test_plan_leaves_no_reference_cycles():
         *({"graph": "TREE", "n": "14", "problem": "MIS", "template": t}
           for t in ("simple", "parallel")),
         {**rc, "program": "mis.greedy"},
-        # bound_degrading fails for k >= 1, so those rows are replayed
+        # bound_degrading fails for k >= 1, so those rows print a trace
         {"graph": "LINE", "n": "10", "problem": "EDGE_COLORING",
          "template": "simple"},
         # NON_TERMINATION raised inside simulate
         {"graph": "LINE", "n": "20", "problem": "MIS", "pattern": "ALL_ZEROS",
          "max_rounds": "2"},
     ]
-    replayed = raised = 0
+    traced = raised = 0
     for cfg in configs:
         gc.collect()
         gc.disable()
@@ -164,7 +164,7 @@ def test_plan_leaves_no_reference_cycles():
                     row, failures, outcome = run_one(plan, k, seed)
                     rows.append(row)
                     if failures and outcome is not None:
-                        replayed += bool(cli.replay(plan, k, seed, outcome))
+                        traced += bool(outcome.trace_lines())
                     raised += outcome is None
             if plan.kind == "MIS":
                 capped = cfg.get("pattern") == "ALL_ONES"
@@ -175,7 +175,7 @@ def test_plan_leaves_no_reference_cycles():
             assert gc.collect() == 0, cfg
         finally:
             gc.enable()
-    assert replayed >= 4 and raised == 6
+    assert traced >= 4 and raised == 6
 
 
 def test_main_restores_the_gc_threshold(tmp_path, monkeypatch):
@@ -709,8 +709,8 @@ def test_trace_flag_dumps_trace(tmp_path, capsys):
 
 
 def test_passing_sweep_builds_no_trace(tmp_path, monkeypatch):
-    """Runs are simulated untraced; only a printed trace is built, by a
-    replay of the run."""
+    """Each run is simulated once, untraced, and a passing sweep formats no
+    trace; run --trace formats its run's trace from that one outcome."""
     built = []
 
     class Counted(engine.TraceEvent):
@@ -718,35 +718,38 @@ def test_passing_sweep_builds_no_trace(tmp_path, monkeypatch):
             built.append(args)
 
     monkeypatch.setattr(engine, "TraceEvent", Counted)
-    outcomes = []
+    outcomes, calls = [], {"simulate": 0, "trace_lines": 0}
+    simulate, trace_lines = cli.simulate, engine.Outcome.trace_lines
 
     def recorded(plan, k, seed):
         result = run_one(plan, k, seed)
         outcomes.append(result[2])
         return result
+
+    def simulated(*args, **kwargs):
+        calls["simulate"] += 1
+        return simulate(*args, **kwargs)
+
+    def formatted(outcome):
+        calls["trace_lines"] += 1
+        return trace_lines(outcome)
+
     monkeypatch.setattr(cli, "run_one", recorded)
+    monkeypatch.setattr(cli, "simulate", simulated)
+    monkeypatch.setattr(engine.Outcome, "trace_lines", formatted)
     text = ("graph = RANDOM_CONNECTED\nn = 10\np = 0.3\n"
             "problem = MIS\ntemplate = consecutive\n")
     cfg = _cfg(tmp_path, text + "k_range = 0..3\nseed_range = 0..2\n")
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
     assert len(outcomes) == 12 and all(o.trace is None for o in outcomes)
+    assert calls == {"simulate": 12, "trace_lines": 0}
     assert built == []
     cfg = _cfg(tmp_path, text)  # run rejects the sweep-only keys
     assert main(["run", "--config", cfg, "--trace", "--out",
                  str(tmp_path / "r.csv")]) == 0
-    assert built  # the replay traces through the same TraceEvent
-
-
-def test_replay_that_differs_raises():
-    plan = Plan({"graph": "RANDOM_CONNECTED", "n": "10", "p": "0.3",
-                 "problem": "MIS", "template": "simple"})
-    _, _, outcome = run_one(plan, 2, 1)
-    lines = cli.replay(plan, 2, 1, outcome)
-    assert lines[-1].endswith(",TERMINATE,")
-    node = min(outcome.outputs)
-    outcome.outputs[node] = {"y": 1 - outcome.outputs[node]["y"]}
-    with pytest.raises(RuntimeError, match=r"k=2, seed=1 .* outputs"):
-        cli.replay(plan, 2, 1, outcome)
+    assert len(outcomes) == 13 and outcomes[-1].trace is None
+    assert calls == {"simulate": 13, "trace_lines": 1}
+    assert built == []  # the trace is formatted without TraceEvents
 
 
 def _rows(csv_text):
@@ -802,7 +805,7 @@ def test_failing_fixed_pattern_sweep_repeats_each_seed(tmp_path, capsys,
             rows.append(row)
             err += [f"ASSERTION FAILED (k={k}, seed={seed}): {msg}"
                     for msg in failures]
-            err += cli.replay(plan, k, seed, outcome)
+            err += outcome.trace_lines()
     calls = []
     monkeypatch.setattr(cli, "run_one", lambda plan, k, seed: (
         calls.append((k, seed)) or run_one(plan, k, seed)))

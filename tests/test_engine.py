@@ -2,12 +2,17 @@
 
 import pytest
 
+from predsync import measures as M, mis, problems
+from predsync.cli import RUN_ERRORS
 from predsync.engine import (NEVER, NonTermination, ProtocolViolation, Step,
                              default_max_rounds, simulate)
-from predsync.graphs import build_graph, line
+from predsync.graphs import (build_graph, line, random_connected_graph,
+                             random_tree)
+from predsync.templates import build_template
 
-from helpers import undecided
+from helpers import program, undecided
 from reference import snapshot_active
+from test_wake import MATRIX, _crashes, _matrix
 
 
 class Script:
@@ -276,3 +281,68 @@ def test_all_nodes_asleep_forever_is_non_termination():
     assert str(asleep.value) == str(awake.value) == \
         "3 nodes still active after 7 rounds"
     assert len(prog.log) == 6  # one compose and one process per node
+
+
+def _crash_cases():
+    """(program, graph, tree, predictions, max_rounds, crash schedule):
+    the crash-scheduled Linial and tree 3-coloring runs of
+    test_acceptance's fault-tolerance criterion, and MIS templates with
+    predictions under the same kind of schedule, on seeds 0..9."""
+    for seed in range(10):
+        g = random_connected_graph(5 + seed % 10, 0.35, seed)
+        budget = problems.linial_rounds(g.d, g.delta)
+        yield (program("vc.linial"), g, None, None, budget + 5,
+               _crashes(g, seed, "crash-linial", budget))
+        p = M.corrupt("MIS", g, M.reference("MIS", g), 2, seed)
+        for template in ("simple", "interleaved", "parallel"):
+            inst = build_template("MIS", template)
+            yield (inst.program, g, None, p, inst.max_rounds(g),
+                   _crashes(g, seed, f"crash-{template}", 3 * g.n))
+        t = random_tree(5 + seed % 12, seed)
+        budget = mis.gps_rounds(t.graph.d)
+        yield (program("mis.tree_gps"), t.graph, t, None, budget + 5,
+               _crashes(t.graph, seed, "crash-gps", budget))
+
+
+def _ended(prog, g, p, max_rounds, **kwargs):
+    """(error, None) for a run that raises, else (None, its records and
+    trace)."""
+    try:
+        out = simulate(g, prog, p, max_rounds, **kwargs)
+    except tuple(RUN_ERRORS) as exc:
+        return f"{type(exc).__name__}: {exc}", None
+    assert out.trace is None
+    return None, (out.outputs, out.term_round, out.total_rounds,
+                  out.output_log, out.sends, out.trace_lines())
+
+
+def _same_runs(prog, g, p, max_rounds, **kwargs):
+    """Two untraced runs end alike, and a traced run's events give the
+    trace that the untraced run formats, line for line; True if the run
+    ended without an error."""
+    error, record = _ended(prog, g, p, max_rounds, **kwargs)
+    assert _ended(prog, g, p, max_rounds, **kwargs) == (error, record)
+    if error:
+        return False
+    traced = simulate(g, prog, p, max_rounds, trace=True, **kwargs)
+    assert [ev.line() for ev in traced.trace] == record[-1]
+    return True
+
+
+@pytest.mark.parametrize("name", MATRIX)
+def test_runs_repeat_and_trace_from_their_record(name):
+    """The engine is deterministic, so a run's trace is formatted from its
+    own send and output records and no run is simulated again to print
+    one: over every template and registry program."""
+    prog, cases, max_rounds = _matrix(name)
+    ran = [_same_runs(prog, g, p, max_rounds(g), tree=rooted)
+           for g, rooted, p in cases]
+    assert any(ran)
+
+
+def test_crashed_runs_repeat_and_trace_from_their_record():
+    """As above under crash schedules, whose crashed nodes terminate in
+    node order with the round's other terminations."""
+    ran = [_same_runs(prog, g, p, max_rounds, tree=tree, crash_schedule=sched)
+           for prog, g, tree, p, max_rounds, sched in _crash_cases()]
+    assert sum(ran) >= 40

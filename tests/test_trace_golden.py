@@ -4,7 +4,9 @@ exit status of each run below must match the committed files byte for byte.
 The files under tests/golden/trace/ were captured before the auditor was
 moved onto the engine's output record; those of vc_simple, vc_linial,
 tree_gps, ec_uniform and ec_cleanup before the matching, coloring and
-edge-coloring rounds were folded into shared runs.  The two EC simple
+edge-coloring rounds were folded into shared runs; all of them, and
+tree_parallel_line, before traces were formatted from the engine's send
+record instead of a traced second simulation.  The two EC simple
 runs exit 1 (bound_degrading fails on a correct output, ROADMAP item 1):
 without --trace the trace is dumped after the assertion line, with it
 before.
@@ -36,6 +38,10 @@ CONFIGS = {
                                "k = 3\nseed = 0\n", ["--trace"], 0),
     "tree_simple": ("graph = TREE\nn = 12\nproblem = MIS\ntemplate = simple\n"
                     "k = 5\nseed = 1\n", ["--trace"], 0),
+    # the smallest line tree whose parallel run reaches mis.TreePart2Stage
+    "tree_parallel_line": ("graph = TREE\nn = 30\nshape = line\nproblem = MIS\n"
+                           "template = parallel\npattern = ALL_ZEROS\n"
+                           "k = 0\nseed = 0\n", ["--trace"], 0),
     "mm_consecutive": (_RANDOM + "problem = MAXIMAL_MATCHING\n"
                                  "template = consecutive\nk = 4\nseed = 1\n",
                        ["--trace"], 0),

@@ -8,9 +8,10 @@ must agree on outputs, termination rounds, trace and output record.
 The same runs also pin that broadcasts may share one payload object among
 their recipients: a proxy that hands every recipient its own deep copy
 must not change what a run does.  Over every template and registry
-program, they pin two sender-side rules: a trace event's payload or value
-does not change after its round, and no Step changes once it is returned,
-so the shared steps never change; any other Step is new on each call.
+program, they pin two sender-side rules: no outbox, payload or output
+value changes after its round, since a run's trace is formatted from them
+when it ends, and no Step changes once it is returned, so the shared steps
+never change; any other Step is new on each call.
 """
 
 import ast
@@ -190,26 +191,65 @@ def _matrix(name):
 MATRIX = PROGRAM_IDS + sorted(REGISTRY)
 
 
-class _EagerEvent(engine.TraceEvent):
-    """A trace event that also formats its line when it happens."""
+class _Early:
+    def __init__(self, inner, node, log):
+        self.inner = inner
+        self.node = node
+        self.log = log
 
-    def __init__(self, *args):
-        self.early = self.line()
+    def _lines(self, rnd):
+        return self.log.setdefault(rnd, ([], [], []))
+
+    def compose(self, rnd):
+        outbox = self.inner.compose(rnd)
+        self._lines(rnd)[0].extend(
+            engine.TraceEvent(rnd, self.node, "SEND", v, m).line()
+            for v, m in sorted(outbox.items()))
+        return outbox
+
+    def process(self, rnd, inbox):
+        step = self.inner.process(rnd, inbox)
+        _, outputs, ends = self._lines(rnd)
+        outputs.extend(
+            engine.TraceEvent(rnd, self.node, "OUTPUT", s, step.outputs[s]).line()
+            for s in sorted(step.outputs, key=repr))
+        if step.terminate:
+            ends.append(engine.TraceEvent(rnd, self.node, "TERMINATE").line())
+        return step
+
+
+class EarlyProxy:
+    """Formats each trace line when its event happens: per round, a SEND
+    as its sender composes, then an OUTPUT or a TERMINATE as its node
+    processes.  Nodes compose and process in node order, so the lines of
+    a run without crashes come out in trace order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.log = {}  # round -> (SEND, OUTPUT, TERMINATE lines)
+
+    def start(self, view):
+        return _Early(self.inner.start(view), view.id, self.log)
+
+    def lines(self):
+        return [line for rnd in sorted(self.log) for lines in self.log[rnd]
+                for line in lines]
 
 
 @pytest.mark.parametrize("name", MATRIX)
-def test_trace_formatted_late_matches_formatted_early(name, monkeypatch):
-    """Events keep their payloads and values and line() formats them late,
-    so no sender may change one after its round."""
-    monkeypatch.setattr(engine, "TraceEvent", _EagerEvent)
+def test_trace_formatted_late_matches_formatted_early(name):
+    """A run keeps its outboxes, payloads and output values, and its trace
+    is formatted from them when it ends, so no node may change an outbox
+    it returned, nor a sender a payload or value after its round."""
     program, cases, max_rounds = _matrix(name)
     traced = 0
     for g, rooted, p in cases:
+        early = EarlyProxy(program)
         try:
-            out = simulate(g, program, p, max_rounds(g), tree=rooted, trace=True)
+            out = simulate(g, early, p, max_rounds(g), tree=rooted)
         except tuple(RUN_ERRORS):
             continue
-        assert [ev.early for ev in out.trace] == out.trace_lines()
+        assert early.lines() == out.trace_lines()
         traced += 1
     assert traced
 
