@@ -272,6 +272,23 @@ def _run_error(exc: Exception) -> tuple[str, str]:
                              f"(at {where})")
 
 
+def judge(account, rounds: int, failures: list) -> list:
+    """A run's BOUNDS cells from its template's account, "" where a bound
+    does not apply; each broken one adds its terms and slack to failures."""
+    cells = []
+    for name, terms in zip(BOUNDS, account):
+        bound = terms and sum([term[1] for term in terms])
+        exact = name == "bound_consistency"  # c rounds, no fewer
+        held = terms is None or (rounds == bound if exact else rounds <= bound)
+        cells.append("" if terms is None else "true" if held else "false")
+        if not held:
+            sums = " + ".join(f"{t} {n}" for t, n, _ in terms)
+            failures.append(f"{name} violated: {rounds} rounds "
+                            f"{'!=' if exact else '>'} {bound} = {sums}, "
+                            f"slack {bound - rounds}")
+    return cells
+
+
 def run_one(plan: Plan, k: int, seed: int):
     """Execute one instance, untraced; returns (row dict, failure messages,
     outcome).  A run whose simulation raised has outcome None."""
@@ -298,9 +315,8 @@ def run_one(plan: Plan, k: int, seed: int):
         if violation is not None:
             failures.append(f"invalid solution: {valid}")
         if inst is not None:
-            verdicts = inst.verdicts(g, report, outcome.total_rounds)
-            failures += [f"{name} violated" for name, cell
-                         in zip(BOUNDS, verdicts) if cell == "false"]
+            verdicts = judge(inst.account(g, report), outcome.total_rounds,
+                             failures)
     failures += [f"not extendable at {msg}" for msg in unextendable]
 
     row = {

@@ -37,7 +37,7 @@ from __future__ import annotations
 import sys
 from itertools import starmap
 from types import MappingProxyType
-from typing import Any, Mapping, NamedTuple, Optional, Protocol
+from typing import Any, Mapping, NamedTuple, Optional
 
 from .graphs import Graph, RootedTree, ROOT
 
@@ -49,8 +49,6 @@ class ProtocolViolation(RuntimeError):
 class NonTermination(RuntimeError):
     """max_rounds exhausted with active nodes remaining."""
 
-
-NO_PREDICTIONS = None
 
 # A wake round past every round bound: sleep until a message arrives.
 NEVER = sys.maxsize
@@ -92,15 +90,6 @@ class Step:
 IDLE = Step()
 SLEEP = Step(wake=NEVER)
 STOP = Step(terminate=True)
-
-
-class NodeBehavior(Protocol):
-    def compose(self, rnd: int) -> Mapping[int, Any]: ...
-    def process(self, rnd: int, inbox: Mapping[int, Any]) -> Step: ...
-
-
-class NodeProgram(Protocol):
-    def start(self, view: NodeView) -> NodeBehavior: ...
 
 
 def _line(rnd: int, node: int, event: str, key, value) -> str:
@@ -173,20 +162,18 @@ def default_max_rounds(g: Graph) -> int:
     return 4 * g.n + 20
 
 
-def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
+def simulate(g: Graph, program, predictions=None,
              max_rounds: Optional[int] = None, *, tree: Optional[RootedTree] = None,
              trace: bool = False, crash_schedule: Optional[Mapping[int, set]] = None) -> Outcome:
-    """Run the program on every node of g until all nodes terminate.
-
-    crash_schedule maps a round number to the set of nodes forcibly
-    terminated at the END of that round (used by fault-injection harnesses;
-    a crashed node's outbox for the round is still delivered).
-    """
+    """Run program on every node of g until all nodes terminate: a node is
+    program.start(its NodeView), whose compose(rnd) returns its outbox and
+    process(rnd, inbox) its Step.  crash_schedule maps a round to the nodes
+    forcibly terminated at the END of it; their outbox is still delivered."""
     if max_rounds is None:
         max_rounds = default_max_rounds(g)
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    if predictions is not NO_PREDICTIONS:
+    if predictions is not None:
         missing = [u for u in g.nodes if u not in predictions]
         if missing:
             raise ValueError(f"predictions missing for nodes {missing}")
@@ -194,7 +181,7 @@ def simulate(g: Graph, program: NodeProgram, predictions=NO_PREDICTIONS,
     make_view = tuple.__new__  # NodeView(...) without its Python-level __new__
     behaviors = {}
     for u in g.nodes:
-        pred = None if predictions is NO_PREDICTIONS else predictions[u]
+        pred = None if predictions is None else predictions[u]
         is_root = parent = None
         if tree is not None:
             p = tree.parent[u]

@@ -7,15 +7,13 @@ ParallelStage(U, part 1, r1), reveal, part 2], with no reveal on trees.
 
 build_template() assembles every template from one row of _PARTS and
 returns a TemplateInstance: the program, the consistency constant c and
-the error budget f.  Its round bounds read the lengths the program runs
-with, so each budget (initialization, truncation, clean-up, part 1,
-reveal, part 2, interleaving phase) is written down once, in the stage
-that spends it.
+the error budget f.  Its account names each round bound's terms, read
+from the lengths the program runs with, so each budget is written down
+once, in the stage that spends it.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple, Optional
 
 from . import mis, problems
@@ -27,65 +25,64 @@ from .stages import (ConfigError, InterleavedStage, ParallelStage,
 TEMPLATES = ("simple", "consecutive", "interleaved", "parallel")
 
 
-def _f_mis(report: dict) -> int:
-    """Greedy round budget on the worst error component."""
-    eta1 = report["eta1"]
-    eta2 = report.get("eta2")
-    if eta2 is None:
-        return eta1
-    return min(eta1, eta2 + 1)
+def _f_mis(report: dict) -> tuple:
+    """The term f: min(eta1, eta2 + 1) greedy rounds, and what it read."""
+    eta1, eta2 = report["eta1"], report.get("eta2")
+    if eta2 is None or eta1 <= eta2 + 1:
+        return f"f(eta1={eta1})", eta1, "repo"
+    return f"f(eta2+1={eta2 + 1})", eta2 + 1, "repo"
 
 
-def _f_mm(report: dict) -> int:
-    return 3 * (report["eta1"] // 2)
+def _f_eta1(budget: Callable[[int], int], source: str):
+    """The term f of an error budget that reads eta1 alone."""
+    return lambda report: (f"f(eta1={report['eta1']})",
+                           budget(report["eta1"]), source)
 
 
-def _f_vc(report: dict) -> int:
-    return report["eta1"]
-
-
-def _f_ec(report: dict) -> int:
-    eta1 = report["eta1"]
-    return max(1, 2 * eta1 - 3) if eta1 >= 2 else eta1
+_f_mm = _f_eta1(lambda e: 3 * (e // 2), "paper")
+_f_vc = _f_eta1(lambda e: e, "paper")
+_f_ec = _f_eta1(lambda e: max(1, 2 * e - 3) if e >= 2 else e, "repo")
 
 
 class TemplateInstance(NamedTuple):
     template: str
     program: StagedProgram
     c: int  # rounds used when predictions are correct
-    f: Callable[[dict], int]  # error budget from a measure report
+    f: Callable[[dict], tuple]  # error budget term from a measure report
 
-    def bounds(self, g, report) -> tuple[Optional[int], Optional[int]]:
-        """(degrading, robust) round bounds of a run on g whose error
-        measures are report; None where a bound does not apply.  Stage 1
-        is the truncated, interleaved or fused stage.  The consecutive
-        robust bound c + 2·lengths[1] assumes that the budget r covers the
-        reference stage: the default budgets do, and the CLI never forces
-        r.  With r forced to 1..3 it fails on 212 MM, 7 VC and 223 EC runs
-        of 1014 (test_consecutive_fallback_on_small_graphs)."""
-        c, f = self.c, self.f(report)
+    def account(self, g, report) -> tuple:
+        """A run's consistency, degrading and robust bounds on g, given its
+        error measures report: each a tuple of (term, rounds, source) whose
+        rounds sum to it, or None where it does not apply; source is "repo"
+        for the repo's own choices, else "paper" (README, "Round bounds").
+        Consistency applies when eta1 is 0.  Stage 1 is the truncated,
+        interleaved or fused stage.  The consecutive robust bound assumes
+        that r covers the reference stage, as the default r does."""
+        c = ("c", self.c, "paper")
+        consistency = None if report["eta1"] else (c,)
+        f = self.f(report)
         if self.template == "simple":
-            return c + f, None
+            return consistency, (c, f), None
+        lengths = self.program.lengths(g)
+        if self.template == "parallel":
+            # the fused stage lasts the part-1 budget r1; the degrading
+            # bound applies only if f fits inside it
+            return consistency, ((c, f, ("margin", 2, "repo"))
+                                 if lengths[1] >= f[1] else None), tuple(zip(
+                ("init", "part 1", "reveal")[:len(lengths) - 1] + ("part 2",),
+                lengths, ("paper",) * 4))
+        twice = (c, ("2" + f[0], 2 * f[1], f[2]))
         if self.template == "interleaved":
             # whole U and R blocks until U has had f rounds
             phase = self.program.stages[1].phase_len
-            return c + 2 * f, c + 2 * max(1, math.ceil(f / phase)) * phase
-        lengths = self.program.lengths(g)
-        if self.template == "consecutive":
-            # the truncated stage lasts r plus the clean-up
-            return c + 2 * f, c + 2 * lengths[1]
-        # parallel: the fused stage lasts the part-1 budget r1; the
-        # degrading bound applies only if f fits inside it
-        return (c + f + 2 if lengths[1] >= f else None), sum(lengths)
-
-    def verdicts(self, g, report, rounds: int) -> tuple[str, str, str]:
-        """The bound_consistency, bound_degrading and bound_robust cells of
-        a run on g that took rounds rounds: "true", "false", or "" where a
-        bound does not apply.  Consistency applies when eta1 is 0."""
-        cells = ["" if report["eta1"] else str(rounds == self.c).lower()]
-        for bound in self.bounds(g, report):
-            cells.append("" if bound is None else str(rounds <= bound).lower())
-        return tuple(cells)
+            blocks = max(1, -(-f[1] // phase)) * phase
+            return consistency, twice, (c, ("U blocks", blocks, "repo"),
+                                        ("R blocks", blocks, "repo"))
+        # consecutive: the truncated stage lasts r plus the clean-up, if any
+        cleanup = lengths[2:-1]
+        return consistency, twice, (
+            c, ("2 truncation", 2 * (lengths[1] - sum(cleanup)), "paper"),
+            *[("2 clean-up", 2 * rounds, "paper") for rounds in cleanup])
 
     def max_rounds(self, g) -> int:
         if self.template != "parallel":

@@ -7,6 +7,8 @@ import itertools
 from collections.abc import Iterator, Mapping, Sequence
 from functools import cache
 
+from predsync.engine import (NodeView, NonTermination, ProtocolViolation,
+                             default_max_rounds)
 from predsync.graphs import (DEFAULT_ALPHA_CAP, DEFAULT_ENUM_CAP, ROOT,
                              CapExceeded, Graph, GraphError, RootedTree,
                              _assign_ids, _rng, build_graph, first_violation,
@@ -223,6 +225,66 @@ def mm_uniform_rounds(g: Graph) -> dict:
             del active[u]
         end.update(dict.fromkeys(matched | alone, 3 * phase))
     return end
+
+
+def naive_simulate(g: Graph, program, predictions=None, max_rounds=None,
+                   *, tree=None, crash_schedule=None) -> tuple:
+    """engine.simulate the slow way, sharing with it only NodeView,
+    default_max_rounds, its two error types and the program interface:
+    (outputs, term_round as a list of (node, round), total rounds, output
+    record, trace lines).  Every active node composes and processes in
+    every round, whatever wake its Step names; each inbox is built from
+    scratch in sender order, and a message to an ended node is dropped.
+    A step's outputs are taken in repr order, and a round's ending nodes,
+    crashed ones included, end in node order.  Trace lines are written as
+    the events happen: a round's sends, then its outputs, then its ends."""
+    max_rounds = default_max_rounds(g) if max_rounds is None else max_rounds
+    nodes = sorted(g.nodes)
+    nodes_of = {}
+    for u in nodes:
+        parent = None if tree is None else tree.parent[u]
+        nodes_of[u] = program.start(NodeView(
+            u, tuple(sorted(g.neighbor_sets[u])), g.n, g.d, g.delta,
+            None if predictions is None else predictions[u],
+            None if tree is None else parent == ROOT,
+            None if parent == ROOT else parent))
+    active, outputs = set(nodes), {u: {} for u in nodes}
+    ended, record, lines = [], [], []
+    rnd = 0
+    while active:
+        rnd += 1
+        if rnd > max_rounds:
+            raise NonTermination(f"{len(active)} nodes still active after "
+                                 f"{max_rounds} rounds")
+        stepped = sorted(active)
+        outboxes = {}
+        for u in stepped:
+            outboxes[u] = nodes_of[u].compose(rnd)
+            strangers = outboxes[u].keys() - g.neighbor_sets[u]
+            if strangers:
+                raise ProtocolViolation(f"node {u} sent to non-neighbor "
+                                        f"{min(strangers)} in round {rnd}")
+            lines += [f"{rnd},{u},SEND,{v}:{outboxes[u][v]!r}"
+                      for v in sorted(outboxes[u])]
+        ending = set()
+        for v in stepped:
+            inbox = {u: outboxes[u][v] for u in stepped if v in outboxes[u]}
+            step = nodes_of[v].process(rnd, inbox)
+            for slot in sorted(step.outputs, key=repr):
+                if slot in outputs[v]:
+                    raise ProtocolViolation(f"node {v} re-assigned output "
+                                            f"{slot!r} in round {rnd}")
+                outputs[v][slot] = step.outputs[slot]
+                record.append((rnd, v, slot))
+                lines.append(f"{rnd},{v},OUTPUT,{slot}={outputs[v][slot]!r}")
+            if step.terminate:
+                ending.add(v)
+        ending |= active & set((crash_schedule or {}).get(rnd, ()))
+        for u in sorted(ending):
+            active.remove(u)
+            ended.append((u, rnd))
+            lines.append(f"{rnd},{u},TERMINATE,")
+    return outputs, ended, rnd, record, lines
 
 
 @cache

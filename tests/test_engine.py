@@ -6,12 +6,14 @@ from predsync import measures as M, mis, problems
 from predsync.cli import RUN_ERRORS
 from predsync.engine import (NEVER, NonTermination, ProtocolViolation, Step,
                              default_max_rounds, simulate)
-from predsync.graphs import (build_graph, line, random_connected_graph,
-                             random_tree)
-from predsync.templates import build_template
+from predsync.graphs import (PROBLEM_KINDS, build_graph, line,
+                             random_connected_graph, random_tree)
+from predsync.stages import ConfigError
+from predsync.templates import TEMPLATES, build_template
 
 from helpers import program, undecided
-from reference import snapshot_active
+from reference import (labelled_graphs, labelled_rooted_trees,
+                       naive_simulate, snapshot_active)
 from test_wake import MATRIX, _crashes, _matrix
 
 
@@ -346,3 +348,66 @@ def test_crashed_runs_repeat_and_trace_from_their_record():
     ran = [_same_runs(prog, g, p, max_rounds, tree=tree, crash_schedule=sched)
            for prog, g, tree, p, max_rounds, sched in _crash_cases()]
     assert sum(ran) >= 40
+
+
+def _both_engines(prog, g, p, max_rounds, **kwargs):
+    """engine.simulate and reference.naive_simulate give the same outputs,
+    termination order, round count, output record and trace lines, or
+    raise the same error with the same text; True if the run raised."""
+    ran = []
+    for run in (simulate, naive_simulate):
+        try:
+            out = run(g, prog, p, max_rounds, **kwargs)
+        except tuple(RUN_ERRORS) as exc:
+            ran.append((type(exc), str(exc)))
+            continue
+        if run is simulate:
+            out = (out.outputs, list(out.term_round.items()),
+                   out.total_rounds, out.output_log, out.trace_lines())
+        ran.append(out)
+    assert ran[0] == ran[1]
+    return len(ran[0]) == 2  # (error type, text), not the five records
+
+
+@pytest.mark.parametrize("name", MATRIX)
+def test_engine_matches_naive_engine(name):
+    """Over every template and registry program: the wake-driven engine
+    against stepping every active node in every round."""
+    prog, cases, max_rounds = _matrix(name)
+    raised = [_both_engines(prog, g, p, max_rounds(g), tree=rooted)
+              for g, rooted, p in cases]
+    assert not all(raised)
+
+
+def test_engine_matches_naive_engine_under_crashes():
+    """Crashed nodes end with the round's other ending nodes, in node
+    order."""
+    raised = [_both_engines(prog, g, p, max_rounds, tree=tree,
+                            crash_schedule=sched)
+              for prog, g, tree, p, max_rounds, sched in _crash_cases()]
+    assert raised.count(False) >= 40
+
+
+def test_engine_matches_naive_engine_on_labelled_graphs():
+    """Every template on every connected graph, and every rooted tree, on
+    the node sets 1..n for n <= 4, with predictions at k = 0, 1 and n."""
+    runs = 0
+    for problem in PROBLEM_KINDS:
+        for template in TEMPLATES:
+            for rooted in (False, True) if problem == "MIS" else (False,):
+                try:
+                    inst = build_template(problem, template, tree=rooted)
+                except ConfigError:  # the problem has no such template
+                    continue
+                for n in range(1, 5):
+                    cases = ([(t.graph, t) for t in labelled_rooted_trees(n)]
+                             if rooted else [(g, None)
+                                             for g in labelled_graphs(n)])
+                    for g, tree in cases:
+                        ref = M.reference(problem, g)
+                        for k in sorted({0, 1, n}):
+                            p = M.corrupt(problem, g, ref, k, n)
+                            _both_engines(inst.program, g, p,
+                                          inst.max_rounds(g), tree=tree)
+                            runs += 1
+    assert runs > 1000

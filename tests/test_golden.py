@@ -6,7 +6,8 @@ reworked to share one base run.  A sweep that exits 1 keeps its rows as
 they are (EC simple still has bound_degrading failures on correct output).
 The stderr files were captured later, before each seed's instance came to
 be shared by its k values: they pin the k-major order of the assertion
-lines and trace dumps.
+lines and trace dumps.  Their `violated` lines were recaptured alone when
+they came to name each broken bound's terms and slack.
 To capture the corpus again, at a commit whose output is trusted, run
 `PYTHONPATH=src python tests/test_golden.py`.
 """

@@ -2,11 +2,13 @@
 parallel part-1 isolation property."""
 
 import math
+from pathlib import Path
 
 import pytest
 
 from predsync import measures as M, mis, problems
 from predsync.audit import audit_run
+from predsync.cli import BOUNDS, judge
 from predsync.engine import (NodeView, NonTermination, default_max_rounds,
                              simulate)
 from predsync.graphs import (PROBLEM_KINDS, _assign_ids, build_graph, grid,
@@ -17,6 +19,13 @@ from predsync.stages import (ConfigError, InterleavedStage, ParallelStage,
 from predsync.templates import TEMPLATES, build_template
 
 from helpers import value
+
+
+def _sums(inst, g, report):
+    """The consistency, degrading and robust bounds of inst's account,
+    each the sum of its terms' rounds, or None where it does not apply."""
+    return tuple(None if terms is None else sum(n for _, n, _ in terms)
+                 for terms in inst.account(g, report))
 
 
 def test_build_template_errors():
@@ -90,7 +99,7 @@ def test_consecutive_truncation_branch():
     inst = build_template("MIS", "consecutive", r=r)
     out = simulate(g, inst.program, p, trace=True)
     assert validate("MIS", g, out.solution("MIS", g)) is None
-    assert out.total_rounds <= inst.bounds(g, rep)[1]
+    assert out.total_rounds <= _sums(inst, g, rep)[2]
     cps = inst.program.checkpoints(g, out.total_rounds)
     assert audit_run("MIS", g, out, cps) == (None, [])
 
@@ -141,7 +150,7 @@ def test_consecutive_inside_uniform_branch():
     # inside the uniform branch the run ends within c + f, the simple
     # template's degrading bound
     simple = build_template("MIS", "simple")
-    assert out.total_rounds <= simple.bounds(g, rep)[0]
+    assert out.total_rounds <= _sums(simple, g, rep)[1]
 
 
 def test_interleaved_round_accounting():
@@ -153,7 +162,7 @@ def test_interleaved_round_accounting():
             inst = build_template("MIS", "interleaved")
             out = simulate(g, inst.program, p, trace=True)
             assert validate("MIS", g, out.solution("MIS", g)) is None
-            degrading, robust = inst.bounds(g, rep)
+            _, degrading, robust = _sums(inst, g, rep)
             assert out.total_rounds <= degrading
             assert out.total_rounds <= robust
             cps = inst.program.checkpoints(g, out.total_rounds)
@@ -310,7 +319,7 @@ def test_tree_parallel_bounds():
             out = simulate(g, inst.program, p, tree=t,
                            max_rounds=inst.max_rounds(g), trace=True)
             assert validate("MIS", g, out.solution("MIS", g)) is None
-            assert out.total_rounds <= inst.bounds(g, rep)[1]
+            assert out.total_rounds <= _sums(inst, g, rep)[2]
             if out.total_rounds <= init.length(g) + fused.length(g):
                 assert out.total_rounds <= -(-rep["eta_t"] // 2) + 5
             cps = inst.program.checkpoints(g, out.total_rounds)
@@ -329,15 +338,15 @@ def test_other_problem_templates():
                     out = simulate(g, inst.program, p,
                                    max_rounds=inst.max_rounds(g))
                     assert validate(kind, g, out.solution(kind, g)) is None
-                    consistency, degrading, robust = inst.verdicts(
-                        g, rep, out.total_rounds)
+                    consistency, degrading, robust = judge(
+                        inst.account(g, rep), out.total_rounds, [])
                     if k == 0:
                         assert consistency == "true"
                     assert "true" in (degrading, robust)
 
 
 # reference: each template's round bounds written out term by term, apart
-# from the stage lengths that TemplateInstance.bounds reads them from;
+# from the stage lengths that TemplateInstance.account reads them from;
 # problem -> (c, consecutive truncation budget r(g), clean-up rounds)
 _TERMS = {
     "MIS": (3, lambda g: g.n + g.n % 2, 1),
@@ -371,7 +380,9 @@ def _reference_bounds(problem, template, options, g, f):
     return degrading, init + r1 + reveal + part2, base + r1 + part2 + 10
 
 
-def test_bounds_match_reference_formulas():
+def _formula_cases():
+    """(cases, graphs) of the two reference-formula tests: each case is a
+    (problem, template, build_template options) to build on every graph."""
     cases = [(kind, tpl, {}) for kind in _TERMS
              for tpl in ("simple", "consecutive")]
     cases += [("MIS", "interleaved", {"phase": ph}) for ph in (2, 4, 6)]
@@ -379,6 +390,11 @@ def test_bounds_match_reference_formulas():
               ("MIS", "parallel", {"tree": True})]
     graphs = [random_graph(14, 0.3, 2), random_connected_graph(20, 0.3, 5),
               line(30), grid(4, 5), random_tree(25, 3).graph]
+    return cases, graphs
+
+
+def test_bounds_match_reference_formulas():
+    cases, graphs = _formula_cases()
     inapplicable = 0
     for kind, tpl, options in cases:
         inst = build_template(kind, tpl, **options)
@@ -387,24 +403,22 @@ def test_bounds_match_reference_formulas():
                 for eta2 in (None, 0, eta1 // 2, eta1):
                     report = {"eta1": eta1, "eta2": eta2}
                     want = _reference_bounds(kind, tpl, options, g,
-                                             inst.f(report))
-                    got = inst.bounds(g, report) + (inst.max_rounds(g),)
+                                             inst.f(report)[1])
+                    consistency, *got = _sums(inst, g, report)
+                    got = tuple(got) + (inst.max_rounds(g),)
                     assert got == want, (kind, tpl, options, g.n, report)
+                    assert consistency == (None if eta1 else _TERMS[kind][0])
                     inapplicable += want[0] is None
     assert inapplicable  # the parallel r1 >= f rule was exercised
 
 
 def test_verdicts_match_reference_formulas():
-    """The three bound cells of TemplateInstance.verdicts, over the cases
-    and graphs of test_bounds_match_reference_formulas, at one round below,
-    at and above each bound and c; "" where a bound does not apply."""
-    cases = [(kind, tpl, {}) for kind in _TERMS
-             for tpl in ("simple", "consecutive")]
-    cases += [("MIS", "interleaved", {"phase": ph}) for ph in (2, 4, 6)]
-    cases += [("MIS", "parallel", {}), ("MIS", "simple", {"tree": True}),
-              ("MIS", "parallel", {"tree": True})]
-    graphs = [random_graph(14, 0.3, 2), random_connected_graph(20, 0.3, 5),
-              line(30), grid(4, 5), random_tree(25, 3).graph]
+    """The three bound cells that cli.judge makes of a template's account,
+    over the cases and graphs of test_bounds_match_reference_formulas, at
+    one round below, at and above each bound and c; "" where a bound does
+    not apply.  Each broken bound has one line, in BOUNDS order, whose sum
+    is the bound and whose slack is the bound minus the rounds."""
+    cases, graphs = _formula_cases()
     seen = set()
     for kind, tpl, options in cases:
         inst = build_template(kind, tpl, **options)
@@ -414,15 +428,58 @@ def test_verdicts_match_reference_formulas():
                 for eta2 in (None, 0, eta1 // 2, eta1):
                     report = {"eta1": eta1, "eta2": eta2}
                     want = _reference_bounds(kind, tpl, options, g,
-                                             inst.f(report))[:2]
+                                             inst.f(report)[1])[:2]
                     near = {c, *(b for b in want if b is not None)}
                     for rounds in {x + d for x in near for d in (-1, 0, 1)}:
                         cells = ["" if eta1 else str(rounds == c).lower()]
                         cells += ["" if b is None else str(rounds <= b).lower()
                                   for b in want]
-                        got = inst.verdicts(g, report, rounds)
-                        assert got == tuple(cells), (kind, tpl, options, g.n,
-                                                     report, rounds)
+                        lines = []
+                        got = judge(inst.account(g, report), rounds, lines)
+                        assert got == cells, (kind, tpl, options, g.n,
+                                              report, rounds)
                         seen.update(enumerate(got))
+                        broken = [(name, bound) for name, bound, cell
+                                  in zip(BOUNDS, (c, *want), cells)
+                                  if cell == "false"]
+                        assert len(lines) == len(broken)
+                        for line, (name, bound) in zip(lines, broken):
+                            head, _, slack = line.rpartition(", slack ")
+                            assert head.startswith(
+                                f"{name} violated: {rounds} rounds "), line
+                            assert f" {bound} = " in head, line
+                            assert int(slack) == bound - rounds, line
     # every cell was true, false and inapplicable somewhere
     assert seen == {(i, v) for i in range(3) for v in ("true", "false", "")}
+
+
+def test_readme_term_table_matches_account():
+    """README's table of bound terms, as (term, row, source), is the set
+    that the accounts of every buildable (problem, template, tree) yield
+    over a few graphs and reports.  An f term's name is read up to its
+    parenthesis, where the measure it read is written."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    table = readme.split("## Round bounds", 1)[1].split("\n\n| term |")[1]
+    listed = set()
+    for text in table.split("\n\n")[0].splitlines()[2:]:
+        term, _, rows, source = (c.strip() for c in text.strip("|").split("|"))
+        listed |= {(term.strip("`"), row, source) for row in rows.split(", ")}
+    names = {"MIS": "MIS", "MAXIMAL_MATCHING": "MM", "VERTEX_COLORING": "VC",
+             "EDGE_COLORING": "EC"}
+    yielded = set()
+    for problem in PROBLEM_KINDS:
+        for tree in (False, True) if problem == "MIS" else (False,):
+            row = "tree MIS" if tree else names[problem]
+            for template in TEMPLATES:
+                try:
+                    inst = build_template(problem, template, tree=tree)
+                except ConfigError:  # the problem has no such template
+                    continue
+                for g in (line(7), random_connected_graph(12, 0.3, 1)):
+                    for eta1, eta2 in ((0, 0), (1, None), (6, 1), (6, 9)):
+                        report = {"eta1": eta1, "eta2": eta2}
+                        for terms in inst.account(g, report):
+                            for term, rounds, source in terms or ():
+                                assert isinstance(rounds, int) and rounds >= 0
+                                yielded.add((term.split("(")[0], row, source))
+    assert yielded == listed

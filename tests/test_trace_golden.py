@@ -7,7 +7,9 @@ tree_gps, ec_uniform and ec_cleanup before the matching, coloring and
 edge-coloring rounds were folded into shared runs; all of them, and
 tree_parallel_line, before traces were formatted from the engine's send
 record instead of a traced second simulation.  The two EC simple
-runs exit 1 (bound_degrading fails on a correct output, ROADMAP item 1):
+runs exit 1 (bound_degrading fails on a correct output; README, "Known
+discrepancies"), and their assertion line, recaptured when it came to
+name the bound's terms and slack, is the only line that changed then:
 without --trace the trace is dumped after the assertion line, with it
 before.
 To capture the corpus again, at a commit whose output is trusted, run
