@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 from . import measures
@@ -194,6 +195,9 @@ class Plan:
                     raise ConfigError(f"{key} = {cfg[key]}: a standalone "
                                       f"program takes no {key}")
             self.program, kind = _read(cfg, "program")
+            if family != "TREE" and any(s.rooted for s in self.program.stages):
+                raise ConfigError(f"program = {name}: reads each node's "
+                                  f"parent, so it needs graph = TREE")
             # a standalone program is measured as the problem it solves
             self.kind = _read(cfg, "problem", kind)
             if kind != self.kind:
@@ -277,7 +281,7 @@ def judge(account, rounds: int, failures: list) -> list:
     does not apply; each broken one adds its terms and slack to failures."""
     cells = []
     for name, terms in zip(BOUNDS, account):
-        bound = terms and sum([term[1] for term in terms])
+        bound = terms and sum(map(itemgetter(1), terms))
         exact = name == "bound_consistency"  # c rounds, no fewer
         held = terms is None or (rounds == bound if exact else rounds <= bound)
         cells.append("" if terms is None else "true" if held else "false")
@@ -290,7 +294,7 @@ def judge(account, rounds: int, failures: list) -> list:
 
 
 def run_one(plan: Plan, k: int, seed: int):
-    """Execute one instance, untraced; returns (row dict, failure messages,
+    """Execute one instance; returns (row dict, failure messages,
     outcome).  A run whose simulation raised has outcome None."""
     g, tree, p, max_rounds = plan.inputs(k, seed)
     _, _, _, masks = plan.instance(seed)

@@ -18,12 +18,13 @@ not, every active node is in the same round, so node programs derive
 their stage time from rnd, never from the number of calls they got.
 
 A broadcast may hand one payload object to all its recipients, so a
-receiver must never mutate a message it gets.  A node's NodeView, a run's
-Outcome and each TraceEvent are immutable named tuples, and no code edits
-a Step once returned: IDLE, SLEEP and STOP are shared.  Every run keeps a
-send record, each non-empty outbox as compose returned it, and its trace
-is formatted from that record, the output record and the termination
-rounds once the run ends.  So compose returns a dict that its node never
+receiver must never mutate a message it gets.  A node's NodeView and a
+run's Outcome are immutable named tuples, and no code edits a Step once
+returned: IDLE, SLEEP and STOP are shared.  Every run keeps a send
+record, each non-empty outbox as compose returned it, and its trace comes
+from that record, the output record and the termination rounds once the
+run ends: Outcome.events() as (round, node, event, key, value) tuples,
+trace_lines() as text.  So compose returns a dict that its node never
 edits again, and a sender never mutates a payload or an output value
 after the round it sends or assigns it.
 
@@ -101,27 +102,14 @@ def _line(rnd: int, node: int, event: str, key, value) -> str:
     return f"{rnd},{node},{event},"
 
 
-class TraceEvent(NamedTuple):
-    """One trace record: a SEND keeps its target and payload as key and
-    value, an OUTPUT its slot and value; line() formats them."""
-
-    round: int
-    node: int
-    event: str  # SEND, OUTPUT, TERMINATE
-    key: Any = None
-    value: Any = None
-
-    def line(self) -> str:
-        return _line(*self)
-
-
 class Outcome(NamedTuple):
     outputs: dict  # node -> {slot: value}; empty dict = no output
     term_round: dict  # node -> round it terminated
     total_rounds: int
-    # (round, node, slot) per output assignment, in trace order; traced or not
+    # (round, node, slot) per output assignment, in trace order
     output_log: list[tuple[int, int, Any]]
-    trace: Optional[list[TraceEvent]] = None  # events() as TraceEvents, if traced
+    # always None: only perfbench/tracer.py reads it; goes with ROADMAP item 7
+    trace: None = None
     # (round, node, outbox) per non-empty outbox, in trace order
     sends: list[tuple[int, int, Mapping]] = ()
 
@@ -164,7 +152,7 @@ def default_max_rounds(g: Graph) -> int:
 
 def simulate(g: Graph, program, predictions=None,
              max_rounds: Optional[int] = None, *, tree: Optional[RootedTree] = None,
-             trace: bool = False, crash_schedule: Optional[Mapping[int, set]] = None) -> Outcome:
+             crash_schedule: Optional[Mapping[int, set]] = None) -> Outcome:
     """Run program on every node of g until all nodes terminate: a node is
     program.start(its NodeView), whose compose(rnd) returns its outbox and
     process(rnd, inbox) its Step.  crash_schedule maps a round to the nodes
@@ -267,8 +255,5 @@ def simulate(g: Graph, program, predictions=None,
             asleep.pop(u, None)
             term_round[u] = rnd
     total = max(term_round.values(), default=0)
-    outcome = Outcome(outputs, term_round, total, output_log, None, sends)
-    if trace:
-        return outcome._replace(trace=[TraceEvent(*ev) for ev in outcome.events()])
-    return outcome
+    return Outcome(outputs, term_round, total, output_log, None, sends)
 

@@ -216,6 +216,7 @@ class TreeInitStage(MisInitStage):
     # rounds 2 to 4 are leave rounds for all but the joiners: in round 2
     # nobody has a neighbor in the set yet
     rounds = 4
+    rooted = True
     eager = False
     parent_pred = None
 
@@ -260,6 +261,7 @@ class TreeUniformStage(_LeaveRun):
     round the notified nodes output 0."""
 
     phase_len = 2
+    rooted = True
     role = None
 
     def compose(self, ctx, t):
@@ -322,6 +324,8 @@ class GpsTreeColoringStage(ReductionRun):
     then on, so the coloring of the surviving subgraph stays proper at every
     round.  The final color is output, and stored, at the end.
     """
+
+    rooted = True
 
     @classmethod
     def length(cls, view):

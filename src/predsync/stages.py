@@ -41,6 +41,7 @@ class Stage:
     rounds: Optional[int] = None  # the fixed length; None: open-ended
     phase_len: Optional[int] = None  # rounds per phase, when phased
     fault_tolerant: bool = False
+    rooted: bool = False  # reads view.parent, so runs only on a rooted tree
 
     @classmethod
     def length(cls, view: NodeView) -> Optional[int]:

@@ -45,8 +45,7 @@ def test_criterion_01_consistency():
         p = M.corrupt("MIS", g, M.reference("MIS", g), 0, 0)
         for tpl in templates:
             inst = build_template("MIS", tpl)
-            out = simulate(g, inst.program, p, max_rounds=inst.max_rounds(g),
-                           trace=True)
+            out = simulate(g, inst.program, p, max_rounds=inst.max_rounds(g))
             assert out.total_rounds == 3, (tpl, seed, out.total_rounds)
             assert validate("MIS", g, out.solution("MIS", g)) is None
             _audit(f"c1/{tpl}/{seed}", "MIS", g, out,
@@ -64,7 +63,7 @@ def test_criterion_02_simple_degradation():
             p = M.corrupt("MIS", g, M.reference("MIS", g), k, seed)
             report = M.error_report("MIS", g, p)
             _record(report)
-            out = simulate(g, inst.program, p, trace=True)
+            out = simulate(g, inst.program, p)
             assert validate("MIS", g, out.solution("MIS", g)) is None
             assert out.total_rounds <= report["eta1"] + 3, (k, seed)
             assert out.total_rounds <= report["eta2"] + 4, (k, seed)
@@ -78,7 +77,7 @@ def test_criterion_03_greedy_lemmas():
     for seed in range(200):
         n = 4 + seed % 13  # <= 16
         g = random_connected_graph(n, 0.3, seed)
-        out = simulate(g, program("mis.greedy"), trace=True)
+        out = simulate(g, program("mis.greedy"))
         assert validate("MIS", g, out.solution("MIS", g)) is None
         assert out.total_rounds <= min(mu1(g), mu2(g) + 1), seed
         _audit(f"c3/{seed}", "MIS", g, out, even_rounds(out))
@@ -94,8 +93,7 @@ def test_criterion_04_parallel_corollary():
             p = M.corrupt("MIS", g, M.reference("MIS", g), k, seed)
             report = M.error_report("MIS", g, p)
             _record(report)
-            out = simulate(g, inst.program, p, max_rounds=inst.max_rounds(g),
-                           trace=True)
+            out = simulate(g, inst.program, p, max_rounds=inst.max_rounds(g))
             assert validate("MIS", g, out.solution("MIS", g)) is None
             r1 = inst.program.stages[1].length(g)  # the fused stage
             if report["eta2"] + 4 <= r1:
@@ -114,7 +112,7 @@ def test_criterion_05_grid_pattern():
     report = M.error_report("MIS", g, p)
     assert report["eta1"] == 256 and report["eta_bw"] == 4
     inst = build_template("MIS", "simple")
-    out = simulate(g, inst.program, p, trace=True)
+    out = simulate(g, inst.program, p)
     assert validate("MIS", g, out.solution("MIS", g)) is None
     _audit("c5", "MIS", g, out, inst.program.checkpoints(g, out.total_rounds))
     _passed(5, "16x16 grid block pattern gives eta1=256 and eta_bw=4")
@@ -135,7 +133,7 @@ def test_criterion_07_rooted_tree_line():
     t = line_tree(15)
     p = M.reference("MIS", t.graph, pattern="MOD3_LINE", tree=t)
     assert M.error_report("MIS", t.graph, p, t)["eta_t"] == 2
-    out = simulate(t.graph, program("mis.tree_init_eager"), p, tree=t, trace=True)
+    out = simulate(t.graph, program("mis.tree_init_eager"), p, tree=t)
     assert out.total_rounds == 2 and max(out.term_round.values()) == 2
     _audit("c7/init", "MIS", t.graph, out, [out.total_rounds])
 
@@ -150,7 +148,7 @@ def test_criterion_07_rooted_tree_line():
             report = M.error_report("MIS", g, pk, tree=tr)
             _record(report)
             out = simulate(g, inst.program, pk, tree=tr,
-                           max_rounds=inst.max_rounds(g), trace=True)
+                           max_rounds=inst.max_rounds(g))
             assert validate("MIS", g, out.solution("MIS", g)) is None
             if out.total_rounds <= init.length(g) + fused.length(g):
                 checked_inside += 1
@@ -176,7 +174,7 @@ def test_criterion_08_other_problems():
             n = 4 + seed % 11  # <= 14
             g = random_connected_graph(n, 0.3, seed)
             prog = program(name)
-            out = simulate(g, prog, trace=True)
+            out = simulate(g, prog)
             assert validate(kind, g, out.solution(kind, g)) is None, (kind, seed)
             assert out.total_rounds - prologue <= bound(g.n), (kind, seed)
             _audit(f"c8/{kind}/{seed}", kind, g, out,
@@ -204,18 +202,17 @@ def test_criterion_10_extendability_audit():
 
 
 def test_criterion_11_fault_tolerance():
-    def per_round_colors(trace):
+    def per_round_colors(outcome):
         by_round = {}
-        for ev in trace:
-            if ev.event != "SEND":
+        for rnd, node, event, _, msg in outcome.events():
+            if event != "SEND":
                 continue
-            msg = ev.value
             if isinstance(msg, tuple) and msg and msg[0] == "C":
-                by_round.setdefault(ev.round, {})[ev.node] = msg[1]
+                by_round.setdefault(rnd, {})[node] = msg[1]
         return by_round
 
     def check(g, outcome, label):
-        for rnd, colors in per_round_colors(outcome.trace).items():
+        for rnd, colors in per_round_colors(outcome).items():
             for u, v in g.edges():
                 if colors.get(u) is not None and colors.get(u) == colors.get(v):
                     raise AssertionError(f"{label}: round {rnd} edge {u},{v}")
@@ -233,7 +230,7 @@ def test_criterion_11_fault_tolerance():
             if r.random() < 0.5:
                 sched.setdefault(r.randrange(1, budget + 1), set()).add(u)
         out = simulate(g, program("vc.linial"), max_rounds=budget + 5,
-                       crash_schedule=sched, trace=True)
+                       crash_schedule=sched)
         check(g, out, f"linial/{seed}")
 
     for seed in range(100):
@@ -246,7 +243,7 @@ def test_criterion_11_fault_tolerance():
             if r.random() < 0.5:
                 sched.setdefault(r.randrange(1, budget + 1), set()).add(u)
         out = simulate(g, program("mis.tree_gps"), tree=t,
-                       max_rounds=budget + 5, crash_schedule=sched, trace=True)
+                       max_rounds=budget + 5, crash_schedule=sched)
         check(g, out, f"gps/{seed}")
     _passed(11, "Linial and tree 3-coloring stay proper under 100 seeded "
                 "crash schedules each")

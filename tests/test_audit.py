@@ -117,12 +117,12 @@ def test_edge_coloring_violations_reported():
 # read from the trace events at every checkpoint
 
 
-def _parsed_partial(trace, upto_round):
+def _parsed_partial(outcome, upto_round):
     partial = {}
-    for ev in trace:
-        if ev.event != "OUTPUT" or ev.round > upto_round:
+    for rnd, node, event, key, value in outcome.events():
+        if event != "OUTPUT" or rnd > upto_round:
             continue
-        partial.setdefault(ev.node, {})[ev.key] = ev.value
+        partial.setdefault(node, {})[key] = value
     return partial
 
 
@@ -131,23 +131,23 @@ def _reference_audit(kind, g, outcome, checkpoints):
     for rnd in checkpoints:
         if rnd > outcome.total_rounds:
             continue
-        msg = check_extendable(kind, g, _parsed_partial(outcome.trace, rnd))
+        msg = check_extendable(kind, g, _parsed_partial(outcome, rnd))
         if msg:
             problems.append(f"round {rnd}: {msg}")
     return problems
 
 
-def _agree(kind, g, traced, untraced, checkpoints):
-    """Both audits agree on every round; returns the violations found."""
-    every = list(range(0, traced.total_rounds + 2))
-    violation = validate(kind, g, traced.solution(kind, g))
+def _agree(kind, g, out, checkpoints):
+    """All three audits agree on every round; returns the violations
+    found."""
+    every = list(range(0, out.total_rounds + 2))
+    violation = validate(kind, g, out.solution(kind, g))
     for cps in (checkpoints, every):
-        expected = _reference_audit(kind, g, traced, cps)
-        assert audit_run(kind, g, traced, cps) == (violation, expected)
-        assert audit_run(kind, g, untraced, cps) == (violation, expected)
-        assert rule_audit(kind, g, untraced, cps) == (violation, expected)
+        expected = _reference_audit(kind, g, out, cps)
+        assert audit_run(kind, g, out, cps) == (violation, expected)
+        assert rule_audit(kind, g, out, cps) == (violation, expected)
     for rnd in every:
-        assert partial_outputs(untraced, rnd) == _parsed_partial(traced.trace, rnd)
+        assert partial_outputs(out, rnd) == _parsed_partial(out, rnd)
     return len(expected)
 
 
@@ -165,11 +165,9 @@ def test_audit_matches_reference_on_seeded_template_runs():
             for k in (0, 2, 5):
                 p = measures.corrupt(kind, g, measures.reference(kind, g),
                                      k, seed)
-                traced = simulate(g, inst.program, p, inst.max_rounds(g), trace=True)
-                untraced = simulate(g, inst.program, p, inst.max_rounds(g))
-                assert untraced.output_log == traced.output_log
-                cps = inst.program.checkpoints(g, traced.total_rounds)
-                assert _agree(kind, g, traced, untraced, cps) == 0
+                out = simulate(g, inst.program, p, inst.max_rounds(g))
+                cps = inst.program.checkpoints(g, out.total_rounds)
+                assert _agree(kind, g, out, cps) == 0
 
 
 def _faulty_plan(kind, g, r, rounds):
@@ -205,10 +203,9 @@ def test_audit_matches_reference_on_faulty_scripted_runs():
             r = random.Random(f"{kind}-{seed}")
             g = random_graph(4 + seed % 9, 0.35, seed)
             program = Outputs(_faulty_plan(kind, g, r, 1 + seed % 5))
-            traced = simulate(g, program, trace=True)
-            untraced = simulate(g, program)
-            found += _agree(kind, g, traced, untraced,
-                            sorted(r.sample(range(traced.total_rounds + 2), 2)))
+            out = simulate(g, program)
+            found += _agree(kind, g, out,
+                            sorted(r.sample(range(out.total_rounds + 2), 2)))
         assert found > 0, kind
 
 

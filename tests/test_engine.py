@@ -4,8 +4,9 @@ import pytest
 
 from predsync import measures as M, mis, problems
 from predsync.cli import RUN_ERRORS
-from predsync.engine import (NEVER, NonTermination, ProtocolViolation, Step,
-                             default_max_rounds, simulate)
+from predsync.engine import (NEVER, NonTermination, Outcome,
+                             ProtocolViolation, Step, default_max_rounds,
+                             simulate)
 from predsync.graphs import (PROBLEM_KINDS, build_graph, line,
                              random_connected_graph, random_tree)
 from predsync.stages import ConfigError
@@ -93,13 +94,16 @@ def test_send_to_non_neighbor_rejected():
         simulate(g, Script(plans))
 
 
-@pytest.mark.parametrize("trace", [False, True])
-def test_non_neighbor_violation_names_smallest_recipient(trace):
-    # node 1 of the path 1-2-3-4 sends to its neighbor 2 and to 4 and 3
+@pytest.mark.parametrize("ascending", [False, True])
+def test_non_neighbor_violation_names_smallest_recipient(ascending):
+    # node 1 of the path 1-2-3-4 sends to its neighbor 2 and to 4 and 3,
+    # in either order: the error names 3 whichever recipient comes first
     g = line(4)
-    plans = {1: {1: ({}, {}, False), 2: ({4: "a", 2: "b", 3: "c"}, {}, True)}}
+    outbox = ({2: "b", 3: "c", 4: "a"} if ascending
+              else {4: "a", 2: "b", 3: "c"})
+    plans = {1: {1: ({}, {}, False), 2: (outbox, {}, True)}}
     with pytest.raises(ProtocolViolation) as exc:
-        simulate(g, Script(plans), trace=trace)
+        simulate(g, Script(plans))
     assert str(exc.value) == "node 1 sent to non-neighbor 3 in round 2"
 
 
@@ -117,13 +121,13 @@ def test_multi_slot_outputs_are_assigned_in_repr_order():
     ints = {9: "a", 100: "b", 1: "c", 10: "d"}
     strs = {"b": 1, "ab": 2, "B": 3, "a": 4}
     plans = {1: {1: ({}, ints, True)}, 2: {1: ({}, strs, True)}}
-    out = simulate(g, Script(plans), trace=True)
+    out = simulate(g, Script(plans))
     expected = {1: [1, 10, 100, 9], 2: ["B", "a", "ab", "b"]}
     for u, slots in ((1, ints), (2, strs)):
         assert [s for s, _ in sorted(slots.items(), key=repr)] == expected[u]
     assert out.output_log == [(1, u, s) for u in (1, 2) for s in expected[u]]
-    assert [(ev.node, ev.key) for ev in out.trace if ev.event == "OUTPUT"] == [
-        (u, s) for u in (1, 2) for s in expected[u]]
+    assert [(u, s) for _, u, event, s, _ in out.events()
+            if event == "OUTPUT"] == [(u, s) for u in (1, 2) for s in expected[u]]
 
 
 def test_non_termination_guard():
@@ -166,7 +170,7 @@ def test_trace_and_snapshot():
         1: {1: ({2: "m"}, {"y": 1}, True)},
         2: {1: ({}, {}, False), 2: ({}, {"y": 0}, True)},
     }
-    out = simulate(g, Script(plans), trace=True)
+    out = simulate(g, Script(plans))
     lines = out.trace_lines()
     assert "1,1,SEND,2:'m'" in lines
     assert "1,1,OUTPUT,y=1" in lines
@@ -226,7 +230,7 @@ def test_message_to_sleeper_calls_only_its_process():
     g = build_graph([1, 2], [(1, 2)])
     prog = Sleeper({1: {1: ({}, 9, False), 4: ({}, None, True)},
                     2: {3: ({1: "wake up"}, None, True)}})
-    out = simulate(g, prog, trace=True)
+    out = simulate(g, prog)
     assert prog.calls(1) == [(1, "compose"), (1, "process"), (3, "process"),
                              (4, "compose"), (4, "process")]
     assert [inbox for rnd, u, what, inbox in prog.log
@@ -262,7 +266,7 @@ def test_stale_wake_entry_is_harmless():
 def test_crash_of_sleeping_node_ends_it_in_scheduled_round():
     g = build_graph([1, 2], [(1, 2)])
     prog = Sleeper({1: {1: ({}, 5, False)}, 2: {8: ({}, None, True)}})
-    out = simulate(g, prog, crash_schedule={3: {1}}, trace=True)
+    out = simulate(g, prog, crash_schedule={3: {1}})
     assert prog.calls(1) == [(1, "compose"), (1, "process")]  # not in round 5
     assert out.term_round == {1: 3, 2: 8}
     assert "3,1,TERMINATE," in out.trace_lines()
@@ -306,29 +310,30 @@ def _crash_cases():
                _crashes(t.graph, seed, "crash-gps", budget))
 
 
-def _ended(prog, g, p, max_rounds, **kwargs):
-    """(error, None) for a run that raises, else (None, its records and
-    trace)."""
+def _ended(run, prog, g, p, max_rounds, **kwargs):
+    """What run (an engine) returns, or the type and text of its error."""
     try:
-        out = simulate(g, prog, p, max_rounds, **kwargs)
+        return run(g, prog, p, max_rounds, **kwargs)
     except tuple(RUN_ERRORS) as exc:
-        return f"{type(exc).__name__}: {exc}", None
-    assert out.trace is None
-    return None, (out.outputs, out.term_round, out.total_rounds,
-                  out.output_log, out.sends, out.trace_lines())
+        return type(exc), str(exc)
+
+
+def _records(out):
+    """A run's outputs, termination order, round count, output record and
+    trace lines; an error's type and text as they are."""
+    if not isinstance(out, Outcome):
+        return out
+    return (out.outputs, list(out.term_round.items()), out.total_rounds,
+            out.output_log, out.trace_lines())
 
 
 def _same_runs(prog, g, p, max_rounds, **kwargs):
-    """Two untraced runs end alike, and a traced run's events give the
-    trace that the untraced run formats, line for line; True if the run
-    ended without an error."""
-    error, record = _ended(prog, g, p, max_rounds, **kwargs)
-    assert _ended(prog, g, p, max_rounds, **kwargs) == (error, record)
-    if error:
-        return False
-    traced = simulate(g, prog, p, max_rounds, trace=True, **kwargs)
-    assert [ev.line() for ev in traced.trace] == record[-1]
-    return True
+    """Two runs end alike, their send records and trace lines included;
+    True if the run ended without an error."""
+    out = _ended(simulate, prog, g, p, max_rounds, **kwargs)
+    again = _ended(simulate, prog, g, p, max_rounds, **kwargs)
+    assert (again, _records(again)) == (out, _records(out))
+    return isinstance(out, Outcome)
 
 
 @pytest.mark.parametrize("name", MATRIX)
@@ -354,19 +359,9 @@ def _both_engines(prog, g, p, max_rounds, **kwargs):
     """engine.simulate and reference.naive_simulate give the same outputs,
     termination order, round count, output record and trace lines, or
     raise the same error with the same text; True if the run raised."""
-    ran = []
-    for run in (simulate, naive_simulate):
-        try:
-            out = run(g, prog, p, max_rounds, **kwargs)
-        except tuple(RUN_ERRORS) as exc:
-            ran.append((type(exc), str(exc)))
-            continue
-        if run is simulate:
-            out = (out.outputs, list(out.term_round.items()),
-                   out.total_rounds, out.output_log, out.trace_lines())
-        ran.append(out)
-    assert ran[0] == ran[1]
-    return len(ran[0]) == 2  # (error type, text), not the five records
+    out = _records(_ended(simulate, prog, g, p, max_rounds, **kwargs))
+    assert out == _ended(naive_simulate, prog, g, p, max_rounds, **kwargs)
+    return len(out) == 2  # (error type, text), not the five records
 
 
 @pytest.mark.parametrize("name", MATRIX)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from predsync import graphs
-from predsync.engine import Outcome, TraceEvent
+from predsync.engine import Outcome
 from predsync.graphs import (CapExceeded, GraphError, Violation,
                              build_graph, generate, grid, line, line_tree,
                              mask_components, mis_bitmasks,
@@ -213,23 +213,20 @@ def test_each_graph_error_branch(build, message):
 
 
 def test_graph_tree_and_violation_are_immutable():
-    """Assigning or deleting a field of a graph, a rooted tree, a violation,
-    an outcome or a trace event raises; copies and pickles keep every
-    field."""
+    """Assigning or deleting a field of a graph, a rooted tree, a violation
+    or an outcome raises; copies and pickles keep every field."""
     t = line_tree(3)
     g = t.graph
     v = Violation("RANGE", 1, "node 1 output 2")
-    ev = TraceEvent(1, 1, "SEND", 2, "x")
-    out = Outcome({1: {}}, {1: 1}, 1, [], [ev])
+    out = Outcome({1: {}}, {1: 1}, 1, [], sends=[(1, 1, {2: "x"})])
     for obj, name in ((g, "d"), (g, "adjacency"), (g, "nodes"), (g, "delta"),
                       (g, "neighbor_sets"), (g, "unset"), (t, "graph"),
                       (t, "parent"), (v, "code"), (v, "unset"),
-                      (out, "outputs"), (out, "trace"), (out, "unset"),
-                      (ev, "round"), (ev, "value"), (ev, "unset")):
+                      (out, "outputs"), (out, "trace"), (out, "sends"),
+                      (out, "unset")):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
-    for obj, name in ((g, "d"), (t, "parent"), (out, "total_rounds"),
-                      (ev, "event")):
+    for obj, name in ((g, "d"), (t, "parent"), (out, "total_rounds")):
         with pytest.raises(AttributeError):
             delattr(obj, name)
     assert (g.d, g.n, g.delta, t.root) == (3, 3, 2, 1)

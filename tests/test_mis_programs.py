@@ -123,7 +123,7 @@ def test_cleanup_star():
 
 def test_greedy_line5():
     g = line(5)
-    out = simulate(g, program("mis.greedy"), trace=True)
+    out = simulate(g, program("mis.greedy"))
     assert out.total_rounds == 5
     assert {u for u in g.nodes if value(out, u) == 1} == {1, 3, 5}
     assert audit_run("MIS", g, out, even_rounds(out)) == (None, [])
@@ -140,7 +140,7 @@ def test_greedy_clique_and_single():
 def test_greedy_even_round_zero_iff_one_neighbor():
     for seed in range(20):
         g = random_connected_graph(4 + seed % 10, 0.3, seed)
-        out = simulate(g, program("mis.greedy"), trace=True)
+        out = simulate(g, program("mis.greedy"))
         for rnd in range(2, out.total_rounds + 1, 2):
             y = {u: s.get("y") for u, s in partial_outputs(out, rnd).items()}
             for u in g.nodes:
@@ -161,7 +161,7 @@ def test_greedy_steady_progress():
     # r + f(mu(S)) <= f(mu(G)) + 2 for f = id (mu1) and f = x+1 (mu2)
     for seed in range(15):
         g = random_connected_graph(5 + seed % 8, 0.35, seed)
-        out = simulate(g, program("mis.greedy"), trace=True)
+        out = simulate(g, program("mis.greedy"))
         for rnd in range(1, out.total_rounds + 1):
             active = snapshot_active(out, g, rnd)
             for s in components(induced_subgraph(g, active)):
@@ -310,7 +310,7 @@ def test_tree_uniform_paths():
     assert out.total_rounds == 1
     assert value(out, 1) == 1 and value(out, 2) == 0
     t7 = line_tree(7)
-    out = simulate(t7.graph, program("mis.tree_uniform"), tree=t7, trace=True)
+    out = simulate(t7.graph, program("mis.tree_uniform"), tree=t7)
     assert validate("MIS", t7.graph, out.solution("MIS", t7.graph)) is None
     assert out.total_rounds <= 2 * ((7 + 1) // 2)
     assert audit_run("MIS", t7.graph, out, even_rounds(out)) == (None, [])
@@ -319,7 +319,7 @@ def test_tree_uniform_paths():
 def test_tree_uniform_random_trees():
     for seed in range(20):
         t = random_tree(3 + seed % 12, seed)
-        out = simulate(t.graph, program("mis.tree_uniform"), tree=t, trace=True)
+        out = simulate(t.graph, program("mis.tree_uniform"), tree=t)
         assert validate("MIS", t.graph, out.solution("MIS", t.graph)) is None
         assert audit_run("MIS", t.graph, out, even_rounds(out)) == (None, [])
 

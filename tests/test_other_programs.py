@@ -72,7 +72,7 @@ def test_mm_uniform_bound_and_validity():
     for seed in range(40):
         g = random_connected_graph(4 + seed % 11, 0.3, seed)
         prog = program("mm.uniform")
-        out = simulate(g, prog, trace=True)
+        out = simulate(g, prog)
         sol = out.solution("MAXIMAL_MATCHING", g)
         assert validate("MAXIMAL_MATCHING", g, sol) is None
         assert out.total_rounds <= 3 * (g.n // 2)
@@ -109,7 +109,7 @@ def test_vc_uniform_bound_and_palette_invariant():
     for seed in range(40):
         g = random_connected_graph(4 + seed % 11, 0.35, seed)
         prog = program("vc.uniform")
-        out = simulate(g, prog, trace=True)
+        out = simulate(g, prog)
         sol = out.solution("VERTEX_COLORING", g)
         assert validate("VERTEX_COLORING", g, sol) is None
         assert out.total_rounds <= g.n
@@ -234,7 +234,7 @@ def test_ec_uniform_bound_and_validity():
     for seed in range(40):
         g = random_connected_graph(4 + seed % 9, 0.35, seed)
         prog = program("ec.uniform")
-        out = simulate(g, prog, trace=True)
+        out = simulate(g, prog)
         sol = out.solution("EDGE_COLORING", g)
         assert validate("EDGE_COLORING", g, sol) is None
         assert out.total_rounds - 1 <= max(1, 2 * g.n - 3)
@@ -248,7 +248,7 @@ def test_ec_palettes_equal_at_phase_ends():
     # colors seen at the endpoints
     g = random_connected_graph(8, 0.4, 5)
     prog = program("ec.uniform")
-    out = simulate(g, prog, trace=True)
+    out = simulate(g, prog)
     from reference import partial_outputs
     for rnd in prog.checkpoints(g, out.total_rounds):
         partial = partial_outputs(out, rnd)

@@ -97,7 +97,7 @@ def test_consecutive_truncation_branch():
     rep = M.error_report("MIS", g, p)
     r = lambda v: 2
     inst = build_template("MIS", "consecutive", r=r)
-    out = simulate(g, inst.program, p, trace=True)
+    out = simulate(g, inst.program, p)
     assert validate("MIS", g, out.solution("MIS", g)) is None
     assert out.total_rounds <= _sums(inst, g, rep)[2]
     cps = inst.program.checkpoints(g, out.total_rounds)
@@ -160,7 +160,7 @@ def test_interleaved_round_accounting():
             p = M.corrupt("MIS", g, M.reference("MIS", g), k, seed)
             rep = M.error_report("MIS", g, p)
             inst = build_template("MIS", "interleaved")
-            out = simulate(g, inst.program, p, trace=True)
+            out = simulate(g, inst.program, p)
             assert validate("MIS", g, out.solution("MIS", g)) is None
             _, degrading, robust = _sums(inst, g, rep)
             assert out.total_rounds <= degrading
@@ -262,16 +262,15 @@ def test_a_node_is_one_slotted_object():
         assert not hasattr(node, "__dict__"), template
 
 
-def _r_subchannel_sends(trace, lo, hi):
+def _r_subchannel_sends(out, lo, hi):
     """Part-1 ("C", color) messages inside fused rounds lo..hi, keyed by
     (relative round, sender, target)."""
     sends = {}
-    for ev in trace:
-        if ev.event != "SEND" or not lo <= ev.round <= hi:
+    for rnd, node, event, target, msg in out.events():
+        if event != "SEND" or not lo <= rnd <= hi:
             continue
-        msg = ev.value
         if isinstance(msg, dict) and msg.get("R") is not None:
-            sends[(ev.round - lo + 1, ev.node, ev.key)] = msg["R"]
+            sends[(rnd - lo + 1, node, target)] = msg["R"]
     return sends
 
 
@@ -282,10 +281,9 @@ def test_parallel_part1_isolation():
         g = random_connected_graph(9, 0.35, seed)
         p = {u: 0 for u in g.nodes}  # init terminates nobody
         inst = build_template("MIS", "parallel")
-        out = simulate(g, inst.program, p, max_rounds=inst.max_rounds(g),
-                       trace=True)
+        out = simulate(g, inst.program, p, max_rounds=inst.max_rounds(g))
         init_len, r1 = (s.length(g) for s in inst.program.stages[:2])
-        fused = _r_subchannel_sends(out.trace, init_len + 1, init_len + r1)
+        fused = _r_subchannel_sends(out, init_len + 1, init_len + r1)
 
         crashes = {}
         for u, t in out.term_round.items():
@@ -293,12 +291,12 @@ def test_parallel_part1_isolation():
                 crashes.setdefault(t - init_len, set()).add(u)
         alone = StagedProgram([problems.LinialPart1Stage])
         ref = simulate(g, alone, crash_schedule=crashes,
-                       max_rounds=r1 + 5, trace=True)
+                       max_rounds=r1 + 5)
         lone = {}
-        for ev in ref.trace:
-            if ev.event != "SEND":
+        for rnd, node, event, target, msg in ref.events():
+            if event != "SEND":
                 continue
-            lone[(ev.round, ev.node, ev.key)] = ev.value
+            lone[(rnd, node, target)] = msg
         shared = set(fused) & set(lone)
         assert shared, "no overlapping part-1 traffic to compare"
         for key in shared:
@@ -317,7 +315,7 @@ def test_tree_parallel_bounds():
             p = M.corrupt("MIS", g, M.reference("MIS", g), k, seed)
             rep = M.error_report("MIS", g, p, tree=t)
             out = simulate(g, inst.program, p, tree=t,
-                           max_rounds=inst.max_rounds(g), trace=True)
+                           max_rounds=inst.max_rounds(g))
             assert validate("MIS", g, out.solution("MIS", g)) is None
             assert out.total_rounds <= _sums(inst, g, rep)[2]
             if out.total_rounds <= init.length(g) + fused.length(g):

@@ -87,7 +87,7 @@ class CopyingProxy:
 
 def _outcome(program, g, predictions=None, **kwargs):
     try:
-        out = simulate(g, program, predictions, trace=True, **kwargs)
+        out = simulate(g, program, predictions, **kwargs)
     except (NonTermination, ProtocolViolation) as exc:
         return type(exc), str(exc)
     return (out.outputs, out.term_round, out.total_rounds, out.trace_lines(),
@@ -203,7 +203,7 @@ class _Early:
     def compose(self, rnd):
         outbox = self.inner.compose(rnd)
         self._lines(rnd)[0].extend(
-            engine.TraceEvent(rnd, self.node, "SEND", v, m).line()
+            engine._line(rnd, self.node, "SEND", v, m)
             for v, m in sorted(outbox.items()))
         return outbox
 
@@ -211,10 +211,10 @@ class _Early:
         step = self.inner.process(rnd, inbox)
         _, outputs, ends = self._lines(rnd)
         outputs.extend(
-            engine.TraceEvent(rnd, self.node, "OUTPUT", s, step.outputs[s]).line()
+            engine._line(rnd, self.node, "OUTPUT", s, step.outputs[s])
             for s in sorted(step.outputs, key=repr))
         if step.terminate:
-            ends.append(engine.TraceEvent(rnd, self.node, "TERMINATE").line())
+            ends.append(engine._line(rnd, self.node, "TERMINATE", None, None))
         return step
 
 
@@ -614,7 +614,7 @@ def test_message_to_one_run_wakes_the_other():
     inst = build_template("MIS", "interleaved", phase=4)
     p = {u: 0 for u in g.nodes}
     _same(inst.program, g, p, max_rounds=inst.max_rounds(g))
-    out = simulate(g, inst.program, p, inst.max_rounds(g), trace=True)
+    out = simulate(g, inst.program, p, inst.max_rounds(g))
     assert "13,50,SEND,55:'ZERO'" in out.trace_lines()
     assert out.outputs[55] == {"y": 1} and out.term_round[55] == 16
 
