@@ -133,8 +133,9 @@ def audit_run(kind: str, g: Graph, outcome, checkpoints) -> tuple:
                     new.append((at, node, value))
                     near |= 1 << at | nbits[at]
             flagged = flag(new, out)
-            for u in [u for u in failing if not flagged >> index[u] & 1]:
-                del failing[u]  # passes now
+            if failing:
+                for u in [u for u in failing if not flagged >> index[u] & 1]:
+                    del failing[u]  # passes now
             recheck, near = [], flagged & near
             while near:
                 low = near & -near

@@ -198,6 +198,9 @@ class Plan:
             if family != "TREE" and any(s.rooted for s in self.program.stages):
                 raise ConfigError(f"program = {name}: reads each node's "
                                   f"parent, so it needs graph = TREE")
+            if self.program.stages[0].reads_stored_color:
+                raise ConfigError(f"program = {name}: reads a stored coloring "
+                                  f"that an MIS config cannot give")
             # a standalone program is measured as the problem it solves
             self.kind = _read(cfg, "problem", kind)
             if kind != self.kind:

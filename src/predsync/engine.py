@@ -9,18 +9,21 @@ events come in sender order too, and each sender's in recipient order.
 
 Waiting nodes cost nothing.  A node's Step may name its next wake round:
 until then, its compose and process would do nothing unless a message
-reaches it.  (A stage run names a stage round; to shift it, or to stop a
-run, the stage driver returns a new Step.)  The engine steps only awake
-nodes; a sleeping node is woken in its wake round, or earlier by a
-message, in which case only its process runs in that round.  A NEVER
-sleeper is kept only in asleep, for only a message wakes it.  Stepped or
-not, every active node is in the same round, so node programs derive
-their stage time from rnd, never from the number of calls they got.
+reaches it.  (A stage run names a stage round; to shift it, the stage
+driver returns its program's shared Step of the engine round, or a new
+Step when the sleep has outputs, as it does to stop a run.)  The engine
+steps only awake nodes; a sleeping node is woken in its wake round, or
+earlier by a message, in which case only its process runs in that
+round.  A NEVER sleeper is kept only in asleep, for only a message wakes
+it.  Stepped or not, every active node is in the same round, so node
+programs derive their stage time from rnd, never from the number of
+calls they got.
 
 A broadcast may hand one payload object to all its recipients, so a
 receiver must never mutate a message it gets.  A node's NodeView and a
 run's Outcome are immutable named tuples, and no code edits a Step once
-returned: IDLE, SLEEP and STOP are shared.  Every run keeps a send
+returned: IDLE, SLEEP and STOP are shared, and so is each program's one
+sleep step per wake round (stages.StagedProgram).  Every run keeps a send
 record, each non-empty outbox as compose returned it, and its trace comes
 from that record, the output record and the termination rounds once the
 run ends: Outcome.events() as (round, node, event, key, value) tuples,

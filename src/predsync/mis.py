@@ -382,6 +382,7 @@ class RevealStage(Stage):
     and check that the surviving coloring is proper."""
 
     rounds = 1
+    reads_stored_color = True
 
     def compose(self, ctx, t):
         # per recipient: with no active neighbor, _stored_color never runs

@@ -13,16 +13,19 @@ TruncatedStage, InterleavedStage and ParallelStage.
 A run returns the engine's Step, and its wake is a stage round: NEVER for
 no work until a message arrives, a finite wake for none before that
 round.  Steps are shared (engine.IDLE, SLEEP, STOP; mis.JOINED, LEFT), so
-the driver, which derives stage time from the round number, returns a new
-Step with the wake shifted, capped at the next stage start (the last round
-of a fixed final stage); a message still wakes the node earlier.
+the driver, which derives stage time from the round number, never edits
+one: it shifts the wake to an engine round, capped at the next stage
+start (the last round of a fixed final stage), and a message still wakes
+the node earlier.  A sleep it re-times, with no outputs and no stop, is
+the program's one shared Step of that wake round, and so is a sleep that
+an interleaved run re-times; any other re-timed step is a new Step.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Mapping, Optional
 
-from .engine import IDLE, NEVER, STOP, NodeView, ProtocolViolation, Step
+from .engine import IDLE, NEVER, SLEEP, NodeView, ProtocolViolation, Step
 
 
 class ConfigError(ValueError):
@@ -42,6 +45,8 @@ class Stage:
     phase_len: Optional[int] = None  # rounds per phase, when phased
     fault_tolerant: bool = False
     rooted: bool = False  # reads view.parent, so runs only on a rooted tree
+    # reads a stored coloring, so it needs a stage before it that stores one
+    reads_stored_color: bool = False
 
     @classmethod
     def length(cls, view: NodeView) -> Optional[int]:
@@ -66,51 +71,62 @@ class Ctx:
     and the driver's state.  Slotted, so a per-node field is deliberate."""
 
     __slots__ = ("view", "active", "nbr_one", "stored", "stages", "spans",
-                 "idx", "before", "end", "cap", "run")
+                 "last", "sleeps", "idx", "before", "end", "cap", "run")
 
-    def __init__(self, view: NodeView, stages, spans):
+    def __init__(self, view: NodeView, stages, spans, last, sleeps):
         self.view = view
         self.active = set(view.neighbor_ids)  # neighbors believed still active
         self.nbr_one = set()  # neighbors that output 1 (MIS)
         self.stored = {}  # unrevealed values and what later stages read
         self.stages = stages
         self.spans = spans  # shared by every node of the run
-        if stages:
-            self.run = self._enter(0)
-        else:
-            self.end = self.run = None
+        self.last = last  # the final fixed stage's last round, else NEVER
+        self.sleeps = sleeps  # the program's shared sleep steps
+        self.idx = 0
+        self.before, self.end, self.cap = spans[0]
+        self.run = stages[0](self)
 
     def _enter(self, idx):
         """Stage idx's run, which starts after round self.before.  end is its
-        last round, None when open-ended; cap is the latest wake: the next
+        last round, NEVER when open-ended; cap is the latest wake: the next
         stage start, or the final stage's last round."""
         self.idx = idx
         self.before, self.end, self.cap = self.spans[idx]
         return self.stages[idx](self)
 
     def compose(self, rnd):
-        # advance to the stage that round rnd falls in.  process needs no
-        # advance: it follows compose, or it is a message to a sleeper,
-        # whose wake round never lies past the start of the next stage
-        while self.end is not None and rnd > self.end and self.run is not None:
-            nxt = self.idx + 1
-            self.run = self._enter(nxt) if nxt < len(self.stages) else None
-        if self.run is None:
-            return {}
+        # advance to the stage that round rnd falls in, which exists: the
+        # final stage is open-ended (end NEVER) or stops every node in its
+        # last round.  process needs no advance: it follows compose, or it
+        # is a message to a sleeper, whose wake never lies past the next
+        # stage start
+        while rnd > self.end:
+            self.run = self._enter(self.idx + 1)
         return self.run.compose(self, rnd - self.before)
 
     def process(self, rnd, inbox):
-        if self.run is None:
-            # past the final fixed stage: terminate undecided
-            return STOP
         step = self.run.process(self, rnd - self.before, inbox)
-        if rnd == self.end and self.idx == len(self.stages) - 1:  # stop undecided
+        if rnd == self.last:  # stop undecided
             return step if step.terminate else Step(step.outputs, True)
         wake = step.wake
-        if wake is not None:
-            wake = min(self.before + wake, self.cap)  # as an engine round
-            if wake != step.wake:
-                return Step(step.outputs, step.terminate, wake)
+        if wake is None:
+            return step
+        wake += self.before  # as an engine round
+        if wake > self.cap:
+            wake = self.cap
+        if wake == step.wake:
+            return step
+        if step.outputs or step.terminate:
+            return Step(step.outputs, step.terminate, wake)
+        return self.sleeps[wake]
+
+
+class _Sleeps(dict):
+    """wake -> the shared Step(wake=wake), made on first use: what a driver
+    or a composite run returns for a sleep it re-times."""
+
+    def __missing__(self, wake):
+        step = self[wake] = Step(wake=wake)
         return step
 
 
@@ -121,32 +137,37 @@ class StagedProgram:
 
     def __init__(self, stages):
         self.stages = list(stages)
-        self._key = self._lengths = self._spans = None
+        self._key = self._lengths = self._spans = self._last = None
+        self._sleeps = _Sleeps({NEVER: SLEEP})
 
     def lengths(self, view_like) -> tuple:
         """Each stage's length, None for an open-ended final stage.  Kept
         for the last (n, d, delta) seen, so one tuple serves every node of
         a run and its bounds and checkpoints, and so does each stage's
-        span for Ctx: (rounds before it, its last round, its cap)."""
+        span for Ctx: (rounds before it, its last round or NEVER, its
+        cap), and the final fixed stage's last round, or NEVER."""
         key = (view_like.n, view_like.d, view_like.delta)
         if key != self._key:
             lengths = tuple(s.length(view_like) for s in self.stages)
             if None in lengths[:-1]:
                 raise ConfigError("only the final stage may be open-ended")
+            if not lengths or lengths[-1] == 0:
+                raise ConfigError("a program needs a final stage of a round or more")
             spans, before, last = [], 0, len(lengths) - 1
             for idx, ln in enumerate(lengths):
                 if ln is None:
-                    spans.append((before, None, NEVER))
+                    spans.append((before, NEVER, NEVER))
                 else:  # cap: the next stage start, or the last round
                     spans.append((before, before + ln, before + ln + (idx < last)))
                     before += ln
-            self._key, self._lengths, self._spans = key, lengths, tuple(spans)
+            self._key, self._lengths, self._spans, self._last = (
+                key, lengths, tuple(spans), spans[-1][1])
         return self._lengths
 
     def start(self, view: NodeView):
         if (view.n, view.d, view.delta) != self._key:
             self.lengths(view)
-        return Ctx(view, self.stages, self._spans)
+        return Ctx(view, self.stages, self._spans, self._last, self._sleeps)
 
     def checkpoints(self, view_like, total_rounds: int) -> list[int]:
         """Rounds at which the global partial output must be extendable."""
@@ -207,7 +228,7 @@ class _InterleavedRun:
         self.stages = stages  # U, R
         self.phase = phase
         self.runs = [None, None]  # the U and R runs, once started
-        self.idle = set()  # runs with no work until a message arrives
+        self.idle = 0  # bit i: run i has no work until a message arrives
         # first stage round past the current block; stage rounds only grow
         self.next_block = 1
 
@@ -235,15 +256,16 @@ class _InterleavedRun:
         if step.terminate:
             return step
         # the runs share ctx, so what one learns may give the other work
-        if inbox or step.wake is None:
-            self.idle.clear()
         if step.wake is None:
+            self.idle = 0
             return step
-        self.idle.add(self.which)
+        idle = self.idle = (0 if inbox else self.idle) | 1 << self.which
         # both idle: only a message brings work; else the other run may
         # have some when its block starts
-        wake = NEVER if len(self.idle) == 2 else self.next_block
-        return step if wake == step.wake else Step(step.outputs, wake=wake)
+        wake = NEVER if idle == 3 else self.next_block
+        if wake == step.wake:
+            return step
+        return Step(step.outputs, wake=wake) if step.outputs else ctx.sleeps[wake]
 
 
 class FusedRun:

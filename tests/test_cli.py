@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from predsync import cli, engine, graphs, measures, registry
+from predsync import cli, engine, graphs, measures, mis, registry
 from predsync.cli import Plan, main, parse_range, run_one
 from predsync.engine import Step
 from predsync.graphs import line
@@ -369,22 +369,45 @@ def test_program_without_problem_runs(tmp_path, capsys):
     assert cells["problem"] == "VERTEX_COLORING" and cells["valid"] == "VALID"
 
 
+STORED_COLORING = "reads a stored coloring that an MIS config cannot give"
+
+
 @pytest.mark.parametrize("graph", ["graph = LINE\nn = 4\n",
                                    "graph = RANDOM_CONNECTED\nn = 8\np = 0.3\n"],
                          ids=["LINE", "RANDOM_CONNECTED"])
 def test_rooted_tree_programs_need_a_tree(tmp_path, capsys, graph):
     """Off a TREE every node's parent is None, so a program that reads it
-    is a config error there, not a run whose output fails validation."""
-    rejected = []
+    is a config error there, not a run whose output fails validation.  The
+    stored-coloring programs are config errors on every graph."""
+    rejected = {}
     for name in sorted(registry.PROGRAMS):
         cfg = _cfg(tmp_path, f"{graph}program = {name}\n")
         status, err = main(["run", "--config", cfg]), capsys.readouterr().err
         if status == 2:
-            assert err == (f"config error: program = {name}: reads each "
-                           f"node's parent, so it needs graph = TREE\n")
-            rejected.append(name)
-    assert rejected == ["mis.tree_gps", "mis.tree_init", "mis.tree_init_eager",
-                        "mis.tree_uniform"]
+            rejected[name] = err
+    parent = "reads each node's parent, so it needs graph = TREE"
+    assert rejected == {name: f"config error: program = {name}: {why}\n"
+                        for name, why in [
+                            ("mis.color_part2", STORED_COLORING),
+                            ("mis.tree_gps", parent), ("mis.tree_init", parent),
+                            ("mis.tree_init_eager", parent),
+                            ("mis.tree_part2", STORED_COLORING),
+                            ("mis.tree_uniform", parent)]}
+
+
+@pytest.mark.parametrize("graph", ["graph = TREE\nn = 10\n",
+                                   "graph = LINE\nn = 6\n"], ids=["TREE", "LINE"])
+def test_stored_coloring_programs_are_config_errors(tmp_path, capsys, graph):
+    """The part-2 programs read a stored coloring from their predictions,
+    but a program config is measured as MIS, whose predictions are 0 or
+    1, so every run would fail; both are config errors, on a tree too."""
+    for name in ("mis.color_part2", "mis.tree_part2"):
+        for extra in ("", "k = 3\n"):
+            cfg = _cfg(tmp_path, f"{graph}program = {name}\n{extra}")
+            assert main(["run", "--config", cfg]) == 2
+            out, err = capsys.readouterr()
+            assert (out, err) == (
+                "", f"config error: program = {name}: {STORED_COLORING}\n")
 
 
 @pytest.mark.parametrize("program, kind", [("ec.uniform", "EDGE_COLORING"),
@@ -766,10 +789,15 @@ def _rows(csv_text):
     return [dict(zip(header.split(","), row.split(","))) for row in rows]
 
 
-def test_protocol_violation_is_a_failing_row(tmp_path, capsys):
+def test_protocol_violation_is_a_failing_row(tmp_path, capsys, monkeypatch):
     """A run that raises inside simulate writes its row with the error's
-    code, prints the message and no trace, and exits 1."""
-    cfg = _cfg(tmp_path, "graph = LINE\nn = 10\nprogram = mis.color_part2\n"
+    code, prints the message and no trace, and exits 1.  No program that a
+    config can run is known to break the protocol, so greedy is made to."""
+    def broken(self, ctx, t, inbox):
+        raise engine.ProtocolViolation(f"node {ctx.view.id} broke the protocol")
+
+    monkeypatch.setattr(mis.GreedyStage, "process", broken)
+    cfg = _cfg(tmp_path, "graph = LINE\nn = 10\nprogram = mis.greedy\n"
                          "k = 2\nseed = 0\n")
     for extra in ([], ["--trace"]):
         assert main(["run", "--config", cfg, *extra]) == 1
@@ -780,7 +808,7 @@ def test_protocol_violation_is_a_failing_row(tmp_path, capsys):
         assert [row[c] for c in ("rounds", "bound_consistency",
                                  "bound_degrading", "bound_robust")] == [""] * 4
         assert err == ("ASSERTION FAILED (k=2, seed=0): PROTOCOL_VIOLATION: "
-                       "stored coloring not proper: nodes 1 and 2\n")
+                       "node 1 broke the protocol\n")
 
 
 def test_non_termination_fails_its_runs_not_the_sweep(tmp_path, capsys):

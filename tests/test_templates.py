@@ -15,7 +15,7 @@ from predsync.graphs import (PROBLEM_KINDS, _assign_ids, build_graph, grid,
                              line, random_connected_graph, random_graph,
                              random_tree, validate)
 from predsync.stages import (ConfigError, InterleavedStage, ParallelStage,
-                             Stage, StagedProgram)
+                             Stage, StagedProgram, TruncatedStage)
 from predsync.templates import TEMPLATES, build_template
 
 from helpers import value
@@ -251,6 +251,18 @@ def test_only_the_final_stage_may_be_open_ended():
     last_open = StagedProgram([_CountedStage(), _CountedStage(open_ended=True)])
     with pytest.raises(NonTermination):  # an idle open stage never ends
         simulate(line(3), last_open, max_rounds=6)
+
+
+def test_the_final_stage_lasts_a_round():
+    """The driver stops a node in the last round of a fixed final stage,
+    so a program needs one that has a round."""
+    empty = TruncatedStage(mis.GreedyStage, lambda v: 0)
+    for stages in ([], [mis.MisInitStage, empty]):
+        with pytest.raises(ConfigError, match="a program needs a final stage "
+                                              "of a round or more"):
+            simulate(line(3), StagedProgram(stages))
+    out = simulate(line(3), StagedProgram([empty, mis.GreedyStage]))
+    assert out.total_rounds == 3  # a stage of no rounds may come first
 
 
 def test_a_node_is_one_slotted_object():

@@ -290,8 +290,8 @@ SHARED_STEPS = {"IDLE": engine.IDLE, "SLEEP": engine.SLEEP,
 
 def _returned(name):
     """Every Step the runs of a MATRIX entry return, with its fields as
-    they were when it was returned; all are kept alive, so no two distinct
-    steps share an id."""
+    they were when it was returned, and the program's shared sleep steps
+    by wake; all are kept alive, so no two distinct steps share an id."""
     program, cases, max_rounds = _matrix(name)
     prog = RecordingProxy(program)
     for g, rooted, p in cases:
@@ -300,17 +300,20 @@ def _returned(name):
         except tuple(RUN_ERRORS):
             pass
     assert prog.returned
-    return prog.returned
+    return prog.returned, program._sleeps
 
 
 @pytest.mark.parametrize("name", MATRIX)
 def test_every_process_call_returns_a_new_step(name):
-    """A process call returns a new Step unless it returns a shared one, so
-    the shared steps are the only steps that two calls can hand out, and
-    the only ones that test_no_step_is_edited_after_it_is_returned must
-    watch beyond each step's own call."""
-    shared = set(map(id, SHARED_STEPS.values()))
-    own = [id(step) for step, _ in _returned(name) if id(step) not in shared]
+    """A process call returns a new Step unless it returns a shared one:
+    one of SHARED_STEPS, or the program's shared sleep step of its wake,
+    which a stage driver or a composite run returns for a sleep it
+    re-times.  So those are the only steps that two calls can hand out,
+    and the only ones that test_no_step_is_edited_after_it_is_returned
+    must watch beyond each step's own call."""
+    returned, sleeps = _returned(name)
+    shared = set(map(id, [*SHARED_STEPS.values(), *sleeps.values()]))
+    own = [id(step) for step, _ in returned if id(step) not in shared]
     assert len(set(own)) == len(own)
 
 
@@ -319,14 +322,35 @@ def test_no_step_is_edited_after_it_is_returned(name):
     """Steps are shared, IDLE by every node, so no code may edit one once
     it is returned: not the stage driver, the composite runs, nor the
     engine.  Every step still holds the fields it was returned with after
-    every run, and so do the shared steps."""
+    every run, and so do the shared steps and the shared sleep steps."""
     shared = {key: _fields(step) for key, step in SHARED_STEPS.items()}
     assert shared == {"IDLE": ({}, False, None), "SLEEP": ({}, False, NEVER),
                       "STOP": ({}, True, None), "JOINED": ({"y": 1}, True, None),
                       "LEFT": ({"y": 0}, True, None)}
-    for step, fields in _returned(name):
+    returned, sleeps = _returned(name)
+    for step, fields in returned:
         assert _fields(step) == fields
     assert {key: _fields(step) for key, step in SHARED_STEPS.items()} == shared
+    assert sleeps[NEVER] is engine.SLEEP
+    assert all(_fields(step) == ({}, False, wake)
+               for wake, step in sleeps.items())
+
+
+@pytest.mark.parametrize("template,wake,count",
+                         [("simple", 4, 6), ("interleaved", 6, 4)])
+def test_nodes_sleeping_to_one_round_share_its_step(template, wake, count):
+    """A sleep that a stage driver or a composite run re-times returns the
+    program's one Step for its wake round.  Under ALL_ZEROS every node of
+    a line sleeps in round 1 of the MIS initialization, and the driver
+    wakes all 6 in round 4, the first of U.  In the first interleaved U
+    block, greedy's round 4, nodes 1..4 lose and hear nothing, so they
+    sleep to round 6, where the first R block starts."""
+    g = line(6)
+    prog = RecordingProxy(build_template("MIS", template).program)
+    simulate(g, prog, {u: 0 for u in g.nodes})
+    sleeps = [step for step, (_, _, at) in prog.returned if at == wake]
+    assert len(sleeps) == count
+    assert all(step is sleeps[0] for step in sleeps)
 
 
 # a Step's parameters, and the source of each default
